@@ -15,10 +15,9 @@ from .flavors import (AssemblyInconsistent, BalancedComponents, ConeReport,
                       FlavorBundle, FourFlavors, LadderReport, TowerParams,
                       assemble, cone_identities, cone_total, four_flavors,
                       ladder_check, tower_model)
-from .connsum import (CMFlavors, ConnSumMaps, FilteredComplex,
-                      IdentificationFailed, PositivityViolated, SumInput,
-                      SumMapsReport, case1_check, case2_check,
-                      check_positivity, cm_flavors, product_complex, s_u_sum,
+from .connsum import (ConnSumMaps, FilteredComplex, IdentificationFailed,
+                      PositivityViolated, SumInput, case1_check, case2_check,
+                      check_positivity, cm_flavors, product_complex,
                       verify_sum_maps)
 
 __all__ = [
@@ -35,8 +34,7 @@ __all__ = [
     "FlavorBundle", "FourFlavors", "LadderReport", "TowerParams",
     "assemble", "cone_identities", "cone_total", "four_flavors",
     "ladder_check", "tower_model",
-    "CMFlavors", "ConnSumMaps", "FilteredComplex", "IdentificationFailed",
-    "PositivityViolated", "SumInput", "SumMapsReport", "case1_check",
-    "case2_check", "check_positivity", "cm_flavors", "product_complex",
-    "s_u_sum", "verify_sum_maps",
+    "ConnSumMaps", "FilteredComplex", "IdentificationFailed",
+    "PositivityViolated", "SumInput", "case1_check", "case2_check",
+    "check_positivity", "cm_flavors", "product_complex", "verify_sum_maps",
 ]

@@ -370,10 +370,6 @@ class HomologyTable:
         """Table T with T[j] = self[j - s] (content moved up by s)."""
         return HomologyTable({j + s: g for j, g in self.table.items()})
 
-    def restricted(self, window: Tuple[int, int]) -> "HomologyTable":
-        lo, hi = window
-        return HomologyTable({j: g for j, g in self.table.items() if lo <= j <= hi})
-
     def equal_on(self, other: "HomologyTable", window: Tuple[int, int]) -> bool:
         lo, hi = window
         return all(self[j] == other[j] for j in range(lo, hi + 1))
@@ -592,33 +588,6 @@ class PMorphism:
 # Induced maps on homology and exactness certificates
 # ---------------------------------------------------------------------------
 
-def _class_matrix(f: GradedMap, src: PresentedGroup, tgt: PresentedGroup,
-                  j: int, p: int) -> IntMatrix:
-    """Matrix of the induced map in canonical coordinates at source degree j."""
-    src_names = f.source.gens_in_degree(j)
-    tgt_names = f.target.gens_in_degree(j + f.degree)
-    tpos = {n: i for i, n in enumerate(tgt_names)}
-    cols = []
-    for k in range(src.rank_coords()):
-        rep = src.representative(k)
-        out: Dict[Tuple[int, int], int] = {}
-        for r, name in enumerate(src_names):
-            c = rep[(r, 0)]
-            if not c:
-                continue
-            for t, v in f.image_of(name).items():
-                i = tpos.get(t)
-                if i is not None:
-                    out[(i, 0)] = out.get((i, 0), 0) + c * v
-        vec = IntMatrix(len(tgt_names), 1, out)
-        coords = tgt.coords_of(vec)
-        if coords is None:
-            raise NotAChainMap("image of a cycle is not a cycle")
-        cols.append(IntMatrix.column(coords))
-    return (IntMatrix.hstack(cols) if cols
-            else IntMatrix(tgt.rank_coords(), 0))
-
-
 @dataclass(frozen=True)
 class DegreeMapInfo:
     source_group: AbelianGroup
@@ -684,13 +653,14 @@ def induced_on_homology(f: GradedMap, source: ChainComplex, target: ChainComplex
     tgt_pres = present_homology(target, (window[0] + f.degree, window[1] + f.degree))
     out = {}
     p = source.p
+    arrow = _HomologyArrow.from_map(f, source, target)
     for j, spg in src_pres.items():
         tpg = tgt_pres.get(j + f.degree)
         if tpg is None:
             d_out = target.d.block(j + f.degree)
             d_in = target.d.block(j + f.degree + 1)
             tpg = PresentedGroup.from_pair(d_in, d_out, p)
-        F = _class_matrix(f, spg, tpg, j, p)
+        F = arrow.class_matrix(j, spg, tpg)
         inj, surj = _flags(F, spg, tpg, p)
         out[j] = DegreeMapInfo(spg.group, tpg.group, F, inj, surj)
     return InducedMap(f.degree, out)

@@ -7,6 +7,20 @@ hat: n = 0 only), sliced to a degree window using deg(g.u{n}) = deg(g) - 2n
 so every slice is finite.  Both directions of the duality are checked by
 brute-force homology comparison up to a uniform degree shift.
 
+One engine serves these flavors and the Laurent-filtered flavors of
+``connsum``.  ``_expand`` expands a Laurent differential over an exponent
+range (``e_y`` feeds it d at exponent 0 and Y at exponent 1, the form
+d + Y.u), and ``_fundamental`` ties the four expansions together by the two
+fundamental short exact sequences, their connecting maps and their
+long-exact-sequence certificates.  The two callers differ only in a
+``_Layout``: the range table (u-range as above; Laurent: minus k >= 0,
+infinity all k, plus k <= -1, hat k = 0), the name suffix (``.u`` / ``.U``)
+and the certificate tags.  The hat offset o = 2 * (bottom exponent of
+minus - hat exponent) is 2 for the u-range, whose hat is the top line of
+plus, and 0 for the Laurent range, whose hat is the bottom line of minus.
+It is the degree of the projection of minus onto hat, and every other
+difference between the two sequences follows from it.
+
 Conventions match chain.py: differentials have degree -1; a degree-d chain
 map satisfies f.d - (-1)^d d.f = 0.  On a doubled complex the blocks over
 (g, g.y) are [[d, 0], [U, -d]], the Y-action is g -> g.y, and a p-morphism
@@ -19,7 +33,7 @@ unsafe degrees and all assertions are made at safe ones.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chain import (
     ChainComplex,
@@ -52,8 +66,51 @@ class NotAPMorphism(ChainError):
 
 
 # ---------------------------------------------------------------------------
-# Flavors and windows
+# Flavors, exponent ranges and windows
 # ---------------------------------------------------------------------------
+
+FLAVOR_TAGS = ("minus", "infinity", "plus", "hat")
+
+# (lowest, highest) exponent per flavor; None is unbounded
+ExponentRange = Tuple[Optional[int], Optional[int]]
+
+
+def _in_range(exponents: ExponentRange, n: int) -> bool:
+    lo, hi = exponents
+    return (lo is None or n >= lo) and (hi is None or n <= hi)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """One family of flavor expansions: the exponent range of each flavor,
+    the generator-name suffix, and the tags of the two short exact
+    sequences and of their long exact sequences."""
+
+    ranges: Dict[str, ExponentRange]
+    suffix: str
+    seq_tags: Tuple[str, str]
+    les_tags: Tuple[str, str]
+
+    @property
+    def hat_offset(self) -> int:
+        """Degree of the projection of minus onto hat."""
+        return 2 * (self.ranges["minus"][0] - self.ranges["hat"][0])
+
+
+# powers of u: hat is the top line of plus
+_U_LAYOUT = _Layout(
+    {"minus": (1, None), "infinity": (None, None), "plus": (None, 0),
+     "hat": (0, 0)},
+    ".u", ("u-range-splice", "u-multiplication"),
+    ("localization-sequence", "u-multiplication-sequence"))
+
+# Laurent exponents of a filtered complex: hat is the bottom line of minus
+_LAURENT_LAYOUT = _Layout(
+    {"minus": (0, None), "infinity": (None, None), "plus": (None, -1),
+     "hat": (0, 0)},
+    ".U", ("eq:fund-short:1", "eq:fund-short:2"),
+    ("eq:fund-short:1", "eq:fund-short:2"))
+
 
 @dataclass(frozen=True)
 class Flavor:
@@ -63,27 +120,11 @@ class Flavor:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in ("minus", "infinity", "plus", "hat"):
+        if self.tag not in FLAVOR_TAGS:
             raise ChainError(f"unknown flavor {self.tag!r}")
 
     def valid_exponent(self, n: int) -> bool:
-        if self.tag == "minus":
-            return n >= 1
-        if self.tag == "plus":
-            return n <= 0
-        if self.tag == "hat":
-            return n == 0
-        return True
-
-    def occupies_degree(self, gen_degrees: Sequence[int], t: int) -> bool:
-        """Would the untruncated flavor complex have a generator at degree t?"""
-        for dg in gen_degrees:
-            if (dg - t) % 2:
-                continue
-            n = (dg - t) // 2
-            if self.valid_exponent(n):
-                return True
-        return False
+        return _in_range(_U_LAYOUT.ranges[self.tag], n)
 
     def __str__(self) -> str:
         return self.tag
@@ -120,29 +161,38 @@ class Window(Tuple[int, int]):
         return cls(sw[0] - margin, sw[1] + margin)
 
 
-def _resolve_window(C: ChainComplex, window) -> Window:
+def _resolve_window(degrees: Sequence[int], window) -> Window:
+    """The given window, or else the span of the generator degrees widened
+    by two on each side (-2..2 when there are none)."""
     if window is None:
-        return Window.default_for(C)
+        if not degrees:
+            return Window(-2, 2)
+        return Window(min(degrees) - 2, max(degrees) + 2)
     if isinstance(window, Window):
         return window
     lo, hi = window
     return Window(lo, hi)
 
 
+def _window_safe(gen_degrees: Sequence[int], exponents: ExponentRange,
+                 win: Window, reach: int = 1) -> List[int]:
+    """Degrees j of the window such that every degree in j-reach..j+1 where
+    the untruncated expansion (g.{n} in degree deg(g) - 2n for n in the
+    exponent range) has a generator lies inside the window."""
+    def occupied(t: int) -> bool:
+        return any((dg - t) % 2 == 0 and _in_range(exponents, (dg - t) // 2)
+                   for dg in gen_degrees)
+
+    return [j for j in range(win.lo, win.hi + 1)
+            if all(win.lo <= t <= win.hi or not occupied(t)
+                   for t in range(j - reach, j + 2))]
+
+
 def safe_degrees(C: ChainComplex, flavor: Flavor, window) -> List[int]:
     """Degrees of e_y(C, flavor, window) untouched by the slicing."""
-    win = _resolve_window(C, window)
-    degs = [d for _, d in C.module.generators]
-    out = []
-    for j in range(win.lo, win.hi + 1):
-        ok = True
-        for t in (j - 1, j, j + 1):
-            if flavor.occupies_degree(degs, t) and not (win.lo <= t <= win.hi):
-                ok = False
-                break
-        if ok:
-            out.append(j)
-    return out
+    win = _resolve_window(C.module.degrees(), window)
+    return _window_safe([d for _, d in C.module.generators],
+                        _U_LAYOUT.ranges[flavor.tag], win)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +246,47 @@ def s_u_map(P: PMorphism) -> GradedMap:
 
 
 # ---------------------------------------------------------------------------
-# E_Y in the four flavors
+# The expansion engine and E_Y in the four flavors
 # ---------------------------------------------------------------------------
 
-def _u_name(g: str, n: int) -> str:
-    return f"{g}.u{n}"
-
-
-def _exponents_for(dg: int, flavor: Flavor, win: Window) -> List[int]:
+def _exponents(dg: int, exponents: ExponentRange, win: Window) -> List[int]:
     # lo <= dg - 2n <= hi  <=>  ceil((dg - hi)/2) <= n <= floor((dg - lo)/2)
     lo_n = -((win.hi - dg) // 2)
     hi_n = (dg - win.lo) // 2
-    return [n for n in range(lo_n, hi_n + 1) if flavor.valid_exponent(n)]
+    return [n for n in range(lo_n, hi_n + 1) if _in_range(exponents, n)]
+
+
+def _expand(generators: Sequence[Tuple[str, int]],
+            terms: Iterable[Tuple[str, str, int, int]], layout: _Layout,
+            tag: str, win: Window, p: int) -> ChainComplex:
+    """Expand a Laurent differential over one flavor's exponent range.
+
+    ``terms`` lists (src, dst, exponent, coeff).  Generator g and exponent n
+    give g{suffix}{n} in degree deg(g) - 2n, a term shifts the exponent by
+    its own, and terms leaving the range or the window drop (for plus this
+    is the quotient differential).  The U-action is the exponent shift."""
+    exponents = layout.ranges[tag]
+    out: Dict[str, List[Tuple[str, int, int]]] = {}
+    for src, dst, n, c in terms:
+        out.setdefault(src, []).append((dst, n, c))
+    lines = [(g, dg, _exponents(dg, exponents, win)) for g, dg in generators]
+    module = GradedModule([(f"{g}{layout.suffix}{n}", dg - 2 * n)
+                           for g, dg, ns in lines for n in ns])
+    ent: Dict[Tuple[str, str], int] = {}
+    uent: Dict[Tuple[str, str], int] = {}
+    for g, _dg, ns in lines:
+        for n in ns:
+            sname = f"{g}{layout.suffix}{n}"
+            for dst, k, c in out.get(g, ()):
+                tname = f"{dst}{layout.suffix}{n + k}"
+                if tname in module:
+                    ent[(sname, tname)] = ent.get((sname, tname), 0) + c
+            up = f"{g}{layout.suffix}{n + 1}"
+            if up in module:
+                uent[(sname, up)] = 1
+    d = GradedMap(module, module, -1, {k: v for k, v in ent.items() if v})
+    u = GradedMap(module, module, -2, uent)
+    return ChainComplex(module, d, u_action=u, p=p)
 
 
 def e_y(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
@@ -218,36 +297,26 @@ def e_y(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
         raise ModulusUnsupported("e_y needs a genuine Z-grading")
     if C.y_action is None:
         raise MissingYAction("e_y needs a Y-action")
-    win = _resolve_window(C, window)
-    gens = []
-    kept: Set[str] = set()
-    for g, dg in C.module.generators:
-        for n in _exponents_for(dg, flavor, win):
-            name = _u_name(g, n)
-            gens.append((name, dg - 2 * n))
-            kept.add(name)
-    module = GradedModule(gens)
-    ent: Dict[Tuple[str, str], int] = {}
+    win = _resolve_window(C.module.degrees(), window)
+    terms = [(s, t, 0, v) for (s, t), v in C.d.entries.items()]
+    terms += [(s, t, 1, v) for (s, t), v in C.y_action.entries.items()]
+    return _expand(C.module.generators, terms, _U_LAYOUT, flavor.tag, win,
+                   C.p)
 
-    def put(sname, tname, v):
-        if sname in kept and tname in kept and v:
-            ent[(sname, tname)] = ent.get((sname, tname), 0) + v
 
-    for g, dg in C.module.generators:
-        for n in _exponents_for(dg, flavor, win):
-            for t, v in C.d.image_of(g).items():
-                put(_u_name(g, n), _u_name(t, n), v)
-            if flavor.valid_exponent(n + 1):
-                for t, v in C.y_action.image_of(g).items():
-                    put(_u_name(g, n), _u_name(t, n + 1), v)
-    d = GradedMap(module, module, -1, {k: v for k, v in ent.items() if v})
-    uent = {}
-    for g, dg in C.module.generators:
-        for n in _exponents_for(dg, flavor, win):
-            if flavor.valid_exponent(n + 1) and _u_name(g, n + 1) in kept:
-                uent[(_u_name(g, n), _u_name(g, n + 1))] = 1
-    u = GradedMap(module, module, -2, uent)
-    return ChainComplex(module, d, u_action=u, p=C.p)
+def _slotwise(f: GradedMap, source: ChainComplex,
+              target: ChainComplex) -> GradedMap:
+    """f tensored with the identity of the u-range between two slices:
+    g.u{n} -> f(g).u{n}, dropping images outside the target slice."""
+    tnames = set(target.module.names())
+    ent = {}
+    for sname, _ in source.module.generators:
+        g, n = sname.rsplit(".u", 1)
+        for t, v in f.image_of(g).items():
+            tname = f"{t}.u{n}"
+            if tname in tnames:
+                ent[(sname, tname)] = v
+    return GradedMap(source.module, target.module, f.degree, ent)
 
 
 def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
@@ -261,18 +330,8 @@ def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
     ynat = (f @ source.y_action) - (target.y_action @ f).scale(sign)
     if not ynat.is_zero_mod(source.p):
         raise ChainError("e_y_map needs Y-equivariance")
-    src = e_y(source, flavor, window)
-    tgt = e_y(target, flavor, window)
-    tnames = set(tgt.module.names())
-    ent = {}
-    for sname, sdeg in src.module.generators:
-        g, un = sname.rsplit(".u", 1)
-        n = int(un)
-        for t, v in f.image_of(g).items():
-            tname = _u_name(t, n)
-            if tname in tnames:
-                ent[(sname, tname)] = v
-    return GradedMap(src.module, tgt.module, f.degree, ent)
+    return _slotwise(f, e_y(source, flavor, window),
+                     e_y(target, flavor, window))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +373,18 @@ class LESCertificate:
 
 @dataclass(frozen=True)
 class FundamentalSequences:
+    """The four flavor expansions of one complex on a window, with both
+    fundamental short exact sequences (minus into infinity onto plus; minus
+    into minus by u onto hat) and their homology certificates."""
+
     window: Window
     complexes: Dict[str, ChainComplex]
     seq1: ShortExactSequence
     seq2: ShortExactSequence
     les1: LESCertificate
     les2: LESCertificate
-    delta1: _HomologyArrow = None  # plus -> minus, degree -1
-    delta2: _HomologyArrow = None  # hat -> minus, degree -1
+    delta1: _HomologyArrow  # plus -> minus, degree -1
+    delta2: _HomologyArrow  # hat -> minus, degree 1 - hat offset
 
     @property
     def ok(self) -> bool:
@@ -331,6 +394,13 @@ class FundamentalSequences:
 def _identity_entries(src: ChainComplex, tgt: ChainComplex) -> Dict[Tuple[str, str], int]:
     tnames = set(tgt.module.names())
     return {(n, n): 1 for n in src.module.names() if n in tnames}
+
+
+def _transpose(f: GradedMap) -> GradedMap:
+    """A 0/1 generator map read backwards: the canonical degreewise section
+    of a projection, or retraction of an injection."""
+    return GradedMap(f.target, f.source, -f.degree,
+                     {(t, s): v for (s, t), v in f.entries.items()})
 
 
 def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
@@ -350,127 +420,130 @@ def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
     return lattices_equal(bi, kp, p)
 
 
+def _les_certificate(tag: str, win: Window, rows, safe: Dict[str, Set[int]],
+                     cache: Dict[Tuple[int, int], PresentedGroup]
+                     ) -> LESCertificate:
+    """Homology-level exactness at the nodes of a long exact sequence, degree
+    by degree.  ``rows`` lists (location, incoming arrow, outgoing arrow,
+    needs); the node at degree j is checked only when j + offset lies in
+    ``safe[key]`` for every (key, offset) pair of its needs."""
+    nodes = []
+    for j in range(win.lo, win.hi + 1):
+        for location, incoming, outgoing, needs in rows:
+            if all(j + k in safe[key] for key, k in needs):
+                c, e = exactness_pair(incoming, outgoing, j, cache)
+                nodes.append(LESNode(location, j, c, e))
+    return LESCertificate(tag, tuple(nodes))
+
+
+def _chain_map_inside(f: GradedMap, source: ChainComplex,
+                      target: ChainComplex, win: Window) -> bool:
+    """``is_chain_map`` on the source generators whose whole square lies in
+    the window: the slices cut d off below the window, and a map of
+    positive degree pushes the top of the window out of it.  For a degree-0
+    map between slices of one window this is ``is_chain_map`` itself."""
+    sign = -1 if f.degree % 2 else 1
+    defect = (f @ source.d) - (target.d @ f).scale(sign)
+    deg = source.module.degree_of
+    p = source.p
+    return not any(v % p if p else v
+                   for (s, _t), v in defect.entries.items()
+                   if win.lo < deg(s) and deg(s) + f.degree <= win.hi)
+
+
+def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
+                 gen_degrees: Sequence[int], win: Window,
+                 p: int) -> FundamentalSequences:
+    """Both fundamental sequences of four flavor expansions, degreewise at
+    the chain level and through the long exact sequence at window-safe
+    degrees; connecting maps by the snake construction, retraction . d .
+    section through the canonical degreewise splittings."""
+    minus, inf, plus, hat = (complexes[t] for t in FLAVOR_TAGS)
+    o = layout.hat_offset
+
+    inc = GradedMap(minus.module, inf.module, 0, _identity_entries(minus, inf))
+    proj = GradedMap(inf.module, plus.module, 0, _identity_entries(inf, plus))
+    # the generator split is window-uniform, so the module-level sequence is
+    # exact at every sliced degree
+    seq1_checked = tuple(range(win.lo, win.hi + 1))
+    seq1_ok = (is_chain_map(inc, minus, inf)
+               and is_chain_map(proj, inf, plus)
+               and all(_ses_exact_at(inc, proj, j, p) for j in seq1_checked))
+    seq1 = ShortExactSequence(layout.seq_tags[0], minus, inf, plus, inc,
+                              proj, seq1_checked, seq1_ok)
+
+    # multiplication by u inside minus, quotient onto hat: the bottom line
+    # of minus goes to the hat line, o degrees up
+    mult_u = minus.u_action
+    bottom_n = layout.ranges["minus"][0]
+    proj2_names = {}
+    for name, _ in hat.module.generators:
+        g, _n = name.rsplit(layout.suffix, 1)
+        sname = f"{g}{layout.suffix}{bottom_n}"
+        if sname in minus.module:
+            proj2_names[(sname, name)] = 1
+    proj2 = GradedMap(minus.module, hat.module, o, proj2_names)
+    # u-multiplication runs off the top of the slice, so the module-level
+    # check stops two degrees short of it
+    seq2_checked = tuple(range(win.lo, win.hi - 1))
+    seq2_ok = (_chain_map_inside(proj2, minus, hat, win)
+               and all(_ses_exact_at(mult_u, proj2, j, p)
+                       for j in seq2_checked))
+    seq2 = ShortExactSequence(layout.seq_tags[1], minus, minus, hat, mult_u,
+                              proj2, seq2_checked, seq2_ok)
+
+    delta1 = _HomologyArrow.from_map(
+        _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
+    # retracting u keeps the exponents above the bottom of minus
+    delta2 = _HomologyArrow.from_map(
+        _transpose(mult_u) @ minus.d @ _transpose(proj2), hat, minus)
+
+    inc_a = _HomologyArrow.from_map(inc, minus, inf)
+    proj_a = _HomologyArrow.from_map(proj, inf, plus)
+    mult_a = _HomologyArrow.from_map(mult_u, minus, minus)
+    proj2_a = _HomologyArrow.from_map(proj2, minus, hat)
+
+    safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
+            for tag in FLAVOR_TAGS}
+    cache: Dict[Tuple[int, int], PresentedGroup] = {}
+    les1 = _les_certificate(layout.les_tags[0], win, (
+        ("infinity", inc_a, proj_a,
+         (("infinity", 0), ("minus", 0), ("plus", 0))),
+        ("plus", proj_a, delta1,
+         (("plus", 0), ("infinity", 0), ("minus", -1))),
+        ("minus", delta1, inc_a,
+         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe, cache)
+    les2 = _les_certificate(layout.les_tags[1], win, (
+        ("minus@u-image", mult_a, proj2_a,
+         (("minus", 0), ("minus", 2), ("hat", o))),
+        ("hat", proj2_a, delta2,
+         (("hat", 0), ("minus", -o), ("minus", 1 - o))),
+        ("minus@delta-image", delta2, mult_a,
+         (("minus", 0), ("hat", o - 1), ("minus", -2)))), safe, cache)
+
+    return FundamentalSequences(win, complexes, seq1, seq2, les1, les2,
+                                delta1, delta2)
+
+
 def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     """The two short exact sequences of flavor complexes (minus into
     infinity onto plus; minus into minus by u onto hat) with degreewise
     exactness checks and homology-level long-exact-sequence certificates at
     window-safe degrees, connecting maps computed by the snake construction
     through the canonical degreewise splitting."""
-    win = _resolve_window(C, window)
-    em = e_y(C, MINUS, win)
-    ei = e_y(C, INFINITY, win)
-    ep = e_y(C, PLUS, win)
-    eh = e_y(C, HAT, win)
-    p = C.p
-
-    inc = GradedMap(em.module, ei.module, 0, _identity_entries(em, ei))
-    proj = GradedMap(ei.module, ep.module, 0, _identity_entries(ei, ep))
-    safe = {f.tag: set(safe_degrees(C, f, win)) for f in ALL_FLAVORS}
-
-    # the generator split is window-uniform, so the module-level sequence is
-    # exact at every sliced degree
-    seq1_checked = tuple(range(win.lo, win.hi + 1))
-    seq1_ok = all(_ses_exact_at(inc, proj, j, p) for j in seq1_checked)
-    seq1 = ShortExactSequence("u-range-splice", em, ei, ep, inc, proj,
-                              seq1_checked, seq1_ok)
-
-    # multiplication by u inside minus, quotient onto the hat line (u^1 -> u^0)
-    mult_names = {}
-    for name, _ in em.module.generators:
-        g, un = name.rsplit(".u", 1)
-        tname = _u_name(g, int(un) + 1)
-        if tname in em.module:
-            mult_names[(name, tname)] = 1
-    mult_u = GradedMap(em.module, em.module, -2, mult_names)
-    proj2_names = {}
-    for name, _ in eh.module.generators:
-        g, _un = name.rsplit(".u", 1)
-        sname = _u_name(g, 1)
-        if sname in em.module:
-            proj2_names[(sname, name)] = 1
-    proj2 = GradedMap(em.module, eh.module, 2, proj2_names)
-
-    # u-multiplication runs off the top of the slice, so the module-level
-    # check stops two degrees short of it
-    seq2_checked = tuple(range(win.lo, win.hi - 1))
-    seq2_ok = all(_ses_exact_at(mult_u, proj2, j, p) for j in seq2_checked)
-    seq2 = ShortExactSequence("u-multiplication", em, em, eh, mult_u, proj2,
-                              seq2_checked, seq2_ok)
-
-    # connecting maps via retraction . d . section (canonical split lifts)
-    sec1 = GradedMap(ep.module, ei.module, 0, _identity_entries(ep, ei))
-    ret1 = GradedMap(ei.module, em.module, 0, _identity_entries(ei, em))
-    delta1_map = ret1 @ ei.d @ sec1
-    delta1 = _HomologyArrow.from_map(delta1_map, ep, em)
-
-    sec2_names = {}
-    for name, _ in eh.module.generators:
-        g, _un = name.rsplit(".u", 1)
-        sname = _u_name(g, 1)
-        if sname in em.module:
-            sec2_names[(name, sname)] = 1
-    sec2 = GradedMap(eh.module, em.module, -2, sec2_names)
-    ret2_names = {}
-    for name, _ in em.module.generators:
-        g, un = name.rsplit(".u", 1)
-        n = int(un)
-        if n >= 2:
-            tname = _u_name(g, n - 1)
-            if tname in em.module:
-                ret2_names[(name, tname)] = 1
-    ret2 = GradedMap(em.module, em.module, 2, ret2_names)
-    delta2_map = ret2 @ em.d @ sec2
-    delta2 = _HomologyArrow.from_map(delta2_map, eh, em)
-
-    inc_a = _HomologyArrow.from_map(inc, em, ei)
-    proj_a = _HomologyArrow.from_map(proj, ei, ep)
-    mult_a = _HomologyArrow.from_map(mult_u, em, em)
-    proj2_a = _HomologyArrow.from_map(proj2, em, eh)
-
-    cache: Dict[Tuple[int, int], PresentedGroup] = {}
-    nodes1: List[LESNode] = []
-    for j in range(win.lo, win.hi + 1):
-        if (j in safe["infinity"] and j in safe["minus"] and j in safe["plus"]):
-            c, e = exactness_pair(inc_a, proj_a, j, cache)
-            nodes1.append(LESNode("infinity", j, c, e))
-        if (j in safe["plus"] and j in safe["infinity"]
-                and (j - 1) in safe["minus"]):
-            c, e = exactness_pair(proj_a, delta1, j, cache)
-            nodes1.append(LESNode("plus", j, c, e))
-        if (j in safe["minus"] and (j + 1) in safe["plus"]
-                and j in safe["infinity"]):
-            c, e = exactness_pair(delta1, inc_a, j, cache)
-            nodes1.append(LESNode("minus", j, c, e))
-    les1 = LESCertificate("localization-sequence", tuple(nodes1))
-
-    nodes2: List[LESNode] = []
-    for j in range(win.lo, win.hi + 1):
-        if (j in safe["minus"] and (j + 2) in safe["minus"]
-                and (j + 2) in safe["hat"]):
-            c, e = exactness_pair(mult_a, proj2_a, j, cache)
-            nodes2.append(LESNode("minus@u-image", j, c, e))
-        if (j in safe["hat"] and (j - 2) in safe["minus"]
-                and (j - 1) in safe["minus"]):
-            c, e = exactness_pair(proj2_a, delta2, j, cache)
-            nodes2.append(LESNode("hat", j, c, e))
-        if (j in safe["minus"] and (j + 1) in safe["hat"]
-                and (j - 2) in safe["minus"]):
-            c, e = exactness_pair(delta2, mult_a, j, cache)
-            nodes2.append(LESNode("minus@delta-image", j, c, e))
-    les2 = LESCertificate("u-multiplication-sequence", tuple(nodes2))
-
-    return FundamentalSequences(
-        win,
-        {"minus": em, "infinity": ei, "plus": ep, "hat": eh},
-        seq1, seq2, les1, les2, delta1, delta2)
+    win = _resolve_window(C.module.degrees(), window)
+    complexes = {f.tag: e_y(C, f, win) for f in ALL_FLAVORS}
+    return _fundamental(complexes, _U_LAYOUT,
+                        [d for _, d in C.module.generators], win, C.p)
 
 
 # ---------------------------------------------------------------------------
 # The first-page models and both Koszul comparisons
 # ---------------------------------------------------------------------------
 
-def _transport(f: GradedMap, module: GradedModule, suffix: str,
+def _line_copy(f: GradedMap, module: GradedModule, suffix: str,
                degree: int, scale: int = 1) -> GradedMap:
+    """scale * f copied onto the one exponent line ``suffix`` of module."""
     kept = set(module.names())
     ent = {}
     for (s, t), v in f.entries.items():
@@ -535,43 +608,22 @@ def e1_page(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
         raise ModulusUnsupported("e1_page needs a genuine Z-grading")
     if C.u_action is None:
         raise MissingUAction("e1_page needs a U-action")
-    win = _resolve_window(C, window)
-    p = C.p
+    win = _resolve_window(C.module.degrees(), window)
     if flavor.tag == "infinity":
-        m = GradedModule([])
-        z = GradedMap.zero(m, m, -1)
-        return ChainComplex(m, z, u_action=GradedMap.zero(m, m, -2), p=p)
-    if flavor.tag == "minus":
-        gens = [(f"{g}.u1", dg - 2) for g, dg in C.module.generators
-                if win.lo <= dg - 2 <= win.hi]
-        module = GradedModule(gens)
-        d = _transport(C.d, module, ".u1", -1, -1)
-        u = _transport(C.u_action, module, ".u1", -2, 1)
-        return ChainComplex(module, d, u_action=u, p=p)
-    if flavor.tag == "plus":
+        keep: Set[str] = set()
+    elif flavor.tag == "plus":
         keep = _plus_model_gens(C, win)
-        gens = [(f"{g}.u0", dg) for g, dg in C.module.generators
-                if g in keep and win.lo <= dg <= win.hi]
-        module = GradedModule(gens)
-        d = _transport(C.d, module, ".u0", -1, -1)
-        u = _transport(C.u_action, module, ".u0", -2, -1)
-        return ChainComplex(module, d, u_action=u, p=p)
-    gens = [(f"{g}.u0", dg) for g, dg in C.module.generators
-            if win.lo <= dg <= win.hi]
-    module = GradedModule(gens)
-    d = _transport(C.d, module, ".u0", -1, -1)
-    return ChainComplex(module, d,
-                        u_action=GradedMap.zero(module, module, -2), p=p)
-
-
-def _model_safe_degrees(gen_degrees: Sequence[int], win: Window) -> List[int]:
-    occupied = set(gen_degrees)
-    out = []
-    for j in range(win.lo, win.hi + 1):
-        if all(t not in occupied or win.lo <= t <= win.hi
-               for t in (j - 1, j, j + 1)):
-            out.append(j)
-    return out
+    else:
+        keep = set(C.module.names())
+    n = 1 if flavor.tag == "minus" else 0
+    u_sign = {"minus": 1, "plus": -1}.get(flavor.tag, 0)
+    line = f".u{n}"
+    module = GradedModule([(f"{g}{line}", dg - 2 * n)
+                           for g, dg in C.module.generators
+                           if g in keep and win.lo <= dg - 2 * n <= win.hi])
+    d = _line_copy(C.d, module, line, -1, -1)
+    u = _line_copy(C.u_action, module, line, -2, u_sign)
+    return ChainComplex(module, d, u_action=u, p=C.p)
 
 
 @dataclass(frozen=True)
@@ -623,7 +675,7 @@ def koszul_a(C: ChainComplex, flavor: Flavor, window=None) -> ShiftReport:
     homology, reporting the uniform shift.  For hat the right side is
     H(s_u(C)) itself and the match is groupwise-exact at shift 0."""
     SU = s_u(C)
-    win = _resolve_window(SU, window)
+    win = _resolve_window(SU.module.degrees(), window)
     left = homology(e_y(SU, flavor, win))
     sl = safe_degrees(SU, flavor, win)
     if flavor.tag == "hat":
@@ -638,7 +690,8 @@ def koszul_a(C: ChainComplex, flavor: Flavor, window=None) -> ShiftReport:
             degs = [dg for _, dg in C.module.generators]
         else:
             degs = []
-        sr = _model_safe_degrees(degs, win)
+        # the models keep each generator on one line: the hat range
+        sr = _window_safe(degs, _U_LAYOUT.ranges["hat"], win)
     s, table = _match_shift(left, right, sl, sr)
     return ShiftReport(s, table)
 
@@ -656,20 +709,14 @@ def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
     if window is None:
         sw = C.module.support_window()
         window = Window(sw[0] - 4, sw[1] + 2) if sw else Window(-4, 2)
-    win = _resolve_window(C, window)
+    win = _resolve_window(C.module.degrees(), window)
     em = e_y(C, MINUS, win)
     SUm = s_u(em)
     left = homology(SUm)
     right = homology(C)
-    min_degs = [d for _, d in C.module.generators]
-    sl = []
-    for j in range(win.lo, win.hi + 1):
-        ok = True
-        for t in (j - 2, j - 1, j, j + 1):
-            if MINUS.occupies_degree(min_degs, t) and not (win.lo <= t <= win.hi):
-                ok = False
-        if ok:
-            sl.append(j)
+    # the doubling reaches one degree further down
+    sl = _window_safe([d for _, d in C.module.generators],
+                      _U_LAYOUT.ranges["minus"], win, reach=2)
     sr = list(range(win.lo - 1, win.hi + 2))
     s, table = _match_shift(left, right, sl, sr)
 

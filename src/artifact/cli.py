@@ -6,7 +6,7 @@ Grammar (``#`` starts a comment anywhere; blank lines are skipped; blocks
 close with ``end``, and end of input closes the final block):
 
     complex <name>
-      ring Z | F<p>
+      ring Z | F<p>                     # p a prime below 2^64
       mod <c>                           # grading modulus, 0 for Z
       gen <id> <degree>
       d <src> <dst> <coeff>
@@ -52,9 +52,10 @@ from .connsum import (ConnSumMaps, FilteredComplex, IdentificationFailed,
                       check_positivity, cm_flavors, product_complex,
                       verify_sum_maps)
 from .exactlin import AbelianGroup
-from .flavors import (_SHAPES, AssemblyInconsistent, BalancedComponents,
-                      TowerParams, assemble, cone_identities, four_flavors,
-                      ladder_check, tower_model)
+from .flavors import (_SHAPES, ASSEMBLY_TAGS, AssemblyInconsistent,
+                      BalancedComponents, TowerParams, assemble,
+                      cone_identities, four_flavors, ladder_check,
+                      tower_model)
 
 __all__ = [
     "Manifest",
@@ -91,14 +92,6 @@ class ValidationError(Exception):
 
 
 _FLAVOR_BY_FLAG = {"minus": MINUS, "inf": INFINITY, "plus": PLUS, "hat": HAT}
-
-# tags of the identities assemble() verifies, in its checking order
-_ASSEMBLY_TAGS = (
-    "eq:hat-d", "eq:bar-d", "eq:check-d",
-    "eq:ijk:i", "eq:ijk:j", "eq:ijk:p",
-    "eq:U-i", "eq:U-i:j", "eq:U-i:p",
-    "eq:U-hat", "eq:U-bar", "eq:U-check",
-)
 
 _SUMMAP_NAMES = ("V0", "V1", "V0d", "V1d", "Hsharp", "A", "B", "C", "D")
 
@@ -168,12 +161,42 @@ def _int(tok: str, lineno: int, what: str = "integer") -> int:
         raise ParseError(lineno, f"expected {what}, got {tok!r}") from None
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which decides every
+    n below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _ring(tok: str, lineno: int) -> int:
     if tok == "Z":
         return 0
     m = re.fullmatch(r"F(\d+)", tok)
-    if m and int(m.group(1)) >= 2:
-        return int(m.group(1))
+    if m:
+        p = int(m.group(1))
+        # field arithmetic inverts by Fermat, which needs p prime
+        if p < 2 ** 64 and _is_prime(p):
+            return p
+        raise ParseError(lineno, f"F<p> needs a prime p below 2^64, "
+                         f"got {tok!r}")
     raise ParseError(lineno, f"ring must be Z or F<p>, got {tok!r}")
 
 
@@ -484,6 +507,11 @@ def _group_machine(g: AbelianGroup, p: int) -> str:
     return _group_text(g, p).replace(" ", "")
 
 
+def _quoted(message: str) -> str:
+    """Escape backslashes and double quotes inside a quoted record value."""
+    return message.replace("\\", "\\\\").replace('"', '\\"')
+
+
 class _Report:
     def __init__(self, fmt: str):
         self.fmt = fmt
@@ -513,13 +541,13 @@ class _Report:
 
     def detail(self, message: str) -> None:
         if self.fmt == "machine":
-            self.raw(f'kind=detail message="{message}"')
+            self.raw(f'kind=detail message="{_quoted(message)}"')
         else:
             self.raw(f"  {message}")
 
     def error(self, message: str) -> None:
         if self.fmt == "machine":
-            self.raw(f'kind=error message="{message}"')
+            self.raw(f'kind=error message="{_quoted(message)}"')
         else:
             self.raw(f"ERROR {message}")
 
@@ -703,7 +731,7 @@ def _cmd_verify(m: Manifest, rep: _Report) -> None:
         except AssemblyInconsistent as e:
             rep.check(e.tag, False)
             return
-        for tag in _ASSEMBLY_TAGS:
+        for tag in ASSEMBLY_TAGS:
             rep.check(tag, True)
         for tag, ok in cone_identities(bundle).checks:
             rep.check(tag, ok)

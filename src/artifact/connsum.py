@@ -10,7 +10,11 @@ infinity: all, plus: the quotient by minus (exponents <= -1), hat: the
 exponent-0 line -- tied together by the two standard short exact sequences
 (minus into infinity onto plus; minus into minus by u onto hat), each with
 degreewise exactness checks and homology-level certificates at window-safe
-degrees.
+degrees.  The expansion and the sequences come from the engine behind
+``circle.e_y``/``fundamental_sequences``, run on the Laurent range table:
+there hat is the bottom line of minus, so the hat offset is 0 and the
+projection onto hat has degree 0, where the u-range (whose hat is the top
+line of plus) has offset 2.
 
 The product side couples two U-complexes via ``chain.tensor`` with the
 difference U-action u1 x 1 - 1 x u2 and feeds the doubled-complex functor.
@@ -28,7 +32,7 @@ commutator (an anticommutator when both maps are odd).
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .chain import (
     ChainComplex,
@@ -37,43 +41,40 @@ from .chain import (
     GradedModule,
     HomologyTable,
     LawCheck,
-    PresentedGroup,
-    _HomologyArrow,
-    exactness_pair,
+    ValidationReport,
     homology,
-    is_chain_map,
     tensor,
     validate,
 )
 from .circle import (
+    _LAURENT_LAYOUT,
+    _U_LAYOUT,
+    FLAVOR_TAGS,
     Flavor,
-    LESCertificate,
-    LESNode,
+    FundamentalSequences,
     MissingUAction,
     ShiftReport,
-    ShortExactSequence,
     Window,
+    _expand,
+    _fundamental,
     _match_shift,
-    _ses_exact_at,
+    _resolve_window,
     e_y,
     s_u,
 )
 from .exactlin import AbelianGroup, IntMatrix, snf
 
 __all__ = [
-    "CMFlavors",
     "ConnSumMaps",
     "FilteredComplex",
     "IdentificationFailed",
     "PositivityViolated",
     "SumInput",
-    "SumMapsReport",
     "case1_check",
     "case2_check",
     "check_positivity",
     "cm_flavors",
     "product_complex",
-    "s_u_sum",
     "verify_sum_maps",
 ]
 
@@ -186,123 +187,7 @@ def check_positivity(F: FilteredComplex) -> bool:
 # The four Laurent flavors and their fundamental sequences
 # ---------------------------------------------------------------------------
 
-_CM_TAGS = ("minus", "infinity", "plus", "hat")
-
-
-def _cm_valid(tag: str, k: int) -> bool:
-    if tag == "minus":
-        return k >= 0
-    if tag == "plus":
-        return k <= -1
-    if tag == "hat":
-        return k == 0
-    return True
-
-
-def _cm_name(g: str, k: int) -> str:
-    return f"{g}.U{k}"
-
-
-def _cm_window(F: FilteredComplex, window) -> Window:
-    if window is not None:
-        if isinstance(window, Window):
-            return window
-        lo, hi = window
-        return Window(lo, hi)
-    degs = [d for _, d in F.generators]
-    if not degs:
-        return Window(-2, 2)
-    return Window(min(degs) - 2, max(degs) + 2)
-
-
-def _cm_exponents(dg: int, tag: str, win: Window) -> List[int]:
-    # lo <= dg - 2k <= hi  <=>  ceil((dg - hi)/2) <= k <= floor((dg - lo)/2)
-    k_lo = -((win.hi - dg) // 2)
-    k_hi = (dg - win.lo) // 2
-    return [k for k in range(k_lo, k_hi + 1) if _cm_valid(tag, k)]
-
-
-def _cm_complex(F: FilteredComplex, tag: str, win: Window) -> ChainComplex:
-    """One flavor expansion: generators g.U{k} of degree deg(g) - 2k, the
-    differential shifts exponents by the entry exponent (terms leaving the
-    flavor range drop, which is the quotient differential for plus), the
-    u-action is the exponent shift."""
-    gens = []
-    kept = set()
-    for g, dg in F.generators:
-        for k in _cm_exponents(dg, tag, win):
-            name = _cm_name(g, k)
-            gens.append((name, dg - 2 * k))
-            kept.add(name)
-    module = GradedModule(gens)
-    ent: Dict[Tuple[str, str], int] = {}
-    for (src, dst), terms in F.d_entries.items():
-        dg = F.degree_of(src)
-        for k in _cm_exponents(dg, tag, win):
-            sname = _cm_name(src, k)
-            for n, c in terms:
-                if not _cm_valid(tag, k + n):
-                    continue
-                tname = _cm_name(dst, k + n)
-                if tname in kept:
-                    ent[(sname, tname)] = ent.get((sname, tname), 0) + c
-    d = GradedMap(module, module, -1, {k: v for k, v in ent.items() if v})
-    uent = {}
-    for g, dg in F.generators:
-        for k in _cm_exponents(dg, tag, win):
-            if _cm_valid(tag, k + 1) and _cm_name(g, k + 1) in kept:
-                uent[(_cm_name(g, k), _cm_name(g, k + 1))] = 1
-    u = GradedMap(module, module, -2, uent)
-    return ChainComplex(module, d, u_action=u, p=F.p)
-
-
-def _cm_occupies(gen_degrees: Sequence[int], tag: str, t: int) -> bool:
-    """Would the untruncated flavor complex have a generator at degree t?"""
-    for dg in gen_degrees:
-        if (dg - t) % 2:
-            continue
-        if _cm_valid(tag, (dg - t) // 2):
-            return True
-    return False
-
-
-def _cm_safe(F: FilteredComplex, tag: str, win: Window) -> List[int]:
-    degs = [d for _, d in F.generators]
-    out = []
-    for j in range(win.lo, win.hi + 1):
-        if all(not _cm_occupies(degs, tag, t) or win.lo <= t <= win.hi
-               for t in (j - 1, j, j + 1)):
-            out.append(j)
-    return out
-
-
-def _identity_entries(src: ChainComplex, tgt: ChainComplex
-                      ) -> Dict[Tuple[str, str], int]:
-    tnames = set(tgt.module.names())
-    return {(n, n): 1 for n in src.module.names() if n in tnames}
-
-
-@dataclass(frozen=True)
-class CMFlavors:
-    """The four flavor expansions of a filtered complex with both
-    fundamental short exact sequences and their homology certificates."""
-
-    window: Window
-    complexes: Dict[str, ChainComplex]
-    seq1: ShortExactSequence
-    seq2: ShortExactSequence
-    les1: LESCertificate
-    les2: LESCertificate
-    delta1: _HomologyArrow = None  # plus -> minus, degree -1
-    delta2: _HomologyArrow = None  # hat -> minus, degree +1
-
-    @property
-    def ok(self) -> bool:
-        return (self.seq1.exact and self.seq2.exact
-                and self.les1.ok and self.les2.ok)
-
-
-def cm_flavors(F: FilteredComplex, window=None) -> CMFlavors:
+def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     """Expand a positivity-passing filtered complex into the four flavor
     complexes on a window and certify both fundamental sequences: the
     exponent split 0 -> minus -> infinity -> plus -> 0 and the exponent
@@ -313,98 +198,13 @@ def cm_flavors(F: FilteredComplex, window=None) -> CMFlavors:
                if any(n < 0 for n, _ in terms)]
         raise PositivityViolated(
             f"negative differential exponent at {bad[0][0]}")
-    win = _cm_window(F, window)
-    cm = {tag: _cm_complex(F, tag, win) for tag in _CM_TAGS}
-    minus, inf, plus, hat = (cm["minus"], cm["infinity"], cm["plus"],
-                             cm["hat"])
-    p = F.p
-
-    inc1 = GradedMap(minus.module, inf.module, 0,
-                     _identity_entries(minus, inf))
-    proj1 = GradedMap(inf.module, plus.module, 0,
-                      _identity_entries(inf, plus))
-    seq1_checked = tuple(range(win.lo, win.hi + 1))
-    seq1_ok = (is_chain_map(inc1, minus, inf)
-               and is_chain_map(proj1, inf, plus)
-               and all(_ses_exact_at(inc1, proj1, j, p)
-                       for j in seq1_checked))
-    seq1 = ShortExactSequence("eq:fund-short:1", minus, inf, plus,
-                              inc1, proj1, seq1_checked, seq1_ok)
-
-    # exponent shift inside minus, quotient onto the exponent-0 line; the
-    # shift runs off the top of the window, so the degreewise check stops
-    # two degrees short of it
-    mult_u = minus.u_action
-    proj2 = GradedMap(minus.module, hat.module, 0,
-                      _identity_entries(minus, hat))
-    seq2_checked = tuple(range(win.lo, win.hi - 1))
-    seq2_ok = (is_chain_map(proj2, minus, hat)
-               and all(_ses_exact_at(mult_u, proj2, j, p)
-                       for j in seq2_checked))
-    seq2 = ShortExactSequence("eq:fund-short:2", minus, minus, hat,
-                              mult_u, proj2, seq2_checked, seq2_ok)
-
-    # connecting maps via retraction . d . section through the canonical
-    # degreewise splittings
-    sec1 = GradedMap(plus.module, inf.module, 0,
-                     _identity_entries(plus, inf))
-    ret1 = GradedMap(inf.module, minus.module, 0,
-                     _identity_entries(inf, minus))
-    delta1 = _HomologyArrow.from_map(ret1 @ inf.d @ sec1, plus, minus)
-
-    sec2 = GradedMap(hat.module, minus.module, 0,
-                     _identity_entries(hat, minus))
-    ret2_names = {}
-    for name, _dg in minus.module.generators:
-        g, uk = name.rsplit(".U", 1)
-        k = int(uk)
-        if k >= 1:
-            tname = _cm_name(g, k - 1)
-            if tname in minus.module:
-                ret2_names[(name, tname)] = 1
-    ret2 = GradedMap(minus.module, minus.module, 2, ret2_names)
-    delta2 = _HomologyArrow.from_map(ret2 @ minus.d @ sec2, hat, minus)
-
-    inc1_a = _HomologyArrow.from_map(inc1, minus, inf)
-    proj1_a = _HomologyArrow.from_map(proj1, inf, plus)
-    mult_a = _HomologyArrow.from_map(mult_u, minus, minus)
-    proj2_a = _HomologyArrow.from_map(proj2, minus, hat)
-
-    safe = {tag: set(_cm_safe(F, tag, win)) for tag in _CM_TAGS}
-    cache: Dict[Tuple[int, int], PresentedGroup] = {}
-    nodes1: List[LESNode] = []
-    for j in range(win.lo, win.hi + 1):
-        if (j in safe["infinity"] and j in safe["minus"]
-                and j in safe["plus"]):
-            c, e = exactness_pair(inc1_a, proj1_a, j, cache)
-            nodes1.append(LESNode("infinity", j, c, e))
-        if (j in safe["plus"] and j in safe["infinity"]
-                and (j - 1) in safe["minus"]):
-            c, e = exactness_pair(proj1_a, delta1, j, cache)
-            nodes1.append(LESNode("plus", j, c, e))
-        if (j in safe["minus"] and j in safe["infinity"]
-                and (j + 1) in safe["plus"]):
-            c, e = exactness_pair(delta1, inc1_a, j, cache)
-            nodes1.append(LESNode("minus", j, c, e))
-    les1 = LESCertificate("eq:fund-short:1", tuple(nodes1))
-
-    nodes2: List[LESNode] = []
-    for j in range(win.lo, win.hi + 1):
-        if (j in safe["minus"] and (j + 2) in safe["minus"]
-                and j in safe["hat"]):
-            c, e = exactness_pair(mult_a, proj2_a, j, cache)
-            nodes2.append(LESNode("minus@u-image", j, c, e))
-        if (j in safe["hat"] and j in safe["minus"]
-                and (j + 1) in safe["minus"]):
-            c, e = exactness_pair(proj2_a, delta2, j, cache)
-            nodes2.append(LESNode("hat", j, c, e))
-        if (j in safe["minus"] and (j - 1) in safe["hat"]
-                and (j - 2) in safe["minus"]):
-            c, e = exactness_pair(delta2, mult_a, j, cache)
-            nodes2.append(LESNode("minus@delta-image", j, c, e))
-    les2 = LESCertificate("eq:fund-short:2", tuple(nodes2))
-
-    return CMFlavors(win, cm, seq1, seq2, les1, les2, delta1, delta2)
+    degrees = [d for _, d in F.generators]
+    win = _resolve_window(degrees, window)
+    terms = [(src, dst, n, c) for (src, dst), ts in F.d_entries.items()
+             for n, c in ts]
+    cm = {tag: _expand(F.generators, terms, _LAURENT_LAYOUT, tag, win, F.p)
+          for tag in FLAVOR_TAGS}
+    return _fundamental(cm, _LAURENT_LAYOUT, degrees, win, F.p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +243,6 @@ def product_complex(S: SumInput) -> ChainComplex:
     if not rep.ok:
         raise ChainError(f"product fails {rep.failing()[0].law}")
     return out
-
-
-def s_u_sum(P: ChainComplex) -> ChainComplex:
-    """The doubled complex of the product; identical to the doubling
-    functor, exposed so the block form [[d, 0], [U, -d]] can be audited
-    on the product directly."""
-    return s_u(P)
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +291,8 @@ def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
         raise MissingUAction("case1_check needs a U-action on C1")
     model = _polynomial_model(N, C1.p)
     P = product_complex(SumInput(C1, model))
-    SU = s_u_sum(P)
-    win = window
-    if win is None:
-        win = Window.default_for(SU)
-    elif not isinstance(win, Window):
-        win = Window(win[0], win[1])
+    SU = s_u(P)
+    win = _resolve_window(SU.module.degrees(), window)
 
     left = homology(SU)
     H1 = homology(C1)
@@ -525,23 +314,6 @@ def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
 # Case 2: one factor is a one-line exponent model
 # ---------------------------------------------------------------------------
 
-def _exponent_model(flavor: Flavor, n_lo: int, n_hi: int,
-                    p: int) -> ChainComplex:
-    """One generator u{n} of degree -2n per flavor-valid exponent in
-    [n_lo, n_hi], zero differential, U = the exponent shift (truncating
-    out of the flavor range exactly as the flavor expansion does)."""
-    gens = [(f"u{n}", -2 * n) for n in range(n_lo, n_hi + 1)
-            if flavor.valid_exponent(n)]
-    module = GradedModule(gens)
-    uent = {}
-    for name, _dg in gens:
-        n = int(name[1:])
-        if flavor.valid_exponent(n + 1) and f"u{n + 1}" in module:
-            uent[(name, f"u{n + 1}")] = 1
-    return ChainComplex(module, GradedMap.zero(module, module, -1),
-                        u_action=GradedMap(module, module, -2, uent), p=p)
-
-
 def _degree_band(C: ChainComplex, lo: int, hi: int) -> ChainComplex:
     gens = [(n, d) for n, d in C.module.generators if lo <= d <= hi]
     module = GradedModule(gens)
@@ -557,7 +329,7 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
     difference U-action and restricted to the window band.  Right: the
     flavor expansion of the doubled complex of C with its U negated (the
     difference action contributes the second factor with a minus sign).
-    The generator identification u{n} x g x y^e -> g.y^e.u{n} reorders
+    The generator identification u.u{n} x g x y^e -> g.y^e.u{n} reorders
     tensor factors past an even-degree line, so it carries no signs; it
     must be a degree-preserving bijection matching every differential
     entry, and the first mismatch is reported otherwise."""
@@ -566,25 +338,24 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
     if C.u_action is None:
         raise MissingUAction("case2_check needs a U-action")
     SU_neg = s_u(C.with_actions(u_action=C.u_action.scale(-1)))
-    win = window
-    if win is None:
-        win = Window.default_for(SU_neg)
-    elif not isinstance(win, Window):
-        win = Window(win[0], win[1])
+    win = _resolve_window(SU_neg.module.degrees(), window)
     right = e_y(SU_neg, flavor, win)
 
     exponents = sorted({int(name.rsplit(".u", 1)[1])
                         for name in right.module.names()})
     if not exponents:
         return True
-    model = _exponent_model(flavor, exponents[0], exponents[-1], C.p)
+    # the exponent model: the expansion of a single degree-0 point u, one
+    # generator u.u{n} of degree -2n per exponent of the right side
+    model = _expand([("u", 0)], (), _U_LAYOUT, flavor.tag,
+                    Window(-2 * exponents[-1], -2 * exponents[0]), C.p)
     P = product_complex(SumInput(model, C))
-    band = _degree_band(s_u_sum(P), win.lo, win.hi)
+    band = _degree_band(s_u(P), win.lo, win.hi)
 
     rename: Dict[str, str] = {}
     for g in P.module.names():
         v, base = g.split("|", 1)
-        n = int(v[1:])
+        n = v.rsplit(".u", 1)[1]
         rename[g] = f"{base}.u{n}"
         rename[f"{g}.y"] = f"{base}.y.u{n}"
 
@@ -640,25 +411,13 @@ class ConnSumMaps:
     D: GradedMap
 
 
-@dataclass(frozen=True)
-class SumMapsReport:
-    checks: Tuple[LawCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failing(self) -> List[LawCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def _require_shape(name: str, f: GradedMap, src: GradedModule,
                    tgt: GradedModule):
     if f.source != src or f.target != tgt:
         raise ChainError(f"{name} does not fit the block decomposition")
 
 
-def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> SumMapsReport:
+def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> ValidationReport:
     """Check the four block chain-map identities and both
     homotopy-composite identities, entry-exactly, for candidate maps
     between M.sharp and the doubled product of S.
@@ -670,7 +429,7 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> SumMapsReport:
     against the identity plus the graded commutator of the differential
     with the supplied homotopy (an anticommutator: both are odd)."""
     P = product_complex(S)
-    SP = s_u_sum(P)
+    SP = s_u(P)
     u_cup = P.u_action
     sharp = M.sharp
     pm = P.module
@@ -741,4 +500,4 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> SumMapsReport:
                 - SP.d @ H - H @ SP.d)
 
     run("eq:cob-comp:product", product_composite)
-    return SumMapsReport(tuple(checks))
+    return ValidationReport(tuple(checks))

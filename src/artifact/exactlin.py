@@ -112,9 +112,6 @@ class IntMatrix:
             out[i][j] = v
         return out
 
-    def col_vector(self, j: int) -> List[int]:
-        return [self.entries.get((i, j), 0) for i in range(self.rows)]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -165,10 +162,6 @@ class IntMatrix:
                 if s:
                     entries[(i, j)] = s
         return IntMatrix(self.rows, other.cols, entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
 
     def mod(self, p: int) -> "IntMatrix":
         if p <= 0:
@@ -523,16 +516,12 @@ def solve(M: IntMatrix, b: IntMatrix, p: int = 0) -> Optional[IntMatrix]:
     return x.mod(p) if p else x
 
 
-def _in_lattice(basis: IntMatrix, v: IntMatrix, p: int = 0) -> bool:
-    return solve(basis, v, p) is not None
-
-
 def lattice_contains(basis: IntMatrix, vectors: IntMatrix, p: int = 0) -> bool:
     """True iff every column of ``vectors`` lies in the span of ``basis``."""
     for j in range(vectors.cols):
         col = IntMatrix(vectors.rows, 1,
                         {(i, 0): vectors[(i, j)] for i in range(vectors.rows)})
-        if not _in_lattice(basis, col, p):
+        if solve(basis, col, p) is None:
             return False
     return True
 
@@ -655,29 +644,12 @@ class PresentedGroup:
         return IntMatrix(a, len(self.torsion_moduli), ent)
 
 
-def subgroup_membership(gens: IntMatrix, relations: IntMatrix, v: IntMatrix,
-                        p: int = 0) -> bool:
-    """Is v in the subgroup generated by ``gens`` columns, inside the group
-    presented on these coordinates with ``relations`` columns?"""
-    return solve(IntMatrix.hstack([gens, relations]), v, p) is not None
-
-
 def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix, relations: IntMatrix,
                     p: int = 0) -> bool:
     """Equality of subgroups of a presented group, by double inclusion."""
     ga = IntMatrix.hstack([gens_a, relations])
     gb = IntMatrix.hstack([gens_b, relations])
-    for j in range(gens_a.cols):
-        col = IntMatrix(gens_a.rows, 1,
-                        {(i, 0): gens_a[(i, j)] for i in range(gens_a.rows)})
-        if solve(gb, col, p) is None:
-            return False
-    for j in range(gens_b.cols):
-        col = IntMatrix(gens_b.rows, 1,
-                        {(i, 0): gens_b[(i, j)] for i in range(gens_b.rows)})
-        if solve(ga, col, p) is None:
-            return False
-    return True
+    return lattice_contains(gb, gens_a, p) and lattice_contains(ga, gens_b, p)
 
 
 def kernel_of_presented_map(F: IntMatrix, target_relations: IntMatrix,

@@ -44,7 +44,6 @@ from .chain import (
     _presentation,
     commutator,
     cone,
-    exactness_pair,
     homology,
     induced_on_homology,
     is_chain_map,
@@ -56,8 +55,10 @@ from .circle import (
     PLUS,
     FundamentalSequences,
     LESCertificate,
-    LESNode,
     Window,
+    _les_certificate,
+    _resolve_window,
+    _slotwise,
     fundamental_sequences,
     s_u,
     s_u_map,
@@ -198,12 +199,6 @@ def _prefixed_names(module: GradedModule, prefix: str) -> List[str]:
     return [n for n in module.names() if n.startswith(want)]
 
 
-def _identity_on_prefix(src: GradedModule, tgt: GradedModule, degree: int,
-                        prefix: str, sign: int = 1) -> GradedMap:
-    ent = {(n, n): sign for n in _prefixed_names(src, prefix)}
-    return GradedMap(src, tgt, degree, ent)
-
-
 # ---------------------------------------------------------------------------
 # The bundle
 # ---------------------------------------------------------------------------
@@ -249,6 +244,15 @@ class FlavorBundle:
 
     def pm_p(self) -> PMorphism:
         return PMorphism(self.hat, self.bar, self.p, self.k_p)
+
+
+# tags of the identities assemble() verifies, in its checking order
+ASSEMBLY_TAGS = (
+    "eq:hat-d", "eq:bar-d", "eq:check-d",
+    "eq:ijk:i", "eq:ijk:j", "eq:ijk:p",
+    "eq:U-i", "eq:U-i:j", "eq:U-i:p",
+    "eq:U-hat", "eq:U-bar", "eq:U-check",
+)
 
 
 def assemble(components: BalancedComponents,
@@ -344,21 +348,22 @@ def assemble(components: BalancedComponents,
     bar_cx = ChainComplex(bar_mod, d_bar, u_action=u_bar, p=prime)
     check_cx = ChainComplex(check_mod, d_check, u_action=u_check, p=prime)
 
-    checks: List[Tuple[str, Callable[[], bool]]] = [
-        ("eq:hat-d", lambda: (d_hat @ d_hat).is_zero_mod(prime)),
-        ("eq:bar-d", lambda: (d_bar @ d_bar).is_zero_mod(prime)),
-        ("eq:check-d", lambda: (d_check @ d_check).is_zero_mod(prime)),
-        ("eq:ijk:i", lambda: is_chain_map(i_map, bar_cx, check_cx)),
-        ("eq:ijk:j", lambda: is_chain_map(j_map, check_cx, hat_cx)),
-        ("eq:ijk:p", lambda: is_chain_map(p_map, hat_cx, bar_cx)),
-        ("eq:U-i", lambda: PMorphism(bar_cx, check_cx, i_map, k_i).verify()),
-        ("eq:U-i:j", lambda: PMorphism(check_cx, hat_cx, j_map, -k_j).verify()),
-        ("eq:U-i:p", lambda: PMorphism(hat_cx, bar_cx, p_map, k_p).verify()),
-        ("eq:U-hat", lambda: commutator(d_hat, u_hat).is_zero_mod(prime)),
-        ("eq:U-bar", lambda: commutator(d_bar, u_bar).is_zero_mod(prime)),
-        ("eq:U-check", lambda: commutator(d_check, u_check).is_zero_mod(prime)),
+    # one check per entry of ASSEMBLY_TAGS, in the same order
+    checks: List[Callable[[], bool]] = [
+        lambda: (d_hat @ d_hat).is_zero_mod(prime),
+        lambda: (d_bar @ d_bar).is_zero_mod(prime),
+        lambda: (d_check @ d_check).is_zero_mod(prime),
+        lambda: is_chain_map(i_map, bar_cx, check_cx),
+        lambda: is_chain_map(j_map, check_cx, hat_cx),
+        lambda: is_chain_map(p_map, hat_cx, bar_cx),
+        lambda: PMorphism(bar_cx, check_cx, i_map, k_i).verify(),
+        lambda: PMorphism(check_cx, hat_cx, j_map, -k_j).verify(),
+        lambda: PMorphism(hat_cx, bar_cx, p_map, k_p).verify(),
+        lambda: commutator(d_hat, u_hat).is_zero_mod(prime),
+        lambda: commutator(d_bar, u_bar).is_zero_mod(prime),
+        lambda: commutator(d_check, u_check).is_zero_mod(prime),
     ]
-    for tag, fn in checks:
+    for tag, fn in zip(ASSEMBLY_TAGS, checks, strict=True):
         if not fn():
             raise AssemblyInconsistent(tag)
 
@@ -383,17 +388,6 @@ class ConeReport:
 
     def failures(self) -> List[str]:
         return [tag for tag, passed in self.checks if not passed]
-
-    @property
-    def first_failure(self) -> Optional[str]:
-        bad = self.failures()
-        return bad[0] if bad else None
-
-    def passed(self, tag: str) -> bool:
-        for t, ok in self.checks:
-            if t == tag:
-                return ok
-        raise ChainError(f"no such identity {tag!r}")
 
 
 def _cone_block(f: GradedMap, sp: str, tp: str, src: GradedModule,
@@ -789,19 +783,6 @@ def _square_commutes(src_cx: ChainComplex, j: int,
     return True
 
 
-def _transport(f: GradedMap, srcE: ChainComplex, tgtE: ChainComplex) -> GradedMap:
-    """f extended slotwise over the u-range onto given window models."""
-    tnames = set(tgtE.module.names())
-    ent = {}
-    for sname, _ in srcE.module.generators:
-        g, un = sname.rsplit(".u", 1)
-        for t, v in f.image_of(g).items():
-            tname = f"{t}.u{un}"
-            if tname in tnames:
-                ent[(sname, tname)] = v
-    return GradedMap(srcE.module, tgtE.module, f.degree, ent)
-
-
 def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     """Certify the cone long exact sequence, the vanishing-driven j
     isomorphism, and the comparison ladder at safe degrees.
@@ -833,8 +814,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                   {(f"h.{n}", n): 1 for n in bundle.hat.module.names()}),
         sue.module, su_hat.module)
 
-    win = Window.default_for(sue) if window is None else (
-        window if isinstance(window, Window) else Window(*window))
+    win = _resolve_window(sue.module.degrees(), window)
 
     sec_h = GradedMap(su_hat.module, sue.module, 0,
                       {(n, f"h.{n}"): 1 for n in su_hat.module.names()})
@@ -847,15 +827,10 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     ib_arrow = _HomologyArrow.from_map(su_ibar, su_bar, sue)
     jb_arrow = _HomologyArrow.from_map(su_jbar, sue, su_hat)
     dp_arrow = _HomologyArrow.from_map(su_p, su_hat, su_bar)
-    nodes: List[LESNode] = []
-    for j in range(win.lo, win.hi + 1):
-        c, e = exactness_pair(ib_arrow, jb_arrow, j, cache.pres)
-        nodes.append(LESNode("cone", j, c, e))
-        c, e = exactness_pair(jb_arrow, dp_arrow, j, cache.pres)
-        nodes.append(LESNode("hat", j, c, e))
-        c, e = exactness_pair(dp_arrow, ib_arrow, j, cache.pres)
-        nodes.append(LESNode("bar", j, c, e))
-    cone_les = LESCertificate("eq:induced-KM1", tuple(nodes))
+    cone_les = _les_certificate("eq:induced-KM1", win, (
+        ("cone", ib_arrow, jb_arrow, ()),
+        ("hat", jb_arrow, dp_arrow, ()),
+        ("bar", dp_arrow, ib_arrow, ())), {}, cache.pres)
 
     h_bar = homology(su_bar)
     bar_vanishing = all(h_bar[j].is_trivial()
@@ -881,7 +856,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     sliced = {}
     for tag, f, a, b in legs:
         for fl in (MINUS, INFINITY, PLUS):
-            sliced[(tag, fl.tag)] = _transport(
+            sliced[(tag, fl.tag)] = _slotwise(
                 f, fs[a].complexes[fl.tag], fs[b].complexes[fl.tag])
 
     squares: List[LadderSquare] = []
@@ -925,22 +900,15 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                 ok = False
             squares.append(LadderSquare(f"eq:KM:{tag}:connecting", j, ok))
 
-    bnodes: List[LESNode] = []
     b_p = arrows[("p", "minus")]
     b_i = arrows[("i", "minus")]
     b_j = arrows[("j", "minus")]
     sm = {k: safe[(k, MINUS)] for k in doubles}
-    for j in range(win.lo, win.hi + 1):
-        if (j in sm["bar"] and (j + 1) in sm["hat"] and j in sm["check"]):
-            c, e = exactness_pair(b_p, b_i, j, cache.pres)
-            bnodes.append(LESNode("bar-minus", j, c, e))
-        if j in sm["check"] and j in sm["bar"] and j in sm["hat"]:
-            c, e = exactness_pair(b_i, b_j, j, cache.pres)
-            bnodes.append(LESNode("check-minus", j, c, e))
-        if (j in sm["hat"] and j in sm["check"] and (j - 1) in sm["bar"]):
-            c, e = exactness_pair(b_j, b_p, j, cache.pres)
-            bnodes.append(LESNode("hat-minus", j, c, e))
-    bottom = LESCertificate("eq:KM-bottom", tuple(bnodes))
+    bottom = _les_certificate("eq:KM-bottom", win, (
+        ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
+        ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),
+        ("hat-minus", b_j, b_p, (("hat", 0), ("check", 0), ("bar", -1)))),
+        sm, cache.pres)
 
     bar_u = getattr(bundle.bar, "u_action", None)
     bar_u_iso: Optional[bool] = None

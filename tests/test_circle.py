@@ -229,6 +229,15 @@ class TestFundamentalSequences:
             fs = fundamental_sequences(S)
             assert fs.ok
 
+    def test_narrow_window_sequences_stay_exact(self):
+        # the projection of minus onto hat raises degree by two and leaves
+        # the window at its top edge; that edge is truncation, not a defect
+        rng = random.Random(34)
+        for _ in range(10):
+            S = s_u(random_u_complex(rng))
+            fs = fundamental_sequences(S, Window(-3, 3))
+            assert fs.seq1.exact and fs.seq2.exact
+
     def test_infinity_flavor_vanishes(self):
         rng = random.Random(33)
         for _ in range(5):

@@ -1,6 +1,7 @@
 """Tests for the text front end: grammar parsing, canonical printing,
 command reports, exit codes, and byte-stable machine output."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,24 @@ class TestExitCodes:
         bad = write(tmp_path, "complex c\nend\n--\n")
         assert main(["verify", bad]) == 2
 
+    @pytest.mark.parametrize("ring", ["F4", "F1", "F9", "F341",
+                                      "F18446744073709551629"])
+    def test_ring_needs_a_prime_below_2_64(self, tmp_path, ring):
+        # field arithmetic on F4 once reported H_0 = H_1 = F4 here, where
+        # Z/4 coefficients give Z/2 in each degree
+        text = (CORPUS / "twotorsion.txt").read_text()
+        path = write(tmp_path, text.replace("ring Z", f"ring {ring}"))
+        code, out = run(Manifest(command="homology", inputs=(path,),
+                                 fmt="machine"))
+        assert code == 2
+        assert out.startswith("kind=error") and "group=" not in out
+
+    @pytest.mark.parametrize("ring", ["F2", "F3", "F1000003"])
+    def test_prime_rings_accepted(self, tmp_path, ring):
+        text = (CORPUS / "twotorsion.txt").read_text()
+        path = write(tmp_path, text.replace("ring Z", f"ring {ring}"))
+        assert run(Manifest(command="homology", inputs=(path,)))[0] == 0
+
     def test_negative_window_value(self, capsys):
         assert main(["homology", str(CORPUS / "twotorsion.txt"),
                      "--window", "-2..2"]) == 0
@@ -315,6 +334,29 @@ class TestMachineFormat:
         assert code == 0
         for line in text.splitlines():
             assert line.startswith("kind="), line
+
+    _RECORD = re.compile(r'kind=\S+( [a-z]+=("(?:[^"\\]|\\.)*"|[^" ]+))*')
+
+    def test_error_message_round_trips(self, tmp_path):
+        path = write(tmp_path, "complex c\n  ring Z'q\\\nend\n")
+        code, text = run(Manifest(command="verify", inputs=(path,),
+                                  fmt="machine"))
+        assert code == 2
+        m = re.fullmatch(r'kind=error message="((?:[^"\\]|\\.)*)"\n', text)
+        assert m, text
+        with pytest.raises(ParseError) as exc:
+            parse_all(path)
+        assert re.sub(r"\\(.)", r"\1", m.group(1)) == str(exc.value)
+
+    def test_detail_message_escaped(self, tmp_path):
+        path = write(tmp_path, 'complex f\n  gen b" 0\n  gen a -3\n'
+                               '  dU b" a 1 -1\nend\n')
+        code, text = run(Manifest(command="cmflavors", inputs=(path,),
+                                  fmt="machine"))
+        assert code == 1
+        assert 'message="negative differential exponent at' in text
+        for line in text.splitlines():
+            assert self._RECORD.fullmatch(line), line
 
     def test_machine_determinism_across_processes(self):
         cmds = [

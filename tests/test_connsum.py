@@ -9,12 +9,14 @@ import pytest
 
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             _HomologyArrow, homology, is_chain_map, validate)
-from artifact.circle import HAT, MINUS, Window, e_y, s_u
+from artifact.circle import (_LAURENT_LAYOUT, ALL_FLAVORS, HAT, MINUS,
+                             Window, _window_safe, e_y,
+                             fundamental_sequences, s_u, safe_degrees)
 from artifact.connsum import (ConnSumMaps, FilteredComplex,
                               IdentificationFailed, PositivityViolated,
-                              SumInput, _cm_safe, case1_check, case2_check,
+                              SumInput, case1_check, case2_check,
                               check_positivity, cm_flavors, product_complex,
-                              s_u_sum, verify_sum_maps)
+                              verify_sum_maps)
 from artifact.exactlin import AbelianGroup, IntMatrix
 from artifact.flavors import _ArrowMatrixCache, _chase, _square_commutes
 
@@ -22,6 +24,11 @@ from helpers import random_complex
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
+
+
+def laurent_safe(F, tag, win):
+    return _window_safe([d for _, d in F.generators],
+                        _LAURENT_LAYOUT.ranges[tag], win)
 
 
 def ucomplex(gens, d=None, u=None, p=0):
@@ -173,9 +180,9 @@ class TestCMFlavors:
             um = _HomologyArrow.from_map(minus.u_action, minus, minus)
             up = _HomologyArrow.from_map(plus.u_action, plus, plus)
             win = fl.window
-            sm = set(_cm_safe(F, "minus", win))
-            sp = set(_cm_safe(F, "plus", win))
-            sh = set(_cm_safe(F, "hat", win))
+            sm = set(laurent_safe(F, "minus", win))
+            sp = set(laurent_safe(F, "plus", win))
+            sh = set(laurent_safe(F, "hat", win))
             for j in range(win.lo, win.hi + 1):
                 if (j in sp and (j - 2) in sp and (j - 1) in sm
                         and (j - 3) in sm):
@@ -202,6 +209,42 @@ class TestCMFlavors:
             img = inf.u_action.image_of(name)
             if inf.module.degree_of(name) - 2 >= -4:
                 assert list(img.values()) == [1]
+
+
+def laurent_form(S):
+    """A Y-complex as a filtered complex: d at exponent 0, Y at exponent 1."""
+    entries = {k: [(0, v)] for k, v in S.d.entries.items()}
+    for k, v in S.y_action.entries.items():
+        entries.setdefault(k, []).append((1, v))
+    return FilteredComplex(S.module.generators, entries, p=S.p)
+
+
+class TestEnginesAgree:
+    def test_cm_flavors_match_fundamental_sequences(self):
+        """The Laurent expansion of s_u(C) is the u-range expansion with
+        exponents lowered by one, so minus, infinity and plus agree after a
+        shift of two degrees and hat agrees on the nose."""
+        rng = random.Random(97)
+        compared = 0
+        for trial in range(30):
+            p = (0, 2, 3)[trial % 3]
+            S = s_u(random_complex(rng, max_pieces=3, p=p,
+                                   with_u=True).complex)
+            F = laurent_form(S)
+            fs = fundamental_sequences(S)
+            win = fs.window
+            cm = cm_flavors(F, win)
+            for flavor in ALL_FLAVORS:
+                shift = 0 if flavor is HAT else 2
+                h_ey = homology(fs.complexes[flavor.tag])
+                h_cm = homology(cm.complexes[flavor.tag])
+                ey_safe = set(safe_degrees(S, flavor, win))
+                for j in laurent_safe(F, flavor.tag, win):
+                    if j - shift in ey_safe:
+                        assert h_cm[j] == h_ey[j - shift], (
+                            f"trial {trial} {flavor} degree {j}")
+                        compared += 1
+        assert compared > 500
 
 
 class TestProduct:
@@ -245,7 +288,7 @@ class TestSuSum:
         C1 = ucomplex([("a", 0), ("b", 1)], d={("b", "a"): 1})
         model = ucomplex([("x0", 0), ("x1", -2)], u={("x0", "x1"): 1})
         P = product_complex(SumInput(C1, model))
-        S = s_u_sum(P)
+        S = s_u(P)
         for g in P.module.names():
             img = S.d.image_of(g)
             plain = {t: v for t, v in img.items() if not t.endswith(".y")}

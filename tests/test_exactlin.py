@@ -78,6 +78,17 @@ class TestSmithNormalForm:
             assert abs(det(res.left)) == 1
             assert abs(det(res.right)) == 1
 
+    def test_factors_match_sympy(self):
+        # an independent oracle: sympy's Smith normal form over ZZ
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = random.Random(13)
+        for _ in range(300):
+            M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            want = invariant_factors(sympy.Matrix(M.to_dense()),
+                                     domain=sympy.ZZ)
+            assert snf(M).factors == tuple(abs(int(f)) for f in want if f)
+
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
                     min_size=1, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
