@@ -19,11 +19,11 @@ a prime for F_p) and all verifications reduce modulo p when p > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
-                       CompositionNonzero, kernel_of_presented_map, snf, solve,
-                       subgroups_equal)
+                       CompositionNonzero, _kernel_head, kernel_of_presented_map,
+                       snf, solve, subgroups_equal)
 
 
 class ChainError(Exception):
@@ -259,9 +259,16 @@ def is_chain_map(f: GradedMap, source: "ChainComplex", target: "ChainComplex") -
 
 class ChainComplex:
     """A graded module with a square-zero degree -1 differential, optional
-    circle actions U (degree -2) and Y (degree +1), over Z (p=0) or F_p."""
+    circle actions U (degree -2) and Y (degree +1), over Z (p=0) or F_p.
 
-    __slots__ = ("module", "d", "u_action", "y_action", "p")
+    The complex keeps a memo of its homology presentations, one per degree
+    (per reduced degree when the grading is periodic), filled the first
+    time a degree is presented.  A presentation depends only on ``d`` and
+    ``p``, both fixed at construction, so the memo never goes stale; it
+    lives and dies with this object and is never shared with another
+    complex."""
+
+    __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented")
 
     def __init__(self, module: GradedModule, d: GradedMap,
                  u_action: Optional[GradedMap] = None,
@@ -281,6 +288,7 @@ class ChainComplex:
         object.__setattr__(self, "u_action", u_action)
         object.__setattr__(self, "y_action", y_action)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_presented", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -396,12 +404,17 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
         degs = sorted({C.module.reduce_degree(j) for j in range(lo, hi + 1)})
     else:
         degs = list(range(lo, hi + 1))
-    out = {}
-    for j in degs:
-        d_out = C.d.block(j)
-        d_in = C.d.block(j + 1)
-        out[j] = PresentedGroup.from_pair(d_in, d_out, C.p)
-    return out
+    return {j: _presentation(C, j) for j in degs}
+
+
+def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
+    """The homology presentation of C at degree j, from C's memo."""
+    j = C.module.reduce_degree(j)
+    pg = C._presented.get(j)
+    if pg is None:
+        pg = PresentedGroup.from_pair(C.d.block(j + 1), C.d.block(j), C.p)
+        C._presented[j] = pg
+    return pg
 
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:
@@ -622,19 +635,16 @@ class InducedMap:
 
 def _flags(F: IntMatrix, src: PresentedGroup, tgt: PresentedGroup,
            p: int) -> Tuple[bool, bool]:
-    t_tgt = tgt.torsion_relation_columns()
+    # one factorization of [F | torsion relations] answers both questions
+    res = snf(IntMatrix.hstack([F, tgt.torsion_relation_columns()]), p)
     # surjective: columns of F plus torsion relations generate the target
-    res = snf(IntMatrix.hstack([F, t_tgt]), p)
     full = len(res.factors) == tgt.rank_coords()
     surj = full and (p != 0 or all(d == 1 for d in res.factors))
-    # injective: preimage of the relation lattice lies in the source relations
-    ker = kernel_of_presented_map(F, t_tgt, p)
-    inj = True
-    for c in range(ker.cols):
-        coords = [ker[(i, c)] for i in range(ker.rows)]
-        if not src.coords_are_zero(coords):
-            inj = False
-            break
+    # injective: preimage of the relation lattice lies in the source
+    # relations; the kernel is that of kernel_of_presented_map
+    ker = _kernel_head(res, F.cols)
+    inj = all(src.coords_are_zero([ker[(i, c)] for i in range(ker.rows)])
+              for c in range(ker.cols))
     return inj, surj
 
 
@@ -649,102 +659,61 @@ def induced_on_homology(f: GradedMap, source: ChainComplex, target: ChainComplex
         if sw is None:
             return InducedMap(f.degree, {})
         window = sw
-    src_pres = present_homology(source, window)
-    tgt_pres = present_homology(target, (window[0] + f.degree, window[1] + f.degree))
+    arrow = _HomologyArrow(f, source, target)
     out = {}
-    p = source.p
-    arrow = _HomologyArrow.from_map(f, source, target)
-    for j, spg in src_pres.items():
-        tpg = tgt_pres.get(j + f.degree)
-        if tpg is None:
-            d_out = target.d.block(j + f.degree)
-            d_in = target.d.block(j + f.degree + 1)
-            tpg = PresentedGroup.from_pair(d_in, d_out, p)
-        F = arrow.class_matrix(j, spg, tpg)
-        inj, surj = _flags(F, spg, tpg, p)
+    for j, spg in present_homology(source, window).items():
+        tpg = _presentation(target, j + f.degree)
+        F = arrow.matrix(j)
+        inj, surj = _flags(F, spg, tpg, source.p)
         out[j] = DegreeMapInfo(spg.group, tpg.group, F, inj, surj)
     return InducedMap(f.degree, out)
 
 
 class _HomologyArrow:
-    """A map of homology presentations given by a chain-level evaluator.
+    """The map of homology presentations induced by a chain-level map f.
 
-    ``evaluate`` takes (degree j, ambient cycle column in that degree of the
-    source) and returns an ambient column in degree j + degree of the target.
-    This covers both honest chain maps and snake-lemma connecting maps.
+    f is an honest chain map or a snake-lemma composite (retraction . d .
+    section); either way it sends cycles to cycles and boundaries to
+    boundaries.  Class matrices are memoized per source degree, and the
+    presentations they are expressed in come from the complexes' memos.
     """
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, degree: int,
-                 evaluate: Callable[[int, IntMatrix], IntMatrix]):
+    def __init__(self, f: GradedMap, source: ChainComplex,
+                 target: ChainComplex):
+        self.f = f
         self.source = source
         self.target = target
-        self.degree = degree
-        self.evaluate = evaluate
+        self.degree = f.degree
+        self._matrices: Dict[int, IntMatrix] = {}
 
-    @classmethod
-    def from_map(cls, f: GradedMap, source: ChainComplex,
-                 target: ChainComplex) -> "_HomologyArrow":
-        def ev(j: int, vec: IntMatrix) -> IntMatrix:
-            src_names = f.source.gens_in_degree(j)
-            tgt_names = f.target.gens_in_degree(j + f.degree)
-            tpos = {n: i for i, n in enumerate(tgt_names)}
-            out: Dict[Tuple[int, int], int] = {}
-            for r, name in enumerate(src_names):
-                c = vec[(r, 0)]
-                if not c:
-                    continue
-                for t, v in f.image_of(name).items():
-                    i = tpos.get(t)
-                    if i is not None:
-                        out[(i, 0)] = out.get((i, 0), 0) + c * v
-            return IntMatrix(len(tgt_names), 1, out)
-        return cls(source, target, f.degree, ev)
-
-    def class_matrix(self, j: int, src_pg: PresentedGroup,
-                     tgt_pg: PresentedGroup) -> IntMatrix:
-        cols = []
-        for k in range(src_pg.rank_coords()):
-            rep = src_pg.representative(k)
-            img = self.evaluate(j, rep)
-            coords = tgt_pg.coords_of(img)
-            if coords is None:
+    def matrix(self, j: int) -> IntMatrix:
+        """Canonical coordinates in the target at degree j + degree of the
+        images of the canonical generators of the source at degree j."""
+        F = self._matrices.get(j)
+        if F is None:
+            src = _presentation(self.source, j)
+            tgt = _presentation(self.target, j + self.degree)
+            F = tgt.coord_matrix(self.f.block(j) @ src.representatives())
+            if F is None:
                 raise ChainError("image of a cycle is not a cycle")
-            cols.append(IntMatrix.column(coords))
-        return (IntMatrix.hstack(cols) if cols
-                else IntMatrix(tgt_pg.rank_coords(), 0))
+            self._matrices[j] = F
+        return F
 
 
-def _presentation(C: ChainComplex, j: int,
-                  cache: Dict[Tuple[int, int], PresentedGroup]) -> PresentedGroup:
-    key = (id(C), j)
-    pg = cache.get(key)
-    if pg is None:
-        pg = PresentedGroup.from_pair(C.d.block(j + 1), C.d.block(j), C.p)
-        cache[key] = pg
-    return pg
-
-
-def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow, j: int,
-                   cache: Dict[Tuple[int, int], PresentedGroup]
-                   ) -> Tuple[bool, bool]:
+def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
+                   j: int) -> Tuple[bool, bool]:
     """(image contained in kernel, image equals kernel) at degree j of the
     middle complex; incoming lands in degree j, outgoing leaves from it."""
     p = incoming.target.p
-    mid = _presentation(incoming.target, j, cache)
-    src = _presentation(incoming.source, j - incoming.degree, cache)
-    tgt = _presentation(outgoing.target, j + outgoing.degree, cache)
-    F = incoming.class_matrix(j - incoming.degree, src, mid)
-    G = outgoing.class_matrix(j, mid, tgt)
+    mid = _presentation(incoming.target, j)
+    tgt = _presentation(outgoing.target, j + outgoing.degree)
+    F = incoming.matrix(j - incoming.degree)
+    G = outgoing.matrix(j)
     t_mid = mid.torsion_relation_columns()
     t_tgt = tgt.torsion_relation_columns()
     kernel_gens = IntMatrix.hstack(
         [kernel_of_presented_map(G, t_tgt, p), t_mid])
-    contained = True
-    for c in range(F.cols):
-        col = IntMatrix(F.rows, 1, {(i, 0): F[(i, c)] for i in range(F.rows)})
-        if solve(kernel_gens, col, p) is None:
-            contained = False
-            break
+    contained = solve(kernel_gens, F, p) is not None
     equal = contained and subgroups_equal(
         IntMatrix.hstack([F, t_mid]), kernel_gens, t_mid, p)
     return contained, equal
@@ -768,12 +737,11 @@ def verify_exact_at(complexes: Sequence[ChainComplex], maps: Sequence[GradedMap]
                     (fout, complexes[position], complexes[position + 1])):
         if not is_chain_map(f, s, t):
             raise NotAChainMap("verify_exact_at expects chain maps")
-    incoming = _HomologyArrow.from_map(fin, complexes[position - 1], complexes[position])
-    outgoing = _HomologyArrow.from_map(fout, complexes[position], complexes[position + 1])
-    cache: Dict[Tuple[int, int], PresentedGroup] = {}
+    incoming = _HomologyArrow(fin, complexes[position - 1], complexes[position])
+    outgoing = _HomologyArrow(fout, complexes[position], complexes[position + 1])
     lo, hi = window
     for j in range(lo, hi + 1):
-        contained, equal = exactness_pair(incoming, outgoing, j, cache)
+        contained, equal = exactness_pair(incoming, outgoing, j)
         if not contained:
             raise CompositionNonzero(
                 f"composite is nonzero on homology at degree {j}")

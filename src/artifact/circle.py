@@ -50,7 +50,8 @@ from .chain import (
     is_chain_map,
     validate,
 )
-from .exactlin import AbelianGroup, PresentedGroup, lattices_equal, rank_and_kernel
+from .exactlin import (AbelianGroup, _back_substitute, lattice_contains,
+                       rank_and_kernel, snf)
 
 
 class MissingUAction(ChainError):
@@ -411,18 +412,19 @@ def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
     comp = (bp @ bi).mod(p) if p else (bp @ bi)
     if not comp.is_zero():
         return False
-    ri, _ = rank_and_kernel(bi, p)
-    if ri != bi.cols:           # injective
+    res_i = snf(bi, p)
+    if len(res_i.factors) != bi.cols:           # injective
         return False
     rp, kp = rank_and_kernel(bp, p)
     if rp != bp.rows:           # surjective
         return False
-    return lattices_equal(bi, kp, p)
+    # image = kernel as lattices, the image side through its one factorization
+    return (_back_substitute(res_i, kp, p) is not None
+            and lattice_contains(kp, bi, p))
 
 
-def _les_certificate(tag: str, win: Window, rows, safe: Dict[str, Set[int]],
-                     cache: Dict[Tuple[int, int], PresentedGroup]
-                     ) -> LESCertificate:
+def _les_certificate(tag: str, win: Window, rows,
+                     safe: Dict[str, Set[int]]) -> LESCertificate:
     """Homology-level exactness at the nodes of a long exact sequence, degree
     by degree.  ``rows`` lists (location, incoming arrow, outgoing arrow,
     needs); the node at degree j is checked only when j + offset lies in
@@ -431,7 +433,7 @@ def _les_certificate(tag: str, win: Window, rows, safe: Dict[str, Set[int]],
     for j in range(win.lo, win.hi + 1):
         for location, incoming, outgoing, needs in rows:
             if all(j + k in safe[key] for key, k in needs):
-                c, e = exactness_pair(incoming, outgoing, j, cache)
+                c, e = exactness_pair(incoming, outgoing, j)
                 nodes.append(LESNode(location, j, c, e))
     return LESCertificate(tag, tuple(nodes))
 
@@ -492,34 +494,33 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     seq2 = ShortExactSequence(layout.seq_tags[1], minus, minus, hat, mult_u,
                               proj2, seq2_checked, seq2_ok)
 
-    delta1 = _HomologyArrow.from_map(
+    delta1 = _HomologyArrow(
         _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
     # retracting u keeps the exponents above the bottom of minus
-    delta2 = _HomologyArrow.from_map(
+    delta2 = _HomologyArrow(
         _transpose(mult_u) @ minus.d @ _transpose(proj2), hat, minus)
 
-    inc_a = _HomologyArrow.from_map(inc, minus, inf)
-    proj_a = _HomologyArrow.from_map(proj, inf, plus)
-    mult_a = _HomologyArrow.from_map(mult_u, minus, minus)
-    proj2_a = _HomologyArrow.from_map(proj2, minus, hat)
+    inc_a = _HomologyArrow(inc, minus, inf)
+    proj_a = _HomologyArrow(proj, inf, plus)
+    mult_a = _HomologyArrow(mult_u, minus, minus)
+    proj2_a = _HomologyArrow(proj2, minus, hat)
 
     safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
             for tag in FLAVOR_TAGS}
-    cache: Dict[Tuple[int, int], PresentedGroup] = {}
     les1 = _les_certificate(layout.les_tags[0], win, (
         ("infinity", inc_a, proj_a,
          (("infinity", 0), ("minus", 0), ("plus", 0))),
         ("plus", proj_a, delta1,
          (("plus", 0), ("infinity", 0), ("minus", -1))),
         ("minus", delta1, inc_a,
-         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe, cache)
+         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe)
     les2 = _les_certificate(layout.les_tags[1], win, (
         ("minus@u-image", mult_a, proj2_a,
          (("minus", 0), ("minus", 2), ("hat", o))),
         ("hat", proj2_a, delta2,
          (("hat", 0), ("minus", -o), ("minus", 1 - o))),
         ("minus@delta-image", delta2, mult_a,
-         (("minus", 0), ("hat", o - 1), ("minus", -2)))), safe, cache)
+         (("minus", 0), ("hat", o - 1), ("minus", -2)))), safe)
 
     return FundamentalSequences(win, complexes, seq1, seq2, les1, les2,
                                 delta1, delta2)

@@ -8,6 +8,12 @@ sparsely as ``(row, col) -> nonzero value``.
 The workhorse is Smith normal form with unimodular transforms, from which
 ranks, saturated kernels, exact linear solves, and finitely generated
 abelian-group quotients all follow.
+
+Factor once, solve many: a matrix is factored once per use and every
+right-hand side is back-substituted through that one factorization.
+``solve`` takes a whole block of right-hand-side columns, the lattice
+helpers make one ``solve`` call per inclusion, and a ``PresentedGroup``
+factors its cycle basis once, the first time coordinates are asked of it.
 """
 
 from __future__ import annotations
@@ -482,48 +488,63 @@ def snf(M: IntMatrix, p: int = 0) -> SNFResult:
     return _snf_int(M) if p == 0 else _snf_field(M, p)
 
 
+def _kernel_head(res: SNFResult, head: int) -> IntMatrix:
+    """The kernel basis of a factored matrix, each column cut to its first
+    ``head`` coordinates."""
+    rank = len(res.factors)
+    ent = {(i, j - rank): v for (i, j), v in res.right.entries.items()
+           if j >= rank and i < head}
+    return IntMatrix(head, res.right.cols - rank, ent)
+
+
 def rank_and_kernel(M: IntMatrix, p: int = 0) -> Tuple[int, IntMatrix]:
     """Rank and a saturated integral (or F_p) kernel basis, as columns."""
     res = snf(M, p)
+    return len(res.factors), _kernel_head(res, M.cols)
+
+
+def _back_substitute(res: SNFResult, B: IntMatrix,
+                     p: int = 0) -> Optional[IntMatrix]:
+    """Solve M @ X = B through a factorization ``res`` of M: one product
+    with each transform for all columns of B; None if some column has no
+    solution."""
     rank = len(res.factors)
-    kernel = res.right.submatrix_cols(range(rank, M.cols))
-    return rank, kernel
-
-
-def solve(M: IntMatrix, b: IntMatrix, p: int = 0) -> Optional[IntMatrix]:
-    """One exact solution x of M @ x = b over Z or F_p, or None."""
-    if b.rows != M.rows or b.cols != 1:
-        raise DimensionMismatch("solve expects a column vector of matching height")
-    res = snf(M, p)
-    lb = res.left @ b
+    lb = res.left @ B
     if p:
         lb = lb.mod(p)
     y: Dict[Tuple[int, int], int] = {}
-    rank = len(res.factors)
-    for i in range(M.rows):
-        v = lb[(i, 0)]
-        if i < rank:
-            d = res.factors[i]
-            if p:
-                y[(i, 0)] = (v * _inv_mod(d, p)) % p
-            else:
-                if v % d:
-                    return None
-                y[(i, 0)] = v // d
-        elif v:
+    for (i, j), v in lb.entries.items():
+        if i >= rank:
             return None
-    x = res.right @ IntMatrix(M.cols, 1, {k: v for k, v in y.items() if k[0] < M.cols})
+        d = res.factors[i]
+        if p:
+            y[(i, j)] = (v * _inv_mod(d, p)) % p
+        else:
+            if v % d:
+                return None
+            y[(i, j)] = v // d
+    x = res.right @ IntMatrix(res.right.rows, B.cols, y)
     return x.mod(p) if p else x
+
+
+def solve(M: IntMatrix, B: IntMatrix, p: int = 0) -> Optional[IntMatrix]:
+    """One exact solution X of M @ X = B over Z or F_p, or None when some
+    column of B has no solution.
+
+    B may have any number of columns: M is factored once and every column
+    is back-substituted through that factorization, so the result equals
+    the columnwise solutions side by side.  A zero B needs no
+    factorization; its solution is zero."""
+    if B.rows != M.rows:
+        raise DimensionMismatch("solve expects right-hand sides of matching height")
+    if B.is_zero():
+        return IntMatrix(M.cols, B.cols)
+    return _back_substitute(snf(M, p), B, p)
 
 
 def lattice_contains(basis: IntMatrix, vectors: IntMatrix, p: int = 0) -> bool:
     """True iff every column of ``vectors`` lies in the span of ``basis``."""
-    for j in range(vectors.cols):
-        col = IntMatrix(vectors.rows, 1,
-                        {(i, 0): vectors[(i, j)] for i in range(vectors.rows)})
-        if solve(basis, col, p) is None:
-            return False
-    return True
+    return solve(basis, vectors, p) is not None
 
 
 def lattices_equal(a: IntMatrix, b: IntMatrix, p: int = 0) -> bool:
@@ -559,7 +580,9 @@ class PresentedGroup:
 
     Carries canonical coordinates: first the torsion coordinates (moduli
     d_i >= 2 in chain order), then the free coordinates.  Used to present
-    homology groups, express classes, and push classes through maps.
+    homology groups, express classes, and push classes through maps.  The
+    cycle basis is factored once, the first time coordinates are asked of
+    it, and every later coordinate request back-substitutes through it.
     """
 
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
@@ -580,20 +603,14 @@ class PresentedGroup:
         self.free_rows = list(range(rank, z))
         self.group = AbelianGroup(len(self.free_rows), self.torsion_moduli)
         self._left_inv: Optional[IntMatrix] = None
+        self._cycles_snf: Optional[SNFResult] = None
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
         _, cycles = rank_and_kernel(d_out, p)
-        cols = []
-        for j in range(d_in.cols):
-            col = IntMatrix(d_in.rows, 1,
-                            {(i, 0): d_in[(i, j)] for i in range(d_in.rows)})
-            x = solve(cycles, col, p)
-            if x is None:
-                raise ExactLinError("boundary is not a cycle; composition nonzero?")
-            cols.append(x)
-        rel = (IntMatrix.hstack(cols) if cols
-               else IntMatrix(cycles.cols, 0))
+        rel = solve(cycles, d_in, p)
+        if rel is None:
+            raise ExactLinError("boundary is not a cycle; composition nonzero?")
         return cls(cycles, rel, p)
 
     # -- coordinates -------------------------------------------------------
@@ -601,29 +618,53 @@ class PresentedGroup:
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
-    def coords_of(self, ambient_vector: IntMatrix) -> Optional[List[int]]:
-        """Canonical coordinates of the class of a cycle, or None if the
-        vector is not in the cycle lattice."""
-        x = solve(self.cycles, ambient_vector, self.p)
+    def coord_matrix(self, ambient: IntMatrix) -> Optional[IntMatrix]:
+        """Canonical coordinates of the classes of the columns of
+        ``ambient``, as columns, or None if some column is not in the cycle
+        lattice."""
+        if ambient.rows != self.cycles.rows:
+            raise DimensionMismatch("vectors do not fit the cycle lattice")
+        if ambient.is_zero():
+            return IntMatrix(self.rank_coords(), ambient.cols)
+        if self._cycles_snf is None:
+            self._cycles_snf = snf(self.cycles, self.p)
+        x = _back_substitute(self._cycles_snf, ambient, self.p)
         if x is None:
             return None
         y = self.rel_left @ x
         if self.p:
             y = y.mod(self.p)
-        out = []
-        for i, d in zip(self.torsion_rows, self.torsion_moduli):
-            out.append(y[(i, 0)] % d)
-        for i in self.free_rows:
-            out.append(y[(i, 0)])
-        return out
+        pos = {i: a for a, i in enumerate(self.torsion_rows + self.free_rows)}
+        nt = len(self.torsion_rows)
+        ent = {}
+        for (i, j), v in y.entries.items():
+            a = pos.get(i)
+            if a is not None:
+                ent[(a, j)] = v % self.torsion_moduli[a] if a < nt else v
+        return IntMatrix(self.rank_coords(), ambient.cols, ent)
+
+    def coords_of(self, ambient_vector: IntMatrix) -> Optional[List[int]]:
+        """Canonical coordinates of the class of a cycle, or None if the
+        vector is not in the cycle lattice."""
+        c = self.coord_matrix(ambient_vector)
+        if c is None:
+            return None
+        return [c[(a, 0)] for a in range(c.rows)]
+
+    def representatives(self) -> IntMatrix:
+        """Ambient cycles representing the canonical generators, as columns."""
+        rows = self.torsion_rows + self.free_rows
+        if not rows:
+            return IntMatrix(self.cycles.rows, 0)
+        if self._left_inv is None:
+            self._left_inv = invert_unimodular(self.rel_left, self.p)
+        e = IntMatrix(self.rel_left.rows, len(rows),
+                      {(r, k): 1 for k, r in enumerate(rows)})
+        return self.cycles @ (self._left_inv @ e)
 
     def representative(self, k: int) -> IntMatrix:
         """An ambient cycle representing the k-th canonical generator."""
-        if self._left_inv is None:
-            self._left_inv = invert_unimodular(self.rel_left, self.p)
-        rows = self.torsion_rows + self.free_rows
-        e = IntMatrix(self.rel_left.rows, 1, {(rows[k], 0): 1})
-        return self.cycles @ (self._left_inv @ e)
+        return self.representatives().submatrix_cols([k])
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
         nt = len(self.torsion_moduli)
@@ -656,11 +697,5 @@ def kernel_of_presented_map(F: IntMatrix, target_relations: IntMatrix,
                             p: int = 0) -> IntMatrix:
     """Generators (columns) of ker(F: Z^a -> Z^b/relations) as a subgroup of
     the source coordinate space."""
-    stacked = IntMatrix.hstack([F, target_relations])
-    _, ker = rank_and_kernel(stacked, p)
-    # project kernel columns onto the x-part (first F.cols coordinates)
-    ent = {}
-    for (i, j), v in ker.entries.items():
-        if i < F.cols:
-            ent[(i, j)] = v
-    return IntMatrix(F.cols, ker.cols, ent)
+    return _kernel_head(snf(IntMatrix.hstack([F, target_relations]), p),
+                        F.cols)

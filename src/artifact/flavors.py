@@ -64,7 +64,7 @@ from .circle import (
     s_u_map,
     safe_degrees,
 )
-from .exactlin import IntMatrix, PresentedGroup, solve
+from .exactlin import IntMatrix, solve
 
 
 class AssemblyInconsistent(ChainError):
@@ -715,72 +715,50 @@ class LadderReport:
         return [sq for sq in self.squares if not sq.commutes]
 
 
-class _ArrowMatrixCache:
-    """Class matrices of homology arrows, memoized per (arrow, degree)."""
-
-    def __init__(self, prime: int):
-        self.prime = prime
-        self.pres: Dict[Tuple[int, int], PresentedGroup] = {}
-        self.mats: Dict[Tuple[int, int], IntMatrix] = {}
-
-    def presentation(self, C: ChainComplex, j: int) -> PresentedGroup:
-        return _presentation(C, j, self.pres)
-
-    def matrix(self, arrow: _HomologyArrow, j: int) -> IntMatrix:
-        key = (id(arrow), j)
-        M = self.mats.get(key)
-        if M is None:
-            spg = self.presentation(arrow.source, j)
-            tpg = self.presentation(arrow.target, j + arrow.degree)
-            M = arrow.class_matrix(j, spg, tpg)
-            self.mats[key] = M
-        return M
-
-
-def _chase(col: IntMatrix, j: int, steps: Sequence[Tuple[_HomologyArrow, bool]],
-           cache: _ArrowMatrixCache) -> Optional[IntMatrix]:
-    """Push a coordinate column along arrows; ``False`` steps run an arrow
-    backwards by solving modulo the target torsion (None when unsolvable,
-    i.e. the arrow was not invertible on this class)."""
+def _chase(cols: IntMatrix, j: int,
+           steps: Sequence[Tuple[_HomologyArrow, bool]]) -> Optional[IntMatrix]:
+    """Push coordinate columns along arrows; ``False`` steps run an arrow
+    backwards by solving modulo the target torsion (None when some column
+    is unsolvable, i.e. the arrow was not invertible on that class)."""
     deg = j
     for arrow, forward in steps:
         if forward:
-            F = cache.matrix(arrow, deg)
-            col = F @ col
+            cols = arrow.matrix(deg) @ cols
             deg += arrow.degree
         else:
             src_deg = deg - arrow.degree
-            F = cache.matrix(arrow, src_deg)
-            tpg = cache.presentation(arrow.target, deg)
+            F = arrow.matrix(src_deg)
+            tpg = _presentation(arrow.target, deg)
             aug = IntMatrix.hstack([F, tpg.torsion_relation_columns()])
-            x = solve(aug, col, cache.prime)
+            x = solve(aug, cols, arrow.target.p)
             if x is None:
                 return None
-            col = IntMatrix(F.cols, 1,
-                            {(r, 0): x[(r, 0)] for r in range(F.cols)})
+            cols = IntMatrix(F.cols, cols.cols,
+                             {(r, c): v for (r, c), v in x.entries.items()
+                              if r < F.cols})
             deg = src_deg
-    return col
+    return cols
 
 
 def _square_commutes(src_cx: ChainComplex, j: int,
                      lhs: Sequence[Tuple[_HomologyArrow, bool]],
                      rhs: Sequence[Tuple[_HomologyArrow, bool]],
                      tgt_cx: ChainComplex, tgt_deg: int,
-                     cache: _ArrowMatrixCache, sign: int = 1) -> bool:
-    """lhs == sign * rhs on every homology class of the source degree."""
-    spg = cache.presentation(src_cx, j)
-    tpg = cache.presentation(tgt_cx, tgt_deg)
-    for k in range(spg.rank_coords()):
-        e = IntMatrix(spg.rank_coords(), 1, {(k, 0): 1})
-        a = _chase(e, j, lhs, cache)
-        b = _chase(e, j, rhs, cache)
-        if a is None or b is None:
-            return False
-        diff = [a[(r, 0)] - sign * b[(r, 0)]
-                for r in range(tpg.rank_coords())]
-        if not tpg.coords_are_zero(diff):
-            return False
-    return True
+                     sign: int = 1) -> bool:
+    """lhs == sign * rhs on every homology class of the source degree,
+    chasing all canonical generators at once."""
+    n = _presentation(src_cx, j).rank_coords()
+    if not n:
+        return True
+    tpg = _presentation(tgt_cx, tgt_deg)
+    e = IntMatrix.identity(n)
+    a = _chase(e, j, lhs)
+    b = _chase(e, j, rhs)
+    if a is None or b is None:
+        return False
+    return all(tpg.coords_are_zero([a[(r, k)] - sign * b[(r, k)]
+                                    for r in range(tpg.rank_coords())])
+               for k in range(n))
 
 
 def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
@@ -823,14 +801,13 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     delta_snake = ret_b @ sue.d @ sec_h
     delta_matches_p = (delta_snake - su_p).is_zero_mod(prime)
 
-    cache = _ArrowMatrixCache(prime)
-    ib_arrow = _HomologyArrow.from_map(su_ibar, su_bar, sue)
-    jb_arrow = _HomologyArrow.from_map(su_jbar, sue, su_hat)
-    dp_arrow = _HomologyArrow.from_map(su_p, su_hat, su_bar)
+    ib_arrow = _HomologyArrow(su_ibar, su_bar, sue)
+    jb_arrow = _HomologyArrow(su_jbar, sue, su_hat)
+    dp_arrow = _HomologyArrow(su_p, su_hat, su_bar)
     cone_les = _les_certificate("eq:induced-KM1", win, (
         ("cone", ib_arrow, jb_arrow, ()),
         ("hat", jb_arrow, dp_arrow, ()),
-        ("bar", dp_arrow, ib_arrow, ())), {}, cache.pres)
+        ("bar", dp_arrow, ib_arrow, ())), {})
 
     h_bar = homology(su_bar)
     bar_vanishing = all(h_bar[j].is_trivial()
@@ -875,7 +852,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     arrows = {}
     for tag, f, a, b in legs:
         for fl in (MINUS, PLUS):
-            arrows[(tag, fl.tag)] = _HomologyArrow.from_map(
+            arrows[(tag, fl.tag)] = _HomologyArrow(
                 sliced[(tag, fl.tag)],
                 fs[a].complexes[fl.tag], fs[b].complexes[fl.tag])
 
@@ -895,7 +872,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                     ea, j,
                     [(arrows[(tag, "plus")], True), (fs[b].delta1, True)],
                     [(fs[a].delta1, True), (arrows[(tag, "minus")], True)],
-                    eb, j + d - 1, cache, sign=sgn)
+                    eb, j + d - 1, sign=sgn)
             except ChainError:
                 ok = False
             squares.append(LadderSquare(f"eq:KM:{tag}:connecting", j, ok))
@@ -908,7 +885,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
         ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
         ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),
         ("hat-minus", b_j, b_p, (("hat", 0), ("check", 0), ("bar", -1)))),
-        sm, cache.pres)
+        sm)
 
     bar_u = getattr(bundle.bar, "u_action", None)
     bar_u_iso: Optional[bool] = None

@@ -47,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import random_complex, random_pmorphism  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
+GOLDEN_DRIVER = Path(__file__).resolve().parent / "golden" / "driver_machine.txt"
 
 # f2periodic.txt is modulus-graded, so it participates in parsing, law, and
 # homology checks but not in the doubling functor's flavor certificates
@@ -606,3 +607,13 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert "kind=check" in outs[0]
         assert "## verify" in outs[0]
+
+    def test_machine_reports_match_golden(self):
+        # the same jobs against a capture committed with the corpus, so
+        # output that drifts between commits fails here; the corpus path is
+        # written as corpus/v1 so the capture does not depend on the checkout
+        out = subprocess.run(
+            [sys.executable, "-c", _DRIVER, str(CORPUS)],
+            capture_output=True, check=True).stdout
+        out = out.replace(str(CORPUS).encode(), b"corpus/v1")
+        assert out == GOLDEN_DRIVER.read_bytes()

@@ -24,7 +24,9 @@ from artifact.chain import (
     verify_exact_at,
     verify_homotopy,
 )
-from artifact.exactlin import AbelianGroup, CompositionNonzero, IntMatrix
+from artifact.exactlin import (AbelianGroup, CompositionNonzero, IntMatrix,
+                               PresentedGroup)
+from artifact.flavors import four_flavors
 
 from helpers import (
     anticommuting_y,
@@ -466,3 +468,65 @@ class TestExactness:
         idm = GradedMap.identity(C.module)
         with pytest.raises(ChainError):
             verify_exact_at([C, C], [idm], 0, (0, 0))
+
+
+class TestPresentationMemo:
+    """Each (complex, degree) is presented once, by PresentedGroup.from_pair,
+    and the memo belongs to one complex object."""
+
+    @pytest.fixture
+    def from_pair_calls(self, monkeypatch):
+        calls = []
+        original = PresentedGroup.from_pair.__func__
+
+        def counting(cls, d_in, d_out, p=0):
+            calls.append((d_in, d_out, p))
+            return original(cls, d_in, d_out, p)
+
+        monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
+        return calls
+
+    def test_second_homology_builds_nothing(self, from_pair_calls):
+        C = two_sphere_like()
+        first = homology(C)
+        n = len(from_pair_calls)
+        assert n > 0
+        assert homology(C) == first
+        assert homology(C, window=(0, 1)) == homology(C, window=(0, 1))
+        assert len(from_pair_calls) == n
+
+    def test_four_flavors_presents_each_slice_degree_once(self, from_pair_calls):
+        rng = random.Random(43)
+        for _ in range(3):
+            C = random_complex(rng, max_pieces=3, with_u=True).complex
+            del from_pair_calls[:]
+            ff = four_flavors(C)
+            slices = ff.sequences.complexes.values()
+            # every build landed in one slice's memo, one per degree
+            assert len(from_pair_calls) == sum(len(cx._presented)
+                                               for cx in slices)
+            n = len(from_pair_calls)
+            for cx in slices:
+                homology(cx)
+                induced_on_homology(GradedMap.identity(cx.module), cx, cx)
+            assert len(from_pair_calls) == n
+
+    def test_distinct_complexes_never_share(self, from_pair_calls):
+        C = two_sphere_like()
+        twin = ChainComplex(C.module, C.d, p=C.p)
+        homology(C)
+        n = len(from_pair_calls)
+        assert homology(twin) == homology(C)
+        assert len(from_pair_calls) == 2 * n
+        assert twin._presented is not C._presented
+        for j, pg in C._presented.items():
+            assert twin._presented[j] is not pg
+        u = GradedMap.zero(C.module, C.module, -2)
+        assert not C.with_actions(u_action=u)._presented
+
+    def test_periodic_memo_keyed_by_reduced_degree(self, from_pair_calls):
+        C = complex_from([("a", 0), ("b", 1)], {("b", "a"): 2}, modulus=2)
+        h = homology(C, window=(-6, 6))
+        assert h[0] == AbelianGroup(0, (2,))
+        assert sorted(C._presented) == [0, 1]
+        assert len(from_pair_calls) == 2

@@ -107,6 +107,28 @@ class TestSmithNormalForm:
         for i in range(1, len(res.factors)):
             assert res.factors[i] % res.factors[i - 1] == 0
 
+    @given(st.integers(0, 4).flatmap(lambda r: st.integers(0, 4).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c,
+                                    max_size=c), min_size=r, max_size=r)
+        .map(lambda rows: IntMatrix.from_rows(rows, cols=c)))),
+        st.sampled_from((0, 2, 3, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_transform_property_all_rings(self, M, p):
+        # left @ M @ right = diag(factors), both transforms invertible over
+        # the ring, and the factors a divisibility chain (all 1 over F_p)
+        res = snf(M, p)
+        D = res.left @ M @ res.right
+        if p:
+            D = D.mod(p)
+        assert D == IntMatrix.diagonal(list(res.factors), M.rows, M.cols)
+        invert_unimodular(res.left, p)
+        invert_unimodular(res.right, p)
+        assert all(f > 0 for f in res.factors)
+        if p:
+            assert set(res.factors) <= {1}
+        for a, b in zip(res.factors, res.factors[1:]):
+            assert b % a == 0
+
     def test_field_coefficients(self):
         M = IntMatrix.from_rows([[2, 4], [6, 8]])
         res = snf(M, p=2)
@@ -149,6 +171,47 @@ class TestKernelsAndSolve:
         y = solve(M, IntMatrix.column([3]), p=5)
         assert y is not None
         assert ((M @ y) - IntMatrix.column([3])).mod(5).is_zero()
+
+    def test_multi_column_solve_is_columnwise(self):
+        # one factorization for all columns gives the columnwise solutions
+        # side by side, and None as soon as one column has no solution
+        rng = random.Random(41)
+        for p in (0, 2, 3, 5):
+            for _ in range(60):
+                M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+                k = rng.randint(0, 4)
+                X = random_matrix(rng, M.cols, k)
+                B = M @ X
+                if k and rng.random() < 0.5:
+                    # a random column is usually not in the image
+                    c = rng.randrange(k)
+                    bad = random_matrix(rng, M.rows, 1)
+                    B = IntMatrix.hstack([B.submatrix_cols(range(c)), bad,
+                                          B.submatrix_cols(range(c + 1, k))])
+                cols = [solve(M, B.submatrix_cols([j]), p) for j in range(k)]
+                got = solve(M, B, p)
+                if any(c is None for c in cols):
+                    assert got is None
+                    continue
+                assert got is not None
+                assert got == (IntMatrix.hstack(cols) if cols
+                               else IntMatrix(M.cols, 0))
+                R = M @ got - B
+                assert (R.mod(p) if p else R).is_zero()
+
+    def test_multi_column_solve_unsolvable_column(self):
+        M = IntMatrix.from_rows([[2, 0], [0, 1]])
+        B = IntMatrix.from_rows([[2, 3], [5, 1]])
+        assert solve(M, B.submatrix_cols([0])) is not None
+        assert solve(M, B) is None
+        assert solve(M, B, p=3) is not None
+
+    def test_zero_column_solve(self):
+        M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 0]])
+        for p in (0, 2, 3, 5):
+            assert solve(M, IntMatrix(3, 0), p) == IntMatrix(2, 0)
+        with pytest.raises(DimensionMismatch):
+            solve(M, IntMatrix(2, 0))
 
     def test_invert_unimodular(self):
         rng = random.Random(5)
