@@ -14,6 +14,15 @@ Conventions used across the package:
 
 Coefficients are integers; complexes carry a ring parameter ``p`` (0 for Z,
 a prime for F_p) and all verifications reduce modulo p when p > 0.
+
+Many constructions are block matrices over renamed copies of generator
+sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly
+from o/s/u pieces, the tower levels.  ``_renamed_module`` lists the
+generators of several pieces in order, each renamed by a name format such
+as ``"h.{}"`` or ``"{}.y"`` and shifted in degree; ``_block_map`` sums
+blocks (map, source format, target format, sign) between such modules.
+The result is an ordinary ``GradedMap``, so every block entry is still
+checked against the assembled modules and the map's degree.
 """
 
 from __future__ import annotations
@@ -431,6 +440,35 @@ def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> Homol
 # Constructions
 # ---------------------------------------------------------------------------
 
+def _renamed_module(pieces: Sequence[Tuple[GradedModule, str, int]],
+                    modulus: int = 0) -> GradedModule:
+    """The generators of each (module, name format, degree shift) piece in
+    order, renamed by the format and shifted in degree."""
+    gens = []
+    for module, fmt, shift in pieces:
+        pre, _, post = fmt.partition("{}")
+        gens += [(pre + n + post, d + shift) for n, d in module.generators]
+    return GradedModule(gens, modulus)
+
+
+def _block_map(source: GradedModule, target: GradedModule, degree: int,
+               blocks: Sequence[Tuple[Optional[GradedMap], str, str, int]]
+               ) -> GradedMap:
+    """Sum of blocks (f, source name format, target name format, sign):
+    each entry s -> t of f, times sign, lands on the renamed pair; None
+    blocks are skipped and colliding entries add up."""
+    ent: Dict[Tuple[str, str], int] = {}
+    for f, sfmt, tfmt, sign in blocks:
+        if f is None:
+            continue
+        sp, _, ss = sfmt.partition("{}")
+        tp, _, ts = tfmt.partition("{}")
+        for (s, t), v in f.entries.items():
+            k = (sp + s + ss, tp + t + ts)
+            ent[k] = ent.get(k, 0) + sign * v
+    return GradedMap(source, target, degree, ent)
+
+
 def cone(f: GradedMap, A: ChainComplex, B: ChainComplex,
          tags: Tuple[str, str] = ("A", "B")) -> ChainComplex:
     """Mapping cone of an anticommuting degree -1 chain map f: A -> B.
@@ -445,18 +483,12 @@ def cone(f: GradedMap, A: ChainComplex, B: ChainComplex,
     defect = (f @ A.d) + (B.d @ f)
     if not defect.is_zero_mod(A.p):
         raise NotAChainMap("map does not anticommute with the differentials")
-    ta, tb = tags
-    gens = [(f"{ta}.{n}", d) for n, d in A.module.generators]
-    gens += [(f"{tb}.{n}", d) for n, d in B.module.generators]
-    module = GradedModule(gens, A.module.modulus)
-    ent: Dict[Tuple[str, str], int] = {}
-    for (s, t), v in A.d.entries.items():
-        ent[(f"{ta}.{s}", f"{ta}.{t}")] = v
-    for (s, t), v in B.d.entries.items():
-        ent[(f"{tb}.{s}", f"{tb}.{t}")] = v
-    for (s, t), v in f.entries.items():
-        ent[(f"{ta}.{s}", f"{tb}.{t}")] = v
-    return ChainComplex(module, GradedMap(module, module, -1, ent), p=A.p)
+    ta, tb = (tag + ".{}" for tag in tags)
+    module = _renamed_module([(A.module, ta, 0), (B.module, tb, 0)],
+                             A.module.modulus)
+    d = _block_map(module, module, -1, [
+        (A.d, ta, ta, 1), (B.d, tb, tb, 1), (f, ta, tb, 1)])
+    return ChainComplex(module, d, p=A.p)
 
 
 def cone_inclusion(E: ChainComplex, B: ChainComplex, tag: str = "B") -> GradedMap:

@@ -44,6 +44,8 @@ from .chain import (
     ModulusUnsupported,
     PMorphism,
     _HomologyArrow,
+    _block_map,
+    _renamed_module,
     exactness_pair,
     homology,
     induced_on_homology,
@@ -200,6 +202,15 @@ def safe_degrees(C: ChainComplex, flavor: Flavor, window) -> List[int]:
 # S_U: from U-modules to Y-modules
 # ---------------------------------------------------------------------------
 
+def _doubled(f: GradedMap, k: Optional[GradedMap], source: GradedModule,
+             target: GradedModule) -> GradedMap:
+    """The blocks [[f, 0], [k, (-1)^{deg f} f]] over (g, g.y) between doubled
+    modules; k may be None."""
+    sign = -1 if f.degree % 2 else 1
+    return _block_map(source, target, f.degree, [
+        (f, "{}", "{}", 1), (f, "{}.y", "{}.y", sign), (k, "{}", "{}.y", 1)])
+
+
 def s_u(C: ChainComplex) -> ChainComplex:
     """Double C along a polynomial variable y: generators g and g.y with
     differential blocks [[d, 0], [U, -d]] and Y = multiplication by y."""
@@ -207,19 +218,8 @@ def s_u(C: ChainComplex) -> ChainComplex:
         raise ModulusUnsupported("s_u needs a genuine Z-grading")
     if C.u_action is None:
         raise MissingUAction("s_u needs a U-action")
-    gens = []
-    for g, dg in C.module.generators:
-        gens.append((g, dg))
-    for g, dg in C.module.generators:
-        gens.append((f"{g}.y", dg + 1))
-    module = GradedModule(gens)
-    ent: Dict[Tuple[str, str], int] = {}
-    for (s, t), v in C.d.entries.items():
-        ent[(s, t)] = v
-        ent[(f"{s}.y", f"{t}.y")] = -v
-    for (s, t), v in C.u_action.entries.items():
-        ent[(s, f"{t}.y")] = ent.get((s, f"{t}.y"), 0) + v
-    d = GradedMap(module, module, -1, ent)
+    module = _renamed_module([(C.module, "{}", 0), (C.module, "{}.y", 1)])
+    d = _doubled(C.d, C.u_action, module, module)
     y = GradedMap(module, module, 1, {(g, f"{g}.y"): 1 for g in C.module.names()})
     out = ChainComplex(module, d, y_action=y, p=C.p)
     rep = validate(out)
@@ -234,16 +234,8 @@ def s_u_map(P: PMorphism) -> GradedMap:
     complexes; a chain map commuting with the Y-actions."""
     if not P.verify():
         raise NotAPMorphism("s_u_map needs a verified p-morphism")
-    src = s_u(P.source)
-    tgt = s_u(P.target)
-    sign = -1 if P.phi.degree % 2 else 1
-    ent: Dict[Tuple[str, str], int] = {}
-    for (s, t), v in P.phi.entries.items():
-        ent[(s, t)] = v
-        ent[(f"{s}.y", f"{t}.y")] = sign * v
-    for (s, t), v in P.k_phi.entries.items():
-        ent[(s, f"{t}.y")] = ent.get((s, f"{t}.y"), 0) + v
-    return GradedMap(src.module, tgt.module, P.phi.degree, ent)
+    return _doubled(P.phi, P.k_phi, s_u(P.source).module,
+                    s_u(P.target).module)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +358,10 @@ class LESCertificate:
 
     @property
     def ok(self) -> bool:
-        return all(n.contained and n.equal for n in self.nodes)
+        """Every node exact, and at least one node checked: a sequence with
+        no window-safe node has certified nothing."""
+        return bool(self.nodes) and all(n.contained and n.equal
+                                        for n in self.nodes)
 
     def failures(self) -> List[LESNode]:
         return [n for n in self.nodes if not (n.contained and n.equal)]

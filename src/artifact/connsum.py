@@ -42,6 +42,7 @@ from .chain import (
     HomologyTable,
     LawCheck,
     ValidationReport,
+    _block_map,
     homology,
     tensor,
     validate,
@@ -474,28 +475,14 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> ValidationReport:
 
     def product_composite():
         spm = SP.module
-        vent = {}
-        for (s, t), v in M.V0.entries.items():
-            vent[(s, t)] = v
-        for (s, t), v in M.V1.entries.items():
-            vent[(s, f"{t}.y")] = v
-        V = GradedMap(sm, spm, M.V0.degree, vent)
-        went = {}
-        for (s, t), v in M.V1d.entries.items():
-            went[(s, t)] = v
-        for (s, t), v in M.V0d.entries.items():
-            went[(f"{s}.y", t)] = v
-        Vd = GradedMap(spm, sm, M.V1d.degree, went)
-        hent = {}
-        for (s, t), v in M.A.entries.items():
-            hent[(s, t)] = v
-        for (s, t), v in M.B.entries.items():
-            hent[(f"{s}.y", t)] = v
-        for (s, t), v in M.Cc.entries.items():
-            hent[(s, f"{t}.y")] = v
-        for (s, t), v in M.D.entries.items():
-            hent[(f"{s}.y", f"{t}.y")] = v
-        H = GradedMap(spm, spm, 1, hent)
+        Y = "{}.y"
+        V = _block_map(sm, spm, M.V0.degree, [
+            (M.V0, "{}", "{}", 1), (M.V1, "{}", Y, 1)])
+        Vd = _block_map(spm, sm, M.V1d.degree, [
+            (M.V1d, "{}", "{}", 1), (M.V0d, Y, "{}", 1)])
+        H = _block_map(spm, spm, 1, [
+            (M.A, "{}", "{}", 1), (M.B, Y, "{}", 1),
+            (M.Cc, "{}", Y, 1), (M.D, Y, Y, 1)])
         return (V @ Vd - GradedMap.identity(spm)
                 - SP.d @ H - H @ SP.d)
 

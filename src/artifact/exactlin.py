@@ -581,8 +581,9 @@ class PresentedGroup:
     Carries canonical coordinates: first the torsion coordinates (moduli
     d_i >= 2 in chain order), then the free coordinates.  Used to present
     homology groups, express classes, and push classes through maps.  The
-    cycle basis is factored once, the first time coordinates are asked of
-    it, and every later coordinate request back-substitutes through it.
+    cycle basis is factored once, by ``from_pair`` when it has boundaries to
+    express in it and otherwise the first time coordinates are asked of it,
+    and every coordinate request back-substitutes through it.
     """
 
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
@@ -608,10 +609,17 @@ class PresentedGroup:
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
         _, cycles = rank_and_kernel(d_out, p)
-        rel = solve(cycles, d_in, p)
+        if d_in.rows != cycles.rows:
+            raise DimensionMismatch("boundaries do not fit the cycle lattice")
+        # coordinates are later taken through the same factorization
+        res = None if d_in.is_zero() else snf(cycles, p)
+        rel = (IntMatrix(cycles.cols, d_in.cols) if res is None
+               else _back_substitute(res, d_in, p))
         if rel is None:
             raise ExactLinError("boundary is not a cycle; composition nonzero?")
-        return cls(cycles, rel, p)
+        pg = cls(cycles, rel, p)
+        pg._cycles_snf = res
+        return pg
 
     # -- coordinates -------------------------------------------------------
 

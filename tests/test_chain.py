@@ -12,6 +12,8 @@ from artifact.chain import (
     ModulusUnsupported,
     NotAChainMap,
     PMorphism,
+    _block_map,
+    _renamed_module,
     cone,
     cone_inclusion,
     cone_projection,
@@ -26,6 +28,7 @@ from artifact.chain import (
 )
 from artifact.exactlin import (AbelianGroup, CompositionNonzero, IntMatrix,
                                PresentedGroup)
+from artifact.circle import _doubled, s_u, s_u_map
 from artifact.flavors import four_flavors
 
 from helpers import (
@@ -225,6 +228,56 @@ class TestCone:
         E = cone(f, A, B)
         assert is_chain_map(cone_inclusion(E, B), B, E)
         assert is_chain_map(cone_projection(E, A), E, A)
+
+
+class TestBlockBuilder:
+    """_renamed_module and _block_map: blocks over renamed generators."""
+
+    def pieces(self):
+        A = GradedModule([("a", 1), ("b", 0)])
+        B = GradedModule([("c", 0)])
+        return A, B, _renamed_module([(A, "x.{}", 0), (B, "{}.y", 1),
+                                      (A, "z.{}", -2)])
+
+    def test_renamed_module_lists_pieces_in_order(self):
+        _A, _B, M = self.pieces()
+        assert M.generators == (("x.a", 1), ("x.b", 0), ("c.y", 1),
+                                ("z.a", -1), ("z.b", -2))
+        P = _renamed_module([(GradedModule([("a", 3)], 4), "{}", 1)], 4)
+        assert P.modulus == 4 and P.generators == (("a", 0),)
+
+    def test_collisions_sum_and_cancel_signs_apply_none_skipped(self):
+        A, _B, M = self.pieces()
+        f = GradedMap(A, A, -1, {("a", "b"): 2})
+        g = GradedMap(A, A, -1, {("a", "b"): 3})
+        out = _block_map(M, M, -1, [
+            (f, "x.{}", "x.{}", 1), (g, "x.{}", "x.{}", -1), (None, "", "", 1),
+            (f, "x.{}", "x.{}", -1), (g, "z.{}", "z.{}", -1)])
+        # 2 - 3 - 2 on x.a -> x.b; -3 on z.a -> z.b
+        assert out.entries == {("x.a", "x.b"): -3, ("z.a", "z.b"): -3}
+        gone = _block_map(M, M, -1, [(f, "x.{}", "x.{}", 1),
+                                     (f, "x.{}", "x.{}", -1)])
+        assert gone.is_zero()
+
+    def test_name_outside_target_raises(self):
+        A, _B, M = self.pieces()
+        f = GradedMap(A, A, -1, {("a", "b"): 1})
+        with pytest.raises(ChainError):
+            _block_map(M, M, -1, [(f, "x.{}", "w.{}", 1)])
+        with pytest.raises(ChainError):  # degree homogeneity still checked
+            _block_map(M, M, -1, [(f, "x.{}", "z.{}", 1)])
+
+    def test_doubled_strict_map_is_s_u_map(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            C1 = random_complex(rng, with_u=True).complex
+            C2 = random_complex(rng, with_u=True).complex
+            P = random_pmorphism(rng, C1, C2)
+            S1, S2 = s_u(C1).module, s_u(C2).module
+            assert _doubled(P.phi, P.k_phi, S1, S2) == s_u_map(P)
+            strict = PMorphism.strict(C1, C2, P.phi)
+            if strict.verify():
+                assert _doubled(P.phi, None, S1, S2) == s_u_map(strict)
 
 
 class TestTensor:

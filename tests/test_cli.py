@@ -15,7 +15,8 @@ from artifact.cli import (Manifest, ParseError, SumSpec, ValidationError,
                           print_complex, print_components, print_sum_file,
                           run)
 from artifact.connsum import ConnSumMaps, FilteredComplex
-from artifact.flavors import BalancedComponents, TowerParams, tower_model
+from artifact.flavors import (BalancedComponents, TowerParams, four_flavors,
+                              tower_model)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -324,6 +325,37 @@ class TestExitCodes:
                      "--window", "-2..2"]) == 0
         out = capsys.readouterr().out
         assert "window=-2..2" in out
+
+
+class TestVacuousCertificates:
+    """A window too narrow for any window-safe node checks nothing, and a
+    certificate that checked nothing does not pass."""
+
+    @pytest.mark.parametrize("command,name,tags", [
+        ("flavors", "utower.txt", ("eq:E-sq1", "eq:E-sq2")),
+        ("cmflavors", "filtered_knot.txt",
+         ("eq:fund-short:1", "eq:fund-short:2")),
+    ])
+    def test_narrow_window_fails(self, command, name, tags):
+        code, text = run(Manifest(command=command, fmt="machine",
+                                  window=Window(0, 1),
+                                  inputs=(str(CORPUS / name),)))
+        assert code == 1
+        for tag in tags:
+            assert f"kind=check tag={tag} status=fail" in text
+        # the same inputs on a wide window pass
+        code, text = run(Manifest(command=command, fmt="machine",
+                                  window=Window(-3, 3),
+                                  inputs=(str(CORPUS / name),)))
+        assert code == 0
+        for tag in tags:
+            assert f"kind=check tag={tag} status=pass" in text
+
+    def test_empty_certificate_is_not_ok(self):
+        C = parse(str(CORPUS / "utower.txt"))
+        seqs = four_flavors(C, Window(0, 1)).sequences
+        assert seqs.les1.nodes == () and seqs.les2.nodes == ()
+        assert not seqs.les1.ok and not seqs.les2.ok
 
 
 class TestMachineFormat:

@@ -187,15 +187,14 @@ class TestCMFlavors:
                 if (j in sp and (j - 2) in sp and (j - 1) in sm
                         and (j - 3) in sm):
                     assert _square_commutes(
-                        plus, j, [(fl.delta1, True), (um, True)],
-                        [(up, True), (fl.delta1, True)], minus, j - 3)
+                        plus, j, [fl.delta1, um],
+                        [up, fl.delta1], minus, j - 3)
                 if j in sh and (j + 1) in sm and (j - 1) in sm:
                     spg = _presentation(hat, j)
                     tpg = _presentation(minus, j - 1)
                     for k in range(spg.rank_coords()):
                         e = IntMatrix(spg.rank_coords(), 1, {(k, 0): 1})
-                        a = _chase(e, j, [(fl.delta2, True), (um, True)])
-                        assert a is not None
+                        a = _chase(e, j, [fl.delta2, um])
                         assert tpg.coords_are_zero(
                             [a[(r, 0)] for r in range(tpg.rank_coords())])
 

@@ -89,6 +89,19 @@ class TestSmithNormalForm:
                                      domain=sympy.ZZ)
             assert snf(M).factors == tuple(abs(int(f)) for f in want if f)
 
+    def test_field_rank_matches_sympy(self):
+        # an independent oracle for F_p: sympy's rank over GF(p)
+        pytest.importorskip("sympy")
+        from sympy import GF, ZZ
+        from sympy.polys.matrices import DomainMatrix
+        rng = random.Random(29)
+        for p in (2, 3, 5):
+            for _ in range(100):
+                M = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+                dm = DomainMatrix([[ZZ(v) for v in row] for row in M.to_dense()],
+                                  (M.rows, M.cols), ZZ)
+                assert len(snf(M, p).factors) == dm.convert_to(GF(p)).rank()
+
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
                     min_size=1, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
@@ -299,6 +312,32 @@ class TestPresentedGroup:
         rep = pg.representative(0)
         assert not pg.coords_are_zero(pg.coords_of(rep))
         assert pg.coords_are_zero(pg.coords_of(rep.scale(2)))
+
+    def test_from_pair_factors_the_cycle_basis_once(self, monkeypatch):
+        import artifact.exactlin as el
+        calls = []
+        original = el.snf
+
+        def counting(M, p=0):
+            calls.append(M)
+            return original(M, p)
+
+        monkeypatch.setattr(el, "snf", counting)
+        # d_out kills e0 only; d_in hits 2 e1 + 4 e2
+        d_out = IntMatrix.from_rows([[1, 0, 0]])
+        d_in = IntMatrix.from_rows([[0], [2], [4]])
+        pg = PresentedGroup.from_pair(d_in, d_out)
+        assert pg.group == AbelianGroup(1, (2,))
+        n = len(calls)
+        assert pg.coord_matrix(IntMatrix.from_rows([[0], [1], [2]])) is not None
+        assert pg.coords_of(d_in) is not None
+        assert len(calls) == n
+        # no boundaries: the cycle basis is factored when first asked
+        pg = PresentedGroup.from_pair(IntMatrix(3, 2), d_out)
+        n = len(calls)
+        assert pg._cycles_snf is None
+        assert pg.coords_of(IntMatrix.from_rows([[0], [1], [0]])) is not None
+        assert len(calls) == n + 1
 
     def test_subgroups_equal(self):
         no_rel = IntMatrix(2, 0)
