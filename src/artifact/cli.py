@@ -95,6 +95,14 @@ _FLAVOR_BY_FLAG = {"minus": MINUS, "inf": INFINITY, "plus": PLUS, "hat": HAT}
 
 _SUMMAP_NAMES = ("V0", "V1", "V0d", "V1d", "Hsharp", "A", "B", "C", "D")
 
+# Resource guards: a larger request is refused while the arguments are
+# parsed (exit 2) instead of running away.  Both sit far above every corpus
+# job and test: the widest default window there spans 18 degrees, and the
+# deepest --n is 5 (the tower over a point still runs in well under a
+# second at n = 256).
+MAX_WINDOW_WIDTH = 128   # degrees lo..hi in a --window, both ends counted
+MAX_N = 256              # --n of tower and consum-case1
+
 
 @dataclass(frozen=True)
 class SumSpec:
@@ -918,7 +926,20 @@ def _window_flag(text: str) -> Window:
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise argparse.ArgumentTypeError("window lower end exceeds upper")
+    if hi - lo + 1 > MAX_WINDOW_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"window spans more than {MAX_WINDOW_WIDTH} degrees")
     return Window(lo, hi)
+
+
+def _n_flag(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_N}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -959,11 +980,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "ladder")
     sp = cmd("tower", "truncated tower over a point: vanishing and edge "
              "classes", takes_file=False)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_n_flag, required=True)
     cmd("cmflavors", "four flavor expansions of a filtered complex")
     sp = cmd("consum-case1", "polynomial-factor product against the "
              "homology model")
-    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--n", type=_n_flag, default=4)
     sp = cmd("consum-case2", "exponent-model product against the flavor "
              "expansion")
     sp.add_argument("--flavor", choices=sorted(_FLAVOR_BY_FLAG),

@@ -7,7 +7,14 @@ sparsely as ``(row, col) -> nonzero value``.
 
 The workhorse is Smith normal form with unimodular transforms, from which
 ranks, saturated kernels, exact linear solves, and finitely generated
-abelian-group quotients all follow.
+abelian-group quotients all follow.  Its pivot rule fixes the transforms:
+the entry of least absolute value, first in row-major order.  The
+reduction keeps the right transform by columns, so each row or column
+operation costs only the entries it changes, and over F_p it reduces
+entries mod p as it writes them.  A matrix already in the form the
+reduction would leave untouched (only leading diagonal entries, forming
+the divisibility chain over Z or all 1 mod p; empty and zero matrices
+among them) is returned with identity transforms without a workspace.
 
 Factor once, solve many: a matrix is factored once per use and every
 right-hand side is back-substituted through that one factorization.
@@ -256,14 +263,27 @@ TRIVIAL_GROUP = AbelianGroup(0)
 # ---------------------------------------------------------------------------
 
 class _Worker:
-    """Mutable row-dict workspace tracking left/right transforms."""
+    """Workspace of one Smith reduction, tracking left/right transforms.
 
-    def __init__(self, M: IntMatrix):
+    The matrix ``a`` and the left transform are lists of row dicts; the
+    right transform is a list of column dicts, so every row and column
+    operation touches only the entries it changes.  With ``p`` prime every
+    entry is kept reduced mod p as it is written.  The reduction clears one
+    row and column per step, so during step ``t`` the rows and columns
+    before t hold only their diagonal entry, and column operations on ``a``
+    visit rows t and up only.
+    """
+
+    def __init__(self, M: IntMatrix, p: int = 0):
         self.n = M.rows
         self.m = M.cols
+        self.p = p
         self.a: List[Dict[int, int]] = [dict() for _ in range(self.n)]
         for (i, j), v in M.entries.items():
-            self.a[i][j] = v
+            if p:
+                v %= p
+            if v:
+                self.a[i][j] = v
         self.left: List[Dict[int, int]] = [{i: 1} for i in range(self.n)]
         self.right: List[Dict[int, int]] = [{j: 1} for j in range(self.m)]
 
@@ -275,50 +295,67 @@ class _Worker:
             self.left[i1], self.left[i2] = self.left[i2], self.left[i1]
 
     def row_addmul(self, dst, src, c):
-        if not c:
-            return
+        p = self.p
         for mat in (self.a, self.left):
-            row, s = mat[dst], mat[src]
-            for j, v in s.items():
+            row = mat[dst]
+            for j, v in mat[src].items():
                 w = row.get(j, 0) + c * v
+                if p:
+                    w %= p
                 if w:
                     row[j] = w
                 else:
                     row.pop(j, None)
 
-    def row_negate(self, i):
-        self.a[i] = {j: -v for j, v in self.a[i].items()}
-        self.left[i] = {j: -v for j, v in self.left[i].items()}
+    def row_scale(self, i, c):
+        p = self.p
+        if p:
+            self.a[i] = {j: v * c % p for j, v in self.a[i].items()}
+            self.left[i] = {j: v * c % p for j, v in self.left[i].items()}
+        else:
+            self.a[i] = {j: v * c for j, v in self.a[i].items()}
+            self.left[i] = {j: v * c for j, v in self.left[i].items()}
 
-    def col_swap(self, j1, j2):
-        if j1 == j2:
+    def col_swap(self, t, j):
+        """Swap columns t and j >= t during step t."""
+        if j == t:
             return
-        for mat in (self.a, self.right):
-            for row in mat:
-                v1, v2 = row.pop(j1, None), row.pop(j2, None)
-                if v2 is not None:
-                    row[j1] = v2
-                if v1 is not None:
-                    row[j2] = v1
+        a = self.a
+        for i in range(t, self.n):
+            row = a[i]
+            v1, v2 = row.pop(t, None), row.pop(j, None)
+            if v2 is not None:
+                row[t] = v2
+            if v1 is not None:
+                row[j] = v1
+        self.right[t], self.right[j] = self.right[j], self.right[t]
 
-    def col_addmul(self, dst, src, c):
-        # col_dst += c * col_src, i.e. right-multiply by an elementary matrix;
-        # the same elementary matrix multiplies the accumulated right transform.
-        if not c:
-            return
-        for mat in (self.a, self.right):
-            for row in mat:
-                v = row.get(src)
-                if v:
-                    w = row.get(dst, 0) + c * v
-                    if w:
-                        row[dst] = w
-                    else:
-                        row.pop(dst, None)
+    def col_addmul(self, dst, t, c):
+        # col_dst += c * col_t during step t, once column t of ``a`` holds
+        # only its pivot: of ``a`` only row t changes, and the same
+        # elementary matrix multiplies the accumulated right transform.
+        p = self.p
+        row = self.a[t]
+        w = row[dst] + c * row[t]
+        if p:
+            w %= p
+        if w:
+            row[dst] = w
+        else:
+            del row[dst]
+        col = self.right[dst]
+        for i, v in self.right[t].items():
+            w = col.get(i, 0) + c * v
+            if p:
+                w %= p
+            if w:
+                col[i] = w
+            else:
+                col.pop(i, None)
 
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
         lent = {(i, j): v for i, row in enumerate(self.left) for j, v in row.items()}
-        rent = {(i, j): v for i, row in enumerate(self.right) for j, v in row.items()}
+        rent = {(i, j): v for j, col in enumerate(self.right) for i, v in col.items()}
         return (IntMatrix(self.n, self.n, lent), IntMatrix(self.m, self.m, rent))
 
 
@@ -345,20 +382,23 @@ class SNFResult(Tuple[Tuple[int, ...], IntMatrix, IntMatrix]):
 
 
 def _pick_pivot(w: _Worker, t: int) -> Optional[Tuple[int, int]]:
+    """The entry of least absolute value, first in row-major order.  Rows t
+    and up hold no entry left of column t, and no entry beats a unit."""
     best = None
-    best_abs = None
     for i in range(t, w.n):
-        for j in sorted(w.a[i]):
-            if j < t:
-                continue
-            a = abs(w.a[i][j])
-            if best_abs is None or a < best_abs:
-                best, best_abs = (i, j), a
-    return best
+        row = w.a[i]
+        if row:
+            a = min(map(abs, row.values()))
+            if best is None or a < best[0]:
+                best = (a, i, min(j for j, v in row.items() if abs(v) == a))
+                if a == 1:
+                    break
+    return None if best is None else best[1:]
 
 
 def _snf_int(M: IntMatrix) -> SNFResult:
     w = _Worker(M)
+    a = w.a
     t = 0
     limit = min(w.n, w.m)
     while t < limit:
@@ -368,113 +408,100 @@ def _snf_int(M: IntMatrix) -> SNFResult:
         w.row_swap(t, pos[0])
         w.col_swap(t, pos[1])
         while True:
-            if w.a[t].get(t, 0) < 0:
-                w.row_negate(t)
-            piv = w.a[t][t]
+            if a[t][t] < 0:
+                w.row_scale(t, -1)
+            piv = a[t][t]
             # knock the rest of column t down by floor division
-            col_left = False
-            for i in range(w.n):
-                if i == t:
-                    continue
-                v = w.a[i].get(t)
+            col_left = None
+            for i in range(t + 1, w.n):
+                v = a[i].get(t)
                 if v:
-                    w.row_addmul(i, t, -(v // piv))
-                    if w.a[i].get(t):
-                        col_left = True
-            if col_left:
+                    c = v // piv
+                    if c:
+                        w.row_addmul(i, t, -c)
+                    if col_left is None and t in a[i]:
+                        col_left = i
+            if col_left is not None:
                 # a nonzero remainder < pivot exists; make it the new pivot
-                for i in range(w.n):
-                    if i != t and w.a[i].get(t):
-                        w.row_swap(t, i)
-                        break
+                w.row_swap(t, col_left)
                 continue
             row_left = False
-            for j in list(w.a[t]):
-                if j == t:
-                    continue
-                v = w.a[t][j]
-                w.col_addmul(j, t, -(v // piv))
-                if w.a[t].get(j):
+            for j in [j for j in a[t] if j != t]:
+                c = a[t][j] // piv
+                if c:
+                    w.col_addmul(j, t, -c)
+                if j in a[t]:
                     row_left = True
             if row_left:
-                for j in sorted(w.a[t]):
-                    if j != t:
-                        w.col_swap(t, j)
-                        break
+                w.col_swap(t, min(j for j in a[t] if j != t))
                 continue
             # row and column are clear; enforce divisibility of the rest
-            bad = None
-            for i in range(t + 1, w.n):
-                for j in sorted(w.a[i]):
-                    if w.a[i][j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            if piv == 1:
+                break
+            bad = next((i for i in range(t + 1, w.n)
+                        if any(v % piv for v in a[i].values())), None)
             if bad is None:
                 break
             w.row_addmul(t, bad, 1)
         t += 1
-    factors = []
-    for i in range(limit):
-        v = w.a[i].get(i, 0)
-        if v:
-            factors.append(v)
     left, right = w.matrices()
-    return SNFResult(factors, left, right)
+    return SNFResult([a[i][i] for i in range(t)], left, right)
 
 
 def _inv_mod(v: int, p: int) -> int:
-    return pow(v % p, p - 2, p)
+    v %= p
+    if not v:
+        raise ExactLinError(f"0 has no inverse mod {p}")
+    return pow(v, p - 2, p)
 
 
 def _snf_field(M: IntMatrix, p: int) -> SNFResult:
-    w = _Worker(M)
-    for row in w.a:
-        for j in list(row):
-            row[j] %= p
-            if not row[j]:
-                del row[j]
+    w = _Worker(M, p)
+    a = w.a
     t = 0
     limit = min(w.n, w.m)
     while t < limit:
-        pos = None
-        for i in range(t, w.n):
-            for j in sorted(w.a[i]):
-                if j >= t:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
+        r = next((i for i in range(t, w.n) if a[i]), None)
+        if r is None:
             break
-        w.row_swap(t, pos[0])
-        w.col_swap(t, pos[1])
-        inv = _inv_mod(w.a[t][t], p)
+        w.row_swap(t, r)
+        w.col_swap(t, min(a[t]))
         # scale row t so the pivot is 1 (invertible over F_p)
-        w.a[t] = {j: (v * inv) % p for j, v in w.a[t].items()}
-        w.left[t] = {j: (v * inv) % p for j, v in w.left[t].items()}
-        for i in range(w.n):
-            if i != t and w.a[i].get(t):
-                w.row_addmul(i, t, -w.a[i][t])
-        for j in list(w.a[t]):
-            if j != t:
-                w.col_addmul(j, t, -w.a[t][j])
-        for mat in (w.a, w.left):
-            for row in mat:
-                for j in list(row):
-                    row[j] %= p
-                    if not row[j]:
-                        del row[j]
-        for row in w.right:
-            for j in list(row):
-                row[j] %= p
-                if not row[j]:
-                    del row[j]
+        if a[t][t] != 1:
+            w.row_scale(t, _inv_mod(a[t][t], p))
+        for i in range(t + 1, w.n):
+            v = a[i].get(t)
+            if v:
+                w.row_addmul(i, t, -v)
+        for j in [j for j in a[t] if j != t]:
+            w.col_addmul(j, t, -a[t][j])
         t += 1
-    factors = [1] * sum(1 for i in range(limit) if w.a[i].get(i))
     left, right = w.matrices()
-    return SNFResult(factors, left.mod(p), right.mod(p))
+    return SNFResult([1] * t, left, right)
+
+
+def _already_reduced(M: IntMatrix, p: int) -> Optional[List[int]]:
+    """The factors of M if the reduction would leave M untouched, else None.
+
+    That is when M's entries are exactly (0,0) ... (r-1,r-1) and form a
+    positive divisibility chain over Z, or are all 1 mod p over F_p; empty
+    and zero matrices included."""
+    ent = M.entries
+    factors = []
+    prev = 1
+    for k in range(len(ent)):
+        v = ent.get((k, k))
+        if v is None:
+            return None
+        if p:
+            if v % p != 1:
+                return None
+            v = 1
+        elif v < 0 or v % prev:
+            return None
+        factors.append(v)
+        prev = v
+    return factors
 
 
 def snf(M: IntMatrix, p: int = 0) -> SNFResult:
@@ -483,8 +510,16 @@ def snf(M: IntMatrix, p: int = 0) -> SNFResult:
     Over Z the factors form a positive divisibility chain and the transforms
     are unimodular.  Over F_p (``p`` prime) the factors are all 1 and the
     transforms are invertible mod p.  Pivoting picks the entry of minimal
-    absolute value, first in row-major order, for determinism.
+    absolute value, first in row-major order, for determinism (over F_p
+    every entry is a unit, so the first one).  A matrix that is already in
+    that form, with only the leading diagonal entries set, is returned
+    with identity transforms without running the reduction; that is the
+    answer the reduction itself gives.
     """
+    factors = _already_reduced(M, p)
+    if factors is not None:
+        return SNFResult(factors, IntMatrix.identity(M.rows),
+                         IntMatrix.identity(M.cols))
     return _snf_int(M) if p == 0 else _snf_field(M, p)
 
 
@@ -511,15 +546,17 @@ def _back_substitute(res: SNFResult, B: IntMatrix,
     rank = len(res.factors)
     lb = res.left @ B
     if p:
+        # every factor over a field is 1
         lb = lb.mod(p)
-    y: Dict[Tuple[int, int], int] = {}
-    for (i, j), v in lb.entries.items():
-        if i >= rank:
+        if any(i >= rank for i, _ in lb.entries):
             return None
-        d = res.factors[i]
-        if p:
-            y[(i, j)] = (v * _inv_mod(d, p)) % p
-        else:
+        y = lb.entries
+    else:
+        y = {}
+        for (i, j), v in lb.entries.items():
+            if i >= rank:
+                return None
+            d = res.factors[i]
             if v % d:
                 return None
             y[(i, j)] = v // d

@@ -10,10 +10,11 @@ import pytest
 
 from artifact.chain import ChainComplex, GradedMap, GradedModule
 from artifact.circle import Window
-from artifact.cli import (Manifest, ParseError, SumSpec, ValidationError,
-                          main, parse, parse_all, parse_all_text,
-                          print_complex, print_components, print_sum_file,
-                          run)
+from artifact import cli
+from artifact.cli import (MAX_N, MAX_WINDOW_WIDTH, Manifest, ParseError,
+                          SumSpec, ValidationError, main, parse, parse_all,
+                          parse_all_text, print_complex, print_components,
+                          print_sum_file, run)
 from artifact.connsum import ConnSumMaps, FilteredComplex
 from artifact.flavors import (BalancedComponents, TowerParams, four_flavors,
                               tower_model)
@@ -325,6 +326,41 @@ class TestExitCodes:
                      "--window", "-2..2"]) == 0
         out = capsys.readouterr().out
         assert "window=-2..2" in out
+
+
+class TestResourceGuards:
+    # only values the parser refuses run here: the handler is replaced by
+    # one that fails, so no refused request can start any work
+    @pytest.mark.parametrize("argv", [
+        ["tower", "--n", str(MAX_N + 1)],
+        ["tower", "--n", "1000000000"],
+        ["consum-case1", str(CORPUS / "point.txt"), "--n", str(MAX_N + 1)],
+        ["homology", str(CORPUS / "point.txt"),
+         "--window", f"0..{MAX_WINDOW_WIDTH}"],
+        ["flavors", str(CORPUS / "utower.txt"),
+         "--window", "-1000000..1000000"],
+        ["ladder", str(CORPUS / "tower_n3.txt"),
+         "--window", f"-{MAX_WINDOW_WIDTH}..0"],
+    ])
+    def test_oversized_request_exits_2(self, argv, monkeypatch, capsys):
+        def refuse(manifest):
+            raise AssertionError("an oversized request reached a handler")
+        monkeypatch.setattr(cli, "run", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["tower", "--n", str(MAX_N)],
+        ["tower", "--n", "40"],
+        ["consum-case1", "in.txt", "--n", str(MAX_N)],
+        ["flavors", "in.txt", "--window", f"1..{MAX_WINDOW_WIDTH}"],
+    ])
+    def test_caps_admit_their_bound(self, argv):
+        # parsed only; nothing is run
+        args = cli._build_parser().parse_args(cli._merge_flag_values(argv))
+        assert args.command == argv[0]
 
 
 class TestVacuousCertificates:

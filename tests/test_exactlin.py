@@ -10,6 +10,7 @@ from artifact.exactlin import (
     AbelianGroup,
     CompositionNonzero,
     DimensionMismatch,
+    ExactLinError,
     IntMatrix,
     PresentedGroup,
     homology_of_pair,
@@ -19,9 +20,11 @@ from artifact.exactlin import (
     snf,
     solve,
     subgroups_equal,
+    _inv_mod,
 )
 
 from helpers import det, random_matrix
+from snf_reference import reference_snf
 
 
 def diag(*vals):
@@ -149,6 +152,134 @@ class TestSmithNormalForm:
         assert res.factors == ()
         res5 = snf(M, p=5)
         assert res5.factors == (1, 1)
+
+
+def _smith_chain(rng, k):
+    chain, d = [], 1
+    for _ in range(k):
+        d *= rng.choice((1, 1, 2, 3, 5))
+        chain.append(d)
+    return chain
+
+
+def _seed_kernel_cases():
+    """Seeded matrices up to 12x12 for the comparison with the seed kernel:
+    empty and zero matrices, matrices already in Smith form (over Z, or
+    over every F_p at once with diagonals stored unreduced), near misses
+    that must run the reduction, signed permutations, and dense matrices
+    with large entries."""
+    rng = random.Random(5)
+
+    def shape():
+        return rng.randint(1, 12), rng.randint(1, 12)
+
+    cases = [IntMatrix(0, k) for k in range(13)]
+    cases += [IntMatrix(k, 0) for k in range(1, 13)]
+    cases += [IntMatrix(*shape()) for _ in range(25)]
+    cases += [diag(1, 2, 6), diag(4), diag(31, 31), diag(2, 1), diag(2, 3),
+              diag(1, -2), diag(-1), diag(3, 0, 1),
+              IntMatrix.from_rows([[1, 1], [0, 1]]),
+              IntMatrix.from_rows([[0, 1], [1, 0]]),
+              IntMatrix.from_rows([[0, 0], [0, 1]])]
+    for _ in range(75):
+        r, c = shape()
+        k = rng.randint(1, min(r, c))
+        chain = _smith_chain(rng, k)
+        # already reduced over Z, and over every F_p (1 mod 30)
+        cases.append(IntMatrix.diagonal(chain, r, c))
+        cases.append(IntMatrix.diagonal(
+            [1 + 30 * rng.randint(0, 4) for _ in range(k)], r, c))
+        # near misses: out of order, a negative entry, a stray unit, a
+        # gap on the diagonal, a diagonal of 2 (not 1 over F_3)
+        miss = [dict(IntMatrix.diagonal(chain, r, c).entries)
+                for _ in range(5)]
+        if k > 1:
+            i = rng.randrange(k - 1)
+            miss[0][(i, i)], miss[0][(i + 1, i + 1)] = (chain[i + 1] * 2,
+                                                        chain[i])
+        miss[1][(k - 1, k - 1)] = -chain[k - 1]
+        i, j = rng.randrange(r), rng.randrange(c)
+        if i != j:
+            miss[2][(i, j)] = rng.choice((1, -1))
+        if k < min(r, c):
+            del miss[3][(0, 0)]
+            miss[3][(k, k)] = chain[0]
+        miss[4] = {(t, t): 2 for t in range(k)}
+        cases += [IntMatrix(r, c, m) for m in miss]
+    for _ in range(75):
+        r, c = shape()
+        rows = rng.sample(range(r), min(r, c))
+        cols = rng.sample(range(c), min(r, c))
+        scale = rng.choice((1, 1, 2, 6))
+        cases.append(IntMatrix(r, c, {
+            (i, j): rng.choice((1, -1)) * scale for i, j in zip(rows, cols)}))
+    for _ in range(40):
+        r, c = shape()
+        cases.append(random_matrix(rng, r, c, lo=-10 ** 6, hi=10 ** 6,
+                                   density=0.9))
+    for _ in range(60):
+        cases.append(random_matrix(rng, *shape()))
+    return cases
+
+
+class TestKernelMatchesSeed:
+    """``snf`` returns the seed kernel's factors and transforms, entry for
+    entry (``tests/snf_reference.py`` holds that kernel)."""
+
+    def test_seeded_matrices(self):
+        cases = _seed_kernel_cases()
+        assert len(cases) >= 500
+        for M in cases:
+            for p in (0, 2, 3, 5):
+                got, want = snf(M, p), reference_snf(M, p)
+                assert got.factors == want.factors, (M.entries, p)
+                assert got.left == want.left, (M.entries, p)
+                assert got.right == want.right, (M.entries, p)
+
+    @given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 6).flatmap(
+        lambda c: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, 3, 4,
+                                                     -6, 30)),
+                                    min_size=c, max_size=c),
+                           min_size=r, max_size=r)
+        .map(lambda rows: IntMatrix.from_rows(rows, cols=c)))),
+        st.sampled_from((0, 2, 3, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_seed_kernel_property(self, M, p):
+        assert snf(M, p) == reference_snf(M, p)
+
+    @given(st.lists(st.integers(-7, 31).filter(bool), max_size=5),
+           st.integers(0, 2), st.integers(0, 2),
+           st.one_of(st.none(), st.tuples(st.integers(0, 6),
+                                          st.integers(0, 6),
+                                          st.sampled_from((1, -1, 2)))),
+           st.sampled_from((0, 2, 3, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_forms_property(self, diag_values, extra_rows,
+                                     extra_cols, stray, p):
+        # diagonals (in Smith form or not) with at most one stray entry:
+        # the inputs on either side of the already-reduced shortcut
+        r = len(diag_values) + extra_rows
+        c = len(diag_values) + extra_cols
+        ent = {(t, t): v for t, v in enumerate(diag_values)}
+        if stray is not None and stray[0] < r and stray[1] < c:
+            ent[stray[:2]] = stray[2]
+        M = IntMatrix(r, c, ent)
+        assert snf(M, p) == reference_snf(M, p)
+
+
+class TestInvMod:
+    def test_zero_residue_raises(self):
+        # pow(0, 0, 2) == 1 once made 0 look invertible mod 2
+        for p in (2, 3, 5):
+            for v in (0, p, -2 * p):
+                with pytest.raises(ExactLinError):
+                    _inv_mod(v, p)
+
+    def test_inverses(self):
+        for p in (2, 3, 5, 7):
+            for v in range(-2 * p, 2 * p):
+                if v % p:
+                    assert v * _inv_mod(v, p) % p == 1
 
 
 class TestKernelsAndSolve:
