@@ -15,6 +15,16 @@ Conventions used across the package:
 Coefficients are integers; complexes carry a ring parameter ``p`` (0 for Z,
 a prime for F_p) and all verifications reduce modulo p when p > 0.
 
+Homology is presented through a reduction.  Each complex C is reduced once
+by greedy cancellation of unit entries of d to a complex C' on a subset of
+its generators, with chain maps iota: C' -> C and pi: C -> C' such that
+pi . iota = 1.  Over F_p every nonzero entry is a unit and d' = 0, so
+H(C') = C'; over Z only +-1 entries cancel and C' keeps the rest for the
+Smith normal form.  Presentations are of C', read in C: representatives
+are iota of C''s, coordinates are taken after pi, and the class matrix of
+a map f is that of pi . f . iota.  Over F_p an exactness node of a long
+exact sequence is then decided by ranks.
+
 Many constructions are block matrices over renamed copies of generator
 sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly
 from o/s/u pieces, the tower levels.  ``_renamed_module`` lists the
@@ -272,12 +282,17 @@ class ChainComplex:
 
     The complex keeps a memo of its homology presentations, one per degree
     (per reduced degree when the grading is periodic), filled the first
-    time a degree is presented.  A presentation depends only on ``d`` and
-    ``p``, both fixed at construction, so the memo never goes stale; it
-    lives and dies with this object and is never shared with another
-    complex."""
+    time a degree is presented, and beside it its ``reduction``: a smaller
+    complex C' with chain maps iota: C' -> C and pi: C -> C', pi . iota = 1,
+    computed the first time any degree is presented.  Presentations are of
+    C' (over F_p d' = 0, so each is the identity) and are read back in C
+    through iota and pi.  Both depend only on ``d`` and ``p``, fixed at
+    construction, so they never go stale; they live and die with this
+    object, are never shared with another complex, and hold no reference
+    back to it."""
 
-    __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented")
+    __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented",
+                 "_reduced")
 
     def __init__(self, module: GradedModule, d: GradedMap,
                  u_action: Optional[GradedMap] = None,
@@ -298,6 +313,7 @@ class ChainComplex:
         object.__setattr__(self, "y_action", y_action)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_presented", {})
+        object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -402,7 +418,13 @@ class HomologyTable:
 def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
                      ) -> Dict[int, PresentedGroup]:
     """PresentedGroup for each degree (in the window, or the full support
-    extended one step so trivial edges are visible)."""
+    extended one step so trivial edges are visible).
+
+    Each group presents the homology of C's reduction C' at that degree
+    (over F_p, where d' = 0, the presentation is the identity on C'_j) and
+    is read in C: its representatives are iota of those of C', and the
+    coordinates of a vector of C_j are those of pi of it, once d_j is
+    checked to kill it."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -417,13 +439,179 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
-    """The homology presentation of C at degree j, from C's memo."""
+    """The homology presentation of C at degree j, from C's memo: that of
+    the reduction C' at j, read through iota_j and pi_j."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
-        pg = PresentedGroup.from_pair(C.d.block(j + 1), C.d.block(j), C.p)
+        red = reduction(C)
+        pg = PresentedGroup.from_pair(red.complex.d.block(j + 1),
+                                      red.complex.d.block(j), C.p)
+        pg.read_through(*red.blocks.get(j, _EMPTY_BLOCKS), C.d.block(j))
         C._presented[j] = pg
     return pg
+
+
+_EMPTY_BLOCKS = (IntMatrix(0, 0), IntMatrix(0, 0))
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """A complex C' on a subset of C's generators with chain maps
+    iota: C' -> C and pi: C -> C' such that pi . iota = 1, so both induce
+    inverse isomorphisms on homology.
+
+    ``module`` is C's module; the maps are kept as their degree blocks,
+    ``blocks[j] = (iota_j, pi_j)`` for each degree of C, the form the
+    presentations read them in.  ``iota`` and ``pi`` assemble them into
+    graded maps."""
+    complex: ChainComplex
+    module: GradedModule
+    blocks: Dict[int, Tuple[IntMatrix, IntMatrix]]
+
+    def _assemble(self, k: int, source: GradedModule,
+                  target: GradedModule) -> GradedMap:
+        ent = {}
+        for j, pair in self.blocks.items():
+            cols = source.gens_in_degree(j)
+            rows = target.gens_in_degree(j)
+            for (r, c), v in pair[k].entries.items():
+                ent[(cols[c], rows[r])] = v
+        return GradedMap(source, target, 0, ent)
+
+    @property
+    def iota(self) -> GradedMap:
+        return self._assemble(0, self.complex.module, self.module)
+
+    @property
+    def pi(self) -> GradedMap:
+        return self._assemble(1, self.module, self.complex.module)
+
+
+def reduction(C: ChainComplex) -> Reduction:
+    """C's reduction, computed once and kept in C's slot beside its
+    presentation memo."""
+    red = C._reduced
+    if red is None:
+        red = _reduce(C)
+        object.__setattr__(C, "_reduced", red)
+    return red
+
+
+def _reduce(C: ChainComplex) -> Reduction:
+    """Greedy cancellation of unit entries of d.
+
+    Cancelling x against y, where d(x) = u y + r with u a unit, drops both
+    generators; every a with <d a, y> = c != 0 gets d'(a) = d(a) - c u^-1 d(x)
+    (which clears y), entries into x are dropped, iota(a) = a - c u^-1 x and
+    pi(y) = -u^-1 r.  Among the units of d(x) the target with the smallest
+    coboundary goes first (then the earliest generator), to keep fill-in
+    low.  pi is kept transposed, a row per surviving generator, so one
+    cancellation touches only the rows d(x) hits, and iota by columns, so
+    it touches only the columns of y's coboundary.  Over F_p every nonzero
+    entry is a unit and one pass over the generators in module order
+    leaves d' = 0 (a generator with d = 0 keeps it); over Z only +-1 entries
+    are cancelled, pass after pass until none is left.
+    """
+    p = C.p
+    gens = C.module.generators
+    index = C.module._index
+    # d(a) by target and <d a, y> by source, for generators that have any
+    bd: Dict[int, Dict[int, int]] = {}
+    cobd: Dict[int, Dict[int, int]] = {}
+    for (s, t), v in C.d.entries.items():
+        if p:
+            v %= p
+        if v:
+            a, y = index[s], index[t]
+            bd.setdefault(a, {})[y] = v
+            cobd.setdefault(y, {})[a] = v
+    # only the rows of pi and columns of iota that differ from the identity
+    pi: Dict[int, Dict[int, int]] = {}
+    iota: Dict[int, Dict[int, int]] = {}
+    dead = set()
+
+    def axpy(acc: Dict[int, int], c: int, vec: Dict[int, int]) -> None:
+        for k, v in vec.items():
+            w = acc.get(k, 0) + c * v
+            if p:
+                w %= p
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
+
+    def cancel(x: int, y: int) -> None:
+        dx = bd.pop(x)
+        u = dx[y]
+        uinv = pow(u, p - 2, p) if p else u
+        ix = iota.pop(x, {x: 1})
+        for a, c in cobd.pop(y).items():
+            if a == x:
+                continue
+            f = -c * uinv
+            da = bd[a]
+            for t, v in dx.items():
+                w = da.get(t, 0) + f * v
+                if p:
+                    w %= p
+                if w:
+                    da[t] = w
+                    cobd.setdefault(t, {})[a] = w
+                else:
+                    del da[t]
+                    if t != y:      # y's coboundary is already gone
+                        del cobd[t][a]
+            if not da:
+                del bd[a]
+            axpy(iota.setdefault(a, {a: 1}), f, ix)
+        py = pi.pop(y, {y: 1})
+        for s, r in dx.items():
+            if s != y:
+                axpy(pi.setdefault(s, {s: 1}), -uinv * r, py)
+                del cobd[s][x]
+                if not cobd[s]:
+                    del cobd[s]
+        for a in cobd.pop(x, ()):
+            del bd[a][x]
+            if not bd[a]:
+                del bd[a]
+        for t in bd.pop(y, ()):
+            del cobd[t][y]
+            if not cobd[t]:
+                del cobd[t]
+        iota.pop(y, None)
+        pi.pop(x, None)
+        dead.update((x, y))
+
+    progress = True
+    while progress:
+        progress = False
+        for x in range(len(gens)):
+            dx = bd.get(x)
+            units = dx and [y for y, v in dx.items() if p or v in (1, -1)]
+            if units:
+                cancel(x, min(units, key=lambda y: (len(cobd[y]), y)))
+                progress = not p
+
+    keep = [g for g in range(len(gens)) if g not in dead]
+    module = GradedModule([gens[g] for g in keep], C.module.modulus)
+    name = [nm for nm, _ in gens]
+    d = GradedMap(module, module, -1, {
+        (name[a], name[t]): v for a in keep for t, v in bd.get(a, {}).items()})
+    blocks = {}
+    for j in C.module.degrees():
+        src = [index[nm] for nm in C.module.gens_in_degree(j)]
+        row = {g: r for r, g in enumerate(src)}
+        kept = [g for g in src if g not in dead]
+        blocks[j] = (
+            IntMatrix(len(src), len(kept), {
+                (row[g], c): v for c, s in enumerate(kept)
+                for g, v in iota.get(s, {s: 1}).items()}),
+            IntMatrix(len(kept), len(src), {
+                (r, row[g]): v for r, s in enumerate(kept)
+                for g, v in pi.get(s, {s: 1}).items()}))
+    return Reduction(ChainComplex(module, d, p=p), C.module, blocks)
 
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:
@@ -735,12 +923,33 @@ class _HomologyArrow:
 def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
                    j: int) -> Tuple[bool, bool]:
     """(image contained in kernel, image equals kernel) at degree j of the
-    middle complex; incoming lands in degree j, outgoing leaves from it."""
+    middle complex; incoming lands in degree j, outgoing leaves from it.
+    Over F_p homology is a vector space and the node is decided by rank
+    arithmetic; over Z by lattices in the presented groups."""
     p = incoming.target.p
     mid = _presentation(incoming.target, j)
-    tgt = _presentation(outgoing.target, j + outgoing.degree)
     F = incoming.matrix(j - incoming.degree)
     G = outgoing.matrix(j)
+    if p:
+        return _rank_exactness(F, G, mid.rank_coords(), p)
+    tgt = _presentation(outgoing.target, j + outgoing.degree)
+    return _lattice_exactness(F, G, mid, tgt, p)
+
+
+def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
+                    p: int) -> Tuple[bool, bool]:
+    """Exactness of F^a -> F^dim_mid -> F^b over F_p: G.F = 0, and then
+    im F = ker G exactly when rank F + rank G = dim_mid."""
+    contained = (G @ F).mod(p).is_zero()
+    equal = contained and (len(snf(F, p).factors) + len(snf(G, p).factors)
+                           == dim_mid)
+    return contained, equal
+
+
+def _lattice_exactness(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
+                       tgt: PresentedGroup, p: int) -> Tuple[bool, bool]:
+    """Exactness in presented groups over Z or F_p: the image of F lies in
+    the kernel of G modulo the middle torsion, and generates it."""
     t_mid = mid.torsion_relation_columns()
     t_tgt = tgt.torsion_relation_columns()
     kernel_gens = IntMatrix.hstack(

@@ -620,7 +620,17 @@ class PresentedGroup:
     homology groups, express classes, and push classes through maps.  The
     cycle basis is factored once, by ``from_pair`` when it has boundaries to
     express in it and otherwise the first time coordinates are asked of it,
-    and every coordinate request back-substitutes through it.
+    and every coordinate request back-substitutes through it.  When both
+    differentials of ``from_pair`` are zero the group is plain: every vector
+    is a cycle, the coordinates are the vector itself and no factorization
+    runs.
+
+    ``read_through`` makes the group a presentation of a larger ambient
+    Z^N: the homology of a complex C at one degree, presented through a
+    reduction C' of C with chain maps iota: C' -> C and pi: C -> C' such
+    that pi . iota = 1.  Vectors are then columns of C_j; a vector is a
+    cycle when d_j kills it, its coordinates are those of pi_j of it, and
+    representatives are iota_j of those of C'_j.
     """
 
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
@@ -642,6 +652,11 @@ class PresentedGroup:
         self.group = AbelianGroup(len(self.free_rows), self.torsion_moduli)
         self._left_inv: Optional[IntMatrix] = None
         self._cycles_snf: Optional[SNFResult] = None
+        self._plain = False
+        # iota_j, pi_j and d_j once read through a reduction
+        self._iota: Optional[IntMatrix] = None
+        self._pi: Optional[IntMatrix] = None
+        self._d_out: Optional[IntMatrix] = None
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
@@ -656,21 +671,41 @@ class PresentedGroup:
             raise ExactLinError("boundary is not a cycle; composition nonzero?")
         pg = cls(cycles, rel, p)
         pg._cycles_snf = res
+        pg._plain = d_in.is_zero() and d_out.is_zero()
         return pg
+
+    def read_through(self, iota: IntMatrix, pi: IntMatrix,
+                     d_out: IntMatrix) -> None:
+        """Read this presentation of C'_j as one of C_j, through the
+        degree-j blocks of iota: C' -> C and pi: C -> C' (pi . iota = 1)
+        and of C's differential d_j.  Called once, before any coordinates
+        or representatives are asked of the group."""
+        if (iota.cols != self.cycles.rows or pi.rows != self.cycles.rows
+                or pi.cols != iota.rows or d_out.cols != iota.rows):
+            raise DimensionMismatch("reduction blocks do not fit the group")
+        self._iota, self._pi, self._d_out = iota, pi, d_out
 
     # -- coordinates -------------------------------------------------------
 
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
+    def ambient_dim(self) -> int:
+        return self.cycles.rows if self._iota is None else self._iota.rows
+
     def coord_matrix(self, ambient: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of
-        ``ambient``, as columns, or None if some column is not in the cycle
-        lattice."""
-        if ambient.rows != self.cycles.rows:
+        ``ambient``, as columns, or None if some column is not a cycle."""
+        if ambient.rows != self.ambient_dim():
             raise DimensionMismatch("vectors do not fit the cycle lattice")
         if ambient.is_zero():
             return IntMatrix(self.rank_coords(), ambient.cols)
+        if self._pi is not None:
+            if not (self._d_out @ ambient).mod(self.p).is_zero():
+                return None
+            ambient = self._pi @ ambient
+        if self._plain:
+            return ambient.mod(self.p)
         if self._cycles_snf is None:
             self._cycles_snf = snf(self.cycles, self.p)
         x = _back_substitute(self._cycles_snf, ambient, self.p)
@@ -700,12 +735,16 @@ class PresentedGroup:
         """Ambient cycles representing the canonical generators, as columns."""
         rows = self.torsion_rows + self.free_rows
         if not rows:
-            return IntMatrix(self.cycles.rows, 0)
+            return IntMatrix(self.ambient_dim(), 0)
+        if self._plain:
+            return (IntMatrix.identity(len(rows)) if self._iota is None
+                    else self._iota)
         if self._left_inv is None:
             self._left_inv = invert_unimodular(self.rel_left, self.p)
         e = IntMatrix(self.rel_left.rows, len(rows),
                       {(r, k): 1 for k, r in enumerate(rows)})
-        return self.cycles @ (self._left_inv @ e)
+        reps = self.cycles @ (self._left_inv @ e)
+        return reps if self._iota is None else self._iota @ reps
 
     def representative(self, k: int) -> IntMatrix:
         """An ambient cycle representing the k-th canonical generator."""

@@ -1,6 +1,8 @@
 """Graded complexes: laws, homology, cones, tensors, induced maps, exactness."""
 
+import gc
 import random
+import types
 
 import pytest
 
@@ -12,7 +14,12 @@ from artifact.chain import (
     ModulusUnsupported,
     NotAChainMap,
     PMorphism,
+    _HomologyArrow,
     _block_map,
+    _flags,
+    _lattice_exactness,
+    _presentation,
+    _rank_exactness,
     _renamed_module,
     cone,
     cone_inclusion,
@@ -21,6 +28,7 @@ from artifact.chain import (
     homology,
     induced_on_homology,
     is_chain_map,
+    reduction,
     tensor,
     validate,
     verify_exact_at,
@@ -28,12 +36,15 @@ from artifact.chain import (
 )
 from artifact.exactlin import (AbelianGroup, CompositionNonzero, IntMatrix,
                                PresentedGroup)
+from artifact import circle
 from artifact.circle import _doubled, s_u, s_u_map
-from artifact.flavors import four_flavors
+from artifact.flavors import (TowerParams, assemble, four_flavors,
+                              ladder_check, tower_model)
 
 from helpers import (
     anticommuting_y,
     commuting_u,
+    random_basis_change,
     random_complex,
     random_pmorphism,
 )
@@ -583,3 +594,220 @@ class TestPresentationMemo:
         assert h[0] == AbelianGroup(0, (2,))
         assert sorted(C._presented) == [0, 1]
         assert len(from_pair_calls) == 2
+
+
+def _oracle(C, j):
+    """The unreduced presentation of C at degree j."""
+    return PresentedGroup.from_pair(C.d.block(j + 1), C.d.block(j), C.p)
+
+
+def _reduction_inputs():
+    """Seeded complexes over Z, F2, F3, F5, with and without U, and one
+    periodic complex."""
+    rng = random.Random(2024)
+    out = []
+    for p in (0, 2, 3, 5):
+        for with_u in (False, True):
+            for _ in range(4):
+                out.append(random_complex(rng, max_pieces=6, p=p,
+                                          with_u=with_u).complex)
+    periodic = complex_from(
+        [("a", 0), ("b", 1), ("c", 2), ("e", 3), ("f", 0), ("g", 1)],
+        {("b", "a"): 1, ("e", "c"): -1, ("g", "f"): 2}, modulus=4)
+    out.append(random_basis_change(rng, periodic))
+    return out
+
+
+def _homotopic_to_identity(rng, C):
+    """1 + dN + Nd for a random degree +1 map N: a chain map that moves
+    cycles at chain level but is the identity on homology."""
+    names = C.module.names()
+    deg = C.module.degree_of
+    ent = {(a, b): rng.choice([-1, 1, 2]) for a in names for b in names
+           if C.module.reduce_degree(deg(a) + 1) == deg(b)
+           and rng.random() < 0.3}
+    N = GradedMap(C.module, C.module, 1, ent)
+    return GradedMap.identity(C.module) + (C.d @ N) + (N @ C.d)
+
+
+def _degrees(C):
+    lo, hi = C.module.support_window()
+    return range(lo - 1, hi + 2)
+
+
+class TestReduction:
+    """The reduction C' of a complex, with iota: C' -> C and pi: C -> C',
+    against the unreduced presentation as the oracle."""
+
+    def test_iota_pi_are_chain_maps_with_pi_iota_one(self):
+        for C in _reduction_inputs():
+            red = reduction(C)
+            Cr = red.complex
+            assert is_chain_map(red.iota, Cr, C)
+            assert is_chain_map(red.pi, C, Cr)
+            pi_iota = red.pi @ red.iota
+            ident = GradedMap.identity(Cr.module)
+            if C.p:
+                assert (pi_iota - ident).is_zero_mod(C.p)
+            else:
+                assert pi_iota == ident
+            assert set(Cr.module.names()) <= set(C.module.names())
+            assert reduction(C) is red
+
+    def test_differential_vanishes_over_fields(self):
+        cancelled = 0
+        for C in _reduction_inputs():
+            Cr = reduction(C).complex
+            if C.p:
+                assert Cr.d.is_zero()
+            else:
+                # over Z no +-1 entry is left
+                assert all(abs(v) != 1 for v in Cr.d.entries.values())
+            cancelled += len(C.module) - len(Cr.module)
+        assert cancelled > 0
+
+    def test_groups_match_unreduced_oracle(self):
+        for C in _reduction_inputs():
+            for j in _degrees(C):
+                assert _presentation(C, j).group == _oracle(C, j).group
+
+    def test_representatives_and_coordinates(self):
+        for C in _reduction_inputs():
+            for j in _degrees(C):
+                pg = _presentation(C, j)
+                reps = pg.representatives()
+                assert (C.d.block(j) @ reps).mod(C.p).is_zero()
+                back = pg.coord_matrix(reps)
+                n = pg.rank_coords()
+                for k in range(n):
+                    e = [1 if r == k else 0 for r in range(n)]
+                    assert pg.coords_are_zero(
+                        [back[(r, k)] - e[r] for r in range(n)])
+                # a vector d does not kill is no cycle
+                for c in range(C.d.block(j).cols):
+                    col = IntMatrix(C.d.block(j).cols, 1, {(c, 0): 1})
+                    if not (C.d.block(j) @ col).mod(C.p).is_zero():
+                        assert pg.coord_matrix(col) is None
+
+    def test_induced_maps_agree_after_change_of_basis(self):
+        rng = random.Random(77)
+        checked = 0
+        for C in _reduction_inputs():
+            maps = [(_homotopic_to_identity(rng, C), C, C)]
+            D = random_complex(rng, max_pieces=3, p=C.p).complex
+            if not C.module.modulus:
+                S = direct_sum(C, D, tags=("L", "R"))
+                maps += [(cone_inclusion(S, D, tag="R"), D, S),
+                         (cone_projection(S, C, tag="L"), S, C)]
+            for f, src, tgt in maps:
+                induced = induced_on_homology(f, src, tgt)
+                for j, info in induced.by_degree.items():
+                    o_src = _oracle(src, j)
+                    o_tgt = _oracle(tgt, j + f.degree)
+                    F_old = o_tgt.coord_matrix(
+                        f.block(j) @ o_src.representatives())
+                    assert (info.injective, info.surjective) == _flags(
+                        F_old, o_src, o_tgt, C.p)
+                    # the new generators in oracle coordinates
+                    b_src = o_src.coord_matrix(
+                        _presentation(src, j).representatives())
+                    b_tgt = o_tgt.coord_matrix(
+                        _presentation(tgt, j + f.degree).representatives())
+                    lhs = b_tgt @ info.matrix
+                    rhs = F_old @ b_src
+                    for k in range(lhs.cols):
+                        assert o_tgt.coords_are_zero(
+                            [lhs[(r, k)] - rhs[(r, k)]
+                             for r in range(lhs.rows)])
+                    checked += 1
+        assert checked > 100
+
+
+def _les_inputs():
+    """Twenty seeded F2/F3 inputs: a U-complex for the fundamental
+    sequences and a tower bundle for the ladder."""
+    rng = random.Random(505)
+    for i in range(20):
+        p = (2, 3)[i % 2]
+        C = random_complex(rng, max_pieces=3, p=p, with_u=True).complex
+        base = random_complex(rng, max_pieces=1, p=p).complex
+        yield C, assemble(tower_model(TowerParams(base=base, n=2 + i % 2)))
+
+
+class TestRankVerdict:
+    """Over F_p an LES node is decided by ranks; the lattice routine, kept
+    for Z, must give the same verdict on every node."""
+
+    def test_rank_verdict_equals_lattice_verdict(self, monkeypatch):
+        seen = []
+        original = circle.exactness_pair
+
+        def both(incoming, outgoing, j):
+            verdict = original(incoming, outgoing, j)
+            p = incoming.target.p
+            mid = _presentation(incoming.target, j)
+            tgt = _presentation(outgoing.target, j + outgoing.degree)
+            F = incoming.matrix(j - incoming.degree)
+            G = outgoing.matrix(j)
+            n = mid.rank_coords()
+            assert p and verdict == _lattice_exactness(F, G, mid, tgt, p)
+            # deliberately broken nodes: F replaced by 0, and by the
+            # identity of the middle group
+            for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n)):
+                rank = _rank_exactness(bad, G, n, p)
+                assert rank == _lattice_exactness(bad, G, mid, tgt, p)
+                seen.append(("broken", rank))
+            seen.append(("node", verdict))
+            return verdict
+
+        monkeypatch.setattr(circle, "exactness_pair", both)
+        for C, bundle in _les_inputs():
+            assert four_flavors(C).sequences.ok
+            assert ladder_check(bundle).ok
+        nodes = [v for kind, v in seen if kind == "node"]
+        broken = [v for kind, v in seen if kind == "broken"]
+        assert len(nodes) > 1000 and all(v == (True, True) for v in nodes)
+        # both paths reject: an image short of the kernel, and an image
+        # outside it
+        assert (True, False) in broken and (False, False) in broken
+
+
+def _reaches(roots, target):
+    """True iff ``target`` is reachable from ``roots`` by gc.get_referents,
+    not descending into classes and modules."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+class TestNoBackReference:
+    """Neither the presentation memo nor the reduction slot holds a
+    reference back to its complex, so complexes die by reference counting
+    and never wait for the cyclic collector."""
+
+    def test_memo_and_reduction_do_not_reach_the_complex(self):
+        for C in _reduction_inputs():
+            homology(C)
+            D = _homotopic_to_identity(random.Random(3), C)
+            induced_on_homology(D, C, C)
+            assert C._presented and C._reduced is not None
+            assert not _reaches([C._presented, C._reduced], C)
+
+    def test_complexes_are_freed_without_the_cyclic_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            C = random_complex(random.Random(9), max_pieces=6,
+                               with_u=True).complex
+            four_flavors(C)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -470,6 +470,38 @@ class TestPresentedGroup:
         assert pg.coords_of(IntMatrix.from_rows([[0], [1], [0]])) is not None
         assert len(calls) == n + 1
 
+    def test_plain_group_is_its_own_coordinates(self):
+        # zero differentials: every vector is a cycle and its own
+        # coordinates, exactly as the general path computes them
+        rng = random.Random(5)
+        for p in (0, 2, 3):
+            pg = PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 3), p)
+            general = PresentedGroup(IntMatrix.identity(3), IntMatrix(3, 2), p)
+            v = random_matrix(rng, 3, 4)
+            assert pg.coord_matrix(v) == general.coord_matrix(v)
+            assert pg.representatives() == general.representatives()
+
+    def test_read_through_a_reduction(self):
+        # C: b -> a with d b = a, plus a cycle c in degree 0; cancelling
+        # b against a leaves C' = {c}, iota(c) = c, pi(a) = 0, pi(c) = c
+        pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
+        iota = IntMatrix.from_rows([[0], [1]])          # rows a, c
+        pi = IntMatrix.from_rows([[0, 1]])
+        d0 = IntMatrix(0, 2)                            # nothing below
+        pg.read_through(iota, pi, d0)
+        assert pg.ambient_dim() == 2
+        assert pg.representatives() == iota
+        assert pg.coord_matrix(IntMatrix.from_rows([[5], [1]])) == \
+            IntMatrix.from_rows([[1]])
+        # at degree 1, b is no cycle: d_1 b = a
+        top = PresentedGroup.from_pair(IntMatrix(0, 0), IntMatrix(0, 0))
+        top.read_through(IntMatrix(1, 0), IntMatrix(0, 1),
+                         IntMatrix.from_rows([[1], [0]]))
+        assert top.coord_matrix(IntMatrix.from_rows([[1]])) is None
+        with pytest.raises(DimensionMismatch):
+            PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1)) \
+                .read_through(iota, IntMatrix(1, 3), d0)
+
     def test_subgroups_equal(self):
         no_rel = IntMatrix(2, 0)
         a = IntMatrix.from_rows([[2, 0], [0, 3]])
