@@ -281,15 +281,14 @@ class ChainComplex:
     circle actions U (degree -2) and Y (degree +1), over Z (p=0) or F_p.
 
     The complex keeps a memo of its homology presentations, one per degree
-    (per reduced degree when the grading is periodic), filled the first
-    time a degree is presented, and beside it its ``reduction``: a smaller
-    complex C' with chain maps iota: C' -> C and pi: C -> C', pi . iota = 1,
-    computed the first time any degree is presented.  Presentations are of
-    C' (over F_p d' = 0, so each is the identity) and are read back in C
-    through iota and pi.  Both depend only on ``d`` and ``p``, fixed at
-    construction, so they never go stale; they live and die with this
-    object, are never shared with another complex, and hold no reference
-    back to it."""
+    (per reduced degree when the grading is periodic), and beside it its
+    ``reduction``: a smaller complex C' with chain maps iota: C' -> C and
+    pi: C -> C', pi . iota = 1.  Both are filled the first time a degree is
+    presented; presentations are of C' (over F_p d' = 0) read back in C.
+    Both depend only on ``d`` and ``p``, fixed at construction, so they
+    never go stale; they live and die with this object, are never shared
+    with another complex, and hold no reference back to it, so the complex
+    is freed by reference counting alone."""
 
     __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented",
                  "_reduced")
@@ -562,24 +561,16 @@ def _reduce(C: ChainComplex) -> Reduction:
                     del da[t]
                     if t != y:      # y's coboundary is already gone
                         del cobd[t][a]
-            if not da:
-                del bd[a]
             axpy(iota.setdefault(a, {a: 1}), f, ix)
         py = pi.pop(y, {y: 1})
         for s, r in dx.items():
             if s != y:
                 axpy(pi.setdefault(s, {s: 1}), -uinv * r, py)
                 del cobd[s][x]
-                if not cobd[s]:
-                    del cobd[s]
         for a in cobd.pop(x, ()):
             del bd[a][x]
-            if not bd[a]:
-                del bd[a]
         for t in bd.pop(y, ()):
             del cobd[t][y]
-            if not cobd[t]:
-                del cobd[t]
         iota.pop(y, None)
         pi.pop(x, None)
         dead.update((x, y))

@@ -750,7 +750,8 @@ class TestRankVerdict:
             F = incoming.matrix(j - incoming.degree)
             G = outgoing.matrix(j)
             n = mid.rank_coords()
-            assert p and verdict == _lattice_exactness(F, G, mid, tgt, p)
+            assert p
+            assert verdict == _lattice_exactness(F, G, mid, tgt, p)
             # deliberately broken nodes: F replaced by 0, and by the
             # identity of the middle group
             for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n)):
@@ -808,6 +809,7 @@ class TestNoBackReference:
             C = random_complex(random.Random(9), max_pieces=6,
                                with_u=True).complex
             four_flavors(C)
+            del C
             assert gc.collect() == 0
         finally:
             gc.enable()
