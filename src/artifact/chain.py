@@ -528,7 +528,7 @@ def _reduce(C: ChainComplex) -> Reduction:
     # only the rows of pi and columns of iota that differ from the identity
     pi: Dict[int, Dict[int, int]] = {}
     iota: Dict[int, Dict[int, int]] = {}
-    dead = set()
+    dead = set()    # cancelled generators
 
     def axpy(acc: Dict[int, int], c: int, vec: Dict[int, int]) -> None:
         for k, v in vec.items():
@@ -929,8 +929,9 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
 
 def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
                     p: int) -> Tuple[bool, bool]:
-    """Exactness of F^a -> F^dim_mid -> F^b over F_p: G.F = 0, and then
-    im F = ker G exactly when rank F + rank G = dim_mid."""
+    """Exactness of the class matrices F into and G out of a middle group
+    of dimension dim_mid over F_p: G.F = 0, and then im F = ker G exactly
+    when rank F + rank G = dim_mid."""
     contained = (G @ F).mod(p).is_zero()
     equal = contained and (len(snf(F, p).factors) + len(snf(G, p).factors)
                            == dim_mid)
