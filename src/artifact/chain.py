@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
-                       CompositionNonzero, _kernel_head, kernel_of_presented_map,
-                       snf, solve, subgroups_equal)
+                       CompositionNonzero, _kernel_head, field_rank, is_prime,
+                       kernel_of_presented_map, snf, solve, subgroups_equal)
 
 
 class ChainError(Exception):
@@ -130,17 +130,16 @@ class GradedModule:
 
 
 class GradedMap:
-    """Homogeneous linear map of fixed degree, stored generator-to-generator."""
+    """Homogeneous linear map of fixed degree, stored generator-to-generator.
+    The constructor checks every entry (known generators, homogeneity); the
+    closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
+    and build their results unchecked, by ``_trusted``."""
 
-    __slots__ = ("source", "target", "degree", "entries", "_by_src")
+    __slots__ = ("source", "target", "degree", "entries", "_by_src", "_blocks")
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
                  entries: Optional[Dict[Tuple[str, str], int]] = None):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", degree)
         clean: Dict[Tuple[str, str], int] = {}
-        by_src: Dict[str, Dict[str, int]] = {}
         if entries:
             for (s, t), v in entries.items():
                 if not v:
@@ -156,9 +155,24 @@ class GradedMap:
                     raise ChainError(
                         f"entry {s!r}->{t!r} violates degree {degree} homogeneity")
                 clean[(s, t)] = v
-                by_src.setdefault(s, {})[t] = v
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_by_src", by_src)
+        self._fill(source, target, degree, clean)
+
+    def _fill(self, source: GradedModule, target: GradedModule, degree: int,
+              entries: Dict[Tuple[str, str], int]) -> None:
+        by_src: Dict[str, Dict[str, int]] = {}
+        for (s, t), v in entries.items():
+            by_src.setdefault(s, {})[t] = v
+        for name, value in zip(GradedMap.__slots__, (
+                source, target, degree, entries, by_src, {})):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, source: GradedModule, target: GradedModule, degree: int,
+                 entries: Dict[Tuple[str, str], int]) -> "GradedMap":
+        """A map from nonzero entries already known to be homogeneous."""
+        f = cls.__new__(cls)
+        f._fill(source, target, degree, entries)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
@@ -191,20 +205,18 @@ class GradedMap:
                 ent[k] = w
             else:
                 ent.pop(k, None)
-        return GradedMap(self.source, self.target, self.degree, ent)
+        return GradedMap._trusted(self.source, self.target, self.degree, ent)
 
     def __neg__(self) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: -v for k, v in self.entries.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         return self + (-other)
 
     def scale(self, c: int) -> "GradedMap":
-        if not c:
-            return GradedMap(self.source, self.target, self.degree)
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: c * v for k, v in self.entries.items()})
+        return GradedMap._trusted(self.source, self.target, self.degree,
+                                  {k: c * v for k, v in self.entries.items()}
+                                  if c else {})
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
@@ -222,7 +234,10 @@ class GradedMap:
                     ent[k] = acc
                 else:
                     ent.pop(k, None)
-        return GradedMap(other.source, self.target, self.degree + other.degree, ent)
+        # degrees add up exactly only when the gradings share one modulus
+        make = (GradedMap._trusted if other.source.modulus
+                == self.source.modulus == self.target.modulus else GradedMap)
+        return make(other.source, self.target, self.degree + other.degree, ent)
 
     def _check_parallel(self, other: "GradedMap"):
         if (self.source != other.source or self.target != other.target
@@ -240,17 +255,22 @@ class GradedMap:
     def block(self, j: int) -> IntMatrix:
         """Matrix of the degree-j piece: columns are source generators of
         degree j, rows are target generators of degree j + self.degree, both
-        in module order."""
-        src = self.source.gens_in_degree(j)
-        tgt = self.target.gens_in_degree(j + self.degree)
-        tpos = {n: i for i, n in enumerate(tgt)}
-        ent = {}
-        for c, s in enumerate(src):
-            for t, v in self._by_src.get(s, {}).items():
-                r = tpos.get(t)
-                if r is not None:
-                    ent[(r, c)] = v
-        return IntMatrix(len(tgt), len(src), ent)
+        in module order.  Memoized per pair of reduced degrees."""
+        key = (self.source.reduce_degree(j),
+               self.target.reduce_degree(j + self.degree))
+        M = self._blocks.get(key)
+        if M is None:
+            src = self.source.gens_in_degree(j)
+            tgt = self.target.gens_in_degree(j + self.degree)
+            tpos = {n: i for i, n in enumerate(tgt)}
+            ent = {}
+            for c, s in enumerate(src):
+                for t, v in self._by_src.get(s, {}).items():
+                    r = tpos.get(t)
+                    if r is not None:
+                        ent[(r, c)] = v
+            M = self._blocks[key] = IntMatrix(len(tgt), len(src), ent)
+        return M
 
     def nonzero_witness(self, p: int = 0) -> Optional[Tuple[str, str]]:
         for (s, t), v in sorted(self.entries.items()):
@@ -306,6 +326,8 @@ class ChainComplex:
                                      or y_action.target != module
                                      or y_action.degree != 1):
             raise ChainError("Y must be a degree +1 endomorphism")
+        if p and not is_prime(p):
+            raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "u_action", u_action)
@@ -420,10 +442,10 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     extended one step so trivial edges are visible).
 
     Each group presents the homology of C's reduction C' at that degree
-    (over F_p, where d' = 0, the presentation is the identity on C'_j) and
-    is read in C: its representatives are iota of those of C', and the
+    and is read in C: its representatives are iota of those of C', and the
     coordinates of a vector of C_j are those of pi of it, once d_j is
-    checked to kill it."""
+    checked to kill it.  Over F_p, where d' = 0, every group is plain: the
+    identity on C'_j, built without any factorization."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -931,10 +953,9 @@ def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
                     p: int) -> Tuple[bool, bool]:
     """Exactness of the class matrices F into and G out of a middle group
     of dimension dim_mid over F_p: G.F = 0, and then im F = ker G exactly
-    when rank F + rank G = dim_mid."""
+    when rank F + rank G = dim_mid: ranks only, by ``field_rank``."""
     contained = (G @ F).mod(p).is_zero()
-    equal = contained and (len(snf(F, p).factors) + len(snf(G, p).factors)
-                           == dim_mid)
+    equal = contained and field_rank(F, p) + field_rank(G, p) == dim_mid
     return contained, equal
 
 

@@ -52,8 +52,7 @@ from .chain import (
     is_chain_map,
     validate,
 )
-from .exactlin import (AbelianGroup, _back_substitute, lattice_contains,
-                       rank_and_kernel, snf)
+from .exactlin import AbelianGroup
 
 
 class MissingUAction(ChainError):
@@ -399,23 +398,30 @@ def _transpose(f: GradedMap) -> GradedMap:
                      {(t, s): v for (s, t), v in f.entries.items()})
 
 
+def _name_map(f: GradedMap) -> Dict[str, str]:
+    """f as a partial bijection of generator names; ChainError unless every
+    entry is 1 and no generator has two images or shares one."""
+    out = {s: t for (s, t), v in f.entries.items() if v == 1}
+    if len(out) != len(f.entries) or len(set(out.values())) != len(out):
+        raise ChainError("map is not a 0/1 partial bijection of generators")
+    return out
+
+
 def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
-                  p: int) -> bool:
-    """Module-level exactness of 0 -> A -> B -> C -> 0 at middle degree."""
-    bi = inject.block(mid_degree - inject.degree)
-    bp = project.block(mid_degree)
-    comp = (bp @ bi).mod(p) if p else (bp @ bi)
-    if not comp.is_zero():
-        return False
-    res_i = snf(bi, p)
-    if len(res_i.factors) != bi.cols:           # injective
-        return False
-    rp, kp = rank_and_kernel(bp, p)
-    if rp != bp.rows:           # surjective
-        return False
-    # image = kernel as lattices, the image side through its one factorization
-    return (_back_substitute(res_i, kp, p) is not None
-            and lattice_contains(kp, bi, p))
+                  names: Tuple[Dict[str, str], Dict[str, str]]) -> bool:
+    """Module-level exactness of 0 -> A -> B -> C -> 0 at the middle degree
+    for 0/1 partial bijections, from their ``_name_map``s (``names``, built
+    once per sequence), over Z and F_p alike: every A-generator has an
+    image, every C-generator is hit, and the image names are the
+    B-generators that project does not map."""
+    inj, proj = names
+    b_gens = project.source.gens_in_degree(mid_degree)
+    hit = {proj[b] for b in b_gens if b in proj}
+    image = {inj.get(a) for a in
+             inject.source.gens_in_degree(mid_degree - inject.degree)}
+    c_gens = project.target.gens_in_degree(mid_degree + project.degree)
+    return (None not in image and hit.issuperset(c_gens)
+            and image == {b for b in b_gens if b not in proj})
 
 
 def _les_certificate(tag: str, win: Window, rows,
@@ -449,8 +455,8 @@ def _chain_map_inside(f: GradedMap, source: ChainComplex,
 
 
 def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
-                 gen_degrees: Sequence[int], win: Window,
-                 p: int) -> FundamentalSequences:
+                 gen_degrees: Sequence[int], win: Window
+                 ) -> FundamentalSequences:
     """Both fundamental sequences of four flavor expansions, degreewise at
     the chain level and through the long exact sequence at window-safe
     degrees; connecting maps by the snake construction, retraction . d .
@@ -463,9 +469,11 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     # the generator split is window-uniform, so the module-level sequence is
     # exact at every sliced degree
     seq1_checked = tuple(range(win.lo, win.hi + 1))
+    names = (_name_map(inc), _name_map(proj))
     seq1_ok = (is_chain_map(inc, minus, inf)
                and is_chain_map(proj, inf, plus)
-               and all(_ses_exact_at(inc, proj, j, p) for j in seq1_checked))
+               and all(_ses_exact_at(inc, proj, j, names)
+                       for j in seq1_checked))
     seq1 = ShortExactSequence(layout.seq_tags[0], minus, inf, plus, inc,
                               proj, seq1_checked, seq1_ok)
 
@@ -483,8 +491,9 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     # u-multiplication runs off the top of the slice, so the module-level
     # check stops two degrees short of it
     seq2_checked = tuple(range(win.lo, win.hi - 1))
+    names = (_name_map(mult_u), _name_map(proj2))
     seq2_ok = (_chain_map_inside(proj2, minus, hat, win)
-               and all(_ses_exact_at(mult_u, proj2, j, p)
+               and all(_ses_exact_at(mult_u, proj2, j, names)
                        for j in seq2_checked))
     seq2 = ShortExactSequence(layout.seq_tags[1], minus, minus, hat, mult_u,
                               proj2, seq2_checked, seq2_ok)
@@ -530,7 +539,7 @@ def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     win = _resolve_window(C.module.degrees(), window)
     complexes = {f.tag: e_y(C, f, win) for f in ALL_FLAVORS}
     return _fundamental(complexes, _U_LAYOUT,
-                        [d for _, d in C.module.generators], win, C.p)
+                        [d for _, d in C.module.generators], win)
 
 
 # ---------------------------------------------------------------------------

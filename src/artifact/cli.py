@@ -51,7 +51,7 @@ from .connsum import (ConnSumMaps, FilteredComplex, IdentificationFailed,
                       PositivityViolated, SumInput, case1_check, case2_check,
                       check_positivity, cm_flavors, product_complex,
                       verify_sum_maps)
-from .exactlin import AbelianGroup
+from .exactlin import AbelianGroup, is_prime
 from .flavors import (_SHAPES, ASSEMBLY_TAGS, AssemblyInconsistent,
                       BalancedComponents, TowerParams, assemble,
                       cone_identities, four_flavors, ladder_check,
@@ -169,31 +169,6 @@ def _int(tok: str, lineno: int, what: str = "integer") -> int:
         raise ParseError(lineno, f"expected {what}, got {tok!r}") from None
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases, which decides every
-    n below 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _ring(tok: str, lineno: int) -> int:
     if tok == "Z":
         return 0
@@ -201,7 +176,7 @@ def _ring(tok: str, lineno: int) -> int:
     if m:
         p = int(m.group(1))
         # field arithmetic inverts by Fermat, which needs p prime
-        if p < 2 ** 64 and _is_prime(p):
+        if p < 2 ** 64 and is_prime(p):
             return p
         raise ParseError(lineno, f"F<p> needs a prime p below 2^64, "
                          f"got {tok!r}")

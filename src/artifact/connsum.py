@@ -63,7 +63,7 @@ from .circle import (
     e_y,
     s_u,
 )
-from .exactlin import AbelianGroup, IntMatrix, snf
+from .exactlin import AbelianGroup, IntMatrix, is_prime, snf
 
 __all__ = [
     "ConnSumMaps",
@@ -113,6 +113,8 @@ class FilteredComplex:
     def __init__(self, generators: Iterable[Tuple[str, int]],
                  d_entries: Dict[Tuple[str, str], Iterable[Tuple[int, int]]],
                  p: int = 0):
+        if p and not is_prime(p):
+            raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
         gens = tuple((str(n), int(d)) for n, d in generators)
         deg = {}
         for n, d in gens:
@@ -205,7 +207,7 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
              for n, c in ts]
     cm = {tag: _expand(F.generators, terms, _LAURENT_LAYOUT, tag, win, F.p)
           for tag in FLAVOR_TAGS}
-    return _fundamental(cm, _LAURENT_LAYOUT, degrees, win, F.p)
+    return _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
 
 
 # ---------------------------------------------------------------------------

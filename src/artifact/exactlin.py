@@ -20,7 +20,8 @@ Factor once, solve many: a matrix is factored once per use and every
 right-hand side is back-substituted through that one factorization.
 ``solve`` takes a whole block of right-hand-side columns, the lattice
 helpers make one ``solve`` call per inclusion, and a ``PresentedGroup``
-factors its cycle basis once, the first time coordinates are asked of it.
+factors its cycle basis once, the first time coordinates are asked of it
+(a plain one, with zero differentials, factors nothing).
 """
 
 from __future__ import annotations
@@ -523,6 +524,51 @@ def snf(M: IntMatrix, p: int = 0) -> SNFResult:
     return _snf_int(M) if p == 0 else _snf_field(M, p)
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which decides every
+    n below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def field_rank(M: IntMatrix, p: int) -> int:
+    """Rank of M over F_p (``p`` prime) by Gaussian elimination over row
+    dicts, with no transforms: each row is reduced at its least column by
+    the pivot row found there, until it is zero or starts a new pivot."""
+    rows: Dict[int, Dict[int, int]] = {}
+    for (i, j), v in M.entries.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = v % p
+    pivots: Dict[int, Dict[int, int]] = {}    # least column -> its row
+    for row in rows.values():
+        while row and (c := min(row)) in pivots:
+            f = row[c] * _inv_mod(pivots[c][c], p)
+            for j, v in pivots[c].items():
+                row[j] = (row.get(j, 0) - f * v) % p
+            row = {j: v for j, v in row.items() if v}
+        if row:
+            pivots[min(row)] = row
+    return len(pivots)
+
+
 def _kernel_head(res: SNFResult, head: int) -> IntMatrix:
     """The kernel basis of a factored matrix, each column cut to its first
     ``head`` coordinates."""
@@ -621,9 +667,9 @@ class PresentedGroup:
     cycle basis is factored once, by ``from_pair`` when it has boundaries to
     express in it and otherwise the first time coordinates are asked of it,
     and every coordinate request back-substitutes through it.  When both
-    differentials of ``from_pair`` are zero the group is plain: every vector
-    is a cycle, the coordinates are the vector itself and no factorization
-    runs.
+    differentials are zero (every F_p presentation of a reduced complex)
+    ``from_pair`` builds a plain group and factors nothing: every vector is
+    a cycle and its own coordinates; ``cycles`` and ``rel`` are None.
 
     ``read_through`` makes the group a presentation of a larger ambient
     Z^N: the homology of a complex C at one degree, presented through a
@@ -633,11 +679,18 @@ class PresentedGroup:
     representatives are iota_j of those of C'_j.
     """
 
+    # filled lazily, by from_pair, or (iota_j, pi_j, d_j) by read_through
+    _left_inv: Optional[IntMatrix] = None
+    _cycles_snf: Optional[SNFResult] = None
+    _plain = False
+    _iota = _pi = _d_out = None
+
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
                  p: int = 0):
         self.p = p
         self.cycles = cycles                      # n x z, saturated basis
         self.rel = boundaries_in_cycle_coords     # z x b
+        self.dim = cycles.rows
         res = snf(self.rel, p)
         self.rel_left = res.left
         z = cycles.cols
@@ -650,19 +703,20 @@ class PresentedGroup:
                 self.torsion_rows.append(i)
         self.free_rows = list(range(rank, z))
         self.group = AbelianGroup(len(self.free_rows), self.torsion_moduli)
-        self._left_inv: Optional[IntMatrix] = None
-        self._cycles_snf: Optional[SNFResult] = None
-        self._plain = False
-        # iota_j, pi_j and d_j once read through a reduction
-        self._iota: Optional[IntMatrix] = None
-        self._pi: Optional[IntMatrix] = None
-        self._d_out: Optional[IntMatrix] = None
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
-        _, cycles = rank_and_kernel(d_out, p)
-        if d_in.rows != cycles.rows:
+        if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
+        if d_in.is_zero() and d_out.is_zero():
+            pg = cls.__new__(cls)
+            pg.p, pg.dim, pg._plain = p, d_out.cols, True
+            pg.cycles = pg.rel = pg.rel_left = None
+            pg.torsion_moduli, pg.torsion_rows = [], []
+            pg.free_rows = list(range(pg.dim))
+            pg.group = AbelianGroup(pg.dim)
+            return pg
+        _, cycles = rank_and_kernel(d_out, p)
         # coordinates are later taken through the same factorization
         res = None if d_in.is_zero() else snf(cycles, p)
         rel = (IntMatrix(cycles.cols, d_in.cols) if res is None
@@ -671,7 +725,6 @@ class PresentedGroup:
             raise ExactLinError("boundary is not a cycle; composition nonzero?")
         pg = cls(cycles, rel, p)
         pg._cycles_snf = res
-        pg._plain = d_in.is_zero() and d_out.is_zero()
         return pg
 
     def read_through(self, iota: IntMatrix, pi: IntMatrix,
@@ -680,7 +733,7 @@ class PresentedGroup:
         degree-j blocks of iota: C' -> C and pi: C -> C' (pi . iota = 1)
         and of C's differential d_j.  Called once, before any coordinates
         or representatives are asked of the group."""
-        if (iota.cols != self.cycles.rows or pi.rows != self.cycles.rows
+        if (iota.cols != self.dim or pi.rows != self.dim
                 or pi.cols != iota.rows or d_out.cols != iota.rows):
             raise DimensionMismatch("reduction blocks do not fit the group")
         self._iota, self._pi, self._d_out = iota, pi, d_out
@@ -691,7 +744,7 @@ class PresentedGroup:
         return len(self.torsion_rows) + len(self.free_rows)
 
     def ambient_dim(self) -> int:
-        return self.cycles.rows if self._iota is None else self._iota.rows
+        return self.dim if self._iota is None else self._iota.rows
 
     def coord_matrix(self, ambient: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of

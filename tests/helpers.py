@@ -12,7 +12,9 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from artifact.chain import ChainComplex, GradedMap, GradedModule, PMorphism
-from artifact.exactlin import AbelianGroup, IntMatrix
+from artifact.circle import _name_map, _ses_exact_at
+from artifact.exactlin import (AbelianGroup, IntMatrix, _back_substitute,
+                               lattice_contains, rank_and_kernel, snf)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
@@ -213,3 +215,39 @@ def random_pmorphism(rng: random.Random, C1: ChainComplex, C2: ChainComplex,
     phi = (C2.d @ N) + (N @ C1.d).scale(sign)
     K = (C2.u_action @ N) - (N @ C1.u_action)
     return PMorphism(C1, C2, phi, K)
+
+
+def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,
+                         mid_degree: int, p: int) -> bool:
+    """Module-level exactness of 0 -> A -> B -> C -> 0 at the middle degree
+    by lattices, for any maps: the composite vanishes, inject is injective,
+    project surjective, and the image of inject equals the kernel of
+    project.  The oracle for the name bookkeeping of
+    ``circle._ses_exact_at``."""
+    bi = inject.block(mid_degree - inject.degree)
+    bp = project.block(mid_degree)
+    comp = (bp @ bi).mod(p) if p else (bp @ bi)
+    if not comp.is_zero():
+        return False
+    res_i = snf(bi, p)
+    if len(res_i.factors) != bi.cols:           # injective
+        return False
+    rp, kp = rank_and_kernel(bp, p)
+    if rp != bp.rows:           # surjective
+        return False
+    # image = kernel as lattices, the image side through its one factorization
+    return (_back_substitute(res_i, kp, p) is not None
+            and lattice_contains(kp, bi, p))
+
+
+def ses_verdicts(fs) -> List[Tuple[bool, bool]]:
+    """(name verdict, lattice verdict) of both short exact sequences of a
+    ``FundamentalSequences`` at every degree they check."""
+    out = []
+    for seq in (fs.seq1, fs.seq2):
+        names = (_name_map(seq.inject), _name_map(seq.project))
+        for j in seq.checked_degrees:
+            out.append((_ses_exact_at(seq.inject, seq.project, j, names),
+                        lattice_ses_exact_at(seq.inject, seq.project, j,
+                                             seq.left.p)))
+    return out

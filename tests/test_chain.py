@@ -66,6 +66,17 @@ class TestGradedStructures:
         with pytest.raises(ChainError):
             GradedMap(m, m, -1, {("a", "b"): 1})
 
+    def test_ring_must_be_z_or_a_prime_field(self):
+        # field arithmetic needs p prime: with p = 4, d(a) = 2b would
+        # present no homology, where Z/4 coefficients give Z/2 in degrees
+        # 0 and 1
+        for p in (1, 4, 9, -3):
+            with pytest.raises(ChainError):
+                complex_from([("b", 0), ("a", 1)], {("a", "b"): 2}, p=p)
+        for p in (0, 2, 3, 5):
+            C = complex_from([("b", 0), ("a", 1)], {("a", "b"): 2}, p=p)
+            assert C.p == p
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ChainError):
             GradedModule([("a", 0), ("a", 1)])
@@ -96,6 +107,96 @@ class TestGradedStructures:
         assert (f @ f).entries == {("a", "c"): 6}
         assert (f - f).is_zero()
         assert f.scale(0).is_zero()
+
+
+def _random_map(rng, source, target, degree):
+    """Random homogeneous entries of the given degree."""
+    ent = {}
+    for s, ds in source.generators:
+        for t in target.gens_in_degree(ds + degree):
+            if rng.random() < 0.5:
+                ent[(s, t)] = rng.choice((1, -1, 2, 3))
+    return GradedMap(source, target, degree, ent)
+
+
+def _assert_same_map(f, g):
+    assert f == g
+    for name in f.source.names():
+        assert f.image_of(name) == g.image_of(name)
+
+
+class TestTrustedMaps:
+    """The closed operations build their results without per-entry checks;
+    each must equal the checked map built from independently computed
+    entries."""
+
+    def _modules(self, rng):
+        for modulus in (0, 0, 4):
+            yield [GradedModule([(f"{tag}{i}", rng.randint(-2, 3))
+                                 for i in range(rng.randint(1, 5))], modulus)
+                   for tag in "abc"]
+
+    def test_closed_operations_equal_checked_builds(self):
+        rng = random.Random(88)
+        done = 0
+        for _ in range(15):
+            for A, B, C in self._modules(rng):
+                f, g = (_random_map(rng, A, B, 1) for _ in range(2))
+                h = _random_map(rng, B, C, -2)
+                keys = set(f.entries) | set(g.entries)
+                for got, fn in ((f + g, lambda k: f.entries.get(k, 0)
+                                 + g.entries.get(k, 0)),
+                                (f - g, lambda k: f.entries.get(k, 0)
+                                 - g.entries.get(k, 0)),
+                                (-f, lambda k: -f.entries.get(k, 0)),
+                                (f.scale(3), lambda k: 3 * f.entries.get(k, 0)),
+                                (f.scale(0), lambda k: 0),
+                                (f - f, lambda k: 0)):
+                    want = {k: fn(k) for k in keys}
+                    _assert_same_map(got, GradedMap(A, B, 1, want))
+                prod = {}
+                for (s, m), v in f.entries.items():
+                    for (m2, t), w in h.entries.items():
+                        if m == m2:
+                            prod[(s, t)] = prod.get((s, t), 0) + v * w
+                _assert_same_map(h @ f, GradedMap(A, C, -1, prod))
+                done += 1
+        assert done == 45
+
+    def test_composite_across_gradings_is_still_checked(self):
+        # a(3) -> b(1 mod 2) -> c(2): each map is homogeneous, the
+        # composite of degree 1 is not (3 + 1 != 2)
+        A = GradedModule([("a", 3)])
+        B = GradedModule([("b", 1)], modulus=2)
+        C = GradedModule([("c", 2)])
+        g = GradedMap(A, B, 0, {("a", "b"): 1})
+        f = GradedMap(B, C, 1, {("b", "c"): 1})
+        with pytest.raises(ChainError):
+            f @ g
+
+    def test_constructor_still_checks(self):
+        m = GradedModule([("a", 0), ("b", 1)])
+        for ent in ({("x", "a"): 1}, {("b", "x"): 1}, {("a", "a"): 1}):
+            with pytest.raises(ChainError):
+                GradedMap(m, m, -1, ent)
+
+    def test_blocks_are_memoized(self):
+        rng = random.Random(89)
+        inputs = [random_complex(rng, max_pieces=4, with_u=True).complex
+                  for _ in range(5)]
+        inputs.append(complex_from(
+            [("a", 0), ("b", 1), ("c", 2), ("e", 3), ("f", 0)],
+            {("b", "a"): 1, ("e", "c"): 2, ("b", "f"): 3}, modulus=4))
+        for C in inputs:
+            lo, hi = C.module.support_window()
+            for f in filter(None, (C.d, C.u_action)):
+                for j in range(lo - 6, hi + 7):
+                    fresh = GradedMap(f.source, f.target, f.degree, f.entries)
+                    assert f.block(j) == fresh.block(j)
+                    assert f.block(j) is f.block(j)
+        periodic = inputs[-1].d
+        assert periodic.block(1) is periodic.block(5) is periodic.block(-3)
+        assert len(periodic._blocks) == 4
 
 
 class TestValidate:

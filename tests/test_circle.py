@@ -10,11 +10,13 @@ from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             is_chain_map, validate)
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
-                             e1_page, e_y, e_y_map, fundamental_sequences,
-                             koszul_a, koszul_b, s_u, s_u_map, safe_degrees)
+                             _name_map, _ses_exact_at, e1_page, e_y, e_y_map,
+                             fundamental_sequences, koszul_a, koszul_b, s_u,
+                             s_u_map, safe_degrees)
 from artifact.exactlin import AbelianGroup
 
-from helpers import random_complex, random_pmorphism
+from helpers import (lattice_ses_exact_at, random_complex, random_pmorphism,
+                     ses_verdicts)
 
 Z = AbelianGroup(1)
 
@@ -246,6 +248,68 @@ class TestFundamentalSequences:
             H = homology(e_y(S, INFINITY, win))
             for j in safe_degrees(S, INFINITY, win):
                 assert H[j].is_trivial()
+
+
+def _split(a_gens, b_gens, c_gens, inj, proj):
+    """Maps A -> B -> C on degree-0 generators from name pairs (or full
+    entry dicts)."""
+    A, B, C = (GradedModule([(n, 0) for n in gens])
+               for gens in (a_gens, b_gens, c_gens))
+    inj, proj = (m if isinstance(m, dict) else dict.fromkeys(m, 1)
+                 for m in (inj, proj))
+    return GradedMap(A, B, 0, inj), GradedMap(B, C, 0, proj)
+
+
+class TestSESByNames:
+    """Exactness of 0/1 generator splits from names agrees with the lattice
+    computation it replaced."""
+
+    def test_fundamental_sequences_agree_with_lattices(self):
+        rng = random.Random(61)
+        verdicts = []
+        for trial in range(12):
+            p = (0, 2, 3)[trial % 3]
+            S = s_u(random_complex(rng, max_pieces=3, p=p,
+                                   with_u=True).complex)
+            for win in (None, Window(-3, 3), Window(0, 1)):
+                fs = fundamental_sequences(S, win)
+                verdicts += ses_verdicts(fs)
+        assert len(verdicts) > 300
+        assert all(n == lat for n, lat in verdicts)
+
+    def test_constructed_splits(self):
+        cases = [
+            # exact: a0 -> b0, b1 -> c0
+            ((["a0"], ["b0", "b1"], ["c0"], [("a0", "b0")],
+              [("b1", "c0")]), True),
+            # inject misses a generator
+            ((["a0", "a1"], ["b0", "b1"], ["c0"], [("a0", "b0")],
+              [("b1", "c0")]), False),
+            # project misses a target
+            ((["a0"], ["b0", "b1"], ["c0", "c1"], [("a0", "b0")],
+              [("b1", "c0")]), False),
+            # image is smaller than the kernel: b2 is killed, not hit
+            ((["a0"], ["b0", "b1", "b2"], ["c0"], [("a0", "b0")],
+              [("b1", "c0")]), False),
+            # image outside the kernel: the composite is nonzero
+            ((["a0"], ["b0", "b1"], ["c0"], [("a0", "b1")],
+              [("b1", "c0")]), False),
+        ]
+        for p in (0, 2, 3):
+            for spec, want in cases:
+                inj, proj = _split(*spec)
+                names = (_name_map(inj), _name_map(proj))
+                assert _ses_exact_at(inj, proj, 0, names) is want
+                assert lattice_ses_exact_at(inj, proj, 0, p) is want
+
+    def test_maps_that_are_not_generator_splits_are_refused(self):
+        for inj in ({("a0", "b0"): 2},                       # coefficient 2
+                    {("a0", "b0"): -1},
+                    {("a0", "b0"): 1, ("a0", "b1"): 1},      # two images
+                    {("a0", "b0"): 1, ("a1", "b0"): 1}):     # shared image
+            f, _ = _split(["a0", "a1"], ["b0", "b1"], ["c0"], inj, {})
+            with pytest.raises(ChainError):
+                _name_map(f)
 
 
 class TestE1Page:

@@ -21,7 +21,7 @@ from artifact.exactlin import AbelianGroup, IntMatrix
 from artifact.chain import _presentation
 from artifact.flavors import _chase, _square_commutes
 
-from helpers import random_complex
+from helpers import random_complex, ses_verdicts
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -74,6 +74,14 @@ def random_filtered(rng, p=0, pieces=4):
 
 
 class TestFilteredComplex:
+    def test_ring_must_be_z_or_a_prime_field(self):
+        gens, d = [("a", 1), ("b", 0)], {("a", "b"): [(0, 2)]}
+        for p in (1, 4, 9, -3):
+            with pytest.raises(ChainError):
+                FilteredComplex(gens, d, p=p)
+        for p in (0, 2, 3, 5):
+            assert FilteredComplex(gens, d, p=p).p == p
+
     def test_homogeneity_enforced(self):
         with pytest.raises(ChainError, match="homogeneity"):
             FilteredComplex([("a", 0), ("b", 0)], {("a", "b"): [(0, 1)]})
@@ -243,6 +251,22 @@ class TestEnginesAgree:
                             f"trial {trial} {flavor} degree {j}")
                         compared += 1
         assert compared > 500
+
+
+    def test_sequences_by_names_agree_with_lattices(self):
+        # the Laurent engine's short exact sequences, on random filtered
+        # complexes and on Laurent forms of Y-complexes
+        rng = random.Random(98)
+        verdicts = []
+        for trial in range(12):
+            p = (0, 2, 3)[trial % 3]
+            S = s_u(random_complex(rng, max_pieces=3, p=p,
+                                   with_u=True).complex)
+            for F in (random_filtered(rng, p=p), laurent_form(S)):
+                for win in (None, Window(-3, 3)):
+                    verdicts += ses_verdicts(cm_flavors(F, win))
+        assert len(verdicts) > 300
+        assert all(n == lat for n, lat in verdicts)
 
 
 class TestProduct:

@@ -13,6 +13,7 @@ from artifact.exactlin import (
     ExactLinError,
     IntMatrix,
     PresentedGroup,
+    field_rank,
     homology_of_pair,
     invert_unimodular,
     lattices_equal,
@@ -93,7 +94,8 @@ class TestSmithNormalForm:
             assert snf(M).factors == tuple(abs(int(f)) for f in want if f)
 
     def test_field_rank_matches_sympy(self):
-        # an independent oracle for F_p: sympy's rank over GF(p)
+        # an independent oracle for F_p: sympy's rank over GF(p), for the
+        # SNF factor count and for the transform-free ``field_rank``
         pytest.importorskip("sympy")
         from sympy import GF, ZZ
         from sympy.polys.matrices import DomainMatrix
@@ -103,7 +105,9 @@ class TestSmithNormalForm:
                 M = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
                 dm = DomainMatrix([[ZZ(v) for v in row] for row in M.to_dense()],
                                   (M.rows, M.cols), ZZ)
-                assert len(snf(M, p).factors) == dm.convert_to(GF(p)).rank()
+                want = dm.convert_to(GF(p)).rank()
+                assert len(snf(M, p).factors) == want
+                assert field_rank(M, p) == want
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
                     min_size=1, max_size=4).filter(
@@ -265,6 +269,42 @@ class TestKernelMatchesSeed:
             ent[stray[:2]] = stray[2]
         M = IntMatrix(r, c, ent)
         assert snf(M, p) == reference_snf(M, p)
+
+
+class TestFieldRank:
+    """``field_rank`` against the SNF factor count (sympy's GF(p) rank is
+    the oracle of ``test_field_rank_matches_sympy``)."""
+
+    def test_seeded_matrices(self):
+        rng = random.Random(71)
+        for p in (2, 3, 5):
+            for _ in range(150):
+                rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+                # entries far outside 0..p-1, negative ones included
+                M = random_matrix(rng, rows, cols, lo=-40, hi=40,
+                                  density=rng.choice((0.2, 0.5, 0.9)))
+                assert field_rank(M, p) == len(snf(M, p).factors)
+
+    def test_edge_shapes(self):
+        for p in (2, 3, 5):
+            for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
+                assert field_rank(IntMatrix(rows, cols), p) == 0
+            # every entry a multiple of p: zero over F_p, not over Z
+            M = IntMatrix.from_rows([[p, -2 * p, 0], [0, 7 * p, p]])
+            assert field_rank(M, p) == 0 < len(snf(M).factors)
+            assert field_rank(IntMatrix.from_rows([[1, 2, 3, 4]]), p) == 1
+            assert field_rank(IntMatrix.from_rows([[1], [2], [3]]), p) == 1
+            assert field_rank(IntMatrix.identity(4).scale(p + 1), p) == 4
+            assert field_rank(IntMatrix.from_rows([[1, 1], [1, 1 + p]]),
+                              p) == 1
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from((2, 3, 5)),
+           st.lists(st.integers(-30, 30), min_size=36, max_size=36))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, rows, cols, p, vals):
+        M = IntMatrix(rows, cols, {(i, j): vals[i * 6 + j]
+                                   for i in range(rows) for j in range(cols)})
+        assert field_rank(M, p) == len(snf(M, p).factors)
 
 
 class TestInvMod:
@@ -480,6 +520,24 @@ class TestPresentedGroup:
             v = random_matrix(rng, 3, 4)
             assert pg.coord_matrix(v) == general.coord_matrix(v)
             assert pg.representatives() == general.representatives()
+
+    def test_plain_group_factors_nothing(self, monkeypatch):
+        import artifact.exactlin as el
+        calls = []
+        original = el.snf
+        monkeypatch.setattr(el, "snf",
+                            lambda M, p=0: calls.append(M) or original(M, p))
+        for p in (0, 2, 3):
+            pg = PresentedGroup.from_pair(IntMatrix(4, 2), IntMatrix(3, 4), p)
+            assert pg.group == AbelianGroup(4)
+            assert pg.ambient_dim() == 4 and pg.cycles is None
+            assert pg.representatives() == IntMatrix.identity(4)
+            v = IntMatrix.from_rows([[1], [0], [p + 1], [-1]])
+            assert pg.coord_matrix(v) == v.mod(p)
+        assert calls == []
+        # the dimension check still runs when both differentials are zero
+        with pytest.raises(DimensionMismatch):
+            PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 4))
 
     def test_read_through_a_reduction(self):
         # C: b -> a with d b = a, plus a cycle c in degree 0; cancelling

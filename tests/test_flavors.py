@@ -5,6 +5,7 @@ comparison ladder."""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -203,6 +204,33 @@ class TestConeIdentities:
         rep = cone_identities(dataclasses.replace(b, k_p=b.k_p + bump))
         assert not rep.ok
         assert "eq:S2:rho2" in rep.failures()
+
+
+class TestFieldPathFactorsNothing:
+    """Over F_p the certificates need no solve, and the only factorizations
+    left are those of ``chain._flags``; a change that puts one back on this
+    path fails here."""
+
+    def test_cone_identities_and_ladder_on_f2(self, monkeypatch):
+        import artifact
+        callers = {"snf": [], "solve": []}
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name.startswith("artifact.")]
+        for name in callers:
+            original = getattr(artifact.exactlin, name)
+
+            def wrapped(*args, _name=name, _original=original, **kwargs):
+                callers[_name].append(sys._getframe(1).f_code.co_name)
+                return _original(*args, **kwargs)
+
+            for m in modules:
+                if getattr(m, name, None) is original:
+                    monkeypatch.setattr(m, name, wrapped)
+        b = assemble(tower_model(TowerParams(base=mod2_base(p=2), n=3)))
+        assert cone_identities(b).ok
+        assert ladder_check(b).ok
+        assert callers["solve"] == []
+        assert callers["snf"] and set(callers["snf"]) == {"_flags"}
 
 
 class TestTowerModel:
