@@ -444,8 +444,9 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     Each group presents the homology of C's reduction C' at that degree
     and is read in C: its representatives are iota of those of C', and the
     coordinates of a vector of C_j are those of pi of it, once d_j is
-    checked to kill it.  Over F_p, where d' = 0, every group is plain: the
-    identity on C'_j, built without any factorization."""
+    checked to kill it.  Where d' = 0 (always over F_p) every group is
+    plain: the identity on C'_j, built from its dimension alone, without
+    any block of d' or any factorization."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -461,13 +462,18 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """The homology presentation of C at degree j, from C's memo: that of
-    the reduction C' at j, read through iota_j and pi_j."""
+    C' at j (plain from dim C'_j if d' = 0), read through iota_j and pi_j."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
         red = reduction(C)
-        pg = PresentedGroup.from_pair(red.complex.d.block(j + 1),
-                                      red.complex.d.block(j), C.p)
+        d = red.complex.d
+        if d.is_zero():
+            n = len(red.complex.module.gens_in_degree(j))
+            d_in, d_out = IntMatrix(n, 0), IntMatrix(0, n)
+        else:
+            d_in, d_out = d.block(j + 1), d.block(j)
+        pg = PresentedGroup.from_pair(d_in, d_out, C.p)
         pg.read_through(*red.blocks.get(j, _EMPTY_BLOCKS), C.d.block(j))
         C._presented[j] = pg
     return pg
@@ -921,12 +927,14 @@ class _HomologyArrow:
 
     def matrix(self, j: int) -> IntMatrix:
         """Canonical coordinates in the target at degree j + degree of the
-        images of the canonical generators of the source at degree j."""
+        images of the canonical generators of the source at degree j; empty,
+        with no block of f built, when the source group is trivial."""
         F = self._matrices.get(j)
         if F is None:
             src = _presentation(self.source, j)
             tgt = _presentation(self.target, j + self.degree)
-            F = tgt.coord_matrix(self.f.block(j) @ src.representatives())
+            F = (tgt.coord_matrix(self.f.block(j) @ src.representatives())
+                 if src.rank_coords() else IntMatrix(tgt.rank_coords(), 0))
             if F is None:
                 raise ChainError("image of a cycle is not a cycle")
             self._matrices[j] = F
@@ -936,13 +944,19 @@ class _HomologyArrow:
 def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
                    j: int) -> Tuple[bool, bool]:
     """(image contained in kernel, image equals kernel) at degree j of the
-    middle complex; incoming lands in degree j, outgoing leaves from it.
-    Over F_p homology is a vector space and the node is decided by rank
-    arithmetic; over Z by lattices in the presented groups."""
+    middle complex where the arrows meet over one ring; incoming lands in
+    degree j, outgoing leaves from it.  After F's cycle test a trivial
+    middle group is exact by shape (F has no rows, G no columns); other
+    nodes by rank arithmetic over F_p, by lattices in the groups over Z."""
     p = incoming.target.p
+    if (incoming.target is not outgoing.source
+            or incoming.source.p != p or outgoing.target.p != p):
+        raise ChainError("arrows do not meet at one complex over one ring")
     mid = _presentation(incoming.target, j)
     F = incoming.matrix(j - incoming.degree)
     G = outgoing.matrix(j)
+    if not mid.rank_coords():
+        return True, True
     if p:
         return _rank_exactness(F, G, mid.rank_coords(), p)
     tgt = _presentation(outgoing.target, j + outgoing.degree)

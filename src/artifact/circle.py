@@ -231,10 +231,15 @@ def s_u(C: ChainComplex) -> ChainComplex:
 def s_u_map(P: PMorphism) -> GradedMap:
     """The doubled map [[phi, 0], [K, (-1)^{deg phi} phi]] between s_u
     complexes; a chain map commuting with the Y-actions."""
+    return _su_map(P, s_u(P.source), s_u(P.target))
+
+
+def _su_map(P: PMorphism, su_source: ChainComplex,
+            su_target: ChainComplex) -> GradedMap:
+    """``s_u_map(P)``, given s_u(P.source) and s_u(P.target) already built."""
     if not P.verify():
         raise NotAPMorphism("s_u_map needs a verified p-morphism")
-    return _doubled(P.phi, P.k_phi, s_u(P.source).module,
-                    s_u(P.target).module)
+    return _doubled(P.phi, P.k_phi, su_source.module, su_target.module)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,9 @@ from .circle import (
     _les_certificate,
     _resolve_window,
     _slotwise,
+    _su_map,
     fundamental_sequences,
     s_u,
-    s_u_map,
     safe_degrees,
 )
 from .exactlin import IntMatrix
@@ -436,10 +436,10 @@ def cone_identities(bundle: FlavorBundle) -> ConeReport:
     ck_i = _block_map(EC.module, check_mod, -1, [(bundle.k_i, B, "{}", 1)])
     pm_k = PMorphism(bundle.check, EC, k_map, ck_j)
     pm_l = PMorphism(EC, bundle.check, l_map, ck_i)
-    su_ready = (cone_u_ok and pm_k.verify() and pm_l.verify()
-                and bundle.pm_i().verify() and bundle.pm_j().verify())
-    checks.append(("eq:SU-k", pm_k.verify()))
-    checks.append(("eq:SU-l", pm_l.verify()))
+    k_ok, l_ok = pm_k.verify(), pm_l.verify()
+    checks += [("eq:SU-k", k_ok), ("eq:SU-l", l_ok)]
+    # _su_map verifies i and j too, and its NotAPMorphism is a ChainError
+    su_ready = cone_u_ok and k_ok and l_ok
 
     if su_ready:
         try:
@@ -447,10 +447,10 @@ def cone_identities(bundle: FlavorBundle) -> ConeReport:
             su_hat = s_u(bundle.hat)
             su_bar = s_u(bundle.bar)
             sue = s_u(EC)
-            su_k = s_u_map(pm_k)
-            su_l = s_u_map(pm_l)
-            su_i = s_u_map(bundle.pm_i())
-            su_j = s_u_map(bundle.pm_j())
+            su_k = _su_map(pm_k, su_check, sue)
+            su_l = _su_map(pm_l, sue, su_check)
+            su_i = _su_map(bundle.pm_i(), su_bar, su_check)
+            su_j = _su_map(bundle.pm_j(), su_check, su_hat)
         except ChainError:
             su_ready = False
     if su_ready:
@@ -679,9 +679,9 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     su_hat = s_u(bundle.hat)
     su_bar = s_u(bundle.bar)
     su_check = s_u(bundle.check)
-    su_i = s_u_map(bundle.pm_i())
-    su_j = s_u_map(bundle.pm_j())
-    su_p = s_u_map(bundle.pm_p())
+    su_i = _su_map(bundle.pm_i(), su_bar, su_check)
+    su_j = _su_map(bundle.pm_j(), su_check, su_hat)
+    su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
 
     sue = s_u(cone_total(bundle))
     # the doubled cone is the cone of the doubled pieces, name for name

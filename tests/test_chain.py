@@ -25,6 +25,7 @@ from artifact.chain import (
     cone_inclusion,
     cone_projection,
     direct_sum,
+    exactness_pair,
     homology,
     induced_on_homology,
     is_chain_map,
@@ -872,6 +873,141 @@ class TestRankVerdict:
         # both paths reject: an image short of the kernel, and an image
         # outside it
         assert (True, False) in broken and (False, False) in broken
+
+
+def _shortcut_inputs():
+    """Certificates over seeded inputs: the fundamental sequences of
+    doubled U-complexes over Z, F2 and F3, and the ladder of F2/F3 tower
+    bundles of depth 2..5.  Each yields its ring and the check to run."""
+    rng = random.Random(808)
+    for i in range(16):
+        p = (0, 0, 2, 3)[i % 4]
+        C = random_complex(rng, max_pieces=4, p=p, with_u=True).complex
+        yield p, lambda C=C: circle.fundamental_sequences(s_u(C)).ok
+    for n in range(2, 6):
+        for p in (2, 3):
+            base = random_complex(rng, max_pieces=1, p=p).complex
+            bundle = assemble(tower_model(TowerParams(base=base, n=n)))
+            yield p, lambda b=bundle: ladder_check(b).ok
+
+
+class TestEmptyGroupShortcuts:
+    """A trivial source group gives an empty class matrix and a trivial
+    middle group an exact node, with no product built; the unshortened
+    formulas are the oracle at every degree and node a certificate asks."""
+
+    def test_matrices_and_verdicts_match_the_oracle(self, monkeypatch):
+        asked = {}
+        original_matrix = _HomologyArrow.matrix
+
+        def recording(arrow, j):
+            asked[(id(arrow), j)] = (arrow, j)
+            return original_matrix(arrow, j)
+
+        # per ring: nodes with a trivial and with a nontrivial middle group
+        nodes = {p: {True: 0, False: 0} for p in (0, 2, 3)}
+        original_pair = circle.exactness_pair
+
+        def both(incoming, outgoing, j):
+            verdict = original_pair(incoming, outgoing, j)
+            p = incoming.target.p
+            mid = _presentation(incoming.target, j)
+            F = incoming.matrix(j - incoming.degree)
+            G = outgoing.matrix(j)
+            if p:
+                oracle = _rank_exactness(F, G, mid.rank_coords(), p)
+            else:
+                tgt = _presentation(outgoing.target, j + outgoing.degree)
+                oracle = _lattice_exactness(F, G, mid, tgt, p)
+            assert verdict == oracle
+            nodes[p][mid.rank_coords() == 0] += 1
+            return verdict
+
+        monkeypatch.setattr(_HomologyArrow, "matrix", recording)
+        monkeypatch.setattr(circle, "exactness_pair", both)
+        for p, check in _shortcut_inputs():
+            assert check()
+        sources = {True: 0, False: 0}
+        for arrow, j in asked.values():
+            src = _presentation(arrow.source, j)
+            tgt = _presentation(arrow.target, j + arrow.degree)
+            assert arrow.matrix(j) == tgt.coord_matrix(
+                arrow.f.block(j) @ src.representatives())
+            sources[src.rank_coords() == 0] += 1
+        assert sources[True] > 100 and sources[False] > 100
+        for p in nodes:
+            assert nodes[p][True] > 10 and nodes[p][False] > 10, (p, nodes)
+
+    def test_non_chain_map_into_trivial_middle_still_raises(self):
+        # a(0) is a cycle; f(a) = x is not, since d(x) = w; H_0(M) = 0
+        for p in (0, 2):
+            A = complex_from([("a", 0)], {}, p=p)
+            M = complex_from([("x", 0), ("w", -1)], {("x", "w"): 1}, p=p)
+            f = GradedMap(A.module, M.module, 0, {("a", "x"): 1})
+            assert not is_chain_map(f, A, M)
+            incoming = _HomologyArrow(f, A, M)
+            outgoing = _HomologyArrow(GradedMap.identity(M.module), M, M)
+            assert _presentation(A, 0).rank_coords() == 1
+            assert _presentation(M, 0).rank_coords() == 0
+            with pytest.raises(ChainError, match="image of a cycle"):
+                exactness_pair(incoming, outgoing, 0)
+
+    def test_arrows_must_meet_at_one_complex(self):
+        A = two_sphere_like()
+        twin = ChainComplex(A.module, A.d, p=A.p)
+        ident = GradedMap.identity(A.module)
+        into_a = _HomologyArrow(ident, A, A)
+        out_of_twin = _HomologyArrow(ident, twin, twin)
+        A2 = ChainComplex(A.module, A.d, p=2)
+        from_f2 = _HomologyArrow(ident, A2, A)
+        into_f2 = _HomologyArrow(ident, A, A2)
+        # H_0 = Z, where 1 . 1 is no zero composite; H_5 = 0
+        for j, verdict in ((0, (False, False)), (5, (True, True))):
+            assert exactness_pair(into_a, into_a, j) == verdict
+            for incoming, outgoing in ((into_a, out_of_twin),
+                                       (from_f2, into_a), (into_a, into_f2)):
+                with pytest.raises(ChainError, match="one complex"):
+                    exactness_pair(incoming, outgoing, j)
+
+
+class TestPlainPresentationsFromDimension:
+    """Where the reduction's differential is zero (every F_p complex) each
+    degree is presented from its dimension: no block of d' is built, and
+    ``from_pair`` still runs once per degree, on n x 0 and 0 x n."""
+
+    def test_no_block_of_a_zero_reduced_differential(self, monkeypatch):
+        built = []
+        original_block = GradedMap.block
+
+        def recording(f, j):
+            built.append(f)
+            return original_block(f, j)
+
+        pairs = []
+        original_pair = PresentedGroup.from_pair.__func__
+
+        def counting(cls, d_in, d_out, p=0):
+            pairs.append((d_in, d_out))
+            return original_pair(cls, d_in, d_out, p)
+
+        monkeypatch.setattr(GradedMap, "block", recording)
+        monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
+        rng = random.Random(919)
+        for i in range(10):
+            p = (2, 3)[i % 2]
+            C = random_complex(rng, max_pieces=4, p=p, with_u=i > 5).complex
+            del built[:], pairs[:]
+            h = homology(C)
+            d_red = reduction(C).complex.d
+            assert d_red.is_zero()
+            assert built and not any(f is d_red for f in built)
+            lo, hi = C.module.support_window()
+            assert len(pairs) == len(C._presented) == hi - lo + 1
+            for j, (d_in, d_out) in zip(range(lo, hi + 1), pairs):
+                n = len(reduction(C).complex.module.gens_in_degree(j))
+                assert (d_in.rows, d_in.cols) == (n, 0)
+                assert (d_out.rows, d_out.cols) == (0, n)
+                assert h[j] == AbelianGroup(n)
 
 
 def _reaches(roots, target):

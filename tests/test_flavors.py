@@ -10,15 +10,18 @@ import sys
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            homology, induced_on_homology, validate)
-from artifact.circle import MINUS, PLUS, INFINITY, Window, s_u, safe_degrees
+                            PMorphism, homology, induced_on_homology,
+                            validate)
+from artifact import circle, flavors
+from artifact.circle import (MINUS, PLUS, INFINITY, NotAPMorphism, Window,
+                             _su_map, s_u, s_u_map, safe_degrees)
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
-                              TowerParams, assemble, cone_identities,
-                              cone_total, four_flavors, ladder_check,
-                              tower_model)
+                              FlavorBundle, TowerParams, assemble,
+                              cone_identities, cone_total, four_flavors,
+                              ladder_check, tower_model)
 
-from helpers import random_complex
+from helpers import random_complex, random_pmorphism
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -231,6 +234,60 @@ class TestFieldPathFactorsNothing:
         assert ladder_check(b).ok
         assert callers["solve"] == []
         assert callers["snf"] and set(callers["snf"]) == {"_flags"}
+
+
+class TestOneDoublingPerCertificate:
+    """``cone_identities`` and ``ladder_check`` double each complex once and
+    hand the doubled complexes to ``circle._su_map``; every p-morphism is
+    still verified before it is doubled."""
+
+    def test_su_map_of_given_doubles_is_s_u_map(self):
+        rng = random.Random(71)
+        for i in range(12):
+            p = (0, 2, 3)[i % 3]
+            C1, C2 = (random_complex(rng, max_pieces=3, degree_span=(-2, 3),
+                                     p=p, with_u=True).complex
+                      for _ in range(2))
+            P = random_pmorphism(rng, C1, C2)
+            assert P.verify()
+            assert _su_map(P, s_u(P.source), s_u(P.target)) == s_u_map(P)
+
+    def test_perturbed_k_p_refused_by_ladder(self):
+        b = assemble(golden_one())
+        bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
+        with pytest.raises(NotAPMorphism):
+            ladder_check(dataclasses.replace(b, k_p=b.k_p + bump))
+
+    def test_unverified_i_leaves_the_doubled_identities_unchecked(
+            self, monkeypatch):
+        # i's witness broken only where cone_identities doubles i, so k and
+        # l still verify and only _su_map can refuse it
+        b = assemble(golden_three())
+        bump = GradedMap(b.bar.module, b.check.module, -1,
+                         {("s.a.x-1", "s.b.x0"): 1})
+        monkeypatch.setattr(FlavorBundle, "pm_i", lambda self: PMorphism(
+            self.bar, self.check, self.i, self.k_i + bump))
+        assert not b.pm_i().verify()
+        assert cone_identities(b).failures() == [
+            "eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2"]
+
+    def test_eight_doublings_for_four_complexes(self, monkeypatch):
+        doubled = []
+        original = circle.s_u
+
+        def counting(C):
+            doubled.append(C)
+            return original(C)
+
+        for module in (circle, flavors):
+            monkeypatch.setattr(module, "s_u", counting)
+        b = assemble(tower_model(TowerParams(base=mod2_base(p=2), n=3)))
+        assert cone_identities(b).ok
+        assert ladder_check(b).ok
+        # hat, bar, check and the cone (built anew by each), once in each
+        assert len(doubled) == 8
+        for C in (b.hat, b.bar, b.check):
+            assert sum(D is C for D in doubled) == 2
 
 
 class TestTowerModel:
