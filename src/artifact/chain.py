@@ -783,10 +783,11 @@ class PMorphism:
     """A chain map together with its U-commutation witness.
 
     Invariants: phi.d1 - (-1)^{deg phi} d2.phi = 0 and
-    phi.U1 - U2.phi + (-1)^{deg phi} k_phi.d1 + d2.k_phi = 0.
+    phi.U1 - U2.phi + (-1)^{deg phi} k_phi.d1 + d2.k_phi = 0.  Every part
+    is immutable, so ``verify`` keeps its verdict in ``_verdict``.
     """
 
-    __slots__ = ("source", "target", "phi", "k_phi")
+    __slots__ = ("source", "target", "phi", "k_phi", "_verdict")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  phi: GradedMap, k_phi: GradedMap):
@@ -796,6 +797,7 @@ class PMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "k_phi", k_phi)
+        object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PMorphism is immutable")
@@ -824,9 +826,12 @@ class PMorphism:
                 + (self.target.d @ self.k_phi))
 
     def verify(self) -> bool:
-        p = self.source.p
-        return (self.chain_map_defect().is_zero_mod(p)
-                and self.u_defect().is_zero_mod(p))
+        if self._verdict is None:
+            p = self.source.p
+            object.__setattr__(self, "_verdict",
+                               self.chain_map_defect().is_zero_mod(p)
+                               and self.u_defect().is_zero_mod(p))
+        return self._verdict
 
     def compose(self, other: "PMorphism") -> "PMorphism":
         """self after other, with the standard witness composition

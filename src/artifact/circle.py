@@ -33,7 +33,9 @@ unsafe degrees and all assertions are made at safe ones.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cache, partial
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .chain import (
     ChainComplex,
@@ -375,16 +377,22 @@ class LESCertificate:
 class FundamentalSequences:
     """The four flavor expansions of one complex on a window, with both
     fundamental short exact sequences (minus into infinity onto plus; minus
-    into minus by u onto hat) and their homology certificates."""
+    into minus by u onto hat) and their homology certificates.  The second
+    sequence (``seq2``, ``les2``, ``delta2``) is built on first access and
+    kept; ``ok`` forces it."""
 
     window: Window
     complexes: Dict[str, ChainComplex]
     seq1: ShortExactSequence
-    seq2: ShortExactSequence
     les1: LESCertificate
-    les2: LESCertificate
     delta1: _HomologyArrow  # plus -> minus, degree -1
-    delta2: _HomologyArrow  # hat -> minus, degree 1 - hat offset
+    safe: Dict[str, Set[int]]  # the window-safe degrees of each slice
+    _second: Callable[[], tuple] = field(repr=False, compare=False)
+
+    seq2 = property(lambda self: self._second()[0])
+    les2 = property(lambda self: self._second()[1])
+    # hat -> minus, degree 1 - hat offset
+    delta2 = property(lambda self: self._second()[2])
 
     @property
     def ok(self) -> bool:
@@ -466,8 +474,7 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     the chain level and through the long exact sequence at window-safe
     degrees; connecting maps by the snake construction, retraction . d .
     section through the canonical degreewise splittings."""
-    minus, inf, plus, hat = (complexes[t] for t in FLAVOR_TAGS)
-    o = layout.hat_offset
+    minus, inf, plus = (complexes[t] for t in FLAVOR_TAGS[:3])
 
     inc = GradedMap(minus.module, inf.module, 0, _identity_entries(minus, inf))
     proj = GradedMap(inf.module, plus.module, 0, _identity_entries(inf, plus))
@@ -481,6 +488,32 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
                        for j in seq1_checked))
     seq1 = ShortExactSequence(layout.seq_tags[0], minus, inf, plus, inc,
                               proj, seq1_checked, seq1_ok)
+
+    delta1 = _HomologyArrow(
+        _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
+    inc_a = _HomologyArrow(inc, minus, inf)
+    proj_a = _HomologyArrow(proj, inf, plus)
+
+    safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
+            for tag in FLAVOR_TAGS}
+    les1 = _les_certificate(layout.les_tags[0], win, (
+        ("infinity", inc_a, proj_a,
+         (("infinity", 0), ("minus", 0), ("plus", 0))),
+        ("plus", proj_a, delta1,
+         (("plus", 0), ("infinity", 0), ("minus", -1))),
+        ("minus", delta1, inc_a,
+         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe)
+    return FundamentalSequences(
+        win, complexes, seq1, les1, delta1, safe,
+        cache(partial(_second_sequence, complexes, layout, win, safe)))
+
+
+def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
+                     win: Window, safe: Dict[str, Set[int]]) -> tuple:
+    """(seq2, les2, delta2) of ``_fundamental``: minus into minus by u onto
+    hat, its long exact sequence certificate and its connecting map."""
+    minus, hat = complexes["minus"], complexes["hat"]
+    o = layout.hat_offset
 
     # multiplication by u inside minus, quotient onto hat: the bottom line
     # of minus goes to the hat line, o degrees up
@@ -503,26 +536,11 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     seq2 = ShortExactSequence(layout.seq_tags[1], minus, minus, hat, mult_u,
                               proj2, seq2_checked, seq2_ok)
 
-    delta1 = _HomologyArrow(
-        _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
     # retracting u keeps the exponents above the bottom of minus
     delta2 = _HomologyArrow(
         _transpose(mult_u) @ minus.d @ _transpose(proj2), hat, minus)
-
-    inc_a = _HomologyArrow(inc, minus, inf)
-    proj_a = _HomologyArrow(proj, inf, plus)
     mult_a = _HomologyArrow(mult_u, minus, minus)
     proj2_a = _HomologyArrow(proj2, minus, hat)
-
-    safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
-            for tag in FLAVOR_TAGS}
-    les1 = _les_certificate(layout.les_tags[0], win, (
-        ("infinity", inc_a, proj_a,
-         (("infinity", 0), ("minus", 0), ("plus", 0))),
-        ("plus", proj_a, delta1,
-         (("plus", 0), ("infinity", 0), ("minus", -1))),
-        ("minus", delta1, inc_a,
-         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe)
     les2 = _les_certificate(layout.les_tags[1], win, (
         ("minus@u-image", mult_a, proj2_a,
          (("minus", 0), ("minus", 2), ("hat", o))),
@@ -530,9 +548,7 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
          (("hat", 0), ("minus", -o), ("minus", 1 - o))),
         ("minus@delta-image", delta2, mult_a,
          (("minus", 0), ("hat", o - 1), ("minus", -2)))), safe)
-
-    return FundamentalSequences(win, complexes, seq1, seq2, les1, les2,
-                                delta1, delta2)
+    return seq2, les2, delta2
 
 
 def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
@@ -540,7 +556,8 @@ def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     infinity onto plus; minus into minus by u onto hat) with degreewise
     exactness checks and homology-level long-exact-sequence certificates at
     window-safe degrees, connecting maps computed by the snake construction
-    through the canonical degreewise splitting."""
+    through the canonical degreewise splitting.  The second sequence is
+    built on first access; ``ok`` forces it."""
     win = _resolve_window(C.module.degrees(), window)
     complexes = {f.tag: e_y(C, f, win) for f in ALL_FLAVORS}
     return _fundamental(complexes, _U_LAYOUT,

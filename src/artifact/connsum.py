@@ -195,7 +195,8 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     complexes on a window and certify both fundamental sequences: the
     exponent split 0 -> minus -> infinity -> plus -> 0 and the exponent
     shift 0 -> minus -> minus -> hat -> 0, degreewise at the chain level
-    and through the long exact sequence at window-safe degrees."""
+    and through the long exact sequence at window-safe degrees.  Both
+    sequences are built before this returns."""
     if not check_positivity(F):
         bad = [(k, terms) for k, terms in F.d_entries.items()
                if any(n < 0 for n, _ in terms)]
@@ -207,7 +208,9 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
              for n, c in ts]
     cm = {tag: _expand(F.generators, terms, _LAURENT_LAYOUT, tag, win, F.p)
           for tag in FLAVOR_TAGS}
-    return _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
+    fs = _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
+    fs._second()
+    return fs
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ and ``four_flavors`` packages the four flavor homology tables of a single
 U-complex with their connecting certificates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chain import (
@@ -67,7 +67,6 @@ from .circle import (
     _su_map,
     fundamental_sequences,
     s_u,
-    safe_degrees,
 )
 from .exactlin import IntMatrix
 
@@ -187,7 +186,8 @@ class FlavorBundle:
     ``i``: bar -> check (degree 0), ``j``: check -> hat (degree 0),
     ``p``: hat -> bar (degree -1); ``k_i``/``k_j``/``k_p`` are the
     U-commutation witnesses, stored in their printed form (the p-morphism
-    witness of j is ``-k_j``).
+    witness of j is ``-k_j``).  ``pm_i``/``pm_j``/``pm_p`` hand out one
+    p-morphism each per bundle, so each is verified once.
     """
 
     hat: ChainComplex
@@ -200,6 +200,13 @@ class FlavorBundle:
     k_j: GradedMap
     k_p: GradedMap
     components: BalancedComponents
+    _pms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pms", (
+            PMorphism(self.bar, self.check, self.i, self.k_i),
+            PMorphism(self.check, self.hat, self.j, -self.k_j),
+            PMorphism(self.hat, self.bar, self.p, self.k_p)))
 
     @property
     def u_hat(self) -> GradedMap:
@@ -214,13 +221,13 @@ class FlavorBundle:
         return self.check.u_action
 
     def pm_i(self) -> PMorphism:
-        return PMorphism(self.bar, self.check, self.i, self.k_i)
+        return self._pms[0]
 
     def pm_j(self) -> PMorphism:
-        return PMorphism(self.check, self.hat, self.j, -self.k_j)
+        return self._pms[1]
 
     def pm_p(self) -> PMorphism:
-        return PMorphism(self.hat, self.bar, self.p, self.k_p)
+        return self._pms[2]
 
 
 # tags of the identities assemble() verifies, in its checking order
@@ -326,6 +333,9 @@ def assemble(components: BalancedComponents,
     hat_cx = ChainComplex(hat_mod, d_hat, u_action=u_hat, p=prime)
     bar_cx = ChainComplex(bar_mod, d_bar, u_action=u_bar, p=prime)
     check_cx = ChainComplex(check_mod, d_check, u_action=u_check, p=prime)
+    bundle = FlavorBundle(hat=hat_cx, bar=bar_cx, check=check_cx,
+                          i=i_map, j=j_map, p=p_map,
+                          k_i=k_i, k_j=k_j, k_p=k_p, components=components)
 
     # one check per entry of ASSEMBLY_TAGS, in the same order
     checks: List[Callable[[], bool]] = [
@@ -335,9 +345,9 @@ def assemble(components: BalancedComponents,
         lambda: is_chain_map(i_map, bar_cx, check_cx),
         lambda: is_chain_map(j_map, check_cx, hat_cx),
         lambda: is_chain_map(p_map, hat_cx, bar_cx),
-        lambda: PMorphism(bar_cx, check_cx, i_map, k_i).verify(),
-        lambda: PMorphism(check_cx, hat_cx, j_map, -k_j).verify(),
-        lambda: PMorphism(hat_cx, bar_cx, p_map, k_p).verify(),
+        lambda: bundle.pm_i().verify(),
+        lambda: bundle.pm_j().verify(),
+        lambda: bundle.pm_p().verify(),
         lambda: commutator(d_hat, u_hat).is_zero_mod(prime),
         lambda: commutator(d_bar, u_bar).is_zero_mod(prime),
         lambda: commutator(d_check, u_check).is_zero_mod(prime),
@@ -345,10 +355,7 @@ def assemble(components: BalancedComponents,
     for tag, fn in zip(ASSEMBLY_TAGS, checks, strict=True):
         if not fn():
             raise AssemblyInconsistent(tag)
-
-    return FlavorBundle(hat=hat_cx, bar=bar_cx, check=check_cx,
-                        i=i_map, j=j_map, p=p_map,
-                        k_i=k_i, k_j=k_j, k_p=k_p, components=components)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +589,10 @@ class FourFlavors:
 
 def four_flavors(C: ChainComplex, window=None) -> FourFlavors:
     """Slice s_u(C) into the four flavors and certify the two fundamental
-    long exact sequences tying them together."""
+    long exact sequences tying them together, both built before returning."""
     S = s_u(C)
     fs = fundamental_sequences(S, window)
+    fs._second()
     tables = {tag: homology(cx) for tag, cx in fs.complexes.items()}
     return FourFlavors(fs.window, tables, fs)
 
@@ -673,7 +681,8 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     three doubled complexes and the sliced images of p, i, j: at chain level
     for inclusion and projection, on homology classes (with the degree sign)
     for the connecting maps.  Only degrees where every involved slice is
-    window-safe are checked.
+    window-safe are checked.  Of each doubled complex only the first
+    fundamental sequence is certified; the second is never built here.
     """
     prime = bundle.hat.p
     su_hat = s_u(bundle.hat)
@@ -717,9 +726,6 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     fs = {"hat": fundamental_sequences(su_hat, win),
           "bar": fundamental_sequences(su_bar, win),
           "check": fundamental_sequences(su_check, win)}
-    doubles = {"hat": su_hat, "bar": su_bar, "check": su_check}
-    safe = {(k, fl): set(safe_degrees(doubles[k], fl, win))
-            for k in doubles for fl in (MINUS, INFINITY, PLUS)}
 
     legs = (("p", su_p, "hat", "bar"),
             ("i", su_i, "bar", "check"),
@@ -754,12 +760,11 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
         d = f.degree
         sgn = -1 if d % 2 else 1
         ea, eb = fs[a].complexes["plus"], fs[b].complexes["minus"]
+        sa, sb = fs[a].safe, fs[b].safe
         for j in range(win.lo, win.hi + 1):
-            if not (j in safe[(a, PLUS)] and j in safe[(a, INFINITY)]
-                    and (j - 1) in safe[(a, MINUS)]
-                    and (j + d) in safe[(b, PLUS)]
-                    and (j + d) in safe[(b, INFINITY)]
-                    and (j + d - 1) in safe[(b, MINUS)]):
+            if not (j in sa["plus"] and j in sa["infinity"]
+                    and j - 1 in sa["minus"] and j + d in sb["plus"]
+                    and j + d in sb["infinity"] and j + d - 1 in sb["minus"]):
                 continue
             try:
                 ok = _square_commutes(
@@ -774,7 +779,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     b_p = arrows[("p", "minus")]
     b_i = arrows[("i", "minus")]
     b_j = arrows[("j", "minus")]
-    sm = {k: safe[(k, MINUS)] for k in doubles}
+    sm = {k: fs[k].safe["minus"] for k in fs}
     bottom = _les_certificate("eq:KM-bottom", win, (
         ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
         ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),

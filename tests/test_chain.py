@@ -515,6 +515,26 @@ class TestHomotopyAndPMorphisms:
         with pytest.raises(ChainError):
             PMorphism(C, C, phi, GradedMap.zero(C.module, C.module, 0))
 
+    def test_verdict_computed_once(self, monkeypatch):
+        # a(0) -> b(-2) under U, d = 0: the identity is a p-morphism, the
+        # projection onto a is a chain map that does not commute with U
+        m = GradedModule([("a", 0), ("b", -2)])
+        C = ChainComplex(m, GradedMap.zero(m, m, -1),
+                         u_action=GradedMap(m, m, -2, {("a", "b"): 1}))
+        checked = []
+        original = PMorphism.u_defect
+
+        def counting(self):
+            checked.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PMorphism, "u_defect", counting)
+        good = PMorphism.identity(C)
+        bad = PMorphism.strict(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
+        for _ in range(3):
+            assert good.verify() and not bad.verify()
+        assert checked == [good, bad]
+
 
 class TestInducedMaps:
     def test_doubling_flags(self):

@@ -2,12 +2,14 @@
 fundamental sequences, first-page models, and both duality comparisons."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             ModulusUnsupported, PMorphism, homology,
                             is_chain_map, validate)
+from artifact import circle
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
                              _name_map, _ses_exact_at, e1_page, e_y, e_y_map,
@@ -248,6 +250,54 @@ class TestFundamentalSequences:
             H = homology(e_y(S, INFINITY, win))
             for j in safe_degrees(S, INFINITY, win):
                 assert H[j].is_trivial()
+
+
+class TestSecondSequenceOnDemand:
+    """``fundamental_sequences`` builds the second sequence (minus into
+    minus by u onto hat) on first access to ``seq2``/``les2``/``delta2``,
+    once; ``ok`` forces it and still certifies it."""
+
+    def test_built_once_on_first_access(self, monkeypatch):
+        tags = Counter()
+        original = circle._les_certificate
+
+        def counting(tag, *args):
+            tags[tag] += 1
+            return original(tag, *args)
+
+        monkeypatch.setattr(circle, "_les_certificate", counting)
+        rng = random.Random(35)
+        for p in (0, 2, 3):
+            S = s_u(random_u_complex(rng, p=p))
+            tags.clear()
+            fs = fundamental_sequences(S)
+            assert tags == {"localization-sequence": 1}
+            assert fs.les2 is fs.les2
+            assert fs.seq2 is fs.seq2 and fs.delta2 is fs.delta2
+            assert fs.ok
+            assert tags == {"localization-sequence": 1,
+                            "u-multiplication-sequence": 1}
+            assert fundamental_sequences(S).ok
+            assert tags["u-multiplication-sequence"] == 2
+
+    def test_a_failing_les2_node_alone_fails_ok(self, monkeypatch):
+        original = circle.exactness_pair
+
+        def failing_at_u_image(incoming, outgoing, j):
+            contained, equal = original(incoming, outgoing, j)
+            # u-multiplication is the only arrow from a slice to itself, and
+            # the node it leads into is minus@u-image
+            if incoming.source is incoming.target:
+                return contained, False
+            return contained, equal
+
+        monkeypatch.setattr(circle, "exactness_pair", failing_at_u_image)
+        fs = fundamental_sequences(s_u(point()), Window(-8, 8))
+        assert fs.seq1.exact and fs.les1.ok and fs.seq2.exact
+        failures = fs.les2.failures()
+        assert failures
+        assert {n.location for n in failures} == {"minus@u-image"}
+        assert not fs.les2.ok and not fs.ok
 
 
 def _split(a_gens, b_gens, c_gens, inj, proj):

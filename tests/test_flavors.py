@@ -6,6 +6,7 @@ comparison ladder."""
 import dataclasses
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,11 @@ from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             PMorphism, homology, induced_on_homology,
                             validate)
 from artifact import circle, flavors
-from artifact.circle import (MINUS, PLUS, INFINITY, NotAPMorphism, Window,
-                             _su_map, s_u, s_u_map, safe_degrees)
+from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
+                             NotAPMorphism, Window, _su_map,
+                             fundamental_sequences, s_u, s_u_map,
+                             safe_degrees)
+from artifact.connsum import FilteredComplex, cm_flavors
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
                               FlavorBundle, TowerParams, assemble,
@@ -288,6 +292,96 @@ class TestOneDoublingPerCertificate:
         assert len(doubled) == 8
         for C in (b.hat, b.bar, b.check):
             assert sum(D is C for D in doubled) == 2
+
+
+class TestOneVerificationPerPMorphism:
+    """Each bundle hands out one p-morphism per comparison map, and a
+    p-morphism keeps its verdict: a tower case verifies i, j and p in
+    ``assemble`` and k and l in ``cone_identities``, and nothing again."""
+
+    def test_five_verifications_per_case(self, monkeypatch):
+        verified = []
+        original = PMorphism.chain_map_defect
+
+        def counting(self):
+            verified.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PMorphism, "chain_map_defect", counting)
+        b = assemble(tower_model(TowerParams(base=mod2_base(p=2), n=3)))
+        assert verified == [b.pm_i(), b.pm_j(), b.pm_p()]
+        assert b.pm_i() is b.pm_i() and b.pm_p() is b.pm_p()
+        assert cone_identities(b).ok
+        assert ladder_check(b).ok
+        assert len(verified) == 5 and len(set(map(id, verified))) == 5
+
+    def test_replaced_bundle_gets_fresh_pmorphisms(self):
+        b = assemble(golden_one())
+        assert b.pm_p().verify()
+        bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
+        b2 = dataclasses.replace(b, k_p=b.k_p + bump)
+        assert b2.pm_p() is not b.pm_p()
+        assert not b2.pm_p().verify() and b.pm_p().verify()
+
+
+def _tower_bundles():
+    for p in (2, 3):
+        for n in (3, 4, 5):
+            yield assemble(tower_model(TowerParams(base=mod2_base(p=p),
+                                                   n=n)))
+
+
+class TestSecondSequenceWhereReported:
+    """``ladder_check`` reports only the first fundamental sequence of each
+    doubled complex and never builds the second; ``four_flavors`` and
+    ``cm_flavors`` report both and build both before they return."""
+
+    @staticmethod
+    def count_tags(monkeypatch):
+        tags = Counter()
+        original = circle._les_certificate
+
+        def counting(tag, *args):
+            tags[tag] += 1
+            return original(tag, *args)
+
+        for module in (circle, flavors):
+            monkeypatch.setattr(module, "_les_certificate", counting)
+        return tags
+
+    def test_ladder_builds_no_second_sequence(self, monkeypatch):
+        tags = self.count_tags(monkeypatch)
+        for b in _tower_bundles():
+            tags.clear()
+            assert ladder_check(b).ok
+            assert tags == {"localization-sequence": 3, "eq:induced-KM1": 1,
+                            "eq:KM-bottom": 1}
+
+    def test_reporters_return_with_both_sequences_built(self, monkeypatch):
+        tags = self.count_tags(monkeypatch)
+        C = random_complex(random.Random(73), max_pieces=3,
+                           degree_span=(-2, 3), with_u=True).complex
+        F = FilteredComplex([("a", 0), ("b", 1)], {("a", "b"): [(1, 1)]})
+        for build, second in (
+                (lambda: four_flavors(C).sequences,
+                 "u-multiplication-sequence"),
+                (lambda: cm_flavors(F, Window(-5, 5)), "eq:fund-short:2")):
+            tags.clear()
+            fs = build()
+            assert tags[second] == 1
+            assert fs.seq2 is fs.seq2 and fs.les2 is fs.les2
+            assert fs.delta2 is fs.delta2 and fs.ok
+            assert tags[second] == 1
+
+    def test_window_safe_sets_match_safe_degrees(self):
+        for b in _tower_bundles():
+            for cx in (b.hat, b.bar, b.check):
+                S = s_u(cx)
+                for win in (Window.default_for(S), Window(-3, 3),
+                            Window(0, 1)):
+                    assert fundamental_sequences(S, win).safe == {
+                        fl.tag: set(safe_degrees(S, fl, win))
+                        for fl in ALL_FLAVORS}
 
 
 class TestTowerModel:

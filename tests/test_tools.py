@@ -1,6 +1,7 @@
-"""Smoke test of ``tools/scale_z.py``.  The script reaches into the
-program (``chain.reduction`` and the flavor slices of ``four_flavors``)
-and nothing else runs it, so a change to those names fails here."""
+"""Smoke tests of the scripts in ``tools/``.  Nothing else runs them:
+``scale_z.py`` reaches into the program (``chain.reduction`` and the flavor
+slices of ``four_flavors``), so a change to those names fails here, and
+``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs."""
 
 import importlib.util
 import re
@@ -31,3 +32,29 @@ def test_scale_z_line_format():
     after = sum(int(a) for _, _, a in slices)
     assert (before, after) == (int(m.group(1)), int(m.group(2)))
     assert all(int(a) <= int(b) for _, b, a in slices)
+
+
+CLI_SWEEP = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"
+
+
+def test_cli_sweep_lines_and_differences():
+    spec = importlib.util.spec_from_file_location("cli_sweep", CLI_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    root = sweep.HERE_ROOT
+    runs = sweep.runs(root)
+    assert len({tuple(r) for r in runs}) == len(runs)
+    picked = [["tower", "--n", "3", "--format", "machine"],
+              ["verify", "corpus/v1/point.txt", "--format", "text",
+               "--window", "0..1"]]
+    assert all(argv in runs for argv in picked)
+    lines = [sweep.capture(root, argv) for argv in picked]
+    for line, argv in zip(lines, picked):
+        assert re.fullmatch(r"0 [0-9a-f]{64} " + re.escape(" ".join(argv)),
+                            line), line
+    assert sweep.differences(lines, lines) == []
+    changed = ["1" + lines[0][1:], lines[1]]
+    assert sweep.differences(lines, changed) == [
+        f"- {lines[0]}\n+ {changed[0]}"]
+    assert sweep.differences(lines, lines[:1]) == [
+        f"- {lines[1]}\n+ (missing)"]
