@@ -9,8 +9,10 @@ Y = dX - Xd with rejection on Y.Y != 0.
 """
 
 import random
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from artifact import circle
 from artifact.chain import ChainComplex, GradedMap, GradedModule, PMorphism
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.exactlin import (AbelianGroup, IntMatrix, _back_substitute,
@@ -251,3 +253,18 @@ def ses_verdicts(fs) -> List[Tuple[bool, bool]]:
                         lattice_ses_exact_at(seq.inject, seq.project, j,
                                              seq.left.p)))
     return out
+
+
+def count_les_tags(monkeypatch, *modules) -> Counter:
+    """A Counter of ``_les_certificate`` calls by tag, made through the
+    name each of ``modules`` binds it to."""
+    tags: Counter = Counter()
+    original = circle._les_certificate
+
+    def counting(tag, *args):
+        tags[tag] += 1
+        return original(tag, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_les_certificate", counting)
+    return tags

@@ -2,7 +2,6 @@
 fundamental sequences, first-page models, and both duality comparisons."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -17,8 +16,8 @@ from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              s_u_map, safe_degrees)
 from artifact.exactlin import AbelianGroup
 
-from helpers import (lattice_ses_exact_at, random_complex, random_pmorphism,
-                     ses_verdicts)
+from helpers import (count_les_tags, lattice_ses_exact_at, random_complex,
+                     random_pmorphism, ses_verdicts)
 
 Z = AbelianGroup(1)
 
@@ -258,14 +257,7 @@ class TestSecondSequenceOnDemand:
     once; ``ok`` forces it and still certifies it."""
 
     def test_built_once_on_first_access(self, monkeypatch):
-        tags = Counter()
-        original = circle._les_certificate
-
-        def counting(tag, *args):
-            tags[tag] += 1
-            return original(tag, *args)
-
-        monkeypatch.setattr(circle, "_les_certificate", counting)
+        tags = count_les_tags(monkeypatch, circle)
         rng = random.Random(35)
         for p in (0, 2, 3):
             S = s_u(random_u_complex(rng, p=p))

@@ -6,7 +6,6 @@ comparison ladder."""
 import dataclasses
 import random
 import sys
-from collections import Counter
 
 import pytest
 
@@ -25,7 +24,7 @@ from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
                               cone_identities, cone_total, four_flavors,
                               ladder_check, tower_model)
 
-from helpers import random_complex, random_pmorphism
+from helpers import count_les_tags, random_complex, random_pmorphism
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -336,21 +335,8 @@ class TestSecondSequenceWhereReported:
     doubled complex and never builds the second; ``four_flavors`` and
     ``cm_flavors`` report both and build both before they return."""
 
-    @staticmethod
-    def count_tags(monkeypatch):
-        tags = Counter()
-        original = circle._les_certificate
-
-        def counting(tag, *args):
-            tags[tag] += 1
-            return original(tag, *args)
-
-        for module in (circle, flavors):
-            monkeypatch.setattr(module, "_les_certificate", counting)
-        return tags
-
     def test_ladder_builds_no_second_sequence(self, monkeypatch):
-        tags = self.count_tags(monkeypatch)
+        tags = count_les_tags(monkeypatch, circle, flavors)
         for b in _tower_bundles():
             tags.clear()
             assert ladder_check(b).ok
@@ -358,7 +344,7 @@ class TestSecondSequenceWhereReported:
                             "eq:KM-bottom": 1}
 
     def test_reporters_return_with_both_sequences_built(self, monkeypatch):
-        tags = self.count_tags(monkeypatch)
+        tags = count_les_tags(monkeypatch, circle, flavors)
         C = random_complex(random.Random(73), max_pieces=3,
                            degree_span=(-2, 3), with_u=True).complex
         F = FilteredComplex([("a", 0), ("b", 1)], {("a", "b"): [(1, 1)]})

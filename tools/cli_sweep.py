@@ -26,7 +26,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 HERE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -78,7 +78,7 @@ def differences(old: Iterable[str], new: Iterable[str]) -> List[str]:
     return out
 
 
-def main(argv: Sequence[str] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=HERE_ROOT,
                         help="checkout to run (default: this one)")
