@@ -38,11 +38,12 @@ checked against the assembled modules and the map's degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
                        CompositionNonzero, _kernel_head, field_rank, is_prime,
-                       kernel_of_presented_map, snf, solve, subgroups_equal)
+                       kernel_of_presented_map, lattice_contains, snf)
 
 
 class ChainError(Exception):
@@ -141,17 +142,19 @@ class GradedMap:
                  entries: Optional[Dict[Tuple[str, str], int]] = None):
         clean: Dict[Tuple[str, str], int] = {}
         if entries:
+            sindex, sgens = source._index, source.generators
+            tindex, tgens = target._index, target.generators
             for (s, t), v in entries.items():
                 if not v:
                     continue
-                if s not in source:
+                if (a := sindex.get(s)) is None:
                     raise ChainError(f"unknown source generator {s!r}")
-                if t not in target:
+                if (b := tindex.get(t)) is None:
                     raise ChainError(f"unknown target generator {t!r}")
-                want = source.degree_of(s) + degree
+                want = sgens[a][1] + degree
                 if target.modulus:
                     want %= target.modulus
-                if target.degree_of(t) != want:
+                if tgens[b][1] != want:
                     raise ChainError(
                         f"entry {s!r}->{t!r} violates degree {degree} homogeneity")
                 clean[(s, t)] = v
@@ -474,7 +477,8 @@ def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
         else:
             d_in, d_out = d.block(j + 1), d.block(j)
         pg = PresentedGroup.from_pair(d_in, d_out, C.p)
-        pg.read_through(*red.blocks.get(j, _EMPTY_BLOCKS), C.d.block(j))
+        pg.read_through(*red.blocks.get(j, _EMPTY_BLOCKS),
+                        partial(C.d.block, j))
         C._presented[j] = pg
     return pg
 
@@ -952,7 +956,8 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
     middle complex where the arrows meet over one ring; incoming lands in
     degree j, outgoing leaves from it.  After F's cycle test a trivial
     middle group is exact by shape (F has no rows, G no columns); other
-    nodes by rank arithmetic over F_p, by lattices in the groups over Z."""
+    nodes by rank arithmetic over F_p, over Z by G.F and two lattice
+    factorizations."""
     p = incoming.target.p
     if (incoming.target is not outgoing.source
             or incoming.source.p != p or outgoing.target.p != p):
@@ -980,15 +985,15 @@ def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
 
 def _lattice_exactness(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
                        tgt: PresentedGroup, p: int) -> Tuple[bool, bool]:
-    """Exactness in presented groups over Z or F_p: the image of F lies in
-    the kernel of G modulo the middle torsion, and generates it."""
-    t_mid = mid.torsion_relation_columns()
-    t_tgt = tgt.torsion_relation_columns()
-    kernel_gens = IntMatrix.hstack(
-        [kernel_of_presented_map(G, t_tgt, p), t_mid])
-    contained = solve(kernel_gens, F, p) is not None
-    equal = contained and subgroups_equal(
-        IntMatrix.hstack([F, t_mid]), kernel_gens, t_mid, p)
+    """Exactness in presented groups over Z or F_p: G.F is zero in the
+    target group (no factorization), and then ker G, one factorization of
+    [G | target torsion], lies in the span of F and the middle torsion."""
+    GF = G @ F
+    contained = all(tgt.coords_are_zero([GF[(i, c)] for i in range(GF.rows)])
+                    for c in range(GF.cols))
+    equal = contained and lattice_contains(
+        IntMatrix.hstack([F, mid.torsion_relation_columns()]),
+        kernel_of_presented_map(G, tgt.torsion_relation_columns(), p), p)
     return contained, equal
 
 

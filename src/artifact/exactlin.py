@@ -26,7 +26,7 @@ factors its cycle basis once, the first time coordinates are asked of it
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class ExactLinError(Exception):
@@ -42,7 +42,9 @@ class CompositionNonzero(ExactLinError):
 
 
 class IntMatrix:
-    """Immutable sparse integer matrix."""
+    """Immutable sparse integer matrix.  Constructors fed from outside check
+    every entry against the shape; closed operations, the SNF transforms and
+    kernels build their nonzero in-range results unchecked, by ``_trusted``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -62,6 +64,13 @@ class IntMatrix:
                     clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "IntMatrix":
+        """A matrix owning ``entries``, already nonzero and in range."""
+        m = cls.__new__(cls)
+        _set_rows(m, rows), _set_cols(m, cols), _set_entries(m, entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -73,7 +82,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]],
@@ -138,20 +147,17 @@ class IntMatrix:
                 entries[k] = w
             else:
                 entries.pop(k, None)
-        return IntMatrix(self.rows, self.cols, entries)
+        return IntMatrix._trusted(self.rows, self.cols, entries)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         {k: -v for k, v in self.entries.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
-        if not c:
-            return IntMatrix(self.rows, self.cols)
-        return IntMatrix(self.rows, self.cols,
-                         {k: c * v for k, v in self.entries.items()})
+        return IntMatrix._trusted(self.rows, self.cols, {
+            k: c * v for k, v in self.entries.items() if c})
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -175,13 +181,13 @@ class IntMatrix:
             for j, s in acc.items():
                 if s:
                     entries[(i, j)] = s
-        return IntMatrix(self.rows, other.cols, entries)
+        return IntMatrix._trusted(self.rows, other.cols, entries)
 
     def mod(self, p: int) -> "IntMatrix":
         if p <= 0:
             return self
-        return IntMatrix(self.rows, self.cols,
-                         {k: v % p for k, v in self.entries.items() if v % p})
+        return IntMatrix._trusted(self.rows, self.cols, {
+            k: v % p for k, v in self.entries.items() if v % p})
 
     @classmethod
     def hstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -196,7 +202,7 @@ class IntMatrix:
             for (i, j), v in b.entries.items():
                 entries[(i, j + off)] = v
             off += b.cols
-        return cls(rows, off, entries)
+        return cls._trusted(rows, off, entries)
 
     def submatrix_cols(self, js: Sequence[int]) -> "IntMatrix":
         pos = {j: a for a, j in enumerate(js)}
@@ -205,6 +211,10 @@ class IntMatrix:
             if j in pos:
                 entries[(i, pos[j])] = v
         return IntMatrix(self.rows, len(js), entries)
+
+
+_set_rows, _set_cols, _set_entries = (
+    IntMatrix.rows.__set__, IntMatrix.cols.__set__, IntMatrix.entries.__set__)
 
 
 class AbelianGroup:
@@ -357,7 +367,8 @@ class _Worker:
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
         lent = {(i, j): v for i, row in enumerate(self.left) for j, v in row.items()}
         rent = {(i, j): v for j, col in enumerate(self.right) for i, v in col.items()}
-        return (IntMatrix(self.n, self.n, lent), IntMatrix(self.m, self.m, rent))
+        return (IntMatrix._trusted(self.n, self.n, lent),
+                IntMatrix._trusted(self.m, self.m, rent))
 
 
 class SNFResult(Tuple[Tuple[int, ...], IntMatrix, IntMatrix]):
@@ -575,7 +586,7 @@ def _kernel_head(res: SNFResult, head: int) -> IntMatrix:
     rank = len(res.factors)
     ent = {(i, j - rank): v for (i, j), v in res.right.entries.items()
            if j >= rank and i < head}
-    return IntMatrix(head, res.right.cols - rank, ent)
+    return IntMatrix._trusted(head, res.right.cols - rank, ent)
 
 
 def rank_and_kernel(M: IntMatrix, p: int = 0) -> Tuple[int, IntMatrix]:
@@ -675,8 +686,8 @@ class PresentedGroup:
     Z^N: the homology of a complex C at one degree, presented through a
     reduction C' of C with chain maps iota: C' -> C and pi: C -> C' such
     that pi . iota = 1.  Vectors are then columns of C_j; a vector is a
-    cycle when d_j kills it, its coordinates are those of pi_j of it, and
-    representatives are iota_j of those of C'_j.
+    cycle when d_j, built on first use, kills it, its coordinates are those
+    of pi_j of it, and representatives are iota_j of those of C'_j.
     """
 
     # filled lazily, by from_pair, or (iota_j, pi_j, d_j) by read_through
@@ -728,13 +739,13 @@ class PresentedGroup:
         return pg
 
     def read_through(self, iota: IntMatrix, pi: IntMatrix,
-                     d_out: IntMatrix) -> None:
+                     d_out: IntMatrix | Callable[[], IntMatrix]) -> None:
         """Read this presentation of C'_j as one of C_j, through the
         degree-j blocks of iota: C' -> C and pi: C -> C' (pi . iota = 1)
-        and of C's differential d_j.  Called once, before any coordinates
-        or representatives are asked of the group."""
+        and C's d_j, or a function building it at the first coordinate
+        request.  Called once, before coordinates or representatives."""
         if (iota.cols != self.dim or pi.rows != self.dim
-                or pi.cols != iota.rows or d_out.cols != iota.rows):
+                or pi.cols != iota.rows):
             raise DimensionMismatch("reduction blocks do not fit the group")
         self._iota, self._pi, self._d_out = iota, pi, d_out
 
@@ -754,6 +765,10 @@ class PresentedGroup:
         if ambient.is_zero():
             return IntMatrix(self.rank_coords(), ambient.cols)
         if self._pi is not None:
+            if not isinstance(self._d_out, IntMatrix):
+                self._d_out = self._d_out()
+            if self._d_out.cols != ambient.rows:
+                raise DimensionMismatch("d_j does not fit the reduction")
             if not (self._d_out @ ambient).mod(self.p).is_zero():
                 return None
             ambient = self._pi @ ambient

@@ -15,8 +15,10 @@ from typing import Dict, List, Optional, Tuple
 from artifact import circle
 from artifact.chain import ChainComplex, GradedMap, GradedModule, PMorphism
 from artifact.circle import _name_map, _ses_exact_at
-from artifact.exactlin import (AbelianGroup, IntMatrix, _back_substitute,
-                               lattice_contains, rank_and_kernel, snf)
+from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
+                               _back_substitute, kernel_of_presented_map,
+                               lattice_contains, rank_and_kernel, snf, solve,
+                               subgroups_equal)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
@@ -240,6 +242,23 @@ def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,
     # image = kernel as lattices, the image side through its one factorization
     return (_back_substitute(res_i, kp, p) is not None
             and lattice_contains(kp, bi, p))
+
+
+def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
+                             tgt: PresentedGroup, p: int) -> Tuple[bool, bool]:
+    """(contained, equal) of an LES node by four factorizations: the
+    kernel of G from [G | target torsion], F solved in that kernel plus the
+    middle torsion, and a double inclusion of subgroups modulo the middle
+    torsion.  The oracle for ``chain._lattice_exactness``, which reads
+    ``contained`` off G.F and factors twice."""
+    t_mid = mid.torsion_relation_columns()
+    t_tgt = tgt.torsion_relation_columns()
+    kernel_gens = IntMatrix.hstack(
+        [kernel_of_presented_map(G, t_tgt, p), t_mid])
+    contained = solve(kernel_gens, F, p) is not None
+    equal = contained and subgroups_equal(
+        IntMatrix.hstack([F, t_mid]), kernel_gens, t_mid, p)
+    return contained, equal
 
 
 def ses_verdicts(fs) -> List[Tuple[bool, bool]]:

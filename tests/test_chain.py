@@ -45,6 +45,7 @@ from artifact.flavors import (TowerParams, assemble, four_flavors,
 from helpers import (
     anticommuting_y,
     commuting_u,
+    lattice_exactness_oracle,
     random_basis_change,
     random_complex,
     random_pmorphism,
@@ -895,6 +896,43 @@ class TestRankVerdict:
         assert (True, False) in broken and (False, False) in broken
 
 
+class TestLatticeNodes:
+    """Constructed Z nodes: the product test and two factorizations agree
+    with the four-factorization oracle where the image leaves the kernel,
+    where it falls short of it (F scaled by 2 at a free node, or killed by
+    the middle torsion), and where F or G is empty."""
+
+    def test_constructed_nodes(self):
+        M = IntMatrix.from_rows
+        zero = PresentedGroup.from_pair(IntMatrix(0, 0), IntMatrix(0, 0))
+        z = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
+        z2, z4 = (PresentedGroup.from_pair(M([[m]]), IntMatrix(0, 1))
+                  for m in (2, 4))
+        z2_z = PresentedGroup.from_pair(M([[2], [0]]), IntMatrix(0, 2))
+        assert (z2.group, z2_z.group) == (AbelianGroup(0, (2,)),
+                                          AbelianGroup(1, (2,)))
+        cases = [   # mid, tgt, F, G, (contained, equal)
+            (z, z, M([[1]]), M([[0]]), (True, True)),
+            (z, z, M([[2]]), M([[0]]), (True, False)),
+            (z, z, M([[1]]), M([[1]]), (False, False)),
+            (z, z, IntMatrix(1, 0), M([[3]]), (True, True)),
+            (z, z, IntMatrix(1, 0), M([[0]]), (True, False)),
+            (z, zero, M([[1]]), IntMatrix(0, 1), (True, True)),
+            (z, zero, M([[2]]), IntMatrix(0, 1), (True, False)),
+            (z, zero, IntMatrix(1, 0), IntMatrix(0, 1), (True, False)),
+            (z2, z4, M([[1]]), M([[2]]), (False, False)),
+            (z2, z4, M([[2]]), M([[2]]), (True, True)),
+            (z2, z4, M([[1]]), M([[0]]), (True, True)),
+            (z2, z4, M([[2]]), M([[0]]), (True, False)),
+            (z2_z, z, M([[1], [0]]), M([[0, 1]]), (True, True)),
+            (z2_z, z, M([[0], [1]]), M([[0, 1]]), (False, False)),
+            (z2_z, z, M([[1], [0]]), M([[0, 0]]), (True, False)),
+        ]
+        for mid, tgt, F, G, want in cases:
+            assert _lattice_exactness(F, G, mid, tgt, 0) == want
+            assert lattice_exactness_oracle(F, G, mid, tgt, 0) == want
+
+
 def _shortcut_inputs():
     """Certificates over seeded inputs: the fundamental sequences of
     doubled U-complexes over Z, F2 and F3, and the ladder of F2/F3 tower
@@ -993,7 +1031,9 @@ class TestEmptyGroupShortcuts:
 class TestPlainPresentationsFromDimension:
     """Where the reduction's differential is zero (every F_p complex) each
     degree is presented from its dimension: no block of d' is built, and
-    ``from_pair`` still runs once per degree, on n x 0 and 0 x n."""
+    ``from_pair`` still runs once per degree, on n x 0 and 0 x n.  The
+    only block built is C's own d_j, for the cycle test of a class whose
+    coordinates are asked."""
 
     def test_no_block_of_a_zero_reduced_differential(self, monkeypatch):
         built = []
@@ -1020,6 +1060,10 @@ class TestPlainPresentationsFromDimension:
             h = homology(C)
             d_red = reduction(C).complex.d
             assert d_red.is_zero()
+            j = max(h.degrees())
+            pg = _presentation(C, j)
+            assert pg.coord_matrix(pg.representatives()) == \
+                IntMatrix.identity(pg.rank_coords())
             assert built and not any(f is d_red for f in built)
             lo, hi = C.module.support_window()
             assert len(pairs) == len(C._presented) == hi - lo + 1
@@ -1028,6 +1072,41 @@ class TestPlainPresentationsFromDimension:
                 assert (d_in.rows, d_in.cols) == (n, 0)
                 assert (d_out.rows, d_out.cols) == (0, n)
                 assert h[j] == AbelianGroup(n)
+
+
+class TestOnDemandCycleBlock:
+    """A presentation builds C's block d_j, for its cycle test, the first
+    time coordinates are asked of it, and never for homology alone."""
+
+    def test_homology_builds_no_block_of_d(self, monkeypatch):
+        built = []
+        original_block = GradedMap.block
+
+        def recording(f, j):
+            built.append(f)
+            return original_block(f, j)
+
+        monkeypatch.setattr(GradedMap, "block", recording)
+        rng = random.Random(4477)
+        for i in range(12):
+            p = (0, 2, 3)[i % 3]
+            C = random_complex(rng, max_pieces=4, p=p, with_u=i > 5).complex
+            del built[:]
+            homology(C)
+            assert not any(f is C.d for f in built)
+            j = max(homology(C).degrees(), default=0)
+            pg = _presentation(C, j)
+            pg.coord_matrix(pg.representatives())
+            assert sum(f is C.d for f in built) == (pg.rank_coords() > 0)
+
+    def test_non_cycle_has_no_coordinates(self):
+        for p in (0, 3):
+            # b -> 2a, plus a cycle c beside b in degree 1
+            C = complex_from([("a", 0), ("b", 1), ("c", 1)],
+                             {("b", "a"): 2}, p=p)
+            pg = _presentation(C, 1)
+            assert pg.coord_matrix(IntMatrix.from_rows([[1], [0]])) is None
+            assert pg.coord_matrix(IntMatrix.from_rows([[0], [1]])) is not None
 
 
 def _reaches(roots, target):

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            _HomologyArrow, homology, is_chain_map, validate)
+                            _HomologyArrow, _lattice_exactness, homology,
+                            is_chain_map, validate)
 from artifact.circle import (_LAURENT_LAYOUT, ALL_FLAVORS, HAT, MINUS,
                              Window, _window_safe, e_y,
                              fundamental_sequences, s_u, safe_degrees)
@@ -19,9 +21,9 @@ from artifact.connsum import (ConnSumMaps, FilteredComplex,
                               verify_sum_maps)
 from artifact.exactlin import AbelianGroup, IntMatrix
 from artifact.chain import _presentation
-from artifact.flavors import _chase, _square_commutes
+from artifact.flavors import _chase, _square_commutes, four_flavors
 
-from helpers import random_complex, ses_verdicts
+from helpers import lattice_exactness_oracle, random_complex, ses_verdicts
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -267,6 +269,48 @@ class TestEnginesAgree:
                     verdicts += ses_verdicts(cm_flavors(F, win))
         assert len(verdicts) > 300
         assert all(n == lat for n, lat in verdicts)
+
+
+class TestLatticeVerdict:
+    """Over Z an LES node reads ``contained`` off G.F and factors twice;
+    the four-factorization oracle gives the same verdict at every node of
+    both flavor engines, and at each node with F replaced by 0, by the
+    identity of the middle group and by 2F."""
+
+    def test_z_nodes_agree_with_four_factorizations(self, monkeypatch):
+        nodes, torsion, broken = [], 0, set()
+        original = circle.exactness_pair
+
+        def both(incoming, outgoing, j):
+            nonlocal torsion
+            verdict = original(incoming, outgoing, j)
+            mid = _presentation(incoming.target, j)
+            n = mid.rank_coords()
+            if n:
+                assert incoming.target.p == 0
+                tgt = _presentation(outgoing.target, j + outgoing.degree)
+                F = incoming.matrix(j - incoming.degree)
+                G = outgoing.matrix(j)
+                assert verdict == lattice_exactness_oracle(F, G, mid, tgt, 0)
+                for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n),
+                            F.scale(2)):
+                    got = _lattice_exactness(bad, G, mid, tgt, 0)
+                    assert got == lattice_exactness_oracle(bad, G, mid, tgt,
+                                                           0)
+                    broken.add(got)
+                nodes.append(verdict)
+                torsion += bool(mid.torsion_moduli)
+            return verdict
+
+        monkeypatch.setattr(circle, "exactness_pair", both)
+        rng = random.Random(1204)
+        for _ in range(6):
+            C = random_complex(rng, max_pieces=4, with_u=True).complex
+            assert four_flavors(C).sequences.ok
+            cm_flavors(laurent_form(s_u(C)))
+            cm_flavors(random_filtered(rng))
+        assert len(nodes) > 250 and torsion > 100
+        assert {(True, False), (False, False)} <= broken
 
 
 class TestProduct:

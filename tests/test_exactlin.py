@@ -22,6 +22,7 @@ from artifact.exactlin import (
     solve,
     subgroups_equal,
     _inv_mod,
+    _kernel_head,
 )
 
 from helpers import det, random_matrix
@@ -269,6 +270,47 @@ class TestKernelMatchesSeed:
             ent[stray[:2]] = stray[2]
         M = IntMatrix(r, c, ent)
         assert snf(M, p) == reference_snf(M, p)
+
+
+def _matrix(rows, cols, values):
+    return IntMatrix(rows, cols, {(k // cols, k % cols): v
+                                  for k, v in enumerate(values[:rows * cols])})
+
+
+class TestTrustedConstruction:
+    """Closed operations build their results unchecked; each result is the
+    matrix the checked constructor makes of its entries, with no zero
+    stored.  Constructors fed from outside keep every check."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.lists(st.integers(-6, 6), min_size=48, max_size=48),
+           st.integers(-3, 3), st.sampled_from((0, 2, 3, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_closed_results_match_checked_construction(self, r, k, c,
+                                                       values, s, p):
+        A, A2 = _matrix(r, k, values), _matrix(r, k, values[16:])
+        B = _matrix(k, c, values[32:])
+        res = snf(A, p)
+        results = [A @ B, A + A2, A - A2, -A, A.scale(s), A.mod(p),
+                   IntMatrix.hstack([A, A2, _matrix(r, c, values[8:])]),
+                   IntMatrix.identity(k), res.left, res.right,
+                   _kernel_head(res, k), _kernel_head(res, k // 2)]
+        for M in results:
+            assert M == IntMatrix(M.rows, M.cols, M.entries)
+            assert all(M.entries.values())
+
+    def test_outside_constructors_still_check(self):
+        for make in (lambda: IntMatrix(2, 2, {(2, 0): 1}),
+                     lambda: IntMatrix(2, 2, {(0, -1): 1}),
+                     lambda: IntMatrix(-1, 2),
+                     lambda: IntMatrix.from_rows([[1, 2], [3]]),
+                     lambda: IntMatrix.from_rows([[1, 2]], cols=3),
+                     lambda: IntMatrix.diagonal([1, 2, 3], rows=2),
+                     lambda: IntMatrix.diagonal([1, 2], cols=1)):
+            with pytest.raises(DimensionMismatch):
+                make()
+        assert IntMatrix.column([0, 3, 0]) == IntMatrix(3, 1, {(1, 0): 3})
+        assert IntMatrix(1, 2, {(0, 0): 0, (0, 1): 4}).entries == {(0, 1): 4}
 
 
 class TestFieldRank:
@@ -559,6 +601,29 @@ class TestPresentedGroup:
         with pytest.raises(DimensionMismatch):
             PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1)) \
                 .read_through(iota, IntMatrix(1, 3), d0)
+
+    def test_read_through_builds_d_on_first_coordinates(self):
+        iota = IntMatrix.from_rows([[0], [1]])
+        pi = IntMatrix.from_rows([[0, 1]])
+        v = IntMatrix.from_rows([[5], [1]])
+        for d_cols in (2, 3):
+            calls = []
+
+            def build(d_cols=d_cols):
+                calls.append(d_cols)
+                return IntMatrix(0, d_cols)
+
+            pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
+            pg.read_through(iota, pi, build)
+            assert pg.representatives() == iota and calls == []
+            if d_cols == 2:
+                for _ in range(2):
+                    assert pg.coord_matrix(v) == IntMatrix.from_rows([[1]])
+                assert calls == [2]
+            else:
+                # a wrongly shaped d_j is refused when it is built
+                with pytest.raises(DimensionMismatch):
+                    pg.coord_matrix(v)
 
     def test_subgroups_equal(self):
         no_rel = IntMatrix(2, 0)

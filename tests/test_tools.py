@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``tools/``.  Nothing else runs them:
-``scale_z.py`` reaches into the program (``chain.reduction`` and the flavor
-slices of ``four_flavors``), so a change to those names fails here, and
+``scale_z.py`` reaches into the program (``chain.reduction``, the flavor
+slices of ``four_flavors``, and the ``chain._lattice_exactness`` and
+``exactlin.snf`` it wraps), so a change to those names fails here, and
 ``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs."""
 
 import importlib.util
@@ -21,9 +22,15 @@ def test_scale_z_line_format():
         scale_z = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(scale_z)
         line = scale_z.measure(30)
+        # the counting wrappers are gone once the line is made
+        assert scale_z.exactlin.snf is scale_z.chain.snf
+        assert scale_z.chain._lattice_exactness.__name__ == \
+            "_lattice_exactness"
     m = re.fullmatch(r"n=30 four_flavors_s=\d+\.\d\d "
-                     r"presented_gens=(\d+)->(\d+) \((.*)\)", line)
+                     r"presented_gens=(\d+)->(\d+) \((.*)\) "
+                     r"z_les_nodes=(\d+) snf_max_bits=(\d+)", line)
     assert m, line
+    assert int(m.group(4)) > 0 and int(m.group(5)) >= 2
     slices = [re.fullmatch(r"(\w+) (\d+)->(\d+)", part).groups()
               for part in m.group(3).split(", ")]
     assert [tag for tag, _, _ in slices] == ["minus", "infinity", "plus",

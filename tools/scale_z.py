@@ -1,4 +1,5 @@
-"""Z scale family: ``four_flavors`` time and presented generators per size.
+"""Z scale family: ``four_flavors`` time, presented generators, LES nodes
+and coefficient growth per size.
 
 Usage, from the root of the repository:
 
@@ -8,9 +9,15 @@ For each size N it builds ``random_complex(Random(N), N, (-3, 3),
 with_u=True)`` from ``perfbench/gen.py``, times one ``four_flavors`` call
 on it, and prints the generators of each flavor slice whose homology is
 presented, before and after the slice's reduction (the complex C' that the
-presentations are actually of).  One line per size.
+presentations are actually of).  A second, untimed call on a fresh copy
+counts the Z LES nodes with a nonzero middle group (``z_les_nodes``) and
+the largest entry bit length over the input and both transforms of every
+``snf`` call (``snf_max_bits``), through wrappers bound in every
+``artifact`` module that holds the wrapped function and removed after.
+One line per size.
 """
 
+import contextlib
 import os
 import random
 import sys
@@ -19,9 +26,55 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from artifact import chain, exactlin  # noqa: E402
 from artifact.chain import reduction  # noqa: E402
 from artifact.flavors import four_flavors  # noqa: E402
 from gen import random_complex  # noqa: E402
+
+
+@contextlib.contextmanager
+def _wrapped(owner, name, wrap):
+    """``owner.name`` replaced by ``wrap(original)`` in every ``artifact``
+    module that binds the original, for the duration of the block."""
+    original = getattr(owner, name)
+    holders = [m for key, m in sys.modules.items()
+               if (key == "artifact" or key.startswith("artifact."))
+               and getattr(m, name, None) is original]
+    new = wrap(original)
+    for m in holders:
+        setattr(m, name, new)
+    try:
+        yield
+    finally:
+        for m in holders:
+            setattr(m, name, original)
+
+
+def _counts(n: int):
+    """(Z LES nodes with a nonzero middle group, largest entry bit length
+    over every ``snf`` input and transform) of one ``four_flavors`` call."""
+    C, _ = random_complex(random.Random(n), n, (-3, 3), with_u=True)
+    nodes, bits = [0], [0]
+
+    def counting(original):
+        def node(*args):
+            nodes[0] += 1
+            return original(*args)
+        return node
+
+    def measuring(original):
+        def snf(M, p=0):
+            res = original(M, p)
+            bits[0] = max([bits[0]] + [abs(v).bit_length()
+                                       for m in (M, res.left, res.right)
+                                       for v in m.entries.values()])
+            return res
+        return snf
+
+    with _wrapped(chain, "_lattice_exactness", counting), \
+            _wrapped(exactlin, "snf", measuring):
+        four_flavors(C)
+    return nodes[0], bits[0]
 
 
 def measure(n: int) -> str:
@@ -36,8 +89,10 @@ def measure(n: int) -> str:
         before += b
         after += a
         slices.append(f"{tag} {b}->{a}")
+    nodes, bits = _counts(n)
     return (f"n={n} four_flavors_s={seconds:.2f} presented_gens={before}->"
-            f"{after} ({', '.join(slices)})")
+            f"{after} ({', '.join(slices)}) z_les_nodes={nodes} "
+            f"snf_max_bits={bits}")
 
 
 def main(argv) -> int:
