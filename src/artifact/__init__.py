@@ -1,40 +1,52 @@
 """Exact computation and verification engine for graded chain complexes
 with circle actions: S_U / E_Y functors, Koszul duality checks, balanced
 flavor assembly with mapping cones, filtered Laurent complexes, and
-connected-sum product complexes — all in exact arithmetic."""
+connected-sum product complexes — all in exact arithmetic.
 
-from .exactlin import AbelianGroup, IntMatrix, snf, rank_and_kernel, solve, homology_of_pair
-from .chain import (ChainComplex, GradedMap, GradedModule, HomologyTable,
-                    PMorphism, cone, direct_sum, homology, induced_on_homology,
-                    tensor, validate, verify_exact_at, verify_homotopy)
-from .circle import (ALL_FLAVORS, Flavor, HAT, INFINITY, MINUS, PLUS,
-                     ShiftReport, Window, e1_page, e_y, e_y_map,
-                     fundamental_sequences, koszul_a, koszul_b, s_u, s_u_map,
-                     safe_degrees)
-from .flavors import (AssemblyInconsistent, BalancedComponents, ConeReport,
-                      FlavorBundle, FourFlavors, LadderReport, TowerParams,
-                      assemble, cone_identities, cone_total, four_flavors,
-                      ladder_check, tower_model)
-from .connsum import (ConnSumMaps, FilteredComplex, IdentificationFailed,
-                      PositivityViolated, SumInput, case1_check, case2_check,
-                      check_positivity, cm_flavors, product_complex,
-                      verify_sum_maps)
+Importing the package loads none of its modules.  Each public name, and
+each engine module named as an attribute, is loaded on first access
+(PEP 562) and kept, so a CLI job pays only for the modules its command
+runs."""
 
-__all__ = [
-    "AbelianGroup", "IntMatrix", "snf", "rank_and_kernel", "solve",
-    "homology_of_pair", "ChainComplex", "GradedMap", "GradedModule",
-    "HomologyTable", "PMorphism", "cone", "direct_sum", "homology",
-    "induced_on_homology", "tensor", "validate", "verify_exact_at",
-    "verify_homotopy",
-    "ALL_FLAVORS", "Flavor", "HAT", "INFINITY", "MINUS", "PLUS",
-    "ShiftReport", "Window", "e1_page", "e_y", "e_y_map",
-    "fundamental_sequences", "koszul_a", "koszul_b", "s_u", "s_u_map",
-    "safe_degrees",
-    "AssemblyInconsistent", "BalancedComponents", "ConeReport",
-    "FlavorBundle", "FourFlavors", "LadderReport", "TowerParams",
-    "assemble", "cone_identities", "cone_total", "four_flavors",
-    "ladder_check", "tower_model",
-    "ConnSumMaps", "FilteredComplex", "IdentificationFailed",
-    "PositivityViolated", "SumInput", "case1_check", "case2_check",
-    "check_positivity", "cm_flavors", "product_complex", "verify_sum_maps",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "exactlin": ("AbelianGroup", "IntMatrix", "snf", "rank_and_kernel",
+                 "solve", "homology_of_pair"),
+    "chain": ("ChainComplex", "GradedMap", "GradedModule", "HomologyTable",
+              "PMorphism", "cone", "direct_sum", "homology",
+              "induced_on_homology", "tensor", "validate", "verify_exact_at",
+              "verify_homotopy"),
+    "circle": ("ALL_FLAVORS", "Flavor", "HAT", "INFINITY", "MINUS", "PLUS",
+               "ShiftReport", "Window", "e1_page", "e_y", "e_y_map",
+               "fundamental_sequences", "koszul_a", "koszul_b", "s_u",
+               "s_u_map", "safe_degrees"),
+    "flavors": ("AssemblyInconsistent", "BalancedComponents", "ConeReport",
+                "FlavorBundle", "FourFlavors", "LadderReport", "TowerParams",
+                "assemble", "cone_identities", "cone_total", "four_flavors",
+                "ladder_check", "tower_model"),
+    "connsum": ("ConnSumMaps", "FilteredComplex", "IdentificationFailed",
+                "PositivityViolated", "SumInput", "case1_check",
+                "case2_check", "check_positivity", "cm_flavors",
+                "product_complex", "verify_sum_maps"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__),
+                                      name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -134,7 +134,9 @@ class GradedMap:
     """Homogeneous linear map of fixed degree, stored generator-to-generator.
     The constructor checks every entry (known generators, homogeneity); the
     closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
-    and build their results unchecked, by ``_trusted``."""
+    and build their results unchecked, by ``_trusted``.  The entries grouped
+    by source generator, which only ``@``, ``block`` and ``image_of`` read,
+    are built on first read."""
 
     __slots__ = ("source", "target", "degree", "entries", "_by_src", "_blocks")
 
@@ -162,12 +164,18 @@ class GradedMap:
 
     def _fill(self, source: GradedModule, target: GradedModule, degree: int,
               entries: Dict[Tuple[str, str], int]) -> None:
-        by_src: Dict[str, Dict[str, int]] = {}
-        for (s, t), v in entries.items():
-            by_src.setdefault(s, {})[t] = v
         for name, value in zip(GradedMap.__slots__, (
-                source, target, degree, entries, by_src, {})):
+                source, target, degree, entries, None, {})):
             object.__setattr__(self, name, value)
+
+    def _rows(self) -> Dict[str, Dict[str, int]]:
+        """The entries grouped by source generator: {src: {dst: coeff}}."""
+        if self._by_src is None:
+            by_src: Dict[str, Dict[str, int]] = {}
+            for (s, t), v in self.entries.items():
+                by_src.setdefault(s, {})[t] = v
+            object.__setattr__(self, "_by_src", by_src)
+        return self._by_src
 
     @classmethod
     def _trusted(cls, source: GradedModule, target: GradedModule, degree: int,
@@ -197,7 +205,7 @@ class GradedMap:
         return all(v % p == 0 for v in self.entries.values())
 
     def image_of(self, name: str) -> Dict[str, int]:
-        return dict(self._by_src.get(name, ()))
+        return dict(self._rows().get(name, ()))
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
@@ -226,8 +234,9 @@ class GradedMap:
         if other.target is not self.source and other.target != self.source:
             raise ChainError("composition source/target mismatch")
         ent: Dict[Tuple[str, str], int] = {}
+        rows = self._rows()
         for (s, m), v in other.entries.items():
-            row = self._by_src.get(m)
+            row = rows.get(m)
             if not row:
                 continue
             for t, w in row.items():
@@ -267,8 +276,9 @@ class GradedMap:
             tgt = self.target.gens_in_degree(j + self.degree)
             tpos = {n: i for i, n in enumerate(tgt)}
             ent = {}
+            rows = self._rows()
             for c, s in enumerate(src):
-                for t, v in self._by_src.get(s, {}).items():
+                for t, v in rows.get(s, {}).items():
                     r = tpos.get(t)
                     if r is not None:
                         ent[(r, c)] = v

@@ -127,9 +127,6 @@ class Flavor:
         if self.tag not in FLAVOR_TAGS:
             raise ChainError(f"unknown flavor {self.tag!r}")
 
-    def valid_exponent(self, n: int) -> bool:
-        return _in_range(_U_LAYOUT.ranges[self.tag], n)
-
     def __str__(self) -> str:
         return self.tag
 
@@ -283,8 +280,10 @@ def _expand(generators: Sequence[Tuple[str, int]],
             up = f"{g}{layout.suffix}{n + 1}"
             if up in module:
                 uent[(sname, up)] = 1
-    d = GradedMap(module, module, -1, {k: v for k, v in ent.items() if v})
-    u = GradedMap(module, module, -2, uent)
+    # each term keeps the degree of the homogeneous map it came from
+    d = GradedMap._trusted(module, module, -1,
+                           {k: v for k, v in ent.items() if v})
+    u = GradedMap._trusted(module, module, -2, uent)
     return ChainComplex(module, d, u_action=u, p=p)
 
 
@@ -306,7 +305,8 @@ def e_y(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
 def _slotwise(f: GradedMap, source: ChainComplex,
               target: ChainComplex) -> GradedMap:
     """f tensored with the identity of the u-range between two slices:
-    g.u{n} -> f(g).u{n}, dropping images outside the target slice."""
+    g.u{n} -> f(g).u{n}, dropping images outside the target slice.  Built
+    unchecked: both slices shift g and f(g) by the same 2n degrees."""
     tnames = set(target.module.names())
     ent = {}
     for sname, _ in source.module.generators:
@@ -315,7 +315,7 @@ def _slotwise(f: GradedMap, source: ChainComplex,
             tname = f"{t}.u{n}"
             if tname in tnames:
                 ent[(sname, tname)] = v
-    return GradedMap(source.module, target.module, f.degree, ent)
+    return GradedMap._trusted(source.module, target.module, f.degree, ent)
 
 
 def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
@@ -406,9 +406,10 @@ def _identity_entries(src: ChainComplex, tgt: ChainComplex) -> Dict[Tuple[str, s
 
 def _transpose(f: GradedMap) -> GradedMap:
     """A 0/1 generator map read backwards: the canonical degreewise section
-    of a projection, or retraction of an injection."""
-    return GradedMap(f.target, f.source, -f.degree,
-                     {(t, s): v for (s, t), v in f.entries.items()})
+    of a projection, or retraction of an injection.  Built unchecked, as
+    the transpose of a homogeneous map is homogeneous."""
+    return GradedMap._trusted(f.target, f.source, -f.degree,
+                              {(t, s): v for (s, t), v in f.entries.items()})
 
 
 def _name_map(f: GradedMap) -> Dict[str, str]:
@@ -476,8 +477,11 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     section through the canonical degreewise splittings."""
     minus, inf, plus = (complexes[t] for t in FLAVOR_TAGS[:3])
 
-    inc = GradedMap(minus.module, inf.module, 0, _identity_entries(minus, inf))
-    proj = GradedMap(inf.module, plus.module, 0, _identity_entries(inf, plus))
+    # a generator keeps its name and degree in every slice
+    inc = GradedMap._trusted(minus.module, inf.module, 0,
+                             _identity_entries(minus, inf))
+    proj = GradedMap._trusted(inf.module, plus.module, 0,
+                              _identity_entries(inf, plus))
     # the generator split is window-uniform, so the module-level sequence is
     # exact at every sliced degree
     seq1_checked = tuple(range(win.lo, win.hi + 1))
@@ -525,7 +529,7 @@ def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
         sname = f"{g}{layout.suffix}{bottom_n}"
         if sname in minus.module:
             proj2_names[(sname, name)] = 1
-    proj2 = GradedMap(minus.module, hat.module, o, proj2_names)
+    proj2 = GradedMap._trusted(minus.module, hat.module, o, proj2_names)
     # u-multiplication runs off the top of the slice, so the module-level
     # check stops two degrees short of it
     seq2_checked = tuple(range(win.lo, win.hi - 1))

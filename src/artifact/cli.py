@@ -34,7 +34,13 @@ order, byte-stable across runs.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 parse or
 validation error.
+
+Only ``exactlin`` and ``chain`` load with this module.  Each parser and
+command imports ``circle``, ``flavors`` or ``connsum`` where it needs them,
+so a job loads only the modules its command runs.
 """
+
+from __future__ import annotations
 
 import argparse
 import random
@@ -45,17 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                     HomologyTable, homology, validate)
-from .circle import (HAT, INFINITY, MINUS, PLUS, Flavor, ShiftReport, Window,
-                     e_y, koszul_a, koszul_b, s_u)
-from .connsum import (ConnSumMaps, FilteredComplex, IdentificationFailed,
-                      PositivityViolated, SumInput, case1_check, case2_check,
-                      check_positivity, cm_flavors, product_complex,
-                      verify_sum_maps)
 from .exactlin import AbelianGroup, is_prime
-from .flavors import (_SHAPES, ASSEMBLY_TAGS, AssemblyInconsistent,
-                      BalancedComponents, TowerParams, assemble,
-                      cone_identities, four_flavors, ladder_check,
-                      tower_model)
 
 __all__ = [
     "Manifest",
@@ -91,7 +87,7 @@ class ValidationError(Exception):
         self.witness = witness
 
 
-_FLAVOR_BY_FLAG = {"minus": MINUS, "inf": INFINITY, "plus": PLUS, "hat": HAT}
+_FLAVOR_FLAGS = ("minus", "inf", "plus", "hat")  # as circle.ALL_FLAVORS
 
 _SUMMAP_NAMES = ("V0", "V1", "V0d", "V1d", "Hsharp", "A", "B", "C", "D")
 
@@ -113,7 +109,7 @@ class SumSpec:
     maps: ConnSumMaps
 
 
-ParsedObject = Union[ChainComplex, FilteredComplex, BalancedComponents,
+ParsedObject = Union[ChainComplex, "FilteredComplex", "BalancedComponents",
                      SumSpec]
 
 
@@ -232,6 +228,7 @@ def _parse_complex(b: _Block) -> Union[ChainComplex, FilteredComplex]:
         if mod:
             raise ParseError(b.line, "filtered complexes are Z-graded "
                              "(mod must be 0)")
+        from .connsum import FilteredComplex
         try:
             return FilteredComplex(gens, laurent, p=ring)
         except ChainError as e:
@@ -253,13 +250,11 @@ def _map_field(spec: str, lineno: int) -> str:
     if not m:
         raise ParseError(lineno, f"map spec must look like d:o->s, "
                          f"got {spec!r}")
-    name = f"{m.group(1)}_{m.group(2)}{m.group(3)}"
-    if name not in _SHAPES:
-        raise ParseError(lineno, f"no such block map {spec!r}")
-    return name
+    return f"{m.group(1)}_{m.group(2)}{m.group(3)}"
 
 
 def _parse_components(b: _Block) -> BalancedComponents:
+    from .flavors import _SHAPES, BalancedComponents
     ring = 0
     parts: Dict[str, List[Tuple[str, int]]] = {"o": [], "s": [], "u": []}
     maps: Dict[str, Dict[Tuple[str, str], int]] = {}
@@ -279,6 +274,8 @@ def _parse_components(b: _Block) -> BalancedComponents:
         elif kw == "map":
             _arity(toks, lineno, 2)
             name = _map_field(toks[1], lineno)
+            if name not in _SHAPES:
+                raise ParseError(lineno, f"no such block map {toks[1]!r}")
             maps.setdefault(name, {})
             section = ("map", name)
         elif kw == "gen":
@@ -353,6 +350,7 @@ def _parse_summaps(b: _Block,
                              "not a complex defined earlier in the file")
         return obj
 
+    from .connsum import ConnSumMaps, SumInput, product_complex
     c1 = complex_named(of_names[0])
     c2 = complex_named(of_names[1])
     sharp = complex_named(sharp_name)
@@ -413,29 +411,30 @@ def parse(path: str):
 # printer wrote)
 # ---------------------------------------------------------------------------
 
+def _complex_rows(C: Union[ChainComplex, FilteredComplex]):
+    """(modulus, generators, entries) of a plain or filtered complex, each
+    entry (map, src, dst, coeff, exponent) with exponent None off ``dU``."""
+    if not isinstance(C, ChainComplex):
+        return 0, C.generators, [("dU", s, t, c, n) for s, t in sorted(
+            C.d_entries) for n, c in C.d_entries[(s, t)]]
+    maps = (("d", C.d), ("u", C.u_action), ("y", C.y_action))
+    return C.module.modulus, C.module.generators, [
+        (label, s, t, f.entries[(s, t)], None) for label, f in maps
+        if f is not None for s, t in sorted(f.entries)]
+
+
 def print_complex(C: Union[ChainComplex, FilteredComplex], name: str) -> str:
-    lines = [f"complex {name}", f"  ring {_ring_name(C.p)}"]
-    if isinstance(C, FilteredComplex):
-        lines.append("  mod 0")
-        for n, d in C.generators:
-            lines.append(f"  gen {n} {d}")
-        for s, t in sorted(C.d_entries):
-            for exp, coeff in C.d_entries[(s, t)]:
-                lines.append(f"  dU {s} {t} {coeff} {exp}")
-    else:
-        lines.append(f"  mod {C.module.modulus}")
-        for n, d in C.module.generators:
-            lines.append(f"  gen {n} {d}")
-        for label, f in (("d", C.d), ("u", C.u_action), ("y", C.y_action)):
-            if f is None:
-                continue
-            for s, t in sorted(f.entries):
-                lines.append(f"  {label} {s} {t} {f.entries[(s, t)]}")
+    mod, gens, ents = _complex_rows(C)
+    lines = [f"complex {name}", f"  ring {_ring_name(C.p)}", f"  mod {mod}"]
+    lines += [f"  gen {n} {d}" for n, d in gens]
+    lines += [f"  {label} {s} {t} {c}" + ("" if n is None else f" {n}")
+              for label, s, t, c, n in ents]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def print_components(bc: BalancedComponents, name: str) -> str:
+    from .flavors import _SHAPES
     lines = [f"components {name}", f"  ring {_ring_name(bc.p)}"]
     for letter, module in (("o", bc.c_o), ("s", bc.c_s), ("u", bc.c_u)):
         lines.append(f"  part {letter}")
@@ -578,23 +577,13 @@ class _Report:
         if self.fmt == "text":
             self.raw(print_complex(C, name).rstrip("\n"))
             return
+        _, gens, ents = _complex_rows(C)
         self.raw(f"kind=complex name={name} ring={_ring_name(C.p)}")
-        if isinstance(C, FilteredComplex):
-            for n, d in C.generators:
-                self.raw(f"kind=gen name={n} degree={d}")
-            for s, t in sorted(C.d_entries):
-                for exp, coeff in C.d_entries[(s, t)]:
-                    self.raw(f"kind=entry map=dU src={s} dst={t} "
-                             f"coeff={coeff} exponent={exp}")
-            return
-        for n, d in C.module.generators:
+        for n, d in gens:
             self.raw(f"kind=gen name={n} degree={d}")
-        for label, f in (("d", C.d), ("u", C.u_action), ("y", C.y_action)):
-            if f is None:
-                continue
-            for s, t in sorted(f.entries):
-                self.raw(f"kind=entry map={label} src={s} dst={t} "
-                         f"coeff={f.entries[(s, t)]}")
+        for label, s, t, c, n in ents:
+            self.raw(f"kind=entry map={label} src={s} dst={t} coeff={c}"
+                     + ("" if n is None else f" exponent={n}"))
 
     def render(self) -> str:
         return "".join(line + "\n" for line in self.lines)
@@ -631,8 +620,7 @@ def _primary(m: Manifest) -> Tuple[str, ParsedObject]:
 def _chain_input(m: Manifest) -> Tuple[str, ChainComplex]:
     name, obj = _primary(m)
     if not isinstance(obj, ChainComplex):
-        raise ValidationError("manifest",
-                              f"{m.command} needs a plain complex")
+        raise ValidationError("manifest", f"{m.command} needs a plain complex")
     return name, obj
 
 
@@ -640,29 +628,8 @@ def _flavor_option(m: Manifest, default: Optional[str] = None) -> Flavor:
     flag = m.flavor or default
     if flag is None:
         raise ValidationError("manifest", f"{m.command} needs --flavor")
-    return _FLAVOR_BY_FLAG[flag]
-
-
-def _window_pair(win: Optional[Window]) -> Optional[Tuple[int, int]]:
-    return (win.lo, win.hi) if win is not None else None
-
-
-def _as_filtered(C: ChainComplex) -> FilteredComplex:
-    if (C.u_action is not None and not C.u_action.is_zero_mod(C.p)) or \
-            (C.y_action is not None and not C.y_action.is_zero_mod(C.p)):
-        raise ValidationError("manifest", "a complex with u or y entries "
-                              "has no filtered form")
-    if C.module.modulus:
-        raise ValidationError("manifest", "filtered complexes are Z-graded")
-    return FilteredComplex(
-        C.module.generators,
-        {k: [(0, v)] for k, v in C.d.entries.items()}, p=C.p)
-
-
-def _point_base() -> ChainComplex:
-    m = GradedModule((("a", 0),))
-    return ChainComplex(m, GradedMap.zero(m, m, -1),
-                        u_action=GradedMap.zero(m, m, -2))
+    from .circle import ALL_FLAVORS
+    return dict(zip(_FLAVOR_FLAGS, ALL_FLAVORS))[flag]
 
 
 def _random_u_complex(seed: int) -> ChainComplex:
@@ -699,39 +666,48 @@ def _random_u_complex(seed: int) -> ChainComplex:
 
 # --- command handlers ------------------------------------------------------
 
+def _loaded_instance(obj, module: str, cls: str) -> bool:
+    """isinstance against a class whose module may not be loaded yet."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, cls))
+
+
 def _cmd_verify(m: Manifest, rep: _Report) -> None:
     name, obj = _primary(m)
     if isinstance(obj, ChainComplex):
         for c in validate(obj).checks:
             rep.check(c.law, c.passed)
-    elif isinstance(obj, FilteredComplex):
+    elif isinstance(obj, SumSpec):
+        from .connsum import verify_sum_maps
+        for c in verify_sum_maps(obj.inputs, obj.maps).checks:
+            rep.check(c.law, c.passed)
+    elif _loaded_instance(obj, "connsum", "FilteredComplex"):
+        from .connsum import check_positivity
         rep.check("degree-homogeneity", True)
         rep.check("d.d=0", True)
         rep.check("positivity", check_positivity(obj))
-    elif isinstance(obj, BalancedComponents):
+    else:
+        from . import flavors
         try:
-            bundle = assemble(obj)
-        except AssemblyInconsistent as e:
+            bundle = flavors.assemble(obj)
+        except flavors.AssemblyInconsistent as e:
             rep.check(e.tag, False)
             return
-        for tag in ASSEMBLY_TAGS:
+        for tag in flavors.ASSEMBLY_TAGS:
             rep.check(tag, True)
-        for tag, ok in cone_identities(bundle).checks:
+        for tag, ok in flavors.cone_identities(bundle).checks:
             rep.check(tag, ok)
-    else:
-        report = verify_sum_maps(obj.inputs, obj.maps)
-        for c in report.checks:
-            rep.check(c.law, c.passed)
 
 
 def _cmd_homology(m: Manifest, rep: _Report) -> None:
     _, C = _chain_input(m)
     if m.window is not None:
         rep.window(m.window)
-    rep.homology_table(homology(C, _window_pair(m.window)), C.p)
+    rep.homology_table(homology(C, m.window), C.p)
 
 
 def _cmd_su(m: Manifest, rep: _Report) -> None:
+    from .circle import s_u
     name, C = _chain_input(m)
     S = s_u(C)
     rep.complex_block(S, f"{name}.su")
@@ -739,6 +715,7 @@ def _cmd_su(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_ey(m: Manifest, rep: _Report) -> None:
+    from .circle import e_y
     name, C = _chain_input(m)
     flavor = _flavor_option(m)
     E = e_y(C, flavor, m.window)
@@ -747,6 +724,7 @@ def _cmd_ey(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_flavors(m: Manifest, rep: _Report) -> None:
+    from .flavors import four_flavors
     _, C = _chain_input(m)
     ff = four_flavors(C, m.window)
     rep.window(ff.window)
@@ -758,6 +736,7 @@ def _cmd_flavors(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_koszul(m: Manifest, rep: _Report) -> None:
+    from .circle import koszul_a, koszul_b, s_u
     C = _random_u_complex(m.seed or 0)
     if m.direction == "a":
         r = koszul_a(C, _flavor_option(m, default="minus"), m.window)
@@ -767,15 +746,16 @@ def _cmd_koszul(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_ladder(m: Manifest, rep: _Report) -> None:
+    from . import flavors
     _, obj = _primary(m)
-    if not isinstance(obj, BalancedComponents):
+    if not isinstance(obj, flavors.BalancedComponents):
         raise ValidationError("manifest", "ladder needs a components file")
     try:
-        bundle = assemble(obj)
-    except AssemblyInconsistent as e:
+        bundle = flavors.assemble(obj)
+    except flavors.AssemblyInconsistent as e:
         rep.check(e.tag, False)
         return
-    lr = ladder_check(bundle, m.window)
+    lr = flavors.ladder_check(bundle, m.window)
     rep.window(lr.window)
     rep.check("eq:induced-KM1", lr.cone_les.ok)
     rep.check("eq:induced-KM1:delta", lr.delta_matches_p)
@@ -800,9 +780,14 @@ def _cmd_ladder(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_tower(m: Manifest, rep: _Report) -> None:
+    from .circle import s_u
+    from .flavors import TowerParams, assemble, tower_model
     if m.n is None:
         raise ValidationError("manifest", "tower needs --n")
-    bundle = assemble(tower_model(TowerParams(base=_point_base(), n=m.n)))
+    pt = GradedModule((("a", 0),))  # the tower over a point
+    base = ChainComplex(pt, GradedMap.zero(pt, pt, -1),
+                        u_action=GradedMap.zero(pt, pt, -2))
+    bundle = assemble(tower_model(TowerParams(base=base, n=m.n)))
     H = homology(s_u(bundle.bar))
     lo, hi = -2 * m.n, 2 * m.n + 1
     rep.check("tower-vanishing",
@@ -812,9 +797,19 @@ def _cmd_tower(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_cmflavors(m: Manifest, rep: _Report) -> None:
+    from .connsum import FilteredComplex, PositivityViolated, cm_flavors
     _, obj = _primary(m)
-    if isinstance(obj, ChainComplex):
-        obj = _as_filtered(obj)
+    if isinstance(obj, ChainComplex):  # d at exponent 0
+        C = obj
+        if (C.u_action is not None and not C.u_action.is_zero_mod(C.p)) or \
+                (C.y_action is not None and not C.y_action.is_zero_mod(C.p)):
+            raise ValidationError("manifest", "a complex with u or y entries "
+                                  "has no filtered form")
+        if C.module.modulus:
+            raise ValidationError("manifest", "filtered complexes are "
+                                  "Z-graded")
+        obj = FilteredComplex(C.module.generators, {
+            k: [(0, v)] for k, v in C.d.entries.items()}, p=C.p)
     if not isinstance(obj, FilteredComplex):
         raise ValidationError("manifest", "cmflavors needs a filtered "
                               "complex")
@@ -833,12 +828,14 @@ def _cmd_cmflavors(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_case1(m: Manifest, rep: _Report) -> None:
+    from .connsum import case1_check
     _, C = _chain_input(m)
     r = case1_check(C, m.n if m.n is not None else 4, m.window)
     rep.shift_result(r, C.p)
 
 
 def _cmd_case2(m: Manifest, rep: _Report) -> None:
+    from .connsum import IdentificationFailed, case2_check
     _, C = _chain_input(m)
     flavor = _flavor_option(m)
     try:
@@ -855,8 +852,8 @@ def _cmd_consum_verify(m: Manifest, rep: _Report) -> None:
     if not isinstance(obj, SumSpec):
         raise ValidationError("manifest", "consum-verify needs a summaps "
                               "file")
-    report = verify_sum_maps(obj.inputs, obj.maps)
-    for c in report.checks:
+    from .connsum import verify_sum_maps
+    for c in verify_sum_maps(obj.inputs, obj.maps).checks:
         rep.check(c.law, c.passed)
 
 
@@ -904,6 +901,7 @@ def _window_flag(text: str) -> Window:
     if hi - lo + 1 > MAX_WINDOW_WIDTH:
         raise argparse.ArgumentTypeError(
             f"window spans more than {MAX_WINDOW_WIDTH} degrees")
+    from .circle import Window
     return Window(lo, hi)
 
 
@@ -942,14 +940,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("homology", "degreewise homology of a complex")
     cmd("su", "double a U-complex into a Y-complex")
     sp = cmd("ey", "flavor expansion of a Y-complex")
-    sp.add_argument("--flavor", choices=sorted(_FLAVOR_BY_FLAG),
+    sp.add_argument("--flavor", choices=sorted(_FLAVOR_FLAGS),
                     required=True)
     cmd("flavors", "all four flavor homologies with both fundamental "
         "sequences")
     sp = cmd("koszul", "round-trip comparison on a seeded random complex",
              takes_file=False)
     sp.add_argument("--direction", choices=("a", "b"), required=True)
-    sp.add_argument("--flavor", choices=sorted(_FLAVOR_BY_FLAG))
+    sp.add_argument("--flavor", choices=sorted(_FLAVOR_FLAGS))
     sp.add_argument("--seed", type=int, default=0)
     cmd("ladder", "assemble a components file and certify the comparison "
         "ladder")
@@ -962,7 +960,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_n_flag, default=4)
     sp = cmd("consum-case2", "exponent-model product against the flavor "
              "expansion")
-    sp.add_argument("--flavor", choices=sorted(_FLAVOR_BY_FLAG),
+    sp.add_argument("--flavor", choices=sorted(_FLAVOR_FLAGS),
                     required=True)
     cmd("consum-verify", "check candidate gluing maps against their "
         "identities")

@@ -14,6 +14,7 @@ from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              _name_map, _ses_exact_at, e1_page, e_y, e_y_map,
                              fundamental_sequences, koszul_a, koszul_b, s_u,
                              s_u_map, safe_degrees)
+from artifact.connsum import FilteredComplex, cm_flavors
 from artifact.exactlin import AbelianGroup
 
 from helpers import (count_les_tags, lattice_ses_exact_at, random_complex,
@@ -290,6 +291,46 @@ class TestSecondSequenceOnDemand:
         assert failures
         assert {n.location for n in failures} == {"minus@u-image"}
         assert not fs.les2.ok and not fs.ok
+
+
+class TestTrustedDerivedMaps:
+    """The flavor engine builds its derived maps unchecked: the expanded d
+    and u, the slotwise maps, the transposes, and the maps of both
+    fundamental sequences, over both layouts.  Each is the map the checked
+    constructor makes of its entries, with no zero stored."""
+
+    @staticmethod
+    def _laurent_form(S):
+        entries = {k: [(0, v)] for k, v in S.d.entries.items()}
+        for k, v in S.y_action.entries.items():
+            entries.setdefault(k, []).append((1, v))
+        return FilteredComplex(S.module.generators, entries, p=S.p)
+
+    def test_each_matches_checked_construction(self):
+        rng = random.Random(36)
+        for p in (0, 2, 3):
+            for _ in range(4):
+                C1 = random_u_complex(rng, p=p)
+                C2 = random_u_complex(rng, p=p)
+                f = s_u_map(random_pmorphism(rng, C1, C2, degree=0))
+                S1, S2 = s_u(C1), s_u(C2)
+                win = Window(-6, 6)
+                maps = []
+                for flavor in ALL_FLAVORS:
+                    E = e_y(S1, flavor, win)
+                    maps += [E.d, E.u_action,
+                             e_y_map(f, S1, S2, flavor, win)]
+                for fs in (fundamental_sequences(S1, win),
+                           cm_flavors(self._laurent_form(S1), win)):
+                    maps += [c.d for c in fs.complexes.values()]
+                    maps += [c.u_action for c in fs.complexes.values()]
+                    seqs = [fs.seq1.inject, fs.seq1.project, fs.seq2.project]
+                    maps += seqs + [circle._transpose(g) for g in seqs]
+                    maps += [fs.delta1.f, fs.delta2.f]
+                for g in maps:
+                    assert g == GradedMap(g.source, g.target, g.degree,
+                                          g.entries)
+                    assert all(g.entries.values())
 
 
 def _split(a_gens, b_gens, c_gens, inj, proj):
