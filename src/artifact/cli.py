@@ -620,7 +620,8 @@ def _primary(m: Manifest) -> Tuple[str, ParsedObject]:
 def _chain_input(m: Manifest) -> Tuple[str, ChainComplex]:
     name, obj = _primary(m)
     if not isinstance(obj, ChainComplex):
-        raise ValidationError("manifest", f"{m.command} needs a plain complex")
+        raise ValidationError("manifest",
+                              f"{m.command} needs a plain complex")
     return name, obj
 
 
@@ -853,7 +854,8 @@ def _cmd_consum_verify(m: Manifest, rep: _Report) -> None:
         raise ValidationError("manifest", "consum-verify needs a summaps "
                               "file")
     from .connsum import verify_sum_maps
-    for c in verify_sum_maps(obj.inputs, obj.maps).checks:
+    report = verify_sum_maps(obj.inputs, obj.maps)
+    for c in report.checks:
         rep.check(c.law, c.passed)
 
 
