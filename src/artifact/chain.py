@@ -33,13 +33,17 @@ as ``"h.{}"`` or ``"{}.y"`` and shifted in degree; ``_block_map`` sums
 blocks (map, source format, target format, sign) between such modules.
 The result is an ordinary ``GradedMap``, so every block entry is still
 checked against the assembled modules and the map's degree.
+
+Results are records: ``typing.NamedTuple`` classes, read-only and compared
+by their fields.  A record that validates its values puts ``_Checked``
+before its NamedTuple base; one with private state, which a NamedTuple
+cannot hold, is a slotted ``_Sealed`` class compared by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
                        CompositionNonzero, _kernel_head, field_rank, is_prime,
@@ -56,6 +60,37 @@ class NotAChainMap(ChainError):
 
 class ModulusUnsupported(ChainError):
     pass
+
+
+class _Checked:
+    """Building the record runs ``_check``, and so do ``_make`` and
+    ``_replace``, which go through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Sealed:
+    """Built from one value per slot, in slot order; read-only after that."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +404,13 @@ class ChainComplex:
         return f"ChainComplex({len(self.module)} gens over {ring}{extras})"
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(NamedTuple):
     law: str
     passed: bool
     witness: Optional[Tuple[str, str]] = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: Tuple[LawCheck, ...]
 
     @property
@@ -496,8 +529,7 @@ def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
 _EMPTY_BLOCKS = (IntMatrix(0, 0), IntMatrix(0, 0))
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A complex C' on a subset of C's generators with chain maps
     iota: C' -> C and pi: C -> C' such that pi . iota = 1, so both induce
     inverse isomorphisms on homology.
@@ -724,8 +756,7 @@ def cone_projection(E: ChainComplex, A: ChainComplex, tag: str = "A") -> GradedM
                      {(f"{tag}.{n}", n): 1 for n in A.module.names()})
 
 
-@dataclass(frozen=True)
-class TensorResult:
+class TensorResult(NamedTuple):
     """Product complex with the raw factor actions exposed.
 
     ``u1``/``u2``/``y1``/``y2`` are U1x1, 1xU2, Y1x1, 1xY2 on the product
@@ -859,8 +890,7 @@ class PMorphism:
 # Induced maps on homology and exactness certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeMapInfo:
+class DegreeMapInfo(NamedTuple):
     source_group: AbelianGroup
     target_group: AbelianGroup
     matrix: IntMatrix          # canonical coords of target x canonical of source
@@ -872,10 +902,9 @@ class DegreeMapInfo:
         return self.injective and self.surjective
 
 
-@dataclass(frozen=True)
-class InducedMap:
+class InducedMap(NamedTuple):
     degree: int
-    by_degree: Dict[int, DegreeMapInfo] = field(default_factory=dict)
+    by_degree: Dict[int, DegreeMapInfo]
 
     def info(self, j: int) -> Optional[DegreeMapInfo]:
         return self.by_degree.get(j)
@@ -893,11 +922,16 @@ class InducedMap:
 
 def _flags(F: IntMatrix, src: PresentedGroup, tgt: PresentedGroup,
            p: int) -> Tuple[bool, bool]:
-    # one factorization of [F | torsion relations] answers both questions
-    res = snf(IntMatrix.hstack([F, tgt.torsion_relation_columns()]), p)
+    if p:
+        # every F_p group is plain: F is injective at full column rank and
+        # surjective at full row rank
+        rank = field_rank(F, p)
+        return rank == F.cols, rank == F.rows
+    # over Z one factorization of [F | torsion relations] answers both
+    res = snf(IntMatrix.hstack([F, tgt.torsion_relation_columns()]))
     # surjective: columns of F plus torsion relations generate the target
-    full = len(res.factors) == tgt.rank_coords()
-    surj = full and (p != 0 or all(d == 1 for d in res.factors))
+    surj = (len(res.factors) == tgt.rank_coords()
+            and all(d == 1 for d in res.factors))
     # injective: preimage of the relation lattice lies in the source
     # relations; the kernel is that of kernel_of_presented_map
     ker = _kernel_head(res, F.cols)
@@ -980,7 +1014,7 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
     if p:
         return _rank_exactness(F, G, mid.rank_coords(), p)
     tgt = _presentation(outgoing.target, j + outgoing.degree)
-    return _lattice_exactness(F, G, mid, tgt, p)
+    return _lattice_exactness(F, G, mid, tgt)
 
 
 def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
@@ -994,16 +1028,16 @@ def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
 
 
 def _lattice_exactness(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
-                       tgt: PresentedGroup, p: int) -> Tuple[bool, bool]:
-    """Exactness in presented groups over Z or F_p: G.F is zero in the
-    target group (no factorization), and then ker G, one factorization of
+                       tgt: PresentedGroup) -> Tuple[bool, bool]:
+    """Exactness in presented groups over Z: G.F is zero in the target
+    group (no factorization), and then ker G, one factorization of
     [G | target torsion], lies in the span of F and the middle torsion."""
     GF = G @ F
     contained = all(tgt.coords_are_zero([GF[(i, c)] for i in range(GF.rows)])
                     for c in range(GF.cols))
     equal = contained and lattice_contains(
         IntMatrix.hstack([F, mid.torsion_relation_columns()]),
-        kernel_of_presented_map(G, tgt.torsion_relation_columns(), p), p)
+        kernel_of_presented_map(G, tgt.torsion_relation_columns()))
     return contained, equal
 
 

@@ -30,12 +30,15 @@ Window-safe degrees: j is safe when every generator the *untruncated*
 flavor complex would have in degrees {j-1, j, j+1} is retained by the
 slice.  Truncation is by generator deletion, so artifacts are confined to
 unsafe degrees and all assertions are made at safe ones.
+
+The records here are NamedTuples.  ``Flavor`` checks its tag however it is
+built, and ``FundamentalSequences`` is a slotted class, because it keeps
+the private memo that builds the second sequence.
 """
 
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .chain import (
     ChainComplex,
@@ -45,7 +48,9 @@ from .chain import (
     HomologyTable,
     ModulusUnsupported,
     PMorphism,
+    _Checked,
     _HomologyArrow,
+    _Sealed,
     _block_map,
     _renamed_module,
     exactness_pair,
@@ -84,8 +89,7 @@ def _in_range(exponents: ExponentRange, n: int) -> bool:
     return (lo is None or n >= lo) and (hi is None or n <= hi)
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     """One family of flavor expansions: the exponent range of each flavor,
     the generator-name suffix, and the tags of the two short exact
     sequences and of their long exact sequences."""
@@ -116,14 +120,13 @@ _LAURENT_LAYOUT = _Layout(
     ("eq:fund-short:1", "eq:fund-short:2"))
 
 
-@dataclass(frozen=True)
-class Flavor:
+class Flavor(_Checked, NamedTuple("Flavor", [("tag", str)])):
     """One of the four u-power ranges: minus (n >= 1), infinity (all n),
     plus (n <= 0, residues mod the positive powers), hat (n = 0 only)."""
 
-    tag: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.tag not in FLAVOR_TAGS:
             raise ChainError(f"unknown flavor {self.tag!r}")
 
@@ -337,8 +340,7 @@ def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
 # Fundamental sequences and their long exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     tag: str
     left: ChainComplex
     middle: ChainComplex
@@ -349,16 +351,14 @@ class ShortExactSequence:
     exact: bool
 
 
-@dataclass(frozen=True)
-class LESNode:
+class LESNode(NamedTuple):
     location: str
     degree: int
     contained: bool
     equal: bool
 
 
-@dataclass(frozen=True)
-class LESCertificate:
+class LESCertificate(NamedTuple):
     tag: str
     nodes: Tuple[LESNode, ...]
 
@@ -373,21 +373,17 @@ class LESCertificate:
         return [n for n in self.nodes if not (n.contained and n.equal)]
 
 
-@dataclass(frozen=True)
-class FundamentalSequences:
+class FundamentalSequences(_Sealed):
     """The four flavor expansions of one complex on a window, with both
     fundamental short exact sequences (minus into infinity onto plus; minus
     into minus by u onto hat) and their homology certificates.  The second
-    sequence (``seq2``, ``les2``, ``delta2``) is built on first access and
-    kept; ``ok`` forces it."""
+    sequence (``seq2``, ``les2``, ``delta2``) is built on first access, by
+    the private ``_second``, and kept; ``ok`` forces it.  ``delta1`` is
+    plus -> minus of degree -1; ``safe`` holds each slice's window-safe
+    degrees."""
 
-    window: Window
-    complexes: Dict[str, ChainComplex]
-    seq1: ShortExactSequence
-    les1: LESCertificate
-    delta1: _HomologyArrow  # plus -> minus, degree -1
-    safe: Dict[str, Set[int]]  # the window-safe degrees of each slice
-    _second: Callable[[], tuple] = field(repr=False, compare=False)
+    __slots__ = ("window", "complexes", "seq1", "les1", "delta1", "safe",
+                 "_second")
 
     seq2 = property(lambda self: self._second()[0])
     les2 = property(lambda self: self._second()[1])
@@ -657,8 +653,7 @@ def e1_page(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
     return ChainComplex(module, d, u_action=u, p=C.p)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     """Uniform-shift comparison of two homology tables.
 
     ``shift`` = s means the first table at degree j + s matches the second
@@ -667,7 +662,7 @@ class ShiftReport:
     (second[j], first[j + s])."""
 
     shift: Optional[int]
-    per_degree: Dict[int, Tuple[AbelianGroup, AbelianGroup]] = field(default_factory=dict)
+    per_degree: Dict[int, Tuple[AbelianGroup, AbelianGroup]]
     witness_ok: Optional[bool] = None
 
     @property
@@ -677,14 +672,14 @@ class ShiftReport:
 
 def _match_shift(leftH: HomologyTable, rightH: HomologyTable,
                  safe_left: Sequence[int], safe_right: Sequence[int]
-                 ) -> Tuple[Optional[int], Dict[int, Tuple[AbelianGroup, AbelianGroup]]]:
+                 ) -> ShiftReport:
     sl, sr = set(safe_left), set(safe_right)
     left_nz = sorted(j for j in sl if not leftH[j].is_trivial())
     right_nz = sorted(j for j in sr if not rightH[j].is_trivial())
     if not left_nz and not right_nz:
-        return 0, {}
+        return ShiftReport(0, {})
     if not left_nz or not right_nz:
-        return None, {}
+        return ShiftReport(None, {})
     candidates = sorted({left_nz[0] - right_nz[0], left_nz[-1] - right_nz[-1]})
     for s in candidates:
         if not all(j - s in sr for j in left_nz):
@@ -697,8 +692,8 @@ def _match_shift(leftH: HomologyTable, rightH: HomologyTable,
                 if k + s in sl and not (rightH[k].is_trivial()
                                         and leftH[k + s].is_trivial()):
                     table[k] = (rightH[k], leftH[k + s])
-            return s, table
-    return None, {}
+            return ShiftReport(s, table)
+    return ShiftReport(None, {})
 
 
 def koszul_a(C: ChainComplex, flavor: Flavor, window=None) -> ShiftReport:
@@ -723,8 +718,7 @@ def koszul_a(C: ChainComplex, flavor: Flavor, window=None) -> ShiftReport:
             degs = []
         # the models keep each generator on one line: the hat range
         sr = _window_safe(degs, _U_LAYOUT.ranges["hat"], win)
-    s, table = _match_shift(left, right, sl, sr)
-    return ShiftReport(s, table)
+    return _match_shift(left, right, sl, sr)
 
 
 def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
@@ -749,7 +743,7 @@ def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
     sl = _window_safe([d for _, d in C.module.generators],
                       _U_LAYOUT.ranges["minus"], win, reach=2)
     sr = list(range(win.lo - 1, win.hi + 2))
-    s, table = _match_shift(left, right, sl, sr)
+    report = _match_shift(left, right, sl, sr)
 
     ent: Dict[Tuple[str, str], int] = {}
     names = set(SUm.module.names())
@@ -773,4 +767,4 @@ def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
             if j - 1 in sl and not info.isomorphism:
                 witness_ok = False
                 break
-    return ShiftReport(s, table, witness_ok=witness_ok)
+    return report._replace(witness_ok=witness_ok)

@@ -46,8 +46,7 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                     HomologyTable, homology, validate)
@@ -100,8 +99,7 @@ MAX_WINDOW_WIDTH = 128   # degrees lo..hi in a --window, both ends counted
 MAX_N = 256              # --n of tower and consum-case1
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(NamedTuple):
     """A parsed gluing-data file: the two factors plus the candidate maps."""
 
     name: str
@@ -117,8 +115,7 @@ ParsedObject = Union[ChainComplex, "FilteredComplex", "BalancedComponents",
 # Parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Block:
+class _Block(NamedTuple):
     kind: str
     name: str
     line: int
@@ -366,9 +363,8 @@ def _parse_summaps(b: _Block,
             deg, ent = maps[name]
             src, tgt = shapes[name]
             gm[name] = GradedMap(src, tgt, deg, ent)
-        built = ConnSumMaps(sharp, V0=gm["V0"], V1=gm["V1"], V0d=gm["V0d"],
-                            V1d=gm["V1d"], H_sharp=gm["Hsharp"], A=gm["A"],
-                            B=gm["B"], Cc=gm["C"], D=gm["D"])
+        # ConnSumMaps lists the maps in the order of _SUMMAP_NAMES
+        built = ConnSumMaps(sharp, *(gm[name] for name in _SUMMAP_NAMES))
     except ChainError as e:
         raise _wrap_chain_error(e) from None
     return SumSpec(b.name, inputs, built)
@@ -457,13 +453,9 @@ def print_sum_file(spec: SumSpec, c1_name: str = "c1", c2_name: str = "c2",
     parts = [print_complex(spec.inputs.C1, c1_name),
              print_complex(spec.inputs.C2hat, c2_name),
              print_complex(spec.maps.sharp, sharp_name)]
-    m = spec.maps
-    fields = (("V0", m.V0), ("V1", m.V1), ("V0d", m.V0d), ("V1d", m.V1d),
-              ("Hsharp", m.H_sharp), ("A", m.A), ("B", m.B), ("C", m.Cc),
-              ("D", m.D))
     lines = [f"summaps {spec.name}", f"  of {c1_name} {c2_name}",
              f"  sharp {sharp_name}"]
-    for name, f in fields:
+    for name, f in zip(_SUMMAP_NAMES, spec.maps[1:], strict=True):
         lines.append(f"  map {name} {f.degree}")
         for s, t in sorted(f.entries):
             lines.append(f"  entry {s} {t} {f.entries[(s, t)]}")
@@ -593,8 +585,7 @@ class _Report:
 # The manifest and the runner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """One CLI invocation: the command, its inputs, and its options."""
 
     command: str
@@ -767,15 +758,12 @@ def _cmd_ladder(m: Manifest, rep: _Report) -> None:
     rep.check("eq:E-sq1:bar", lr.side_rows[0].ok)
     rep.check("eq:E-sq1:check", lr.side_rows[1].ok)
     rep.check("eq:KM-bottom", lr.bottom_row.ok)
-    order: List[str] = []
+    # one check per square name, in order of first appearance
     agg: Dict[str, bool] = {}
     for sq in lr.squares:
-        if sq.name not in agg:
-            order.append(sq.name)
-            agg[sq.name] = True
-        agg[sq.name] = agg[sq.name] and sq.commutes
-    for name in order:
-        rep.check(name, agg[name])
+        agg[sq.name] = agg.get(sq.name, True) and sq.commutes
+    for name, ok in agg.items():
+        rep.check(name, ok)
     if lr.bar_u_iso is not None:
         rep.info("u-iso", "yes" if lr.bar_u_iso else "no")
 
@@ -880,10 +868,7 @@ def run(manifest: Manifest) -> Tuple[int, str]:
     rep = _Report(manifest.fmt)
     try:
         _HANDLERS[manifest.command](manifest, rep)
-    except (ParseError, ValidationError) as e:
-        rep.error(str(e))
-        return 2, rep.render()
-    except ChainError as e:
+    except (ParseError, ValidationError, ChainError) as e:
         rep.error(str(e))
         return 2, rep.render()
     return (1 if rep.failed else 0), rep.render()
@@ -990,16 +975,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_flag_values(argv))
-    manifest = Manifest(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        flavor=getattr(args, "flavor", None),
-        window=args.window,
-        n=getattr(args, "n", None),
-        direction=getattr(args, "direction", None),
-        seed=getattr(args, "seed", None),
-        fmt=args.fmt)
-    code, text = run(manifest)
+    # a command without an option of the manifest leaves it None
+    args.inputs = tuple(getattr(args, "inputs", ()))
+    code, text = run(Manifest._make(getattr(args, name, None)
+                                    for name in Manifest._fields))
     sys.stdout.write(text)
     return code
 

@@ -31,8 +31,7 @@ chain map satisfies f.d - (-1)^d d.f = 0, and [a, b] is the graded
 commutator (an anticommutator when both maps are odd).
 """
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .chain import (
     ChainComplex,
@@ -42,6 +41,7 @@ from .chain import (
     HomologyTable,
     LawCheck,
     ValidationReport,
+    _Checked,
     _block_map,
     homology,
     tensor,
@@ -217,15 +217,14 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
 # The connected-sum product complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumInput:
+class SumInput(_Checked, NamedTuple("SumInput", [("C1", ChainComplex),
+                                                  ("C2hat", ChainComplex)])):
     """The two hat-flavor factors of a product complex; both must carry a
     U-action and validate over the same ring."""
 
-    C1: ChainComplex
-    C2hat: ChainComplex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for label, C in (("C1", self.C1), ("C2hat", self.C2hat)):
             if C.module.modulus:
                 raise ChainError(f"{label} must be Z-graded")
@@ -312,8 +311,7 @@ def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
         trusted_from = win.lo
     safe_left = [j for j in range(win.lo, win.hi + 1) if j >= trusted_from]
     safe_right = list(range(win.lo, win.hi + 1))
-    s, table = _match_shift(left, right, safe_left, safe_right)
-    return ShiftReport(s, table)
+    return _match_shift(left, right, safe_left, safe_right)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +396,7 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
 # Candidate gluing maps and their identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnSumMaps:
+class ConnSumMaps(NamedTuple):
     """Candidate gluing data between a target complex and the doubled
     product: the two blocks of a column map in, the two blocks of a row
     map back, and the homotopies for both composites (one endomorphism

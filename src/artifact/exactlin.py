@@ -691,7 +691,7 @@ class PresentedGroup:
     """
 
     # filled lazily, by from_pair, or (iota_j, pi_j, d_j) by read_through
-    _left_inv: Optional[IntMatrix] = None
+    _reps: Optional[IntMatrix] = None
     _cycles_snf: Optional[SNFResult] = None
     _plain = False
     _iota = _pi = _d_out = None
@@ -800,19 +800,21 @@ class PresentedGroup:
         return [c[(a, 0)] for a in range(c.rows)]
 
     def representatives(self) -> IntMatrix:
-        """Ambient cycles representing the canonical generators, as columns."""
+        """Ambient cycles representing the canonical generators, as columns;
+        over a factored cycle basis computed once and shared, as an
+        ``IntMatrix`` is immutable."""
         rows = self.torsion_rows + self.free_rows
         if not rows:
             return IntMatrix(self.ambient_dim(), 0)
         if self._plain:
             return (IntMatrix.identity(len(rows)) if self._iota is None
                     else self._iota)
-        if self._left_inv is None:
-            self._left_inv = invert_unimodular(self.rel_left, self.p)
-        e = IntMatrix(self.rel_left.rows, len(rows),
-                      {(r, k): 1 for k, r in enumerate(rows)})
-        reps = self.cycles @ (self._left_inv @ e)
-        return reps if self._iota is None else self._iota @ reps
+        if self._reps is None:
+            e = IntMatrix(self.rel_left.rows, len(rows),
+                          {(r, k): 1 for k, r in enumerate(rows)})
+            reps = self.cycles @ (invert_unimodular(self.rel_left, self.p) @ e)
+            self._reps = reps if self._iota is None else self._iota @ reps
+        return self._reps
 
     def representative(self, k: int) -> IntMatrix:
         """An ambient cycle representing the k-th canonical generator."""

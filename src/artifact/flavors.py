@@ -27,10 +27,13 @@ U-endomorphism, truncated at the top.  ``ladder_check`` certifies the long
 exact sequences and the comparison ladder this model is expected to satisfy,
 and ``four_flavors`` packages the four flavor homology tables of a single
 U-complex with their connecting certificates.
+
+The records here are NamedTuples.  ``BalancedComponents`` checks its shapes
+and degrees however it is built, copies included, and ``FlavorBundle`` is a
+slotted class, because it keeps its three p-morphisms privately.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
     ChainComplex,
@@ -40,7 +43,9 @@ from .chain import (
     HomologyTable,
     ModulusUnsupported,
     PMorphism,
+    _Checked,
     _HomologyArrow,
+    _Sealed,
     _block_map,
     _presentation,
     _renamed_module,
@@ -54,6 +59,7 @@ from .chain import (
     validate,
 )
 from .circle import (
+    _U_LAYOUT,
     INFINITY,
     MINUS,
     PLUS,
@@ -61,10 +67,12 @@ from .circle import (
     LESCertificate,
     Window,
     _doubled,
+    _fundamental,
     _les_certificate,
     _resolve_window,
     _slotwise,
     _su_map,
+    e_y,
     fundamental_sequences,
     s_u,
 )
@@ -112,16 +120,7 @@ _SHAPES: Dict[str, Tuple[str, str, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class BalancedComponents:
-    """The three graded pieces and the sixteen block maps between them.
-
-    Naming: ``d_xy`` is a differential-type count from piece x to piece y,
-    ``u_xy`` the corresponding U-type count; the ``*bar_*`` maps are the
-    reducible (bar-side) blocks.  Shapes and raw degrees are validated on
-    construction; the homological laws are checked by ``assemble``.
-    """
-
+class _ComponentFields(NamedTuple):
     c_o: GradedModule
     c_s: GradedModule
     c_u: GradedModule
@@ -143,7 +142,19 @@ class BalancedComponents:
     ubar_us: GradedMap
     p: int = 0
 
-    def __post_init__(self):
+
+class BalancedComponents(_Checked, _ComponentFields):
+    """The three graded pieces and the sixteen block maps between them.
+
+    Naming: ``d_xy`` is a differential-type count from piece x to piece y,
+    ``u_xy`` the corresponding U-type count; the ``*bar_*`` maps are the
+    reducible (bar-side) blocks.  Shapes and raw degrees are validated on
+    construction; the homological laws are checked by ``assemble``.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         for piece in (self.c_o, self.c_s, self.c_u):
             if piece.modulus:
                 raise ModulusUnsupported(
@@ -179,46 +190,32 @@ H, B = "h.{}", "b.{}"
 # The bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlavorBundle:
+class FlavorBundle(_Sealed):
     """The three assembled complexes with their comparison maps.
 
     ``i``: bar -> check (degree 0), ``j``: check -> hat (degree 0),
     ``p``: hat -> bar (degree -1); ``k_i``/``k_j``/``k_p`` are the
     U-commutation witnesses, stored in their printed form (the p-morphism
     witness of j is ``-k_j``).  ``pm_i``/``pm_j``/``pm_p`` hand out one
-    p-morphism each per bundle, so each is verified once.
+    p-morphism each per bundle, so each is verified once; ``_replace``
+    copies through the constructor, so a copy builds its own.
     """
 
-    hat: ChainComplex
-    bar: ChainComplex
-    check: ChainComplex
-    i: GradedMap
-    j: GradedMap
-    p: GradedMap
-    k_i: GradedMap
-    k_j: GradedMap
-    k_p: GradedMap
-    components: BalancedComponents
-    _pms: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("hat", "bar", "check", "i", "j", "p", "k_i", "k_j", "k_p",
+                 "components", "_pms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_pms", (
-            PMorphism(self.bar, self.check, self.i, self.k_i),
-            PMorphism(self.check, self.hat, self.j, -self.k_j),
-            PMorphism(self.hat, self.bar, self.p, self.k_p)))
+    def __init__(self, hat: ChainComplex, bar: ChainComplex,
+                 check: ChainComplex, i: GradedMap, j: GradedMap,
+                 p: GradedMap, k_i: GradedMap, k_j: GradedMap,
+                 k_p: GradedMap, components: BalancedComponents):
+        super().__init__(
+            hat, bar, check, i, j, p, k_i, k_j, k_p, components,
+            (PMorphism(bar, check, i, k_i), PMorphism(check, hat, j, -k_j),
+             PMorphism(hat, bar, p, k_p)))
 
-    @property
-    def u_hat(self) -> GradedMap:
-        return self.hat.u_action
-
-    @property
-    def u_bar(self) -> GradedMap:
-        return self.bar.u_action
-
-    @property
-    def u_check(self) -> GradedMap:
-        return self.check.u_action
+    def _replace(self, **changes) -> "FlavorBundle":
+        fields = {n: getattr(self, n) for n in self.__slots__[:-1]}
+        return FlavorBundle(**{**fields, **changes})
 
     def pm_i(self) -> PMorphism:
         return self._pms[0]
@@ -362,8 +359,7 @@ def assemble(components: BalancedComponents,
 # Mapping cone of p and its identity pack
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(NamedTuple):
     """Ordered (tag, passed) results for the cone identity pack."""
 
     checks: Tuple[Tuple[str, bool], ...]
@@ -485,8 +481,7 @@ def cone_identities(bundle: FlavorBundle) -> ConeReport:
 # Tower models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(NamedTuple):
     """A finite u-tower over a base complex: exponents -n..n, the stable
     piece holding exponents <= 0.  ``higher_terms`` are optional corrections
     to the x-shift, each a pair (jump k >= 2, even cycle-commuting map of
@@ -557,8 +552,7 @@ def tower_model(params: TowerParams) -> BalancedComponents:
 # Four flavors of a single U-complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourFlavors:
+class FourFlavors(NamedTuple):
     """Homology of the four flavor slices of the doubled complex, with the
     two connecting long-exact-sequence certificates."""
 
@@ -601,15 +595,13 @@ def four_flavors(C: ChainComplex, window=None) -> FourFlavors:
 # The comparison ladder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LadderSquare:
+class LadderSquare(NamedTuple):
     name: str
     degree: Optional[int]  # None when the identity holds at chain level
     commutes: bool
 
 
-@dataclass(frozen=True)
-class LadderReport:
+class LadderReport(NamedTuple):
     """Certificates for the comparison ladder.
 
     ``top_row`` is the splice long exact sequence of the doubled hat
@@ -723,18 +715,26 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
             su_j, su_check, su_hat,
             (win.lo + 1, win.hi)).iso_on((win.lo + 1, win.hi))
 
-    fs = {"hat": fundamental_sequences(su_hat, win),
-          "bar": fundamental_sequences(su_bar, win),
-          "check": fundamental_sequences(su_check, win)}
+    # the first fundamental sequences read only the minus, infinity and
+    # plus slices; the hat slice is left to the second, never built here
+    fs = {key: _fundamental({fl.tag: e_y(S, fl, win)
+                             for fl in (MINUS, INFINITY, PLUS)}, _U_LAYOUT,
+                            [dg for _, dg in S.module.generators], win)
+          for key, S in (("hat", su_hat), ("bar", su_bar),
+                         ("check", su_check))}
 
     legs = (("p", su_p, "hat", "bar"),
             ("i", su_i, "bar", "check"),
             ("j", su_j, "check", "hat"))
-    sliced = {}
+    # the sliced legs, and the arrows on homology the connecting squares
+    # read, of the minus and plus legs
+    sliced, arrows = {}, {}
     for tag, f, a, b in legs:
         for fl in (MINUS, INFINITY, PLUS):
-            sliced[(tag, fl.tag)] = _slotwise(
-                f, fs[a].complexes[fl.tag], fs[b].complexes[fl.tag])
+            src, tgt = fs[a].complexes[fl.tag], fs[b].complexes[fl.tag]
+            g = sliced[(tag, fl.tag)] = _slotwise(f, src, tgt)
+            if fl is not INFINITY:
+                arrows[(tag, fl.tag)] = _HomologyArrow(g, src, tgt)
 
     squares: List[LadderSquare] = []
     for tag, f, a, b in legs:
@@ -748,13 +748,6 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
             sliced[(tag, "plus")] @ prj_a)
         squares.append(LadderSquare(
             f"eq:KM:{tag}:slice", None, lhs.is_zero_mod(prime)))
-
-    arrows = {}
-    for tag, f, a, b in legs:
-        for fl in (MINUS, PLUS):
-            arrows[(tag, fl.tag)] = _HomologyArrow(
-                sliced[(tag, fl.tag)],
-                fs[a].complexes[fl.tag], fs[b].complexes[fl.tag])
 
     for tag, f, a, b in legs:
         d = f.degree

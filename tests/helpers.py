@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from artifact import circle
 from artifact.chain import ChainComplex, GradedMap, GradedModule, PMorphism
 from artifact.circle import _name_map, _ses_exact_at
+from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
                                _back_substitute, kernel_of_presented_map,
                                lattice_contains, rank_and_kernel, snf, solve,
@@ -219,6 +220,14 @@ def random_pmorphism(rng: random.Random, C1: ChainComplex, C2: ChainComplex,
     phi = (C2.d @ N) + (N @ C1.d).scale(sign)
     K = (C2.u_action @ N) - (N @ C1.u_action)
     return PMorphism(C1, C2, phi, K)
+
+
+def laurent_form(S: ChainComplex) -> FilteredComplex:
+    """A Y-complex as a filtered complex: d at exponent 0, Y at exponent 1."""
+    entries = {k: [(0, v)] for k, v in S.d.entries.items()}
+    for k, v in S.y_action.entries.items():
+        entries.setdefault(k, []).append((1, v))
+    return FilteredComplex(S.module.generators, entries, p=S.p)
 
 
 def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,

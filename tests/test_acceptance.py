@@ -22,7 +22,6 @@ with exact integer arithmetic and zero tolerance.
    full corpus.
 """
 
-import dataclasses
 import random
 import subprocess
 import sys
@@ -368,7 +367,7 @@ class TestConeIdentities:
         f = getattr(bundle, field)
         bump = GradedMap(f.source, f.target, f.degree, {key: 1})
         rep = cone_identities(
-            dataclasses.replace(bundle, **{field: f + bump}))
+            bundle._replace(**{field: f + bump}))
         assert tag in rep.failures()
 
     def test_k_derivation_identity_discriminates(self):

@@ -858,8 +858,8 @@ def _les_inputs():
 
 
 class TestRankVerdict:
-    """Over F_p an LES node is decided by ranks; the lattice routine, kept
-    for Z, must give the same verdict on every node."""
+    """Over F_p an LES node is decided by ranks; the four-factorization
+    lattice oracle must give the same verdict on every node."""
 
     def test_rank_verdict_equals_lattice_verdict(self, monkeypatch):
         seen = []
@@ -874,12 +874,12 @@ class TestRankVerdict:
             G = outgoing.matrix(j)
             n = mid.rank_coords()
             assert p
-            assert verdict == _lattice_exactness(F, G, mid, tgt, p)
+            assert verdict == lattice_exactness_oracle(F, G, mid, tgt, p)
             # deliberately broken nodes: F replaced by 0, and by the
             # identity of the middle group
             for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n)):
                 rank = _rank_exactness(bad, G, n, p)
-                assert rank == _lattice_exactness(bad, G, mid, tgt, p)
+                assert rank == lattice_exactness_oracle(bad, G, mid, tgt, p)
                 seen.append(("broken", rank))
             seen.append(("node", verdict))
             return verdict
@@ -929,7 +929,7 @@ class TestLatticeNodes:
             (z2_z, z, M([[1], [0]]), M([[0, 0]]), (True, False)),
         ]
         for mid, tgt, F, G, want in cases:
-            assert _lattice_exactness(F, G, mid, tgt, 0) == want
+            assert _lattice_exactness(F, G, mid, tgt) == want
             assert lattice_exactness_oracle(F, G, mid, tgt, 0) == want
 
 
@@ -976,7 +976,7 @@ class TestEmptyGroupShortcuts:
                 oracle = _rank_exactness(F, G, mid.rank_coords(), p)
             else:
                 tgt = _presentation(outgoing.target, j + outgoing.degree)
-                oracle = _lattice_exactness(F, G, mid, tgt, p)
+                oracle = _lattice_exactness(F, G, mid, tgt)
             assert verdict == oracle
             nodes[p][mid.rank_coords() == 0] += 1
             return verdict

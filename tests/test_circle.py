@@ -14,11 +14,11 @@ from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              _name_map, _ses_exact_at, e1_page, e_y, e_y_map,
                              fundamental_sequences, koszul_a, koszul_b, s_u,
                              s_u_map, safe_degrees)
-from artifact.connsum import FilteredComplex, cm_flavors
+from artifact.connsum import cm_flavors
 from artifact.exactlin import AbelianGroup
 
-from helpers import (count_les_tags, lattice_ses_exact_at, random_complex,
-                     random_pmorphism, ses_verdicts)
+from helpers import (count_les_tags, lattice_ses_exact_at, laurent_form,
+                     random_complex, random_pmorphism, ses_verdicts)
 
 Z = AbelianGroup(1)
 
@@ -299,13 +299,6 @@ class TestTrustedDerivedMaps:
     fundamental sequences, over both layouts.  Each is the map the checked
     constructor makes of its entries, with no zero stored."""
 
-    @staticmethod
-    def _laurent_form(S):
-        entries = {k: [(0, v)] for k, v in S.d.entries.items()}
-        for k, v in S.y_action.entries.items():
-            entries.setdefault(k, []).append((1, v))
-        return FilteredComplex(S.module.generators, entries, p=S.p)
-
     def test_each_matches_checked_construction(self):
         rng = random.Random(36)
         for p in (0, 2, 3):
@@ -321,7 +314,7 @@ class TestTrustedDerivedMaps:
                     maps += [E.d, E.u_action,
                              e_y_map(f, S1, S2, flavor, win)]
                 for fs in (fundamental_sequences(S1, win),
-                           cm_flavors(self._laurent_form(S1), win)):
+                           cm_flavors(laurent_form(S1), win)):
                     maps += [c.d for c in fs.complexes.values()]
                     maps += [c.u_action for c in fs.complexes.values()]
                     seqs = [fs.seq1.inject, fs.seq1.project, fs.seq2.project]

@@ -23,7 +23,8 @@ from artifact.exactlin import AbelianGroup, IntMatrix
 from artifact.chain import _presentation
 from artifact.flavors import _chase, _square_commutes, four_flavors
 
-from helpers import lattice_exactness_oracle, random_complex, ses_verdicts
+from helpers import (laurent_form, lattice_exactness_oracle, random_complex,
+                     ses_verdicts)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -219,14 +220,6 @@ class TestCMFlavors:
                 assert list(img.values()) == [1]
 
 
-def laurent_form(S):
-    """A Y-complex as a filtered complex: d at exponent 0, Y at exponent 1."""
-    entries = {k: [(0, v)] for k, v in S.d.entries.items()}
-    for k, v in S.y_action.entries.items():
-        entries.setdefault(k, []).append((1, v))
-    return FilteredComplex(S.module.generators, entries, p=S.p)
-
-
 class TestEnginesAgree:
     def test_cm_flavors_match_fundamental_sequences(self):
         """The Laurent expansion of s_u(C) is the u-range expansion with
@@ -294,7 +287,7 @@ class TestLatticeVerdict:
                 assert verdict == lattice_exactness_oracle(F, G, mid, tgt, 0)
                 for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n),
                             F.scale(2)):
-                    got = _lattice_exactness(bad, G, mid, tgt, 0)
+                    got = _lattice_exactness(bad, G, mid, tgt)
                     assert got == lattice_exactness_oracle(bad, G, mid, tgt,
                                                            0)
                     broken.add(got)

@@ -1,7 +1,9 @@
 """What a CLI job loads.  The package imports none of its modules, and each
 command imports only the engine modules it runs, so a ``homology`` job does
-not pay for ``circle``, ``flavors`` or ``connsum``.  Each check runs in a
-fresh interpreter, where ``sys.modules`` shows exactly what was loaded."""
+not pay for ``circle``, ``flavors`` or ``connsum``.  No job loads
+``dataclasses`` or the source-introspection modules it pulls in: the
+records are NamedTuples and slotted classes.  Each check runs in a fresh
+interpreter, where ``sys.modules`` shows exactly what was loaded."""
 
 import os
 import subprocess
@@ -37,14 +39,18 @@ JOBS = [
     (["consum-verify", f"{CORPUS}/summaps_acyclic.txt"], CONNSUM),
 ]
 
-# runs one CLI job, then prints the loaded artifact modules as its last
-# line of stderr
-RUN_JOB = """
+# modules no job should load; dataclasses imports the other four
+UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+# runs one CLI job, then prints the loaded artifact modules and the loaded
+# unwanted ones as the last two lines of stderr
+RUN_JOB = f"""
 import sys
 from artifact.cli import main
 code = main(sys.argv[1:])
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "artifact"),
       file=sys.stderr)
+print(*[m for m in {UNWANTED!r} if m in sys.modules], file=sys.stderr)
 sys.exit(code)
 """
 
@@ -77,7 +83,9 @@ def child(code, *args):
 def test_a_job_loads_only_its_modules(argv, expected):
     proc = child(RUN_JOB, *argv, "--format", "machine")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert set(proc.stderr.splitlines()[-1].split()) == expected
+    *_, loaded, unwanted = proc.stderr.splitlines()
+    assert set(loaded.split()) == expected
+    assert unwanted == ""
 
 
 def test_public_names_resolve_in_a_fresh_interpreter():
