@@ -13,18 +13,18 @@ from importlib import import_module
 _EXPORTS = {
     "exactlin": ("AbelianGroup", "IntMatrix", "snf", "rank_and_kernel",
                  "solve", "homology_of_pair"),
-    "chain": ("ChainComplex", "GradedMap", "GradedModule", "HomologyTable",
-              "PMorphism", "cone", "direct_sum", "homology",
-              "induced_on_homology", "tensor", "validate", "verify_exact_at",
-              "verify_homotopy"),
+    "chain": ("ChainComplex", "Check", "CheckReport", "GradedMap",
+              "GradedModule", "HomologyTable", "PMorphism", "cone",
+              "direct_sum", "homology", "induced_on_homology", "tensor",
+              "validate", "verify_exact_at", "verify_homotopy"),
     "circle": ("ALL_FLAVORS", "Flavor", "HAT", "INFINITY", "MINUS", "PLUS",
                "ShiftReport", "Window", "e1_page", "e_y", "e_y_map",
                "fundamental_sequences", "koszul_a", "koszul_b", "s_u",
                "s_u_map", "safe_degrees"),
-    "flavors": ("AssemblyInconsistent", "BalancedComponents", "ConeReport",
-                "FlavorBundle", "FourFlavors", "LadderReport", "TowerParams",
-                "assemble", "cone_identities", "cone_total", "four_flavors",
-                "ladder_check", "tower_model"),
+    "flavors": ("AssemblyInconsistent", "BalancedComponents", "FlavorBundle",
+                "FourFlavors", "LadderReport", "TowerParams", "assemble",
+                "cone_identities", "cone_total", "four_flavors",
+                "ladder_check", "point_tower", "tower_model"),
     "connsum": ("ConnSumMaps", "FilteredComplex", "IdentificationFailed",
                 "PositivityViolated", "SumInput", "case1_check",
                 "case2_check", "check_positivity", "cm_flavors",

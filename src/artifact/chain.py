@@ -404,41 +404,50 @@ class ChainComplex:
         return f"ChainComplex({len(self.module)} gens over {ring}{extras})"
 
 
-class LawCheck(NamedTuple):
-    law: str
-    passed: bool
-    witness: Optional[Tuple[str, str]] = None
+class Check(NamedTuple):
+    """One verdict, named by the tag a report prints.  ``witness`` locates
+    a failure where the check can: a generator pair for a law, the first
+    failing (location, degree) of a long exact sequence, the first failing
+    degree of a square.  A long exact sequence that fails with witness
+    None had no node to check."""
+
+    tag: str
+    ok: bool
+    witness: object = None
 
 
-class ValidationReport(NamedTuple):
-    checks: Tuple[LawCheck, ...]
+class CheckReport(NamedTuple):
+    """Checks in the order a report prints them."""
+
+    checks: Tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """At least one check, and every check passing."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
-    def failing(self) -> List[LawCheck]:
-        return [c for c in self.checks if not c.passed]
+    def failures(self) -> List[Check]:
+        return [c for c in self.checks if not c.ok]
 
 
-def validate(C: ChainComplex) -> ValidationReport:
+def validate(C: ChainComplex) -> CheckReport:
     """Check d^2 = 0, [d,U] = 0, dY + Yd = 0, Y^2 = 0, and degree
     homogeneity; failures carry a witnessing generator pair."""
-    checks: List[LawCheck] = []
+    checks: List[Check] = []
     # degree homogeneity is enforced when maps are built, so it can only pass
-    checks.append(LawCheck("degree-homogeneity", True))
+    checks.append(Check("degree-homogeneity", True))
     dd = C.d @ C.d
     w = dd.nonzero_witness(C.p)
-    checks.append(LawCheck("d.d=0", w is None, w))
+    checks.append(Check("d.d=0", w is None, w))
     if C.u_action is not None:
         w = commutator(C.d, C.u_action).nonzero_witness(C.p)
-        checks.append(LawCheck("[d,U]=0", w is None, w))
+        checks.append(Check("[d,U]=0", w is None, w))
     if C.y_action is not None:
         w = commutator(C.d, C.y_action).nonzero_witness(C.p)
-        checks.append(LawCheck("dY+Yd=0", w is None, w))
+        checks.append(Check("dY+Yd=0", w is None, w))
         w = (C.y_action @ C.y_action).nonzero_witness(C.p)
-        checks.append(LawCheck("Y.Y=0", w is None, w))
-    return ValidationReport(tuple(checks))
+        checks.append(Check("Y.Y=0", w is None, w))
+    return CheckReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +692,8 @@ def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> Homol
     """Degreewise homology via exact kernels and images."""
     rep = validate(C)
     if not rep.ok:
-        bad = rep.failing()[0]
-        raise ChainError(f"complex fails law {bad.law} at {bad.witness}")
+        bad = rep.failures()[0]
+        raise ChainError(f"complex fails law {bad.tag} at {bad.witness}")
     pres = present_homology(C, window)
     return HomologyTable({j: pg.group for j, pg in pres.items()})
 

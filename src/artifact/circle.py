@@ -15,11 +15,12 @@ fundamental short exact sequences, their connecting maps and their
 long-exact-sequence certificates.  The two callers differ only in a
 ``_Layout``: the range table (u-range as above; Laurent: minus k >= 0,
 infinity all k, plus k <= -1, hat k = 0), the name suffix (``.u`` / ``.U``)
-and the certificate tags.  The hat offset o = 2 * (bottom exponent of
-minus - hat exponent) is 2 for the u-range, whose hat is the top line of
-plus, and 0 for the Laurent range, whose hat is the bottom line of minus.
-It is the degree of the projection of minus onto hat, and every other
-difference between the two sequences follows from it.
+and the tags of the two sequences' Checks.  The hat offset o = 2 *
+(bottom exponent of minus - hat exponent) is 2 for the u-range, whose hat
+is the top line of plus, and 0 for the Laurent range, whose hat is the
+bottom line of minus.  It is the degree of the projection of minus onto
+hat, and every other difference between the two sequences follows from
+it.
 
 Conventions match chain.py: differentials have degree -1; a degree-d chain
 map satisfies f.d - (-1)^d d.f = 0.  On a doubled complex the blocks over
@@ -43,6 +44,8 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 from .chain import (
     ChainComplex,
     ChainError,
+    Check,
+    CheckReport,
     GradedMap,
     GradedModule,
     HomologyTable,
@@ -91,13 +94,12 @@ def _in_range(exponents: ExponentRange, n: int) -> bool:
 
 class _Layout(NamedTuple):
     """One family of flavor expansions: the exponent range of each flavor,
-    the generator-name suffix, and the tags of the two short exact
-    sequences and of their long exact sequences."""
+    the generator-name suffix, and the tags a report prints for the two
+    fundamental sequences."""
 
     ranges: Dict[str, ExponentRange]
     suffix: str
-    seq_tags: Tuple[str, str]
-    les_tags: Tuple[str, str]
+    tags: Tuple[str, str]
 
     @property
     def hat_offset(self) -> int:
@@ -109,15 +111,13 @@ class _Layout(NamedTuple):
 _U_LAYOUT = _Layout(
     {"minus": (1, None), "infinity": (None, None), "plus": (None, 0),
      "hat": (0, 0)},
-    ".u", ("u-range-splice", "u-multiplication"),
-    ("localization-sequence", "u-multiplication-sequence"))
+    ".u", ("eq:E-sq1", "eq:E-sq2"))
 
 # Laurent exponents of a filtered complex: hat is the bottom line of minus
 _LAURENT_LAYOUT = _Layout(
     {"minus": (0, None), "infinity": (None, None), "plus": (None, -1),
      "hat": (0, 0)},
-    ".U", ("eq:fund-short:1", "eq:fund-short:2"),
-    ("eq:fund-short:1", "eq:fund-short:2"))
+    ".U", ("eq:fund-short:1", "eq:fund-short:2"))
 
 
 class Flavor(_Checked, NamedTuple("Flavor", [("tag", str)])):
@@ -225,8 +225,8 @@ def s_u(C: ChainComplex) -> ChainComplex:
     out = ChainComplex(module, d, y_action=y, p=C.p)
     rep = validate(out)
     if not rep.ok:
-        bad = rep.failing()[0]
-        raise ChainError(f"s_u output fails {bad.law} at {bad.witness}")
+        bad = rep.failures()[0]
+        raise ChainError(f"s_u output fails {bad.tag} at {bad.witness}")
     return out
 
 
@@ -341,7 +341,6 @@ def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
 # ---------------------------------------------------------------------------
 
 class ShortExactSequence(NamedTuple):
-    tag: str
     left: ChainComplex
     middle: ChainComplex
     right: ChainComplex
@@ -351,36 +350,14 @@ class ShortExactSequence(NamedTuple):
     exact: bool
 
 
-class LESNode(NamedTuple):
-    location: str
-    degree: int
-    contained: bool
-    equal: bool
-
-
-class LESCertificate(NamedTuple):
-    tag: str
-    nodes: Tuple[LESNode, ...]
-
-    @property
-    def ok(self) -> bool:
-        """Every node exact, and at least one node checked: a sequence with
-        no window-safe node has certified nothing."""
-        return bool(self.nodes) and all(n.contained and n.equal
-                                        for n in self.nodes)
-
-    def failures(self) -> List[LESNode]:
-        return [n for n in self.nodes if not (n.contained and n.equal)]
-
-
 class FundamentalSequences(_Sealed):
     """The four flavor expansions of one complex on a window, with both
     fundamental short exact sequences (minus into infinity onto plus; minus
-    into minus by u onto hat) and their homology certificates.  The second
-    sequence (``seq2``, ``les2``, ``delta2``) is built on first access, by
-    the private ``_second``, and kept; ``ok`` forces it.  ``delta1`` is
-    plus -> minus of degree -1; ``safe`` holds each slice's window-safe
-    degrees."""
+    into minus by u onto hat) and the Checks of their long exact sequences.
+    The second sequence (``seq2``, ``les2``, ``delta2``) is built on first
+    access, by the private ``_second``, and kept; ``checks`` and ``ok``
+    force it.  ``delta1`` is plus -> minus of degree -1; ``safe`` holds
+    each slice's window-safe degrees."""
 
     __slots__ = ("window", "complexes", "seq1", "les1", "delta1", "safe",
                  "_second")
@@ -391,8 +368,15 @@ class FundamentalSequences(_Sealed):
     delta2 = property(lambda self: self._second()[2])
 
     @property
+    def checks(self) -> Tuple[Check, Check]:
+        """One Check per sequence, as a report prints it: exact at the chain
+        level and its long exact sequence certified, with the LES witness."""
+        return tuple(les._replace(ok=seq.exact and les.ok) for seq, les in
+                     ((self.seq1, self.les1), (self.seq2, self.les2)))
+
+    @property
     def ok(self) -> bool:
-        return self.seq1.exact and self.seq2.exact and self.les1.ok and self.les2.ok
+        return CheckReport(self.checks).ok
 
 
 def _identity_entries(src: ChainComplex, tgt: ChainComplex) -> Dict[Tuple[str, str], int]:
@@ -434,19 +418,24 @@ def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
             and image == {b for b in b_gens if b not in proj})
 
 
-def _les_certificate(tag: str, win: Window, rows,
-                     safe: Dict[str, Set[int]]) -> LESCertificate:
+def _les_check(tag: str, win: Window, rows,
+               safe: Dict[str, Set[int]]) -> Check:
     """Homology-level exactness at the nodes of a long exact sequence, degree
     by degree.  ``rows`` lists (location, incoming arrow, outgoing arrow,
     needs); the node at degree j is checked only when j + offset lies in
-    ``safe[key]`` for every (key, offset) pair of its needs."""
-    nodes = []
+    ``safe[key]`` for every (key, offset) pair of its needs.  Every node is
+    checked; the witness is the first inexact (location, degree).  With no
+    node checked the sequence has certified nothing, and the Check fails
+    with no witness."""
+    checked, witness = False, None
     for j in range(win.lo, win.hi + 1):
         for location, incoming, outgoing, needs in rows:
             if all(j + k in safe[key] for key, k in needs):
-                c, e = exactness_pair(incoming, outgoing, j)
-                nodes.append(LESNode(location, j, c, e))
-    return LESCertificate(tag, tuple(nodes))
+                checked = True
+                if (exactness_pair(incoming, outgoing, j) != (True, True)
+                        and witness is None):
+                    witness = (location, j)
+    return Check(tag, checked and witness is None, witness)
 
 
 def _chain_map_inside(f: GradedMap, source: ChainComplex,
@@ -486,8 +475,8 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
                and is_chain_map(proj, inf, plus)
                and all(_ses_exact_at(inc, proj, j, names)
                        for j in seq1_checked))
-    seq1 = ShortExactSequence(layout.seq_tags[0], minus, inf, plus, inc,
-                              proj, seq1_checked, seq1_ok)
+    seq1 = ShortExactSequence(minus, inf, plus, inc, proj, seq1_checked,
+                              seq1_ok)
 
     delta1 = _HomologyArrow(
         _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
@@ -496,7 +485,7 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
 
     safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
             for tag in FLAVOR_TAGS}
-    les1 = _les_certificate(layout.les_tags[0], win, (
+    les1 = _les_check(layout.tags[0], win, (
         ("infinity", inc_a, proj_a,
          (("infinity", 0), ("minus", 0), ("plus", 0))),
         ("plus", proj_a, delta1,
@@ -511,7 +500,7 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
 def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
                      win: Window, safe: Dict[str, Set[int]]) -> tuple:
     """(seq2, les2, delta2) of ``_fundamental``: minus into minus by u onto
-    hat, its long exact sequence certificate and its connecting map."""
+    hat, its long exact sequence's Check and its connecting map."""
     minus, hat = complexes["minus"], complexes["hat"]
     o = layout.hat_offset
 
@@ -533,15 +522,15 @@ def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
     seq2_ok = (_chain_map_inside(proj2, minus, hat, win)
                and all(_ses_exact_at(mult_u, proj2, j, names)
                        for j in seq2_checked))
-    seq2 = ShortExactSequence(layout.seq_tags[1], minus, minus, hat, mult_u,
-                              proj2, seq2_checked, seq2_ok)
+    seq2 = ShortExactSequence(minus, minus, hat, mult_u, proj2,
+                              seq2_checked, seq2_ok)
 
     # retracting u keeps the exponents above the bottom of minus
     delta2 = _HomologyArrow(
         _transpose(mult_u) @ minus.d @ _transpose(proj2), hat, minus)
     mult_a = _HomologyArrow(mult_u, minus, minus)
     proj2_a = _HomologyArrow(proj2, minus, hat)
-    les2 = _les_certificate(layout.les_tags[1], win, (
+    les2 = _les_check(layout.tags[1], win, (
         ("minus@u-image", mult_a, proj2_a,
          (("minus", 0), ("minus", 2), ("hat", o))),
         ("hat", proj2_a, delta2,
@@ -668,6 +657,11 @@ class ShiftReport(NamedTuple):
     @property
     def matched(self) -> bool:
         return self.shift is not None
+
+    @property
+    def ok(self) -> bool:
+        """Matched, and the cycle-level witness, where there is one, holds."""
+        return self.matched and self.witness_ok is not False
 
 
 def _match_shift(leftH: HomologyTable, rightH: HomologyTable,

@@ -36,11 +36,11 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 from .chain import (
     ChainComplex,
     ChainError,
+    Check,
+    CheckReport,
     GradedMap,
     GradedModule,
     HomologyTable,
-    LawCheck,
-    ValidationReport,
     _Checked,
     _block_map,
     homology,
@@ -233,7 +233,7 @@ class SumInput(_Checked, NamedTuple("SumInput", [("C1", ChainComplex),
             rep = validate(C)
             if not rep.ok:
                 raise ChainError(
-                    f"{label} fails {rep.failing()[0].law}")
+                    f"{label} fails {rep.failures()[0].tag}")
         if self.C1.p != self.C2hat.p:
             raise ChainError("ring mismatch")
 
@@ -246,7 +246,7 @@ def product_complex(S: SumInput) -> ChainComplex:
     out = T.complex.with_actions(u_action=u_cup)
     rep = validate(out)
     if not rep.ok:
-        raise ChainError(f"product fails {rep.failing()[0].law}")
+        raise ChainError(f"product fails {rep.failures()[0].tag}")
     return out
 
 
@@ -420,7 +420,7 @@ def _require_shape(name: str, f: GradedMap, src: GradedModule,
         raise ChainError(f"{name} does not fit the block decomposition")
 
 
-def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> ValidationReport:
+def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
     """Check the four block chain-map identities and both
     homotopy-composite identities, entry-exactly, for candidate maps
     between M.sharp and the doubled product of S.
@@ -449,19 +449,19 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> ValidationReport:
     for name, f in (("A", M.A), ("B", M.B), ("Cc", M.Cc), ("D", M.D)):
         _require_shape(name, f, pm, pm)
 
-    checks: List[LawCheck] = []
+    checks: List[Check] = []
     parity_ok = (M.V0.degree % 2 == 1 and M.V1.degree == M.V0.degree - 1
                  and M.V1d.degree == -M.V0.degree
                  and M.V0d.degree == M.V1d.degree + 1)
-    checks.append(LawCheck("eq:V-m:parity", parity_ok))
+    checks.append(Check("eq:V-m:parity", parity_ok))
 
     def run(name: str, fn):
         try:
             defect = fn()
             w = defect.nonzero_witness(p)
-            checks.append(LawCheck(name, w is None, w))
+            checks.append(Check(name, w is None, w))
         except ChainError:
-            checks.append(LawCheck(name, False))
+            checks.append(Check(name, False))
 
     run("eq:chain-maps:V0", lambda: P.d @ M.V0 + M.V0 @ sharp.d)
     run("eq:chain-maps:V1",
@@ -489,4 +489,4 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> ValidationReport:
                 - SP.d @ H - H @ SP.d)
 
     run("eq:cob-comp:product", product_composite)
-    return ValidationReport(tuple(checks))
+    return CheckReport(tuple(checks))

@@ -38,6 +38,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .chain import (
     ChainComplex,
     ChainError,
+    Check,
+    CheckReport,
     GradedMap,
     GradedModule,
     HomologyTable,
@@ -64,11 +66,10 @@ from .circle import (
     MINUS,
     PLUS,
     FundamentalSequences,
-    LESCertificate,
     Window,
     _doubled,
     _fundamental,
-    _les_certificate,
+    _les_check,
     _resolve_window,
     _slotwise,
     _su_map,
@@ -359,19 +360,6 @@ def assemble(components: BalancedComponents,
 # Mapping cone of p and its identity pack
 # ---------------------------------------------------------------------------
 
-class ConeReport(NamedTuple):
-    """Ordered (tag, passed) results for the cone identity pack."""
-
-    checks: Tuple[Tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.checks)
-
-    def failures(self) -> List[str]:
-        return [tag for tag, passed in self.checks if not passed]
-
-
 def cone_total(bundle: FlavorBundle) -> ChainComplex:
     """The mapping cone of p with its block U-endomorphism [[U_hat, 0],
     [k_p, U_bar]]; generators keep their names under prefixes h. and b."""
@@ -383,7 +371,22 @@ def cone_total(bundle: FlavorBundle) -> ChainComplex:
     return ChainComplex(E.module, E.d, u_action=u_e, p=bundle.hat.p)
 
 
-def cone_identities(bundle: FlavorBundle) -> ConeReport:
+def _doubled_pieces(bundle: FlavorBundle, EC: ChainComplex) -> tuple:
+    """s_u of hat, bar and check; the doubled i, j and p, so a p-morphism
+    that fails is refused before the cone is doubled; s_u of EC, the cone
+    of p; and the doubled cone's inclusion of bar and projection onto hat,
+    as the doubled cone is the cone of the doubled pieces, name for name."""
+    su_hat, su_bar, su_check = (
+        s_u(cx) for cx in (bundle.hat, bundle.bar, bundle.check))
+    su_i = _su_map(bundle.pm_i(), su_bar, su_check)
+    su_j = _su_map(bundle.pm_j(), su_check, su_hat)
+    su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
+    sue = s_u(EC)
+    return (su_hat, su_bar, su_check, su_i, su_j, su_p, sue,
+            cone_inclusion(sue, su_bar, "b"), cone_projection(sue, su_hat, "h"))
+
+
+def cone_identities(bundle: FlavorBundle) -> CheckReport:
     """Verify the homotopy-equivalence identity pack for the cone of p.
 
     The comparison maps are k = [j; Pi_s]: check -> cone and l = [Pi_o, i]:
@@ -412,69 +415,56 @@ def cone_identities(bundle: FlavorBundle) -> ConeReport:
     kk = _block_map(EC.module, EC.module, 1, [(one_u, "b.u.{}", "h.u.{}", -1)])
     kibar = kk @ ibar
 
-    def zero(m: GradedMap) -> bool:
-        return m.is_zero_mod(prime)
+    checks: List[Check] = []
 
-    checks: List[Tuple[str, bool]] = []
-    checks.append(("eq:1", zero((l_map @ k_map)
-                                - GradedMap.identity(check_mod))))
-    checks.append(("eq:2", zero((k_map @ l_map)
-                                - GradedMap.identity(EC.module)
-                                - (EC.d @ kk) - (kk @ EC.d))))
-    checks.append(("eq:3", zero(bundle.j - (jbar @ k_map))))
-    checks.append(("eq:4", zero((k_map @ bundle.i) - ibar
-                                - (EC.d @ kibar) - (kibar @ bundle.bar.d))))
-    checks.append(("eq:S2:rho1", zero((bundle.k_j @ pi_o)
-                                      - (pi_u @ bundle.k_p))))
-    checks.append(("eq:S2:rho2", zero((pi_s @ bundle.k_i)
-                                      + (bundle.k_p @ pi_u))))
-    checks.append(("eq:S2:rho3", zero((bundle.hat.u_action @ pi_u)
-                                      - (pi_u @ bundle.bar.u_action)
-                                      - (bundle.k_j @ bundle.i)
-                                      + (bundle.j @ bundle.k_i))))
-    cone_u_ok = zero(commutator(EC.d, EC.u_action))
-    checks.append(("eq:U-cone", cone_u_ok))
+    def law(tag: str, m: GradedMap) -> bool:
+        """Check that m is zero, under tag."""
+        checks.append(Check(tag, m.is_zero_mod(prime)))
+        return checks[-1].ok
+
+    law("eq:1", (l_map @ k_map) - GradedMap.identity(check_mod))
+    law("eq:2", (k_map @ l_map) - GradedMap.identity(EC.module)
+        - (EC.d @ kk) - (kk @ EC.d))
+    law("eq:3", bundle.j - (jbar @ k_map))
+    law("eq:4", (k_map @ bundle.i) - ibar
+        - (EC.d @ kibar) - (kibar @ bundle.bar.d))
+    law("eq:S2:rho1", (bundle.k_j @ pi_o) - (pi_u @ bundle.k_p))
+    law("eq:S2:rho2", (pi_s @ bundle.k_i) + (bundle.k_p @ pi_u))
+    law("eq:S2:rho3", (bundle.hat.u_action @ pi_u)
+        - (pi_u @ bundle.bar.u_action)
+        - (bundle.k_j @ bundle.i) + (bundle.j @ bundle.k_i))
+    cone_u_ok = law("eq:U-cone", commutator(EC.d, EC.u_action))
 
     ck_j = _block_map(check_mod, EC.module, -1, [(bundle.k_j, "{}", H, -1)])
     ck_i = _block_map(EC.module, check_mod, -1, [(bundle.k_i, B, "{}", 1)])
     pm_k = PMorphism(bundle.check, EC, k_map, ck_j)
     pm_l = PMorphism(EC, bundle.check, l_map, ck_i)
     k_ok, l_ok = pm_k.verify(), pm_l.verify()
-    checks += [("eq:SU-k", k_ok), ("eq:SU-l", l_ok)]
+    checks += [Check("eq:SU-k", k_ok), Check("eq:SU-l", l_ok)]
     # _su_map verifies i and j too, and its NotAPMorphism is a ChainError
     su_ready = cone_u_ok and k_ok and l_ok
 
     if su_ready:
         try:
-            su_check = s_u(bundle.check)
-            su_hat = s_u(bundle.hat)
-            su_bar = s_u(bundle.bar)
-            sue = s_u(EC)
+            (su_hat, su_bar, su_check, su_i, su_j, _, sue, su_ibar,
+             su_jbar) = _doubled_pieces(bundle, EC)
             su_k = _su_map(pm_k, su_check, sue)
             su_l = _su_map(pm_l, sue, su_check)
-            su_i = _su_map(bundle.pm_i(), su_bar, su_check)
-            su_j = _su_map(bundle.pm_j(), su_check, su_hat)
         except ChainError:
             su_ready = False
     if su_ready:
-        # the doubled cone is the cone of the doubled pieces, name for name
-        su_ibar = cone_inclusion(sue, su_bar, "b")
-        su_jbar = cone_projection(sue, su_hat, "h")
-        checks.append(("eq:S1", zero(su_j - (su_jbar @ su_k))))
-        checks.append(("eq:1:SU", zero((su_l @ su_k)
-                                       - GradedMap.identity(su_check.module))))
+        law("eq:S1", su_j - (su_jbar @ su_k))
+        law("eq:1:SU", (su_l @ su_k) - GradedMap.identity(su_check.module))
         ks = _doubled(kk, None, sue.module, sue.module)
-        checks.append(("eq:S2", zero((su_k @ su_l)
-                                     - GradedMap.identity(sue.module)
-                                     - (sue.d @ ks) - (ks @ sue.d))))
+        law("eq:S2", (su_k @ su_l) - GradedMap.identity(sue.module)
+            - (sue.d @ ks) - (ks @ sue.d))
         ws = _doubled(kibar, None, su_bar.module, sue.module)
-        checks.append(("eq:S2:line2", zero((su_k @ su_i) - su_ibar
-                                           - (sue.d @ ws) - (ws @ su_bar.d))))
+        law("eq:S2:line2", (su_k @ su_i) - su_ibar
+            - (sue.d @ ws) - (ws @ su_bar.d))
     else:
-        for tag in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2"):
-            checks.append((tag, False))
-
-    return ConeReport(tuple(checks))
+        checks += [Check(tag, False)
+                   for tag in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")]
+    return CheckReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,8 @@ def tower_model(params: TowerParams) -> BalancedComponents:
         raise ModulusUnsupported("tower bases need genuine Z-gradings")
     rep = validate(base)
     if not rep.ok:
-        bad = rep.failing()[0]
-        raise ChainError(f"tower base fails law {bad.law} at {bad.witness}")
+        bad = rep.failures()[0]
+        raise ChainError(f"tower base fails law {bad.tag} at {bad.witness}")
     for k, phi in params.higher_terms:
         if k < 2:
             raise ChainError("higher terms must raise the exponent by >= 2")
@@ -546,6 +536,21 @@ def tower_model(params: TowerParams) -> BalancedComponents:
         ubar_su=ubar(stable, unstable, c_s, c_u, -1),
         ubar_uu=ubar(unstable, unstable, c_u, c_u, -2),
     )
+
+
+def point_tower(n: int) -> Tuple[HomologyTable, Tuple[Check, Check]]:
+    """The doubled bar homology of the depth-n tower over a point, with its
+    two Checks: it vanishes strictly between -2n and 2n + 1
+    (``tower-vanishing``), and those two degrees are its support
+    (``tower-edges``)."""
+    pt = GradedModule((("a", 0),))
+    base = ChainComplex(pt, GradedMap.zero(pt, pt, -1),
+                        u_action=GradedMap.zero(pt, pt, -2))
+    H = homology(s_u(assemble(tower_model(TowerParams(base=base, n=n))).bar))
+    lo, hi = -2 * n, 2 * n + 1
+    return H, (Check("tower-vanishing",
+                     all(H[j].is_trivial() for j in range(lo + 1, hi))),
+               Check("tower-edges", H.degrees() == [lo, hi]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,44 +600,24 @@ def four_flavors(C: ChainComplex, window=None) -> FourFlavors:
 # The comparison ladder
 # ---------------------------------------------------------------------------
 
-class LadderSquare(NamedTuple):
-    name: str
-    degree: Optional[int]  # None when the identity holds at chain level
-    commutes: bool
-
-
 class LadderReport(NamedTuple):
-    """Certificates for the comparison ladder.
-
-    ``top_row`` is the splice long exact sequence of the doubled hat
-    complex and ``bottom_row`` the minus-flavor p/i/j column; the two are
-    tied together by naturality squares through the intermediate bar and
-    check rows (``side_rows``).  ``bar_u_iso`` records whether u acts
-    invertibly on the bar homology inside the window - informational, since
-    it can only hold for tower-like bundles."""
+    """The comparison ladder's Checks, in the order a report prints them:
+    the cone's long exact sequence and its connecting map against p, the j
+    isomorphism where the bar homology vanishes, the first fundamental
+    sequence of each doubled complex (the top row for hat, side rows for
+    bar and check), the minus-flavor bottom row, and one Check per square
+    name.  ``bar_vanishing`` and ``bar_u_iso`` (whether u acts invertibly
+    on the bar homology inside the window; None on a narrow window) are
+    informational, since the latter can only hold for tower-like bundles."""
 
     window: Window
-    cone_les: LESCertificate
-    delta_matches_p: bool
+    checks: Tuple[Check, ...]
     bar_vanishing: bool
-    su_j_iso: Optional[bool]
-    top_row: LESCertificate
-    side_rows: Tuple[LESCertificate, ...]
-    bottom_row: LESCertificate
-    squares: Tuple[LadderSquare, ...]
     bar_u_iso: Optional[bool]
 
     @property
     def ok(self) -> bool:
-        return (self.cone_les.ok and self.delta_matches_p
-                and self.top_row.ok
-                and all(c.ok for c in self.side_rows)
-                and self.bottom_row.ok
-                and self.su_j_iso is not False
-                and all(sq.commutes for sq in self.squares))
-
-    def failing_squares(self) -> List[LadderSquare]:
-        return [sq for sq in self.squares if not sq.commutes]
+        return CheckReport(self.checks).ok
 
 
 def _chase(cols: IntMatrix, j: int,
@@ -677,43 +662,33 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     fundamental sequence is certified; the second is never built here.
     """
     prime = bundle.hat.p
-    su_hat = s_u(bundle.hat)
-    su_bar = s_u(bundle.bar)
-    su_check = s_u(bundle.check)
-    su_i = _su_map(bundle.pm_i(), su_bar, su_check)
-    su_j = _su_map(bundle.pm_j(), su_check, su_hat)
-    su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
-
-    sue = s_u(cone_total(bundle))
-    # the doubled cone is the cone of the doubled pieces, name for name
-    su_ibar = cone_inclusion(sue, su_bar, "b")
-    su_jbar = cone_projection(sue, su_hat, "h")
+    (su_hat, su_bar, su_check, su_i, su_j, su_p, sue, su_ibar,
+     su_jbar) = _doubled_pieces(bundle, cone_total(bundle))
 
     win = _resolve_window(sue.module.degrees(), window)
-
-    sec_h = cone_inclusion(sue, su_hat, "h")
-    ret_b = cone_projection(sue, su_bar, "b")
-    delta_snake = ret_b @ sue.d @ sec_h
-    delta_matches_p = (delta_snake - su_p).is_zero_mod(prime)
 
     ib_arrow = _HomologyArrow(su_ibar, su_bar, sue)
     jb_arrow = _HomologyArrow(su_jbar, sue, su_hat)
     dp_arrow = _HomologyArrow(su_p, su_hat, su_bar)
-    cone_les = _les_certificate("eq:induced-KM1", win, (
-        ("cone", ib_arrow, jb_arrow, ()),
-        ("hat", jb_arrow, dp_arrow, ()),
-        ("bar", dp_arrow, ib_arrow, ())), {})
+    sec_h = cone_inclusion(sue, su_hat, "h")
+    ret_b = cone_projection(sue, su_bar, "b")
+    delta_snake = ret_b @ sue.d @ sec_h
+    checks = [
+        _les_check("eq:induced-KM1", win, (
+            ("cone", ib_arrow, jb_arrow, ()),
+            ("hat", jb_arrow, dp_arrow, ()),
+            ("bar", dp_arrow, ib_arrow, ())), {}),
+        Check("eq:induced-KM1:delta", (delta_snake - su_p).is_zero_mod(prime))]
 
     h_bar = homology(su_bar)
     bar_vanishing = all(h_bar[j].is_trivial()
                         for j in range(win.lo, win.hi + 1))
     # the long exact sequence pins j down only where both the degree and the
     # one below it sit inside the vanishing range
-    su_j_iso: Optional[bool] = None
     if bar_vanishing and win.lo + 1 <= win.hi:
-        su_j_iso = induced_on_homology(
+        checks.append(Check("eq:KM:j-iso", induced_on_homology(
             su_j, su_check, su_hat,
-            (win.lo + 1, win.hi)).iso_on((win.lo + 1, win.hi))
+            (win.lo + 1, win.hi)).iso_on((win.lo + 1, win.hi))))
 
     # the first fundamental sequences read only the minus, infinity and
     # plus slices; the hat slice is left to the second, never built here
@@ -722,6 +697,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                             [dg for _, dg in S.module.generators], win)
           for key, S in (("hat", su_hat), ("bar", su_bar),
                          ("check", su_check))}
+    checks += [fs[key].les1._replace(tag=f"eq:E-sq1:{key}") for key in fs]
 
     legs = (("p", su_p, "hat", "bar"),
             ("i", su_i, "bar", "check"),
@@ -736,18 +712,23 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
             if fl is not INFINITY:
                 arrows[(tag, fl.tag)] = _HomologyArrow(g, src, tgt)
 
-    squares: List[LadderSquare] = []
+    squares: Dict[str, Check] = {}
+
+    def square(name: str, ok: bool, degree: Optional[int] = None) -> None:
+        """One Check per square name, in order of first appearance, with the
+        first failing degree (None at chain level) as its witness."""
+        if squares.setdefault(name, Check(name, True)).ok and not ok:
+            squares[name] = Check(name, False, degree)
+
     for tag, f, a, b in legs:
         inc_a, inc_b = fs[a].seq1.inject, fs[b].seq1.inject
         prj_a, prj_b = fs[a].seq1.project, fs[b].seq1.project
         lhs = (inc_b @ sliced[(tag, "minus")]) - (
             sliced[(tag, "infinity")] @ inc_a)
-        squares.append(LadderSquare(
-            f"eq:KM:{tag}:splice", None, lhs.is_zero_mod(prime)))
+        square(f"eq:KM:{tag}:splice", lhs.is_zero_mod(prime))
         lhs = (prj_b @ sliced[(tag, "infinity")]) - (
             sliced[(tag, "plus")] @ prj_a)
-        squares.append(LadderSquare(
-            f"eq:KM:{tag}:slice", None, lhs.is_zero_mod(prime)))
+        square(f"eq:KM:{tag}:slice", lhs.is_zero_mod(prime))
 
     for tag, f, a, b in legs:
         d = f.degree
@@ -767,17 +748,18 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                     eb, j + d - 1, sign=sgn)
             except ChainError:
                 ok = False
-            squares.append(LadderSquare(f"eq:KM:{tag}:connecting", j, ok))
+            square(f"eq:KM:{tag}:connecting", ok, j)
 
     b_p = arrows[("p", "minus")]
     b_i = arrows[("i", "minus")]
     b_j = arrows[("j", "minus")]
     sm = {k: fs[k].safe["minus"] for k in fs}
-    bottom = _les_certificate("eq:KM-bottom", win, (
+    checks.append(_les_check("eq:KM-bottom", win, (
         ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
         ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),
         ("hat-minus", b_j, b_p, (("hat", 0), ("check", 0), ("bar", -1)))),
-        sm)
+        sm))
+    checks += squares.values()
 
     bar_u = getattr(bundle.bar, "u_action", None)
     bar_u_iso: Optional[bool] = None
@@ -786,9 +768,4 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
             bar_u, bundle.bar, bundle.bar,
             (win.lo + 2, win.hi)).iso_on((win.lo + 2, win.hi))
 
-    return LadderReport(
-        window=win, cone_les=cone_les, delta_matches_p=delta_matches_p,
-        bar_vanishing=bar_vanishing, su_j_iso=su_j_iso,
-        top_row=fs["hat"].les1,
-        side_rows=(fs["bar"].les1, fs["check"].les1),
-        bottom_row=bottom, squares=tuple(squares), bar_u_iso=bar_u_iso)
+    return LadderReport(win, tuple(checks), bar_vanishing, bar_u_iso)

@@ -284,15 +284,15 @@ def ses_verdicts(fs) -> List[Tuple[bool, bool]]:
 
 
 def count_les_tags(monkeypatch, *modules) -> Counter:
-    """A Counter of ``_les_certificate`` calls by tag, made through the
-    name each of ``modules`` binds it to."""
+    """A Counter of ``_les_check`` calls by tag, made through the name each
+    of ``modules`` binds it to."""
     tags: Counter = Counter()
-    original = circle._les_certificate
+    original = circle._les_check
 
     def counting(tag, *args):
         tags[tag] += 1
         return original(tag, *args)
 
     for module in modules:
-        monkeypatch.setattr(module, "_les_certificate", counting)
+        monkeypatch.setattr(module, "_les_check", counting)
     return tags

@@ -19,10 +19,11 @@ with exact integer arithmetic and zero tolerance.
 8. Functoriality: composition, addition, injectivity, and surjectivity
    preservation on >= 50 composable pairs.
 9. Determinism: byte-identical machine reports on repeated runs over the
-   full corpus.
+   full corpus, whose check records are the engine's Checks.
 """
 
 import random
+import re
 import subprocess
 import sys
 import time
@@ -30,17 +31,19 @@ from pathlib import Path
 
 import pytest
 
-from artifact.chain import (ChainComplex, ChainError, GradedMap,
+from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             GradedModule, PMorphism, homology, validate)
-from artifact.circle import (ALL_FLAVORS, HAT, Window, e_y, e_y_map,
+from artifact import cli
+from artifact.circle import (ALL_FLAVORS, HAT, MINUS, Window, e_y, e_y_map,
                              koszul_a, koszul_b, s_u, s_u_map)
-from artifact.cli import parse
+from artifact.cli import parse, parse_all
 from artifact.connsum import (FilteredComplex, case1_check, case2_check,
-                              cm_flavors)
+                              check_positivity, cm_flavors, verify_sum_maps)
 from artifact.exactlin import IntMatrix, rank_and_kernel, solve
-from artifact.flavors import (BalancedComponents, TowerParams, assemble,
+from artifact.flavors import (ASSEMBLY_TAGS, AssemblyInconsistent,
+                              BalancedComponents, TowerParams, assemble,
                               cone_identities, four_flavors, ladder_check,
-                              tower_model)
+                              point_tower, tower_model)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import random_complex, random_pmorphism  # noqa: E402
@@ -147,7 +150,7 @@ class TestLawSuite:
                 assert all(-3 <= v <= 3 for v in f.entries.values())
             assert validate(C).ok
             report = validate(perturbed)
-            failing = {c.law for c in report.checks if not c.passed}
+            failing = {c.tag for c in report.failures()}
             assert failing == {law}, (i, kind, failing)
         assert time.monotonic() - started < 60.0
 
@@ -259,6 +262,12 @@ def _decoupled_components(rng, p=0):
         dbar_uu=cu.d, ubar_uu=cu.u_action)
 
 
+# the first two checks of a ladder report: the cone's long exact sequence
+# and its connecting map against p
+_CONE_SEQUENCE_PASSES = (Check("eq:induced-KM1", True),
+                         Check("eq:induced-KM1:delta", True))
+
+
 def _assert_flavor_sequences(seqs):
     assert seqs.seq1.exact and seqs.les1.ok
     assert seqs.seq2.exact and seqs.les2.ok
@@ -293,14 +302,12 @@ class TestExactSequences:
         for i in range(10):
             p = 2 if i % 3 == 2 else 0
             report = ladder_check(assemble(_decoupled_components(rng, p)))
-            assert report.cone_les.ok
-            assert report.delta_matches_p
+            assert report.checks[:2] == _CONE_SEQUENCE_PASSES
 
     def test_ladder_sequence_on_goldens(self):
         for name in COMPONENT_GOLDENS:
             report = ladder_check(assemble(parse(str(CORPUS / name))))
-            assert report.cone_les.ok, name
-            assert report.delta_matches_p, name
+            assert report.checks[:2] == _CONE_SEQUENCE_PASSES, name
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,7 @@ class TestConeIdentities:
         bump = GradedMap(f.source, f.target, f.degree, {key: 1})
         rep = cone_identities(
             bundle._replace(**{field: f + bump}))
-        assert tag in rep.failures()
+        assert tag in {c.tag for c in rep.failures()}
 
     def test_k_derivation_identity_discriminates(self):
         # the checker rebuilds the comparison map from j, so this identity
@@ -548,12 +555,10 @@ class TestFunctoriality:
 # 9. Determinism over the full corpus
 # ---------------------------------------------------------------------------
 
-_DRIVER = r"""
-import sys
-from pathlib import Path
-from artifact.cli import Manifest, run
+# the driver's jobs, over the corpus directory ``corpus``
+_DRIVER_JOBS = r"""
+from artifact.cli import Manifest
 
-corpus = Path(sys.argv[1])
 jobs = []
 for name in ("point.txt", "twotorsion.txt", "utower.txt"):
     path = str(corpus / name)
@@ -588,6 +593,15 @@ jobs += [
     Manifest(command="consum-case2", inputs=(str(corpus / "point.txt"),),
              flavor="hat", fmt="machine"),
 ]
+"""
+
+_DRIVER = r"""
+import sys
+from pathlib import Path
+from artifact.cli import run
+
+corpus = Path(sys.argv[1])
+""" + _DRIVER_JOBS + r"""
 for m in jobs:
     code, text = run(m)
     sys.stdout.write(f"## {m.command} {' '.join(m.inputs)} -> {code}\n")
@@ -616,3 +630,67 @@ class TestDeterminism:
             capture_output=True, check=True).stdout
         out = out.replace(str(CORPUS).encode(), b"corpus/v1")
         assert out == GOLDEN_DRIVER.read_bytes()
+
+
+def _engine_verdicts(m):
+    """The engine's Checks for one driver job, in report order and computed
+    without the CLI, and whether all of its verdicts hold, the shift report
+    of a koszul or consum-case1 job included."""
+    obj = parse_all(m.inputs[0])[-1][1] if m.inputs else None
+    checks, shift = [], None
+    if m.command == "verify" and isinstance(obj, ChainComplex):
+        checks = validate(obj).checks
+    elif m.command == "verify" and isinstance(obj, FilteredComplex):
+        checks = [Check("degree-homogeneity", True), Check("d.d=0", True),
+                  Check("positivity", check_positivity(obj))]
+    elif m.command in ("verify", "ladder"):
+        try:
+            bundle = assemble(obj)
+        except AssemblyInconsistent as e:
+            return [Check(e.tag, False)], False
+        if m.command == "ladder":
+            checks = ladder_check(bundle).checks
+        else:
+            checks = [Check(tag, True) for tag in ASSEMBLY_TAGS]
+            checks += cone_identities(bundle).checks
+    elif m.command == "flavors":
+        checks = four_flavors(obj).sequences.checks
+    elif m.command == "cmflavors":
+        checks = [Check("positivity", check_positivity(obj))]
+        checks += cm_flavors(obj).checks if checks[0].ok else ()
+    elif m.command == "consum-verify":
+        checks = verify_sum_maps(obj.inputs, obj.maps).checks
+    elif m.command == "tower":
+        checks = point_tower(m.n)[1]
+    elif m.command == "consum-case2":
+        checks = [Check("eq:S=eq:E", case2_check(obj, m.flavor))]
+    elif m.command == "koszul" and m.direction == "a":
+        shift = koszul_a(cli._random_u_complex(m.seed), MINUS)
+    elif m.command == "koszul":
+        shift = koszul_b(s_u(cli._random_u_complex(m.seed)))
+    elif m.command == "consum-case1":
+        shift = case1_check(obj, m.n)
+    else:
+        assert m.command in ("homology", "su"), m
+    holds = all(c.ok for c in checks) and (shift is None or shift.ok)
+    return list(checks), holds
+
+
+class TestCheckRecords:
+    def test_check_records_are_the_engine_checks(self):
+        # the front end renders engine Checks in order and adds none, and
+        # exits 1 exactly when one of them, or a shift report, fails
+        scope = {"corpus": CORPUS}
+        exec(_DRIVER_JOBS, scope)
+        failing_jobs = 0
+        for m in scope["jobs"]:
+            code, text = cli.run(m)
+            records = re.findall(r"^kind=check tag=(\S+) status=(\S+)$",
+                                 text, re.M)
+            checks, holds = _engine_verdicts(m)
+            assert records == [(c.tag, "pass" if c.ok else "fail")
+                               for c in checks], m
+            assert code == (0 if holds else 1), m
+            failing_jobs += not holds
+        # perturbed_bundle.txt fails assembly under verify and ladder
+        assert failing_jobs == 2

@@ -205,15 +205,15 @@ class TestValidate:
     def test_good_complex(self):
         rep = validate(two_sphere_like())
         assert rep.ok
-        assert [c.law for c in rep.checks] == ["degree-homogeneity", "d.d=0"]
+        assert [c.tag for c in rep.checks] == ["degree-homogeneity", "d.d=0"]
 
     def test_broken_square(self):
         C = complex_from([("c", 2), ("b", 1), ("a", 0)],
                          {("c", "b"): 1, ("b", "a"): 1})
         rep = validate(C)
         assert not rep.ok
-        bad = rep.failing()[0]
-        assert bad.law == "d.d=0"
+        bad = rep.failures()[0]
+        assert bad.tag == "d.d=0"
         assert bad.witness == ("c", "a")
         with pytest.raises(ChainError):
             homology(C)
@@ -222,8 +222,8 @@ class TestValidate:
         C = complex_from([("c1", 1), ("c0", 0), ("cm2", -2)], {("c1", "c0"): 1})
         u = GradedMap(C.module, C.module, -2, {("c0", "cm2"): 1})
         rep = validate(C.with_actions(u_action=u))
-        check = [c for c in rep.checks if c.law == "[d,U]=0"][0]
-        assert check.passed is False
+        check = [c for c in rep.checks if c.tag == "[d,U]=0"][0]
+        assert check.ok is False
         assert check.witness == ("c1", "cm2")
 
     def test_y_laws(self):
@@ -236,7 +236,7 @@ class TestValidate:
         y2 = GradedMap(m2, m2, 1, {("a", "b"): 1, ("b", "c"): 1})
         C2 = ChainComplex(m2, GradedMap.zero(m2, m2, -1), y_action=y2)
         rep2 = validate(C2)
-        assert [c for c in rep2.checks if c.law == "Y.Y=0"][0].passed is False
+        assert [c for c in rep2.checks if c.tag == "Y.Y=0"][0].ok is False
 
     def test_mod_p_laws(self):
         # d^2 = 4 is zero over F_2 but not over Z

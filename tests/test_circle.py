@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            ModulusUnsupported, PMorphism, homology,
-                            is_chain_map, validate)
+from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
+                            GradedModule, ModulusUnsupported, PMorphism,
+                            homology, is_chain_map, validate)
 from artifact import circle
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
@@ -216,15 +216,15 @@ class TestFundamentalSequences:
     def test_point_certificates(self):
         fs = fundamental_sequences(s_u(point()), Window(-8, 8))
         assert fs.seq1.exact and fs.seq2.exact
-        assert fs.les1.ok, fs.les1.failures()
-        assert fs.les2.ok, fs.les2.failures()
+        assert fs.les1.ok, fs.les1
+        assert fs.les2.ok, fs.les2
 
     def test_random_certificates(self):
         rng = random.Random(31)
         for _ in range(6):
             S = s_u(random_u_complex(rng))
             fs = fundamental_sequences(S)
-            assert fs.ok, (fs.les1.failures(), fs.les2.failures())
+            assert fs.ok, fs.checks
 
     def test_mod_p_certificates(self):
         rng = random.Random(32)
@@ -264,14 +264,13 @@ class TestSecondSequenceOnDemand:
             S = s_u(random_u_complex(rng, p=p))
             tags.clear()
             fs = fundamental_sequences(S)
-            assert tags == {"localization-sequence": 1}
+            assert tags == {"eq:E-sq1": 1}
             assert fs.les2 is fs.les2
             assert fs.seq2 is fs.seq2 and fs.delta2 is fs.delta2
             assert fs.ok
-            assert tags == {"localization-sequence": 1,
-                            "u-multiplication-sequence": 1}
+            assert tags == {"eq:E-sq1": 1, "eq:E-sq2": 1}
             assert fundamental_sequences(S).ok
-            assert tags["u-multiplication-sequence"] == 2
+            assert tags["eq:E-sq2"] == 2
 
     def test_a_failing_les2_node_alone_fails_ok(self, monkeypatch):
         original = circle.exactness_pair
@@ -287,10 +286,13 @@ class TestSecondSequenceOnDemand:
         monkeypatch.setattr(circle, "exactness_pair", failing_at_u_image)
         fs = fundamental_sequences(s_u(point()), Window(-8, 8))
         assert fs.seq1.exact and fs.les1.ok and fs.seq2.exact
-        failures = fs.les2.failures()
-        assert failures
-        assert {n.location for n in failures} == {"minus@u-image"}
-        assert not fs.les2.ok and not fs.ok
+        # the witness is the first u-image node checked: minus safe at j
+        # and j + 2, hat safe at j + 2
+        first = min(j for j in fs.safe["minus"]
+                    if {j + 2} <= fs.safe["minus"] & fs.safe["hat"])
+        assert fs.les2 == Check("eq:E-sq2", False, ("minus@u-image", first))
+        assert fs.checks[1] == fs.les2
+        assert not fs.ok
 
 
 class TestTrustedDerivedMaps:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact.chain import ChainComplex, GradedMap, GradedModule
+from artifact.chain import ChainComplex, Check, GradedMap, GradedModule
 from artifact.circle import Window
 from artifact import cli
 from artifact.cli import (MAX_N, MAX_WINDOW_WIDTH, Manifest, ParseError,
@@ -390,8 +390,10 @@ class TestVacuousCertificates:
     def test_empty_certificate_is_not_ok(self):
         C = parse(str(CORPUS / "utower.txt"))
         seqs = four_flavors(C, Window(0, 1)).sequences
-        assert seqs.les1.nodes == () and seqs.les2.nodes == ()
-        assert not seqs.les1.ok and not seqs.les2.ok
+        # failing with no witness: no node was checked, none failed
+        assert (seqs.les1, seqs.les2) == (Check("eq:E-sq1", False),
+                                          Check("eq:E-sq2", False))
+        assert seqs.checks == (seqs.les1, seqs.les2) and not seqs.ok
 
 
 class TestMachineFormat:

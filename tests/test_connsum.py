@@ -164,8 +164,7 @@ class TestCMFlavors:
             F = random_filtered(rng, p=2 if trial % 3 == 2 else 0)
             fl = cm_flavors(F)
             assert fl.seq1.exact and fl.seq2.exact, f"trial {trial}"
-            assert fl.ok, (f"trial {trial}: "
-                           f"{fl.les1.failures()}{fl.les2.failures()}")
+            assert fl.ok, (trial, fl.checks)
             minus, inf = fl.complexes["minus"], fl.complexes["infinity"]
             assert is_chain_map(fl.seq1.inject, minus, inf)
             for cx in fl.complexes.values():
@@ -446,7 +445,7 @@ class TestSumMaps:
                         A=a, B=z(pm, pm, 2), Cc=z(pm, pm, 0),
                         D=a.scale(-1))
         rep = verify_sum_maps(S, M)
-        assert rep.ok, rep.failing()
+        assert rep.ok, rep.failures()
 
     def test_degenerate_identity_style(self):
         empty = ucomplex([])
@@ -477,7 +476,7 @@ class TestSumMaps:
                         H_sharp=z(sm, sm, 1), A=z(pm, pm, 1),
                         B=z(pm, pm, 2), Cc=z(pm, pm, 0), D=z(pm, pm, 1))
         rep = verify_sum_maps(S, M)
-        failed = [c.law for c in rep.failing()]
+        failed = [c.tag for c in rep.failures()]
         assert "eq:chain-maps:V1" in failed
 
     def test_parity_requires_coherent_degrees(self):
@@ -490,8 +489,8 @@ class TestSumMaps:
                         H_sharp=z(sm, sm, 1), A=z(pm, pm, 1),
                         B=z(pm, pm, 2), Cc=z(pm, pm, 0), D=z(pm, pm, 1))
         rep = verify_sum_maps(S, M)
-        parity = [c for c in rep.checks if c.law == "eq:V-m:parity"]
-        assert parity and not parity[0].passed
+        parity = [c for c in rep.checks if c.tag == "eq:V-m:parity"]
+        assert parity and not parity[0].ok
 
     def test_shape_mismatch_raises(self):
         S, P, sharp = self._acyclic_setup()

@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            PMorphism, homology, induced_on_homology,
-                            validate)
+from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
+                            GradedModule, PMorphism, homology,
+                            induced_on_homology, validate)
 from artifact import circle, flavors
 from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
                              NotAPMorphism, Window, _su_map,
@@ -208,7 +208,7 @@ class TestConeIdentities:
         bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
         rep = cone_identities(b._replace(k_p=b.k_p + bump))
         assert not rep.ok
-        assert "eq:S2:rho2" in rep.failures()
+        assert "eq:S2:rho2" in {c.tag for c in rep.failures()}
 
 
 class TestFieldPathFactorsNothing:
@@ -271,7 +271,8 @@ class TestOneDoublingPerCertificate:
             self.bar, self.check, self.i, self.k_i + bump))
         assert not b.pm_i().verify()
         assert cone_identities(b).failures() == [
-            "eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2"]
+            Check(tag, False) for tag in ("eq:S1", "eq:1:SU", "eq:S2",
+                                          "eq:S2:line2")]
 
     def test_eight_doublings_for_four_complexes(self, monkeypatch):
         doubled = []
@@ -339,7 +340,7 @@ class TestSecondSequenceWhereReported:
         for b in _tower_bundles():
             tags.clear()
             assert ladder_check(b).ok
-            assert tags == {"localization-sequence": 3, "eq:induced-KM1": 1,
+            assert tags == {"eq:E-sq1": 3, "eq:induced-KM1": 1,
                             "eq:KM-bottom": 1}
 
     def test_reporters_return_with_both_sequences_built(self, monkeypatch):
@@ -348,8 +349,7 @@ class TestSecondSequenceWhereReported:
                            degree_span=(-2, 3), with_u=True).complex
         F = FilteredComplex([("a", 0), ("b", 1)], {("a", "b"): [(1, 1)]})
         for build, second in (
-                (lambda: four_flavors(C).sequences,
-                 "u-multiplication-sequence"),
+                (lambda: four_flavors(C).sequences, "eq:E-sq2"),
                 (lambda: cm_flavors(F, Window(-5, 5)), "eq:fund-short:2")):
             tags.clear()
             fs = build()
@@ -494,14 +494,12 @@ class TestLadder:
         b = assemble(tower_model(TowerParams(base=point_base(), n=3)))
         rep = ladder_check(b, Window(-5, 6))
         assert rep.ok
-        assert rep.cone_les.ok
-        assert rep.delta_matches_p
         assert rep.bar_vanishing
-        assert rep.su_j_iso is True
         assert rep.bar_u_iso is True
-        assert rep.top_row.ok and all(c.ok for c in rep.side_rows)
-        assert rep.bottom_row.ok
-        assert rep.squares and not rep.failing_squares()
+        assert [c.tag for c in rep.checks[:8]] == [
+            "eq:induced-KM1", "eq:induced-KM1:delta", "eq:KM:j-iso",
+            "eq:E-sq1:hat", "eq:E-sq1:bar", "eq:E-sq1:check",
+            "eq:KM-bottom", "eq:KM:p:splice"]
 
     def test_coupled_golden(self):
         b = assemble(golden_three())
@@ -510,21 +508,21 @@ class TestLadder:
         # the bar homology carries torsion inside this window, so the j
         # isomorphism clause does not apply
         assert not rep.bar_vanishing
-        assert rep.su_j_iso is None
-        assert rep.squares and not rep.failing_squares()
+        assert "eq:KM:j-iso" not in {c.tag for c in rep.checks}
 
     def test_coupled_acyclic_j_iso(self):
         b = assemble(coupled_acyclic())
         rep = ladder_check(b, Window(-3, 4))
         assert rep.ok
         assert rep.bar_vanishing
-        assert rep.su_j_iso is True
+        assert Check("eq:KM:j-iso", True) in rep.checks
 
     def test_connecting_squares_are_checked(self):
         b = assemble(tower_model(TowerParams(base=point_base(), n=3)))
         rep = ladder_check(b, Window(-5, 6))
-        names = {sq.name for sq in rep.squares}
-        for leg in ("p", "i", "j"):
-            assert f"eq:KM:{leg}:splice" in names
-            assert f"eq:KM:{leg}:slice" in names
-            assert f"eq:KM:{leg}:connecting" in names
+        # one check per square name, in order of first appearance
+        legs = ("p", "i", "j")
+        assert [c.tag for c in rep.checks[7:]] == (
+            [f"eq:KM:{leg}:{kind}" for leg in legs
+             for kind in ("splice", "slice")]
+            + [f"eq:KM:{leg}:connecting" for leg in legs])

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            InducedMap, LawCheck)
-from artifact.circle import (MINUS, Flavor, LESNode, MissingUAction,
-                             ShiftReport, fundamental_sequences, s_u)
+from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
+                            GradedModule, InducedMap)
+from artifact.circle import (MINUS, Flavor, MissingUAction, ShiftReport,
+                             fundamental_sequences, s_u)
 from artifact.cli import Manifest, parse
 from artifact.connsum import SumInput
-from artifact.flavors import (BalancedComponents, FlavorBundle, LadderSquare,
-                              TowerParams, assemble, tower_model)
+from artifact.flavors import (BalancedComponents, FlavorBundle, TowerParams,
+                              assemble, tower_model)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -41,8 +41,8 @@ class TestValueRecords:
         # value, validating and slotted records alike
         bundle = assemble(golden_one())
         fs = fundamental_sequences(s_u(u_point()))
-        for record, field in ((LESNode("hat", 0, True, True), "equal"),
-                              (LawCheck("d.d=0", True), "passed"),
+        for record, field in ((Check("d.d=0", True), "ok"),
+                              (Check("eq:E-sq1", False), "witness"),
                               (MINUS, "tag"), (Manifest("verify"), "fmt"),
                               (golden_one(), "p"),
                               (SumInput(u_point(), u_point()), "C1"),
@@ -56,15 +56,16 @@ class TestValueRecords:
             del bundle.k_p
 
     def test_equality_and_hash_follow_the_fields(self):
-        pairs = ((LESNode("hat", 0, True, True),
-                  LESNode("hat", 0, True, False)),
-                 (LawCheck("d.d=0", False, ("b", "a")),
-                  LawCheck("d.d=0", False, ("b", "c"))),
+        pairs = ((Check("eq:KM:p:splice", True),
+                  Check("eq:KM:p:splice", False)),
+                 (Check("d.d=0", False, ("b", "a")),
+                  Check("d.d=0", False, ("b", "c"))),
+                 # a sequence with no node checked, and one that failed
+                 (Check("eq:E-sq2", False),
+                  Check("eq:E-sq2", False, ("minus@u-image", 0))),
                  (Flavor("minus"), Flavor("plus")),
                  (Manifest("ladder", ("x.txt",)),
-                  Manifest("ladder", ("y.txt",))),
-                 (LadderSquare("eq:KM:p:splice", None, True),
-                  LadderSquare("eq:KM:p:splice", 1, True)))
+                  Manifest("ladder", ("y.txt",))))
         for record, other in pairs:
             twin = type(record)(*record)
             assert twin is not record
@@ -74,10 +75,10 @@ class TestValueRecords:
         assert len({Flavor("hat"), Flavor("hat"), MINUS}) == 2
 
     def test_repr_is_unchanged(self):
-        assert repr(LESNode("hat", -1, True, False)) == (
-            "LESNode(location='hat', degree=-1, contained=True, equal=False)")
-        assert repr(LadderSquare("eq:KM:j:connecting", 2, True)) == (
-            "LadderSquare(name='eq:KM:j:connecting', degree=2, commutes=True)")
+        assert repr(Check("eq:E-sq2", False, ("hat", -1))) == (
+            "Check(tag='eq:E-sq2', ok=False, witness=('hat', -1))")
+        assert repr(Check("eq:KM:j:connecting", True)) == (
+            "Check(tag='eq:KM:j:connecting', ok=True, witness=None)")
         assert repr(MINUS) == "Flavor(tag='minus')" and str(MINUS) == "minus"
 
     def test_dict_fields_are_required(self):
@@ -86,6 +87,10 @@ class TestValueRecords:
         with pytest.raises(TypeError):
             ShiftReport(None)
         assert ShiftReport(0, {}).witness_ok is None
+        # ok: matched, with no refuted cycle-level witness
+        assert ShiftReport(0, {}).ok and ShiftReport(1, {}, True).ok
+        assert not ShiftReport(None, {}).ok
+        assert not ShiftReport(0, {}, witness_ok=False).ok
 
 
 class TestValidatingRecords:
