@@ -170,8 +170,8 @@ class GradedMap:
     The constructor checks every entry (known generators, homogeneity); the
     closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
     and build their results unchecked, by ``_trusted``.  The entries grouped
-    by source generator, which only ``@``, ``block`` and ``image_of`` read,
-    are built on first read."""
+    by source generator, which only ``@``, ``block``, ``image_of`` and the
+    flavor engine's slotwise maps read, are built on first read."""
 
     __slots__ = ("source", "target", "degree", "entries", "_by_src", "_blocks")
 
@@ -317,7 +317,7 @@ class GradedMap:
                     r = tpos.get(t)
                     if r is not None:
                         ent[(r, c)] = v
-            M = self._blocks[key] = IntMatrix(len(tgt), len(src), ent)
+            M = self._blocks[key] = IntMatrix._trusted(len(tgt), len(src), ent)
         return M
 
     def nonzero_witness(self, p: int = 0) -> Optional[Tuple[str, str]]:
@@ -517,15 +517,18 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """The homology presentation of C at degree j, from C's memo: that of
-    C' at j (plain from dim C'_j if d' = 0), read through iota_j and pi_j."""
+    C' at j (plain from dim C'_j if d' = 0), read through iota_j and pi_j.
+    Where C'_j is empty H_j(C) = 0, read by ``_reduced_dim``, and LES nodes,
+    class matrices and the ladder's squares ask for no presentation."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
         red = reduction(C)
         d = red.complex.d
         if d.is_zero():
-            n = len(red.complex.module.gens_in_degree(j))
-            d_in, d_out = IntMatrix(n, 0), IntMatrix(0, n)
+            n = _reduced_dim(C, j)
+            d_in, d_out = (IntMatrix._trusted(n, 0, {}),
+                           IntMatrix._trusted(0, n, {}))
         else:
             d_in, d_out = d.block(j + 1), d.block(j)
         pg = PresentedGroup.from_pair(d_in, d_out, C.p)
@@ -536,6 +539,13 @@ def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
 
 
 _EMPTY_BLOCKS = (IntMatrix(0, 0), IntMatrix(0, 0))
+
+
+def _reduced_dim(C: ChainComplex, j: int) -> int:
+    """dim C'_j of C's reduction, read from its module's degree index.  At
+    0, H_j(C) = 0 over Z and over F_p, with no presentation built."""
+    module = reduction(C).complex.module
+    return len(module._by_degree.get(module.reduce_degree(j), ()))
 
 
 class Reduction(NamedTuple):
@@ -663,9 +673,16 @@ def _reduce(C: ChainComplex) -> Reduction:
         progress = False
         for x in range(len(gens)):
             dx = bd.get(x)
-            units = dx and [y for y, v in dx.items() if p or v in (1, -1)]
-            if units:
-                cancel(x, min(units, key=lambda y: (len(cobd[y]), y)))
+            if not dx:
+                continue
+            pivot = None
+            for y, v in dx.items():
+                if p or v == 1 or v == -1:
+                    key = (len(cobd[y]), y)
+                    if pivot is None or key < pivot:
+                        pivot = key
+            if pivot is not None:
+                cancel(x, pivot[1])
                 progress = not p
 
     keep = [g for g in range(len(gens)) if g not in dead]
@@ -678,11 +695,12 @@ def _reduce(C: ChainComplex) -> Reduction:
         src = [index[nm] for nm in C.module.gens_in_degree(j)]
         row = {g: r for r, g in enumerate(src)}
         kept = [g for g in src if g not in dead]
+        # iota and pi keep nonzero entries between generators of degree j
         blocks[j] = (
-            IntMatrix(len(src), len(kept), {
+            IntMatrix._trusted(len(src), len(kept), {
                 (row[g], c): v for c, s in enumerate(kept)
                 for g, v in iota.get(s, {s: 1}).items()}),
-            IntMatrix(len(kept), len(src), {
+            IntMatrix._trusted(len(kept), len(src), {
                 (r, row[g]): v for r, s in enumerate(kept)
                 for g, v in pi.get(s, {s: 1}).items()}))
     return Reduction(ChainComplex(module, d, p=p), C.module, blocks)
@@ -990,13 +1008,17 @@ class _HomologyArrow:
     def matrix(self, j: int) -> IntMatrix:
         """Canonical coordinates in the target at degree j + degree of the
         images of the canonical generators of the source at degree j; empty,
-        with no block of f built, when the source group is trivial."""
+        with no block of f built, when the source group is trivial, and
+        then with no source presentation either when the source's reduction
+        is empty at j."""
         F = self._matrices.get(j)
         if F is None:
-            src = _presentation(self.source, j)
+            src = (_reduced_dim(self.source, j)
+                   and _presentation(self.source, j))
             tgt = _presentation(self.target, j + self.degree)
             F = (tgt.coord_matrix(self.f.block(j) @ src.representatives())
-                 if src.rank_coords() else IntMatrix(tgt.rank_coords(), 0))
+                 if src and src.rank_coords()
+                 else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
             if F is None:
                 raise ChainError("image of a cycle is not a cycle")
             self._matrices[j] = F
@@ -1010,11 +1032,16 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
     degree j, outgoing leaves from it.  After F's cycle test a trivial
     middle group is exact by shape (F has no rows, G no columns); other
     nodes by rank arithmetic over F_p, over Z by G.F and two lattice
-    factorizations."""
+    factorizations.  Where the reductions of the middle complex at j and
+    of F's source are both empty, the node is exact with no presentation
+    or class matrix built: F has no column, so there is no cycle to test."""
     p = incoming.target.p
     if (incoming.target is not outgoing.source
             or incoming.source.p != p or outgoing.target.p != p):
         raise ChainError("arrows do not meet at one complex over one ring")
+    if not (_reduced_dim(incoming.target, j)
+            or _reduced_dim(incoming.source, j - incoming.degree)):
+        return True, True
     mid = _presentation(incoming.target, j)
     F = incoming.matrix(j - incoming.degree)
     G = outgoing.matrix(j)

@@ -268,21 +268,22 @@ def _expand(generators: Sequence[Tuple[str, int]],
     out: Dict[str, List[Tuple[str, int, int]]] = {}
     for src, dst, n, c in terms:
         out.setdefault(src, []).append((dst, n, c))
-    lines = [(g, dg, _exponents(dg, exponents, win)) for g, dg in generators]
-    module = GradedModule([(f"{g}{layout.suffix}{n}", dg - 2 * n)
-                           for g, dg, ns in lines for n in ns])
+    # (generator, exponent) -> name, for every generator the slice keeps
+    names = {(g, n): f"{g}{layout.suffix}{n}" for g, dg in generators
+             for n in _exponents(dg, exponents, win)}
+    degree = dict(generators)
+    module = GradedModule([(name, degree[g] - 2 * n)
+                           for (g, n), name in names.items()])
     ent: Dict[Tuple[str, str], int] = {}
     uent: Dict[Tuple[str, str], int] = {}
-    for g, _dg, ns in lines:
-        for n in ns:
-            sname = f"{g}{layout.suffix}{n}"
-            for dst, k, c in out.get(g, ()):
-                tname = f"{dst}{layout.suffix}{n + k}"
-                if tname in module:
-                    ent[(sname, tname)] = ent.get((sname, tname), 0) + c
-            up = f"{g}{layout.suffix}{n + 1}"
-            if up in module:
-                uent[(sname, up)] = 1
+    for (g, n), sname in names.items():
+        for dst, k, c in out.get(g, ()):
+            tname = names.get((dst, n + k))
+            if tname is not None:
+                ent[(sname, tname)] = ent.get((sname, tname), 0) + c
+        up = names.get((g, n + 1))
+        if up is not None:
+            uent[(sname, up)] = 1
     # each term keeps the degree of the homogeneous map it came from
     d = GradedMap._trusted(module, module, -1,
                            {k: v for k, v in ent.items() if v})
@@ -310,13 +311,14 @@ def _slotwise(f: GradedMap, source: ChainComplex,
     """f tensored with the identity of the u-range between two slices:
     g.u{n} -> f(g).u{n}, dropping images outside the target slice.  Built
     unchecked: both slices shift g and f(g) by the same 2n degrees."""
-    tnames = set(target.module.names())
+    tindex = target.module._index
+    rows = f._rows()
     ent = {}
     for sname, _ in source.module.generators:
         g, n = sname.rsplit(".u", 1)
-        for t, v in f.image_of(g).items():
+        for t, v in rows.get(g, {}).items():
             tname = f"{t}.u{n}"
-            if tname in tnames:
+            if tname in tindex:
                 ent[(sname, tname)] = v
     return GradedMap._trusted(source.module, target.module, f.degree, ent)
 

@@ -50,6 +50,7 @@ from .chain import (
     _Sealed,
     _block_map,
     _presentation,
+    _reduced_dim,
     _renamed_module,
     commutator,
     cone,
@@ -635,8 +636,9 @@ def _square_commutes(src_cx: ChainComplex, j: int,
                      tgt_cx: ChainComplex, tgt_deg: int,
                      sign: int = 1) -> bool:
     """lhs == sign * rhs on every homology class of the source degree,
-    chasing all canonical generators at once."""
-    n = _presentation(src_cx, j).rank_coords()
+    chasing all canonical generators at once; true with no presentation
+    built where the source's reduction is empty at j."""
+    n = _reduced_dim(src_cx, j) and _presentation(src_cx, j).rank_coords()
     if not n:
         return True
     tpg = _presentation(tgt_cx, tgt_deg)

@@ -657,21 +657,23 @@ class TestExactness:
             verify_exact_at([C, C], [idm], 0, (0, 0))
 
 
+@pytest.fixture
+def from_pair_calls(monkeypatch):
+    """Every PresentedGroup.from_pair call, as (d_in, d_out, p)."""
+    calls = []
+    original = PresentedGroup.from_pair.__func__
+
+    def counting(cls, d_in, d_out, p=0):
+        calls.append((d_in, d_out, p))
+        return original(cls, d_in, d_out, p)
+
+    monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
+    return calls
+
+
 class TestPresentationMemo:
     """Each (complex, degree) is presented once, by PresentedGroup.from_pair,
     and the memo belongs to one complex object."""
-
-    @pytest.fixture
-    def from_pair_calls(self, monkeypatch):
-        calls = []
-        original = PresentedGroup.from_pair.__func__
-
-        def counting(cls, d_in, d_out, p=0):
-            calls.append((d_in, d_out, p))
-            return original(cls, d_in, d_out, p)
-
-        monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
-        return calls
 
     def test_second_homology_builds_nothing(self, from_pair_calls):
         C = two_sphere_like()
@@ -844,6 +846,22 @@ class TestReduction:
                              for r in range(lhs.rows)])
                     checked += 1
         assert checked > 100
+
+    def test_pivot_rule_smallest_coboundary_then_earliest(self):
+        # Which generators C' keeps depends on the pivot, and so do the
+        # coefficients the Smith form meets after it (``snf_max_bits`` of
+        # tools/scale_z.py).  x has the unit targets ya (coboundary {x, z})
+        # and yb (coboundary {x}): yb goes, though ya comes first.  t has
+        # the tied targets w1 and w2: the earlier, w1, goes.
+        C = complex_from(
+            [("x", 1), ("z", 1), ("ya", 0), ("yb", 0),
+             ("t", 3), ("w1", 2), ("w2", 2)],
+            {("x", "ya"): 1, ("x", "yb"): -1, ("z", "ya"): 2,
+             ("t", "w1"): 1, ("t", "w2"): 1})
+        red = reduction(C)
+        assert red.complex.module.names() == ("z", "ya", "w2")
+        assert red.complex.d.entries == {("z", "ya"): 2}
+        assert homology(C) == homology(red.complex)
 
 
 def _les_inputs():
@@ -1026,6 +1044,110 @@ class TestEmptyGroupShortcuts:
                                        (from_f2, into_a), (into_a, into_f2)):
                 with pytest.raises(ChainError, match="one complex"):
                     exactness_pair(incoming, outgoing, j)
+
+
+def _class_matrix(arrow, j):
+    """The class matrix of an arrow at source degree j with the source
+    always presented: empty on a trivial source group, otherwise the
+    coordinates of the images of its representatives."""
+    src = _presentation(arrow.source, j)
+    tgt = _presentation(arrow.target, j + arrow.degree)
+    if not src.rank_coords():
+        return IntMatrix(tgt.rank_coords(), 0)
+    F = tgt.coord_matrix(arrow.f.block(j) @ src.representatives())
+    if F is None:
+        raise ChainError("image of a cycle is not a cycle")
+    return F
+
+
+def _presented_verdict(incoming, outgoing, j):
+    """An LES node decided with every group presented: the middle group,
+    both class matrices, then shape, rank or lattice."""
+    p = incoming.target.p
+    mid = _presentation(incoming.target, j)
+    F = _class_matrix(incoming, j - incoming.degree)
+    G = _class_matrix(outgoing, j)
+    if not mid.rank_coords():
+        return True, True
+    if p:
+        return _rank_exactness(F, G, mid.rank_coords(), p)
+    tgt = _presentation(outgoing.target, j + outgoing.degree)
+    return _lattice_exactness(F, G, mid, tgt)
+
+
+def _outcome(decide, incoming, outgoing, j):
+    try:
+        return decide(incoming, outgoing, j)
+    except ChainError as exc:
+        return str(exc)
+
+
+class TestEmptyReductionNodes:
+    """An LES node whose middle complex and incoming source both reduce to
+    nothing at its degree is exact with no presentation built; the meeting
+    and ring check still comes first, and every other node is decided as
+    if every group were presented."""
+
+    @staticmethod
+    def _acyclic(p):
+        # x -> w cancels: C' is empty in every degree
+        return complex_from([("x", 0), ("w", -1)], {("x", "w"): 1}, p=p)
+
+    def test_misuse_still_raises_at_an_empty_node(self, from_pair_calls):
+        for p in (0, 2):
+            A = self._acyclic(p)
+            twin = ChainComplex(A.module, A.d, p=p)
+            other = self._acyclic(3 if p else 2)
+            ident = GradedMap.identity(A.module)
+            into_a = _HomologyArrow(ident, A, A)
+            for incoming, outgoing in (
+                    (into_a, _HomologyArrow(ident, twin, twin)),
+                    (_HomologyArrow(ident, other, A), into_a),
+                    (into_a, _HomologyArrow(ident, A, other))):
+                for j in (-1, 0, 4):
+                    with pytest.raises(ChainError, match="one complex"):
+                        exactness_pair(incoming, outgoing, j)
+
+    def test_empty_node_builds_no_presentation(self, from_pair_calls):
+        for p in (0, 2, 3):
+            A = self._acyclic(p)
+            arrow = _HomologyArrow(GradedMap.identity(A.module), A, A)
+            for j in (-1, 0, 4):
+                assert exactness_pair(arrow, arrow, j) == (True, True)
+            assert not from_pair_calls and not A._presented
+            assert not arrow._matrices
+
+    def test_verdicts_match_fully_presented_nodes(self, monkeypatch):
+        rows_seen = []
+        original = circle._les_check
+
+        def capture(tag, win, rows, safe):
+            rows_seen.append((win, rows))
+            return original(tag, win, rows, safe)
+
+        monkeypatch.setattr(circle, "_les_check", capture)
+        rng = random.Random(1414)
+        empty = {p: [0, 0] for p in (0, 2, 3)}
+        for i in range(18):
+            p = (0, 2, 3)[i % 3]
+            C = random_complex(rng, max_pieces=4, p=p, with_u=True).complex
+            del rows_seen[:]
+            assert circle.fundamental_sequences(s_u(C)).ok
+            assert len(rows_seen) == 2
+            for win, rows in rows_seen:
+                for _loc, incoming, outgoing, _needs in rows:
+                    for j in range(win.lo, win.hi + 1):
+                        shortcut = not (
+                            reduction(incoming.target).complex.module
+                            .gens_in_degree(j)
+                            or reduction(incoming.source).complex.module
+                            .gens_in_degree(j - incoming.degree))
+                        empty[p][shortcut] += 1
+                        assert _outcome(exactness_pair, incoming, outgoing,
+                                        j) == _outcome(_presented_verdict,
+                                                       incoming, outgoing, j)
+        for p, (full, short) in empty.items():
+            assert full > 50 and short > 50, (p, empty)
 
 
 class TestPlainPresentationsFromDimension:

@@ -328,6 +328,103 @@ class TestTrustedDerivedMaps:
                     assert all(g.entries.values())
 
 
+def _expand_by_probing(generators, terms, layout, tag, win):
+    """``_expand``'s module and entries by formatting every target name and
+    probing the module for it: the reference for its name table."""
+    out = {}
+    for src, dst, n, c in terms:
+        out.setdefault(src, []).append((dst, n, c))
+    lines = [(g, dg, circle._exponents(dg, layout.ranges[tag], win))
+             for g, dg in generators]
+    module = GradedModule([(f"{g}{layout.suffix}{n}", dg - 2 * n)
+                           for g, dg, ns in lines for n in ns])
+    ent, uent = {}, {}
+    for g, _dg, ns in lines:
+        for n in ns:
+            sname = f"{g}{layout.suffix}{n}"
+            for dst, k, c in out.get(g, ()):
+                tname = f"{dst}{layout.suffix}{n + k}"
+                if tname in module:
+                    ent[(sname, tname)] = ent.get((sname, tname), 0) + c
+            up = f"{g}{layout.suffix}{n + 1}"
+            if up in module:
+                uent[(sname, up)] = 1
+    return module, {k: v for k, v in ent.items() if v}, uent
+
+
+def _slotwise_by_probing(f, source, target):
+    """``_slotwise``'s entries by copying each image and probing a set of
+    the target's names."""
+    tnames = set(target.module.names())
+    ent = {}
+    for sname, _ in source.module.generators:
+        g, n = sname.rsplit(".u", 1)
+        for t, v in f.image_of(g).items():
+            tname = f"{t}.u{n}"
+            if tname in tnames:
+                ent[(sname, tname)] = v
+    return ent
+
+
+def _renamed(C, names):
+    """C with each generator g renamed to names[g]."""
+    module = GradedModule([(names[g], dg) for g, dg in C.module.generators])
+
+    def move(f):
+        return GradedMap(module, module, f.degree, {
+            (names[s], names[t]): v for (s, t), v in f.entries.items()})
+
+    return ChainComplex(module, move(C.d), u_action=move(C.u_action), p=C.p)
+
+
+class TestExpansionByNameTable:
+    """``_expand`` reads target names from a (generator, exponent) table and
+    ``_slotwise`` from the target's index; both equal the loops that format
+    and probe each name, generator for generator and entry for entry, on
+    both layouts, with base generators named like expanded ones."""
+
+    def test_equal_to_probing_loops(self):
+        rng = random.Random(2718)
+        win = Window(-6, 6)
+        compared = 0
+        for p in (0, 2, 3):
+            for i in range(4):
+                C1 = random_u_complex(rng, p=p)
+                C2 = random_u_complex(rng, p=p)
+                while i == 0 and len(C1.module) < 2:
+                    C1 = random_u_complex(rng, p=p)
+                if i == 0:
+                    # "a" and "a.u1" side by side, and "a.u1" expanded
+                    names = dict(zip(C1.module.names(), ("a", "a.u1")))
+                    C1 = _renamed(C1, {g: names.get(g, f"{g}.u1")
+                                       for g in C1.module.names()})
+                f = s_u_map(random_pmorphism(rng, C1, C2, degree=0))
+                S1, S2 = s_u(C1), s_u(C2)
+                terms = [(s, t, 0, v) for (s, t), v in S1.d.entries.items()]
+                terms += [(s, t, 1, v)
+                          for (s, t), v in S1.y_action.entries.items()]
+                for layout in (circle._U_LAYOUT, circle._LAURENT_LAYOUT):
+                    for tag in circle.FLAVOR_TAGS:
+                        E = circle._expand(S1.module.generators, terms,
+                                           layout, tag, win, p)
+                        module, ent, uent = _expand_by_probing(
+                            S1.module.generators, terms, layout, tag, win)
+                        assert E.module.generators == module.generators
+                        assert list(E.d.entries.items()) == list(ent.items())
+                        assert list(E.u_action.entries.items()) == \
+                            list(uent.items())
+                        compared += 1
+                for flavor in ALL_FLAVORS:
+                    E1, E2 = e_y(S1, flavor, win), e_y(S2, flavor, win)
+                    for g, src, tgt in ((f, E1, E2),
+                                        (GradedMap.identity(S1.module),
+                                         E1, E1)):
+                        got = circle._slotwise(g, src, tgt)
+                        assert list(got.entries.items()) == list(
+                            _slotwise_by_probing(g, src, tgt).items())
+        assert compared == 3 * 4 * 2 * 4
+
+
 def _split(a_gens, b_gens, c_gens, inj, proj):
     """Maps A -> B -> C on degree-0 generators from name pairs (or full
     entry dicts)."""

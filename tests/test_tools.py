@@ -1,8 +1,10 @@
 """Smoke tests of the scripts in ``tools/``.  Nothing else runs them:
 ``scale_z.py`` reaches into the program (``chain.reduction``, the flavor
 slices of ``four_flavors``, and the ``chain._lattice_exactness`` and
-``exactlin.snf`` it wraps), so a change to those names fails here, and
-``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs."""
+``exactlin.snf`` it wraps), so a change to those names fails here;
+``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs; and
+``ab_inprocess.py`` runs two cases of ``ladder_fp`` on this checkout
+against itself."""
 
 import importlib.util
 import re
@@ -65,3 +67,30 @@ def test_cli_sweep_lines_and_differences():
         f"- {lines[0]}\n+ {changed[0]}"]
     assert sweep.differences(lines, lines[:1]) == [
         f"- {lines[1]}\n+ (missing)"]
+
+
+AB_INPROCESS = (Path(__file__).resolve().parent.parent / "tools"
+                / "ab_inprocess.py")
+
+
+def test_ab_inprocess_lines_on_this_checkout_twice():
+    spec = importlib.util.spec_from_file_location("ab_inprocess",
+                                                  AB_INPROCESS)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    before, path = set(sys.modules), list(sys.path)
+    artifact = sys.modules.get("artifact")
+    root = str(AB_INPROCESS.parent.parent)
+    lines = list(ab.compare(root, root, "ladder_fp", 1, rounds=2, cases=2))
+    number = r"\d+\.\d{4}"
+    assert len(lines) == 3
+    for r, line in enumerate(lines[:2], 1):
+        assert re.fullmatch(rf"round={r} a_s={number} b_s={number} "
+                            r"ratio=\d+\.\d{3}", line), line
+    assert re.fullmatch(rf"median a_s={number} b_s={number} "
+                        r"ratio=\d+\.\d{3} rounds=2", lines[2]), lines[2]
+    # both sides are unloaded, and the package under test is untouched
+    assert not any(k.startswith(ab.PREFIX) for k in sys.modules)
+    assert sys.modules.get("artifact") is artifact
+    assert sys.path == path
+    assert set(sys.modules) - before <= {"calibrate"}

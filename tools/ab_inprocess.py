@@ -1,0 +1,166 @@
+"""In-process A/B timing of two checkouts on one perfbench workload.
+
+Usage, from the root of the repository:
+
+    python3 tools/ab_inprocess.py A_DIR B_DIR [--workload ladder_fp]
+        [--seed 1] [--rounds 10] [--cases N]
+
+Both checkouts' ``src/artifact`` are loaded side by side in this
+interpreter, under the package names ``_ab_a`` and ``_ab_b``.  Each side
+builds the workload's seeded case list from this checkout's
+``perfbench/workloads.py``, with its own copy of ``perfbench/gen.py``, so
+its inputs are objects of its own package.  A case runs through the
+workload's own ``run`` function with the name ``artifact`` (and ``gen``)
+bound to that side's modules.  After one warm-up case per side, each round
+runs every case on both sides, alternating which side goes first from case
+to case and from round to round, so a drift in machine speed falls on both
+sides alike; separate benchmark processes run one after the other do not
+share it.  Only the in-process workloads, ``flavors_z`` and ``ladder_fp``,
+can be compared this way; ``--cases N`` keeps the first N cases.
+
+One line per round, with the pass time of each side (the sum of its case
+times) and ratio = a_s / b_s (above 1: B is faster):
+
+    round=1 a_s=0.9512 b_s=0.8123 ratio=1.171
+
+and a last line with the medians over the rounds:
+
+    median a_s=0.9500 b_s=0.8100 ratio=1.173 rounds=10
+
+The exit code is 1 if a case of either side fails its oracle; the first
+problem goes to stderr.
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+from typing import Dict, Iterator, List, Optional
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+PREFIX = "_ab_"
+
+
+class WrongAnswer(Exception):
+    pass
+
+
+def _load(name: str, path: str, package_dir: Optional[str] = None):
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=(
+            None if package_dir is None else [package_dir]))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One checkout's engine under a private package name, with the
+    ``sys.modules`` entries that make ``artifact`` and ``gen`` mean it."""
+
+    def __init__(self, name: str, root: str):
+        src = os.path.join(os.path.abspath(root), "src", "artifact")
+        self.name = name
+        package = _load(name, os.path.join(src, "__init__.py"), src)
+        self.modules: Dict[str, object] = {"artifact": package}
+        for file in sorted(os.listdir(src)):
+            stem, ext = os.path.splitext(file)
+            if ext == ".py" and stem not in ("__init__", "__main__", "cli"):
+                self.modules[f"artifact.{stem}"] = importlib.import_module(
+                    f"{name}.{stem}")
+        with self.bound():
+            self.modules["gen"] = _load(f"{name}_gen",
+                                        os.path.join(PERFBENCH, "gen.py"))
+
+    @contextlib.contextmanager
+    def bound(self) -> Iterator[None]:
+        saved = {key: sys.modules.get(key) for key in self.modules}
+        sys.modules.update(self.modules)
+        try:
+            yield
+        finally:
+            for key, module in saved.items():
+                if module is None:
+                    sys.modules.pop(key, None)
+                else:
+                    sys.modules[key] = module
+
+
+def compare(root_a: str, root_b: str, workload: str, seed: int,
+            rounds: int, cases: int = 0) -> Iterator[str]:
+    """The output lines, one round at a time.  A case that fails its oracle
+    raises WrongAnswer after its round's line.  The modules loaded here
+    are unloaded when the lines end."""
+    sys.path.insert(0, PERFBENCH)   # workloads.py imports calibrate
+    try:
+        workloads = _load(PREFIX + "workloads",
+                          os.path.join(PERFBENCH, "workloads.py"))
+        spec = workloads.WORKLOADS[workload]
+        sides = [Side(PREFIX + "a", root_a), Side(PREFIX + "b", root_b)]
+        lists = []
+        for side in sides:
+            with side.bound():
+                built = spec.build(seed, False)
+                spec.warm_up()
+            lists.append(built[:cases] if cases else built)
+        yield from _rounds(spec.run, sides, lists, rounds)
+    finally:
+        sys.path.remove(PERFBENCH)
+        for key in [k for k in sys.modules if k.startswith(PREFIX)]:
+            del sys.modules[key]
+
+
+def _rounds(run, sides: List[Side], lists: List[list],
+            rounds: int) -> Iterator[str]:
+    totals: List[List[float]] = [[], []]
+    for r in range(rounds):
+        spent = [0.0, 0.0]
+        problems: List[str] = []
+        for i in range(len(lists[0])):
+            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
+            for k in order:
+                with sides[k].bound():
+                    start = time.perf_counter()
+                    found = run(lists[k][i])
+                    spent[k] += time.perf_counter() - start
+                problems += [f"{sides[k].name} case {i}: {p}" for p in found]
+        for k in (0, 1):
+            totals[k].append(spent[k])
+        yield (f"round={r + 1} a_s={spent[0]:.4f} b_s={spent[1]:.4f} "
+               f"ratio={spent[0] / spent[1]:.3f}")
+        if problems:
+            raise WrongAnswer(problems[0])
+    ratios = [a / b for a, b in zip(*totals)]
+    yield (f"median a_s={statistics.median(totals[0]):.4f} "
+           f"b_s={statistics.median(totals[1]):.4f} "
+           f"ratio={statistics.median(ratios):.3f} rounds={rounds}")
+
+
+def main(argv: List[str] = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a_dir")
+    ap.add_argument("b_dir")
+    ap.add_argument("--workload", default="ladder_fp",
+                    choices=("flavors_z", "ladder_fp"))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--cases", type=int, default=0)
+    args = ap.parse_args(argv)
+    try:
+        for line in compare(args.a_dir, args.b_dir, args.workload,
+                            args.seed, args.rounds, args.cases):
+            print(line, flush=True)
+    except WrongAnswer as exc:
+        print(f"ab_inprocess: wrong answer: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
