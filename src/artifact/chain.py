@@ -46,8 +46,9 @@ from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
-                       CompositionNonzero, _kernel_head, field_rank, is_prime,
-                       kernel_of_presented_map, lattice_contains, snf)
+                       CompositionNonzero, _axpy, _kernel_head, field_rank,
+                       is_prime, kernel_of_presented_map, lattice_contains,
+                       snf)
 
 
 class ChainError(Exception):
@@ -109,22 +110,29 @@ class GradedModule:
     def __init__(self, generators: Iterable[Tuple[str, int]], modulus: int = 0):
         if modulus < 0 or modulus % 2:
             raise ChainError("modulus must be an even nonnegative integer")
-        gens = []
-        for name, deg in generators:
-            if modulus:
-                deg %= modulus
-            gens.append((str(name), int(deg)))
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "modulus", modulus)
-        index: Dict[str, int] = {}
+        self._fill(tuple((str(name), int(deg % modulus if modulus else deg))
+                         for name, deg in generators), modulus)
+        if len(self._index) < len(self.generators):
+            seen = set()
+            name = next(n for n, _ in self.generators
+                        if n in seen or seen.add(n))
+            raise ChainError(f"duplicate generator name {name!r}")
+
+    @classmethod
+    def _trusted(cls, generators: Iterable[Tuple[str, int]],
+                 modulus: int = 0) -> "GradedModule":
+        """A module from distinct (str, int) pairs, degrees reduced."""
+        (module := cls.__new__(cls))._fill(tuple(generators), modulus)
+        return module
+
+    def _fill(self, gens: Tuple[Tuple[str, int], ...], modulus: int) -> None:
         by_degree: Dict[int, List[str]] = {}
-        for pos, (name, deg) in enumerate(self.generators):
-            if name in index:
-                raise ChainError(f"duplicate generator name {name!r}")
-            index[name] = pos
+        for name, deg in gens:
             by_degree.setdefault(deg, []).append(name)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_by_degree", by_degree)
+        index = {name: pos for pos, (name, _) in enumerate(gens)}
+        for slot, value in zip(GradedModule.__slots__,
+                               (gens, modulus, index, by_degree)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedModule is immutable")
@@ -376,13 +384,9 @@ class ChainComplex:
             raise ChainError("Y must be a degree +1 endomorphism")
         if p and not is_prime(p):
             raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u_action", u_action)
-        object.__setattr__(self, "y_action", y_action)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_presented", {})
-        object.__setattr__(self, "_reduced", None)
+        for slot, value in zip(ChainComplex.__slots__, (
+                module, d, u_action, y_action, p, {}, None)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -532,13 +536,9 @@ def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
         else:
             d_in, d_out = d.block(j + 1), d.block(j)
         pg = PresentedGroup.from_pair(d_in, d_out, C.p)
-        pg.read_through(*red.blocks.get(j, _EMPTY_BLOCKS),
-                        partial(C.d.block, j))
+        pg.read_through(*red.blocks[j], partial(C.d.block, j))
         C._presented[j] = pg
     return pg
-
-
-_EMPTY_BLOCKS = (IntMatrix(0, 0), IntMatrix(0, 0))
 
 
 def _reduced_dim(C: ChainComplex, j: int) -> int:
@@ -554,9 +554,9 @@ class Reduction(NamedTuple):
     inverse isomorphisms on homology.
 
     ``module`` is C's module; the maps are kept as their degree blocks,
-    ``blocks[j] = (iota_j, pi_j)`` for each degree of C, the form the
-    presentations read them in.  ``iota`` and ``pi`` assemble them into
-    graded maps."""
+    ``blocks[j] = (iota_j, pi_j)`` for each degree j of C, the form the
+    presentations read them in, each built on first request.  ``iota``
+    and ``pi`` assemble them into graded maps."""
     complex: ChainComplex
     module: GradedModule
     blocks: Dict[int, Tuple[IntMatrix, IntMatrix]]
@@ -564,10 +564,10 @@ class Reduction(NamedTuple):
     def _assemble(self, k: int, source: GradedModule,
                   target: GradedModule) -> GradedMap:
         ent = {}
-        for j, pair in self.blocks.items():
+        for j in self.module.degrees():
             cols = source.gens_in_degree(j)
             rows = target.gens_in_degree(j)
-            for (r, c), v in pair[k].entries.items():
+            for (r, c), v in self.blocks[j][k].entries.items():
                 ent[(cols[c], rows[r])] = v
         return GradedMap(source, target, 0, ent)
 
@@ -578,6 +578,28 @@ class Reduction(NamedTuple):
     @property
     def pi(self) -> GradedMap:
         return self._assemble(1, self.module, self.complex.module)
+
+
+class _Blocks(dict):
+    """``Reduction.blocks``: (iota_j, pi_j) built at the first request for
+    degree j from ``_reduce``'s record, which holds C's module, never C."""
+
+    __slots__ = ("_record",)
+
+    def __missing__(self, j: int) -> Tuple[IntMatrix, IntMatrix]:
+        module, dead, iota, pi = self._record
+        src = [module._index[nm] for nm in module.gens_in_degree(j)]
+        row = {g: r for r, g in enumerate(src)}
+        kept = [g for g in src if g not in dead]
+        # iota and pi keep nonzero entries between generators of degree j
+        pair = self[j] = (
+            IntMatrix._trusted(len(src), len(kept), {
+                (row[g], c): v for c, s in enumerate(kept)
+                for g, v in iota.get(s, {s: 1}).items()}),
+            IntMatrix._trusted(len(kept), len(src), {
+                (r, row[g]): v for r, s in enumerate(kept)
+                for g, v in pi.get(s, {s: 1}).items()}))
+        return pair
 
 
 def reduction(C: ChainComplex) -> Reduction:
@@ -623,16 +645,6 @@ def _reduce(C: ChainComplex) -> Reduction:
     iota: Dict[int, Dict[int, int]] = {}
     dead = set()    # cancelled generators
 
-    def axpy(acc: Dict[int, int], c: int, vec: Dict[int, int]) -> None:
-        for k, v in vec.items():
-            w = acc.get(k, 0) + c * v
-            if p:
-                w %= p
-            if w:
-                acc[k] = w
-            else:
-                del acc[k]
-
     def cancel(x: int, y: int) -> None:
         dx = bd.pop(x)
         u = dx[y]
@@ -654,11 +666,11 @@ def _reduce(C: ChainComplex) -> Reduction:
                     del da[t]
                     if t != y:      # y's coboundary is already gone
                         del cobd[t][a]
-            axpy(iota.setdefault(a, {a: 1}), f, ix)
+            _axpy(iota.setdefault(a, {a: 1}), ix, f, p)
         py = pi.pop(y, {y: 1})
         for s, r in dx.items():
             if s != y:
-                axpy(pi.setdefault(s, {s: 1}), -uinv * r, py)
+                _axpy(pi.setdefault(s, {s: 1}), py, -uinv * r, p)
                 del cobd[s][x]
         for a in cobd.pop(x, ()):
             del bd[a][x]
@@ -686,23 +698,13 @@ def _reduce(C: ChainComplex) -> Reduction:
                 progress = not p
 
     keep = [g for g in range(len(gens)) if g not in dead]
-    module = GradedModule([gens[g] for g in keep], C.module.modulus)
+    # both restrict the checked complex C: distinct names, homogeneous d
+    module = GradedModule._trusted([gens[g] for g in keep], C.module.modulus)
     name = [nm for nm, _ in gens]
-    d = GradedMap(module, module, -1, {
+    d = GradedMap._trusted(module, module, -1, {
         (name[a], name[t]): v for a in keep for t, v in bd.get(a, {}).items()})
-    blocks = {}
-    for j in C.module.degrees():
-        src = [index[nm] for nm in C.module.gens_in_degree(j)]
-        row = {g: r for r, g in enumerate(src)}
-        kept = [g for g in src if g not in dead]
-        # iota and pi keep nonzero entries between generators of degree j
-        blocks[j] = (
-            IntMatrix._trusted(len(src), len(kept), {
-                (row[g], c): v for c, s in enumerate(kept)
-                for g, v in iota.get(s, {s: 1}).items()}),
-            IntMatrix._trusted(len(kept), len(src), {
-                (r, row[g]): v for r, s in enumerate(kept)
-                for g, v in pi.get(s, {s: 1}).items()}))
+    blocks = _Blocks()
+    blocks._record = (C.module, dead, iota, pi)
     return Reduction(ChainComplex(module, d, p=p), C.module, blocks)
 
 
@@ -865,11 +867,9 @@ class PMorphism:
                  phi: GradedMap, k_phi: GradedMap):
         if k_phi.degree != phi.degree - 1:
             raise ChainError("k_phi must have degree deg(phi) - 1")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "k_phi", k_phi)
-        object.__setattr__(self, "_verdict", None)
+        for slot, value in zip(PMorphism.__slots__,
+                               (source, target, phi, k_phi, None)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PMorphism is immutable")

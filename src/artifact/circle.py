@@ -8,11 +8,15 @@ so every slice is finite.  Both directions of the duality are checked by
 brute-force homology comparison up to a uniform degree shift.
 
 One engine serves these flavors and the Laurent-filtered flavors of
-``connsum``.  ``_expand`` expands a Laurent differential over an exponent
-range (``e_y`` feeds it d at exponent 0 and Y at exponent 1, the form
-d + Y.u), and ``_fundamental`` ties the four expansions together by the two
-fundamental short exact sequences, their connecting maps and their
-long-exact-sequence certificates.  The two callers differ only in a
+``connsum``.  ``_expand`` expands a Laurent differential once for all the
+flavors a caller asks for and slices it per flavor (``e_y`` feeds it d at
+exponent 0 and Y at exponent 1, the form d + Y.u), and ``_fundamental``
+ties the four slices together by the two fundamental short exact
+sequences, their connecting maps and their long-exact-sequence
+certificates.  Slices of one expansion share generator names, so the
+inclusion of minus in infinity and the projection of infinity onto plus
+are name identities, and maps composed with them are read off by name
+(``_restricted``), with no product formed.  The two callers differ only in a
 ``_Layout``: the range table (u-range as above; Laurent: minus k >= 0,
 infinity all k, plus k <= -1, hat k = 0), the name suffix (``.u`` / ``.U``)
 and the tags of the two sequences' Checks.  The hat offset o = 2 *
@@ -149,13 +153,8 @@ class Window(Tuple[int, int]):
             raise ChainError(f"window {lo}..{hi} is empty")
         return super().__new__(cls, (lo, hi))
 
-    @property
-    def lo(self) -> int:
-        return self[0]
-
-    @property
-    def hi(self) -> int:
-        return self[1]
+    lo = property(lambda self: self[0])
+    hi = property(lambda self: self[1])
 
     @classmethod
     def default_for(cls, C: ChainComplex, margin: int = 2) -> "Window":
@@ -187,9 +186,11 @@ def _window_safe(gen_degrees: Sequence[int], exponents: ExponentRange,
         return any((dg - t) % 2 == 0 and _in_range(exponents, (dg - t) // 2)
                    for dg in gen_degrees)
 
+    # the degrees next to the window that some j-reach..j+1 can reach
+    lost = [t for t in (*range(win.lo - reach, win.lo), win.hi + 1)
+            if occupied(t)]
     return [j for j in range(win.lo, win.hi + 1)
-            if all(win.lo <= t <= win.hi or not occupied(t)
-                   for t in range(j - reach, j + 2))]
+            if not any(j - reach <= t <= j + 1 for t in lost)]
 
 
 def safe_degrees(C: ChainComplex, flavor: Flavor, window) -> List[int]:
@@ -257,23 +258,27 @@ def _exponents(dg: int, exponents: ExponentRange, win: Window) -> List[int]:
 
 def _expand(generators: Sequence[Tuple[str, int]],
             terms: Iterable[Tuple[str, str, int, int]], layout: _Layout,
-            tag: str, win: Window, p: int) -> ChainComplex:
-    """Expand a Laurent differential over one flavor's exponent range.
+            tags: Sequence[str], win: Window, p: int
+            ) -> Dict[str, ChainComplex]:
+    """Expand a Laurent differential once, over the exponent range of the
+    one flavor in ``tags`` or over all exponents for several, and slice the
+    expansion into one complex per flavor of ``tags``.
 
     ``terms`` lists (src, dst, exponent, coeff).  Generator g and exponent n
     give g{suffix}{n} in degree deg(g) - 2n, a term shifts the exponent by
     its own, and terms leaving the range or the window drop (for plus this
-    is the quotient differential).  The U-action is the exponent shift."""
-    exponents = layout.ranges[tag]
+    is the quotient differential).  The U-action is the exponent shift.
+    A slice is its flavor's in-range generators in module order with the d
+    and U entries between them, so the slices of one expansion share
+    generator names."""
+    span = layout.ranges[tags[0]] if len(tags) == 1 else (None, None)
     out: Dict[str, List[Tuple[str, int, int]]] = {}
     for src, dst, n, c in terms:
         out.setdefault(src, []).append((dst, n, c))
     # (generator, exponent) -> name, for every generator the slice keeps
     names = {(g, n): f"{g}{layout.suffix}{n}" for g, dg in generators
-             for n in _exponents(dg, exponents, win)}
+             for n in _exponents(dg, span, win)}
     degree = dict(generators)
-    module = GradedModule([(name, degree[g] - 2 * n)
-                           for (g, n), name in names.items()])
     ent: Dict[Tuple[str, str], int] = {}
     uent: Dict[Tuple[str, str], int] = {}
     for (g, n), sname in names.items():
@@ -284,17 +289,32 @@ def _expand(generators: Sequence[Tuple[str, int]],
         up = names.get((g, n + 1))
         if up is not None:
             uent[(sname, up)] = 1
-    # each term keeps the degree of the homogeneous map it came from
-    d = GradedMap._trusted(module, module, -1,
-                           {k: v for k, v in ent.items() if v})
-    u = GradedMap._trusted(module, module, -2, uent)
-    return ChainComplex(module, d, u_action=u, p=p)
+    slices = {}
+    for tag in tags:
+        lo, hi = layout.ranges[tag]
+        # names are distinct: g is what precedes the last suffix
+        module = GradedModule._trusted([
+            (name, degree[g] - 2 * n) for (g, n), name in names.items()
+            if (lo is None or n >= lo) and (hi is None or n <= hi)])
+        own = module._index
+        # each term keeps the degree of the homogeneous map it came from
+        d, u = (GradedMap._trusted(module, module, deg, {
+            k: v for k, v in e.items() if v and k[0] in own and k[1] in own})
+                for deg, e in ((-1, ent), (-2, uent)))
+        slices[tag] = ChainComplex(module, d, u_action=u, p=p)
+    return slices
 
 
 def e_y(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
     """Flavor complex on generators g.u{n}, differential d + Y.u (the
     u-multiplication truncates out of the exponent range), u-action =
     exponent shift exposed as the output's U."""
+    return _e_y_slices(C, (flavor.tag,), window)[flavor.tag]
+
+
+def _e_y_slices(C: ChainComplex, tags: Sequence[str],
+                window) -> Dict[str, ChainComplex]:
+    """``e_y(C, Flavor(tag), window)`` for each tag, from one expansion."""
     if C.module.modulus:
         raise ModulusUnsupported("e_y needs a genuine Z-grading")
     if C.y_action is None:
@@ -302,8 +322,7 @@ def e_y(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
     win = _resolve_window(C.module.degrees(), window)
     terms = [(s, t, 0, v) for (s, t), v in C.d.entries.items()]
     terms += [(s, t, 1, v) for (s, t), v in C.y_action.entries.items()]
-    return _expand(C.module.generators, terms, _U_LAYOUT, flavor.tag, win,
-                   C.p)
+    return _expand(C.module.generators, terms, _U_LAYOUT, tags, win, C.p)
 
 
 def _slotwise(f: GradedMap, source: ChainComplex,
@@ -381,9 +400,20 @@ class FundamentalSequences(_Sealed):
         return CheckReport(self.checks).ok
 
 
-def _identity_entries(src: ChainComplex, tgt: ChainComplex) -> Dict[Tuple[str, str], int]:
-    tnames = set(tgt.module.names())
-    return {(n, n): 1 for n in src.module.names() if n in tnames}
+def _name_identity(src: GradedModule, tgt: GradedModule) -> GradedMap:
+    """Each generator of src to the generator of tgt of its name, if any."""
+    return GradedMap._trusted(src, tgt, 0, {
+        (n, n): 1 for n, _ in src.generators if n in tgt._index})
+
+
+def _restricted(f: GradedMap, source: GradedModule,
+                target: GradedModule) -> GradedMap:
+    """The entries of f from generators of source to those of target: f
+    composed with name identities, such as the inclusion of minus in
+    infinity or the projection onto plus, with no product formed."""
+    s, t = source._index, target._index
+    return GradedMap._trusted(source, target, f.degree, {
+        k: v for k, v in f.entries.items() if k[0] in s and k[1] in t})
 
 
 def _transpose(f: GradedMap) -> GradedMap:
@@ -458,35 +488,40 @@ def _chain_map_inside(f: GradedMap, source: ChainComplex,
 def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
                  gen_degrees: Sequence[int], win: Window
                  ) -> FundamentalSequences:
-    """Both fundamental sequences of four flavor expansions, degreewise at
-    the chain level and through the long exact sequence at window-safe
-    degrees; connecting maps by the snake construction, retraction . d .
-    section through the canonical degreewise splittings."""
+    """Both fundamental sequences of the flavor slices of one expansion,
+    degreewise at the chain level and through the long exact sequence at
+    window-safe degrees; connecting maps by the snake construction,
+    retraction . d . section through the canonical degreewise splittings.
+    In the first sequence both splittings are name identities, so its
+    chain-map tests and delta1 read d of infinity between slices by name."""
     minus, inf, plus = (complexes[t] for t in FLAVOR_TAGS[:3])
 
     # a generator keeps its name and degree in every slice
-    inc = GradedMap._trusted(minus.module, inf.module, 0,
-                             _identity_entries(minus, inf))
-    proj = GradedMap._trusted(inf.module, plus.module, 0,
-                              _identity_entries(inf, plus))
+    inc = _name_identity(minus.module, inf.module)
+    proj = _name_identity(inf.module, plus.module)
     # the generator split is window-uniform, so the module-level sequence is
     # exact at every sliced degree
     seq1_checked = tuple(range(win.lo, win.hi + 1))
     names = (_name_map(inc), _name_map(proj))
-    seq1_ok = (is_chain_map(inc, minus, inf)
-               and is_chain_map(proj, inf, plus)
+    # inc and proj are chain maps when d of infinity out of minus is d of
+    # minus, and d of infinity into plus is d of plus
+    seq1_ok = (all((_restricted(inf.d, a, b) - _restricted(cx.d, a, b))
+                   .is_zero_mod(inf.p) for cx, a, b in (
+                       (minus, minus.module, inf.module),
+                       (plus, inf.module, plus.module)))
                and all(_ses_exact_at(inc, proj, j, names)
                        for j in seq1_checked))
     seq1 = ShortExactSequence(minus, inf, plus, inc, proj, seq1_checked,
                               seq1_ok)
 
-    delta1 = _HomologyArrow(
-        _transpose(inc) @ inf.d @ _transpose(proj), plus, minus)
+    # retraction . d . section: d of infinity from plus into minus
+    delta1 = _HomologyArrow(_restricted(inf.d, plus.module, minus.module),
+                            plus, minus)
     inc_a = _HomologyArrow(inc, minus, inf)
     proj_a = _HomologyArrow(proj, inf, plus)
 
     safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
-            for tag in FLAVOR_TAGS}
+            for tag in complexes}
     les1 = _les_check(layout.tags[0], win, (
         ("infinity", inc_a, proj_a,
          (("infinity", 0), ("minus", 0), ("plus", 0))),
@@ -550,8 +585,7 @@ def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     through the canonical degreewise splitting.  The second sequence is
     built on first access; ``ok`` forces it."""
     win = _resolve_window(C.module.degrees(), window)
-    complexes = {f.tag: e_y(C, f, win) for f in ALL_FLAVORS}
-    return _fundamental(complexes, _U_LAYOUT,
+    return _fundamental(_e_y_slices(C, FLAVOR_TAGS, win), _U_LAYOUT,
                         [d for _, d in C.module.generators], win)
 
 

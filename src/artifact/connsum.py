@@ -139,10 +139,9 @@ class FilteredComplex:
                         f"{deg[src]} - 1 + {2 * n}")
             if clean:
                 entries[(src, dst)] = clean
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "d_entries", entries)
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "_deg", deg)
+        for slot, value in zip(FilteredComplex.__slots__,
+                               (gens, entries, int(p), deg)):
+            object.__setattr__(self, slot, value)
         self._check_square()
 
     def __setattr__(self, name, value):
@@ -206,8 +205,7 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     win = _resolve_window(degrees, window)
     terms = [(src, dst, n, c) for (src, dst), ts in F.d_entries.items()
              for n, c in ts]
-    cm = {tag: _expand(F.generators, terms, _LAURENT_LAYOUT, tag, win, F.p)
-          for tag in FLAVOR_TAGS}
+    cm = _expand(F.generators, terms, _LAURENT_LAYOUT, FLAVOR_TAGS, win, F.p)
     fs = _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
     fs._second()
     return fs
@@ -351,8 +349,8 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
         return True
     # the exponent model: the expansion of a single degree-0 point u, one
     # generator u.u{n} of degree -2n per exponent of the right side
-    model = _expand([("u", 0)], (), _U_LAYOUT, flavor.tag,
-                    Window(-2 * exponents[-1], -2 * exponents[0]), C.p)
+    model = _expand([("u", 0)], (), _U_LAYOUT, (flavor.tag,), Window(
+        -2 * exponents[-1], -2 * exponents[0]), C.p)[flavor.tag]
     P = product_complex(SumInput(model, C))
     band = _degree_band(s_u(P), win.lo, win.hi)
 

@@ -273,6 +273,18 @@ TRIVIAL_GROUP = AbelianGroup(0)
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+def _axpy(acc: Dict[int, int], vec: Dict[int, int], c: int, p: int) -> None:
+    """acc += c * vec on sparse dicts, mod p when p is prime."""
+    for j, v in vec.items():
+        w = acc.get(j, 0) + c * v
+        if p:
+            w %= p
+        if w:
+            acc[j] = w
+        else:
+            acc.pop(j, None)
+
+
 class _Worker:
     """Workspace of one Smith reduction, tracking left/right transforms.
 
@@ -282,13 +294,12 @@ class _Worker:
     entry is kept reduced mod p as it is written.  The reduction clears one
     row and column per step, so during step ``t`` the rows and columns
     before t hold only their diagonal entry, and column operations on ``a``
-    visit rows t and up only.
+    visit rows t and up only.  With ``inverse`` it keeps the inverse of
+    the left transform too, transposed, undoing each row operation there.
     """
 
-    def __init__(self, M: IntMatrix, p: int = 0):
-        self.n = M.rows
-        self.m = M.cols
-        self.p = p
+    def __init__(self, M: IntMatrix, p: int = 0, inverse: bool = False):
+        self.n, self.m, self.p = M.rows, M.cols, p
         self.a: List[Dict[int, int]] = [dict() for _ in range(self.n)]
         for (i, j), v in M.entries.items():
             if p:
@@ -297,35 +308,29 @@ class _Worker:
                 self.a[i][j] = v
         self.left: List[Dict[int, int]] = [{i: 1} for i in range(self.n)]
         self.right: List[Dict[int, int]] = [{j: 1} for j in range(self.m)]
+        self.inv = [{i: 1} for i in range(self.n)] if inverse else None
 
-    # row operations act on (a, left); column operations on (a, right).
+    # row operations act on (a, left, inv); column operations on (a, right).
 
     def row_swap(self, i1, i2):
-        if i1 != i2:
-            self.a[i1], self.a[i2] = self.a[i2], self.a[i1]
-            self.left[i1], self.left[i2] = self.left[i2], self.left[i1]
+        for mat in (self.a, self.left) + ((self.inv,) if self.inv else ()):
+            mat[i1], mat[i2] = mat[i2], mat[i1]
 
     def row_addmul(self, dst, src, c):
-        p = self.p
-        for mat in (self.a, self.left):
-            row = mat[dst]
-            for j, v in mat[src].items():
-                w = row.get(j, 0) + c * v
-                if p:
-                    w %= p
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
+        _axpy(self.a[dst], self.a[src], c, self.p)
+        _axpy(self.left[dst], self.left[src], c, self.p)
+        if self.inv:
+            _axpy(self.inv[src], self.inv[dst], -c, self.p)
 
     def row_scale(self, i, c):
         p = self.p
-        if p:
-            self.a[i] = {j: v * c % p for j, v in self.a[i].items()}
-            self.left[i] = {j: v * c % p for j, v in self.left[i].items()}
-        else:
-            self.a[i] = {j: v * c for j, v in self.a[i].items()}
-            self.left[i] = {j: v * c for j, v in self.left[i].items()}
+        scaled = [(self.a, c), (self.left, c)]
+        if self.inv:
+            # over Z c is -1, its own inverse
+            scaled.append((self.inv, _inv_mod(c, p) if p else c))
+        for mat, k in scaled:
+            mat[i] = ({j: v * k % p for j, v in mat[i].items()} if p
+                      else {j: v * k for j, v in mat[i].items()})
 
     def col_swap(self, t, j):
         """Swap columns t and j >= t during step t."""
@@ -345,24 +350,8 @@ class _Worker:
         # col_dst += c * col_t during step t, once column t of ``a`` holds
         # only its pivot: of ``a`` only row t changes, and the same
         # elementary matrix multiplies the accumulated right transform.
-        p = self.p
-        row = self.a[t]
-        w = row[dst] + c * row[t]
-        if p:
-            w %= p
-        if w:
-            row[dst] = w
-        else:
-            del row[dst]
-        col = self.right[dst]
-        for i, v in self.right[t].items():
-            w = col.get(i, 0) + c * v
-            if p:
-                w %= p
-            if w:
-                col[i] = w
-            else:
-                col.pop(i, None)
+        _axpy(self.a[t], {dst: self.a[t][t]}, c, self.p)
+        _axpy(self.right[dst], self.right[t], c, self.p)
 
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
         lent = {(i, j): v for i, row in enumerate(self.left) for j, v in row.items()}
@@ -380,17 +369,9 @@ class SNFResult(Tuple[Tuple[int, ...], IntMatrix, IntMatrix]):
     def __new__(cls, factors, left, right):
         return tuple.__new__(cls, (tuple(factors), left, right))
 
-    @property
-    def factors(self) -> Tuple[int, ...]:
-        return self[0]
-
-    @property
-    def left(self) -> IntMatrix:
-        return self[1]
-
-    @property
-    def right(self) -> IntMatrix:
-        return self[2]
+    factors = property(lambda self: self[0])
+    left = property(lambda self: self[1])
+    right = property(lambda self: self[2])
 
 
 def _pick_pivot(w: _Worker, t: int) -> Optional[Tuple[int, int]]:
@@ -408,8 +389,7 @@ def _pick_pivot(w: _Worker, t: int) -> Optional[Tuple[int, int]]:
     return None if best is None else best[1:]
 
 
-def _snf_int(M: IntMatrix) -> SNFResult:
-    w = _Worker(M)
+def _snf_int(w: _Worker) -> SNFResult:
     a = w.a
     t = 0
     limit = min(w.n, w.m)
@@ -467,9 +447,8 @@ def _inv_mod(v: int, p: int) -> int:
     return pow(v, p - 2, p)
 
 
-def _snf_field(M: IntMatrix, p: int) -> SNFResult:
-    w = _Worker(M, p)
-    a = w.a
+def _snf_field(w: _Worker) -> SNFResult:
+    a, p = w.a, w.p
     t = 0
     limit = min(w.n, w.m)
     while t < limit:
@@ -528,11 +507,23 @@ def snf(M: IntMatrix, p: int = 0) -> SNFResult:
     with identity transforms without running the reduction; that is the
     answer the reduction itself gives.
     """
+    return _factor(M, p)[0]
+
+
+def _factor(M: IntMatrix, p: int = 0, inverse: bool = False
+            ) -> Tuple[SNFResult, Optional[IntMatrix]]:
+    """``snf(M, p)``, and with ``inverse`` the inverse of its left
+    transform, which the reduction keeps beside it (else None)."""
     factors = _already_reduced(M, p)
     if factors is not None:
-        return SNFResult(factors, IntMatrix.identity(M.rows),
-                         IntMatrix.identity(M.cols))
-    return _snf_int(M) if p == 0 else _snf_field(M, p)
+        one = IntMatrix.identity(M.rows)
+        return (SNFResult(factors, one, IntMatrix.identity(M.cols)),
+                one if inverse else None)
+    w = _Worker(M, p, inverse)
+    res = _snf_field(w) if p else _snf_int(w)
+    return res, None if w.inv is None else IntMatrix._trusted(
+        M.rows, M.rows, {(i, j): v for j, row in enumerate(w.inv)
+                         for i, v in row.items()})
 
 
 def is_prime(n: int) -> bool:
@@ -702,7 +693,7 @@ class PresentedGroup:
         self.cycles = cycles                      # n x z, saturated basis
         self.rel = boundaries_in_cycle_coords     # z x b
         self.dim = cycles.rows
-        res = snf(self.rel, p)
+        res, self._left_inverse = _factor(self.rel, p, True)
         self.rel_left = res.left
         z = cycles.cols
         rank = len(res.factors)
@@ -800,9 +791,9 @@ class PresentedGroup:
         return [c[(a, 0)] for a in range(c.rows)]
 
     def representatives(self) -> IntMatrix:
-        """Ambient cycles representing the canonical generators, as columns;
-        over a factored cycle basis computed once and shared, as an
-        ``IntMatrix`` is immutable."""
+        """Ambient cycles representing the canonical generators, as columns,
+        through the inverse of ``rel_left`` kept by its factorization;
+        computed once and shared, as an ``IntMatrix`` is immutable."""
         rows = self.torsion_rows + self.free_rows
         if not rows:
             return IntMatrix(self.ambient_dim(), 0)
@@ -812,7 +803,7 @@ class PresentedGroup:
         if self._reps is None:
             e = IntMatrix(self.rel_left.rows, len(rows),
                           {(r, k): 1 for k, r in enumerate(rows)})
-            reps = self.cycles @ (invert_unimodular(self.rel_left, self.p) @ e)
+            reps = self.cycles @ (self._left_inverse @ e)
             self._reps = reps if self._iota is None else self._iota @ reps
         return self._reps
 

@@ -63,18 +63,17 @@ from .chain import (
 )
 from .circle import (
     _U_LAYOUT,
-    INFINITY,
-    MINUS,
-    PLUS,
+    FLAVOR_TAGS,
     FundamentalSequences,
     Window,
     _doubled,
+    _e_y_slices,
     _fundamental,
     _les_check,
     _resolve_window,
+    _restricted,
     _slotwise,
     _su_map,
-    e_y,
     fundamental_sequences,
     s_u,
 )
@@ -694,9 +693,9 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
 
     # the first fundamental sequences read only the minus, infinity and
     # plus slices; the hat slice is left to the second, never built here
-    fs = {key: _fundamental({fl.tag: e_y(S, fl, win)
-                             for fl in (MINUS, INFINITY, PLUS)}, _U_LAYOUT,
-                            [dg for _, dg in S.module.generators], win)
+    fs = {key: _fundamental(_e_y_slices(S, FLAVOR_TAGS[:3], win),
+                            _U_LAYOUT, [dg for _, dg in S.module.generators],
+                            win)
           for key, S in (("hat", su_hat), ("bar", su_bar),
                          ("check", su_check))}
     checks += [fs[key].les1._replace(tag=f"eq:E-sq1:{key}") for key in fs]
@@ -708,11 +707,11 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     # read, of the minus and plus legs
     sliced, arrows = {}, {}
     for tag, f, a, b in legs:
-        for fl in (MINUS, INFINITY, PLUS):
-            src, tgt = fs[a].complexes[fl.tag], fs[b].complexes[fl.tag]
-            g = sliced[(tag, fl.tag)] = _slotwise(f, src, tgt)
-            if fl is not INFINITY:
-                arrows[(tag, fl.tag)] = _HomologyArrow(g, src, tgt)
+        for fl in FLAVOR_TAGS[:3]:
+            src, tgt = fs[a].complexes[fl], fs[b].complexes[fl]
+            g = sliced[(tag, fl)] = _slotwise(f, src, tgt)
+            if fl != "infinity":
+                arrows[(tag, fl)] = _HomologyArrow(g, src, tgt)
 
     squares: Dict[str, Check] = {}
 
@@ -722,15 +721,17 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
         if squares.setdefault(name, Check(name, True)).ok and not ok:
             squares[name] = Check(name, False, degree)
 
+    # the inclusions and projections are name identities: the infinity leg
+    # read out of minus is the minus leg, and read into plus the plus leg
     for tag, f, a, b in legs:
-        inc_a, inc_b = fs[a].seq1.inject, fs[b].seq1.inject
-        prj_a, prj_b = fs[a].seq1.project, fs[b].seq1.project
-        lhs = (inc_b @ sliced[(tag, "minus")]) - (
-            sliced[(tag, "infinity")] @ inc_a)
-        square(f"eq:KM:{tag}:splice", lhs.is_zero_mod(prime))
-        lhs = (prj_b @ sliced[(tag, "infinity")]) - (
-            sliced[(tag, "plus")] @ prj_a)
-        square(f"eq:KM:{tag}:slice", lhs.is_zero_mod(prime))
+        (m_a, i_a, _), (_, i_b, p_b) = (
+            [fs[k].complexes[fl].module for fl in FLAVOR_TAGS[:3]]
+            for k in (a, b))
+        for name, fl, src, tgt in (("splice", "minus", m_a, i_b),
+                                   ("slice", "plus", i_a, p_b)):
+            square(f"eq:KM:{tag}:{name}", (
+                _restricted(sliced[(tag, "infinity")], src, tgt)
+                - _restricted(sliced[(tag, fl)], src, tgt)).is_zero_mod(prime))
 
     for tag, f, a, b in legs:
         d = f.degree

@@ -864,6 +864,85 @@ class TestReduction:
         assert homology(C) == homology(red.complex)
 
 
+def _eager_blocks(red):
+    """Every degree's (iota_j, pi_j), built at once from the reduction's
+    record of its cancellations: the oracle for the blocks built on
+    request."""
+    module, dead, iota, pi = red.blocks._record
+    out = {}
+    for j in module.degrees():
+        src = [module._index[nm] for nm in module.gens_in_degree(j)]
+        row = {g: r for r, g in enumerate(src)}
+        kept = [g for g in src if g not in dead]
+        out[j] = (
+            IntMatrix(len(src), len(kept), {
+                (row[g], c): v for c, s in enumerate(kept)
+                for g, v in iota.get(s, {s: 1}).items()}),
+            IntMatrix(len(kept), len(src), {
+                (r, row[g]): v for r, s in enumerate(kept)
+                for g, v in pi.get(s, {s: 1}).items()}))
+    return out
+
+
+def _assembled(blocks, k, source, target):
+    """The graded map of one side (0: iota, 1: pi) of eager blocks."""
+    ent = {}
+    for j, pair in blocks.items():
+        cols, rows = source.gens_in_degree(j), target.gens_in_degree(j)
+        for (r, c), v in pair[k].entries.items():
+            ent[(cols[c], rows[r])] = v
+    return GradedMap(source, target, 0, ent)
+
+
+class TestBlocksOnDemand:
+    """``Reduction.blocks`` builds a degree's (iota_j, pi_j) at the first
+    request for it.  In any order of requests each equals the eager build,
+    is built once, and fits C's d and d' as a chain map must; ``iota`` and
+    ``pi`` assemble to the maps the eager blocks give."""
+
+    def test_each_degree_equals_the_eager_build(self):
+        rng = random.Random(5)
+        # flavor slices cancel generators that other columns of d reach, so
+        # iota and pi differ from the identity off their kept generators
+        slices = [cx for p in (0, 2, 3, 0, 2, 3) for cx in circle._e_y_slices(
+            s_u(random_complex(rng, max_pieces=5, p=p, with_u=True).complex),
+            circle.FLAVOR_TAGS, None).values()]
+        moved = 0
+        for C in _reduction_inputs() + slices:
+            red = reduction(C)
+            assert not red.blocks
+            eager = _eager_blocks(red)
+            # entries besides the one of each kept generator
+            moved += sum(len(i.entries) - i.cols + len(q.entries) - q.rows
+                         for i, q in eager.values())
+            degrees = list(C.module.degrees())
+            rng.shuffle(degrees)
+            for j in degrees:
+                pair = red.blocks[j]
+                assert pair == eager[j] and red.blocks[j] is pair
+                iota_j, pi_j = pair
+                assert (pi_j @ iota_j).mod(C.p) == IntMatrix.identity(
+                    iota_j.cols)
+                # chain maps: d iota = iota d' and pi d = d' pi
+                d, dr = C.d, red.complex.d
+                below = red.blocks[C.module.reduce_degree(j - 1)]
+                assert ((d.block(j) @ iota_j) - (below[0] @ dr.block(j))
+                        ).mod(C.p).is_zero()
+                assert ((below[1] @ d.block(j)) - (dr.block(j) @ pi_j)
+                        ).mod(C.p).is_zero()
+            Cr = red.complex.module
+            assert red.iota == _assembled(eager, 0, Cr, C.module)
+            assert red.pi == _assembled(eager, 1, C.module, Cr)
+        assert moved > 0
+
+    def test_a_degree_outside_the_support_is_empty(self):
+        C = random_complex(random.Random(6), max_pieces=4).complex
+        red = reduction(C)
+        lo, hi = C.module.support_window()
+        for j in (lo - 1, hi + 1):
+            assert red.blocks[j] == (IntMatrix(0, 0), IntMatrix(0, 0))
+
+
 def _les_inputs():
     """Twenty seeded F2/F3 inputs: a U-complex for the fundamental
     sequences and a tower bundle for the ladder."""

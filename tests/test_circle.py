@@ -1,6 +1,7 @@
 """Tests for the circle-action functors: doubling, flavor complexes,
 fundamental sequences, first-page models, and both duality comparisons."""
 
+import itertools
 import random
 
 import pytest
@@ -377,11 +378,19 @@ def _renamed(C, names):
     return ChainComplex(module, move(C.d), u_action=move(C.u_action), p=C.p)
 
 
+# every flavor set the engine expands at once: all four (the fundamental
+# sequences of both layouts), the three of the ladder, and one at a time
+FLAVOR_SETS = ((circle.FLAVOR_TAGS, circle.FLAVOR_TAGS[:3])
+               + tuple((tag,) for tag in circle.FLAVOR_TAGS))
+
+
 class TestExpansionByNameTable:
     """``_expand`` reads target names from a (generator, exponent) table and
     ``_slotwise`` from the target's index; both equal the loops that format
     and probe each name, generator for generator and entry for entry, on
-    both layouts, with base generators named like expanded ones."""
+    both layouts, with base generators named like expanded ones.  Each
+    slice of one expansion of several flavors equals the reference built
+    for its flavor alone."""
 
     def test_equal_to_probing_loops(self):
         rng = random.Random(2718)
@@ -403,12 +412,16 @@ class TestExpansionByNameTable:
                 terms = [(s, t, 0, v) for (s, t), v in S1.d.entries.items()]
                 terms += [(s, t, 1, v)
                           for (s, t), v in S1.y_action.entries.items()]
-                for layout in (circle._U_LAYOUT, circle._LAURENT_LAYOUT):
-                    for tag in circle.FLAVOR_TAGS:
-                        E = circle._expand(S1.module.generators, terms,
-                                           layout, tag, win, p)
+                for layout, tags in itertools.product(
+                        (circle._U_LAYOUT, circle._LAURENT_LAYOUT),
+                        FLAVOR_SETS):
+                    slices = circle._expand(S1.module.generators, terms,
+                                            layout, tags, win, p)
+                    assert tuple(slices) == tags
+                    for tag, E in slices.items():
                         module, ent, uent = _expand_by_probing(
                             S1.module.generators, terms, layout, tag, win)
+                        assert E.p == p
                         assert E.module.generators == module.generators
                         assert list(E.d.entries.items()) == list(ent.items())
                         assert list(E.u_action.entries.items()) == \
@@ -422,7 +435,105 @@ class TestExpansionByNameTable:
                         got = circle._slotwise(g, src, tgt)
                         assert list(got.entries.items()) == list(
                             _slotwise_by_probing(g, src, tgt).items())
-        assert compared == 3 * 4 * 2 * 4
+        assert compared == 3 * 4 * 2 * (4 + 3 + 4)
+
+
+def _by_products(complexes, win):
+    """seq1's exactness and delta1 by graded products: ``is_chain_map`` of
+    the inclusion and projection, and retraction . d . section.  The
+    oracle for the forms read by name."""
+    minus, inf, plus = (complexes[t] for t in circle.FLAVOR_TAGS[:3])
+    inc, proj = (GradedMap(a.module, b.module, 0,
+                           {(n, n): 1 for n in a.module.names()
+                            if n in b.module})
+                 for a, b in ((minus, inf), (inf, plus)))
+    names = (_name_map(inc), _name_map(proj))
+    exact = (is_chain_map(inc, minus, inf) and is_chain_map(proj, inf, plus)
+             and all(_ses_exact_at(inc, proj, j, names)
+                     for j in range(win.lo, win.hi + 1)))
+    return exact, circle._transpose(inc) @ inf.d @ circle._transpose(proj)
+
+
+def _with_d(C, entries):
+    """C with its differential replaced by one with the given entries."""
+    return ChainComplex(C.module, GradedMap(C.module, C.module, -1, entries),
+                        u_action=C.u_action, p=C.p)
+
+
+class TestFirstSequenceByName:
+    """The first sequence's chain-map tests and delta1 read d of infinity
+    between slices by name.  Each verdict and delta1 equal their
+    graded-product form, on seeded slices of both layouts and on mutants
+    that break them."""
+
+    def test_equal_to_products_on_both_layouts(self):
+        rng = random.Random(4242)
+        for p in (0, 2, 3):
+            for i in range(5):
+                S = s_u(random_u_complex(rng, p=p))
+                win = (None, Window(-3, 3), Window(0, 1))[i % 3]
+                for fs in (fundamental_sequences(S, win),
+                           cm_flavors(laurent_form(S), win)):
+                    exact, delta = _by_products(fs.complexes, fs.window)
+                    assert fs.seq1.exact is exact is True
+                    assert fs.delta1.f == delta
+
+    def test_infinity_entry_from_minus_into_plus(self, monkeypatch):
+        # a map that is no chain map induces nothing on homology, so the
+        # long exact sequence is left out here
+        monkeypatch.setattr(circle, "_les_check",
+                            lambda tag, *args: Check(tag, True))
+        rng = random.Random(4243)
+        broken = 0
+        for p in (0, 2, 3):
+            S = s_u(random_u_complex(rng, p=p))
+            win = Window.default_for(S)
+            cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
+            minus, inf, plus = (cx[t] for t in circle.FLAVOR_TAGS[:3])
+            pairs = [(s, t) for s, ds in minus.module.generators
+                     for t, dt in plus.module.generators if dt == ds - 1]
+            assert pairs
+            for s, t in pairs[:3]:
+                mutant = {**cx, "infinity": _with_d(
+                    inf, {**inf.d.entries, (s, t): 1})}
+                fs = circle._fundamental(
+                    mutant, circle._U_LAYOUT,
+                    [d for _, d in S.module.generators], win)
+                exact, delta = _by_products(mutant, win)
+                assert fs.seq1.exact is exact is False
+                assert fs.delta1.f == delta
+                broken += 1
+            # a plus differential that loses an entry breaks the projection
+            k = next(iter(plus.d.entries))
+            mutant = {**cx, "plus": _with_d(
+                plus, {e: v for e, v in plus.d.entries.items() if e != k})}
+            fs = circle._fundamental(mutant, circle._U_LAYOUT,
+                                     [d for _, d in S.module.generators], win)
+            assert fs.seq1.exact is _by_products(mutant, win)[0] is False
+        assert broken >= 6
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_wrong_delta1_entry_fails_the_les(self, monkeypatch, p):
+        S = s_u(point(p))
+        win = Window.default_for(S)
+        cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
+        gen_degrees = [d for _, d in S.module.generators]
+        fs = circle._fundamental(cx, circle._U_LAYOUT, gen_degrees, win)
+        assert fs.les1.ok and fs.delta1.f == _by_products(cx, win)[1]
+        original = circle._restricted
+
+        def dropping(f, source, target):
+            g = original(f, source, target)
+            if source is cx["plus"].module and target is cx["minus"].module:
+                first = next(iter(g.entries))
+                g = GradedMap(source, target, g.degree, {
+                    k: v for k, v in g.entries.items() if k != first})
+            return g
+
+        monkeypatch.setattr(circle, "_restricted", dropping)
+        fs = circle._fundamental(cx, circle._U_LAYOUT, gen_degrees, win)
+        assert fs.seq1.exact and not fs.les1.ok
+        assert fs.les1.witness is not None
 
 
 def _split(a_gens, b_gens, c_gens, inj, proj):

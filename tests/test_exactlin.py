@@ -21,6 +21,7 @@ from artifact.exactlin import (
     snf,
     solve,
     subgroups_equal,
+    _factor,
     _inv_mod,
     _kernel_head,
 )
@@ -448,6 +449,45 @@ class TestKernelsAndSolve:
             Ginv = invert_unimodular(G)
             assert G @ Ginv == IntMatrix.identity(n)
             assert Ginv @ G == IntMatrix.identity(n)
+
+
+class TestLeftInverseKeptByTheReduction:
+    """The factorization a ``PresentedGroup`` makes of its relations keeps
+    the inverse of the left transform beside it, by the inverse of each row
+    operation; ``invert_unimodular``, a second factorization, is its oracle
+    over Z, F2 and F3.  The factorization itself is ``snf``'s."""
+
+    def test_inverse_equals_invert_unimodular(self):
+        rng = random.Random(15)
+        cases = _seed_kernel_cases()[::5]
+        cases += [random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7),
+                                lo=-30, hi=30) for _ in range(80)]
+        eliminated = 0
+        for M in cases:
+            for p in (0, 2, 3):
+                res, inv = _factor(M, p, True)
+                assert res == snf(M, p) and _factor(M, p)[1] is None
+                assert inv == invert_unimodular(res.left, p), (M.entries, p)
+                eliminated += res.left != IntMatrix.identity(M.rows)
+        assert eliminated > 200
+
+    def test_representatives_through_the_kept_inverse(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            p = rng.choice((0, 2, 3))
+            C = random_matrix(rng, 5, 3)
+            d_in = C @ random_matrix(rng, 3, 4)
+            d_out = random_matrix(rng, 2, 5)
+            if not (d_out @ d_in).mod(p).is_zero():
+                d_out = IntMatrix(0, 5)
+            pg = PresentedGroup.from_pair(d_in, d_out, p)
+            if pg.cycles is None:
+                continue
+            rows = pg.torsion_rows + pg.free_rows
+            e = IntMatrix(pg.rel_left.rows, len(rows),
+                          {(r, k): 1 for k, r in enumerate(rows)})
+            want = pg.cycles @ (invert_unimodular(pg.rel_left, p) @ e)
+            assert pg.representatives() == want
 
 
 class TestAbelianGroup:

@@ -369,6 +369,91 @@ class TestSecondSequenceWhereReported:
                         for fl in ALL_FLAVORS}
 
 
+def _slice_flavor(cx):
+    """The flavor of an e_y slice, read off its generators' exponents."""
+    ns = {int(n.rsplit(".u", 1)[1]) for n in cx.module.names()}
+    return ("minus" if min(ns) >= 1 else "plus" if max(ns) <= 0
+            else "infinity")
+
+
+def _mutating(slotwise, flavor, how):
+    """``_slotwise`` with the first entry of every leg out of a ``flavor``
+    slice dropped (``how`` "lose") or raised by one ("change")."""
+    def mutated(f, source, target):
+        g = slotwise(f, source, target)
+        if g.entries and _slice_flavor(source) == flavor:
+            ent = dict(g.entries)
+            k = next(iter(ent))
+            if how == "lose":
+                del ent[k]
+            else:
+                ent[k] += 1
+            g = GradedMap(g.source, g.target, g.degree, ent)
+        return g
+    return mutated
+
+
+def _squares_by_products(bundle, win, slotwise):
+    """The chain-level squares of ``ladder_check`` by graded products with
+    the inclusions and projections, on legs made by ``slotwise``: the
+    oracle for the squares read by name."""
+    (su_hat, su_bar, su_check, su_i, su_j, su_p, *_) = \
+        flavors._doubled_pieces(bundle, cone_total(bundle))
+    slices = {key: {fl.tag: circle.e_y(S, fl, win)
+                    for fl in (MINUS, INFINITY, PLUS)}
+              for key, S in (("hat", su_hat), ("bar", su_bar),
+                             ("check", su_check))}
+
+    def name_map(a, b):
+        return GradedMap(a.module, b.module, 0,
+                         {(n, n): 1 for n in a.module.names()})
+
+    out = {}
+    for tag, f, a, b in (("p", su_p, "hat", "bar"), ("i", su_i, "bar", "check"),
+                         ("j", su_j, "check", "hat")):
+        leg = {fl: slotwise(f, slices[a][fl], slices[b][fl])
+               for fl in ("minus", "infinity", "plus")}
+        inc_a, inc_b = (name_map(slices[k]["minus"], slices[k]["infinity"])
+                        for k in (a, b))
+        prj_a, prj_b = (name_map(slices[k]["plus"], slices[k]["infinity"])
+                        for k in (a, b))
+        prj_a, prj_b = (circle._transpose(m) for m in (prj_a, prj_b))
+        out[f"eq:KM:{tag}:splice"] = ((inc_b @ leg["minus"])
+                                      - (leg["infinity"] @ inc_a)
+                                      ).is_zero_mod(bundle.hat.p)
+        out[f"eq:KM:{tag}:slice"] = ((prj_b @ leg["infinity"])
+                                     - (leg["plus"] @ prj_a)
+                                     ).is_zero_mod(bundle.hat.p)
+    return out
+
+
+class TestLadderSquaresByName:
+    """The ladder's splice and slice squares read the infinity leg between
+    slices by name.  Each verdict equals its graded-product form over Z,
+    F_2 and F_3, and a leg whose minus (plus) slice loses or changes an
+    entry fails its splice (slice) square."""
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_equal_to_products_and_caught_on_mutated_legs(self, monkeypatch,
+                                                          p):
+        b = assemble(tower_model(TowerParams(base=mod2_base(p=p), n=3)))
+        win = circle._resolve_window(
+            s_u(cone_total(b)).module.degrees(), None)
+        original = flavors._slotwise
+        for flavor, how in ((None, None), ("minus", "lose"),
+                            ("minus", "change"), ("plus", "lose"),
+                            ("plus", "change")):
+            slotwise = (original if flavor is None
+                        else _mutating(original, flavor, how))
+            monkeypatch.setattr(flavors, "_slotwise", slotwise)
+            got = {c.tag: c.ok for c in ladder_check(b).checks
+                   if c.tag.endswith(("splice", "slice"))}
+            assert got == _squares_by_products(b, win, slotwise)
+            kind = {"minus": "splice", "plus": "slice"}.get(flavor)
+            assert {tag for tag, ok in got.items() if not ok} == (
+                {f"eq:KM:{leg}:{kind}" for leg in "pij"} if kind else set())
+
+
 class TestTowerModel:
     def test_point_shape(self):
         tw = tower_model(TowerParams(base=point_base(), n=3))

@@ -1,7 +1,8 @@
 """Smoke tests of the scripts in ``tools/``.  Nothing else runs them:
 ``scale_z.py`` reaches into the program (``chain.reduction``, the flavor
 slices of ``four_flavors``, and the ``chain._lattice_exactness`` and
-``exactlin.snf`` it wraps), so a change to those names fails here;
+``exactlin._factor`` it wraps), and so does ``scale_ladder.py`` (the
+``flavors._fundamental`` it wraps), so a change to those names fails here;
 ``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs; and
 ``ab_inprocess.py`` runs two cases of ``ladder_fp`` on this checkout
 against itself."""
@@ -25,7 +26,7 @@ def test_scale_z_line_format():
         spec.loader.exec_module(scale_z)
         line = scale_z.measure(30)
         # the counting wrappers are gone once the line is made
-        assert scale_z.exactlin.snf is scale_z.chain.snf
+        assert scale_z.exactlin._factor.__name__ == "_factor"
         assert scale_z.chain._lattice_exactness.__name__ == \
             "_lattice_exactness"
     m = re.fullmatch(r"n=30 four_flavors_s=\d+\.\d\d "
@@ -41,6 +42,32 @@ def test_scale_z_line_format():
     after = sum(int(a) for _, _, a in slices)
     assert (before, after) == (int(m.group(1)), int(m.group(2)))
     assert all(int(a) <= int(b) for _, b, a in slices)
+
+
+SCALE_LADDER = SCALE_Z.parent / "scale_ladder.py"
+
+
+def test_scale_ladder_line_format():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("scale_ladder",
+                                                      SCALE_LADDER)
+        scale_ladder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scale_ladder)
+        line = scale_ladder.measure(3)
+        # the catching wrapper is gone once the line is made
+        assert scale_ladder.flavors._fundamental.__name__ == "_fundamental"
+    m = re.fullmatch(r"n=3 ladder_s=\d+\.\d\d ok=True "
+                     r"slice_gens=(\d+)->(\d+) \((.*)\)", line)
+    assert m, line
+    slices = [re.fullmatch(r"(\w+) (\w+) (\d+)->(\d+)", part).groups()
+              for part in m.group(3).split(", ")]
+    assert [(key, tag) for key, tag, _, _ in slices] == [
+        (key, tag) for key in ("hat", "bar", "check")
+        for tag in ("minus", "infinity", "plus")]
+    assert sum(int(b) for _, _, b, _ in slices) == int(m.group(1))
+    assert sum(int(a) for _, _, _, a in slices) == int(m.group(2))
+    assert all(0 < int(a) < int(b) for _, _, b, a in slices)
 
 
 CLI_SWEEP = Path(__file__).resolve().parent.parent / "tools" / "cli_sweep.py"

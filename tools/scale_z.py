@@ -12,8 +12,10 @@ presented, before and after the slice's reduction (the complex C' that the
 presentations are actually of).  A second, untimed call on a fresh copy
 counts the Z LES nodes with a nonzero middle group (``z_les_nodes``) and
 the largest entry bit length over the input and both transforms of every
-``snf`` call (``snf_max_bits``), through wrappers bound in every
-``artifact`` module that holds the wrapped function and removed after.
+Smith form (``snf_max_bits``; every ``snf`` call and the factorization of
+each presentation's relations go through ``exactlin._factor``), through
+wrappers bound in every ``artifact`` module that holds the wrapped
+function and removed after.
 One line per size.
 """
 
@@ -63,16 +65,16 @@ def _counts(n: int):
         return node
 
     def measuring(original):
-        def snf(M, p=0):
-            res = original(M, p)
+        def factor(M, p=0, inverse=False):
+            res, inv = original(M, p, inverse)
             bits[0] = max([bits[0]] + [abs(v).bit_length()
                                        for m in (M, res.left, res.right)
                                        for v in m.entries.values()])
-            return res
-        return snf
+            return res, inv
+        return factor
 
     with _wrapped(chain, "_lattice_exactness", counting), \
-            _wrapped(exactlin, "snf", measuring):
+            _wrapped(exactlin, "_factor", measuring):
         four_flavors(C)
     return nodes[0], bits[0]
 
