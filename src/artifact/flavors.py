@@ -724,14 +724,14 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     # the inclusions and projections are name identities: the infinity leg
     # read out of minus is the minus leg, and read into plus the plus leg
     for tag, f, a, b in legs:
-        (m_a, i_a, _), (_, i_b, p_b) = (
-            [fs[k].complexes[fl].module for fl in FLAVOR_TAGS[:3]]
-            for k in (a, b))
-        for name, fl, src, tgt in (("splice", "minus", m_a, i_b),
-                                   ("slice", "plus", i_a, p_b)):
+        ca, cb = fs[a].complexes, fs[b].complexes
+        for name, fl, src, tgt in (
+                ("splice", "minus", ca["minus"], cb["infinity"]),
+                ("slice", "plus", ca["infinity"], cb["plus"])):
+            s, t = src.module, tgt.module
             square(f"eq:KM:{tag}:{name}", (
-                _restricted(sliced[(tag, "infinity")], src, tgt)
-                - _restricted(sliced[(tag, fl)], src, tgt)).is_zero_mod(prime))
+                _restricted(sliced[(tag, "infinity")], s, t)
+                - _restricted(sliced[(tag, fl)], s, t)).is_zero_mod(prime))
 
     for tag, f, a, b in legs:
         d = f.degree
