@@ -20,9 +20,11 @@ by greedy cancellation of unit entries of d to a complex C' on a subset of
 its generators, with chain maps iota: C' -> C and pi: C -> C' such that
 pi . iota = 1.  Over F_p every nonzero entry is a unit and d' = 0, so
 H(C') = C'; over Z only +-1 entries cancel and C' keeps the rest for the
-Smith normal form.  Presentations are of C', read in C: representatives
-are iota of C''s, coordinates are taken after pi, and the class matrix of
-a map f is that of pi . f . iota.  Over F_p an exactness node of a long
+Smith normal form.  Presentations are of C'.  The class matrix of a map f
+is that of pi . f . iota, pushed as sparse vectors from C' to C' through
+iota, f, the cycle test d = 0 and pi, with no degree block built; the
+lazy ambient reading of a presentation in C (``read_through``) builds
+blocks, and only tests use it.  Over F_p an exactness node of a long
 exact sequence is then decided by ranks.
 
 Many constructions are block matrices over renamed copies of generator
@@ -178,8 +180,9 @@ class GradedMap:
     The constructor checks every entry (known generators, homogeneity); the
     closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
     and build their results unchecked, by ``_trusted``.  The entries grouped
-    by source generator, which only ``@``, ``block``, ``image_of`` and the
-    flavor engine's slotwise maps read, are built on first read."""
+    by source generator, which ``@``, ``block``, ``image_of``, class
+    matrices and the flavor engine's slotwise maps read, are built on first
+    read."""
 
     __slots__ = ("source", "target", "degree", "entries", "_by_src", "_blocks")
 
@@ -500,9 +503,9 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     """PresentedGroup for each degree (in the window, or the full support
     extended one step so trivial edges are visible).
 
-    Each group presents the homology of C's reduction C' at that degree
-    and is read in C: its representatives are iota of those of C', and the
-    coordinates of a vector of C_j are those of pi of it, once d_j is
+    Each group presents the homology of C's reduction C' at that degree,
+    and is read in C lazily: its representatives are iota of those of C',
+    and the coordinates of a vector of C_j are those of pi of it, once d_j is
     checked to kill it.  Where d' = 0 (always over F_p) every group is
     plain: the identity on C'_j, built from its dimension alone, without
     any block of d' or any factorization."""
@@ -521,9 +524,10 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """The homology presentation of C at degree j, from C's memo: that of
-    C' at j (plain from dim C'_j if d' = 0), read through iota_j and pi_j.
-    Where C'_j is empty H_j(C) = 0, read by ``_reduced_dim``, and LES nodes,
-    class matrices and the ladder's squares ask for no presentation."""
+    C' at j (plain from dim C'_j if d' = 0), read lazily through iota_j,
+    pi_j and d_j.  Where C'_j is empty H_j(C) = 0, read by
+    ``_reduced_dim``, and LES nodes, class matrices and the ladder's
+    squares ask for no presentation."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
@@ -536,7 +540,9 @@ def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
         else:
             d_in, d_out = d.block(j + 1), d.block(j)
         pg = PresentedGroup.from_pair(d_in, d_out, C.p)
-        pg.read_through(*red.blocks[j], partial(C.d.block, j))
+        blocks = red.blocks
+        pg.read_through(lambda: blocks[j][0], lambda: blocks[j][1],
+                        partial(C.d.block, j))
         C._presented[j] = pg
     return pg
 
@@ -553,10 +559,10 @@ class Reduction(NamedTuple):
     iota: C' -> C and pi: C -> C' such that pi . iota = 1, so both induce
     inverse isomorphisms on homology.
 
-    ``module`` is C's module; the maps are kept as their degree blocks,
-    ``blocks[j] = (iota_j, pi_j)`` for each degree j of C, the form the
-    presentations read them in, each built on first request.  ``iota``
-    and ``pi`` assemble them into graded maps."""
+    ``module`` is C's module.  ``blocks`` reads ``_reduce``'s record of the
+    maps by column of iota and row of pi, and ``blocks[j] = (iota_j,
+    pi_j)`` builds degree blocks on request.  ``iota`` and ``pi`` assemble
+    them into graded maps."""
     complex: ChainComplex
     module: GradedModule
     blocks: Dict[int, Tuple[IntMatrix, IntMatrix]]
@@ -582,12 +588,24 @@ class Reduction(NamedTuple):
 
 class _Blocks(dict):
     """``Reduction.blocks``: (iota_j, pi_j) built at the first request for
-    degree j from ``_reduce``'s record, which holds C's module, never C."""
+    degree j (kept under the reduced degree) from ``_reduce``'s record,
+    which holds C's module, never C, and is read only through
+    ``iota_column`` and ``pi_row``."""
 
     __slots__ = ("_record",)
 
+    def iota_column(self, g: int) -> Dict[int, int]:
+        """iota(g) for a kept generator g; indices of C's module."""
+        return self._record[2].get(g, {g: 1})
+
+    def pi_row(self, g: int) -> Dict[int, int]:
+        """<pi(h), g> by h for a kept generator g; indices of C's module."""
+        return self._record[3].get(g, {g: 1})
+
     def __missing__(self, j: int) -> Tuple[IntMatrix, IntMatrix]:
-        module, dead, iota, pi = self._record
+        module, dead = self._record[:2]
+        if (k := module.reduce_degree(j)) != j:
+            return self[k]
         src = [module._index[nm] for nm in module.gens_in_degree(j)]
         row = {g: r for r, g in enumerate(src)}
         kept = [g for g in src if g not in dead]
@@ -595,10 +613,10 @@ class _Blocks(dict):
         pair = self[j] = (
             IntMatrix._trusted(len(src), len(kept), {
                 (row[g], c): v for c, s in enumerate(kept)
-                for g, v in iota.get(s, {s: 1}).items()}),
+                for g, v in self.iota_column(s).items()}),
             IntMatrix._trusted(len(kept), len(src), {
                 (r, row[g]): v for r, s in enumerate(kept)
-                for g, v in pi.get(s, {s: 1}).items()}))
+                for g, v in self.pi_row(s).items()}))
         return pair
 
 
@@ -1007,22 +1025,62 @@ class _HomologyArrow:
 
     def matrix(self, j: int) -> IntMatrix:
         """Canonical coordinates in the target at degree j + degree of the
-        images of the canonical generators of the source at degree j; empty,
-        with no block of f built, when the source group is trivial, and
-        then with no source presentation either when the source's reduction
-        is empty at j."""
+        images of the canonical generators of the source at degree j, read
+        in C' by ``_push``; empty when the source group is trivial, and then
+        with no source presentation either when the source's reduction is
+        empty at j."""
         F = self._matrices.get(j)
         if F is None:
             src = (_reduced_dim(self.source, j)
                    and _presentation(self.source, j))
             tgt = _presentation(self.target, j + self.degree)
-            F = (tgt.coord_matrix(self.f.block(j) @ src.representatives())
+            F = (tgt.local_coords(self._push(j, src.local_representatives()))
                  if src and src.rank_coords()
                  else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
             if F is None:
                 raise ChainError("image of a cycle is not a cycle")
             self._matrices[j] = F
         return F
+
+    def _push(self, j: int, reps: IntMatrix) -> IntMatrix:
+        """pi . f . iota of the columns of ``reps`` (vectors of the source's
+        C'_j), each pushed as a sparse vector through iota's columns, f's
+        rows, the target's cycle test d = 0 (else ``ChainError``) and pi's
+        rows."""
+        p, S, T = self.target.p, self.source, self.target
+        s_red, t_red = reduction(S), reduction(T)
+        s_kept = [S.module._index[nm]
+                  for nm in s_red.complex.module.gens_in_degree(j)]
+        t_kept = [T.module._index[nm] for nm in
+                  t_red.complex.module.gens_in_degree(j + self.degree)]
+        names, t_index = S.module.generators, T.module._index
+        f_rows, d_rows = self.f._rows(), T.d._rows()
+        cols: Dict[int, Dict[int, int]] = {}
+        for (r, c), v in reps.entries.items():
+            cols.setdefault(c, {})[s_kept[r]] = v
+        out = {}
+        for c, col in cols.items():
+            x = _apply(col, s_red.blocks.iota_column, p)
+            y = _apply({names[g][0]: v for g, v in x.items()}, f_rows.get, p)
+            if _apply(y, d_rows.get, p):
+                raise ChainError("image of a cycle is not a cycle")
+            y = {t_index[t]: v for t, v in y.items()}
+            for r, s in enumerate(t_kept):
+                # <pi(y), s>, summed over the shorter of pi's row and y
+                row = t_red.blocks.pi_row(s)
+                a, b = (row, y) if len(row) < len(y) else (y, row)
+                if v := sum(w * b.get(g, 0) for g, w in a.items()):
+                    out[(r, c)] = v
+        return IntMatrix._trusted(len(t_kept), reps.cols, out)
+
+
+def _apply(vector: Dict, column, p: int) -> Dict:
+    """The sparse vector sum of v * column(s) over the entries s: v of
+    ``vector`` (a None column is zero), mod p."""
+    out: Dict = {}
+    for s, v in vector.items():
+        _axpy(out, column(s) or {}, v, p)
+    return out
 
 
 def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,

@@ -676,16 +676,17 @@ class PresentedGroup:
     ``read_through`` makes the group a presentation of a larger ambient
     Z^N: the homology of a complex C at one degree, presented through a
     reduction C' of C with chain maps iota: C' -> C and pi: C -> C' such
-    that pi . iota = 1.  Vectors are then columns of C_j; a vector is a
-    cycle when d_j, built on first use, kills it, its coordinates are those
-    of pi_j of it, and representatives are iota_j of those of C'_j.
+    that pi . iota = 1.  The local representatives and coordinates stay
+    in C'_j; the ambient ones read C_j, with blocks built at first use:
+    representatives are iota_j of the local ones, and a vector of C_j is a
+    cycle when d_j kills it, with the local coordinates of pi_j of it.
     """
 
-    # filled lazily, by from_pair, or (iota_j, pi_j, d_j) by read_through
+    # filled lazily, by from_pair, or [iota_j, pi_j, d_j] by read_through
     _reps: Optional[IntMatrix] = None
     _cycles_snf: Optional[SNFResult] = None
     _plain = False
-    _iota = _pi = _d_out = None
+    _through: Optional[list] = None
 
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
                  p: int = 0):
@@ -729,16 +730,33 @@ class PresentedGroup:
         pg._cycles_snf = res
         return pg
 
-    def read_through(self, iota: IntMatrix, pi: IntMatrix,
+    def read_through(self, iota: IntMatrix | Callable[[], IntMatrix],
+                     pi: IntMatrix | Callable[[], IntMatrix],
                      d_out: IntMatrix | Callable[[], IntMatrix]) -> None:
         """Read this presentation of C'_j as one of C_j, through the
         degree-j blocks of iota: C' -> C and pi: C -> C' (pi . iota = 1)
-        and C's d_j, or a function building it at the first coordinate
-        request.  Called once, before coordinates or representatives."""
-        if (iota.cols != self.dim or pi.rows != self.dim
-                or pi.cols != iota.rows):
+        and C's d_j, each a matrix or a function building it at its first
+        use, and checked to fit when given or built.  Called once, before
+        ambient coordinates or representatives."""
+        self._through = [iota, pi, d_out]
+        self._check_fit()
+
+    def _ambient(self, k: int) -> IntMatrix:
+        """iota_j, pi_j or d_j (k = 0, 1, 2), built at its first use."""
+        if callable(M := self._through[k]):
+            self._through[k] = M()
+            self._check_fit()
+        return self._through[k]
+
+    def _check_fit(self) -> None:
+        # each block at hand reads (N, dim) for one N: iota_j is N x dim,
+        # pi_j is dim x N, and d_j has N columns
+        shapes = {(M.rows, M.cols) if k == 0 else (M.cols, M.rows if k == 1
+                                                   else self.dim)
+                  for k, M in enumerate(self._through)
+                  if isinstance(M, IntMatrix)}
+        if len(shapes) > 1 or any(n != self.dim for _, n in shapes):
             raise DimensionMismatch("reduction blocks do not fit the group")
-        self._iota, self._pi, self._d_out = iota, pi, d_out
 
     # -- coordinates -------------------------------------------------------
 
@@ -746,7 +764,7 @@ class PresentedGroup:
         return len(self.torsion_rows) + len(self.free_rows)
 
     def ambient_dim(self) -> int:
-        return self.dim if self._iota is None else self._iota.rows
+        return self.dim if self._through is None else self._ambient(0).rows
 
     def coord_matrix(self, ambient: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of
@@ -755,19 +773,21 @@ class PresentedGroup:
             raise DimensionMismatch("vectors do not fit the cycle lattice")
         if ambient.is_zero():
             return IntMatrix(self.rank_coords(), ambient.cols)
-        if self._pi is not None:
-            if not isinstance(self._d_out, IntMatrix):
-                self._d_out = self._d_out()
-            if self._d_out.cols != ambient.rows:
-                raise DimensionMismatch("d_j does not fit the reduction")
-            if not (self._d_out @ ambient).mod(self.p).is_zero():
+        if self._through is not None:
+            if not (self._ambient(2) @ ambient).mod(self.p).is_zero():
                 return None
-            ambient = self._pi @ ambient
+            ambient = self._ambient(1) @ ambient
+        return self.local_coords(ambient)
+
+    def local_coords(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        """``coord_matrix`` of vectors of the presented Z^n (C'_j)."""
         if self._plain:
-            return ambient.mod(self.p)
+            return vectors.mod(self.p)
+        if vectors.is_zero():
+            return IntMatrix(self.rank_coords(), vectors.cols)
         if self._cycles_snf is None:
             self._cycles_snf = snf(self.cycles, self.p)
-        x = _back_substitute(self._cycles_snf, ambient, self.p)
+        x = _back_substitute(self._cycles_snf, vectors, self.p)
         if x is None:
             return None
         y = self.rel_left @ x
@@ -780,7 +800,7 @@ class PresentedGroup:
             a = pos.get(i)
             if a is not None:
                 ent[(a, j)] = v % self.torsion_moduli[a] if a < nt else v
-        return IntMatrix(self.rank_coords(), ambient.cols, ent)
+        return IntMatrix(self.rank_coords(), vectors.cols, ent)
 
     def coords_of(self, ambient_vector: IntMatrix) -> Optional[List[int]]:
         """Canonical coordinates of the class of a cycle, or None if the
@@ -791,20 +811,21 @@ class PresentedGroup:
         return [c[(a, 0)] for a in range(c.rows)]
 
     def representatives(self) -> IntMatrix:
-        """Ambient cycles representing the canonical generators, as columns,
-        through the inverse of ``rel_left`` kept by its factorization;
-        computed once and shared, as an ``IntMatrix`` is immutable."""
-        rows = self.torsion_rows + self.free_rows
-        if not rows:
-            return IntMatrix(self.ambient_dim(), 0)
+        """Ambient cycles representing the canonical generators."""
+        local = self.local_representatives()
+        return local if self._through is None else self._ambient(0) @ local
+
+    def local_representatives(self) -> IntMatrix:
+        """Cycles of the presented Z^n (C'_j) representing the canonical
+        generators, as columns, through the inverse of ``rel_left`` kept by
+        its factorization; computed once and shared."""
         if self._plain:
-            return (IntMatrix.identity(len(rows)) if self._iota is None
-                    else self._iota)
+            return IntMatrix.identity(self.dim)
         if self._reps is None:
+            rows = self.torsion_rows + self.free_rows
             e = IntMatrix(self.rel_left.rows, len(rows),
                           {(r, k): 1 for k, r in enumerate(rows)})
-            reps = self.cycles @ (self._left_inverse @ e)
-            self._reps = reps if self._iota is None else self._iota @ reps
+            self._reps = self.cycles @ (self._left_inverse @ e)
         return self._reps
 
     def representative(self, k: int) -> IntMatrix:

@@ -37,7 +37,7 @@ from artifact.chain import (
 )
 from artifact.exactlin import (AbelianGroup, CompositionNonzero, IntMatrix,
                                PresentedGroup)
-from artifact import circle
+from artifact import chain, circle
 from artifact.circle import _doubled, s_u, s_u_map
 from artifact.flavors import (TowerParams, assemble, four_flavors,
                               ladder_check, tower_model)
@@ -935,6 +935,16 @@ class TestBlocksOnDemand:
             assert red.pi == _assembled(eager, 1, C.module, Cr)
         assert moved > 0
 
+    def test_a_periodic_degree_is_kept_once_under_its_reduced_degree(self):
+        # b -> a cancels; e -> 2c does not over Z, so e stays in degree 3
+        C = complex_from([("a", 0), ("b", 1), ("c", 2), ("e", 3)],
+                         {("b", "a"): 1, ("e", "c"): 2}, modulus=4)
+        red = reduction(C)
+        pair = red.blocks[-1]
+        assert red.blocks[-1] is red.blocks[3] is red.blocks[7] is pair
+        assert pair == (IntMatrix.identity(1), IntMatrix.identity(1))
+        assert list(red.blocks) == [3]
+
     def test_a_degree_outside_the_support_is_empty(self):
         C = random_complex(random.Random(6), max_pieces=4).complex
         red = reduction(C)
@@ -1137,6 +1147,89 @@ def _class_matrix(arrow, j):
     if F is None:
         raise ChainError("image of a cycle is not a cycle")
     return F
+
+
+def _tower_u_complex(rng, p, modulus=0):
+    """A seeded U-complex whose U is nonzero on homology: a random
+    U-complex beside a tower t0 <- t1 <- t2 (d = 0, U t_i = t_{i-1}), in a
+    random basis, graded mod ``modulus``."""
+    C = random_complex(rng, max_pieces=4, p=p, with_u=True).complex
+    module = GradedModule(C.module.generators + tuple(
+        (f"t{i}", 2 * i) for i in range(3)), modulus)
+    u = {**C.u_action.entries, ("t1", "t0"): 1, ("t2", "t1"): 1}
+    return random_basis_change(rng, ChainComplex(
+        module, GradedMap(module, module, -1, C.d.entries),
+        GradedMap(module, module, -2, u), p=p))
+
+
+def _push_inputs():
+    """Chain maps (f, source, target) that are not slice maps: over
+    periodic complexes (modulus 2 and 4, over Z and F2) a map homotopic to
+    the identity and U; over Z, F2 and F3 U and the doubled map
+    ``s_u_map`` of a p-morphism homotopic to the identity."""
+    rng = random.Random(1616)
+    for modulus in (2, 4):
+        for p in (0, 2):
+            for _ in range(3):
+                C = _tower_u_complex(rng, p, modulus)
+                yield _homotopic_to_identity(rng, C), C, C
+                yield C.u_action, C, C
+    for p in (0, 2, 3):
+        for _ in range(3):
+            C = _tower_u_complex(rng, p)
+            yield C.u_action, C, C
+            N = random_pmorphism(rng, C, C, degree=0)
+            P = PMorphism(C, C, GradedMap.identity(C.module) + N.phi, N.k_phi)
+            yield s_u_map(P), s_u(C), s_u(C)
+
+
+class TestPushMatchesBlocks:
+    """A class matrix pushes sparse columns through iota, f, the cycle test
+    and pi; the ambient reading, f's block times the source's ambient
+    representatives in the target's ambient coordinates, is the oracle, on
+    inputs beyond the fundamental sequences and ladders."""
+
+    def test_class_matrices_equal_the_ambient_reading(self):
+        nonzero = {}
+        for f, src, tgt in _push_inputs():
+            kind = (src.module.modulus, src.p, src.y_action is not None)
+            arrow = _HomologyArrow(f, src, tgt)
+            for j, info in induced_on_homology(f, src, tgt).by_degree.items():
+                assert info.matrix == arrow.matrix(j) == _class_matrix(
+                    _HomologyArrow(f, src, tgt), j)
+                nonzero[kind] = nonzero.get(kind, 0) + (
+                    not info.matrix.is_zero())
+        kinds = ([(m, p, False) for m in (2, 4) for p in (0, 2)]
+                 + [(0, p, su) for p in (0, 2, 3) for su in (False, True)])
+        assert all(nonzero.get(kind, 0) >= 5 for kind in kinds), nonzero
+
+
+class TestClassMatricesBuildNoBlocks:
+    """Class matrices read no degree block: one ladder and one run of the
+    four flavors build no (iota_j, pi_j) pair and no block of an arrow's
+    map, though they push classes through many arrows."""
+
+    def test_ladder_and_four_flavors(self, monkeypatch):
+        pairs, built, maps, pushed = [], [], [], []
+        missing = chain._Blocks.__missing__
+        block, init = GradedMap.block, _HomologyArrow.__init__
+        push = _HomologyArrow._push
+        monkeypatch.setattr(chain._Blocks, "__missing__",
+                            lambda red, j: pairs.append(j) or missing(red, j))
+        monkeypatch.setattr(GradedMap, "block",
+                            lambda f, j: built.append(f) or block(f, j))
+        monkeypatch.setattr(_HomologyArrow, "__init__",
+                            lambda a, f, s, t: maps.append(f) or init(a, f, s, t))
+        monkeypatch.setattr(_HomologyArrow, "_push",
+                            lambda a, j, reps: pushed.append(a) or push(a, j, reps))
+        rng = random.Random(1717)
+        base = random_complex(rng, max_pieces=2, p=2).complex
+        assert ladder_check(assemble(tower_model(TowerParams(base=base, n=4)))).ok
+        C = random_complex(rng, max_pieces=5, with_u=True).complex
+        assert four_flavors(C).ok
+        arrow_maps = {id(f) for f in maps}
+        assert len(pushed) > 100 and not pairs
+        assert not any(id(f) in arrow_maps for f in built)
 
 
 def _presented_verdict(incoming, outgoing, j):

@@ -44,6 +44,26 @@ def test_scale_z_line_format():
     assert all(int(a) <= int(b) for _, b, a in slices)
 
 
+def test_scale_z_counts_the_kept_inverse():
+    # a stub factorization of [[3]] whose kept inverse holds 2**70, the
+    # largest entry of the three matrices and the inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("scale_z", SCALE_Z)
+        scale_z = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scale_z)
+        el = scale_z.exactlin
+        M, one = el.IntMatrix.from_rows([[3]]), el.IntMatrix.identity(1)
+
+        def stub(M, p=0, inverse=False):
+            return (el.SNFResult((3,), one, one),
+                    one.scale(2 ** 70) if inverse else None)
+
+        mp.setattr(el, "_factor", stub)
+        assert scale_z._counts(lambda: el._factor(M)) == (0, 2)
+        assert scale_z._counts(lambda: el._factor(M, 0, True)) == (0, 71)
+
+
 SCALE_LADDER = SCALE_Z.parent / "scale_ladder.py"
 
 

@@ -11,11 +11,12 @@ on it, and prints the generators of each flavor slice whose homology is
 presented, before and after the slice's reduction (the complex C' that the
 presentations are actually of).  A second, untimed call on a fresh copy
 counts the Z LES nodes with a nonzero middle group (``z_les_nodes``) and
-the largest entry bit length over the input and both transforms of every
-Smith form (``snf_max_bits``; every ``snf`` call and the factorization of
-each presentation's relations go through ``exactlin._factor``), through
-wrappers bound in every ``artifact`` module that holds the wrapped
-function and removed after.
+the largest entry bit length over the input, both transforms and the kept
+inverse of the left transform of every Smith form (``snf_max_bits``; every
+``snf`` call and the factorization of each presentation's relations, which
+keeps that inverse, go through ``exactlin._factor``), through wrappers
+bound in every ``artifact`` module that holds the wrapped function and
+removed after.
 One line per size.
 """
 
@@ -52,10 +53,10 @@ def _wrapped(owner, name, wrap):
             setattr(m, name, original)
 
 
-def _counts(n: int):
+def _counts(run):
     """(Z LES nodes with a nonzero middle group, largest entry bit length
-    over every ``snf`` input and transform) of one ``four_flavors`` call."""
-    C, _ = random_complex(random.Random(n), n, (-3, 3), with_u=True)
+    over every Smith form's input, transforms and kept inverse) of one call
+    of ``run``."""
     nodes, bits = [0], [0]
 
     def counting(original):
@@ -68,14 +69,15 @@ def _counts(n: int):
         def factor(M, p=0, inverse=False):
             res, inv = original(M, p, inverse)
             bits[0] = max([bits[0]] + [abs(v).bit_length()
-                                       for m in (M, res.left, res.right)
+                                       for m in (M, res.left, res.right, inv)
+                                       if m is not None
                                        for v in m.entries.values()])
             return res, inv
         return factor
 
     with _wrapped(chain, "_lattice_exactness", counting), \
             _wrapped(exactlin, "_factor", measuring):
-        four_flavors(C)
+        run()
     return nodes[0], bits[0]
 
 
@@ -91,7 +93,8 @@ def measure(n: int) -> str:
         before += b
         after += a
         slices.append(f"{tag} {b}->{a}")
-    nodes, bits = _counts(n)
+    fresh, _ = random_complex(random.Random(n), n, (-3, 3), with_u=True)
+    nodes, bits = _counts(lambda: four_flavors(fresh))
     return (f"n={n} four_flavors_s={seconds:.2f} presented_gens={before}->"
             f"{after} ({', '.join(slices)}) z_les_nodes={nodes} "
             f"snf_max_bits={bits}")
