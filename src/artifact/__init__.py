@@ -12,11 +12,11 @@ from importlib import import_module
 
 _EXPORTS = {
     "exactlin": ("AbelianGroup", "IntMatrix", "snf", "rank_and_kernel",
-                 "solve", "homology_of_pair"),
+                 "solve"),
     "chain": ("ChainComplex", "Check", "CheckReport", "GradedMap",
               "GradedModule", "HomologyTable", "PMorphism", "cone",
-              "direct_sum", "homology", "induced_on_homology", "tensor",
-              "validate", "verify_exact_at", "verify_homotopy"),
+              "homology", "induced_on_homology", "tensor", "validate",
+              "verify_exact_at"),
     "circle": ("ALL_FLAVORS", "Flavor", "HAT", "INFINITY", "MINUS", "PLUS",
                "ShiftReport", "Window", "e1_page", "e_y", "e_y_map",
                "fundamental_sequences", "koszul_a", "koszul_b", "s_u",

@@ -20,12 +20,12 @@ by greedy cancellation of unit entries of d to a complex C' on a subset of
 its generators, with chain maps iota: C' -> C and pi: C -> C' such that
 pi . iota = 1.  Over F_p every nonzero entry is a unit and d' = 0, so
 H(C') = C'; over Z only +-1 entries cancel and C' keeps the rest for the
-Smith normal form.  Presentations are of C'.  The class matrix of a map f
-is that of pi . f . iota, pushed as sparse vectors from C' to C' through
-iota, f, the cycle test d = 0 and pi, with no degree block built; the
-lazy ambient reading of a presentation in C (``read_through``) builds
-blocks, and only tests use it.  Over F_p an exactness node of a long
-exact sequence is then decided by ranks.
+Smith normal form.  Every ``PresentedGroup`` presents H(C') at one degree,
+on C'_j; nothing reads a class in C.  The class matrix of a map f is that
+of pi . f . iota, pushed as sparse vectors from C' to C' through iota, f,
+the cycle test d = 0 and pi (``_HomologyArrow._push``), with no degree
+block built.  Over F_p an exactness node of a long exact sequence is then
+decided by ranks.
 
 Many constructions are block matrices over renamed copies of generator
 sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly
@@ -44,7 +44,6 @@ cannot hold, is a slotted ``_Sealed`` class compared by identity.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
@@ -503,12 +502,12 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     """PresentedGroup for each degree (in the window, or the full support
     extended one step so trivial edges are visible).
 
-    Each group presents the homology of C's reduction C' at that degree,
-    and is read in C lazily: its representatives are iota of those of C',
-    and the coordinates of a vector of C_j are those of pi of it, once d_j is
-    checked to kill it.  Where d' = 0 (always over F_p) every group is
-    plain: the identity on C'_j, built from its dimension alone, without
-    any block of d' or any factorization."""
+    Each group presents the homology of C's reduction C' at that degree, on
+    C'_j: its representatives and coordinates are those of C', and classes
+    of C reach it only through ``_HomologyArrow._push``.  Where d' = 0
+    (always over F_p) every group is plain: the identity on C'_j, built
+    from its dimension alone, without any block of d' or any
+    factorization."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -524,26 +523,20 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """The homology presentation of C at degree j, from C's memo: that of
-    C' at j (plain from dim C'_j if d' = 0), read lazily through iota_j,
-    pi_j and d_j.  Where C'_j is empty H_j(C) = 0, read by
-    ``_reduced_dim``, and LES nodes, class matrices and the ladder's
-    squares ask for no presentation."""
+    C' at j, on C'_j (plain from dim C'_j if d' = 0).  Where C'_j is empty
+    H_j(C) = 0, read by ``_reduced_dim``, and LES nodes, class matrices and
+    the ladder's squares ask for no presentation."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
-        red = reduction(C)
-        d = red.complex.d
+        d = reduction(C).complex.d
         if d.is_zero():
             n = _reduced_dim(C, j)
             d_in, d_out = (IntMatrix._trusted(n, 0, {}),
                            IntMatrix._trusted(0, n, {}))
         else:
             d_in, d_out = d.block(j + 1), d.block(j)
-        pg = PresentedGroup.from_pair(d_in, d_out, C.p)
-        blocks = red.blocks
-        pg.read_through(lambda: blocks[j][0], lambda: blocks[j][1],
-                        partial(C.d.block, j))
-        C._presented[j] = pg
+        pg = C._presented[j] = PresentedGroup.from_pair(d_in, d_out, C.p)
     return pg
 
 
@@ -559,65 +552,21 @@ class Reduction(NamedTuple):
     iota: C' -> C and pi: C -> C' such that pi . iota = 1, so both induce
     inverse isomorphisms on homology.
 
-    ``module`` is C's module.  ``blocks`` reads ``_reduce``'s record of the
-    maps by column of iota and row of pi, and ``blocks[j] = (iota_j,
-    pi_j)`` builds degree blocks on request.  ``iota`` and ``pi`` assemble
-    them into graded maps."""
+    The maps are ``_reduce``'s sparse record, indexed by C's module: only
+    the columns of iota and the rows of pi that differ from the identity,
+    each kept under its generator of C'.  ``iota_column`` and ``pi_row``
+    read them."""
     complex: ChainComplex
-    module: GradedModule
-    blocks: Dict[int, Tuple[IntMatrix, IntMatrix]]
-
-    def _assemble(self, k: int, source: GradedModule,
-                  target: GradedModule) -> GradedMap:
-        ent = {}
-        for j in self.module.degrees():
-            cols = source.gens_in_degree(j)
-            rows = target.gens_in_degree(j)
-            for (r, c), v in self.blocks[j][k].entries.items():
-                ent[(cols[c], rows[r])] = v
-        return GradedMap(source, target, 0, ent)
-
-    @property
-    def iota(self) -> GradedMap:
-        return self._assemble(0, self.complex.module, self.module)
-
-    @property
-    def pi(self) -> GradedMap:
-        return self._assemble(1, self.module, self.complex.module)
-
-
-class _Blocks(dict):
-    """``Reduction.blocks``: (iota_j, pi_j) built at the first request for
-    degree j (kept under the reduced degree) from ``_reduce``'s record,
-    which holds C's module, never C, and is read only through
-    ``iota_column`` and ``pi_row``."""
-
-    __slots__ = ("_record",)
+    iota_cols: Dict[int, Dict[int, int]]
+    pi_rows: Dict[int, Dict[int, int]]
 
     def iota_column(self, g: int) -> Dict[int, int]:
         """iota(g) for a kept generator g; indices of C's module."""
-        return self._record[2].get(g, {g: 1})
+        return self.iota_cols.get(g, {g: 1})
 
     def pi_row(self, g: int) -> Dict[int, int]:
         """<pi(h), g> by h for a kept generator g; indices of C's module."""
-        return self._record[3].get(g, {g: 1})
-
-    def __missing__(self, j: int) -> Tuple[IntMatrix, IntMatrix]:
-        module, dead = self._record[:2]
-        if (k := module.reduce_degree(j)) != j:
-            return self[k]
-        src = [module._index[nm] for nm in module.gens_in_degree(j)]
-        row = {g: r for r, g in enumerate(src)}
-        kept = [g for g in src if g not in dead]
-        # iota and pi keep nonzero entries between generators of degree j
-        pair = self[j] = (
-            IntMatrix._trusted(len(src), len(kept), {
-                (row[g], c): v for c, s in enumerate(kept)
-                for g, v in self.iota_column(s).items()}),
-            IntMatrix._trusted(len(kept), len(src), {
-                (r, row[g]): v for r, s in enumerate(kept)
-                for g, v in self.pi_row(s).items()}))
-        return pair
+        return self.pi_rows.get(g, {g: 1})
 
 
 def reduction(C: ChainComplex) -> Reduction:
@@ -721,9 +670,7 @@ def _reduce(C: ChainComplex) -> Reduction:
     name = [nm for nm, _ in gens]
     d = GradedMap._trusted(module, module, -1, {
         (name[a], name[t]): v for a in keep for t, v in bd.get(a, {}).items()})
-    blocks = _Blocks()
-    blocks._record = (C.module, dead, iota, pi)
-    return Reduction(ChainComplex(module, d, p=p), C.module, blocks)
+    return Reduction(ChainComplex(module, d, p=p), iota, pi)
 
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:
@@ -856,20 +803,8 @@ def tensor(C1: ChainComplex, C2: ChainComplex) -> TensorResult:
 
 
 # ---------------------------------------------------------------------------
-# Chain maps up to homotopy; p-morphisms
+# p-morphisms
 # ---------------------------------------------------------------------------
-
-def verify_homotopy(f: GradedMap, g: GradedMap, K: GradedMap,
-                    source: ChainComplex, target: ChainComplex) -> bool:
-    """True iff f - g = d.K + (-1)^{deg f} K.d entry-exactly (mod p)."""
-    if f.degree != g.degree:
-        raise ChainError("f and g must have the same degree")
-    if K.degree != f.degree + 1:
-        raise ChainError("homotopy must have degree deg(f)+1")
-    sign = -1 if f.degree % 2 else 1
-    defect = (f - g) - (target.d @ K) - (K @ source.d).scale(sign)
-    return defect.is_zero_mod(source.p)
-
 
 class PMorphism:
     """A chain map together with its U-commutation witness.
@@ -922,13 +857,6 @@ class PMorphism:
                                self.chain_map_defect().is_zero_mod(p)
                                and self.u_defect().is_zero_mod(p))
         return self._verdict
-
-    def compose(self, other: "PMorphism") -> "PMorphism":
-        """self after other, with the standard witness composition
-        K = K_self . phi_other + (-1)^{deg self} phi_self . K_other."""
-        sign = -1 if self.phi.degree % 2 else 1
-        k = (self.k_phi @ other.phi) + (self.phi @ other.k_phi).scale(sign)
-        return PMorphism(other.source, self.target, self.phi @ other.phi, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +962,7 @@ class _HomologyArrow:
             src = (_reduced_dim(self.source, j)
                    and _presentation(self.source, j))
             tgt = _presentation(self.target, j + self.degree)
-            F = (tgt.local_coords(self._push(j, src.local_representatives()))
+            F = (tgt.coord_matrix(self._push(j, src.representatives()))
                  if src and src.rank_coords()
                  else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
             if F is None:
@@ -1060,14 +988,14 @@ class _HomologyArrow:
             cols.setdefault(c, {})[s_kept[r]] = v
         out = {}
         for c, col in cols.items():
-            x = _apply(col, s_red.blocks.iota_column, p)
+            x = _apply(col, s_red.iota_column, p)
             y = _apply({names[g][0]: v for g, v in x.items()}, f_rows.get, p)
             if _apply(y, d_rows.get, p):
                 raise ChainError("image of a cycle is not a cycle")
             y = {t_index[t]: v for t, v in y.items()}
             for r, s in enumerate(t_kept):
                 # <pi(y), s>, summed over the shorter of pi's row and y
-                row = t_red.blocks.pi_row(s)
+                row = t_red.pi_row(s)
                 a, b = (row, y) if len(row) < len(y) else (y, row)
                 if v := sum(w * b.get(g, 0) for g, w in a.items()):
                     out[(r, c)] = v
@@ -1165,7 +1093,3 @@ def verify_exact_at(complexes: Sequence[ChainComplex], maps: Sequence[GradedMap]
             return False
     return True
 
-
-def direct_sum(A: ChainComplex, B: ChainComplex,
-               tags: Tuple[str, str] = ("A", "B")) -> ChainComplex:
-    return cone(GradedMap.zero(A.module, B.module, -1), A, B, tags)

@@ -26,7 +26,7 @@ factors its cycle basis once, the first time coordinates are asked of it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class ExactLinError(Exception):
@@ -128,12 +128,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
-
-    def to_dense(self) -> List[List[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -636,30 +630,6 @@ def lattices_equal(a: IntMatrix, b: IntMatrix, p: int = 0) -> bool:
     return lattice_contains(a, b, p) and lattice_contains(b, a, p)
 
 
-def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> AbelianGroup:
-    """ker(d_out) / im(d_in) where d_in maps into and d_out maps out of Z^n."""
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(
-            f"ambient mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
-    comp = (d_out @ d_in)
-    if p:
-        comp = comp.mod(p)
-    if not comp.is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    return PresentedGroup.from_pair(d_in, d_out, p).group
-
-
-def invert_unimodular(L: IntMatrix, p: int = 0) -> IntMatrix:
-    """Exact inverse of an invertible (unimodular over Z) square matrix."""
-    if L.rows != L.cols:
-        raise DimensionMismatch("not square")
-    res = snf(L, p)
-    if len(res.factors) != L.rows or (p == 0 and any(d != 1 for d in res.factors)):
-        raise ExactLinError("matrix is not invertible over the ring")
-    inv = res.right @ res.left
-    return inv.mod(p) if p else inv
-
-
 class PresentedGroup:
     """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n or F_p^n.
 
@@ -673,20 +643,15 @@ class PresentedGroup:
     ``from_pair`` builds a plain group and factors nothing: every vector is
     a cycle and its own coordinates; ``cycles`` and ``rel`` are None.
 
-    ``read_through`` makes the group a presentation of a larger ambient
-    Z^N: the homology of a complex C at one degree, presented through a
-    reduction C' of C with chain maps iota: C' -> C and pi: C -> C' such
-    that pi . iota = 1.  The local representatives and coordinates stay
-    in C'_j; the ambient ones read C_j, with blocks built at first use:
-    representatives are iota_j of the local ones, and a vector of C_j is a
-    cycle when d_j kills it, with the local coordinates of pi_j of it.
+    ``chain`` presents each homology group on a reduction C' of its
+    complex, so there Z^n is C'_j, and reads classes of C in it by pushing
+    them through the reduction's maps (``chain._HomologyArrow._push``).
     """
 
-    # filled lazily, by from_pair, or [iota_j, pi_j, d_j] by read_through
+    # filled lazily, or by from_pair
     _reps: Optional[IntMatrix] = None
     _cycles_snf: Optional[SNFResult] = None
     _plain = False
-    _through: Optional[list] = None
 
     def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
                  p: int = 0):
@@ -730,57 +695,17 @@ class PresentedGroup:
         pg._cycles_snf = res
         return pg
 
-    def read_through(self, iota: IntMatrix | Callable[[], IntMatrix],
-                     pi: IntMatrix | Callable[[], IntMatrix],
-                     d_out: IntMatrix | Callable[[], IntMatrix]) -> None:
-        """Read this presentation of C'_j as one of C_j, through the
-        degree-j blocks of iota: C' -> C and pi: C -> C' (pi . iota = 1)
-        and C's d_j, each a matrix or a function building it at its first
-        use, and checked to fit when given or built.  Called once, before
-        ambient coordinates or representatives."""
-        self._through = [iota, pi, d_out]
-        self._check_fit()
-
-    def _ambient(self, k: int) -> IntMatrix:
-        """iota_j, pi_j or d_j (k = 0, 1, 2), built at its first use."""
-        if callable(M := self._through[k]):
-            self._through[k] = M()
-            self._check_fit()
-        return self._through[k]
-
-    def _check_fit(self) -> None:
-        # each block at hand reads (N, dim) for one N: iota_j is N x dim,
-        # pi_j is dim x N, and d_j has N columns
-        shapes = {(M.rows, M.cols) if k == 0 else (M.cols, M.rows if k == 1
-                                                   else self.dim)
-                  for k, M in enumerate(self._through)
-                  if isinstance(M, IntMatrix)}
-        if len(shapes) > 1 or any(n != self.dim for _, n in shapes):
-            raise DimensionMismatch("reduction blocks do not fit the group")
-
     # -- coordinates -------------------------------------------------------
 
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
-    def ambient_dim(self) -> int:
-        return self.dim if self._through is None else self._ambient(0).rows
-
-    def coord_matrix(self, ambient: IntMatrix) -> Optional[IntMatrix]:
+    def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of
-        ``ambient``, as columns, or None if some column is not a cycle."""
-        if ambient.rows != self.ambient_dim():
+        ``vectors`` (of the presented Z^n), as columns, or None if some
+        column is not a cycle."""
+        if vectors.rows != self.dim:
             raise DimensionMismatch("vectors do not fit the cycle lattice")
-        if ambient.is_zero():
-            return IntMatrix(self.rank_coords(), ambient.cols)
-        if self._through is not None:
-            if not (self._ambient(2) @ ambient).mod(self.p).is_zero():
-                return None
-            ambient = self._ambient(1) @ ambient
-        return self.local_coords(ambient)
-
-    def local_coords(self, vectors: IntMatrix) -> Optional[IntMatrix]:
-        """``coord_matrix`` of vectors of the presented Z^n (C'_j)."""
         if self._plain:
             return vectors.mod(self.p)
         if vectors.is_zero():
@@ -802,23 +727,10 @@ class PresentedGroup:
                 ent[(a, j)] = v % self.torsion_moduli[a] if a < nt else v
         return IntMatrix(self.rank_coords(), vectors.cols, ent)
 
-    def coords_of(self, ambient_vector: IntMatrix) -> Optional[List[int]]:
-        """Canonical coordinates of the class of a cycle, or None if the
-        vector is not in the cycle lattice."""
-        c = self.coord_matrix(ambient_vector)
-        if c is None:
-            return None
-        return [c[(a, 0)] for a in range(c.rows)]
-
     def representatives(self) -> IntMatrix:
-        """Ambient cycles representing the canonical generators."""
-        local = self.local_representatives()
-        return local if self._through is None else self._ambient(0) @ local
-
-    def local_representatives(self) -> IntMatrix:
-        """Cycles of the presented Z^n (C'_j) representing the canonical
-        generators, as columns, through the inverse of ``rel_left`` kept by
-        its factorization; computed once and shared."""
+        """Cycles representing the canonical generators, as columns,
+        through the inverse of ``rel_left`` kept by its factorization;
+        computed once and shared."""
         if self._plain:
             return IntMatrix.identity(self.dim)
         if self._reps is None:
@@ -827,10 +739,6 @@ class PresentedGroup:
                           {(r, k): 1 for k, r in enumerate(rows)})
             self._reps = self.cycles @ (self._left_inverse @ e)
         return self._reps
-
-    def representative(self, k: int) -> IntMatrix:
-        """An ambient cycle representing the k-th canonical generator."""
-        return self.representatives().submatrix_cols([k])
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
         nt = len(self.torsion_moduli)
@@ -859,9 +767,8 @@ def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix, relations: IntMatrix,
     return lattice_contains(gb, gens_a, p) and lattice_contains(ga, gens_b, p)
 
 
-def kernel_of_presented_map(F: IntMatrix, target_relations: IntMatrix,
-                            p: int = 0) -> IntMatrix:
+def kernel_of_presented_map(F: IntMatrix,
+                            target_relations: IntMatrix) -> IntMatrix:
     """Generators (columns) of ker(F: Z^a -> Z^b/relations) as a subgroup of
-    the source coordinate space."""
-    return _kernel_head(snf(IntMatrix.hstack([F, target_relations]), p),
-                        F.cols)
+    the source coordinate space, over Z."""
+    return _kernel_head(snf(IntMatrix.hstack([F, target_relations])), F.cols)

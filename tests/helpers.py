@@ -6,6 +6,13 @@ conjugated by a random degree-preserving unimodular change of basis, so the
 homology oracle survives exactly.  Commuting U-actions come from U = dW + Wd
 for a random degree -1 map W; anticommuting square-zero Y-actions from
 Y = dX - Xd with rejection on Y.Y != 0.
+
+Beside them sit the reference readings that the program no longer ships:
+classes of a complex C read in C itself through the degree blocks of its
+reduction's iota and pi, the oracle for the class matrices that
+``chain._HomologyArrow._push`` reads in C'; and small constructions only
+tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
+``homology_of_pair``, ``to_dense``).
 """
 
 import random
@@ -13,13 +20,14 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from artifact import circle
-from artifact.chain import ChainComplex, GradedMap, GradedModule, PMorphism
+from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
+                            PMorphism, _presentation, cone, reduction)
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
-from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
-                               _back_substitute, kernel_of_presented_map,
-                               lattice_contains, rank_and_kernel, snf, solve,
-                               subgroups_equal)
+from artifact.exactlin import (AbelianGroup, CompositionNonzero,
+                               DimensionMismatch, IntMatrix, PresentedGroup,
+                               _back_substitute, _kernel_head, lattice_contains,
+                               rank_and_kernel, snf, solve, subgroups_equal)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
@@ -34,13 +42,20 @@ def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
     return IntMatrix(rows, cols, ent)
 
 
+def to_dense(M: IntMatrix) -> List[List[int]]:
+    out = [[0] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        out[i][j] = v
+    return out
+
+
 def det(M: IntMatrix) -> int:
     """Exact determinant by dynamic programming over column subsets."""
     n = M.rows
     assert n == M.cols
     if n == 0:
         return 1
-    dense = M.to_dense()
+    dense = to_dense(M)
     memo = {0: 1}
     for i in range(n):
         new: Dict[int, int] = {}
@@ -263,7 +278,7 @@ def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
     t_mid = mid.torsion_relation_columns()
     t_tgt = tgt.torsion_relation_columns()
     kernel_gens = IntMatrix.hstack(
-        [kernel_of_presented_map(G, t_tgt, p), t_mid])
+        [_kernel_head(snf(IntMatrix.hstack([G, t_tgt]), p), G.cols), t_mid])
     contained = solve(kernel_gens, F, p) is not None
     equal = contained and subgroups_equal(
         IntMatrix.hstack([F, t_mid]), kernel_gens, t_mid, p)
@@ -296,3 +311,79 @@ def count_les_tags(monkeypatch, *modules) -> Counter:
     for module in modules:
         monkeypatch.setattr(module, "_les_check", counting)
     return tags
+
+
+# ---------------------------------------------------------------------------
+# Reference readings and constructions the program does not ship
+# ---------------------------------------------------------------------------
+
+def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix,
+                     p: int = 0) -> AbelianGroup:
+    """ker(d_out) / im(d_in) where d_in maps into and d_out maps out of Z^n."""
+    if d_out.cols != d_in.rows:
+        raise DimensionMismatch(
+            f"ambient mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
+    if not (d_out @ d_in).mod(p).is_zero():
+        raise CompositionNonzero("d_out . d_in != 0")
+    return PresentedGroup.from_pair(d_in, d_out, p).group
+
+
+def direct_sum(A: ChainComplex, B: ChainComplex,
+               tags: Tuple[str, str] = ("A", "B")) -> ChainComplex:
+    return cone(GradedMap.zero(A.module, B.module, -1), A, B, tags)
+
+
+def compose(g: PMorphism, f: PMorphism) -> PMorphism:
+    """g after f, with the standard witness composition
+    K = K_g . phi_f + (-1)^{deg g} phi_g . K_f."""
+    sign = -1 if g.phi.degree % 2 else 1
+    k = (g.k_phi @ f.phi) + (g.phi @ f.k_phi).scale(sign)
+    return PMorphism(f.source, g.target, g.phi @ f.phi, k)
+
+
+def verify_homotopy(f: GradedMap, g: GradedMap, K: GradedMap,
+                    source: ChainComplex, target: ChainComplex) -> bool:
+    """True iff f - g = d.K + (-1)^{deg f} K.d entry-exactly (mod p)."""
+    if f.degree != g.degree:
+        raise ChainError("f and g must have the same degree")
+    if K.degree != f.degree + 1:
+        raise ChainError("homotopy must have degree deg(f)+1")
+    sign = -1 if f.degree % 2 else 1
+    defect = (f - g) - (target.d @ K) - (K @ source.d).scale(sign)
+    return defect.is_zero_mod(source.p)
+
+
+def reduction_maps(C: ChainComplex) -> Tuple[GradedMap, GradedMap]:
+    """iota: C' -> C and pi: C -> C' of C's reduction as graded maps."""
+    red, names = reduction(C), C.module.names()
+    kept = red.complex.module
+    iota, pi = {}, {}
+    for nm in kept.names():
+        g = C.module._index[nm]
+        iota.update({(nm, names[h]): v
+                     for h, v in red.iota_column(g).items()})
+        pi.update({(names[h], nm): v for h, v in red.pi_row(g).items()})
+    return (GradedMap(kept, C.module, 0, iota),
+            GradedMap(C.module, kept, 0, pi))
+
+
+def ambient_representatives(C: ChainComplex, j: int) -> IntMatrix:
+    """Cycles of C_j representing the canonical generators of H_j(C):
+    iota_j of those of C'."""
+    return reduction_maps(C)[0].block(j) @ _presentation(C, j).representatives()
+
+
+def ambient_coords(C: ChainComplex, j: int,
+                   vectors: IntMatrix) -> Optional[IntMatrix]:
+    """Canonical coordinates in H_j(C) of the classes of the columns of
+    ``vectors`` (of C_j), or None if d_j kills not all of them: those of
+    pi_j of them in C'."""
+    pi_j = reduction_maps(C)[1].block(j)
+    pg = _presentation(C, j)
+    if vectors.rows != pi_j.cols:
+        raise DimensionMismatch("vectors do not fit C_j")
+    if vectors.is_zero():
+        return IntMatrix(pg.rank_coords(), vectors.cols)
+    if not (C.d.block(j) @ vectors).mod(C.p).is_zero():
+        return None
+    return pg.coord_matrix(pi_j @ vectors)

@@ -1,5 +1,7 @@
 """The Smith-normal-form kernel as it was before the sparse rewrite, kept as
-the oracle that ``tests/test_exactlin.py`` compares ``exactlin.snf`` with.
+the oracle that ``tests/test_exactlin.py`` compares ``exactlin.snf`` with,
+and ``invert_unimodular`` on it, the oracle of the inverse that
+``exactlin._factor`` keeps beside its left transform.
 
 ``_Worker``, ``_pick_pivot``, ``_snf_int``, ``_inv_mod`` and ``_snf_field``
 are copied unchanged: the dense-walking version performs the row and column
@@ -10,7 +12,8 @@ imports this file.
 
 from typing import Dict, List, Optional, Tuple
 
-from artifact.exactlin import IntMatrix, SNFResult
+from artifact.exactlin import (DimensionMismatch, ExactLinError, IntMatrix,
+                               SNFResult)
 
 
 class _Worker:
@@ -217,3 +220,14 @@ def _snf_field(M: IntMatrix, p: int) -> SNFResult:
 
 def reference_snf(M: IntMatrix, p: int = 0) -> SNFResult:
     return _snf_int(M) if p == 0 else _snf_field(M, p)
+
+
+def invert_unimodular(L: IntMatrix, p: int = 0) -> IntMatrix:
+    """Exact inverse of an invertible (unimodular over Z) square matrix."""
+    if L.rows != L.cols:
+        raise DimensionMismatch("not square")
+    res = reference_snf(L, p)
+    if len(res.factors) != L.rows or (p == 0 and any(d != 1 for d in res.factors)):
+        raise ExactLinError("matrix is not invertible over the ring")
+    inv = res.right @ res.left
+    return inv.mod(p) if p else inv

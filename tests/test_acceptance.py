@@ -46,7 +46,7 @@ from artifact.flavors import (ASSEMBLY_TAGS, AssemblyInconsistent,
                               point_tower, tower_model)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from helpers import random_complex, random_pmorphism  # noqa: E402
+from helpers import compose, random_complex, random_pmorphism  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 GOLDEN_DRIVER = Path(__file__).resolve().parent / "golden" / "driver_machine.txt"
@@ -515,7 +515,7 @@ class TestFunctoriality:
             flavor = ALL_FLAVORS[i % 4]
 
             # composition
-            lhs = s_u_map(Q.compose(P))
+            lhs = s_u_map(compose(Q, P))
             rhs = s_u_map(Q) @ s_u_map(P)
             assert (lhs - rhs).is_zero_mod(p)
             el = e_y_map(lhs, S1, S3, flavor, win)

@@ -24,7 +24,6 @@ from artifact.chain import (
     cone,
     cone_inclusion,
     cone_projection,
-    direct_sum,
     exactness_pair,
     homology,
     induced_on_homology,
@@ -33,22 +32,28 @@ from artifact.chain import (
     tensor,
     validate,
     verify_exact_at,
-    verify_homotopy,
 )
-from artifact.exactlin import (AbelianGroup, CompositionNonzero, IntMatrix,
-                               PresentedGroup)
-from artifact import chain, circle
+from artifact.exactlin import (AbelianGroup, CompositionNonzero,
+                               DimensionMismatch, IntMatrix, PresentedGroup)
+from artifact import circle
 from artifact.circle import _doubled, s_u, s_u_map
 from artifact.flavors import (TowerParams, assemble, four_flavors,
                               ladder_check, tower_model)
 
 from helpers import (
+    ambient_coords,
+    ambient_representatives,
     anticommuting_y,
     commuting_u,
+    compose,
+    direct_sum,
     lattice_exactness_oracle,
     random_basis_change,
     random_complex,
     random_pmorphism,
+    reduction_maps,
+    to_dense,
+    verify_homotopy,
 )
 
 
@@ -96,12 +101,12 @@ class TestGradedStructures:
     def test_modular_map_wraps(self):
         m = GradedModule([("a", 0), ("b", 1)], modulus=2)
         d = GradedMap(m, m, -1, {("a", "b"): 1, ("b", "a"): 1})
-        assert d.block(0).to_dense() == [[1]]
+        assert to_dense(d.block(0)) == [[1]]
 
     def test_block_order(self):
         m = GradedModule([("x", 1), ("y", 0), ("z", 1)])
         f = GradedMap(m, m, -1, {("x", "y"): 3, ("z", "y"): 5})
-        assert f.block(1).to_dense() == [[3, 5]]
+        assert to_dense(f.block(1)) == [[3, 5]]
 
     def test_composition_and_arithmetic(self):
         m = GradedModule([("a", 2), ("b", 1), ("c", 0)])
@@ -503,7 +508,7 @@ class TestHomotopyAndPMorphisms:
             C3 = random_complex(rng, with_u=True).complex
             f = random_pmorphism(rng, C1, C2)
             g = random_pmorphism(rng, C2, C3)
-            assert g.compose(f).verify()
+            assert compose(g, f).verify()
 
     def test_identity_pmorphism(self):
         rng = random.Random(67)
@@ -762,15 +767,26 @@ def _degrees(C):
 
 class TestReduction:
     """The reduction C' of a complex, with iota: C' -> C and pi: C -> C',
-    against the unreduced presentation as the oracle."""
+    against the unreduced presentation as the oracle; classes are read in
+    C by the reference reading of ``helpers``."""
 
     def test_iota_pi_are_chain_maps_with_pi_iota_one(self):
-        for C in _reduction_inputs():
+        rng = random.Random(5)
+        # flavor slices cancel generators that other columns of d reach, so
+        # iota and pi differ from the identity off their kept generators
+        slices = [cx for p in (0, 2, 3, 0, 2, 3) for cx in circle._e_y_slices(
+            s_u(random_complex(rng, max_pieces=5, p=p, with_u=True).complex),
+            circle.FLAVOR_TAGS, None).values()]
+        moved = 0
+        for C in _reduction_inputs() + slices:
             red = reduction(C)
             Cr = red.complex
-            assert is_chain_map(red.iota, Cr, C)
-            assert is_chain_map(red.pi, C, Cr)
-            pi_iota = red.pi @ red.iota
+            iota, pi = reduction_maps(C)
+            # entries besides the one of each kept generator
+            moved += len(iota.entries) + len(pi.entries) - 2 * len(Cr.module)
+            assert is_chain_map(iota, Cr, C)
+            assert is_chain_map(pi, C, Cr)
+            pi_iota = pi @ iota
             ident = GradedMap.identity(Cr.module)
             if C.p:
                 assert (pi_iota - ident).is_zero_mod(C.p)
@@ -778,6 +794,7 @@ class TestReduction:
                 assert pi_iota == ident
             assert set(Cr.module.names()) <= set(C.module.names())
             assert reduction(C) is red
+        assert moved > 0
 
     def test_differential_vanishes_over_fields(self):
         cancelled = 0
@@ -800,9 +817,9 @@ class TestReduction:
         for C in _reduction_inputs():
             for j in _degrees(C):
                 pg = _presentation(C, j)
-                reps = pg.representatives()
+                reps = ambient_representatives(C, j)
                 assert (C.d.block(j) @ reps).mod(C.p).is_zero()
-                back = pg.coord_matrix(reps)
+                back = ambient_coords(C, j, reps)
                 n = pg.rank_coords()
                 for k in range(n):
                     e = [1 if r == k else 0 for r in range(n)]
@@ -812,7 +829,7 @@ class TestReduction:
                 for c in range(C.d.block(j).cols):
                     col = IntMatrix(C.d.block(j).cols, 1, {(c, 0): 1})
                     if not (C.d.block(j) @ col).mod(C.p).is_zero():
-                        assert pg.coord_matrix(col) is None
+                        assert ambient_coords(C, j, col) is None
 
     def test_induced_maps_agree_after_change_of_basis(self):
         rng = random.Random(77)
@@ -835,9 +852,9 @@ class TestReduction:
                         F_old, o_src, o_tgt, C.p)
                     # the new generators in oracle coordinates
                     b_src = o_src.coord_matrix(
-                        _presentation(src, j).representatives())
+                        ambient_representatives(src, j))
                     b_tgt = o_tgt.coord_matrix(
-                        _presentation(tgt, j + f.degree).representatives())
+                        ambient_representatives(tgt, j + f.degree))
                     lhs = b_tgt @ info.matrix
                     rhs = F_old @ b_src
                     for k in range(lhs.cols):
@@ -862,95 +879,6 @@ class TestReduction:
         assert red.complex.module.names() == ("z", "ya", "w2")
         assert red.complex.d.entries == {("z", "ya"): 2}
         assert homology(C) == homology(red.complex)
-
-
-def _eager_blocks(red):
-    """Every degree's (iota_j, pi_j), built at once from the reduction's
-    record of its cancellations: the oracle for the blocks built on
-    request."""
-    module, dead, iota, pi = red.blocks._record
-    out = {}
-    for j in module.degrees():
-        src = [module._index[nm] for nm in module.gens_in_degree(j)]
-        row = {g: r for r, g in enumerate(src)}
-        kept = [g for g in src if g not in dead]
-        out[j] = (
-            IntMatrix(len(src), len(kept), {
-                (row[g], c): v for c, s in enumerate(kept)
-                for g, v in iota.get(s, {s: 1}).items()}),
-            IntMatrix(len(kept), len(src), {
-                (r, row[g]): v for r, s in enumerate(kept)
-                for g, v in pi.get(s, {s: 1}).items()}))
-    return out
-
-
-def _assembled(blocks, k, source, target):
-    """The graded map of one side (0: iota, 1: pi) of eager blocks."""
-    ent = {}
-    for j, pair in blocks.items():
-        cols, rows = source.gens_in_degree(j), target.gens_in_degree(j)
-        for (r, c), v in pair[k].entries.items():
-            ent[(cols[c], rows[r])] = v
-    return GradedMap(source, target, 0, ent)
-
-
-class TestBlocksOnDemand:
-    """``Reduction.blocks`` builds a degree's (iota_j, pi_j) at the first
-    request for it.  In any order of requests each equals the eager build,
-    is built once, and fits C's d and d' as a chain map must; ``iota`` and
-    ``pi`` assemble to the maps the eager blocks give."""
-
-    def test_each_degree_equals_the_eager_build(self):
-        rng = random.Random(5)
-        # flavor slices cancel generators that other columns of d reach, so
-        # iota and pi differ from the identity off their kept generators
-        slices = [cx for p in (0, 2, 3, 0, 2, 3) for cx in circle._e_y_slices(
-            s_u(random_complex(rng, max_pieces=5, p=p, with_u=True).complex),
-            circle.FLAVOR_TAGS, None).values()]
-        moved = 0
-        for C in _reduction_inputs() + slices:
-            red = reduction(C)
-            assert not red.blocks
-            eager = _eager_blocks(red)
-            # entries besides the one of each kept generator
-            moved += sum(len(i.entries) - i.cols + len(q.entries) - q.rows
-                         for i, q in eager.values())
-            degrees = list(C.module.degrees())
-            rng.shuffle(degrees)
-            for j in degrees:
-                pair = red.blocks[j]
-                assert pair == eager[j] and red.blocks[j] is pair
-                iota_j, pi_j = pair
-                assert (pi_j @ iota_j).mod(C.p) == IntMatrix.identity(
-                    iota_j.cols)
-                # chain maps: d iota = iota d' and pi d = d' pi
-                d, dr = C.d, red.complex.d
-                below = red.blocks[C.module.reduce_degree(j - 1)]
-                assert ((d.block(j) @ iota_j) - (below[0] @ dr.block(j))
-                        ).mod(C.p).is_zero()
-                assert ((below[1] @ d.block(j)) - (dr.block(j) @ pi_j)
-                        ).mod(C.p).is_zero()
-            Cr = red.complex.module
-            assert red.iota == _assembled(eager, 0, Cr, C.module)
-            assert red.pi == _assembled(eager, 1, C.module, Cr)
-        assert moved > 0
-
-    def test_a_periodic_degree_is_kept_once_under_its_reduced_degree(self):
-        # b -> a cancels; e -> 2c does not over Z, so e stays in degree 3
-        C = complex_from([("a", 0), ("b", 1), ("c", 2), ("e", 3)],
-                         {("b", "a"): 1, ("e", "c"): 2}, modulus=4)
-        red = reduction(C)
-        pair = red.blocks[-1]
-        assert red.blocks[-1] is red.blocks[3] is red.blocks[7] is pair
-        assert pair == (IntMatrix.identity(1), IntMatrix.identity(1))
-        assert list(red.blocks) == [3]
-
-    def test_a_degree_outside_the_support_is_empty(self):
-        C = random_complex(random.Random(6), max_pieces=4).complex
-        red = reduction(C)
-        lo, hi = C.module.support_window()
-        for j in (lo - 1, hi + 1):
-            assert red.blocks[j] == (IntMatrix(0, 0), IntMatrix(0, 0))
 
 
 def _les_inputs():
@@ -1095,9 +1023,9 @@ class TestEmptyGroupShortcuts:
         sources = {True: 0, False: 0}
         for arrow, j in asked.values():
             src = _presentation(arrow.source, j)
-            tgt = _presentation(arrow.target, j + arrow.degree)
-            assert arrow.matrix(j) == tgt.coord_matrix(
-                arrow.f.block(j) @ src.representatives())
+            assert arrow.matrix(j) == ambient_coords(
+                arrow.target, j + arrow.degree,
+                arrow.f.block(j) @ ambient_representatives(arrow.source, j))
             sources[src.rank_coords() == 0] += 1
         assert sources[True] > 100 and sources[False] > 100
         for p in nodes:
@@ -1137,13 +1065,15 @@ class TestEmptyGroupShortcuts:
 
 def _class_matrix(arrow, j):
     """The class matrix of an arrow at source degree j with the source
-    always presented: empty on a trivial source group, otherwise the
-    coordinates of the images of its representatives."""
+    always presented and read in C by the reference reading: empty on a
+    trivial source group, otherwise the coordinates of the images of its
+    representatives."""
     src = _presentation(arrow.source, j)
     tgt = _presentation(arrow.target, j + arrow.degree)
     if not src.rank_coords():
         return IntMatrix(tgt.rank_coords(), 0)
-    F = tgt.coord_matrix(arrow.f.block(j) @ src.representatives())
+    F = ambient_coords(arrow.target, j + arrow.degree, arrow.f.block(j)
+                       @ ambient_representatives(arrow.source, j))
     if F is None:
         raise ChainError("image of a cycle is not a cycle")
     return F
@@ -1185,9 +1115,9 @@ def _push_inputs():
 
 class TestPushMatchesBlocks:
     """A class matrix pushes sparse columns through iota, f, the cycle test
-    and pi; the ambient reading, f's block times the source's ambient
-    representatives in the target's ambient coordinates, is the oracle, on
-    inputs beyond the fundamental sequences and ladders."""
+    and pi; the reference reading in C, f's block times the source's
+    representatives in C in the target's coordinates of C, is the oracle,
+    on inputs beyond the fundamental sequences and ladders."""
 
     def test_class_matrices_equal_the_ambient_reading(self):
         nonzero = {}
@@ -1206,16 +1136,13 @@ class TestPushMatchesBlocks:
 
 class TestClassMatricesBuildNoBlocks:
     """Class matrices read no degree block: one ladder and one run of the
-    four flavors build no (iota_j, pi_j) pair and no block of an arrow's
-    map, though they push classes through many arrows."""
+    four flavors build no block of an arrow's map, though they push
+    classes through many arrows."""
 
     def test_ladder_and_four_flavors(self, monkeypatch):
-        pairs, built, maps, pushed = [], [], [], []
-        missing = chain._Blocks.__missing__
+        built, maps, pushed = [], [], []
         block, init = GradedMap.block, _HomologyArrow.__init__
         push = _HomologyArrow._push
-        monkeypatch.setattr(chain._Blocks, "__missing__",
-                            lambda red, j: pairs.append(j) or missing(red, j))
         monkeypatch.setattr(GradedMap, "block",
                             lambda f, j: built.append(f) or block(f, j))
         monkeypatch.setattr(_HomologyArrow, "__init__",
@@ -1228,7 +1155,7 @@ class TestClassMatricesBuildNoBlocks:
         C = random_complex(rng, max_pieces=5, with_u=True).complex
         assert four_flavors(C).ok
         arrow_maps = {id(f) for f in maps}
-        assert len(pushed) > 100 and not pairs
+        assert len(pushed) > 100
         assert not any(id(f) in arrow_maps for f in built)
 
 
@@ -1326,8 +1253,8 @@ class TestPlainPresentationsFromDimension:
     """Where the reduction's differential is zero (every F_p complex) each
     degree is presented from its dimension: no block of d' is built, and
     ``from_pair`` still runs once per degree, on n x 0 and 0 x n.  The
-    only block built is C's own d_j, for the cycle test of a class whose
-    coordinates are asked."""
+    only block built is C's own d_j, for the cycle test of the reference
+    reading in C."""
 
     def test_no_block_of_a_zero_reduced_differential(self, monkeypatch):
         built = []
@@ -1356,7 +1283,7 @@ class TestPlainPresentationsFromDimension:
             assert d_red.is_zero()
             j = max(h.degrees())
             pg = _presentation(C, j)
-            assert pg.coord_matrix(pg.representatives()) == \
+            assert ambient_coords(C, j, ambient_representatives(C, j)) == \
                 IntMatrix.identity(pg.rank_coords())
             assert built and not any(f is d_red for f in built)
             lo, hi = C.module.support_window()
@@ -1369,8 +1296,9 @@ class TestPlainPresentationsFromDimension:
 
 
 class TestOnDemandCycleBlock:
-    """A presentation builds C's block d_j, for its cycle test, the first
-    time coordinates are asked of it, and never for homology alone."""
+    """Neither homology nor coordinates in C' build C's block d_j; the
+    reference reading in C builds it for its cycle test, once per read of a
+    nonzero class."""
 
     def test_homology_builds_no_block_of_d(self, monkeypatch):
         built = []
@@ -1391,6 +1319,8 @@ class TestOnDemandCycleBlock:
             j = max(homology(C).degrees(), default=0)
             pg = _presentation(C, j)
             pg.coord_matrix(pg.representatives())
+            assert not any(f is C.d for f in built)
+            ambient_coords(C, j, ambient_representatives(C, j))
             assert sum(f is C.d for f in built) == (pg.rank_coords() > 0)
 
     def test_non_cycle_has_no_coordinates(self):
@@ -1398,9 +1328,18 @@ class TestOnDemandCycleBlock:
             # b -> 2a, plus a cycle c beside b in degree 1
             C = complex_from([("a", 0), ("b", 1), ("c", 1)],
                              {("b", "a"): 2}, p=p)
-            pg = _presentation(C, 1)
-            assert pg.coord_matrix(IntMatrix.from_rows([[1], [0]])) is None
-            assert pg.coord_matrix(IntMatrix.from_rows([[0], [1]])) is not None
+            assert ambient_coords(C, 1, IntMatrix.from_rows([[1], [0]])) is None
+            assert ambient_coords(C, 1,
+                                  IntMatrix.from_rows([[0], [1]])) is not None
+        # b -> a cancels, leaving C' = {c} with iota(c) = c and pi(a) = 0
+        C = complex_from([("a", 0), ("b", 1), ("c", 0)], {("b", "a"): 1})
+        assert ambient_representatives(C, 0) == IntMatrix.from_rows([[0], [1]])
+        assert ambient_coords(C, 0, IntMatrix.from_rows([[5], [1]])) == \
+            IntMatrix.from_rows([[1]])
+        # at degree 1, b is no cycle: d_1 b = a
+        assert ambient_coords(C, 1, IntMatrix.from_rows([[1]])) is None
+        with pytest.raises(DimensionMismatch):
+            ambient_coords(C, 0, IntMatrix(3, 1))
 
 
 def _reaches(roots, target):

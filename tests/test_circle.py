@@ -18,8 +18,9 @@ from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
 from artifact.connsum import cm_flavors
 from artifact.exactlin import AbelianGroup
 
-from helpers import (count_les_tags, lattice_ses_exact_at, laurent_form,
-                     random_complex, random_pmorphism, ses_verdicts)
+from helpers import (compose, count_les_tags, lattice_ses_exact_at,
+                     laurent_form, random_complex, random_pmorphism,
+                     ses_verdicts)
 
 Z = AbelianGroup(1)
 
@@ -120,7 +121,7 @@ class TestSU:
             C3 = random_u_complex(rng)
             P = random_pmorphism(rng, C1, C2)
             Q = random_pmorphism(rng, C2, C3)
-            lhs = s_u_map(Q.compose(P))
+            lhs = s_u_map(compose(Q, P))
             rhs = s_u_map(Q) @ s_u_map(P)
             assert (lhs - rhs).is_zero_mod(C1.p)
 

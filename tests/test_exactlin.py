@@ -14,8 +14,6 @@ from artifact.exactlin import (
     IntMatrix,
     PresentedGroup,
     field_rank,
-    homology_of_pair,
-    invert_unimodular,
     lattices_equal,
     rank_and_kernel,
     snf,
@@ -26,8 +24,8 @@ from artifact.exactlin import (
     _kernel_head,
 )
 
-from helpers import det, random_matrix
-from snf_reference import reference_snf
+from helpers import det, homology_of_pair, random_matrix, to_dense
+from snf_reference import invert_unimodular, reference_snf
 
 
 def diag(*vals):
@@ -91,7 +89,7 @@ class TestSmithNormalForm:
         rng = random.Random(13)
         for _ in range(300):
             M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            want = invariant_factors(sympy.Matrix(M.to_dense()),
+            want = invariant_factors(sympy.Matrix(to_dense(M)),
                                      domain=sympy.ZZ)
             assert snf(M).factors == tuple(abs(int(f)) for f in want if f)
 
@@ -105,7 +103,7 @@ class TestSmithNormalForm:
         for p in (2, 3, 5):
             for _ in range(100):
                 M = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-                dm = DomainMatrix([[ZZ(v) for v in row] for row in M.to_dense()],
+                dm = DomainMatrix([[ZZ(v) for v in row] for row in to_dense(M)],
                                   (M.rows, M.cols), ZZ)
                 want = dm.convert_to(GF(p)).rank()
                 assert len(snf(M, p).factors) == want
@@ -548,10 +546,10 @@ class TestPresentedGroup:
             cyc = IntMatrix.identity(n)
             rel = random_matrix(rng, n, rng.randint(0, 3))
             pg = PresentedGroup(cyc, rel)
+            back = pg.coord_matrix(pg.representatives())
+            assert back is not None
             for k in range(pg.rank_coords()):
-                amb = pg.representative(k)
-                coords = pg.coords_of(amb)
-                assert coords is not None
+                coords = [back[(a, k)] for a in range(back.rows)]
                 want = [1 if i == k else 0 for i in range(pg.rank_coords())]
                 nt = len(pg.torsion_moduli)
                 got = [c % d for c, d in zip(coords[:nt], pg.torsion_moduli)]
@@ -562,9 +560,9 @@ class TestPresentedGroup:
         # Z/2: relation 2x = 0, so 2*generator is the zero class
         pg = PresentedGroup(IntMatrix.identity(1), IntMatrix.from_rows([[2]]))
         assert pg.group == AbelianGroup(0, (2,))
-        rep = pg.representative(0)
-        assert not pg.coords_are_zero(pg.coords_of(rep))
-        assert pg.coords_are_zero(pg.coords_of(rep.scale(2)))
+        rep = pg.representatives()
+        assert not pg.coords_are_zero([pg.coord_matrix(rep)[(0, 0)]])
+        assert pg.coords_are_zero([pg.coord_matrix(rep.scale(2))[(0, 0)]])
 
     def test_from_pair_factors_the_cycle_basis_once(self, monkeypatch):
         import artifact.exactlin as el
@@ -583,13 +581,13 @@ class TestPresentedGroup:
         assert pg.group == AbelianGroup(1, (2,))
         n = len(calls)
         assert pg.coord_matrix(IntMatrix.from_rows([[0], [1], [2]])) is not None
-        assert pg.coords_of(d_in) is not None
+        assert pg.coord_matrix(d_in) is not None
         assert len(calls) == n
         # no boundaries: the cycle basis is factored when first asked
         pg = PresentedGroup.from_pair(IntMatrix(3, 2), d_out)
         n = len(calls)
         assert pg._cycles_snf is None
-        assert pg.coords_of(IntMatrix.from_rows([[0], [1], [0]])) is not None
+        assert pg.coord_matrix(IntMatrix.from_rows([[0], [1], [0]])) is not None
         assert len(calls) == n + 1
 
     def test_plain_group_is_its_own_coordinates(self):
@@ -612,7 +610,7 @@ class TestPresentedGroup:
         for p in (0, 2, 3):
             pg = PresentedGroup.from_pair(IntMatrix(4, 2), IntMatrix(3, 4), p)
             assert pg.group == AbelianGroup(4)
-            assert pg.ambient_dim() == 4 and pg.cycles is None
+            assert pg.dim == 4 and pg.cycles is None
             assert pg.representatives() == IntMatrix.identity(4)
             v = IntMatrix.from_rows([[1], [0], [p + 1], [-1]])
             assert pg.coord_matrix(v) == v.mod(p)
@@ -621,49 +619,21 @@ class TestPresentedGroup:
         with pytest.raises(DimensionMismatch):
             PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 4))
 
-    def test_read_through_a_reduction(self):
-        # C: b -> a with d b = a, plus a cycle c in degree 0; cancelling
-        # b against a leaves C' = {c}, iota(c) = c, pi(a) = 0, pi(c) = c
-        pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
-        iota = IntMatrix.from_rows([[0], [1]])          # rows a, c
-        pi = IntMatrix.from_rows([[0, 1]])
-        d0 = IntMatrix(0, 2)                            # nothing below
-        pg.read_through(iota, pi, d0)
-        assert pg.ambient_dim() == 2
-        assert pg.representatives() == iota
-        assert pg.coord_matrix(IntMatrix.from_rows([[5], [1]])) == \
-            IntMatrix.from_rows([[1]])
-        # at degree 1, b is no cycle: d_1 b = a
-        top = PresentedGroup.from_pair(IntMatrix(0, 0), IntMatrix(0, 0))
-        top.read_through(IntMatrix(1, 0), IntMatrix(0, 1),
-                         IntMatrix.from_rows([[1], [0]]))
-        assert top.coord_matrix(IntMatrix.from_rows([[1]])) is None
-        with pytest.raises(DimensionMismatch):
-            PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1)) \
-                .read_through(iota, IntMatrix(1, 3), d0)
-
-    def test_read_through_builds_d_on_first_coordinates(self):
-        iota = IntMatrix.from_rows([[0], [1]])
-        pi = IntMatrix.from_rows([[0, 1]])
-        v = IntMatrix.from_rows([[5], [1]])
-        for d_cols in (2, 3):
-            calls = []
-
-            def build(d_cols=d_cols):
-                calls.append(d_cols)
-                return IntMatrix(0, d_cols)
-
-            pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
-            pg.read_through(iota, pi, build)
-            assert pg.representatives() == iota and calls == []
-            if d_cols == 2:
-                for _ in range(2):
-                    assert pg.coord_matrix(v) == IntMatrix.from_rows([[1]])
-                assert calls == [2]
-            else:
-                # a wrongly shaped d_j is refused when it is built
-                with pytest.raises(DimensionMismatch):
-                    pg.coord_matrix(v)
+    def test_coordinates_of_vectors_of_the_wrong_height(self):
+        # a plain group and a factored one both refuse vectors whose
+        # height is not the dimension of the presented Z^n
+        plain = PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 3))
+        factored = PresentedGroup.from_pair(
+            IntMatrix.from_rows([[0], [2], [4]]),
+            IntMatrix.from_rows([[1, 0, 0]]))
+        assert plain._plain and not factored._plain
+        for pg in (plain, factored):
+            assert pg.dim == 3
+            assert pg.coord_matrix(IntMatrix(3, 1)) is not None
+            for rows in (2, 5):
+                for v in (IntMatrix(rows, 1), IntMatrix.column([1] * rows)):
+                    with pytest.raises(DimensionMismatch):
+                        pg.coord_matrix(v)
 
     def test_subgroups_equal(self):
         no_rel = IntMatrix(2, 0)

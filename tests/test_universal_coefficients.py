@@ -20,7 +20,8 @@ engine reads classes in are checked too, by the injection
 H_j(C) (x) F_p -> H_j(C (x) F_p) the identity comes from: the classes of a
 Z-cycle basis of C_j span H_j(C) (x) F_p when the Z engine reads them
 (coordinates mod p, torsion coordinates prime to p dropped) and its image
-when the F_p engine reads them reduced; both spans have the dimension
+when the F_p engine reads them reduced, each read in C through the
+reduction by the reference reading of ``helpers``; both spans have the dimension
 rank H_j + #{torsion factors of H_j divisible by p}."""
 
 import random
@@ -31,7 +32,7 @@ from artifact.connsum import cm_flavors
 from artifact.exactlin import IntMatrix, field_rank, rank_and_kernel
 from artifact.flavors import four_flavors
 
-from helpers import laurent_form, random_complex
+from helpers import ambient_coords, laurent_form, random_complex
 
 PRIMES = (2, 3, 5)
 
@@ -80,8 +81,9 @@ def class_ranks(CZ: ChainComplex, Cp: ChainComplex, j: int, p: int):
     _, cycles = rank_and_kernel(CZ.d.block(j))
     if not cycles.cols:
         return 0, 0
-    pz, pp = _presentation(CZ, j), _presentation(Cp, j)
-    coords, coords_p = pz.coord_matrix(cycles), pp.coord_matrix(cycles)
+    pz = _presentation(CZ, j)
+    coords = ambient_coords(CZ, j, cycles)
+    coords_p = ambient_coords(Cp, j, cycles)
     # None: a cycle of C read as no class of C'
     assert coords is not None and coords_p is not None
     moduli = pz.torsion_moduli + [0] * len(pz.free_rows)
