@@ -881,6 +881,58 @@ class TestReduction:
         assert homology(C) == homology(red.complex)
 
 
+class TestBlocksOnDemand:
+    """A degree's blocks (iota_j, pi_j) read from the sparse record, a
+    column of iota and a row of pi per generator of C'_j, in any order of
+    degrees: each equals the block of the assembled maps, has
+    pi_j iota_j = 1, and fits C's d and d' as a chain map must."""
+
+    def test_each_degree_equals_the_eager_build(self):
+        rng = random.Random(5)
+        # flavor slices cancel generators that other columns of d reach, so
+        # iota and pi differ from the identity off their kept generators
+        slices = [cx for p in (0, 2, 3, 0, 2, 3) for cx in circle._e_y_slices(
+            s_u(random_complex(rng, max_pieces=5, p=p, with_u=True).complex),
+            circle.FLAVOR_TAGS, None).values()]
+        moved = 0
+        for C in _reduction_inputs() + slices:
+            red = reduction(C)
+            Cr = red.complex.module
+            iota, pi = reduction_maps(C)
+            index = C.module._index
+
+            def blocks(j):
+                src = [index[nm] for nm in C.module.gens_in_degree(j)]
+                row = {g: r for r, g in enumerate(src)}
+                kept = [index[nm] for nm in Cr.gens_in_degree(j)]
+                return (
+                    IntMatrix(len(src), len(kept), {
+                        (row[h], c): v for c, g in enumerate(kept)
+                        for h, v in red.iota_column(g).items()}),
+                    IntMatrix(len(kept), len(src), {
+                        (r, row[h]): v for r, g in enumerate(kept)
+                        for h, v in red.pi_row(g).items()}))
+
+            degrees = list(C.module.degrees())
+            rng.shuffle(degrees)
+            for j in degrees:
+                iota_j, pi_j = blocks(j)
+                assert iota_j == iota.block(j) and pi_j == pi.block(j)
+                # entries besides the one of each kept generator
+                moved += (len(iota_j.entries) - iota_j.cols
+                          + len(pi_j.entries) - pi_j.rows)
+                assert (pi_j @ iota_j).mod(C.p) == IntMatrix.identity(
+                    iota_j.cols)
+                # chain maps: d iota = iota d' and pi d = d' pi
+                d, dr = C.d, red.complex.d
+                below = blocks(C.module.reduce_degree(j - 1))
+                assert ((d.block(j) @ iota_j) - (below[0] @ dr.block(j))
+                        ).mod(C.p).is_zero()
+                assert ((below[1] @ d.block(j)) - (dr.block(j) @ pi_j)
+                        ).mod(C.p).is_zero()
+        assert moved > 0
+
+
 def _les_inputs():
     """Twenty seeded F2/F3 inputs: a U-complex for the fundamental
     sequences and a tower bundle for the ladder."""

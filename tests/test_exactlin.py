@@ -619,6 +619,30 @@ class TestPresentedGroup:
         with pytest.raises(DimensionMismatch):
             PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 4))
 
+    def test_read_through_a_reduction(self):
+        # C: b -> a with d b = a, plus a cycle c in degree 0; cancelling
+        # b against a leaves C' = {c}, iota(c) = c, pi(a) = 0, pi(c) = c.
+        # H_0 read in C' through pi and iota is H_0 of C unreduced.
+        pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
+        full = PresentedGroup.from_pair(IntMatrix.from_rows([[1], [0]]),
+                                        IntMatrix(0, 2))
+        iota = IntMatrix.from_rows([[0], [1]])          # rows a, c
+        pi = IntMatrix.from_rows([[0, 1]])
+        assert pg.group == full.group == AbelianGroup(1)
+        assert pg.representatives() == IntMatrix.identity(1)
+        # iota carries C''s generator to one of C, and pi back
+        there = full.coord_matrix(iota @ pg.representatives())
+        back = pg.coord_matrix(pi @ full.representatives())
+        assert there.rows == there.cols == 1 and abs(there[(0, 0)]) == 1
+        assert back @ there == IntMatrix.identity(1)
+        # a + 5 c is the class 5 c: a is a boundary
+        v = IntMatrix.from_rows([[1], [5]])
+        assert pg.coord_matrix(pi @ v) == IntMatrix.from_rows([[5]])
+        assert full.coord_matrix(v) == there.scale(5)
+        # C' presents only C'_0: a vector of C_0 itself does not fit
+        with pytest.raises(DimensionMismatch):
+            pg.coord_matrix(v)
+
     def test_coordinates_of_vectors_of_the_wrong_height(self):
         # a plain group and a factored one both refuse vectors whose
         # height is not the dimension of the presented Z^n
