@@ -38,8 +38,9 @@ checked against the assembled modules and the map's degree.
 
 Results are records: ``typing.NamedTuple`` classes, read-only and compared
 by their fields.  A record that validates its values puts ``_Checked``
-before its NamedTuple base; one with private state, which a NamedTuple
-cannot hold, is a slotted ``_Sealed`` class compared by identity.
+before its NamedTuple base.  ``flavors.FlavorBundle``, which keeps its
+p-morphisms privately, is the one slotted ``_Sealed`` class, compared by
+identity.
 """
 
 from __future__ import annotations
@@ -337,17 +338,20 @@ class GradedMap:
         return None
 
 
+def _defect(f: GradedMap, a: GradedMap, b: GradedMap) -> GradedMap:
+    """f.a - (-1)^{|f||a|} b.f, zero when f intertwines a with b."""
+    sign = -1 if (f.degree % 2) and (a.degree % 2) else 1
+    return (f @ a) - (b @ f).scale(sign)
+
+
 def commutator(f: GradedMap, g: GradedMap) -> GradedMap:
     """Graded commutator [f, g] = f.g - (-1)^{|f||g|} g.f."""
-    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
-    return (f @ g) - (g @ f).scale(sign)
+    return _defect(f, g, g)
 
 
 def is_chain_map(f: GradedMap, source: "ChainComplex", target: "ChainComplex") -> bool:
     """f.d1 - (-1)^{deg f} d2.f = 0 (mod the ring of the complexes)."""
-    sign = -1 if f.degree % 2 else 1
-    defect = (f @ source.d) - (target.d @ f).scale(sign)
-    return defect.is_zero_mod(source.p)
+    return _defect(f, source.d, target.d).is_zero_mod(source.p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +366,12 @@ class ChainComplex:
     (per reduced degree when the grading is periodic), and beside it its
     ``reduction``: a smaller complex C' with chain maps iota: C' -> C and
     pi: C -> C', pi . iota = 1.  Both are filled the first time a degree is
-    presented; presentations are of C' (over F_p d' = 0) read back in C.
-    Both depend only on ``d`` and ``p``, fixed at construction, so they
-    never go stale; they live and die with this object, are never shared
-    with another complex, and hold no reference back to it, so the complex
-    is freed by reference counting alone."""
+    presented; presentations are of C' (over F_p d' = 0), and a class of C
+    reaches one only through iota and pi.  Both depend only on ``d`` and
+    ``p``, fixed at construction, so they never go stale; they live and die
+    with this object, are never shared with another complex, and hold no
+    reference back to it, so the complex is freed by reference counting
+    alone."""
 
     __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented",
                  "_reduced")
@@ -436,24 +441,34 @@ class CheckReport(NamedTuple):
         return [c for c in self.checks if not c.ok]
 
 
+def _law(tag: str, defect: GradedMap, p: int) -> Check:
+    """The Check that defect vanishes mod p; on failure its witness is the
+    first nonzero entry."""
+    if defect.is_zero_mod(p):
+        return Check(tag, True)
+    return Check(tag, False, defect.nonzero_witness(p))
+
+
 def validate(C: ChainComplex) -> CheckReport:
     """Check d^2 = 0, [d,U] = 0, dY + Yd = 0, Y^2 = 0, and degree
     homogeneity; failures carry a witnessing generator pair."""
-    checks: List[Check] = []
+    p = C.p
     # degree homogeneity is enforced when maps are built, so it can only pass
-    checks.append(Check("degree-homogeneity", True))
-    dd = C.d @ C.d
-    w = dd.nonzero_witness(C.p)
-    checks.append(Check("d.d=0", w is None, w))
+    checks = [Check("degree-homogeneity", True), _law("d.d=0", C.d @ C.d, p)]
     if C.u_action is not None:
-        w = commutator(C.d, C.u_action).nonzero_witness(C.p)
-        checks.append(Check("[d,U]=0", w is None, w))
+        checks.append(_law("[d,U]=0", commutator(C.d, C.u_action), p))
     if C.y_action is not None:
-        w = commutator(C.d, C.y_action).nonzero_witness(C.p)
-        checks.append(Check("dY+Yd=0", w is None, w))
-        w = (C.y_action @ C.y_action).nonzero_witness(C.p)
-        checks.append(Check("Y.Y=0", w is None, w))
+        checks += [_law("dY+Yd=0", commutator(C.d, C.y_action), p),
+                   _law("Y.Y=0", C.y_action @ C.y_action, p)]
     return CheckReport(tuple(checks))
+
+
+def _require_valid(C: ChainComplex, prefix: str) -> None:
+    """ChainError ``<prefix> <tag> at <witness>`` for the first law of
+    ``validate`` that C fails."""
+    for check in validate(C).checks:
+        if not check.ok:
+            raise ChainError(f"{prefix} {check.tag} at {check.witness}")
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +690,7 @@ def _reduce(C: ChainComplex) -> Reduction:
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:
     """Degreewise homology via exact kernels and images."""
-    rep = validate(C)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise ChainError(f"complex fails law {bad.tag} at {bad.witness}")
+    _require_valid(C, "complex fails law")
     pres = present_homology(C, window)
     return HomologyTable({j: pg.group for j, pg in pres.items()})
 
@@ -727,8 +739,7 @@ def cone(f: GradedMap, A: ChainComplex, B: ChainComplex,
         raise NotAChainMap("cone expects a degree -1 map from A to B")
     if A.p != B.p:
         raise ChainError("ring mismatch")
-    defect = (f @ A.d) + (B.d @ f)
-    if not defect.is_zero_mod(A.p):
+    if not is_chain_map(f, A, B):
         raise NotAChainMap("map does not anticommute with the differentials")
     ta, tb = (tag + ".{}" for tag in tags)
     module = _renamed_module([(A.module, ta, 0), (B.module, tb, 0)],
@@ -837,25 +848,19 @@ class PMorphism:
     def identity(cls, C: ChainComplex) -> "PMorphism":
         return cls.strict(C, C, GradedMap.identity(C.module))
 
-    def chain_map_defect(self) -> GradedMap:
-        sign = -1 if self.phi.degree % 2 else 1
-        return (self.phi @ self.source.d) - (self.target.d @ self.phi).scale(sign)
-
     def u_defect(self) -> GradedMap:
         if self.source.u_action is None or self.target.u_action is None:
             raise ChainError("both complexes need U-actions")
         sign = -1 if self.phi.degree % 2 else 1
-        return ((self.phi @ self.source.u_action)
-                - (self.target.u_action @ self.phi)
+        return (_defect(self.phi, self.source.u_action, self.target.u_action)
                 + (self.k_phi @ self.source.d).scale(sign)
                 + (self.target.d @ self.k_phi))
 
     def verify(self) -> bool:
         if self._verdict is None:
-            p = self.source.p
-            object.__setattr__(self, "_verdict",
-                               self.chain_map_defect().is_zero_mod(p)
-                               and self.u_defect().is_zero_mod(p))
+            object.__setattr__(self, "_verdict", is_chain_map(
+                self.phi, self.source, self.target)
+                and self.u_defect().is_zero_mod(self.source.p))
         return self._verdict
 
 

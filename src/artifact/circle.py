@@ -36,12 +36,11 @@ flavor complex would have in degrees {j-1, j, j+1} is retained by the
 slice.  Truncation is by generator deletion, so artifacts are confined to
 unsafe degrees and all assertions are made at safe ones.
 
-The records here are NamedTuples.  ``Flavor`` checks its tag however it is
-built, and ``FundamentalSequences`` is a slotted class, because it keeps
-the private memo that builds the second sequence.
+The records here are NamedTuples, and ``Flavor`` checks its tag however it
+is built; of the package's records only ``flavors.FlavorBundle`` is a
+slotted ``_Sealed`` class.
 """
 
-from functools import cache, partial
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
@@ -57,14 +56,14 @@ from .chain import (
     PMorphism,
     _Checked,
     _HomologyArrow,
-    _Sealed,
     _block_map,
+    _defect,
     _renamed_module,
+    _require_valid,
     exactness_pair,
     homology,
     induced_on_homology,
     is_chain_map,
-    validate,
 )
 from .exactlin import AbelianGroup
 
@@ -156,13 +155,6 @@ class Window(Tuple[int, int]):
     lo = property(lambda self: self[0])
     hi = property(lambda self: self[1])
 
-    @classmethod
-    def default_for(cls, C: ChainComplex, margin: int = 2) -> "Window":
-        sw = C.module.support_window()
-        if sw is None:
-            return cls(-margin, margin)
-        return cls(sw[0] - margin, sw[1] + margin)
-
 
 def _resolve_window(degrees: Sequence[int], window) -> Window:
     """The given window, or else the span of the generator degrees widened
@@ -224,10 +216,7 @@ def s_u(C: ChainComplex) -> ChainComplex:
     d = _doubled(C.d, C.u_action, module, module)
     y = GradedMap(module, module, 1, {(g, f"{g}.y"): 1 for g in C.module.names()})
     out = ChainComplex(module, d, y_action=y, p=C.p)
-    rep = validate(out)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise ChainError(f"s_u output fails {bad.tag} at {bad.witness}")
+    _require_valid(out, "s_u output fails")
     return out
 
 
@@ -349,9 +338,7 @@ def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
     usual degree sign."""
     if not is_chain_map(f, source, target):
         raise ChainError("e_y_map needs a chain map")
-    sign = -1 if f.degree % 2 else 1
-    ynat = (f @ source.y_action) - (target.y_action @ f).scale(sign)
-    if not ynat.is_zero_mod(source.p):
+    if not _defect(f, source.y_action, target.y_action).is_zero_mod(source.p):
         raise ChainError("e_y_map needs Y-equivariance")
     return _slotwise(f, e_y(source, flavor, window),
                      e_y(target, flavor, window))
@@ -371,22 +358,24 @@ class ShortExactSequence(NamedTuple):
     exact: bool
 
 
-class FundamentalSequences(_Sealed):
-    """The four flavor expansions of one complex on a window, with both
+class FundamentalSequences(NamedTuple):
+    """The flavor expansions of one complex on a window, with both
     fundamental short exact sequences (minus into infinity onto plus; minus
     into minus by u onto hat) and the Checks of their long exact sequences.
-    The second sequence (``seq2``, ``les2``, ``delta2``) is built on first
-    access, by the private ``_second``, and kept; ``checks`` and ``ok``
-    force it.  ``delta1`` is plus -> minus of degree -1; ``safe`` holds
-    each slice's window-safe degrees."""
+    ``delta1`` is plus -> minus of degree -1, ``delta2`` hat -> minus of
+    degree 1 - hat offset; ``safe`` holds each slice's window-safe degrees.
+    Without a hat slice the second sequence is not built, and ``seq2``,
+    ``les2`` and ``delta2`` are None."""
 
-    __slots__ = ("window", "complexes", "seq1", "les1", "delta1", "safe",
-                 "_second")
-
-    seq2 = property(lambda self: self._second()[0])
-    les2 = property(lambda self: self._second()[1])
-    # hat -> minus, degree 1 - hat offset
-    delta2 = property(lambda self: self._second()[2])
+    window: Window
+    complexes: Dict[str, ChainComplex]
+    seq1: ShortExactSequence
+    les1: Check
+    delta1: _HomologyArrow
+    safe: Dict[str, Set[int]]
+    seq2: Optional[ShortExactSequence]
+    les2: Optional[Check]
+    delta2: Optional[_HomologyArrow]
 
     @property
     def checks(self) -> Tuple[Check, Check]:
@@ -476,8 +465,7 @@ def _chain_map_inside(f: GradedMap, source: ChainComplex,
     the window: the slices cut d off below the window, and a map of
     positive degree pushes the top of the window out of it.  For a degree-0
     map between slices of one window this is ``is_chain_map`` itself."""
-    sign = -1 if f.degree % 2 else 1
-    defect = (f @ source.d) - (target.d @ f).scale(sign)
+    defect = _defect(f, source.d, target.d)
     deg = source.module.degree_of
     p = source.p
     return not any(v % p if p else v
@@ -493,7 +481,8 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
     window-safe degrees; connecting maps by the snake construction,
     retraction . d . section through the canonical degreewise splittings.
     In the first sequence both splittings are name identities, so its
-    chain-map tests and delta1 read d of infinity between slices by name."""
+    chain-map tests and delta1 read d of infinity between slices by name.
+    The second sequence is built only when ``complexes`` has a hat slice."""
     minus, inf, plus = (complexes[t] for t in FLAVOR_TAGS[:3])
 
     # a generator keeps its name and degree in every slice
@@ -529,9 +518,10 @@ def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
          (("plus", 0), ("infinity", 0), ("minus", -1))),
         ("minus", delta1, inc_a,
          (("minus", 0), ("plus", 1), ("infinity", 0)))), safe)
-    return FundamentalSequences(
-        win, complexes, seq1, les1, delta1, safe,
-        cache(partial(_second_sequence, complexes, layout, win, safe)))
+    second = (_second_sequence(complexes, layout, win, safe)
+              if "hat" in complexes else (None, None, None))
+    return FundamentalSequences(win, complexes, seq1, les1, delta1, safe,
+                                *second)
 
 
 def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
@@ -582,8 +572,7 @@ def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     infinity onto plus; minus into minus by u onto hat) with degreewise
     exactness checks and homology-level long-exact-sequence certificates at
     window-safe degrees, connecting maps computed by the snake construction
-    through the canonical degreewise splitting.  The second sequence is
-    built on first access; ``ok`` forces it."""
+    through the canonical degreewise splitting."""
     win = _resolve_window(C.module.degrees(), window)
     return _fundamental(_e_y_slices(C, FLAVOR_TAGS, win), _U_LAYOUT,
                         [d for _, d in C.module.generators], win)
@@ -707,7 +696,8 @@ def _match_shift(leftH: HomologyTable, rightH: HomologyTable,
     left_nz = sorted(j for j in sl if not leftH[j].is_trivial())
     right_nz = sorted(j for j in sr if not rightH[j].is_trivial())
     if not left_nz and not right_nz:
-        return ShiftReport(0, {})
+        # both sides trivial: a match only where some degree is compared
+        return ShiftReport(0 if sl & sr else None, {})
     if not left_nz or not right_nz:
         return ShiftReport(None, {})
     candidates = sorted({left_nz[0] - right_nz[0], left_nz[-1] - right_nz[-1]})

@@ -348,24 +348,17 @@ def _parse_summaps(b: _Block,
                              "not a complex defined earlier in the file")
         return obj
 
-    from .connsum import ConnSumMaps, SumInput, product_complex
+    from .connsum import _MAP_SHAPES, ConnSumMaps, SumInput, product_complex
     c1 = complex_named(of_names[0])
     c2 = complex_named(of_names[1])
     sharp = complex_named(sharp_name)
     try:
         inputs = SumInput(c1, c2)
-        pm = product_complex(inputs).module
-        sm = sharp.module
-        shapes = {"V0": (sm, pm), "V1": (sm, pm), "V0d": (pm, sm),
-                  "V1d": (pm, sm), "Hsharp": (sm, sm), "A": (pm, pm),
-                  "B": (pm, pm), "C": (pm, pm), "D": (pm, pm)}
-        gm = {}
-        for name in _SUMMAP_NAMES:
-            deg, ent = maps[name]
-            src, tgt = shapes[name]
-            gm[name] = GradedMap(src, tgt, deg, ent)
+        mods = {"s": sharp.module, "p": product_complex(inputs).module}
         # ConnSumMaps lists the maps in the order of _SUMMAP_NAMES
-        built = ConnSumMaps(sharp, *(gm[name] for name in _SUMMAP_NAMES))
+        built = ConnSumMaps(sharp, *(
+            GradedMap(mods[a], mods[b], *maps[name])
+            for name, (a, b) in zip(_SUMMAP_NAMES, _MAP_SHAPES)))
     except ChainError as e:
         raise _wrap_chain_error(e) from None
     return SumSpec(b.name, inputs, built)

@@ -43,9 +43,10 @@ from .chain import (
     HomologyTable,
     _Checked,
     _block_map,
+    _law,
+    _require_valid,
     homology,
     tensor,
-    validate,
 )
 from .circle import (
     _LAURENT_LAYOUT,
@@ -194,8 +195,7 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     complexes on a window and certify both fundamental sequences: the
     exponent split 0 -> minus -> infinity -> plus -> 0 and the exponent
     shift 0 -> minus -> minus -> hat -> 0, degreewise at the chain level
-    and through the long exact sequence at window-safe degrees.  Both
-    sequences are built before this returns."""
+    and through the long exact sequence at window-safe degrees."""
     if not check_positivity(F):
         bad = [(k, terms) for k, terms in F.d_entries.items()
                if any(n < 0 for n, _ in terms)]
@@ -206,9 +206,7 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     terms = [(src, dst, n, c) for (src, dst), ts in F.d_entries.items()
              for n, c in ts]
     cm = _expand(F.generators, terms, _LAURENT_LAYOUT, FLAVOR_TAGS, win, F.p)
-    fs = _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
-    fs._second()
-    return fs
+    return _fundamental(cm, _LAURENT_LAYOUT, degrees, win)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +226,7 @@ class SumInput(_Checked, NamedTuple("SumInput", [("C1", ChainComplex),
                 raise ChainError(f"{label} must be Z-graded")
             if C.u_action is None:
                 raise MissingUAction(f"{label} needs a U-action")
-            rep = validate(C)
-            if not rep.ok:
-                raise ChainError(
-                    f"{label} fails {rep.failures()[0].tag}")
+            _require_valid(C, f"{label} fails")
         if self.C1.p != self.C2hat.p:
             raise ChainError("ring mismatch")
 
@@ -242,9 +237,7 @@ def product_complex(S: SumInput) -> ChainComplex:
     T = tensor(S.C1, S.C2hat)
     u_cup = T.u1 - T.u2
     out = T.complex.with_actions(u_action=u_cup)
-    rep = validate(out)
-    if not rep.ok:
-        raise ChainError(f"product fails {rep.failures()[0].tag}")
+    _require_valid(out, "product fails")
     return out
 
 
@@ -346,7 +339,8 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
     exponents = sorted({int(name.rsplit(".u", 1)[1])
                         for name in right.module.names()})
     if not exponents:
-        return True
+        raise IdentificationFailed(
+            f"nothing to compare in the window {win.lo}..{win.hi}")
     # the exponent model: the expansion of a single degree-0 point u, one
     # generator u.u{n} of degree -2n per exponent of the right side
     model = _expand([("u", 0)], (), _U_LAYOUT, (flavor.tag,), Window(
@@ -412,10 +406,9 @@ class ConnSumMaps(NamedTuple):
     D: GradedMap
 
 
-def _require_shape(name: str, f: GradedMap, src: GradedModule,
-                   tgt: GradedModule):
-    if f.source != src or f.target != tgt:
-        raise ChainError(f"{name} does not fit the block decomposition")
+# (source, target) of each map of ConnSumMaps after sharp, in field order:
+# "s" is the module of sharp, "p" that of the product complex
+_MAP_SHAPES = ("sp", "sp", "ps", "ps", "ss", "pp", "pp", "pp", "pp")
 
 
 def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
@@ -439,13 +432,10 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
     if p != P.p:
         raise ChainError("ring mismatch")
 
-    _require_shape("V0", M.V0, sm, pm)
-    _require_shape("V1", M.V1, sm, pm)
-    _require_shape("V0d", M.V0d, pm, sm)
-    _require_shape("V1d", M.V1d, pm, sm)
-    _require_shape("H_sharp", M.H_sharp, sm, sm)
-    for name, f in (("A", M.A), ("B", M.B), ("Cc", M.Cc), ("D", M.D)):
-        _require_shape(name, f, pm, pm)
+    mods = {"s": sm, "p": pm}
+    for name, f, (a, b) in zip(M._fields[1:], M[1:], _MAP_SHAPES):
+        if f.source != mods[a] or f.target != mods[b]:
+            raise ChainError(f"{name} does not fit the block decomposition")
 
     checks: List[Check] = []
     parity_ok = (M.V0.degree % 2 == 1 and M.V1.degree == M.V0.degree - 1
@@ -455,9 +445,7 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
 
     def run(name: str, fn):
         try:
-            defect = fn()
-            w = defect.nonzero_witness(p)
-            checks.append(Check(name, w is None, w))
+            checks.append(_law(name, fn(), p))
         except ChainError:
             checks.append(Check(name, False))
 

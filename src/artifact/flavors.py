@@ -29,8 +29,9 @@ and ``four_flavors`` packages the four flavor homology tables of a single
 U-complex with their connecting certificates.
 
 The records here are NamedTuples.  ``BalancedComponents`` checks its shapes
-and degrees however it is built, copies included, and ``FlavorBundle`` is a
-slotted class, because it keeps its three p-morphisms privately.
+and degrees however it is built, copies included, and ``FlavorBundle``, the
+package's one ``_Sealed`` record, is a slotted class, because it keeps its
+three p-morphisms privately.
 """
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -49,9 +50,11 @@ from .chain import (
     _HomologyArrow,
     _Sealed,
     _block_map,
+    _law,
     _presentation,
     _reduced_dim,
     _renamed_module,
+    _require_valid,
     commutator,
     cone,
     cone_inclusion,
@@ -59,7 +62,6 @@ from .chain import (
     homology,
     induced_on_homology,
     is_chain_map,
-    validate,
 )
 from .circle import (
     _U_LAYOUT,
@@ -237,17 +239,9 @@ ASSEMBLY_TAGS = (
 )
 
 
-def assemble(components: BalancedComponents,
-             u_bar_blocks: Optional[Dict[Tuple[str, str], GradedMap]] = None,
-             u_check_blocks: Optional[Dict[Tuple[str, str], GradedMap]] = None
-             ) -> FlavorBundle:
+def assemble(components: BalancedComponents) -> FlavorBundle:
     """Glue the flavor complexes and verify every law they must satisfy.
-
-    ``u_bar_blocks``/``u_check_blocks`` optionally replace the derived
-    component blocks of the bar/check U-endomorphisms (keyed by source and
-    target piece letter); replacements are verified like the defaults.
-    Raises AssemblyInconsistent naming the first failing identity.
-    """
+    Raises AssemblyInconsistent naming the first failing identity."""
     c = components
     prime = c.p
 
@@ -282,25 +276,18 @@ def assemble(components: BalancedComponents,
          U, U, 1),
     ])
 
-    bar_defaults = {("s", "s"): c.ubar_ss, ("u", "s"): c.ubar_us,
-                    ("s", "u"): c.ubar_su, ("u", "u"): c.ubar_uu}
-    if u_bar_blocks:
-        bar_defaults.update(u_bar_blocks)
     u_bar = _block_map(bar_mod, bar_mod, -2, [
-        (f, sp + ".{}", tp + ".{}", 1)
-        for (sp, tp), f in sorted(bar_defaults.items())])
-
-    check_defaults = {
-        ("o", "o"): c.u_oo,
-        ("s", "o"): -((c.d_uo @ c.ubar_su) + (c.u_uo @ c.dbar_su)),
-        ("o", "s"): c.u_os,
-        ("s", "s"): c.ubar_ss - (c.d_us @ c.ubar_su) - (c.u_us @ c.dbar_su),
-    }
-    if u_check_blocks:
-        check_defaults.update(u_check_blocks)
+        (c.ubar_ss, S, S, 1),
+        (c.ubar_su, S, U, 1),
+        (c.ubar_us, U, S, 1),
+        (c.ubar_uu, U, U, 1),
+    ])
     u_check = _block_map(check_mod, check_mod, -2, [
-        (f, sp + ".{}", tp + ".{}", 1)
-        for (sp, tp), f in sorted(check_defaults.items())])
+        (c.u_oo, O, O, 1),
+        (c.u_os, O, S, 1),
+        ((c.d_uo @ c.ubar_su) + (c.u_uo @ c.dbar_su), S, O, -1),
+        (c.ubar_ss - (c.d_us @ c.ubar_su) - (c.u_us @ c.dbar_su), S, S, 1),
+    ])
 
     i_map = _block_map(bar_mod, check_mod, 0, [
         (c.d_uo, U, O, -1),
@@ -419,7 +406,7 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
 
     def law(tag: str, m: GradedMap) -> bool:
         """Check that m is zero, under tag."""
-        checks.append(Check(tag, m.is_zero_mod(prime)))
+        checks.append(_law(tag, m, prime))
         return checks[-1].ok
 
     law("eq:1", (l_map @ k_map) - GradedMap.identity(check_mod))
@@ -497,10 +484,7 @@ def tower_model(params: TowerParams) -> BalancedComponents:
         raise ChainError("tower depth must be at least 2")
     if base.module.modulus:
         raise ModulusUnsupported("tower bases need genuine Z-gradings")
-    rep = validate(base)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise ChainError(f"tower base fails law {bad.tag} at {bad.witness}")
+    _require_valid(base, "tower base fails law")
     for k, phi in params.higher_terms:
         if k < 2:
             raise ChainError("higher terms must raise the exponent by >= 2")
@@ -588,10 +572,9 @@ class FourFlavors(NamedTuple):
 
 def four_flavors(C: ChainComplex, window=None) -> FourFlavors:
     """Slice s_u(C) into the four flavors and certify the two fundamental
-    long exact sequences tying them together, both built before returning."""
+    long exact sequences tying them together."""
     S = s_u(C)
     fs = fundamental_sequences(S, window)
-    fs._second()
     tables = {tag: homology(cx) for tag, cx in fs.complexes.items()}
     return FourFlavors(fs.window, tables, fs)
 

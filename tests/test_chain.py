@@ -16,6 +16,7 @@ from artifact.chain import (
     PMorphism,
     _HomologyArrow,
     _block_map,
+    _defect,
     _flags,
     _lattice_exactness,
     _presentation,
@@ -252,6 +253,41 @@ class TestValidate:
                           {("c", "b"): 2, ("b", "a"): 2}, p=2)
         assert validate(C2).ok
 
+    def test_a_passing_law_seeks_no_witness(self, monkeypatch):
+        def refused(self, p=0):
+            raise AssertionError("a witness sought for a passing law")
+
+        monkeypatch.setattr(GradedMap, "nonzero_witness", refused)
+        C = complex_from([("c", 2), ("b", 1), ("a", 0)],
+                         {("c", "b"): 2, ("b", "a"): 2}, p=2)
+        u = GradedMap(C.module, C.module, -2, {("c", "a"): 1})
+        assert validate(C.with_actions(u_action=u)).ok
+
+
+class TestIntertwiningDefect:
+    """``_defect(f, a, b)`` is f.a - (-1)^{|f||a|} b.f, the defect behind
+    the graded commutator, ``is_chain_map``, the U-law of a p-morphism and
+    the Y-law of ``e_y_map``: its sign flips only when both are odd."""
+
+    def test_four_parity_pairs(self):
+        rng = random.Random(1204)
+        M = GradedModule([(f"m{i}.{k}", k) for k in range(-6, 7)
+                          for i in range(2)])
+
+        def random_map(degree):
+            return GradedMap(M, M, degree, {
+                (s, t): rng.randint(-3, 3) for s, ds in M.generators
+                for t, dt in M.generators if dt == ds + degree})
+
+        for f_deg, a_deg in ((0, -2), (2, 1), (-1, -2), (1, -1)):
+            f, a, b = (random_map(d) for d in (f_deg, a_deg, a_deg))
+            assert not (b @ f).is_zero()
+            if f_deg % 2 and a_deg % 2:
+                old = (f @ a) + (b @ f)
+            else:
+                old = (f @ a) - (b @ f)
+            assert _defect(f, a, b) == old
+
 
 class TestHomology:
     def test_sphere_like(self):
@@ -338,6 +374,21 @@ class TestCone:
         f = GradedMap(A.module, B.module, -1, {("a", "b1"): 1})
         with pytest.raises(NotAChainMap):
             cone(f, A, B)
+
+    def test_rejects_a_commuting_map(self):
+        # f.d = d.f != 0, so f.d + d.f is twice an entry over Z
+        gens_a, gens_b = [("a1", 1), ("a0", 0)], [("b0", 0), ("bm1", -1)]
+        entries = {("a1", "b0"): 1, ("a0", "bm1"): 1}
+        for p in (0, 3):
+            A = complex_from(gens_a, {("a1", "a0"): 1}, p=p)
+            B = complex_from(gens_b, {("b0", "bm1"): 1}, p=p)
+            f = GradedMap(A.module, B.module, -1, entries)
+            assert f @ A.d == B.d @ f and not (f @ A.d).is_zero()
+            with pytest.raises(NotAChainMap):
+                cone(f, A, B)
+            g = GradedMap(A.module, B.module, -1,
+                          {**entries, ("a0", "bm1"): -1})
+            assert validate(cone(g, A, B)).ok
 
     def test_inclusion_projection_chain_maps(self):
         rng = random.Random(37)

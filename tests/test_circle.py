@@ -7,14 +7,14 @@ import random
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
-                            GradedModule, ModulusUnsupported, PMorphism,
-                            homology, is_chain_map, validate)
+                            GradedModule, HomologyTable, ModulusUnsupported,
+                            PMorphism, homology, is_chain_map, validate)
 from artifact import circle
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
-                             _name_map, _ses_exact_at, e1_page, e_y, e_y_map,
-                             fundamental_sequences, koszul_a, koszul_b, s_u,
-                             s_u_map, safe_degrees)
+                             ShiftReport, _name_map, _ses_exact_at, e1_page,
+                             e_y, e_y_map, fundamental_sequences, koszul_a,
+                             koszul_b, s_u, s_u_map, safe_degrees)
 from artifact.connsum import cm_flavors
 from artifact.exactlin import AbelianGroup
 
@@ -185,7 +185,7 @@ class TestEY:
         rng = random.Random(22)
         for _ in range(5):
             S = s_u(random_u_complex(rng))
-            win = Window.default_for(S)
+            win = circle._resolve_window(S.module.degrees(), None)
             big = Window(win.lo - 3, win.hi + 3)
             for flavor in ALL_FLAVORS:
                 small_h = homology(e_y(S, flavor, win))
@@ -248,16 +248,16 @@ class TestFundamentalSequences:
         rng = random.Random(33)
         for _ in range(5):
             S = s_u(random_u_complex(rng))
-            win = Window.default_for(S)
+            win = circle._resolve_window(S.module.degrees(), None)
             H = homology(e_y(S, INFINITY, win))
             for j in safe_degrees(S, INFINITY, win):
                 assert H[j].is_trivial()
 
 
 class TestSecondSequenceOnDemand:
-    """``fundamental_sequences`` builds the second sequence (minus into
-    minus by u onto hat) on first access to ``seq2``/``les2``/``delta2``,
-    once; ``ok`` forces it and still certifies it."""
+    """``fundamental_sequences`` builds both sequences before it returns,
+    the second (minus into minus by u onto hat) once per call; reading it
+    or ``ok`` builds nothing more."""
 
     def test_built_once_on_first_access(self, monkeypatch):
         tags = count_les_tags(monkeypatch, circle)
@@ -266,13 +266,13 @@ class TestSecondSequenceOnDemand:
             S = s_u(random_u_complex(rng, p=p))
             tags.clear()
             fs = fundamental_sequences(S)
-            assert tags == {"eq:E-sq1": 1}
+            assert tags == {"eq:E-sq1": 1, "eq:E-sq2": 1}
             assert fs.les2 is fs.les2
             assert fs.seq2 is fs.seq2 and fs.delta2 is fs.delta2
             assert fs.ok
             assert tags == {"eq:E-sq1": 1, "eq:E-sq2": 1}
             assert fundamental_sequences(S).ok
-            assert tags["eq:E-sq2"] == 2
+            assert tags == {"eq:E-sq1": 2, "eq:E-sq2": 2}
 
     def test_a_failing_les2_node_alone_fails_ok(self, monkeypatch):
         original = circle.exactness_pair
@@ -488,7 +488,7 @@ class TestFirstSequenceByName:
         broken = 0
         for p in (0, 2, 3):
             S = s_u(random_u_complex(rng, p=p))
-            win = Window.default_for(S)
+            win = circle._resolve_window(S.module.degrees(), None)
             cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
             minus, inf, plus = (cx[t] for t in circle.FLAVOR_TAGS[:3])
             pairs = [(s, t) for s, ds in minus.module.generators
@@ -516,7 +516,7 @@ class TestFirstSequenceByName:
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_wrong_delta1_entry_fails_the_les(self, monkeypatch, p):
         S = s_u(point(p))
-        win = Window.default_for(S)
+        win = circle._resolve_window(S.module.degrees(), None)
         cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
         gen_degrees = [d for _, d in S.module.generators]
         fs = circle._fundamental(cx, circle._U_LAYOUT, gen_degrees, win)
@@ -661,6 +661,14 @@ class TestKoszulA:
             for flavor in ALL_FLAVORS:
                 rep = koszul_a(C, flavor)
                 assert rep.shift == expected[flavor.tag], flavor.tag
+
+    def test_trivial_sides_match_only_on_a_common_safe_degree(self):
+        trivial = HomologyTable({})
+        assert circle._match_shift(trivial, trivial, [0, 1], [1, 2]) == \
+            ShiftReport(0, {})
+        for left, right in (([0], [1]), ([], [0]), ([], [])):
+            assert not circle._match_shift(trivial, trivial, left,
+                                           right).matched
 
     def test_mod_p_shifts(self):
         rng = random.Random(53)

@@ -387,6 +387,22 @@ class TestVacuousCertificates:
         for tag in tags:
             assert f"kind=check tag={tag} status=pass" in text
 
+    def test_koszul_with_no_degree_safe_on_both_sides_does_not_match(self):
+        # both sides are trivial at every safe degree, but no degree is
+        # safe on both, so nothing was compared
+        code, text = run(Manifest(command="koszul", direction="a",
+                                  flavor="minus", seed=7,
+                                  window=Window(0, 0)))
+        assert code == 1
+        assert text.splitlines()[0] == "shift=none, match=no"
+
+    def test_case2_on_an_empty_window_fails(self):
+        code, text = run(Manifest(command="consum-case2", flavor="hat",
+                                  window=Window(20, 21),
+                                  inputs=(str(CORPUS / "point.txt"),)))
+        assert code == 1
+        assert text.splitlines()[0] == "FAIL eq:S=eq:E"
+
     def test_empty_certificate_is_not_ok(self):
         C = parse(str(CORPUS / "utower.txt"))
         seqs = four_flavors(C, Window(0, 1)).sequences

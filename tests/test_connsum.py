@@ -396,7 +396,7 @@ class TestCase2:
                      u={("c", "a"): 1})
         assert case2_check(C, "hat")
         SUn = s_u(C.with_actions(u_action=C.u_action.scale(-1)))
-        win = Window.default_for(SUn)
+        win = circle._resolve_window(SUn.module.degrees(), None)
         right = e_y(SUn, HAT, win)
         assert right.d.entries == {
             (f"{s}.u0", f"{t}.u0"): v for (s, t), v in SUn.d.entries.items()}
@@ -418,6 +418,12 @@ class TestCase2:
                                p=p, with_u=True).complex
             for tag in ("minus", "infinity", "plus", "hat"):
                 assert case2_check(C, tag), f"trial {trial} flavor {tag}"
+
+    def test_an_empty_window_compares_nothing_and_fails(self):
+        for tag in ("minus", "hat"):
+            with pytest.raises(IdentificationFailed,
+                               match="nothing to compare"):
+                case2_check(ucomplex([("e", 0)]), tag, (20, 21))
 
     def test_error_type_carries_entry(self):
         err = IdentificationFailed("mismatch", entry=("a", "b"))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
-                            GradedModule, PMorphism, homology,
+                            GradedModule, PMorphism, commutator, homology,
                             induced_on_homology, validate)
 from artifact import circle, flavors
 from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
@@ -300,13 +300,13 @@ class TestOneVerificationPerPMorphism:
 
     def test_five_verifications_per_case(self, monkeypatch):
         verified = []
-        original = PMorphism.chain_map_defect
+        original = PMorphism.u_defect
 
         def counting(self):
             verified.append(self)
             return original(self)
 
-        monkeypatch.setattr(PMorphism, "chain_map_defect", counting)
+        monkeypatch.setattr(PMorphism, "u_defect", counting)
         b = assemble(tower_model(TowerParams(base=mod2_base(p=2), n=3)))
         assert verified == [b.pm_i(), b.pm_j(), b.pm_p()]
         assert b.pm_i() is b.pm_i() and b.pm_p() is b.pm_p()
@@ -323,6 +323,29 @@ class TestOneVerificationPerPMorphism:
         assert not b2.pm_p().verify() and b.pm_p().verify()
 
 
+class TestConeLawWitnesses:
+    """A failing law of ``cone_identities`` carries the first nonzero entry
+    of its defect, as every law of ``validate`` does."""
+
+    def test_failing_law_carries_its_defect_witness(self):
+        b = assemble(golden_one())
+        bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
+        b2 = b._replace(k_p=b.k_p + bump)
+        checks = {c.tag: c for c in cone_identities(b2).checks}
+        EC = cone_total(b2)
+        defect = commutator(EC.d, EC.u_action)
+        assert checks["eq:U-cone"] == Check(
+            "eq:U-cone", False, defect.nonzero_witness(b2.hat.p))
+        assert checks["eq:U-cone"].witness is not None
+        laws = ("eq:1", "eq:2", "eq:3", "eq:4", "eq:S2:rho1", "eq:S2:rho2",
+                "eq:S2:rho3", "eq:U-cone")
+        assert not checks["eq:S2:rho2"].ok
+        for tag in laws:
+            assert (checks[tag].witness is None) == checks[tag].ok
+        # the unperturbed bundle passes every law with no witness
+        assert all(c.witness is None for c in cone_identities(b).checks)
+
+
 def _tower_bundles():
     for p in (2, 3):
         for n in (3, 4, 5):
@@ -332,16 +355,27 @@ def _tower_bundles():
 
 class TestSecondSequenceWhereReported:
     """``ladder_check`` reports only the first fundamental sequence of each
-    doubled complex and never builds the second; ``four_flavors`` and
-    ``cm_flavors`` report both and build both before they return."""
+    doubled complex and builds neither the second nor a hat slice;
+    ``four_flavors`` and ``cm_flavors`` report both and build both before
+    they return."""
 
     def test_ladder_builds_no_second_sequence(self, monkeypatch):
         tags = count_les_tags(monkeypatch, circle, flavors)
+        sliced = []
+        original = circle._expand
+
+        def recording(generators, terms, layout, flavor_tags, win, p):
+            sliced.extend(flavor_tags)
+            return original(generators, terms, layout, flavor_tags, win, p)
+
+        monkeypatch.setattr(circle, "_expand", recording)
         for b in _tower_bundles():
             tags.clear()
+            sliced.clear()
             assert ladder_check(b).ok
             assert tags == {"eq:E-sq1": 3, "eq:induced-KM1": 1,
                             "eq:KM-bottom": 1}
+            assert sliced and "hat" not in sliced
 
     def test_reporters_return_with_both_sequences_built(self, monkeypatch):
         tags = count_les_tags(monkeypatch, circle, flavors)
@@ -362,8 +396,8 @@ class TestSecondSequenceWhereReported:
         for b in _tower_bundles():
             for cx in (b.hat, b.bar, b.check):
                 S = s_u(cx)
-                for win in (Window.default_for(S), Window(-3, 3),
-                            Window(0, 1)):
+                for win in (circle._resolve_window(S.module.degrees(), None),
+                            Window(-3, 3), Window(0, 1)):
                     assert fundamental_sequences(S, win).safe == {
                         fl.tag: set(safe_degrees(S, fl, win))
                         for fl in ALL_FLAVORS}

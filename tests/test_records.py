@@ -1,8 +1,9 @@
 """Record behaviour.  Value records are NamedTuples: read-only, equal and
 hashed by their fields, with the dataclass-style repr.  Records that
 validate their values refuse a bad value however they are built, copies
-included.  The two records with private state are slotted classes that
-refuse assignment, and a bundle's copy rebuilds its p-morphisms."""
+included.  The one record with private state, the flavor bundle, is a
+slotted class that refuses assignment, and its copy rebuilds its
+p-morphisms."""
 
 from pathlib import Path
 
@@ -47,7 +48,7 @@ class TestValueRecords:
                               (golden_one(), "p"),
                               (SumInput(u_point(), u_point()), "C1"),
                               (bundle, "k_p"), (bundle, "_pms"),
-                              (fs, "seq1"), (fs, "_second")):
+                              (fs, "seq1"), (fs, "seq2")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
             with pytest.raises(AttributeError):
@@ -148,6 +149,7 @@ class TestSlottedRecords:
     def test_equality_is_identity(self):
         b = assemble(tower_model(TowerParams(base=u_point(), n=2)))
         assert b == b and b != b._replace()
+        # a NamedTuple of sequences compares its complexes by identity
         C = s_u(u_point())
         fs = fundamental_sequences(C)
         assert fs == fs and fs != fundamental_sequences(C)
