@@ -56,6 +56,7 @@ from .chain import (
     PMorphism,
     _Checked,
     _HomologyArrow,
+    _apply,
     _block_map,
     _defect,
     _renamed_module,
@@ -599,27 +600,13 @@ def _plus_model_gens(C: ChainComplex, win: Window) -> Set[str]:
     closed under reachability through d and U (so the restricted span is a
     genuine subcomplex).  For a finite complex fitting in the window this is
     everything; for a truncated translation tower it is only the edge band."""
-    p = C.p
-
-    def step(vec: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for g, c in vec.items():
-            for t, v in C.u_action.image_of(g).items():
-                w = out.get(t, 0) + c * v
-                if w:
-                    out[t] = w
-                else:
-                    out.pop(t, None)
-        if p:
-            out = {k: v % p for k, v in out.items() if v % p}
-        return out
-
+    u_rows = C.u_action._rows().get
     kept: Set[str] = set()
     for g, dg in C.module.generators:
         vec = {g: 1}
         d = dg
         while vec and d >= win.lo:
-            vec = step(vec)
+            vec = _apply(vec, u_rows, C.p)
             d -= 2
         if not vec:
             kept.add(g)

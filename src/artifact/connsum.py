@@ -61,6 +61,7 @@ from .circle import (
     _fundamental,
     _match_shift,
     _resolve_window,
+    _restricted,
     e_y,
     s_u,
 )
@@ -312,9 +313,7 @@ def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
 def _degree_band(C: ChainComplex, lo: int, hi: int) -> ChainComplex:
     gens = [(n, d) for n, d in C.module.generators if lo <= d <= hi]
     module = GradedModule(gens)
-    ent = {k: v for k, v in C.d.entries.items()
-           if k[0] in module and k[1] in module}
-    return ChainComplex(module, GradedMap(module, module, -1, ent), p=C.p)
+    return ChainComplex(module, _restricted(C.d, module, module), p=C.p)
 
 
 def case2_check(C: ChainComplex, flavor, window=None) -> bool:

@@ -1,20 +1,22 @@
-"""Exact linear algebra over Z and prime fields.
+"""Exact linear algebra over Z, with ranks over prime fields.
 
-Everything here is exact: arbitrary-precision integers, or residues mod a
-prime p.  The ring is selected by an integer parameter ``p`` on each
-operation -- ``p=0`` means Z, ``p`` a prime means F_p.  Matrices are stored
-sparsely as ``(row, col) -> nonzero value``.
+Everything here is exact: arbitrary-precision integers.  Matrices are
+stored sparsely as ``(row, col) -> nonzero value``.
 
-The workhorse is Smith normal form with unimodular transforms, from which
-ranks, saturated kernels, exact linear solves, and finitely generated
+The workhorse is Smith normal form over Z with unimodular transforms, from
+which saturated kernels, exact linear solves, and finitely generated
 abelian-group quotients all follow.  Its pivot rule fixes the transforms:
 the entry of least absolute value, first in row-major order.  The
 reduction keeps the right transform by columns, so each row or column
-operation costs only the entries it changes, and over F_p it reduces
-entries mod p as it writes them.  A matrix already in the form the
-reduction would leave untouched (only leading diagonal entries, forming
-the divisibility chain over Z or all 1 mod p; empty and zero matrices
-among them) is returned with identity transforms without a workspace.
+operation costs only the entries it changes.  A matrix already in the
+form the reduction would leave untouched (only leading diagonal entries,
+forming a positive divisibility chain; empty and zero matrices among them)
+is returned with identity transforms without a workspace.
+
+Over F_p (``p`` prime) nothing is factored: ``chain`` reduces an F_p
+complex until its differential vanishes, so every F_p homology group is a
+plain ``PresentedGroup`` (``from_pair`` with ``p``), and every F_p verdict
+is a rank, from ``field_rank``.  Only Z torsion needs the Smith form.
 
 Factor once, solve many: a matrix is factored once per use and every
 right-hand side is back-substituted through that one factorization.
@@ -280,26 +282,23 @@ def _axpy(acc: Dict[int, int], vec: Dict[int, int], c: int, p: int) -> None:
 
 
 class _Worker:
-    """Workspace of one Smith reduction, tracking left/right transforms.
+    """Workspace of one Smith reduction over Z, tracking left/right
+    transforms.
 
     The matrix ``a`` and the left transform are lists of row dicts; the
     right transform is a list of column dicts, so every row and column
-    operation touches only the entries it changes.  With ``p`` prime every
-    entry is kept reduced mod p as it is written.  The reduction clears one
+    operation touches only the entries it changes.  The reduction clears one
     row and column per step, so during step ``t`` the rows and columns
     before t hold only their diagonal entry, and column operations on ``a``
     visit rows t and up only.  With ``inverse`` it keeps the inverse of
     the left transform too, transposed, undoing each row operation there.
     """
 
-    def __init__(self, M: IntMatrix, p: int = 0, inverse: bool = False):
-        self.n, self.m, self.p = M.rows, M.cols, p
+    def __init__(self, M: IntMatrix, inverse: bool = False):
+        self.n, self.m = M.rows, M.cols
         self.a: List[Dict[int, int]] = [dict() for _ in range(self.n)]
         for (i, j), v in M.entries.items():
-            if p:
-                v %= p
-            if v:
-                self.a[i][j] = v
+            self.a[i][j] = v
         self.left: List[Dict[int, int]] = [{i: 1} for i in range(self.n)]
         self.right: List[Dict[int, int]] = [{j: 1} for j in range(self.m)]
         self.inv = [{i: 1} for i in range(self.n)] if inverse else None
@@ -311,20 +310,15 @@ class _Worker:
             mat[i1], mat[i2] = mat[i2], mat[i1]
 
     def row_addmul(self, dst, src, c):
-        _axpy(self.a[dst], self.a[src], c, self.p)
-        _axpy(self.left[dst], self.left[src], c, self.p)
+        _axpy(self.a[dst], self.a[src], c, 0)
+        _axpy(self.left[dst], self.left[src], c, 0)
         if self.inv:
-            _axpy(self.inv[src], self.inv[dst], -c, self.p)
+            _axpy(self.inv[src], self.inv[dst], -c, 0)
 
-    def row_scale(self, i, c):
-        p = self.p
-        scaled = [(self.a, c), (self.left, c)]
-        if self.inv:
-            # over Z c is -1, its own inverse
-            scaled.append((self.inv, _inv_mod(c, p) if p else c))
-        for mat, k in scaled:
-            mat[i] = ({j: v * k % p for j, v in mat[i].items()} if p
-                      else {j: v * k for j, v in mat[i].items()})
+    def row_negate(self, i):
+        # -1 is its own inverse, so the kept inverse's row is negated too
+        for mat in (self.a, self.left) + ((self.inv,) if self.inv else ()):
+            mat[i] = {j: -v for j, v in mat[i].items()}
 
     def col_swap(self, t, j):
         """Swap columns t and j >= t during step t."""
@@ -344,8 +338,8 @@ class _Worker:
         # col_dst += c * col_t during step t, once column t of ``a`` holds
         # only its pivot: of ``a`` only row t changes, and the same
         # elementary matrix multiplies the accumulated right transform.
-        _axpy(self.a[t], {dst: self.a[t][t]}, c, self.p)
-        _axpy(self.right[dst], self.right[t], c, self.p)
+        _axpy(self.a[t], {dst: self.a[t][t]}, c, 0)
+        _axpy(self.right[dst], self.right[t], c, 0)
 
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
         lent = {(i, j): v for i, row in enumerate(self.left) for j, v in row.items()}
@@ -395,7 +389,7 @@ def _snf_int(w: _Worker) -> SNFResult:
         w.col_swap(t, pos[1])
         while True:
             if a[t][t] < 0:
-                w.row_scale(t, -1)
+                w.row_negate(t)
             piv = a[t][t]
             # knock the rest of column t down by floor division
             col_left = None
@@ -441,80 +435,49 @@ def _inv_mod(v: int, p: int) -> int:
     return pow(v, p - 2, p)
 
 
-def _snf_field(w: _Worker) -> SNFResult:
-    a, p = w.a, w.p
-    t = 0
-    limit = min(w.n, w.m)
-    while t < limit:
-        r = next((i for i in range(t, w.n) if a[i]), None)
-        if r is None:
-            break
-        w.row_swap(t, r)
-        w.col_swap(t, min(a[t]))
-        # scale row t so the pivot is 1 (invertible over F_p)
-        if a[t][t] != 1:
-            w.row_scale(t, _inv_mod(a[t][t], p))
-        for i in range(t + 1, w.n):
-            v = a[i].get(t)
-            if v:
-                w.row_addmul(i, t, -v)
-        for j in [j for j in a[t] if j != t]:
-            w.col_addmul(j, t, -a[t][j])
-        t += 1
-    left, right = w.matrices()
-    return SNFResult([1] * t, left, right)
-
-
-def _already_reduced(M: IntMatrix, p: int) -> Optional[List[int]]:
+def _already_reduced(M: IntMatrix) -> Optional[List[int]]:
     """The factors of M if the reduction would leave M untouched, else None.
 
     That is when M's entries are exactly (0,0) ... (r-1,r-1) and form a
-    positive divisibility chain over Z, or are all 1 mod p over F_p; empty
-    and zero matrices included."""
+    positive divisibility chain; empty and zero matrices included."""
     ent = M.entries
     factors = []
     prev = 1
     for k in range(len(ent)):
         v = ent.get((k, k))
-        if v is None:
-            return None
-        if p:
-            if v % p != 1:
-                return None
-            v = 1
-        elif v < 0 or v % prev:
+        if v is None or v < 0 or v % prev:
             return None
         factors.append(v)
         prev = v
     return factors
 
 
-def snf(M: IntMatrix, p: int = 0) -> SNFResult:
-    """Smith normal form with transforms: left @ M @ right = diag(factors).
+def snf(M: IntMatrix) -> SNFResult:
+    """Smith normal form over Z with transforms: left @ M @ right =
+    diag(factors), the factors a positive divisibility chain and the
+    transforms unimodular.
 
-    Over Z the factors form a positive divisibility chain and the transforms
-    are unimodular.  Over F_p (``p`` prime) the factors are all 1 and the
-    transforms are invertible mod p.  Pivoting picks the entry of minimal
-    absolute value, first in row-major order, for determinism (over F_p
-    every entry is a unit, so the first one).  A matrix that is already in
-    that form, with only the leading diagonal entries set, is returned
-    with identity transforms without running the reduction; that is the
-    answer the reduction itself gives.
+    Pivoting picks the entry of minimal absolute value, first in row-major
+    order, for determinism.  A matrix that is already in that form, with
+    only the leading diagonal entries set, is returned with identity
+    transforms without running the reduction; that is the answer the
+    reduction itself gives.  Over F_p nothing calls for a factorization:
+    ranks come from ``field_rank``.
     """
-    return _factor(M, p)[0]
+    return _factor(M)[0]
 
 
-def _factor(M: IntMatrix, p: int = 0, inverse: bool = False
+def _factor(M: IntMatrix, inverse: bool = False
             ) -> Tuple[SNFResult, Optional[IntMatrix]]:
-    """``snf(M, p)``, and with ``inverse`` the inverse of its left
+    """``snf(M)``, and with ``inverse`` the inverse of its left
     transform, which the reduction keeps beside it (else None)."""
-    factors = _already_reduced(M, p)
+    factors = _already_reduced(M)
     if factors is not None:
         one = IntMatrix.identity(M.rows)
         return (SNFResult(factors, one, IntMatrix.identity(M.cols)),
                 one if inverse else None)
-    w = _Worker(M, p, inverse)
-    res = _snf_field(w) if p else _snf_int(w)
+    w = _Worker(M, inverse)
+    res = _snf_int(w)
     return res, None if w.inv is None else IntMatrix._trusted(
         M.rows, M.rows, {(i, j): v for j, row in enumerate(w.inv)
                          for i, v in row.items()})
@@ -574,41 +537,32 @@ def _kernel_head(res: SNFResult, head: int) -> IntMatrix:
     return IntMatrix._trusted(head, res.right.cols - rank, ent)
 
 
-def rank_and_kernel(M: IntMatrix, p: int = 0) -> Tuple[int, IntMatrix]:
-    """Rank and a saturated integral (or F_p) kernel basis, as columns."""
-    res = snf(M, p)
+def rank_and_kernel(M: IntMatrix) -> Tuple[int, IntMatrix]:
+    """Rank and a saturated integral kernel basis, as columns (over F_p
+    the rank alone is ``field_rank``'s)."""
+    res = snf(M)
     return len(res.factors), _kernel_head(res, M.cols)
 
 
-def _back_substitute(res: SNFResult, B: IntMatrix,
-                     p: int = 0) -> Optional[IntMatrix]:
-    """Solve M @ X = B through a factorization ``res`` of M: one product
-    with each transform for all columns of B; None if some column has no
-    solution."""
+def _back_substitute(res: SNFResult, B: IntMatrix) -> Optional[IntMatrix]:
+    """Solve M @ X = B over Z through a factorization ``res`` of M: one
+    product with each transform for all columns of B; None if some column
+    has no solution."""
     rank = len(res.factors)
-    lb = res.left @ B
-    if p:
-        # every factor over a field is 1
-        lb = lb.mod(p)
-        if any(i >= rank for i, _ in lb.entries):
+    y = {}
+    for (i, j), v in (res.left @ B).entries.items():
+        if i >= rank:
             return None
-        y = lb.entries
-    else:
-        y = {}
-        for (i, j), v in lb.entries.items():
-            if i >= rank:
-                return None
-            d = res.factors[i]
-            if v % d:
-                return None
-            y[(i, j)] = v // d
-    x = res.right @ IntMatrix(res.right.rows, B.cols, y)
-    return x.mod(p) if p else x
+        d = res.factors[i]
+        if v % d:
+            return None
+        y[(i, j)] = v // d
+    return res.right @ IntMatrix(res.right.rows, B.cols, y)
 
 
-def solve(M: IntMatrix, B: IntMatrix, p: int = 0) -> Optional[IntMatrix]:
-    """One exact solution X of M @ X = B over Z or F_p, or None when some
-    column of B has no solution.
+def solve(M: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """One exact solution X of M @ X = B over Z, or None when some column
+    of B has no solution.
 
     B may have any number of columns: M is factored once and every column
     is back-substituted through that factorization, so the result equals
@@ -618,20 +572,20 @@ def solve(M: IntMatrix, B: IntMatrix, p: int = 0) -> Optional[IntMatrix]:
         raise DimensionMismatch("solve expects right-hand sides of matching height")
     if B.is_zero():
         return IntMatrix(M.cols, B.cols)
-    return _back_substitute(snf(M, p), B, p)
+    return _back_substitute(snf(M), B)
 
 
-def lattice_contains(basis: IntMatrix, vectors: IntMatrix, p: int = 0) -> bool:
-    """True iff every column of ``vectors`` lies in the span of ``basis``."""
-    return solve(basis, vectors, p) is not None
+def lattice_contains(basis: IntMatrix, vectors: IntMatrix) -> bool:
+    """True iff every column of ``vectors`` lies in the Z-span of ``basis``."""
+    return solve(basis, vectors) is not None
 
 
-def lattices_equal(a: IntMatrix, b: IntMatrix, p: int = 0) -> bool:
-    return lattice_contains(a, b, p) and lattice_contains(b, a, p)
+def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
+    return lattice_contains(a, b) and lattice_contains(b, a)
 
 
 class PresentedGroup:
-    """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n or F_p^n.
+    """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n.
 
     Carries canonical coordinates: first the torsion coordinates (moduli
     d_i >= 2 in chain order), then the free coordinates.  Used to present
@@ -639,9 +593,11 @@ class PresentedGroup:
     cycle basis is factored once, by ``from_pair`` when it has boundaries to
     express in it and otherwise the first time coordinates are asked of it,
     and every coordinate request back-substitutes through it.  When both
-    differentials are zero (every F_p presentation of a reduced complex)
-    ``from_pair`` builds a plain group and factors nothing: every vector is
-    a cycle and its own coordinates; ``cycles`` and ``rel`` are None.
+    differentials are zero ``from_pair`` builds a plain group and factors
+    nothing: every vector is a cycle and its own coordinates; ``cycles`` and
+    ``rel`` are None.  Only a plain group may be over F_p (``p`` prime,
+    coordinates mod p): a reduced F_p complex has d' = 0, so that is every
+    F_p presentation ``chain`` builds.
 
     ``chain`` presents each homology group on a reduction C' of its
     complex, so there Z^n is C'_j, and reads classes of C in it by pushing
@@ -652,21 +608,20 @@ class PresentedGroup:
     _reps: Optional[IntMatrix] = None
     _cycles_snf: Optional[SNFResult] = None
     _plain = False
+    p = 0
 
-    def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix,
-                 p: int = 0):
-        self.p = p
+    def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix):
         self.cycles = cycles                      # n x z, saturated basis
         self.rel = boundaries_in_cycle_coords     # z x b
         self.dim = cycles.rows
-        res, self._left_inverse = _factor(self.rel, p, True)
+        res, self._left_inverse = _factor(self.rel, True)
         self.rel_left = res.left
         z = cycles.cols
         rank = len(res.factors)
         self.torsion_moduli: List[int] = []
         self.torsion_rows: List[int] = []
         for i, d in enumerate(res.factors):
-            if p == 0 and d >= 2:
+            if d >= 2:
                 self.torsion_moduli.append(d)
                 self.torsion_rows.append(i)
         self.free_rows = list(range(rank, z))
@@ -674,6 +629,8 @@ class PresentedGroup:
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
+        """ker(d_out) / im(d_in); over F_p (``p`` prime) only a plain group,
+        with both differentials zero, else ``ExactLinError``."""
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
         if d_in.is_zero() and d_out.is_zero():
@@ -684,14 +641,17 @@ class PresentedGroup:
             pg.free_rows = list(range(pg.dim))
             pg.group = AbelianGroup(pg.dim)
             return pg
-        _, cycles = rank_and_kernel(d_out, p)
+        if p:
+            raise ExactLinError(
+                f"F{p} presentations are plain: reduce the complex first")
+        _, cycles = rank_and_kernel(d_out)
         # coordinates are later taken through the same factorization
-        res = None if d_in.is_zero() else snf(cycles, p)
+        res = None if d_in.is_zero() else snf(cycles)
         rel = (IntMatrix(cycles.cols, d_in.cols) if res is None
-               else _back_substitute(res, d_in, p))
+               else _back_substitute(res, d_in))
         if rel is None:
             raise ExactLinError("boundary is not a cycle; composition nonzero?")
-        pg = cls(cycles, rel, p)
+        pg = cls(cycles, rel)
         pg._cycles_snf = res
         return pg
 
@@ -711,13 +671,11 @@ class PresentedGroup:
         if vectors.is_zero():
             return IntMatrix(self.rank_coords(), vectors.cols)
         if self._cycles_snf is None:
-            self._cycles_snf = snf(self.cycles, self.p)
-        x = _back_substitute(self._cycles_snf, vectors, self.p)
+            self._cycles_snf = snf(self.cycles)
+        x = _back_substitute(self._cycles_snf, vectors)
         if x is None:
             return None
         y = self.rel_left @ x
-        if self.p:
-            y = y.mod(self.p)
         pos = {i: a for a, i in enumerate(self.torsion_rows + self.free_rows)}
         nt = len(self.torsion_rows)
         ent = {}
@@ -759,12 +717,13 @@ class PresentedGroup:
         return IntMatrix(a, len(self.torsion_moduli), ent)
 
 
-def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix, relations: IntMatrix,
-                    p: int = 0) -> bool:
-    """Equality of subgroups of a presented group, by double inclusion."""
+def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix,
+                    relations: IntMatrix) -> bool:
+    """Equality of subgroups of a presented group over Z, by double
+    inclusion."""
     ga = IntMatrix.hstack([gens_a, relations])
     gb = IntMatrix.hstack([gens_b, relations])
-    return lattice_contains(gb, gens_a, p) and lattice_contains(ga, gens_b, p)
+    return lattice_contains(gb, gens_a) and lattice_contains(ga, gens_b)
 
 
 def kernel_of_presented_map(F: IntMatrix,

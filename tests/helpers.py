@@ -12,7 +12,9 @@ classes of a complex C read in C itself through the degree blocks of its
 reduction's iota and pi, the oracle for the class matrices that
 ``chain._HomologyArrow._push`` reads in C'; and small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
-``homology_of_pair``, ``to_dense``).
+``homology_of_pair``, ``unreduced_presentation``, ``to_dense``).  The
+lattice oracles factor through ``snf_reference``, over Z and over F_p,
+where the program only reduces and takes ranks.
 """
 
 import random
@@ -25,9 +27,10 @@ from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
-                               DimensionMismatch, IntMatrix, PresentedGroup,
-                               _back_substitute, _kernel_head, lattice_contains,
-                               rank_and_kernel, snf, solve, subgroups_equal)
+                               DimensionMismatch, IntMatrix, PresentedGroup)
+from snf_reference import (FieldPresentation, reference_back_substitute,
+                           reference_kernel, reference_lattice_contains,
+                           reference_snf, reference_solve)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
@@ -250,22 +253,22 @@ def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,
     """Module-level exactness of 0 -> A -> B -> C -> 0 at the middle degree
     by lattices, for any maps: the composite vanishes, inject is injective,
     project surjective, and the image of inject equals the kernel of
-    project.  The oracle for the name bookkeeping of
-    ``circle._ses_exact_at``."""
+    project, by the reference factorizations over Z and F_p.  The oracle
+    for the name bookkeeping of ``circle._ses_exact_at``."""
     bi = inject.block(mid_degree - inject.degree)
     bp = project.block(mid_degree)
     comp = (bp @ bi).mod(p) if p else (bp @ bi)
     if not comp.is_zero():
         return False
-    res_i = snf(bi, p)
+    res_i = reference_snf(bi, p)
     if len(res_i.factors) != bi.cols:           # injective
         return False
-    rp, kp = rank_and_kernel(bp, p)
+    rp, kp = reference_kernel(bp, p)
     if rp != bp.rows:           # surjective
         return False
     # image = kernel as lattices, the image side through its one factorization
-    return (_back_substitute(res_i, kp, p) is not None
-            and lattice_contains(kp, bi, p))
+    return (reference_back_substitute(res_i, kp, p) is not None
+            and reference_lattice_contains(kp, bi, p))
 
 
 def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
@@ -273,15 +276,20 @@ def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
     """(contained, equal) of an LES node by four factorizations: the
     kernel of G from [G | target torsion], F solved in that kernel plus the
     middle torsion, and a double inclusion of subgroups modulo the middle
-    torsion.  The oracle for ``chain._lattice_exactness``, which reads
-    ``contained`` off G.F and factors twice."""
+    torsion, by the reference factorizations over Z and F_p.  The oracle
+    for ``chain._lattice_exactness``, which reads ``contained`` off G.F and
+    factors twice, and for ``chain._rank_exactness``."""
     t_mid = mid.torsion_relation_columns()
     t_tgt = tgt.torsion_relation_columns()
-    kernel_gens = IntMatrix.hstack(
-        [_kernel_head(snf(IntMatrix.hstack([G, t_tgt]), p), G.cols), t_mid])
-    contained = solve(kernel_gens, F, p) is not None
-    equal = contained and subgroups_equal(
-        IntMatrix.hstack([F, t_mid]), kernel_gens, t_mid, p)
+    _, ker = reference_kernel(IntMatrix.hstack([G, t_tgt]), p)
+    kernel_gens = IntMatrix.hstack([IntMatrix(G.cols, ker.cols, {
+        (i, j): v for (i, j), v in ker.entries.items() if i < G.cols}), t_mid])
+    contained = reference_solve(kernel_gens, F, p) is not None
+    image = IntMatrix.hstack([F, t_mid])
+    # the two subgroups, each with the middle torsion, contain each other
+    equal = contained and all(
+        reference_lattice_contains(IntMatrix.hstack([a, t_mid]), b, p)
+        for a, b in ((kernel_gens, image), (image, kernel_gens)))
     return contained, equal
 
 
@@ -317,15 +325,25 @@ def count_les_tags(monkeypatch, *modules) -> Counter:
 # Reference readings and constructions the program does not ship
 # ---------------------------------------------------------------------------
 
-def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix,
-                     p: int = 0) -> AbelianGroup:
-    """ker(d_out) / im(d_in) where d_in maps into and d_out maps out of Z^n."""
+def unreduced_presentation(d_in: IntMatrix, d_out: IntMatrix, p: int = 0):
+    """ker(d_out) / im(d_in) with coordinates, where d_in maps into and
+    d_out maps out of Z^n or F_p^n, with no reduction first: a
+    ``PresentedGroup`` over Z, the reference ``FieldPresentation`` over
+    F_p (the program presents F_p homology only once reduced)."""
     if d_out.cols != d_in.rows:
         raise DimensionMismatch(
             f"ambient mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
     if not (d_out @ d_in).mod(p).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
-    return PresentedGroup.from_pair(d_in, d_out, p).group
+    if p:
+        return FieldPresentation(d_in, d_out, p)
+    return PresentedGroup.from_pair(d_in, d_out)
+
+
+def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix,
+                     p: int = 0) -> AbelianGroup:
+    """ker(d_out) / im(d_in) where d_in maps into and d_out maps out of Z^n."""
+    return unreduced_presentation(d_in, d_out, p).group
 
 
 def direct_sum(A: ChainComplex, B: ChainComplex,

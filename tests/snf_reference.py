@@ -8,12 +8,18 @@ are copied unchanged: the dense-walking version performs the row and column
 operations in the order the pivot rule dictates, so its transforms are the
 ones ``snf`` must still return entry for entry.  Nothing under ``src/``
 imports this file.
+
+The program factors over Z only (over F_p it reduces and takes ranks), so
+the F_p factorizations the oracles need live here too, on
+``reference_snf`` over any ring: ``reference_back_substitute``,
+``reference_kernel``, ``reference_solve``, ``reference_lattice_contains``,
+and ``FieldPresentation``, a homology group over F_p with coordinates.
 """
 
 from typing import Dict, List, Optional, Tuple
 
-from artifact.exactlin import (DimensionMismatch, ExactLinError, IntMatrix,
-                               SNFResult)
+from artifact.exactlin import (AbelianGroup, DimensionMismatch, ExactLinError,
+                               IntMatrix, SNFResult)
 
 
 class _Worker:
@@ -231,3 +237,70 @@ def invert_unimodular(L: IntMatrix, p: int = 0) -> IntMatrix:
         raise ExactLinError("matrix is not invertible over the ring")
     inv = res.right @ res.left
     return inv.mod(p) if p else inv
+
+
+def reference_back_substitute(res: SNFResult, B: IntMatrix,
+                              p: int = 0) -> Optional[IntMatrix]:
+    """Solve M @ X = B through a factorization ``res`` of M over Z
+    (``p`` 0) or F_p, or None if some column of B has no solution."""
+    rank = len(res.factors)
+    y = {}
+    for (i, j), v in (res.left @ B).mod(p).entries.items():
+        if i >= rank or v % res.factors[i]:
+            return None
+        y[(i, j)] = v // res.factors[i]
+    return (res.right @ IntMatrix(res.right.rows, B.cols, y)).mod(p)
+
+
+def reference_kernel(M: IntMatrix, p: int = 0) -> Tuple[int, IntMatrix]:
+    """Rank and a kernel basis (saturated over Z), as columns."""
+    res = reference_snf(M, p)
+    rank = len(res.factors)
+    return rank, IntMatrix(M.cols, M.cols - rank, {
+        (i, j - rank): v for (i, j), v in res.right.entries.items()
+        if j >= rank})
+
+
+def reference_solve(M: IntMatrix, B: IntMatrix,
+                    p: int = 0) -> Optional[IntMatrix]:
+    return reference_back_substitute(reference_snf(M, p), B, p)
+
+
+def reference_lattice_contains(basis: IntMatrix, vectors: IntMatrix,
+                               p: int = 0) -> bool:
+    """True iff every column of ``vectors`` lies in the span of ``basis``."""
+    return reference_solve(basis, vectors, p) is not None
+
+
+class FieldPresentation:
+    """ker(d_out) / im(d_in) over F_p, unreduced, with the coordinates of a
+    ``PresentedGroup``: a basis of the cycles, the boundaries in it, and
+    the free rows of the left transform of their factorization."""
+
+    def __init__(self, d_in: IntMatrix, d_out: IntMatrix, p: int):
+        _, self.cycles = reference_kernel(d_out, p)
+        res = reference_snf(reference_solve(self.cycles, d_in, p), p)
+        self.p, self.dim, self.left = p, d_out.cols, res.left
+        self.free_rows = list(range(len(res.factors), self.cycles.cols))
+        self.group = AbelianGroup(len(self.free_rows))
+
+    def rank_coords(self) -> int:
+        return len(self.free_rows)
+
+    def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        x = reference_solve(self.cycles, vectors, self.p)
+        if x is None:
+            return None
+        y = (self.left @ x).mod(self.p)
+        pos = {r: a for a, r in enumerate(self.free_rows)}
+        return IntMatrix(self.rank_coords(), vectors.cols, {
+            (pos[i], j): v for (i, j), v in y.entries.items() if i in pos})
+
+    def representatives(self) -> IntMatrix:
+        e = IntMatrix(self.left.rows, self.rank_coords(),
+                      {(r, k): 1 for k, r in enumerate(self.free_rows)})
+        inv = invert_unimodular(self.left, self.p)
+        return (self.cycles @ inv @ e).mod(self.p)
+
+    def coords_are_zero(self, coords) -> bool:
+        return all(c % self.p == 0 for c in coords)

@@ -39,7 +39,7 @@ from artifact.circle import (ALL_FLAVORS, HAT, MINUS, Window, e_y, e_y_map,
 from artifact.cli import parse, parse_all
 from artifact.connsum import (FilteredComplex, case1_check, case2_check,
                               check_positivity, cm_flavors, verify_sum_maps)
-from artifact.exactlin import IntMatrix, rank_and_kernel, solve
+from artifact.exactlin import IntMatrix
 from artifact.flavors import (ASSEMBLY_TAGS, AssemblyInconsistent,
                               BalancedComponents, TowerParams, assemble,
                               cone_identities, four_flavors, ladder_check,
@@ -47,6 +47,7 @@ from artifact.flavors import (ASSEMBLY_TAGS, AssemblyInconsistent,
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import compose, random_complex, random_pmorphism  # noqa: E402
+from snf_reference import reference_kernel, reference_solve  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 GOLDEN_DRIVER = Path(__file__).resolve().parent / "golden" / "driver_machine.txt"
@@ -477,7 +478,7 @@ def _degree_blocks(f):
 
 
 def _injective(f, p):
-    return all(rank_and_kernel(M, p)[1].cols == 0
+    return all(reference_kernel(M, p)[1].cols == 0
                for _, M in _degree_blocks(f))
 
 
@@ -494,7 +495,7 @@ def _surjective(f, p):
         M = IntMatrix(len(tgt), len(src), ent)
         for r in range(len(tgt)):
             e = IntMatrix(len(tgt), 1, {(r, 0): 1})
-            if solve(M, e, p) is None:
+            if reference_solve(M, e, p) is None:
                 return False
     return True
 

@@ -54,6 +54,7 @@ from helpers import (
     random_pmorphism,
     reduction_maps,
     to_dense,
+    unreduced_presentation,
     verify_homotopy,
 )
 
@@ -778,8 +779,9 @@ class TestPresentationMemo:
 
 
 def _oracle(C, j):
-    """The unreduced presentation of C at degree j."""
-    return PresentedGroup.from_pair(C.d.block(j + 1), C.d.block(j), C.p)
+    """The unreduced presentation of C at degree j (over F_p the
+    reference one)."""
+    return unreduced_presentation(C.d.block(j + 1), C.d.block(j), C.p)
 
 
 def _reduction_inputs():

@@ -5,25 +5,28 @@ comparison ladder."""
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             GradedModule, PMorphism, commutator, homology,
                             induced_on_homology, validate)
-from artifact import circle, flavors
+from artifact import circle, exactlin, flavors
 from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
                              NotAPMorphism, Window, _su_map,
-                             fundamental_sequences, s_u, s_u_map,
+                             fundamental_sequences, koszul_b, s_u, s_u_map,
                              safe_degrees)
-from artifact.connsum import FilteredComplex, cm_flavors
+from artifact.cli import parse
+from artifact.connsum import FilteredComplex, case1_check, cm_flavors
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
                               FlavorBundle, TowerParams, assemble,
                               cone_identities, cone_total, four_flavors,
                               ladder_check, tower_model)
 
-from helpers import count_les_tags, random_complex, random_pmorphism
+from helpers import (count_les_tags, laurent_form, random_complex,
+                     random_pmorphism)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -236,6 +239,34 @@ class TestFieldPathFactorsNothing:
         assert ladder_check(b).ok
         assert callers["solve"] == []
         assert callers["snf"] == []
+
+    def test_no_certificate_reaches_the_factorization(self, monkeypatch):
+        # ``exactlin._factor`` is the one Smith form, over Z only: every
+        # F_p homology table and certificate runs with it raising
+        def refuse(*args, **kwargs):
+            raise AssertionError("an F_p path factored")
+
+        monkeypatch.setattr(exactlin, "_factor", refuse)
+        corpus = Path(__file__).resolve().parent.parent / "corpus" / "v1"
+        periodic = parse(str(corpus / "f2periodic.txt"))
+        assert periodic.p == 2 and homology(periodic).is_trivial()
+        bundles = [assemble(parse(str(corpus / "f2pair.txt"))),
+                   assemble(tower_model(TowerParams(base=mod2_base(p=3),
+                                                    n=3)))]
+        for b in bundles:
+            assert b.hat.p in (2, 3)
+            assert cone_identities(b).ok and ladder_check(b).ok
+        rng = random.Random(19)
+        for _ in range(6):
+            C = random_complex(rng, max_pieces=4, p=3, with_u=True).complex
+            S = s_u(C)
+            assert four_flavors(C).ok
+            assert koszul_b(S).ok
+            assert cm_flavors(laurent_form(S)).ok
+            assert case1_check(C, 4).ok
+        # the same patch stops a Z complex with torsion
+        with pytest.raises(AssertionError, match="factored"):
+            homology(mod2_base())
 
 
 class TestOneDoublingPerCertificate:

@@ -55,13 +55,13 @@ def test_scale_z_counts_the_kept_inverse():
         el = scale_z.exactlin
         M, one = el.IntMatrix.from_rows([[3]]), el.IntMatrix.identity(1)
 
-        def stub(M, p=0, inverse=False):
+        def stub(M, inverse=False):
             return (el.SNFResult((3,), one, one),
                     one.scale(2 ** 70) if inverse else None)
 
         mp.setattr(el, "_factor", stub)
         assert scale_z._counts(lambda: el._factor(M)) == (0, 2)
-        assert scale_z._counts(lambda: el._factor(M, 0, True)) == (0, 71)
+        assert scale_z._counts(lambda: el._factor(M, True)) == (0, 71)
 
 
 SCALE_LADDER = SCALE_Z.parent / "scale_ladder.py"

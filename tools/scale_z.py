@@ -66,8 +66,8 @@ def _counts(run):
         return node
 
     def measuring(original):
-        def factor(M, p=0, inverse=False):
-            res, inv = original(M, p, inverse)
+        def factor(M, inverse=False):
+            res, inv = original(M, inverse)
             bits[0] = max([bits[0]] + [abs(v).bit_length()
                                        for m in (M, res.left, res.right, inv)
                                        if m is not None
