@@ -28,13 +28,13 @@ block built.  Over F_p an exactness node of a long exact sequence is then
 decided by ranks.
 
 Many constructions are block matrices over renamed copies of generator
-sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly
-from o/s/u pieces, the tower levels.  ``_renamed_module`` lists the
-generators of several pieces in order, each renamed by a name format such
-as ``"h.{}"`` or ``"{}.y"`` and shifted in degree; ``_block_map`` sums
-blocks (map, source format, target format, sign) between such modules.
-The result is an ordinary ``GradedMap``, so every block entry is still
-checked against the assembled modules and the map's degree.
+sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly,
+the tower levels.  ``_renamed_module`` lists pieces' generators in order,
+each renamed by a format such as ``"{}.y"`` and shifted in degree, and
+``_block_map`` sums blocks (map, source format, target format, sign) into
+a checked ``GradedMap``.  A window truncation of a renamed map is
+``circle._restricted`` of a ``_block_map`` over the untruncated piece; the
+one per-exponent exception, ``circle._slotwise``, has no such piece.
 
 Results are records: ``typing.NamedTuple`` classes, read-only and compared
 by their fields.  A record that validates its values puts ``_Checked``

@@ -583,18 +583,6 @@ def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
 # The first-page models and both Koszul comparisons
 # ---------------------------------------------------------------------------
 
-def _line_copy(f: GradedMap, module: GradedModule, suffix: str,
-               degree: int, scale: int = 1) -> GradedMap:
-    """scale * f copied onto the one exponent line ``suffix`` of module."""
-    kept = set(module.names())
-    ent = {}
-    for (s, t), v in f.entries.items():
-        k = (f"{s}{suffix}", f"{t}{suffix}")
-        if k[0] in kept and k[1] in kept:
-            ent[k] = scale * v
-    return GradedMap(module, module, degree, ent)
-
-
 def _plus_model_gens(C: ChainComplex, win: Window) -> Set[str]:
     """Generators whose iterated-U orbit dies before leaving the window,
     closed under reachability through d and U (so the restricted span is a
@@ -645,12 +633,14 @@ def e1_page(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
         keep = set(C.module.names())
     n = 1 if flavor.tag == "minus" else 0
     u_sign = {"minus": 1, "plus": -1}.get(flavor.tag, 0)
-    line = f".u{n}"
-    module = GradedModule([(f"{g}{line}", dg - 2 * n)
+    line = f"{{}}.u{n}"
+    whole = _renamed_module([(C.module, line, -2 * n)])
+    module = GradedModule([(f"{g}.u{n}", dg - 2 * n)
                            for g, dg in C.module.generators
                            if g in keep and win.lo <= dg - 2 * n <= win.hi])
-    d = _line_copy(C.d, module, line, -1, -1)
-    u = _line_copy(C.u_action, module, line, -2, u_sign)
+    d, u = (_restricted(_block_map(whole, whole, f.degree,
+                                   [(f, line, line, sign)]), module, module)
+            for f, sign in ((C.d, -1), (C.u_action, u_sign)))
     return ChainComplex(module, d, u_action=u, p=C.p)
 
 
@@ -752,17 +742,13 @@ def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
     sr = list(range(win.lo - 1, win.hi + 2))
     report = _match_shift(left, right, sl, sr)
 
-    ent: Dict[Tuple[str, str], int] = {}
-    names = set(SUm.module.names())
-    for (g, t), v in C.y_action.entries.items():
-        tn = f"{t}.u1"
-        if tn in names:
-            ent[(g, tn)] = v
-    for g, _dg in C.module.generators:
-        tn = f"{g}.u1.y"
-        if tn in names:
-            ent[(g, tn)] = ent.get((g, tn), 0) + 1
-    W = GradedMap(C.module, SUm.module, -1, ent)
+    # the witness over the whole line u1 and its y copy, cut to the slice
+    whole = _renamed_module([(C.module, "{}.u1", -2),
+                             (C.module, "{}.u1.y", -1)])
+    W = _restricted(_block_map(C.module, whole, -1, [
+        (C.y_action, "{}", "{}.u1", 1),
+        (_name_identity(C.module, C.module), "{}", "{}.u1.y", 1)]),
+        C.module, SUm.module)
     witness_ok = is_chain_map(W, C, SUm)
     if witness_ok:
         # the witness intertwines the y-actions on the nose: W(Yz) = Y(W(z))

@@ -163,7 +163,9 @@ def _int(tok: str, lineno: int, what: str = "integer") -> int:
         raise ParseError(lineno, f"expected {what}, got {tok!r}") from None
 
 
-def _ring(tok: str, lineno: int) -> int:
+def _ring(toks: List[str], lineno: int) -> int:
+    _arity(toks, lineno, 2)
+    tok = toks[1]
     if tok == "Z":
         return 0
     m = re.fullmatch(r"F(\d+)", tok)
@@ -186,9 +188,12 @@ def _arity(toks: List[str], lineno: int, count: int) -> None:
         raise ParseError(lineno, f"{toks[0]} takes {count - 1} argument(s)")
 
 
-def _wrap_chain_error(e: ChainError) -> ValidationError:
-    law = "degree-homogeneity" if "homogeneity" in str(e) else "structure"
-    return ValidationError(law, str(e))
+def _add_entry(ent: Dict[Tuple[str, str], int], toks: List[str],
+               lineno: int) -> None:
+    """Add a ``<keyword> <src> <dst> <coeff>`` row to ent; repeats sum."""
+    _arity(toks, lineno, 4)
+    key = (toks[1], toks[2])
+    ent[key] = ent.get(key, 0) + _int(toks[3], lineno, "coefficient")
 
 
 def _parse_complex(b: _Block) -> Union[ChainComplex, FilteredComplex]:
@@ -200,8 +205,7 @@ def _parse_complex(b: _Block) -> Union[ChainComplex, FilteredComplex]:
     for lineno, toks in b.rows:
         kw = toks[0]
         if kw == "ring":
-            _arity(toks, lineno, 2)
-            ring = _ring(toks[1], lineno)
+            ring = _ring(toks, lineno)
         elif kw == "mod":
             _arity(toks, lineno, 2)
             mod = _int(toks[1], lineno, "grading modulus")
@@ -209,10 +213,7 @@ def _parse_complex(b: _Block) -> Union[ChainComplex, FilteredComplex]:
             _arity(toks, lineno, 3)
             gens.append((toks[1], _int(toks[2], lineno, "degree")))
         elif kw in ents:
-            _arity(toks, lineno, 4)
-            key = (toks[1], toks[2])
-            ents[kw][key] = ents[kw].get(key, 0) + _int(
-                toks[3], lineno, "coefficient")
+            _add_entry(ents[kw], toks, lineno)
         elif kw == "dU":
             _arity(toks, lineno, 5)
             laurent.setdefault((toks[1], toks[2]), []).append(
@@ -227,20 +228,12 @@ def _parse_complex(b: _Block) -> Union[ChainComplex, FilteredComplex]:
             raise ParseError(b.line, "filtered complexes are Z-graded "
                              "(mod must be 0)")
         from .connsum import FilteredComplex
-        try:
-            return FilteredComplex(gens, laurent, p=ring)
-        except ChainError as e:
-            raise _wrap_chain_error(e) from None
-    try:
-        module = GradedModule(gens, modulus=mod)
-        return ChainComplex(
-            module,
-            GradedMap(module, module, -1, ents["d"]),
-            u_action=GradedMap(module, module, -2, ents["u"]),
-            y_action=GradedMap(module, module, 1, ents["y"]),
-            p=ring)
-    except ChainError as e:
-        raise _wrap_chain_error(e) from None
+        return FilteredComplex(gens, laurent, p=ring)
+    module = GradedModule(gens, modulus=mod)
+    return ChainComplex(module, GradedMap(module, module, -1, ents["d"]),
+                        u_action=GradedMap(module, module, -2, ents["u"]),
+                        y_action=GradedMap(module, module, 1, ents["y"]),
+                        p=ring)
 
 
 def _map_field(spec: str, lineno: int) -> str:
@@ -260,8 +253,7 @@ def _parse_components(b: _Block) -> BalancedComponents:
     for lineno, toks in b.rows:
         kw = toks[0]
         if kw == "ring":
-            _arity(toks, lineno, 2)
-            ring = _ring(toks[1], lineno)
+            ring = _ring(toks, lineno)
             section = None
         elif kw == "part":
             _arity(toks, lineno, 2)
@@ -285,23 +277,17 @@ def _parse_components(b: _Block) -> BalancedComponents:
         elif kw == "entry":
             if section is None or section[0] != "map":
                 raise ParseError(lineno, "entry outside a map section")
-            _arity(toks, lineno, 4)
-            ent = maps[section[1]]
-            key = (toks[1], toks[2])
-            ent[key] = ent.get(key, 0) + _int(toks[3], lineno, "coefficient")
+            _add_entry(maps[section[1]], toks, lineno)
         else:
             raise ParseError(lineno, f"unknown keyword {kw!r} in components")
-    try:
-        mods = {letter: GradedModule(g) for letter, g in parts.items()}
-        built = {}
-        for name, ent in maps.items():
-            src_field, tgt_field, deg = _SHAPES[name]
-            built[name] = GradedMap(mods[src_field[-1]], mods[tgt_field[-1]],
-                                    deg, ent)
-        return BalancedComponents.zeros(mods["o"], mods["s"], mods["u"],
-                                        p=ring, **built)
-    except ChainError as e:
-        raise _wrap_chain_error(e) from None
+    mods = {letter: GradedModule(g) for letter, g in parts.items()}
+    built = {}
+    for name, ent in maps.items():
+        src_field, tgt_field, deg = _SHAPES[name]
+        built[name] = GradedMap(mods[src_field[-1]], mods[tgt_field[-1]], deg,
+                                ent)
+    return BalancedComponents.zeros(mods["o"], mods["s"], mods["u"], p=ring,
+                                    **built)
 
 
 def _parse_summaps(b: _Block,
@@ -327,10 +313,7 @@ def _parse_summaps(b: _Block,
         elif kw == "entry":
             if current is None:
                 raise ParseError(lineno, "entry outside a map section")
-            _arity(toks, lineno, 4)
-            ent = maps[current][1]
-            key = (toks[1], toks[2])
-            ent[key] = ent.get(key, 0) + _int(toks[3], lineno, "coefficient")
+            _add_entry(maps[current][1], toks, lineno)
         else:
             raise ParseError(lineno, f"unknown keyword {kw!r} in summaps")
     if of_names is None or sharp_name is None:
@@ -352,15 +335,12 @@ def _parse_summaps(b: _Block,
     c1 = complex_named(of_names[0])
     c2 = complex_named(of_names[1])
     sharp = complex_named(sharp_name)
-    try:
-        inputs = SumInput(c1, c2)
-        mods = {"s": sharp.module, "p": product_complex(inputs).module}
-        # ConnSumMaps lists the maps in the order of _SUMMAP_NAMES
-        built = ConnSumMaps(sharp, *(
-            GradedMap(mods[a], mods[b], *maps[name])
-            for name, (a, b) in zip(_SUMMAP_NAMES, _MAP_SHAPES)))
-    except ChainError as e:
-        raise _wrap_chain_error(e) from None
+    inputs = SumInput(c1, c2)
+    mods = {"s": sharp.module, "p": product_complex(inputs).module}
+    # ConnSumMaps lists the maps in the order of _SUMMAP_NAMES
+    built = ConnSumMaps(sharp, *(
+        GradedMap(mods[a], mods[b], *maps[name])
+        for name, (a, b) in zip(_SUMMAP_NAMES, _MAP_SHAPES)))
     return SumSpec(b.name, inputs, built)
 
 
@@ -371,12 +351,17 @@ def parse_all_text(text: str) -> List[Tuple[str, ParsedObject]]:
     for b in _blocks(text):
         if b.name in named:
             raise ParseError(b.line, f"duplicate block name {b.name!r}")
-        if b.kind == "complex":
-            obj: ParsedObject = _parse_complex(b)
-        elif b.kind == "components":
-            obj = _parse_components(b)
-        else:
-            obj = _parse_summaps(b, named)
+        try:
+            if b.kind == "complex":
+                obj: ParsedObject = _parse_complex(b)
+            elif b.kind == "components":
+                obj = _parse_components(b)
+            else:
+                obj = _parse_summaps(b, named)
+        except ChainError as e:
+            law = "degree-homogeneity" if "homogeneity" in str(e) \
+                else "structure"
+            raise ValidationError(law, str(e)) from None
         named[b.name] = obj
         out.append((b.name, obj))
     if not out:
@@ -413,6 +398,11 @@ def _complex_rows(C: Union[ChainComplex, FilteredComplex]):
         if f is not None for s, t in sorted(f.entries)]
 
 
+def _entry_lines(f: GradedMap) -> List[str]:
+    return [f"  entry {s} {t} {f.entries[(s, t)]}"
+            for s, t in sorted(f.entries)]
+
+
 def print_complex(C: Union[ChainComplex, FilteredComplex], name: str) -> str:
     mod, gens, ents = _complex_rows(C)
     lines = [f"complex {name}", f"  ring {_ring_name(C.p)}", f"  mod {mod}"]
@@ -436,8 +426,7 @@ def print_components(bc: BalancedComponents, name: str) -> str:
             continue
         kind, st = field.rsplit("_", 1)
         lines.append(f"  map {kind}:{st[0]}->{st[1]}")
-        for s, t in sorted(f.entries):
-            lines.append(f"  entry {s} {t} {f.entries[(s, t)]}")
+        lines += _entry_lines(f)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -451,8 +440,7 @@ def print_sum_file(spec: SumSpec, c1_name: str = "c1", c2_name: str = "c2",
              f"  sharp {sharp_name}"]
     for name, f in zip(_SUMMAP_NAMES, spec.maps[1:], strict=True):
         lines.append(f"  map {name} {f.degree}")
-        for s, t in sorted(f.entries):
-            lines.append(f"  entry {s} {t} {f.entries[(s, t)]}")
+        lines += _entry_lines(f)
     lines.append("end")
     parts.append("\n".join(lines) + "\n")
     return "".join(parts)
@@ -475,11 +463,6 @@ def _group_machine(g: AbelianGroup, p: int) -> str:
     return _group_text(g, p).replace(" ", "")
 
 
-def _quoted(message: str) -> str:
-    """Escape backslashes and double quotes inside a quoted record value."""
-    return message.replace("\\", "\\\\").replace('"', '\\"')
-
-
 class _Report:
     def __init__(self, fmt: str):
         self.fmt = fmt
@@ -489,35 +472,30 @@ class _Report:
     def raw(self, line: str) -> None:
         self.lines.append(line)
 
+    def emit(self, kind: str, fields: str, text: str) -> None:
+        """One record: ``kind=<kind> <fields>`` in machine format, else
+        the text line."""
+        self.raw(f"kind={kind} {fields}" if self.fmt == "machine" else text)
+
     def check(self, *checks: Check) -> None:
         for c in checks:
             self.failed = self.failed or not c.ok
-            if self.fmt == "machine":
-                status = "pass" if c.ok else "fail"
-                self.raw(f"kind=check tag={c.tag} status={status}")
-            else:
-                self.raw(f"{'PASS' if c.ok else 'FAIL'} {c.tag}")
+            status = "pass" if c.ok else "fail"
+            self.emit("check", f"tag={c.tag} status={status}",
+                      f"{status.upper()} {c.tag}")
 
     def info(self, key: str, value) -> None:
-        if self.fmt == "machine":
-            self.raw(f"kind=info {key}={value}")
-        else:
-            self.raw(f"{key}={value}")
+        self.emit("info", f"{key}={value}", f"{key}={value}")
 
     def window(self, win: Window) -> None:
         self.info("window", f"{win.lo}..{win.hi}")
 
-    def detail(self, message: str) -> None:
-        if self.fmt == "machine":
-            self.raw(f'kind=detail message="{_quoted(message)}"')
-        else:
-            self.raw(f"  {message}")
-
-    def error(self, message: str) -> None:
-        if self.fmt == "machine":
-            self.raw(f'kind=error message="{_quoted(message)}"')
-        else:
-            self.raw(f"ERROR {message}")
+    def message(self, kind: str, prefix: str, message: str) -> None:
+        """A detail or error record: the text line is prefix + message;
+        machine format quotes the message, escaping backslashes and double
+        quotes."""
+        quoted = message.replace("\\", "\\\\").replace('"', '\\"')
+        self.emit(kind, f'message="{quoted}"', prefix + message)
 
     def homology_table(self, H: HomologyTable, p: int,
                        flavor: Optional[str] = None,
@@ -542,19 +520,15 @@ class _Report:
         self.failed = self.failed or not r.ok
         shift = f"{r.shift:+d}" if r.shift is not None else "none"
         yn = "yes" if r.ok else "no"
-        if self.fmt == "machine":
-            self.raw(f"kind=result shift={shift} match={yn}")
-        else:
-            self.raw(f"shift={shift}, match={yn}")
+        self.emit("result", f"shift={shift} match={yn}",
+                  f"shift={shift}, match={yn}")
         for j in sorted(r.per_degree):
             expected, got = r.per_degree[j]
-            if self.fmt == "machine":
-                self.raw(f"kind=pair degree={j} "
-                         f"expected={_group_machine(expected, p)} "
-                         f"got={_group_machine(got, p)}")
-            else:
-                self.raw(f"H_{j} = {_group_text(expected, p)} ~ "
-                         f"{_group_text(got, p)}")
+            self.emit("pair", f"degree={j} expected="
+                      f"{_group_machine(expected, p)} "
+                      f"got={_group_machine(got, p)}",
+                      f"H_{j} = {_group_text(expected, p)} ~ "
+                      f"{_group_text(got, p)}")
 
     def complex_block(self, C: Union[ChainComplex, FilteredComplex],
                       name: str) -> None:
@@ -656,28 +630,39 @@ def _loaded_instance(obj, module: str, cls: str) -> bool:
     return mod is not None and isinstance(obj, getattr(mod, cls))
 
 
+def _assembled(obj: BalancedComponents, rep: _Report
+               ) -> Optional[FlavorBundle]:
+    """The flavor bundle of obj, or None once the law it fails is
+    reported."""
+    from .flavors import AssemblyInconsistent, assemble
+    try:
+        return assemble(obj)
+    except AssemblyInconsistent as e:
+        rep.check(Check(e.tag, False))
+        return None
+
+
+def _check_sum_maps(spec: SumSpec, rep: _Report) -> None:
+    from .connsum import verify_sum_maps
+    rep.check(*verify_sum_maps(spec.inputs, spec.maps).checks)
+
+
 def _cmd_verify(m: Manifest, rep: _Report) -> None:
-    name, obj = _primary(m)
+    _, obj = _primary(m)
     if isinstance(obj, ChainComplex):
         rep.check(*validate(obj).checks)
     elif isinstance(obj, SumSpec):
-        from .connsum import verify_sum_maps
-        rep.check(*verify_sum_maps(obj.inputs, obj.maps).checks)
+        _check_sum_maps(obj, rep)
     elif _loaded_instance(obj, "connsum", "FilteredComplex"):
         from .connsum import check_positivity
         # the constructor refuses a complex that fails either of the first
         # two, so only positivity can fail here
         rep.check(Check("degree-homogeneity", True), Check("d.d=0", True),
                   Check("positivity", check_positivity(obj)))
-    else:
-        from . import flavors
-        try:
-            bundle = flavors.assemble(obj)
-        except flavors.AssemblyInconsistent as e:
-            rep.check(Check(e.tag, False))
-            return
-        rep.check(*(Check(tag, True) for tag in flavors.ASSEMBLY_TAGS))
-        rep.check(*flavors.cone_identities(bundle).checks)
+    elif (bundle := _assembled(obj, rep)) is not None:
+        from .flavors import ASSEMBLY_TAGS, cone_identities
+        rep.check(*(Check(tag, True) for tag in ASSEMBLY_TAGS))
+        rep.check(*cone_identities(bundle).checks)
 
 
 def _cmd_homology(m: Manifest, rep: _Report) -> None:
@@ -709,8 +694,8 @@ def _cmd_flavors(m: Manifest, rep: _Report) -> None:
     _, C = _chain_input(m)
     ff = four_flavors(C, m.window)
     rep.window(ff.window)
-    for tag in ("minus", "infinity", "plus", "hat"):
-        rep.homology_table(ff.tables[tag], C.p, flavor=tag)
+    for tag, H in ff.tables.items():
+        rep.homology_table(H, C.p, flavor=tag)
     rep.check(*ff.sequences.checks)
 
 
@@ -725,16 +710,13 @@ def _cmd_koszul(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_ladder(m: Manifest, rep: _Report) -> None:
-    from . import flavors
+    from .flavors import BalancedComponents, ladder_check
     _, obj = _primary(m)
-    if not isinstance(obj, flavors.BalancedComponents):
+    if not isinstance(obj, BalancedComponents):
         raise ValidationError("manifest", "ladder needs a components file")
-    try:
-        bundle = flavors.assemble(obj)
-    except flavors.AssemblyInconsistent as e:
-        rep.check(Check(e.tag, False))
+    if (bundle := _assembled(obj, rep)) is None:
         return
-    lr = flavors.ladder_check(bundle, m.window)
+    lr = ladder_check(bundle, m.window)
     rep.window(lr.window)
     # the vanishing line, which decides whether the j isomorphism is
     # checked, follows the cone's two checks
@@ -775,12 +757,12 @@ def _cmd_cmflavors(m: Manifest, rep: _Report) -> None:
         fl = cm_flavors(obj, m.window)
     except PositivityViolated as e:
         rep.check(Check("positivity", False))
-        rep.detail(str(e))
+        rep.message("detail", "  ", str(e))
         return
     rep.check(Check("positivity", True))
     rep.window(fl.window)
-    for tag in ("minus", "infinity", "plus", "hat"):
-        rep.homology_table(homology(fl.complexes[tag]), obj.p, flavor=tag)
+    for tag, cx in fl.complexes.items():
+        rep.homology_table(homology(cx), obj.p, flavor=tag)
     rep.check(*fl.checks)
 
 
@@ -799,7 +781,7 @@ def _cmd_case2(m: Manifest, rep: _Report) -> None:
         ok = case2_check(C, flavor.tag, m.window)
     except IdentificationFailed as e:
         rep.check(Check("eq:S=eq:E", False))
-        rep.detail(str(e))
+        rep.message("detail", "  ", str(e))
         return
     rep.check(Check("eq:S=eq:E", ok))
 
@@ -809,8 +791,7 @@ def _cmd_consum_verify(m: Manifest, rep: _Report) -> None:
     if not isinstance(obj, SumSpec):
         raise ValidationError("manifest", "consum-verify needs a summaps "
                               "file")
-    from .connsum import verify_sum_maps
-    rep.check(*verify_sum_maps(obj.inputs, obj.maps).checks)
+    _check_sum_maps(obj, rep)
 
 
 _HANDLERS = {
@@ -835,7 +816,7 @@ def run(manifest: Manifest) -> Tuple[int, str]:
     try:
         _HANDLERS[manifest.command](manifest, rep)
     except (ParseError, ValidationError, ChainError) as e:
-        rep.error(str(e))
+        rep.message("error", "ERROR ", str(e))
         return 2, rep.render()
     return (1 if rep.failed else 0), rep.render()
 

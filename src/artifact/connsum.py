@@ -67,21 +67,6 @@ from .circle import (
 )
 from .exactlin import AbelianGroup, IntMatrix, is_prime, snf
 
-__all__ = [
-    "ConnSumMaps",
-    "FilteredComplex",
-    "IdentificationFailed",
-    "PositivityViolated",
-    "SumInput",
-    "case1_check",
-    "case2_check",
-    "check_positivity",
-    "cm_flavors",
-    "product_complex",
-    "verify_sum_maps",
-]
-
-
 class PositivityViolated(ChainError):
     """A differential exponent is negative, so the exponent >= 0 span is
     not a subcomplex."""
@@ -110,7 +95,7 @@ class FilteredComplex:
     identity.
     """
 
-    __slots__ = ("generators", "d_entries", "p", "_deg")
+    __slots__ = ("generators", "d_entries", "p")
 
     def __init__(self, generators: Iterable[Tuple[str, int]],
                  d_entries: Dict[Tuple[str, str], Iterable[Tuple[int, int]]],
@@ -142,7 +127,7 @@ class FilteredComplex:
             if clean:
                 entries[(src, dst)] = clean
         for slot, value in zip(FilteredComplex.__slots__,
-                               (gens, entries, int(p), deg)):
+                               (gens, entries, int(p))):
             object.__setattr__(self, slot, value)
         self._check_square()
 
@@ -168,9 +153,6 @@ class FilteredComplex:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
-
-    def degree_of(self, name: str) -> int:
-        return self._deg[name]
 
     def entry(self, src: str, dst: str) -> Tuple[Tuple[int, int], ...]:
         return self.d_entries.get((src, dst), ())

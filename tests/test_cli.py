@@ -82,28 +82,66 @@ class TestParsing:
         assert [name for name, _ in objs] == ["one", "two"]
         assert parse(path).module.generators == (("b", 1),)
 
-    @pytest.mark.parametrize("text,lineno,fragment", [
-        ("complex c\n  gen a 0\n  frob a b 1\nend\n", 3, "unknown keyword"),
-        ("gen a 0\n", 1, "outside a block"),
-        ("complex c\n  gen a 0\nend\nend\n", 4, "outside any block"),
-        ("complex c\n  ring Q\n  gen a 0\nend\n", 2, "ring"),
-        ("complex c\n  gen a zero\nend\n", 2, "degree"),
-        ("complex c\n  gen a 0\nend\ncomplex c\n  gen b 0\nend\n", 4,
-         "duplicate block name"),
-        ("complex c\n  mod 2\n  gen a 0\n  gen b 1\n  dU b a 1 0\nend\n", 1,
-         "Z-graded"),
-        ("components x\n  gen a 0\nend\n", 2, "outside a part"),
-        ("components x\n  map q:o->s\nend\n", 2, "map spec"),
-        ("components x\n  entry a b 1\nend\n", 2, "outside a map"),
-        ("summaps m\n  of a b\nend\n", 1, "sharp"),
-        ("", 1, "no blocks"),
-    ])
-    def test_parse_errors(self, tmp_path, text, lineno, fragment):
+    # each id names its case by a short label of the message
+    @pytest.mark.parametrize("text,lineno,message", [
+        pytest.param(text, lineno, message, id=f"{text}-{lineno}-{label}")
+        for text, lineno, label, message in [
+            ("complex c\n  gen a 0\n  frob a b 1\nend\n", 3,
+             "unknown keyword", "unknown keyword 'frob' in a complex"),
+            ("gen a 0\n", 1, "outside a block",
+             "unexpected 'gen' outside a block"),
+            ("complex c\n  gen a 0\nend\nend\n", 4, "outside any block",
+             "end outside any block"),
+            ("complex c\n  ring Q\n  gen a 0\nend\n", 2, "ring",
+             "ring must be Z or F<p>, got 'Q'"),
+            ("complex c\n  gen a zero\nend\n", 2, "degree",
+             "expected degree, got 'zero'"),
+            ("complex c\n  gen a 0\nend\ncomplex c\n  gen b 0\nend\n", 4,
+             "duplicate block name", "duplicate block name 'c'"),
+            ("complex c\n  mod 2\n  gen a 0\n  gen b 1\n  dU b a 1 0\nend\n",
+             1, "Z-graded", "filtered complexes are Z-graded (mod must be 0)"),
+            ("components x\n  gen a 0\nend\n", 2, "outside a part",
+             "gen outside a part section"),
+            ("components x\n  map q:o->s\nend\n", 2, "map spec",
+             "map spec must look like d:o->s, got 'q:o->s'"),
+            ("components x\n  entry a b 1\nend\n", 2, "outside a map",
+             "entry outside a map section"),
+            ("summaps m\n  of a b\nend\n", 1, "sharp",
+             "summaps needs both an of line and a sharp line"),
+            ("", 1, "no blocks", "no blocks found"),
+        ]])
+    def test_parse_errors(self, tmp_path, text, lineno, message):
         path = write(tmp_path, text)
         with pytest.raises(ParseError) as exc:
             parse_all(path)
         assert exc.value.line == lineno
-        assert fragment in exc.value.message
+        assert exc.value.message == message
+
+    @pytest.mark.parametrize("text,law,witness", [
+        ("complex c\n  gen a 0\n  gen b 0\n  d a b 1\nend\n",
+         "degree-homogeneity",
+         "entry 'a'->'b' violates degree -1 homogeneity"),
+        ("components x\n  part o\n  gen a 0\n  part s\n  gen b 0\n"
+         "  map d:o->s\n  entry a b 1\nend\n",
+         "degree-homogeneity",
+         "entry 'a'->'b' violates degree -1 homogeneity"),
+        ("complex c1\n  gen a 0\nend\ncomplex c2\n  gen e 0\nend\n"
+         "complex sh\n  gen s 0\nend\nsummaps m\n  of c1 c2\n  sharp sh\n"
+         "  map V0 -1\n  entry s a|e 1\n  map V1 0\n  map V0d 0\n"
+         "  map V1d 0\n  map Hsharp 1\n  map A 1\n  map B 1\n  map C 1\n"
+         "  map D 1\nend\n",
+         "degree-homogeneity",
+         "entry 's'->'a|e' violates degree -1 homogeneity"),
+        ("complex f\n  gen a 1\n  gen b 0\n  gen c -1\n  dU a b 1 0\n"
+         "  dU b c 1 0\nend\n",
+         "structure", "d.d != 0: ('a' -> 'c') exponent 0 has coefficient 1"),
+    ], ids=["complex", "components", "summaps", "filtered"])
+    def test_construction_errors(self, tmp_path, text, law, witness):
+        # the engine's ChainError, reported as the law the block breaks
+        with pytest.raises(ValidationError) as exc:
+            parse_all(write(tmp_path, text))
+        assert exc.value.law == law
+        assert str(exc.value) == f"{law}: {witness}"
 
     def test_summaps_requires_all_nine_maps(self, tmp_path):
         text = ("complex c1\n  gen a 0\nend\n"

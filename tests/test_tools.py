@@ -130,12 +130,15 @@ def test_ab_inprocess_lines_on_this_checkout_twice():
     root = str(AB_INPROCESS.parent.parent)
     lines = list(ab.compare(root, root, "ladder_fp", 1, rounds=2, cases=2))
     number = r"\d+\.\d{4}"
-    assert len(lines) == 3
+    assert len(lines) == 4
     for r, line in enumerate(lines[:2], 1):
         assert re.fullmatch(rf"round={r} a_s={number} b_s={number} "
                             r"ratio=\d+\.\d{3}", line), line
     assert re.fullmatch(rf"median a_s={number} b_s={number} "
                         r"ratio=\d+\.\d{3} rounds=2", lines[2]), lines[2]
+    m = re.fullmatch(r"spread q1=(\d+\.\d{3}) q3=(\d+\.\d{3})", lines[3])
+    assert m, lines[3]
+    assert float(m.group(1)) <= float(m.group(2))
     # both sides are unloaded, and the package under test is untouched
     assert not any(k.startswith(ab.PREFIX) for k in sys.modules)
     assert sys.modules.get("artifact") is artifact

@@ -23,9 +23,16 @@ times) and ratio = a_s / b_s (above 1: B is faster):
 
     round=1 a_s=0.9512 b_s=0.8123 ratio=1.171
 
-and a last line with the medians over the rounds:
+a line with the medians over the rounds:
 
     median a_s=0.9500 b_s=0.8100 ratio=1.173 rounds=10
+
+and a last line with the quartiles of the per-round ratios (as
+``statistics.quantiles``, the way ``perfbench/trajectory.py`` reads
+spread), so a median can be set against the spread of an A/A run, a
+checkout against a copy of itself:
+
+    spread q1=1.160 q3=1.181
 
 The exit code is 1 if a case of either side fails its oracle; the first
 problem goes to stderr.
@@ -140,6 +147,10 @@ def _rounds(run, sides: List[Side], lists: List[list],
     yield (f"median a_s={statistics.median(totals[0]):.4f} "
            f"b_s={statistics.median(totals[1]):.4f} "
            f"ratio={statistics.median(ratios):.3f} rounds={rounds}")
+    # one round has no spread: both quartiles are its ratio
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 \
+        else ratios * 3
+    yield f"spread q1={q1:.3f} q3={q3:.3f}"
 
 
 def main(argv: List[str] = None) -> int:
