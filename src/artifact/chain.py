@@ -39,17 +39,17 @@ one per-exponent exception, ``circle._slotwise``, has no such piece.
 Results are records: ``typing.NamedTuple`` classes, read-only and compared
 by their fields.  A record that validates its values puts ``_Checked``
 before its NamedTuple base.  ``flavors.FlavorBundle``, which keeps its
-p-morphisms privately, is the one slotted ``_Sealed`` class, compared by
-identity.
+p-morphisms and its doubled pieces privately, is the one slotted
+``_Sealed`` class, compared by identity.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, TRIVIAL_GROUP,
-                       CompositionNonzero, _axpy, _kernel_head, field_rank,
-                       is_prime, kernel_of_presented_map, lattice_contains,
+from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, SNFResult,
+                       TRIVIAL_GROUP, CompositionNonzero, _axpy,
+                       _back_substitute, _kernel_head, field_rank, is_prime,
                        snf)
 
 
@@ -371,10 +371,10 @@ class ChainComplex:
     ``p``, fixed at construction, so they never go stale; they live and die
     with this object, are never shared with another complex, and hold no
     reference back to it, so the complex is freed by reference counting
-    alone."""
+    alone.  ``_valid`` records that its fixed laws passed."""
 
     __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented",
-                 "_reduced")
+                 "_reduced", "_valid")
 
     def __init__(self, module: GradedModule, d: GradedMap,
                  u_action: Optional[GradedMap] = None,
@@ -392,7 +392,7 @@ class ChainComplex:
         if p and not is_prime(p):
             raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
         for slot, value in zip(ChainComplex.__slots__, (
-                module, d, u_action, y_action, p, {}, None)):
+                module, d, u_action, y_action, p, {}, None, False)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -465,10 +465,14 @@ def validate(C: ChainComplex) -> CheckReport:
 
 def _require_valid(C: ChainComplex, prefix: str) -> None:
     """ChainError ``<prefix> <tag> at <witness>`` for the first law of
-    ``validate`` that C fails."""
+    ``validate`` that C fails.  A pass is kept in C's ``_valid`` slot (C
+    never changes), so C is validated once; a failure raises every time."""
+    if C._valid:
+        return
     for check in validate(C).checks:
         if not check.ok:
             raise ChainError(f"{prefix} {check.tag} at {check.witness}")
+    object.__setattr__(C, "_valid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +503,6 @@ class HomologyTable:
     def shifted(self, s: int) -> "HomologyTable":
         """Table T with T[j] = self[j - s] (content moved up by s)."""
         return HomologyTable({j + s: g for j, g in self.table.items()})
-
-    def equal_on(self, other: "HomologyTable", window: Tuple[int, int]) -> bool:
-        lo, hi = window
-        return all(self[j] == other[j] for j in range(lo, hi + 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HomologyTable) and self.table == other.table
@@ -898,21 +898,22 @@ class InducedMap(NamedTuple):
         return True
 
 
-def _flags(F: IntMatrix, src: PresentedGroup, tgt: PresentedGroup,
-           p: int) -> Tuple[bool, bool]:
+def _flags(arrow: "_HomologyArrow", j: int) -> Tuple[bool, bool]:
+    """(injective, surjective) of the arrow's class matrix F at degree j:
+    ranks over F_p, over Z the arrow's kept factorization of [F | torsion]."""
+    F = arrow.matrix(j)
+    p = arrow.target.p
     if p:
-        # every F_p group is plain: F is injective at full column rank and
-        # surjective at full row rank
         rank = field_rank(F, p)
         return rank == F.cols, rank == F.rows
-    # over Z one factorization of [F | torsion relations] answers both
-    res = snf(IntMatrix.hstack([F, tgt.torsion_relation_columns()]))
+    tgt = _presentation(arrow.target, j + arrow.degree)
+    res = arrow.factored(j)
     # surjective: columns of F plus torsion relations generate the target
     surj = (len(res.factors) == tgt.rank_coords()
             and all(d == 1 for d in res.factors))
     # injective: preimage of the relation lattice lies in the source
-    # relations; the kernel is that of kernel_of_presented_map
-    ker = _kernel_head(res, F.cols)
+    # relations
+    ker, src = _kernel_head(res, F.cols), _presentation(arrow.source, j)
     inj = all(src.coords_are_zero([ker[(i, c)] for i in range(ker.rows)])
               for c in range(ker.cols))
     return inj, surj
@@ -933,9 +934,8 @@ def induced_on_homology(f: GradedMap, source: ChainComplex, target: ChainComplex
     out = {}
     for j, spg in present_homology(source, window).items():
         tpg = _presentation(target, j + f.degree)
-        F = arrow.matrix(j)
-        inj, surj = _flags(F, spg, tpg, source.p)
-        out[j] = DegreeMapInfo(spg.group, tpg.group, F, inj, surj)
+        out[j] = DegreeMapInfo(spg.group, tpg.group, arrow.matrix(j),
+                               *_flags(arrow, j))
     return InducedMap(f.degree, out)
 
 
@@ -946,6 +946,11 @@ class _HomologyArrow:
     section); either way it sends cycles to cycles and boundaries to
     boundaries.  Class matrices are memoized per source degree, and the
     presentations they are expressed in come from the complexes' memos.
+
+    Over Z it keeps beside them, per source degree, the one factorization
+    of [class matrix | target torsion] (``factored``) that ``_flags`` and
+    both long exact sequence nodes the arrow meets read.  Keeping it is
+    sound because f, both complexes and their presentations never change.
     """
 
     def __init__(self, f: GradedMap, source: ChainComplex,
@@ -955,6 +960,7 @@ class _HomologyArrow:
         self.target = target
         self.degree = f.degree
         self._matrices: Dict[int, IntMatrix] = {}
+        self._factored: Dict[int, SNFResult] = {}
 
     def matrix(self, j: int) -> IntMatrix:
         """Canonical coordinates in the target at degree j + degree of the
@@ -974,6 +980,16 @@ class _HomologyArrow:
                 raise ChainError("image of a cycle is not a cycle")
             self._matrices[j] = F
         return F
+
+    def factored(self, j: int) -> SNFResult:
+        """The Smith form of [matrix(j) | torsion relations of the target at
+        j + degree], over Z, computed once per source degree."""
+        res = self._factored.get(j)
+        if res is None:
+            tgt = _presentation(self.target, j + self.degree)
+            res = self._factored[j] = snf(IntMatrix.hstack(
+                [self.matrix(j), tgt.torsion_relation_columns()]))
+        return res
 
     def _push(self, j: int, reps: IntMatrix) -> IntMatrix:
         """pi . f . iota of the columns of ``reps`` (vectors of the source's
@@ -1022,10 +1038,10 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
     middle complex where the arrows meet over one ring; incoming lands in
     degree j, outgoing leaves from it.  After F's cycle test a trivial
     middle group is exact by shape (F has no rows, G no columns); other
-    nodes by rank arithmetic over F_p, over Z by G.F and two lattice
-    factorizations.  Where the reductions of the middle complex at j and
-    of F's source are both empty, the node is exact with no presentation
-    or class matrix built: F has no column, so there is no cycle to test."""
+    nodes by rank arithmetic over F_p, over Z by ``_lattice_exactness``.
+    Where the reductions of the middle complex at j and of F's source are
+    both empty, the node is exact with no presentation or class matrix
+    built: F has no column, so there is no cycle to test."""
     p = incoming.target.p
     if (incoming.target is not outgoing.source
             or incoming.source.p != p or outgoing.target.p != p):
@@ -1040,8 +1056,7 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
         return True, True
     if p:
         return _rank_exactness(F, G, mid.rank_coords(), p)
-    tgt = _presentation(outgoing.target, j + outgoing.degree)
-    return _lattice_exactness(F, G, mid, tgt)
+    return _lattice_exactness(incoming, outgoing, j)
 
 
 def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
@@ -1054,18 +1069,23 @@ def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
     return contained, equal
 
 
-def _lattice_exactness(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
-                       tgt: PresentedGroup) -> Tuple[bool, bool]:
-    """Exactness in presented groups over Z: G.F is zero in the target
-    group (no factorization), and then ker G, one factorization of
-    [G | target torsion], lies in the span of F and the middle torsion."""
+def _lattice_exactness(incoming: _HomologyArrow, outgoing: _HomologyArrow,
+                       j: int) -> Tuple[bool, bool]:
+    """Exactness over Z at degree j, between the class matrices F in and G
+    out: G.F is zero in the target group, and then ker G, read off the
+    outgoing arrow's kept factorization of [G | target torsion], solves
+    through the incoming one's of [F | middle torsion] (a zero kernel needs
+    none), so neighbouring nodes share each factorization."""
+    F = incoming.matrix(j - incoming.degree)
+    G = outgoing.matrix(j)
+    tgt = _presentation(outgoing.target, j + outgoing.degree)
     GF = G @ F
-    contained = all(tgt.coords_are_zero([GF[(i, c)] for i in range(GF.rows)])
-                    for c in range(GF.cols))
-    equal = contained and lattice_contains(
-        IntMatrix.hstack([F, mid.torsion_relation_columns()]),
-        kernel_of_presented_map(G, tgt.torsion_relation_columns()))
-    return contained, equal
+    if not all(tgt.coords_are_zero([GF[(i, c)] for i in range(GF.rows)])
+               for c in range(GF.cols)):
+        return False, False
+    ker = _kernel_head(outgoing.factored(j), G.cols)
+    return True, (ker.is_zero() or _back_substitute(
+        incoming.factored(j - incoming.degree), ker) is not None)
 
 
 def verify_exact_at(complexes: Sequence[ChainComplex], maps: Sequence[GradedMap],

@@ -87,21 +87,6 @@ class IntMatrix:
         return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]],
-                  cols: Optional[int] = None) -> "IntMatrix":
-        rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
                  cols: Optional[int] = None) -> "IntMatrix":
         n = len(diag)
@@ -199,14 +184,6 @@ class IntMatrix:
                 entries[(i, j + off)] = v
             off += b.cols
         return cls._trusted(rows, off, entries)
-
-    def submatrix_cols(self, js: Sequence[int]) -> "IntMatrix":
-        pos = {j: a for a, j in enumerate(js)}
-        entries = {}
-        for (i, j), v in self.entries.items():
-            if j in pos:
-                entries[(i, pos[j])] = v
-        return IntMatrix(self.rows, len(js), entries)
 
 
 _set_rows, _set_cols, _set_entries = (
@@ -724,10 +701,3 @@ def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix,
     ga = IntMatrix.hstack([gens_a, relations])
     gb = IntMatrix.hstack([gens_b, relations])
     return lattice_contains(gb, gens_a) and lattice_contains(ga, gens_b)
-
-
-def kernel_of_presented_map(F: IntMatrix,
-                            target_relations: IntMatrix) -> IntMatrix:
-    """Generators (columns) of ker(F: Z^a -> Z^b/relations) as a subgroup of
-    the source coordinate space, over Z."""
-    return _kernel_head(snf(IntMatrix.hstack([F, target_relations])), F.cols)

@@ -31,7 +31,7 @@ U-complex with their connecting certificates.
 The records here are NamedTuples.  ``BalancedComponents`` checks its shapes
 and degrees however it is built, copies included, and ``FlavorBundle``, the
 package's one ``_Sealed`` record, is a slotted class, because it keeps its
-three p-morphisms privately.
+three p-morphisms and its doubled pieces privately.
 """
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -200,12 +200,15 @@ class FlavorBundle(_Sealed):
     ``p``: hat -> bar (degree -1); ``k_i``/``k_j``/``k_p`` are the
     U-commutation witnesses, stored in their printed form (the p-morphism
     witness of j is ``-k_j``).  ``pm_i``/``pm_j``/``pm_p`` hand out one
-    p-morphism each per bundle, so each is verified once; ``_replace``
-    copies through the constructor, so a copy builds its own.
+    p-morphism each per bundle, so each is verified once, and ``_doubled``
+    keeps ``_doubled_pieces``, so ``cone_identities`` and ``ladder_check``
+    double each complex once per bundle; both are sound as the bundle is
+    immutable.  ``_replace`` copies through the constructor, so a copy
+    builds and doubles its own.
     """
 
     __slots__ = ("hat", "bar", "check", "i", "j", "p", "k_i", "k_j", "k_p",
-                 "components", "_pms")
+                 "components", "_pms", "_doubled")
 
     def __init__(self, hat: ChainComplex, bar: ChainComplex,
                  check: ChainComplex, i: GradedMap, j: GradedMap,
@@ -214,10 +217,11 @@ class FlavorBundle(_Sealed):
         super().__init__(
             hat, bar, check, i, j, p, k_i, k_j, k_p, components,
             (PMorphism(bar, check, i, k_i), PMorphism(check, hat, j, -k_j),
-             PMorphism(hat, bar, p, k_p)))
+             PMorphism(hat, bar, p, k_p)), None)
 
     def _replace(self, **changes) -> "FlavorBundle":
-        fields = {n: getattr(self, n) for n in self.__slots__[:-1]}
+        fields = {n: getattr(self, n) for n in self.__slots__
+                  if not n.startswith("_")}
         return FlavorBundle(**{**fields, **changes})
 
     def pm_i(self) -> PMorphism:
@@ -358,19 +362,27 @@ def cone_total(bundle: FlavorBundle) -> ChainComplex:
     return ChainComplex(E.module, E.d, u_action=u_e, p=bundle.hat.p)
 
 
-def _doubled_pieces(bundle: FlavorBundle, EC: ChainComplex) -> tuple:
+def _doubled_pieces(bundle: FlavorBundle,
+                    EC: Optional[ChainComplex] = None) -> tuple:
     """s_u of hat, bar and check; the doubled i, j and p, so a p-morphism
     that fails is refused before the cone is doubled; s_u of EC, the cone
-    of p; and the doubled cone's inclusion of bar and projection onto hat,
-    as the doubled cone is the cone of the doubled pieces, name for name."""
-    su_hat, su_bar, su_check = (
-        s_u(cx) for cx in (bundle.hat, bundle.bar, bundle.check))
-    su_i = _su_map(bundle.pm_i(), su_bar, su_check)
-    su_j = _su_map(bundle.pm_j(), su_check, su_hat)
-    su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
-    sue = s_u(EC)
-    return (su_hat, su_bar, su_check, su_i, su_j, su_p, sue,
-            cone_inclusion(sue, su_bar, "b"), cone_projection(sue, su_hat, "h"))
+    of p (``cone_total`` when not given); and the doubled cone's inclusion
+    of bar and projection onto hat, as the doubled cone is the cone of the
+    doubled pieces, name for name.  Kept in the bundle's ``_doubled`` slot
+    on success (every piece is a function of the immutable bundle); a
+    refused p-morphism keeps nothing and is refused again next time."""
+    if bundle._doubled is None:
+        su_hat, su_bar, su_check = (
+            s_u(cx) for cx in (bundle.hat, bundle.bar, bundle.check))
+        su_i = _su_map(bundle.pm_i(), su_bar, su_check)
+        su_j = _su_map(bundle.pm_j(), su_check, su_hat)
+        su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
+        sue = s_u(EC if EC is not None else cone_total(bundle))
+        object.__setattr__(bundle, "_doubled", (
+            su_hat, su_bar, su_check, su_i, su_j, su_p, sue,
+            cone_inclusion(sue, su_bar, "b"),
+            cone_projection(sue, su_hat, "h")))
+    return bundle._doubled
 
 
 def cone_identities(bundle: FlavorBundle) -> CheckReport:
@@ -550,18 +562,6 @@ class FourFlavors(NamedTuple):
     sequences: FundamentalSequences
 
     @property
-    def minus_table(self) -> HomologyTable:
-        return self.tables["minus"]
-
-    @property
-    def infinity_table(self) -> HomologyTable:
-        return self.tables["infinity"]
-
-    @property
-    def plus_table(self) -> HomologyTable:
-        return self.tables["plus"]
-
-    @property
     def hat_table(self) -> HomologyTable:
         return self.tables["hat"]
 
@@ -647,7 +647,7 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     """
     prime = bundle.hat.p
     (su_hat, su_bar, su_check, su_i, su_j, su_p, sue, su_ibar,
-     su_jbar) = _doubled_pieces(bundle, cone_total(bundle))
+     su_jbar) = _doubled_pieces(bundle)
 
     win = _resolve_window(sue.module.degrees(), window)
 

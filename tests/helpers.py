@@ -12,18 +12,22 @@ classes of a complex C read in C itself through the degree blocks of its
 reduction's iota and pi, the oracle for the class matrices that
 ``chain._HomologyArrow._push`` reads in C'; and small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
-``homology_of_pair``, ``unreduced_presentation``, ``to_dense``).  The
-lattice oracles factor through ``snf_reference``, over Z and over F_p,
-where the program only reduces and takes ranks.
+``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
+``from_rows``, ``submatrix_cols``, ``equal_on``).  The lattice oracles
+factor through ``snf_reference``, over Z and over F_p, where the program
+only reduces and takes ranks; ``fixed_arrow`` and ``fixed_node`` hand
+constructed class matrices and presentations to the program's own
+verdicts.
 """
 
 import random
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            PMorphism, _presentation, cone, reduction)
+                            HomologyTable, PMorphism, _HomologyArrow,
+                            _presentation, cone, reduction)
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
@@ -31,6 +35,37 @@ from artifact.exactlin import (AbelianGroup, CompositionNonzero,
 from snf_reference import (FieldPresentation, reference_back_substitute,
                            reference_kernel, reference_lattice_contains,
                            reference_snf, reference_solve)
+
+
+def from_rows(data: Sequence[Sequence[int]],
+              cols: Optional[int] = None) -> IntMatrix:
+    """The matrix with the given rows (``cols`` columns when there are
+    none); ragged rows raise ``DimensionMismatch``."""
+    rows = len(data)
+    if cols is None:
+        cols = len(data[0]) if rows else 0
+    entries = {}
+    for i, row in enumerate(data):
+        if len(row) != cols:
+            raise DimensionMismatch("ragged rows")
+        for j, v in enumerate(row):
+            if v:
+                entries[(i, j)] = v
+    return IntMatrix(rows, cols, entries)
+
+
+def submatrix_cols(M: IntMatrix, js: Sequence[int]) -> IntMatrix:
+    """The columns ``js`` of M, in that order."""
+    pos = {j: a for a, j in enumerate(js)}
+    return IntMatrix(M.rows, len(js), {(i, pos[j]): v for (i, j), v
+                                       in M.entries.items() if j in pos})
+
+
+def equal_on(a: HomologyTable, b: HomologyTable,
+             window: Tuple[int, int]) -> bool:
+    """The two tables agree at every degree of the window."""
+    lo, hi = window
+    return all(a[j] == b[j] for j in range(lo, hi + 1))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo=-5, hi=5,
@@ -291,6 +326,38 @@ def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
         reference_lattice_contains(IntMatrix.hstack([a, t_mid]), b, p)
         for a, b in ((kernel_gens, image), (image, kernel_gens)))
     return contained, equal
+
+
+def presented_at(pg: Optional[PresentedGroup], j: int = 0,
+                 p: int = 0) -> ChainComplex:
+    """An empty complex over Z or F_p whose presentation memo holds ``pg``
+    at degree j: the program reads its homology there from the memo."""
+    m = GradedModule([])
+    C = ChainComplex(m, GradedMap.zero(m, m, -1), p=p)
+    if pg is not None:
+        C._presented[j] = pg
+    return C
+
+
+def fixed_arrow(F: IntMatrix, source: ChainComplex, target: ChainComplex,
+                j: int = 0, degree: int = 0) -> _HomologyArrow:
+    """A homology arrow from source to target whose class matrix at source
+    degree j is F; everything else it answers (``factored``, and so
+    ``chain._flags`` and ``chain._lattice_exactness``) is the program's."""
+    arrow = _HomologyArrow(GradedMap.zero(source.module, target.module,
+                                          degree), source, target)
+    arrow._matrices[j] = F
+    return arrow
+
+
+def fixed_node(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
+               tgt: PresentedGroup) -> Tuple[_HomologyArrow, _HomologyArrow]:
+    """(incoming, outgoing) arrows over Z meeting at degree 0 of a middle
+    complex presented by ``mid``, with class matrices F into it and G out
+    of it into a complex presented by ``tgt``."""
+    M = presented_at(mid)
+    return (fixed_arrow(F, presented_at(None), M),
+            fixed_arrow(G, M, presented_at(tgt)))
 
 
 def ses_verdicts(fs) -> List[Tuple[bool, bool]]:

@@ -36,7 +36,7 @@ from artifact.chain import (
 )
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
                                DimensionMismatch, IntMatrix, PresentedGroup)
-from artifact import circle
+from artifact import chain, circle
 from artifact.circle import _doubled, s_u, s_u_map
 from artifact.flavors import (TowerParams, assemble, four_flavors,
                               ladder_check, tower_model)
@@ -48,7 +48,12 @@ from helpers import (
     commuting_u,
     compose,
     direct_sum,
+    equal_on,
+    fixed_arrow,
+    fixed_node,
+    from_rows,
     lattice_exactness_oracle,
+    presented_at,
     random_basis_change,
     random_complex,
     random_pmorphism,
@@ -265,6 +270,58 @@ class TestValidate:
         assert validate(C.with_actions(u_action=u)).ok
 
 
+class TestOneValidationPerComplex:
+    """``_require_valid`` keeps a pass in the complex, so however many
+    callers ask, a valid complex is validated once; a failure is kept
+    nowhere and raises, with each caller's prefix, on every call; the
+    public ``validate`` still checks every time."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        original = chain.validate
+
+        def recording(C):
+            calls.append(C)
+            return original(C)
+
+        monkeypatch.setattr(chain, "validate", recording)
+        return calls
+
+    def test_valid_complex_validated_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        C = random_complex(random.Random(21), max_pieces=4,
+                           with_u=True).complex
+        for _ in range(3):
+            homology(C)
+        assert calls == [C]
+        S = s_u(C)
+        homology(S)
+        four_flavors(C)
+        assert sum(D is S for D in calls) == 1
+        # every complex validated, each once
+        assert len(set(map(id, calls))) == len(calls) > 2
+        # the public check is not kept: it reports every law again
+        assert [c.tag for c in validate(C).checks] == [
+            "degree-homogeneity", "d.d=0", "[d,U]=0"]
+
+    def test_invalid_complex_raises_every_time(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        m = GradedModule([("c", 2), ("b", 1), ("a", 0)])
+        C = ChainComplex(m, GradedMap(m, m, -1, {("c", "b"): 1,
+                                                 ("b", "a"): 1}),
+                         u_action=GradedMap.zero(m, m, -2))
+        for _ in range(2):
+            with pytest.raises(ChainError,
+                               match=r"^complex fails law d\.d=0 at"):
+                homology(C)
+        with pytest.raises(ChainError,
+                           match=r"^tower base fails law d\.d=0 at"):
+            tower_model(TowerParams(base=C, n=2))
+        assert calls == [C, C, C]
+        assert not C._valid
+
+
 class TestIntertwiningDefect:
     """``_defect(f, a, b)`` is f.a - (-1)^{|f||a|} b.f, the defect behind
     the graded commutator, ``is_chain_map``, the U-law of a p-morphism and
@@ -349,7 +406,7 @@ class TestHomology:
         s = h.shifted(3)
         assert s[3] == h[0]
         assert s[4] == h[1]
-        assert h.equal_on(s.shifted(-3), (-1, 3))
+        assert equal_on(h, s.shifted(-3), (-1, 3))
 
 
 class TestCone:
@@ -901,8 +958,11 @@ class TestReduction:
                     o_tgt = _oracle(tgt, j + f.degree)
                     F_old = o_tgt.coord_matrix(
                         f.block(j) @ o_src.representatives())
+                    jt = j + f.degree
                     assert (info.injective, info.surjective) == _flags(
-                        F_old, o_src, o_tgt, C.p)
+                        fixed_arrow(F_old, presented_at(o_src, j, C.p),
+                                    presented_at(o_tgt, jt, C.p),
+                                    j, f.degree), j)
                     # the new generators in oracle coordinates
                     b_src = o_src.coord_matrix(
                         ambient_representatives(src, j))
@@ -1043,7 +1103,7 @@ class TestLatticeNodes:
     the middle torsion), and where F or G is empty."""
 
     def test_constructed_nodes(self):
-        M = IntMatrix.from_rows
+        M = from_rows
         zero = PresentedGroup.from_pair(IntMatrix(0, 0), IntMatrix(0, 0))
         z = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
         z2, z4 = (PresentedGroup.from_pair(M([[m]]), IntMatrix(0, 1))
@@ -1069,8 +1129,58 @@ class TestLatticeNodes:
             (z2_z, z, M([[1], [0]]), M([[0, 0]]), (True, False)),
         ]
         for mid, tgt, F, G, want in cases:
-            assert _lattice_exactness(F, G, mid, tgt) == want
+            assert _lattice_exactness(*fixed_node(F, G, mid, tgt), 0) == want
             assert lattice_exactness_oracle(F, G, mid, tgt, 0) == want
+
+
+class TestOneFactorizationPerArrowDegree:
+    """Over Z an arrow factors [class matrix | target torsion] once per
+    source degree, and the long exact sequence nodes on both sides of it
+    read that one factorization: every Smith form ``chain`` takes while
+    the fundamental sequences of seeded Z complexes are certified is one
+    arrow's kept entry at one degree, and each node's verdict is the
+    four-factorization oracle's."""
+
+    def test_seeded_z_sequences(self, monkeypatch):
+        taken, reads, nodes = [], [], []
+        snf, factored = chain.snf, _HomologyArrow.factored
+        monkeypatch.setattr(chain, "snf",
+                            lambda M: taken.append(M) or snf(M))
+        monkeypatch.setattr(_HomologyArrow, "factored", lambda a, j: (
+            reads.append((a, j)) or factored(a, j)))
+        original = circle.exactness_pair
+
+        def both(incoming, outgoing, j):
+            verdict = original(incoming, outgoing, j)
+            mid = _presentation(incoming.target, j)
+            if mid.rank_coords():
+                tgt = _presentation(outgoing.target, j + outgoing.degree)
+                assert verdict == lattice_exactness_oracle(
+                    incoming.matrix(j - incoming.degree),
+                    outgoing.matrix(j), mid, tgt, 0)
+                nodes.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(circle, "exactness_pair", both)
+        rng = random.Random(2121)
+        for _ in range(10):
+            C = random_complex(rng, max_pieces=5, with_u=True).complex
+            assert circle.fundamental_sequences(s_u(C)).ok
+        # one Smith form per (arrow, degree) read, each the arrow's entry
+        keys = {(id(a), j): (a, j) for a, j in reads}
+        assert len(taken) == len(keys)
+
+        def content(M):
+            return M.rows, M.cols, frozenset(M.entries.items())
+
+        want = [IntMatrix.hstack([a.matrix(j), _presentation(
+            a.target, j + a.degree).torsion_relation_columns()])
+            for a, j in keys.values()]
+        assert sorted(map(content, taken), key=repr) == sorted(
+            map(content, want), key=repr)
+        # each read is a factorization when every node takes its own; here
+        # at least a fifth of them find the arrow's entry already kept
+        assert len(nodes) > 100 and len(taken) <= 0.8 * len(reads)
 
 
 def _shortcut_inputs():
@@ -1102,8 +1212,10 @@ class TestEmptyGroupShortcuts:
             asked[(id(arrow), j)] = (arrow, j)
             return original_matrix(arrow, j)
 
-        # per ring: nodes with a trivial and with a nontrivial middle group
+        # per ring: nodes with a trivial and with a nontrivial middle group;
+        # the oracle's own arrows are left out of the matrices checked
         nodes = {p: {True: 0, False: 0} for p in (0, 2, 3)}
+        fixed = set()
         original_pair = circle.exactness_pair
 
         def both(incoming, outgoing, j):
@@ -1116,7 +1228,9 @@ class TestEmptyGroupShortcuts:
                 oracle = _rank_exactness(F, G, mid.rank_coords(), p)
             else:
                 tgt = _presentation(outgoing.target, j + outgoing.degree)
-                oracle = _lattice_exactness(F, G, mid, tgt)
+                node = fixed_node(F, G, mid, tgt)
+                fixed.update(map(id, node))
+                oracle = _lattice_exactness(*node, 0)
             assert verdict == oracle
             nodes[p][mid.rank_coords() == 0] += 1
             return verdict
@@ -1127,6 +1241,8 @@ class TestEmptyGroupShortcuts:
             assert check()
         sources = {True: 0, False: 0}
         for arrow, j in asked.values():
+            if id(arrow) in fixed:
+                continue
             src = _presentation(arrow.source, j)
             assert arrow.matrix(j) == ambient_coords(
                 arrow.target, j + arrow.degree,
@@ -1276,7 +1392,7 @@ def _presented_verdict(incoming, outgoing, j):
     if p:
         return _rank_exactness(F, G, mid.rank_coords(), p)
     tgt = _presentation(outgoing.target, j + outgoing.degree)
-    return _lattice_exactness(F, G, mid, tgt)
+    return _lattice_exactness(*fixed_node(F, G, mid, tgt), 0)
 
 
 def _outcome(decide, incoming, outgoing, j):
@@ -1433,16 +1549,16 @@ class TestOnDemandCycleBlock:
             # b -> 2a, plus a cycle c beside b in degree 1
             C = complex_from([("a", 0), ("b", 1), ("c", 1)],
                              {("b", "a"): 2}, p=p)
-            assert ambient_coords(C, 1, IntMatrix.from_rows([[1], [0]])) is None
+            assert ambient_coords(C, 1, from_rows([[1], [0]])) is None
             assert ambient_coords(C, 1,
-                                  IntMatrix.from_rows([[0], [1]])) is not None
+                                  from_rows([[0], [1]])) is not None
         # b -> a cancels, leaving C' = {c} with iota(c) = c and pi(a) = 0
         C = complex_from([("a", 0), ("b", 1), ("c", 0)], {("b", "a"): 1})
-        assert ambient_representatives(C, 0) == IntMatrix.from_rows([[0], [1]])
-        assert ambient_coords(C, 0, IntMatrix.from_rows([[5], [1]])) == \
-            IntMatrix.from_rows([[1]])
+        assert ambient_representatives(C, 0) == from_rows([[0], [1]])
+        assert ambient_coords(C, 0, from_rows([[5], [1]])) == \
+            from_rows([[1]])
         # at degree 1, b is no cycle: d_1 b = a
-        assert ambient_coords(C, 1, IntMatrix.from_rows([[1]])) is None
+        assert ambient_coords(C, 1, from_rows([[1]])) is None
         with pytest.raises(DimensionMismatch):
             ambient_coords(C, 0, IntMatrix(3, 1))
 

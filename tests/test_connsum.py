@@ -23,8 +23,8 @@ from artifact.exactlin import AbelianGroup, IntMatrix
 from artifact.chain import _presentation
 from artifact.flavors import _chase, _square_commutes, four_flavors
 
-from helpers import (laurent_form, lattice_exactness_oracle, random_complex,
-                     ses_verdicts)
+from helpers import (fixed_node, laurent_form, lattice_exactness_oracle,
+                     random_complex, ses_verdicts)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -264,10 +264,11 @@ class TestEnginesAgree:
 
 
 class TestLatticeVerdict:
-    """Over Z an LES node reads ``contained`` off G.F and factors twice;
-    the four-factorization oracle gives the same verdict at every node of
-    both flavor engines, and at each node with F replaced by 0, by the
-    identity of the middle group and by 2F."""
+    """Over Z an LES node reads ``contained`` off G.F and then the two
+    arrows' kept factorizations; the four-factorization oracle gives the
+    same verdict at every node of both flavor engines, and at each node
+    with F replaced by 0, by the identity of the middle group and by 2F
+    (on arrows of their own, so nothing kept is reused)."""
 
     def test_z_nodes_agree_with_four_factorizations(self, monkeypatch):
         nodes, torsion, broken = [], 0, set()
@@ -286,7 +287,8 @@ class TestLatticeVerdict:
                 assert verdict == lattice_exactness_oracle(F, G, mid, tgt, 0)
                 for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n),
                             F.scale(2)):
-                    got = _lattice_exactness(bad, G, mid, tgt)
+                    got = _lattice_exactness(
+                        *fixed_node(bad, G, mid, tgt), 0)
                     assert got == lattice_exactness_oracle(bad, G, mid, tgt,
                                                            0)
                     broken.add(got)

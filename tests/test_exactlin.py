@@ -24,7 +24,8 @@ from artifact.exactlin import (
     _kernel_head,
 )
 
-from helpers import det, homology_of_pair, random_matrix, to_dense
+from helpers import (det, from_rows, homology_of_pair, random_matrix,
+                     submatrix_cols, to_dense)
 from snf_reference import (invert_unimodular, reference_snf,
                            reference_solve)
 
@@ -35,7 +36,7 @@ def diag(*vals):
 
 class TestSmithNormalForm:
     def test_two_by_two(self):
-        res = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+        res = snf(from_rows([[2, 4], [6, 8]]))
         assert res.factors == (2, 4)
 
     def test_identity(self):
@@ -52,13 +53,13 @@ class TestSmithNormalForm:
         assert res.left == IntMatrix.identity(0)
 
     def test_transforms_reconstruct(self):
-        M = IntMatrix.from_rows([[2, 4], [6, 8]])
+        M = from_rows([[2, 4], [6, 8]])
         res = snf(M)
         D = res.left @ M @ res.right
         assert D == IntMatrix.diagonal([2, 4])
 
     def test_divisibility_chain(self):
-        M = IntMatrix.from_rows([[2, 0], [0, 3]])
+        M = from_rows([[2, 0], [0, 3]])
         res = snf(M)
         assert res.factors == (1, 6)
 
@@ -116,7 +117,7 @@ class TestSmithNormalForm:
                         lambda rows: len({len(r) for r in rows}) == 1))
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_property(self, rows):
-        M = IntMatrix.from_rows(rows)
+        M = from_rows(rows)
         res = snf(M)
         D = res.left @ M @ res.right
         for i in range(D.rows):
@@ -132,7 +133,7 @@ class TestSmithNormalForm:
     @given(st.integers(0, 4).flatmap(lambda r: st.integers(0, 4).flatmap(
         lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c,
                                     max_size=c), min_size=r, max_size=r)
-        .map(lambda rows: IntMatrix.from_rows(rows, cols=c)))),
+        .map(lambda rows: from_rows(rows, cols=c)))),
         st.sampled_from((0, 2, 3, 5)))
     @settings(max_examples=120, deadline=None)
     def test_transform_property_all_rings(self, M, p):
@@ -155,7 +156,7 @@ class TestSmithNormalForm:
 
     def test_field_coefficients(self):
         # the reference factorization over F_p; ``snf`` is over Z only
-        M = IntMatrix.from_rows([[2, 4], [6, 8]])
+        M = from_rows([[2, 4], [6, 8]])
         res = reference_snf(M, p=2)
         # over F_2 the matrix is zero
         assert res.factors == ()
@@ -188,9 +189,9 @@ def _seed_kernel_cases():
     cases += [IntMatrix(*shape()) for _ in range(25)]
     cases += [diag(1, 2, 6), diag(4), diag(31, 31), diag(2, 1), diag(2, 3),
               diag(1, -2), diag(-1), diag(3, 0, 1),
-              IntMatrix.from_rows([[1, 1], [0, 1]]),
-              IntMatrix.from_rows([[0, 1], [1, 0]]),
-              IntMatrix.from_rows([[0, 0], [0, 1]])]
+              from_rows([[1, 1], [0, 1]]),
+              from_rows([[0, 1], [1, 0]]),
+              from_rows([[0, 0], [0, 1]])]
     for _ in range(75):
         r, c = shape()
         k = rng.randint(1, min(r, c))
@@ -250,7 +251,7 @@ class TestKernelMatchesSeed:
                                                      -6, 30)),
                                     min_size=c, max_size=c),
                            min_size=r, max_size=r)
-        .map(lambda rows: IntMatrix.from_rows(rows, cols=c)))))
+        .map(lambda rows: from_rows(rows, cols=c)))))
     @settings(max_examples=150, deadline=None)
     def test_matches_seed_kernel_property(self, M):
         assert snf(M) == reference_snf(M)
@@ -305,8 +306,8 @@ class TestTrustedConstruction:
         for make in (lambda: IntMatrix(2, 2, {(2, 0): 1}),
                      lambda: IntMatrix(2, 2, {(0, -1): 1}),
                      lambda: IntMatrix(-1, 2),
-                     lambda: IntMatrix.from_rows([[1, 2], [3]]),
-                     lambda: IntMatrix.from_rows([[1, 2]], cols=3),
+                     lambda: from_rows([[1, 2], [3]]),
+                     lambda: from_rows([[1, 2]], cols=3),
                      lambda: IntMatrix.diagonal([1, 2, 3], rows=2),
                      lambda: IntMatrix.diagonal([1, 2], cols=1)):
             with pytest.raises(DimensionMismatch):
@@ -334,12 +335,12 @@ class TestFieldRank:
             for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
                 assert field_rank(IntMatrix(rows, cols), p) == 0
             # every entry a multiple of p: zero over F_p, not over Z
-            M = IntMatrix.from_rows([[p, -2 * p, 0], [0, 7 * p, p]])
+            M = from_rows([[p, -2 * p, 0], [0, 7 * p, p]])
             assert field_rank(M, p) == 0 < len(snf(M).factors)
-            assert field_rank(IntMatrix.from_rows([[1, 2, 3, 4]]), p) == 1
-            assert field_rank(IntMatrix.from_rows([[1], [2], [3]]), p) == 1
+            assert field_rank(from_rows([[1, 2, 3, 4]]), p) == 1
+            assert field_rank(from_rows([[1], [2], [3]]), p) == 1
             assert field_rank(IntMatrix.identity(4).scale(p + 1), p) == 4
-            assert field_rank(IntMatrix.from_rows([[1, 1], [1, 1 + p]]),
+            assert field_rank(from_rows([[1, 1], [1, 1 + p]]),
                               p) == 1
 
     @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from((2, 3, 5)),
@@ -368,14 +369,14 @@ class TestInvMod:
 
 class TestKernelsAndSolve:
     def test_rank_and_kernel(self):
-        M = IntMatrix.from_rows([[1, 1]])
+        M = from_rows([[1, 1]])
         rank, ker = rank_and_kernel(M)
         assert rank == 1
-        want = IntMatrix.from_rows([[1], [-1]])
+        want = from_rows([[1], [-1]])
         assert lattices_equal(ker, want)
 
     def test_kernel_saturated(self):
-        M = IntMatrix.from_rows([[2, 2]])
+        M = from_rows([[2, 2]])
         _, ker = rank_and_kernel(M)
         # (1, -1) itself must lie in the kernel lattice, not only (2, -2)
         assert solve(ker, IntMatrix.column([1, -1])) is not None
@@ -391,12 +392,12 @@ class TestKernelsAndSolve:
             assert M @ y == b
 
     def test_solve_unsolvable(self):
-        M = IntMatrix.from_rows([[2]])
+        M = from_rows([[2]])
         assert solve(M, IntMatrix.column([3])) is None
 
     def test_solve_mod_p(self):
         # the reference solve the F_p oracles use; ``solve`` is over Z only
-        M = IntMatrix.from_rows([[2]])
+        M = from_rows([[2]])
         y = reference_solve(M, IntMatrix.column([3]), p=5)
         assert y is not None
         assert ((M @ y) - IntMatrix.column([3])).mod(5).is_zero()
@@ -414,9 +415,9 @@ class TestKernelsAndSolve:
                 # a random column is usually not in the image
                 c = rng.randrange(k)
                 bad = random_matrix(rng, M.rows, 1)
-                B = IntMatrix.hstack([B.submatrix_cols(range(c)), bad,
-                                      B.submatrix_cols(range(c + 1, k))])
-            cols = [solve(M, B.submatrix_cols([j])) for j in range(k)]
+                B = IntMatrix.hstack([submatrix_cols(B, range(c)), bad,
+                                      submatrix_cols(B, range(c + 1, k))])
+            cols = [solve(M, submatrix_cols(B, [j])) for j in range(k)]
             got = solve(M, B)
             if any(c is None for c in cols):
                 assert got is None
@@ -427,13 +428,13 @@ class TestKernelsAndSolve:
             assert (M @ got - B).is_zero()
 
     def test_multi_column_solve_unsolvable_column(self):
-        M = IntMatrix.from_rows([[2, 0], [0, 1]])
-        B = IntMatrix.from_rows([[2, 3], [5, 1]])
-        assert solve(M, B.submatrix_cols([0])) is not None
+        M = from_rows([[2, 0], [0, 1]])
+        B = from_rows([[2, 3], [5, 1]])
+        assert solve(M, submatrix_cols(B, [0])) is not None
         assert solve(M, B) is None
 
     def test_zero_column_solve(self):
-        M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 0]])
+        M = from_rows([[2, 4], [6, 8], [1, 0]])
         assert solve(M, IntMatrix(3, 0)) == IntMatrix(2, 0)
         with pytest.raises(DimensionMismatch):
             solve(M, IntMatrix(2, 0))
@@ -512,13 +513,13 @@ class TestHomologyOfPair:
     def test_cycle_restriction(self):
         # d_out = [1 1] kills one rank; nothing incoming
         h = homology_of_pair(IntMatrix.zero(2, 0),
-                             IntMatrix.from_rows([[1, 1]]))
+                             from_rows([[1, 1]]))
         assert h == AbelianGroup(1, ())
 
     def test_composition_checked(self):
         with pytest.raises(CompositionNonzero):
-            homology_of_pair(IntMatrix.from_rows([[1], [0]]),
-                             IntMatrix.from_rows([[1, 0]]))
+            homology_of_pair(from_rows([[1], [0]]),
+                             from_rows([[1, 0]]))
 
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -531,7 +532,7 @@ class TestHomologyOfPair:
 
     def test_klein_bottle_style(self):
         # d1 = [[0], [2]] from one 2-cell onto two 1-cycles
-        h = homology_of_pair(IntMatrix.from_rows([[0], [2]]),
+        h = homology_of_pair(from_rows([[0], [2]]),
                              IntMatrix.zero(0, 2))
         assert h == AbelianGroup(1, (2,))
 
@@ -556,7 +557,7 @@ class TestPresentedGroup:
 
     def test_zero_detection(self):
         # Z/2: relation 2x = 0, so 2*generator is the zero class
-        pg = PresentedGroup(IntMatrix.identity(1), IntMatrix.from_rows([[2]]))
+        pg = PresentedGroup(IntMatrix.identity(1), from_rows([[2]]))
         assert pg.group == AbelianGroup(0, (2,))
         rep = pg.representatives()
         assert not pg.coords_are_zero([pg.coord_matrix(rep)[(0, 0)]])
@@ -573,19 +574,19 @@ class TestPresentedGroup:
 
         monkeypatch.setattr(el, "snf", counting)
         # d_out kills e0 only; d_in hits 2 e1 + 4 e2
-        d_out = IntMatrix.from_rows([[1, 0, 0]])
-        d_in = IntMatrix.from_rows([[0], [2], [4]])
+        d_out = from_rows([[1, 0, 0]])
+        d_in = from_rows([[0], [2], [4]])
         pg = PresentedGroup.from_pair(d_in, d_out)
         assert pg.group == AbelianGroup(1, (2,))
         n = len(calls)
-        assert pg.coord_matrix(IntMatrix.from_rows([[0], [1], [2]])) is not None
+        assert pg.coord_matrix(from_rows([[0], [1], [2]])) is not None
         assert pg.coord_matrix(d_in) is not None
         assert len(calls) == n
         # no boundaries: the cycle basis is factored when first asked
         pg = PresentedGroup.from_pair(IntMatrix(3, 2), d_out)
         n = len(calls)
         assert pg._cycles_snf is None
-        assert pg.coord_matrix(IntMatrix.from_rows([[0], [1], [0]])) is not None
+        assert pg.coord_matrix(from_rows([[0], [1], [0]])) is not None
         assert len(calls) == n + 1
 
     def test_plain_group_is_its_own_coordinates(self):
@@ -611,7 +612,7 @@ class TestPresentedGroup:
             assert pg.group == AbelianGroup(4)
             assert pg.dim == 4 and pg.cycles is None
             assert pg.representatives() == IntMatrix.identity(4)
-            v = IntMatrix.from_rows([[1], [0], [p + 1], [-1]])
+            v = from_rows([[1], [0], [p + 1], [-1]])
             assert pg.coord_matrix(v) == v.mod(p)
         assert calls == []
         # the dimension check still runs when both differentials are zero
@@ -623,8 +624,8 @@ class TestPresentedGroup:
         # has d' = 0); a nonzero differential is refused, not factored
         import artifact.exactlin as el
         monkeypatch.setattr(el, "_factor", lambda *a: pytest.fail("factored"))
-        d_out = IntMatrix.from_rows([[1, 0, 0]])
-        d_in = IntMatrix.from_rows([[0], [2], [4]])
+        d_out = from_rows([[1, 0, 0]])
+        d_in = from_rows([[0], [2], [4]])
         for p in (2, 3, 5):
             for pair in ((d_in, d_out), (d_in, IntMatrix(1, 3)),
                          (IntMatrix(3, 2), d_out)):
@@ -636,10 +637,10 @@ class TestPresentedGroup:
         # b against a leaves C' = {c}, iota(c) = c, pi(a) = 0, pi(c) = c.
         # H_0 read in C' through pi and iota is H_0 of C unreduced.
         pg = PresentedGroup.from_pair(IntMatrix(1, 0), IntMatrix(0, 1))
-        full = PresentedGroup.from_pair(IntMatrix.from_rows([[1], [0]]),
+        full = PresentedGroup.from_pair(from_rows([[1], [0]]),
                                         IntMatrix(0, 2))
-        iota = IntMatrix.from_rows([[0], [1]])          # rows a, c
-        pi = IntMatrix.from_rows([[0, 1]])
+        iota = from_rows([[0], [1]])          # rows a, c
+        pi = from_rows([[0, 1]])
         assert pg.group == full.group == AbelianGroup(1)
         assert pg.representatives() == IntMatrix.identity(1)
         # iota carries C''s generator to one of C, and pi back
@@ -648,8 +649,8 @@ class TestPresentedGroup:
         assert there.rows == there.cols == 1 and abs(there[(0, 0)]) == 1
         assert back @ there == IntMatrix.identity(1)
         # a + 5 c is the class 5 c: a is a boundary
-        v = IntMatrix.from_rows([[1], [5]])
-        assert pg.coord_matrix(pi @ v) == IntMatrix.from_rows([[5]])
+        v = from_rows([[1], [5]])
+        assert pg.coord_matrix(pi @ v) == from_rows([[5]])
         assert full.coord_matrix(v) == there.scale(5)
         # C' presents only C'_0: a vector of C_0 itself does not fit
         with pytest.raises(DimensionMismatch):
@@ -660,8 +661,8 @@ class TestPresentedGroup:
         # height is not the dimension of the presented Z^n
         plain = PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 3))
         factored = PresentedGroup.from_pair(
-            IntMatrix.from_rows([[0], [2], [4]]),
-            IntMatrix.from_rows([[1, 0, 0]]))
+            from_rows([[0], [2], [4]]),
+            from_rows([[1, 0, 0]]))
         assert plain._plain and not factored._plain
         for pg in (plain, factored):
             assert pg.dim == 3
@@ -673,10 +674,10 @@ class TestPresentedGroup:
 
     def test_subgroups_equal(self):
         no_rel = IntMatrix(2, 0)
-        a = IntMatrix.from_rows([[2, 0], [0, 3]])
-        b = IntMatrix.from_rows([[2, 0], [0, 9]])
+        a = from_rows([[2, 0], [0, 3]])
+        b = from_rows([[2, 0], [0, 9]])
         assert subgroups_equal(a, b, no_rel) is False
-        c = IntMatrix.from_rows([[0, -2], [3, 0]])
+        c = from_rows([[0, -2], [3, 0]])
         assert subgroups_equal(a, c, no_rel) is True
 
 

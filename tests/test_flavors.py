@@ -270,9 +270,10 @@ class TestFieldPathFactorsNothing:
 
 
 class TestOneDoublingPerCertificate:
-    """``cone_identities`` and ``ladder_check`` double each complex once and
-    hand the doubled complexes to ``circle._su_map``; every p-morphism is
-    still verified before it is doubled."""
+    """``cone_identities`` and ``ladder_check`` double each complex of a
+    bundle once between them, keep the doubles in the bundle, and hand them
+    to ``circle._su_map``; every p-morphism is still verified before it is
+    doubled, and a refusal keeps nothing."""
 
     def test_su_map_of_given_doubles_is_s_u_map(self):
         rng = random.Random(71)
@@ -305,7 +306,7 @@ class TestOneDoublingPerCertificate:
             Check(tag, False) for tag in ("eq:S1", "eq:1:SU", "eq:S2",
                                           "eq:S2:line2")]
 
-    def test_eight_doublings_for_four_complexes(self, monkeypatch):
+    def test_four_doublings_for_four_complexes(self, monkeypatch):
         doubled = []
         original = circle.s_u
 
@@ -318,10 +319,30 @@ class TestOneDoublingPerCertificate:
         b = assemble(tower_model(TowerParams(base=mod2_base(p=2), n=3)))
         assert cone_identities(b).ok
         assert ladder_check(b).ok
-        # hat, bar, check and the cone (built anew by each), once in each
-        assert len(doubled) == 8
+        # hat, bar, check and the cone, once per bundle: the ladder reads
+        # what the cone identities doubled
+        assert len(doubled) == 4
         for C in (b.hat, b.bar, b.check):
-            assert sum(D is C for D in doubled) == 2
+            assert sum(D is C for D in doubled) == 1
+        # a copy doubles its own pieces, once, whichever certificate asks
+        # first
+        c = b._replace(k_p=b.k_p)
+        assert ladder_check(c).ok and cone_identities(c).ok
+        assert len(doubled) == 8
+        assert all(sum(D is C for D in doubled[4:]) == 1
+                   for C in (c.hat, c.bar, c.check))
+        assert (flavors._doubled_pieces(c) is flavors._doubled_pieces(c)
+                is not flavors._doubled_pieces(b))
+
+    def test_a_refused_doubling_is_not_kept(self):
+        b = assemble(golden_one())
+        bump = GradedMap(b.hat.module, b.bar.module, -2,
+                         {("u.u1", "s.s0"): 1})
+        c = b._replace(k_p=b.k_p + bump)
+        for _ in range(2):
+            with pytest.raises(NotAPMorphism):
+                ladder_check(c)
+        assert c._doubled is None
 
 
 class TestOneVerificationPerPMorphism:
@@ -463,7 +484,7 @@ def _squares_by_products(bundle, win, slotwise):
     the inclusions and projections, on legs made by ``slotwise``: the
     oracle for the squares read by name."""
     (su_hat, su_bar, su_check, su_i, su_j, su_p, *_) = \
-        flavors._doubled_pieces(bundle, cone_total(bundle))
+        flavors._doubled_pieces(bundle)
     slices = {key: {fl.tag: circle.e_y(S, fl, win)
                     for fl in (MINUS, INFINITY, PLUS)}
               for key, S in (("hat", su_hat), ("bar", su_bar),
@@ -607,11 +628,12 @@ class TestFourFlavors:
         assert ff.hat_table.degrees() == [0, 1]
         win = ff.window
         for j in safe_degrees(S, MINUS, win):
-            assert ff.minus_table[j] == (Z if j == -1 else AbelianGroup(0))
+            assert ff.tables["minus"][j] == (Z if j == -1
+                                             else AbelianGroup(0))
         for j in safe_degrees(S, INFINITY, win):
-            assert ff.infinity_table[j].is_trivial()
+            assert ff.tables["infinity"][j].is_trivial()
         for j in safe_degrees(S, PLUS, win):
-            assert ff.plus_table[j] == (Z if j == 0 else AbelianGroup(0))
+            assert ff.tables["plus"][j] == (Z if j == 0 else AbelianGroup(0))
 
     def test_acyclic_all_trivial(self):
         m = GradedModule((("c", 1), ("d", 0)))
@@ -621,12 +643,9 @@ class TestFourFlavors:
         S = s_u(C)
         assert ff.ok
         assert ff.hat_table.is_trivial()
-        for flavor, table in (("minus", ff.minus_table),
-                              ("infinity", ff.infinity_table),
-                              ("plus", ff.plus_table)):
-            for j in safe_degrees(S, {"minus": MINUS, "infinity": INFINITY,
-                                      "plus": PLUS}[flavor], ff.window):
-                assert table[j].is_trivial()
+        for flavor in (MINUS, INFINITY, PLUS):
+            for j in safe_degrees(S, flavor, ff.window):
+                assert ff.tables[flavor.tag][j].is_trivial()
 
     def test_hat_table_matches_su_random(self):
         rng = random.Random(301)

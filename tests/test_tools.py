@@ -3,11 +3,13 @@
 slices of ``four_flavors``, and the ``chain._lattice_exactness`` and
 ``exactlin._factor`` it wraps), and so does ``scale_ladder.py`` (the
 ``flavors._fundamental`` it wraps), so a change to those names fails here;
-``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs; and
+``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs;
 ``ab_inprocess.py`` runs two cases of ``ladder_fp`` on this checkout
-against itself."""
+against itself, after a full untimed round; and ``bench_counts.py`` counts
+two cases of each in-process workload, twice."""
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -53,7 +55,7 @@ def test_scale_z_counts_the_kept_inverse():
         scale_z = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(scale_z)
         el = scale_z.exactlin
-        M, one = el.IntMatrix.from_rows([[3]]), el.IntMatrix.identity(1)
+        M, one = el.IntMatrix(1, 1, {(0, 0): 3}), el.IntMatrix.identity(1)
 
         def stub(M, inverse=False):
             return (el.SNFResult((3,), one, one),
@@ -128,7 +130,24 @@ def test_ab_inprocess_lines_on_this_checkout_twice():
     before, path = set(sys.modules), list(sys.path)
     artifact = sys.modules.get("artifact")
     root = str(AB_INPROCESS.parent.parent)
-    lines = list(ab.compare(root, root, "ladder_fp", 1, rounds=2, cases=2))
+    # count the case runs, and how many come before the first round's line
+    runs, rounds = [], ab._rounds
+
+    def counting(run, sides, lists, n):
+        def counted(case):
+            runs.append(case)
+            return run(case)
+        return rounds(counted, sides, lists, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ab, "_rounds", counting)
+        produced = ab.compare(root, root, "ladder_fp", 1, rounds=2, cases=2)
+        lines = [next(produced)]
+        # the untimed warm-up round and the first timed round, each of the
+        # two cases on both sides
+        assert len(runs) == 8
+        lines += list(produced)
+    assert len(runs) == 12
     number = r"\d+\.\d{4}"
     assert len(lines) == 4
     for r, line in enumerate(lines[:2], 1):
@@ -144,3 +163,35 @@ def test_ab_inprocess_lines_on_this_checkout_twice():
     assert sys.modules.get("artifact") is artifact
     assert sys.path == path
     assert set(sys.modules) - before <= {"calibrate"}
+
+
+BENCH_COUNTS = AB_INPROCESS.parent / "bench_counts.py"
+
+
+def test_bench_counts_schema_and_repeat(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_counts",
+                                                  BENCH_COUNTS)
+    bc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bc)
+    root = str(BENCH_COUNTS.parent.parent)
+    outs = [tmp_path / f"run{k}.json" for k in (1, 2)]
+    for out in outs:
+        assert bc.main([str(out), f"here={root}", "--cases", "2"]) == 0
+    first, second = (json.loads(out.read_text()) for out in outs)
+    assert first == second
+    assert set(first) == {"schema", "seed", "cases", "counted", "checkouts"}
+    assert (first["schema"], first["seed"], first["cases"]) == (1, 1, 2)
+    counted = ["exactlin._factor", "chain.validate", "circle.s_u"]
+    assert first["counted"] == counted
+    (label, here), = first["checkouts"].items()
+    assert label == "here" and re.fullmatch(r"[0-9a-f]{64}",
+                                            here["src_sha256"])
+    assert set(here["workloads"]) == {"flavors_z", "ladder_fp"}
+    for name, counts in here["workloads"].items():
+        assert list(counts) == ["cases"] + counted
+        assert counts["cases"] == 2
+        assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+        assert counts["chain.validate"] > 0 and counts["circle.s_u"] > 0
+    # Z factors, the field path does not
+    assert here["workloads"]["flavors_z"]["exactlin._factor"] > 0
+    assert here["workloads"]["ladder_fp"]["exactlin._factor"] == 0

@@ -11,12 +11,15 @@ builds the workload's seeded case list from this checkout's
 ``perfbench/workloads.py``, with its own copy of ``perfbench/gen.py``, so
 its inputs are objects of its own package.  A case runs through the
 workload's own ``run`` function with the name ``artifact`` (and ``gen``)
-bound to that side's modules.  After one warm-up case per side, each round
-runs every case on both sides, alternating which side goes first from case
-to case and from round to round, so a drift in machine speed falls on both
-sides alike; separate benchmark processes run one after the other do not
-share it.  Only the in-process workloads, ``flavors_z`` and ``ladder_fp``,
-can be compared this way; ``--cases N`` keeps the first N cases.
+bound to that side's modules.  After the workload's warm-up case, each side
+runs one full round untimed: with only one case of warm-up the first timed
+rounds still drift (pass times falling by nearly half over a 12-round A/A
+run) and widen the spread.  Each timed round then runs every case on both
+sides, alternating which side goes first from case to case and from round
+to round, so a drift in machine speed falls on both sides alike; separate
+benchmark processes run one after the other do not share it.  Only the
+in-process workloads, ``flavors_z`` and ``ladder_fp``, can be compared this
+way; ``--cases N`` keeps the first N cases.
 
 One line per round, with the pass time of each side (the sum of its case
 times) and ratio = a_s / b_s (above 1: B is faster):
@@ -123,20 +126,31 @@ def compare(root_a: str, root_b: str, workload: str, seed: int,
             del sys.modules[key]
 
 
+def _pass(run, sides: List[Side], lists: List[list], r: int):
+    """One round: every case on both sides, side order alternating with
+    the case and with r.  (seconds per side, problems found)."""
+    spent = [0.0, 0.0]
+    problems: List[str] = []
+    for i in range(len(lists[0])):
+        order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
+        for k in order:
+            with sides[k].bound():
+                start = time.perf_counter()
+                found = run(lists[k][i])
+                spent[k] += time.perf_counter() - start
+            problems += [f"{sides[k].name} case {i}: {p}" for p in found]
+    return spent, problems
+
+
 def _rounds(run, sides: List[Side], lists: List[list],
             rounds: int) -> Iterator[str]:
+    # the warm-up round: checked, not timed
+    _, problems = _pass(run, sides, lists, -1)
+    if problems:
+        raise WrongAnswer(problems[0])
     totals: List[List[float]] = [[], []]
     for r in range(rounds):
-        spent = [0.0, 0.0]
-        problems: List[str] = []
-        for i in range(len(lists[0])):
-            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
-            for k in order:
-                with sides[k].bound():
-                    start = time.perf_counter()
-                    found = run(lists[k][i])
-                    spent[k] += time.perf_counter() - start
-                problems += [f"{sides[k].name} case {i}: {p}" for p in found]
+        spent, problems = _pass(run, sides, lists, r)
         for k in (0, 1):
             totals[k].append(spent[k])
         yield (f"round={r + 1} a_s={spent[0]:.4f} b_s={spent[1]:.4f} "

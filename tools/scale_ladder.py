@@ -12,7 +12,8 @@ the bundle.  It then prints the generators of each flavor slice the
 ladder's fundamental sequences read (minus, infinity and plus of the
 doubled hat, bar and check complexes), before and after the slice's
 reduction.  The slices are caught by a wrapper bound over
-``flavors._fundamental`` for the duration of the call and removed after.
+``_fundamental`` (``bench_counts.wrapped``) for the duration of the call
+and removed after.
 perfbench's ``ladder_fp`` stops at depth 5; this family shows how the
 slice pipeline grows past it.  One line per depth:
 
@@ -25,10 +26,11 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tools")]
 
 from artifact import flavors  # noqa: E402
 from artifact.chain import reduction  # noqa: E402
+from bench_counts import wrapped  # noqa: E402
 from gen import random_complex  # noqa: E402
 
 KEYS = ("hat", "bar", "check")
@@ -38,20 +40,18 @@ def measure(n: int) -> str:
     base, _ = random_complex(random.Random(0), 2, p=2)
     bundle = flavors.assemble(flavors.tower_model(
         flavors.TowerParams(base=base, n=n)))
-    original = flavors._fundamental
     caught = []
 
-    def catching(complexes, *args):
-        caught.append(complexes)
-        return original(complexes, *args)
+    def catching(original):
+        def fundamental(complexes, *args):
+            caught.append(complexes)
+            return original(complexes, *args)
+        return fundamental
 
-    flavors._fundamental = catching
-    try:
+    with wrapped(flavors, "_fundamental", catching):
         t0 = time.perf_counter()
         report = flavors.ladder_check(bundle)
         seconds = time.perf_counter() - t0
-    finally:
-        flavors._fundamental = original
     before = after = 0
     slices = []
     # ladder_check expands the doubled hat, bar and check in that order

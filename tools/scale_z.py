@@ -16,41 +16,23 @@ inverse of the left transform of every Smith form (``snf_max_bits``; every
 ``snf`` call and the factorization of each presentation's relations, which
 keeps that inverse, go through ``exactlin._factor``), through wrappers
 bound in every ``artifact`` module that holds the wrapped function and
-removed after.
+removed after (``bench_counts.wrapped``).
 One line per size.
 """
 
-import contextlib
 import os
 import random
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "perfbench", "tools")]
 
 from artifact import chain, exactlin  # noqa: E402
 from artifact.chain import reduction  # noqa: E402
 from artifact.flavors import four_flavors  # noqa: E402
+from bench_counts import wrapped  # noqa: E402
 from gen import random_complex  # noqa: E402
-
-
-@contextlib.contextmanager
-def _wrapped(owner, name, wrap):
-    """``owner.name`` replaced by ``wrap(original)`` in every ``artifact``
-    module that binds the original, for the duration of the block."""
-    original = getattr(owner, name)
-    holders = [m for key, m in sys.modules.items()
-               if (key == "artifact" or key.startswith("artifact."))
-               and getattr(m, name, None) is original]
-    new = wrap(original)
-    for m in holders:
-        setattr(m, name, new)
-    try:
-        yield
-    finally:
-        for m in holders:
-            setattr(m, name, original)
 
 
 def _counts(run):
@@ -75,8 +57,8 @@ def _counts(run):
             return res, inv
         return factor
 
-    with _wrapped(chain, "_lattice_exactness", counting), \
-            _wrapped(exactlin, "_factor", measuring):
+    with wrapped(chain, "_lattice_exactness", counting), \
+            wrapped(exactlin, "_factor", measuring):
         run()
     return nodes[0], bits[0]
 
