@@ -25,10 +25,9 @@ _EXPORTS = {
                 "FourFlavors", "LadderReport", "TowerParams", "assemble",
                 "cone_identities", "cone_total", "four_flavors",
                 "ladder_check", "point_tower", "tower_model"),
-    "connsum": ("ConnSumMaps", "FilteredComplex", "IdentificationFailed",
-                "PositivityViolated", "SumInput", "case1_check",
-                "case2_check", "check_positivity", "cm_flavors",
-                "product_complex", "verify_sum_maps"),
+    "connsum": ("ConnSumMaps", "FilteredComplex", "PositivityViolated",
+                "SumInput", "case1_check", "case2_check", "check_positivity",
+                "cm_flavors", "product_complex", "verify_sum_maps"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -420,7 +420,9 @@ class Check(NamedTuple):
     a failure where the check can: a generator pair for a law, the first
     failing (location, degree) of a long exact sequence, the first failing
     degree of a square.  A long exact sequence that fails with witness
-    None had no node to check."""
+    None had no node to check.  A witness may also be a message naming the
+    failure, which reports print beneath the check as a ``detail``
+    record."""
 
     tag: str
     ok: bool

@@ -677,18 +677,15 @@ def _match_shift(leftH: HomologyTable, rightH: HomologyTable,
         return ShiftReport(0 if sl & sr else None, {})
     if not left_nz or not right_nz:
         return ShiftReport(None, {})
-    candidates = sorted({left_nz[0] - right_nz[0], left_nz[-1] - right_nz[-1]})
-    for s in candidates:
-        if not all(j - s in sr for j in left_nz):
-            continue
-        if not all(k + s in sl for k in right_nz):
-            continue
-        if all(leftH[j] == rightH[j - s] for j in sl if j - s in sr):
-            table = {}
-            for k in sorted(sr):
-                if k + s in sl and not (rightH[k].is_trivial()
-                                        and leftH[k + s].is_trivial()):
-                    table[k] = (rightH[k], leftH[k + s])
+    # at shift s the degrees compared are the k trusted on the right with
+    # k + s trusted on the left, and a class in a degree without a trusted
+    # partner is left out; each candidate s pairs two nontrivial classes,
+    # so a match never rests on trivial groups alone
+    for s in sorted({left_nz[0] - right_nz[0], left_nz[-1] - right_nz[-1]}):
+        table = {k: (rightH[k], leftH[k + s]) for k in sorted(sr)
+                 if k + s in sl and not (rightH[k].is_trivial()
+                                         and leftH[k + s].is_trivial())}
+        if all(want == got for want, got in table.values()):
             return ShiftReport(s, table)
     return ShiftReport(None, {})
 

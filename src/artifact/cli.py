@@ -478,11 +478,15 @@ class _Report:
         self.raw(f"kind={kind} {fields}" if self.fmt == "machine" else text)
 
     def check(self, *checks: Check) -> None:
+        """One check record each; a failing Check whose witness is a
+        message is followed by that message as a detail record."""
         for c in checks:
             self.failed = self.failed or not c.ok
             status = "pass" if c.ok else "fail"
             self.emit("check", f"tag={c.tag} status={status}",
                       f"{status.upper()} {c.tag}")
+            if not c.ok and isinstance(c.witness, str):
+                self.message("detail", "  ", c.witness)
 
     def info(self, key: str, value) -> None:
         self.emit("info", f"{key}={value}", f"{key}={value}")
@@ -658,7 +662,7 @@ def _cmd_verify(m: Manifest, rep: _Report) -> None:
         # the constructor refuses a complex that fails either of the first
         # two, so only positivity can fail here
         rep.check(Check("degree-homogeneity", True), Check("d.d=0", True),
-                  Check("positivity", check_positivity(obj)))
+                  check_positivity(obj))
     elif (bundle := _assembled(obj, rep)) is not None:
         from .flavors import ASSEMBLY_TAGS, cone_identities
         rep.check(*(Check(tag, True) for tag in ASSEMBLY_TAGS))
@@ -737,7 +741,7 @@ def _cmd_tower(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_cmflavors(m: Manifest, rep: _Report) -> None:
-    from .connsum import FilteredComplex, PositivityViolated, cm_flavors
+    from .connsum import FilteredComplex, check_positivity, cm_flavors
     _, obj = _primary(m)
     if isinstance(obj, ChainComplex):  # d at exponent 0
         C = obj
@@ -753,13 +757,12 @@ def _cmd_cmflavors(m: Manifest, rep: _Report) -> None:
     if not isinstance(obj, FilteredComplex):
         raise ValidationError("manifest", "cmflavors needs a filtered "
                               "complex")
-    try:
-        fl = cm_flavors(obj, m.window)
-    except PositivityViolated as e:
-        rep.check(Check("positivity", False))
-        rep.message("detail", "  ", str(e))
+    # an error in the expansion prints the error record alone
+    positivity = check_positivity(obj)
+    fl = cm_flavors(obj, m.window) if positivity.ok else None
+    rep.check(positivity)
+    if fl is None:
         return
-    rep.check(Check("positivity", True))
     rep.window(fl.window)
     for tag, cx in fl.complexes.items():
         rep.homology_table(homology(cx), obj.p, flavor=tag)
@@ -774,16 +777,9 @@ def _cmd_case1(m: Manifest, rep: _Report) -> None:
 
 
 def _cmd_case2(m: Manifest, rep: _Report) -> None:
-    from .connsum import IdentificationFailed, case2_check
+    from .connsum import case2_check
     _, C = _chain_input(m)
-    flavor = _flavor_option(m)
-    try:
-        ok = case2_check(C, flavor.tag, m.window)
-    except IdentificationFailed as e:
-        rep.check(Check("eq:S=eq:E", False))
-        rep.message("detail", "  ", str(e))
-        return
-    rep.check(Check("eq:S=eq:E", ok))
+    rep.check(case2_check(C, _flavor_option(m).tag, m.window))
 
 
 def _cmd_consum_verify(m: Manifest, rep: _Report) -> None:

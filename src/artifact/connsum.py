@@ -21,10 +21,11 @@ difference U-action u1 x 1 - 1 x u2 and feeds the doubled-complex functor.
 ``case1_check`` compares the doubled product against a truncated
 polynomial model with vanishing differential; ``case2_check`` matches the
 doubled product with a one-line exponent model, entry for entry, against
-the flavor expansion of the doubled second factor.  ``verify_sum_maps``
-audits candidate gluing data (two map blocks each way plus homotopy
-blocks) against the four block chain-map identities and both
-homotopy-composite identities.
+the flavor expansion of the doubled second factor; the witness of its
+failing Check names the first mismatch.  ``verify_sum_maps`` audits
+candidate gluing data (two map blocks each way plus homotopy blocks)
+against the four block chain-map identities and both homotopy-composite
+identities.
 
 Conventions match chain.py: differentials have degree -1, a degree-d
 chain map satisfies f.d - (-1)^d d.f = 0, and [a, b] is the graded
@@ -70,15 +71,6 @@ from .exactlin import AbelianGroup, IntMatrix, is_prime, snf
 class PositivityViolated(ChainError):
     """A differential exponent is negative, so the exponent >= 0 span is
     not a subcomplex."""
-
-
-class IdentificationFailed(ChainError):
-    """The canonical generator identification does not intertwine the two
-    differentials; ``entry`` holds the first mismatch."""
-
-    def __init__(self, message: str, entry=None):
-        super().__init__(message)
-        self.entry = entry
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +155,15 @@ class FilteredComplex:
                 f"{len(self.d_entries)} entries over {ring})")
 
 
-def check_positivity(F: FilteredComplex) -> bool:
-    """True iff every differential exponent is >= 0, so the exponent >= 0
-    span is closed under the differential."""
-    return all(n >= 0 for terms in F.d_entries.values() for n, _ in terms)
+def check_positivity(F: FilteredComplex) -> Check:
+    """The ``positivity`` Check: every differential exponent is >= 0, so the
+    exponent >= 0 span is closed under the differential.  The witness of a
+    failure names the first entry with a negative exponent."""
+    for key, terms in F.d_entries.items():
+        if any(n < 0 for n, _ in terms):
+            return Check("positivity", False,
+                         f"negative differential exponent at {key}")
+    return Check("positivity", True)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +175,11 @@ def cm_flavors(F: FilteredComplex, window=None) -> FundamentalSequences:
     complexes on a window and certify both fundamental sequences: the
     exponent split 0 -> minus -> infinity -> plus -> 0 and the exponent
     shift 0 -> minus -> minus -> hat -> 0, degreewise at the chain level
-    and through the long exact sequence at window-safe degrees."""
-    if not check_positivity(F):
-        bad = [(k, terms) for k, terms in F.d_entries.items()
-               if any(n < 0 for n, _ in terms)]
-        raise PositivityViolated(
-            f"negative differential exponent at {bad[0][0]}")
+    and through the long exact sequence at window-safe degrees.  A failing
+    ``check_positivity`` raises ``PositivityViolated`` with its witness."""
+    positivity = check_positivity(F)
+    if not positivity.ok:
+        raise PositivityViolated(positivity.witness)
     degrees = [d for _, d in F.generators]
     win = _resolve_window(degrees, window)
     terms = [(src, dst, n, c) for (src, dst), ts in F.d_entries.items()
@@ -264,8 +260,10 @@ def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
     line, up to a uniform shift on degrees the truncation cannot touch.
 
     Truncating the exponent at N only deletes generators in total degrees
-    <= max(deg C1) - 2N, so homology is trustworthy from two degrees above
-    that; the comparison runs on the intersection with the window."""
+    <= max(deg C1) - 2N, so the product side is trusted from two degrees
+    above that and the model side on the whole window.  At shift s, model
+    degree k is compared with product degree k + s where that degree is
+    trusted; a model class whose partner is not trusted is left out."""
     if C1.u_action is None:
         raise MissingUAction("case1_check needs a U-action on C1")
     model = _polynomial_model(N, C1.p)
@@ -298,8 +296,9 @@ def _degree_band(C: ChainComplex, lo: int, hi: int) -> ChainComplex:
     return ChainComplex(module, _restricted(C.d, module, module), p=C.p)
 
 
-def case2_check(C: ChainComplex, flavor, window=None) -> bool:
-    """Entry-exact comparison of the two sides of the one-line product.
+def case2_check(C: ChainComplex, flavor, window=None) -> Check:
+    """Entry-exact comparison of the two sides of the one-line product, as
+    the ``eq:S=eq:E`` Check.
 
     Left: the product of the exponent model with C, doubled with the
     difference U-action and restricted to the window band.  Right: the
@@ -308,7 +307,9 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
     The generator identification u.u{n} x g x y^e -> g.y^e.u{n} reorders
     tensor factors past an even-degree line, so it carries no signs; it
     must be a degree-preserving bijection matching every differential
-    entry, and the first mismatch is reported otherwise."""
+    entry.  The Check fails on a window with nothing to compare or at the
+    first mismatch, and its witness is a message naming which."""
+    tag = "eq:S=eq:E"
     if isinstance(flavor, str):
         flavor = Flavor(flavor)
     if C.u_action is None:
@@ -320,8 +321,8 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
     exponents = sorted({int(name.rsplit(".u", 1)[1])
                         for name in right.module.names()})
     if not exponents:
-        raise IdentificationFailed(
-            f"nothing to compare in the window {win.lo}..{win.hi}")
+        return Check(tag, False, "nothing to compare in the window "
+                     f"{win.lo}..{win.hi}")
     # the exponent model: the expansion of a single degree-0 point u, one
     # generator u.u{n} of degree -2n per exponent of the right side
     model = _expand([("u", 0)], (), _U_LAYOUT, (flavor.tag,), Window(
@@ -337,32 +338,28 @@ def case2_check(C: ChainComplex, flavor, window=None) -> bool:
         rename[f"{g}.y"] = f"{base}.y.u{n}"
 
     if len(band.module) != len(right.module):
-        raise IdentificationFailed(
-            f"generator counts differ: {len(band.module)} vs "
-            f"{len(right.module)}")
+        return Check(tag, False, "generator counts differ: "
+                     f"{len(band.module)} vs {len(right.module)}")
     for name, dg in band.module.generators:
         target = rename[name]
         if target not in right.module:
-            raise IdentificationFailed(
-                f"no partner for {name!r} (expected {target!r})",
-                entry=(name, target))
+            return Check(tag, False, f"no partner for {name!r} "
+                         f"(expected {target!r})")
         if right.module.degree_of(target) != dg:
-            raise IdentificationFailed(
-                f"degree mismatch at {name!r} -> {target!r}",
-                entry=(name, target))
+            return Check(tag, False,
+                         f"degree mismatch at {name!r} -> {target!r}")
 
     translated = GradedMap(
         right.module, right.module, -1,
         {(rename[s], rename[t]): v for (s, t), v in band.d.entries.items()})
     diff = translated - right.d
-    if not diff.is_zero_mod(C.p):
-        src, dst = diff.nonzero_witness(C.p)
-        raise IdentificationFailed(
-            f"differential entry mismatch at ({src!r} -> {dst!r}): "
-            f"{translated.image_of(src).get(dst, 0)} vs "
-            f"{right.d.image_of(src).get(dst, 0)}",
-            entry=(src, dst))
-    return True
+    if diff.is_zero_mod(C.p):
+        return Check(tag, True)
+    src, dst = diff.nonzero_witness(C.p)
+    return Check(tag, False,
+                 f"differential entry mismatch at ({src!r} -> {dst!r}): "
+                 f"{translated.image_of(src).get(dst, 0)} vs "
+                 f"{right.d.image_of(src).get(dst, 0)}")
 
 
 # ---------------------------------------------------------------------------

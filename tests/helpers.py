@@ -13,11 +13,12 @@ reduction's iota and pi, the oracle for the class matrices that
 ``chain._HomologyArrow._push`` reads in C'; and small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
 ``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
-``from_rows``, ``submatrix_cols``, ``equal_on``).  The lattice oracles
-factor through ``snf_reference``, over Z and over F_p, where the program
-only reduces and takes ranks; ``fixed_arrow`` and ``fixed_node`` hand
-constructed class matrices and presentations to the program's own
-verdicts.
+``from_rows``, ``submatrix_cols``, ``equal_on``, and ``case2_input`` with
+``perturb_right_side`` for the mismatches of ``case2_check``).  The
+lattice oracles factor through ``snf_reference``, over Z and over F_p,
+where the program only reduces and takes ranks; ``fixed_arrow`` and
+``fixed_node`` hand constructed class matrices and presentations to the
+program's own verdicts.
 """
 
 import random
@@ -472,3 +473,37 @@ def ambient_coords(C: ChainComplex, j: int,
     if not (C.d.block(j) @ vectors).mod(C.p).is_zero():
         return None
     return pg.coord_matrix(pi_j @ vectors)
+
+
+def case2_input() -> ChainComplex:
+    """A U-complex whose hat identification in ``connsum.case2_check``
+    matches a.u0 .. c.y.u0 one to one, with d entries (c.u0 -> b.u0) 2,
+    (c.u0 -> a.y.u0) -1 and (c.y.u0 -> b.y.u0) -2 on the right side."""
+    m = GradedModule([("a", 0), ("b", 1), ("c", 2)])
+    return ChainComplex(m, GradedMap(m, m, -1, {("c", "b"): 2}),
+                        u_action=GradedMap(m, m, -2, {("c", "a"): 1}))
+
+
+def perturb_right_side(monkeypatch, change: str) -> None:
+    """Make ``connsum.e_y``, the right side of ``case2_check``, add a
+    generator (count), rename a.u0 (partner), raise a.u0 by two degrees
+    (degree), or triple every differential entry (entry)."""
+    from artifact import connsum
+    original = connsum.e_y
+
+    def perturbed(*args):
+        right = original(*args)
+        gens = list(right.module.generators)
+        entries = dict(right.d.entries)
+        if change == "count":
+            gens.append(("z.u0", 0))
+        elif change == "partner":
+            gens = [("z.u0" if n == "a.u0" else n, d) for n, d in gens]
+        elif change == "degree":
+            gens = [(n, d + 2 if n == "a.u0" else d) for n, d in gens]
+        else:
+            entries = {k: 3 * v for k, v in entries.items()}
+        m = GradedModule(gens)
+        return ChainComplex(m, GradedMap(m, m, -1, entries), p=right.p)
+
+    monkeypatch.setattr(connsum, "e_y", perturbed)

@@ -436,7 +436,7 @@ class TestProductCase2:
             p = 2 if i % 4 == 3 else 0
             C = random_complex(rng, max_pieces=2, p=p, with_u=True).complex
             for flavor in ("minus", "infinity", "plus", "hat"):
-                assert case2_check(C, flavor, Window(-6, 4)), (i, flavor)
+                assert case2_check(C, flavor, Window(-6, 4)).ok, (i, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +643,7 @@ def _engine_verdicts(m):
         checks = validate(obj).checks
     elif m.command == "verify" and isinstance(obj, FilteredComplex):
         checks = [Check("degree-homogeneity", True), Check("d.d=0", True),
-                  Check("positivity", check_positivity(obj))]
+                  check_positivity(obj)]
     elif m.command in ("verify", "ladder"):
         try:
             bundle = assemble(obj)
@@ -657,14 +657,14 @@ def _engine_verdicts(m):
     elif m.command == "flavors":
         checks = four_flavors(obj).sequences.checks
     elif m.command == "cmflavors":
-        checks = [Check("positivity", check_positivity(obj))]
+        checks = [check_positivity(obj)]
         checks += cm_flavors(obj).checks if checks[0].ok else ()
     elif m.command == "consum-verify":
         checks = verify_sum_maps(obj.inputs, obj.maps).checks
     elif m.command == "tower":
         checks = point_tower(m.n)[1]
     elif m.command == "consum-case2":
-        checks = [Check("eq:S=eq:E", case2_check(obj, m.flavor))]
+        checks = [case2_check(obj, m.flavor)]
     elif m.command == "koszul" and m.direction == "a":
         shift = koszul_a(cli._random_u_complex(m.seed), MINUS)
     elif m.command == "koszul":

@@ -19,6 +19,8 @@ from artifact.connsum import ConnSumMaps, FilteredComplex
 from artifact.flavors import (BalancedComponents, TowerParams, four_flavors,
                               tower_model)
 
+from helpers import case2_input, perturb_right_side
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
 
@@ -290,6 +292,23 @@ class TestCommands:
             assert code == 0
             assert "PASS eq:S=eq:E" in text
 
+    @pytest.mark.parametrize("fmt,lines", [
+        ("text", ["FAIL eq:S=eq:E",
+                  "  differential entry mismatch at ('c.u0' -> 'a.y.u0'): "
+                  "-1 vs -3"]),
+        ("machine", ["kind=check tag=eq:S=eq:E status=fail",
+                     'kind=detail message="differential entry mismatch at '
+                     "('c.u0' -> 'a.y.u0'): -1 vs -3\""]),
+    ])
+    def test_case2_prints_the_mismatch_as_detail(self, monkeypatch, tmp_path,
+                                                 fmt, lines):
+        perturb_right_side(monkeypatch, "entry")
+        path = write(tmp_path, print_complex(case2_input(), "c"))
+        code, text = run(Manifest(command="consum-case2", flavor="hat",
+                                  inputs=(path,), fmt=fmt))
+        assert code == 1
+        assert text.splitlines() == lines
+
     def test_consum_verify_command(self):
         code, text = run(Manifest(
             command="consum-verify",
@@ -304,8 +323,26 @@ class TestCommands:
         for path in sorted(CORPUS.glob("*.txt")):
             code, text = run(Manifest(command="verify",
                                       inputs=(str(path),)))
-            expected = 1 if path.name == "perturbed_bundle.txt" else 0
+            expected = 1 if path.name in ("filtered_negative.txt",
+                                          "perturbed_bundle.txt") else 0
             assert code == expected, (path.name, text)
+
+    @pytest.mark.parametrize("fmt,fail,detail", [
+        ("text", "FAIL positivity",
+         "  negative differential exponent at ('b', 'a')"),
+        ("machine", "kind=check tag=positivity status=fail",
+         'kind=detail message="negative differential exponent at '
+         "('b', 'a')\""),
+    ])
+    def test_verify_and_cmflavors_print_the_positivity_witness(
+            self, fmt, fail, detail):
+        path = str(CORPUS / "filtered_negative.txt")
+        reports = [run(Manifest(command=command, inputs=(path,), fmt=fmt))
+                   for command in ("verify", "cmflavors")]
+        # verify prints the two laws the constructor enforced first
+        assert [code for code, _ in reports] == [1, 1]
+        assert reports[0][1].splitlines()[2:] == [fail, detail]
+        assert reports[1][1].splitlines() == [fail, detail]
 
     def test_verify_ok_prints_all_assembly_tags(self):
         code, text = run(Manifest(command="verify",
@@ -439,7 +476,8 @@ class TestVacuousCertificates:
                                   window=Window(20, 21),
                                   inputs=(str(CORPUS / "point.txt"),)))
         assert code == 1
-        assert text.splitlines()[0] == "FAIL eq:S=eq:E"
+        assert text.splitlines() == [
+            "FAIL eq:S=eq:E", "  nothing to compare in the window 20..21"]
 
     def test_empty_certificate_is_not_ok(self):
         C = parse(str(CORPUS / "utower.txt"))
