@@ -22,8 +22,9 @@ Factor once, solve many: a matrix is factored once per use and every
 right-hand side is back-substituted through that one factorization.
 ``solve`` takes a whole block of right-hand-side columns, the lattice
 helpers make one ``solve`` call per inclusion, and a ``PresentedGroup``
-factors its cycle basis once, the first time coordinates are asked of it
-(a plain one, with zero differentials, factors nothing).
+reads cycles, relations and coordinates off one factorization of its
+outgoing differential (a plain one, with zero differentials, factors
+nothing).  A product with ``IntMatrix.identity`` is the other factor.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
+        return _Identity._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
@@ -190,6 +191,23 @@ _set_rows, _set_cols, _set_entries = (
     IntMatrix.rows.__set__, IntMatrix.cols.__set__, IntMatrix.entries.__set__)
 
 
+class _Identity(IntMatrix):
+    """An identity, as only ``IntMatrix.identity`` builds one: a product
+    with it is the other factor; a wrong shape raises in the general one."""
+
+    __slots__ = ()
+
+    def __matmul__(self, other: IntMatrix) -> IntMatrix:
+        if self.cols != other.rows:
+            return IntMatrix.__matmul__(self, other)
+        return other
+
+    def __rmatmul__(self, other: IntMatrix) -> IntMatrix:
+        if other.cols != self.rows:
+            return IntMatrix.__matmul__(other, self)
+        return other
+
+
 class AbelianGroup:
     """Finitely generated abelian group in canonical invariant-factor form.
 
@@ -267,34 +285,38 @@ class _Worker:
     operation touches only the entries it changes.  The reduction clears one
     row and column per step, so during step ``t`` the rows and columns
     before t hold only their diagonal entry, and column operations on ``a``
-    visit rows t and up only.  With ``inverse`` it keeps the inverse of
-    the left transform too, transposed, undoing each row operation there.
+    visit rows t and up only.  With ``inverse`` ("left" or "right") it keeps
+    the inverse of that transform too, undoing each of its operations
+    there: the left inverse by columns, the right inverse by rows.
     """
 
-    def __init__(self, M: IntMatrix, inverse: bool = False):
+    def __init__(self, M: IntMatrix, inverse: Optional[str] = None):
         self.n, self.m = M.rows, M.cols
         self.a: List[Dict[int, int]] = [dict() for _ in range(self.n)]
         for (i, j), v in M.entries.items():
             self.a[i][j] = v
         self.left: List[Dict[int, int]] = [{i: 1} for i in range(self.n)]
         self.right: List[Dict[int, int]] = [{j: 1} for j in range(self.m)]
-        self.inv = [{i: 1} for i in range(self.n)] if inverse else None
+        self.linv, self.rinv = (
+            [{i: 1} for i in range(self.n)] if inverse == "left" else None,
+            [{j: 1} for j in range(self.m)] if inverse == "right" else None)
 
-    # row operations act on (a, left, inv); column operations on (a, right).
+    # row operations act on (a, left, linv); column operations on
+    # (a, right, rinv).
 
     def row_swap(self, i1, i2):
-        for mat in (self.a, self.left) + ((self.inv,) if self.inv else ()):
+        for mat in (self.a, self.left) + ((self.linv,) if self.linv else ()):
             mat[i1], mat[i2] = mat[i2], mat[i1]
 
     def row_addmul(self, dst, src, c):
         _axpy(self.a[dst], self.a[src], c, 0)
         _axpy(self.left[dst], self.left[src], c, 0)
-        if self.inv:
-            _axpy(self.inv[src], self.inv[dst], -c, 0)
+        if self.linv:
+            _axpy(self.linv[src], self.linv[dst], -c, 0)
 
     def row_negate(self, i):
-        # -1 is its own inverse, so the kept inverse's row is negated too
-        for mat in (self.a, self.left) + ((self.inv,) if self.inv else ()):
+        # -1 is its own inverse, so the kept inverse's column is negated too
+        for mat in (self.a, self.left) + ((self.linv,) if self.linv else ()):
             mat[i] = {j: -v for j, v in mat[i].items()}
 
     def col_swap(self, t, j):
@@ -309,20 +331,33 @@ class _Worker:
                 row[t] = v2
             if v1 is not None:
                 row[j] = v1
-        self.right[t], self.right[j] = self.right[j], self.right[t]
+        for mat in (self.right,) + ((self.rinv,) if self.rinv else ()):
+            mat[t], mat[j] = mat[j], mat[t]
 
     def col_addmul(self, dst, t, c):
         # col_dst += c * col_t during step t, once column t of ``a`` holds
         # only its pivot: of ``a`` only row t changes, and the same
-        # elementary matrix multiplies the accumulated right transform.
+        # elementary matrix multiplies the accumulated right transform;
+        # its inverse takes c * row_dst from row t of the kept inverse.
         _axpy(self.a[t], {dst: self.a[t][t]}, c, 0)
         _axpy(self.right[dst], self.right[t], c, 0)
+        if self.rinv:
+            _axpy(self.rinv[t], self.rinv[dst], -c, 0)
 
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
-        lent = {(i, j): v for i, row in enumerate(self.left) for j, v in row.items()}
-        rent = {(i, j): v for j, col in enumerate(self.right) for i, v in col.items()}
-        return (IntMatrix._trusted(self.n, self.n, lent),
-                IntMatrix._trusted(self.m, self.m, rent))
+        return _by_rows(self.left), _by_rows(self.right, True)
+
+    def kept_inverse(self) -> Optional[IntMatrix]:
+        return (_by_rows(self.linv, True) if self.linv is not None
+                else None if self.rinv is None else _by_rows(self.rinv))
+
+
+def _by_rows(rows: List[Dict[int, int]], transpose: bool = False
+             ) -> IntMatrix:
+    """The square matrix with these rows (columns, with ``transpose``)."""
+    return IntMatrix._trusted(len(rows), len(rows), {
+        (j, i) if transpose else (i, j): v
+        for i, row in enumerate(rows) for j, v in row.items()})
 
 
 class SNFResult(Tuple[Tuple[int, ...], IntMatrix, IntMatrix]):
@@ -437,27 +472,27 @@ def snf(M: IntMatrix) -> SNFResult:
     Pivoting picks the entry of minimal absolute value, first in row-major
     order, for determinism.  A matrix that is already in that form, with
     only the leading diagonal entries set, is returned with identity
-    transforms without running the reduction; that is the answer the
-    reduction itself gives.  Over F_p nothing calls for a factorization:
-    ranks come from ``field_rank``.
+    transforms (``IntMatrix.identity``) without running the reduction; that
+    is the answer the reduction itself gives.  Over F_p nothing calls for a
+    factorization: ranks come from ``field_rank``.
     """
     return _factor(M)[0]
 
 
-def _factor(M: IntMatrix, inverse: bool = False
+def _factor(M: IntMatrix, inverse: Optional[str] = None
             ) -> Tuple[SNFResult, Optional[IntMatrix]]:
-    """``snf(M)``, and with ``inverse`` the inverse of its left
-    transform, which the reduction keeps beside it (else None)."""
+    """``snf(M)``, and with ``inverse`` ("left" or "right") the inverse of
+    that transform, which the reduction keeps beside it (else None).  Every
+    Smith form is made here; keeping an inverse changes none of it."""
     factors = _already_reduced(M)
     if factors is not None:
-        one = IntMatrix.identity(M.rows)
-        return (SNFResult(factors, one, IntMatrix.identity(M.cols)),
-                one if inverse else None)
+        res = SNFResult(factors, IntMatrix.identity(M.rows),
+                        IntMatrix.identity(M.cols))
+        return res, (res.left if inverse == "left" else
+                     res.right if inverse == "right" else None)
     w = _Worker(M, inverse)
     res = _snf_int(w)
-    return res, None if w.inv is None else IntMatrix._trusted(
-        M.rows, M.rows, {(i, j): v for j, row in enumerate(w.inv)
-                         for i, v in row.items()})
+    return res, w.kept_inverse()
 
 
 def is_prime(n: int) -> bool:
@@ -562,74 +597,61 @@ def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 class PresentedGroup:
-    """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n.
+    """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n,
+    built by ``from_pair`` only.
 
     Carries canonical coordinates: first the torsion coordinates (moduli
     d_i >= 2 in chain order), then the free coordinates.  Used to present
-    homology groups, express classes, and push classes through maps.  The
-    cycle basis is factored once, by ``from_pair`` when it has boundaries to
-    express in it and otherwise the first time coordinates are asked of it,
-    and every coordinate request back-substitutes through it.  When both
-    differentials are zero ``from_pair`` builds a plain group and factors
-    nothing: every vector is a cycle and its own coordinates; ``cycles`` and
-    ``rel`` are None.  Only a plain group may be over F_p (``p`` prime,
-    coordinates mod p): a reduced F_p complex has d' = 0, so that is every
-    F_p presentation ``chain`` builds.
+    homology groups, express classes, and push classes through maps.  One
+    factorization U d_out V = D of rank r, with V^-1 kept, gives the cycle
+    basis, V's columns r.., and the cycle coordinates of z, rows r.. of
+    V^-1 z, whose rows before r vanish exactly when d_out z = 0; a second
+    factors the relations.  Coordinates read through both.  With both
+    differentials zero the group is plain and factors nothing: every vector
+    is a cycle and its own coordinates; ``cycles`` and ``rel`` are None.
+    Only a plain group may be over F_p (``p`` prime, coordinates mod p): a
+    reduced F_p complex has d' = 0, so that is every F_p presentation
+    ``chain`` builds.
 
     ``chain`` presents each homology group on a reduction C' of its
     complex, so there Z^n is C'_j, and reads classes of C in it by pushing
     them through the reduction's maps (``chain._HomologyArrow._push``).
     """
 
-    # filled lazily, or by from_pair
-    _reps: Optional[IntMatrix] = None
-    _cycles_snf: Optional[SNFResult] = None
+    _reps: Optional[IntMatrix] = None   # filled on first request
     _plain = False
     p = 0
-
-    def __init__(self, cycles: IntMatrix, boundaries_in_cycle_coords: IntMatrix):
-        self.cycles = cycles                      # n x z, saturated basis
-        self.rel = boundaries_in_cycle_coords     # z x b
-        self.dim = cycles.rows
-        res, self._left_inverse = _factor(self.rel, True)
-        self.rel_left = res.left
-        z = cycles.cols
-        rank = len(res.factors)
-        self.torsion_moduli: List[int] = []
-        self.torsion_rows: List[int] = []
-        for i, d in enumerate(res.factors):
-            if d >= 2:
-                self.torsion_moduli.append(d)
-                self.torsion_rows.append(i)
-        self.free_rows = list(range(rank, z))
-        self.group = AbelianGroup(len(self.free_rows), self.torsion_moduli)
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
         """ker(d_out) / im(d_in); over F_p (``p`` prime) only a plain group,
-        with both differentials zero, else ``ExactLinError``."""
+        with both differentials zero, else ``ExactLinError``, as for a
+        ``d_in`` outside ker(d_out)."""
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
+        pg = cls.__new__(cls)
+        pg.dim, factors = d_out.cols, ()
+        pg.cycles = pg.rel = pg.rel_left = None
         if d_in.is_zero() and d_out.is_zero():
-            pg = cls.__new__(cls)
-            pg.p, pg.dim, pg._plain = p, d_out.cols, True
-            pg.cycles = pg.rel = pg.rel_left = None
-            pg.torsion_moduli, pg.torsion_rows = [], []
-            pg.free_rows = list(range(pg.dim))
-            pg.group = AbelianGroup(pg.dim)
-            return pg
-        if p:
+            pg.p, pg._plain = p, True
+        elif p:
             raise ExactLinError(
                 f"F{p} presentations are plain: reduce the complex first")
-        _, cycles = rank_and_kernel(d_out)
-        # coordinates are later taken through the same factorization
-        res = None if d_in.is_zero() else snf(cycles)
-        rel = (IntMatrix(cycles.cols, d_in.cols) if res is None
-               else _back_substitute(res, d_in))
-        if rel is None:
-            raise ExactLinError("boundary is not a cycle; composition nonzero?")
-        pg = cls(cycles, rel)
-        pg._cycles_snf = res
+        else:
+            res, pg._cycle_inverse = _factor(d_out, "right")
+            pg._cycle_rank = len(res.factors)
+            pg.cycles = _kernel_head(res, pg.dim)      # n x z, saturated
+            pg.rel = pg._cycle_coords(d_in)            # z x b
+            if pg.rel is None:
+                raise ExactLinError(
+                    "boundary is not a cycle; composition nonzero?")
+            res, pg._left_inverse = _factor(pg.rel, "left")
+            pg.rel_left, factors = res.left, res.factors
+        pg.torsion_moduli = [d for d in factors if d >= 2]
+        pg.torsion_rows = [i for i, d in enumerate(factors) if d >= 2]
+        pg.free_rows = list(range(
+            len(factors), pg.dim if pg._plain else pg.cycles.cols))
+        pg.group = AbelianGroup(len(pg.free_rows), pg.torsion_moduli)
         return pg
 
     # -- coordinates -------------------------------------------------------
@@ -637,19 +659,28 @@ class PresentedGroup:
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
+    def _cycle_coords(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        """X with cycles @ X = vectors, rows r.. of V^-1 @ vectors; None if
+        some column is not a cycle, nonzero in the rows before r."""
+        r = self._cycle_rank
+        ent = {}
+        for (i, j), v in (self._cycle_inverse @ vectors).entries.items():
+            if i < r:
+                return None
+            ent[(i - r, j)] = v
+        return IntMatrix._trusted(self.cycles.cols, vectors.cols, ent)
+
     def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of
         ``vectors`` (of the presented Z^n), as columns, or None if some
-        column is not a cycle."""
+        column is not a cycle; no factorization."""
         if vectors.rows != self.dim:
             raise DimensionMismatch("vectors do not fit the cycle lattice")
         if self._plain:
             return vectors.mod(self.p)
         if vectors.is_zero():
             return IntMatrix(self.rank_coords(), vectors.cols)
-        if self._cycles_snf is None:
-            self._cycles_snf = snf(self.cycles)
-        x = _back_substitute(self._cycles_snf, vectors)
+        x = self._cycle_coords(vectors)
         if x is None:
             return None
         y = self.rel_left @ x

@@ -10,7 +10,11 @@ Y = dX - Xd with rejection on Y.Y != 0.
 Beside them sit the reference readings that the program no longer ships:
 classes of a complex C read in C itself through the degree blocks of its
 reduction's iota and pi, the oracle for the class matrices that
-``chain._HomologyArrow._push`` reads in C'; and small constructions only
+``chain._HomologyArrow._push`` reads in C'; ``reduction_defects``, the
+chain-map laws of a reduction checked on every block; the presentation by
+back-substitution through a factored cycle basis
+(``CycleBasisPresentation``), the oracle of ``PresentedGroup.from_pair``;
+and small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
 ``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
 ``from_rows``, ``submatrix_cols``, ``equal_on``, and ``case2_input`` with
@@ -32,10 +36,13 @@ from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
-                               DimensionMismatch, IntMatrix, PresentedGroup)
-from snf_reference import (FieldPresentation, reference_back_substitute,
-                           reference_kernel, reference_lattice_contains,
-                           reference_snf, reference_solve)
+                               DimensionMismatch, ExactLinError, IntMatrix,
+                               PresentedGroup, _back_substitute,
+                               rank_and_kernel, snf)
+from snf_reference import (FieldPresentation, invert_unimodular,
+                           reference_back_substitute, reference_kernel,
+                           reference_lattice_contains, reference_snf,
+                           reference_solve)
 
 
 def from_rows(data: Sequence[Sequence[int]],
@@ -408,6 +415,42 @@ def unreduced_presentation(d_in: IntMatrix, d_out: IntMatrix, p: int = 0):
     return PresentedGroup.from_pair(d_in, d_out)
 
 
+class CycleBasisPresentation:
+    """ker(d_out) / im(d_in) over Z read by back-substitution, the way
+    ``PresentedGroup.from_pair`` once read it: a kernel basis from
+    ``rank_and_kernel``, factored on its own, and the relations and every
+    coordinate solved through that second factorization.  The oracle of
+    the cycle basis, ``rel``, its left transform, the coordinates and the
+    representatives of the program's one-factorization path."""
+
+    def __init__(self, d_in: IntMatrix, d_out: IntMatrix):
+        _, self.cycles = rank_and_kernel(d_out)
+        self._cycles_snf = snf(self.cycles)
+        self.rel = _back_substitute(self._cycles_snf, d_in)
+        if self.rel is None:
+            raise ExactLinError("boundary is not a cycle")
+        res = snf(self.rel)
+        self.rel_left = res.left
+        self.torsion_moduli = [d for d in res.factors if d >= 2]
+        self.rows = ([i for i, d in enumerate(res.factors) if d >= 2]
+                     + list(range(len(res.factors), self.cycles.cols)))
+
+    def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        x = _back_substitute(self._cycles_snf, vectors)
+        if x is None:
+            return None
+        y, nt = self.rel_left @ x, len(self.torsion_moduli)
+        return IntMatrix(len(self.rows), vectors.cols, {
+            (a, j): y[(i, j)] % self.torsion_moduli[a] if a < nt
+            else y[(i, j)]
+            for a, i in enumerate(self.rows) for j in range(vectors.cols)})
+
+    def representatives(self) -> IntMatrix:
+        e = IntMatrix(self.rel_left.rows, len(self.rows),
+                      {(r, k): 1 for k, r in enumerate(self.rows)})
+        return self.cycles @ (invert_unimodular(self.rel_left) @ e)
+
+
 def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix,
                      p: int = 0) -> AbelianGroup:
     """ker(d_out) / im(d_in) where d_in maps into and d_out maps out of Z^n."""
@@ -451,6 +494,20 @@ def reduction_maps(C: ChainComplex) -> Tuple[GradedMap, GradedMap]:
         pi.update({(names[h], nm): v for h, v in red.pi_row(g).items()})
     return (GradedMap(kept, C.module, 0, iota),
             GradedMap(C.module, kept, 0, pi))
+
+
+def reduction_defects(C: ChainComplex) -> List[str]:
+    """The laws that C's reduction breaks, on every block at once (mod p):
+    pi . iota = 1, d' . pi = pi . d and d . iota = iota . d'.  Empty when
+    iota and pi are chain maps with pi . iota = 1, as every presentation of
+    C' assumes."""
+    iota, pi = reduction_maps(C)
+    d, dr = C.d, reduction(C).complex.d
+    laws = {"pi.iota=1": pi @ iota - GradedMap.identity(dr.source),
+            "d'.pi=pi.d": dr @ pi - pi @ d,
+            "d.iota=iota.d'": d @ iota - iota @ dr}
+    return [law for law, defect in laws.items()
+            if not defect.is_zero_mod(C.p)]
 
 
 def ambient_representatives(C: ChainComplex, j: int) -> IntMatrix:

@@ -1,6 +1,7 @@
 """Graded complexes: laws, homology, cones, tensors, induced maps, exactness."""
 
 import gc
+import inspect
 import random
 import types
 
@@ -57,6 +58,7 @@ from helpers import (
     random_basis_change,
     random_complex,
     random_pmorphism,
+    reduction_defects,
     reduction_maps,
     to_dense,
     unreduced_presentation,
@@ -992,6 +994,63 @@ class TestReduction:
         assert red.complex.module.names() == ("z", "ya", "w2")
         assert red.complex.d.entries == {("z", "ya"): 2}
         assert homology(C) == homology(red.complex)
+
+
+def _flip_pi_sign_on_z(monkeypatch):
+    """Patch ``chain._reduce`` into a mutant whose pi update has the wrong
+    sign over Z only: pi(s) += +u^-1 r pi(y) where the reduction takes
+    -u^-1 r.  pi . iota = 1 still holds, and no certificate of
+    ``four_flavors`` notices on its own."""
+    src = inspect.getsource(chain._reduce)
+    update = "py, -uinv * r, p)"
+    assert src.count(update) == 1
+    ns = dict(vars(chain))
+    exec(compile(src.replace(update, "py, (-uinv if p else uinv) * r, p)"),
+                 chain.__file__, "exec"), ns)
+    monkeypatch.setattr(chain, "_reduce", ns["_reduce"])
+
+
+def _law_inputs(rng, p, count):
+    """Seeded U-complexes over Z or F_p, each with the four flavor slices
+    ``four_flavors`` presents."""
+    out = []
+    for _ in range(count):
+        C = random_complex(rng, 4, p=p, with_u=True).complex
+        out += [C, *four_flavors(C).sequences.complexes.values()]
+    return out
+
+
+class TestReductionLaws:
+    """``helpers.reduction_defects``: a reduction is a pair of chain maps
+    with pi . iota = 1 on every block, the guard on what every presentation
+    of C' assumes; it holds of the program over Z, F2 and F3 and rejects a
+    pi of the wrong sign."""
+
+    def test_every_reduction_keeps_the_laws(self):
+        rng = random.Random(1204)
+        moved = 0
+        for p in (0, 2, 3):
+            for C in _law_inputs(rng, p, 10):
+                assert reduction_defects(C) == []
+                moved += bool(reduction(C).pi_rows)
+        assert moved > 25
+
+    def test_a_pi_of_the_wrong_sign_is_rejected(self, monkeypatch):
+        _flip_pi_sign_on_z(monkeypatch)
+        rng = random.Random(1204)
+        caught = 0
+        for C in _law_inputs(rng, 0, 20):
+            defects = reduction_defects(C)
+            # pi . iota = 1 alone does not see it; d' . pi = pi . d does,
+            # on every input where some row of pi moved off the identity
+            assert "pi.iota=1" not in defects
+            assert bool(defects) == bool(reduction(C).pi_rows)
+            caught += bool(defects)
+        assert caught >= 30
+        # over F_p the mutant is the reduction itself
+        for p in (2, 3):
+            for C in _law_inputs(rng, p, 3):
+                assert reduction_defects(C) == []
 
 
 class TestBlocksOnDemand:

@@ -24,7 +24,8 @@ from artifact.exactlin import (
     _kernel_head,
 )
 
-from helpers import (det, from_rows, homology_of_pair, random_matrix,
+from helpers import (CycleBasisPresentation, det, from_rows,
+                     homology_of_pair, random_complex, random_matrix,
                      submatrix_cols, to_dense)
 from snf_reference import (invert_unimodular, reference_snf,
                            reference_solve)
@@ -463,7 +464,7 @@ class TestLeftInverseKeptByTheReduction:
                                 lo=-30, hi=30) for _ in range(160)]
         eliminated = 0
         for M in cases:
-            res, inv = _factor(M, True)
+            res, inv = _factor(M, "left")
             assert res == snf(M) and _factor(M)[1] is None
             assert inv == invert_unimodular(res.left), M.entries
             eliminated += res.left != IntMatrix.identity(M.rows)
@@ -485,6 +486,57 @@ class TestLeftInverseKeptByTheReduction:
                           {(r, k): 1 for k, r in enumerate(rows)})
             want = pg.cycles @ (invert_unimodular(pg.rel_left) @ e)
             assert pg.representatives() == want
+
+
+class TestRightInverseKeptByTheReduction:
+    """With the inverse of the right transform kept (as a ``PresentedGroup``
+    keeps it for its outgoing differential), the factorization is
+    ``snf``'s entry for entry, and the kept matrix is the inverse."""
+
+    def test_same_factorization_and_an_inverse(self):
+        rng = random.Random(23)
+        cases = _seed_kernel_cases()
+        cases += [random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7),
+                                lo=-30, hi=30) for _ in range(160)]
+        eliminated = 0
+        for M in cases:
+            res, inv = _factor(M, "right")
+            assert res == _factor(M)[0] == snf(M), M.entries
+            one = IntMatrix(M.cols, M.cols, {(i, i): 1 for i in range(M.cols)})
+            assert inv @ res.right == res.right @ inv == one, M.entries
+            eliminated += res.right != one
+        assert eliminated > 200
+
+
+class TestIdentityProducts:
+    """A product with ``IntMatrix.identity`` is the other factor, the same
+    matrix the general product forms; a wrong shape still raises."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),
+           st.lists(st.integers(-6, 6), min_size=16, max_size=16))
+    @settings(max_examples=120, deadline=None)
+    def test_identity_factor_property(self, r, c, k, values):
+        M = _matrix(r, c, values)
+
+        def general(n):
+            return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+        for n in (r, c, k):
+            assert IntMatrix.identity(n) == general(n)
+            assert hash(IntMatrix.identity(n)) == hash(general(n))
+        for got, want in ((IntMatrix.identity(r) @ M, general(r) @ M),
+                          (M @ IntMatrix.identity(c), M @ general(c))):
+            assert got is M
+            assert got == want and got.entries == want.entries
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert hash(got) == hash(want)
+        assert IntMatrix.identity(r) @ IntMatrix.identity(r) == general(r)
+        if k != r:
+            with pytest.raises(DimensionMismatch):
+                IntMatrix.identity(k) @ M
+        if k != c:
+            with pytest.raises(DimensionMismatch):
+                M @ IntMatrix.identity(k)
 
 
 class TestAbelianGroup:
@@ -542,9 +594,8 @@ class TestPresentedGroup:
         rng = random.Random(13)
         for _ in range(25):
             n = rng.randint(1, 4)
-            cyc = IntMatrix.identity(n)
             rel = random_matrix(rng, n, rng.randint(0, 3))
-            pg = PresentedGroup(cyc, rel)
+            pg = PresentedGroup.from_pair(rel, IntMatrix(0, n))
             back = pg.coord_matrix(pg.representatives())
             assert back is not None
             for k in range(pg.rank_coords()):
@@ -557,49 +608,96 @@ class TestPresentedGroup:
 
     def test_zero_detection(self):
         # Z/2: relation 2x = 0, so 2*generator is the zero class
-        pg = PresentedGroup(IntMatrix.identity(1), from_rows([[2]]))
+        pg = PresentedGroup.from_pair(from_rows([[2]]), IntMatrix(0, 1))
         assert pg.group == AbelianGroup(0, (2,))
         rep = pg.representatives()
         assert not pg.coords_are_zero([pg.coord_matrix(rep)[(0, 0)]])
         assert pg.coords_are_zero([pg.coord_matrix(rep.scale(2))[(0, 0)]])
 
-    def test_from_pair_factors_the_cycle_basis_once(self, monkeypatch):
+    def test_from_pair_factors_d_out_and_its_relations_once(self,
+                                                              monkeypatch):
         import artifact.exactlin as el
         calls = []
-        original = el.snf
+        original = el._factor
 
-        def counting(M):
+        def counting(M, *args):
             calls.append(M)
-            return original(M)
+            return original(M, *args)
 
-        monkeypatch.setattr(el, "snf", counting)
-        # d_out kills e0 only; d_in hits 2 e1 + 4 e2
-        d_out = from_rows([[1, 0, 0]])
-        d_in = from_rows([[0], [2], [4]])
-        pg = PresentedGroup.from_pair(d_in, d_out)
-        assert pg.group == AbelianGroup(1, (2,))
-        n = len(calls)
-        assert pg.coord_matrix(from_rows([[0], [1], [2]])) is not None
-        assert pg.coord_matrix(d_in) is not None
-        assert len(calls) == n
-        # no boundaries: the cycle basis is factored when first asked
-        pg = PresentedGroup.from_pair(IntMatrix(3, 2), d_out)
-        n = len(calls)
-        assert pg._cycles_snf is None
-        assert pg.coord_matrix(from_rows([[0], [1], [0]])) is not None
-        assert len(calls) == n + 1
+        monkeypatch.setattr(el, "_factor", counting)
+        # ker d_out is spanned by e0 + e1 and e2, and the reduction runs on
+        # d_out; d_in hits 2 (e0 + e1) + 4 e2, then no boundaries at all
+        d_out = from_rows([[1, -1, 0], [2, -2, 0]])
+        for d_in, group in ((from_rows([[2], [2], [4]]), AbelianGroup(1, (2,))),
+                            (IntMatrix(3, 2), AbelianGroup(2))):
+            del calls[:]
+            pg = PresentedGroup.from_pair(d_in, d_out)
+            assert pg.group == group
+            assert calls == [d_out, pg.rel]
+            assert pg.coord_matrix(from_rows([[1], [1], [2]])) is not None
+            assert pg.coord_matrix(d_in) is not None
+            assert pg.coord_matrix(from_rows([[1], [0], [0]])) is None
+            reps = pg.representatives()
+            assert (d_out @ reps).is_zero() and pg.representatives() is reps
+            assert len(calls) == 2
+
+    def test_one_factorization_matches_the_back_substitution_oracle(self):
+        # pairs d_in, d_out with d_out . d_in = 0: the blocks of seeded
+        # random complexes in a random unimodular basis
+        rng = random.Random(29)
+        compared = refused = 0
+        for _ in range(40):
+            C = random_complex(rng, max_pieces=6).complex
+            for j in range(-4, 6):
+                d_in, d_out = C.d.block(j + 1), C.d.block(j)
+                if d_in.is_zero() and d_out.is_zero():
+                    continue
+                pg = PresentedGroup.from_pair(d_in, d_out)
+                want = CycleBasisPresentation(d_in, d_out)
+                assert pg.cycles == want.cycles
+                assert pg.rel == want.rel and pg.rel_left == want.rel_left
+                assert pg.torsion_moduli == want.torsion_moduli
+                assert pg.torsion_rows + pg.free_rows == want.rows
+                assert pg.representatives() == want.representatives()
+                n, z = pg.dim, pg.cycles.cols
+                # cycles plus boundaries, then some vectors that are not
+                cycles = (pg.cycles @ random_matrix(rng, z, 3, lo=-9, hi=9)
+                          + d_in @ random_matrix(rng, d_in.cols, 3))
+                assert pg.coord_matrix(cycles) == want.coord_matrix(cycles)
+                assert pg.coord_matrix(cycles) is not None
+                v = random_matrix(rng, n, 1, lo=-9, hi=9)
+                if not (d_out @ v).is_zero():
+                    refused += 1
+                    mixed = IntMatrix.hstack([cycles, v])
+                    assert pg.coord_matrix(mixed) is None
+                    assert want.coord_matrix(mixed) is None
+                    with pytest.raises(ExactLinError):
+                        PresentedGroup.from_pair(IntMatrix.hstack([d_in, v]),
+                                                 d_out)
+                compared += 1
+        assert compared > 100 and refused > 30
 
     def test_plain_group_is_its_own_coordinates(self):
         # zero differentials: every vector is a cycle and its own
         # coordinates, exactly as the general path computes them over Z
         # (mod p over F_p, where the general path is not taken)
+        # (mod p over F_p, where the general path is not taken).  The
+        # general group presents the same Z^3 as the cycles e1, e2, e3 of
+        # Z^4 under d_out = [1 0 0 0].
         rng = random.Random(5)
-        general = PresentedGroup(IntMatrix.identity(3), IntMatrix(3, 2))
+        general = PresentedGroup.from_pair(IntMatrix(4, 2),
+                                           from_rows([[1, 0, 0, 0]]))
+        assert not general._plain
+
+        def lift(M):
+            return IntMatrix(M.rows + 1, M.cols, {
+                (i + 1, j): v for (i, j), v in M.entries.items()})
+
         for p in (0, 2, 3):
             pg = PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 3), p)
             v = random_matrix(rng, 3, 4)
-            assert pg.coord_matrix(v) == general.coord_matrix(v).mod(p)
-            assert pg.representatives() == general.representatives()
+            assert pg.coord_matrix(v) == general.coord_matrix(lift(v)).mod(p)
+            assert lift(pg.representatives()) == general.representatives()
 
     def test_plain_group_factors_nothing(self, monkeypatch):
         import artifact.exactlin as el

@@ -181,7 +181,8 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     assert first == second
     assert set(first) == {"schema", "seed", "cases", "counted", "checkouts"}
     assert (first["schema"], first["seed"], first["cases"]) == (1, 1, 2)
-    counted = ["exactlin._factor", "chain.validate", "circle.s_u"]
+    counted = ["exactlin._factor", "exactlin.IntMatrix.__matmul__",
+               "chain.validate", "circle.s_u"]
     assert first["counted"] == counted
     (label, here), = first["checkouts"].items()
     assert label == "here" and re.fullmatch(r"[0-9a-f]{64}",
@@ -192,6 +193,7 @@ def test_bench_counts_schema_and_repeat(tmp_path):
         assert counts["cases"] == 2
         assert all(isinstance(v, int) and v >= 0 for v in counts.values())
         assert counts["chain.validate"] > 0 and counts["circle.s_u"] > 0
+        assert counts["exactlin.IntMatrix.__matmul__"] > 0
     # Z factors, the field path does not
     assert here["workloads"]["flavors_z"]["exactlin._factor"] > 0
     assert here["workloads"]["ladder_fp"]["exactlin._factor"] == 0

@@ -8,20 +8,23 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_21.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_23.json parent=../parent change=.
 
 Each checkout runs in a fresh interpreter, with its own ``src`` first on
 ``sys.path``.  It builds the seeded case lists of ``flavors_z`` and
 ``ladder_fp`` from this checkout's ``perfbench/workloads.py`` (``--cases N``
 keeps the first N of each) and runs every case once through the workload's
 own ``run``.  Counting wrappers are bound, for the duration of the cases,
-in every ``artifact`` module that holds the counted function (``wrapped``,
-which ``scale_z.py`` and ``scale_ladder.py`` use too), so no counter lives
-in the program:
+in every ``artifact`` module that holds the counted function, or on the
+class of a counted method (``wrapped``, which ``scale_z.py`` and
+``scale_ladder.py`` use too), so no counter lives in the program:
 
-    exactlin._factor   every Smith form, and each presentation's relations
-    chain.validate     every validation of a complex's laws
-    circle.s_u         every doubling
+    exactlin._factor               every Smith form (two per presentation
+                                   that is not plain)
+    exactlin.IntMatrix.__matmul__  every matrix product formed (a product
+                                   with an identity forms none)
+    chain.validate                 every validation of a complex's laws
+    circle.s_u                     every doubling
 
 Every engine module is imported before the wrappers are bound, so a module
 loaded on first use cannot keep a wrapper after.  Counts are exact, and two
@@ -53,8 +56,10 @@ from typing import Callable, Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("flavors_z", "ladder_fp")
-# (count name, module, attribute)
+# (count name, module, attribute or Class.method)
 COUNTED = (("exactlin._factor", "artifact.exactlin", "_factor"),
+           ("exactlin.IntMatrix.__matmul__", "artifact.exactlin",
+            "IntMatrix.__matmul__"),
            ("chain.validate", "artifact.chain", "validate"),
            ("circle.s_u", "artifact.circle", "s_u"))
 ENGINE = ("exactlin", "chain", "circle", "flavors", "connsum")
@@ -62,12 +67,14 @@ ENGINE = ("exactlin", "chain", "circle", "flavors", "connsum")
 
 @contextlib.contextmanager
 def wrapped(owner, name: str, wrap: Callable):
-    """``owner.name`` replaced by ``wrap(original)`` in every ``artifact``
-    module that binds the original, for the duration of the block."""
+    """``owner.name`` replaced by ``wrap(original)`` for the duration of
+    the block: on ``owner`` when it is a class, else in every ``artifact``
+    module that binds the original."""
     original = getattr(owner, name)
-    holders = [m for key, m in sys.modules.items()
-               if (key == "artifact" or key.startswith("artifact."))
-               and getattr(m, name, None) is original]
+    holders = [owner] if isinstance(owner, type) else [
+        m for key, m in sys.modules.items()
+        if (key == "artifact" or key.startswith("artifact."))
+        and getattr(m, name, None) is original]
     new = wrap(original)
     for m in holders:
         setattr(m, name, new)
@@ -112,8 +119,11 @@ def _count_here(seed: int, cases: int) -> Dict[str, Dict[str, int]]:
 
         with contextlib.ExitStack() as stack:
             for key, module, attr in COUNTED:
-                stack.enter_context(wrapped(sys.modules[module], attr,
-                                            counting(key)))
+                owner = sys.modules[module]
+                *path, attr = attr.split(".")
+                for part in path:
+                    owner = getattr(owner, part)
+                stack.enter_context(wrapped(owner, attr, counting(key)))
             for i, case in enumerate(built):
                 problems = spec.run(case)
                 if problems:
