@@ -779,7 +779,7 @@ def _cmd_case1(m: Manifest, rep: _Report) -> None:
 def _cmd_case2(m: Manifest, rep: _Report) -> None:
     from .connsum import case2_check
     _, C = _chain_input(m)
-    rep.check(case2_check(C, _flavor_option(m).tag, m.window))
+    rep.check(case2_check(C, _flavor_option(m), m.window))
 
 
 def _cmd_consum_verify(m: Manifest, rep: _Report) -> None:

@@ -296,7 +296,7 @@ def _degree_band(C: ChainComplex, lo: int, hi: int) -> ChainComplex:
     return ChainComplex(module, _restricted(C.d, module, module), p=C.p)
 
 
-def case2_check(C: ChainComplex, flavor, window=None) -> Check:
+def case2_check(C: ChainComplex, flavor: Flavor, window=None) -> Check:
     """Entry-exact comparison of the two sides of the one-line product, as
     the ``eq:S=eq:E`` Check.
 
@@ -310,8 +310,6 @@ def case2_check(C: ChainComplex, flavor, window=None) -> Check:
     entry.  The Check fails on a window with nothing to compare or at the
     first mismatch, and its witness is a message naming which."""
     tag = "eq:S=eq:E"
-    if isinstance(flavor, str):
-        flavor = Flavor(flavor)
     if C.u_action is None:
         raise MissingUAction("case2_check needs a U-action")
     SU_neg = s_u(C.with_actions(u_action=C.u_action.scale(-1)))

@@ -435,7 +435,7 @@ class TestProductCase2:
         for i in range(20):
             p = 2 if i % 4 == 3 else 0
             C = random_complex(rng, max_pieces=2, p=p, with_u=True).complex
-            for flavor in ("minus", "infinity", "plus", "hat"):
+            for flavor in ALL_FLAVORS:
                 assert case2_check(C, flavor, Window(-6, 4)).ok, (i, flavor)
 
 
@@ -664,7 +664,7 @@ def _engine_verdicts(m):
     elif m.command == "tower":
         checks = point_tower(m.n)[1]
     elif m.command == "consum-case2":
-        checks = [case2_check(obj, m.flavor)]
+        checks = [case2_check(obj, cli._flavor_option(m))]
     elif m.command == "koszul" and m.direction == "a":
         shift = koszul_a(cli._random_u_complex(m.seed), MINUS)
     elif m.command == "koszul":

@@ -445,7 +445,7 @@ class TestMatchShift:
 class TestCase2:
     def test_hat_is_the_identity_identification(self):
         C = case2_input()
-        assert case2_check(C, "hat") == Check("eq:S=eq:E", True)
+        assert case2_check(C, HAT) == Check("eq:S=eq:E", True)
         SUn = s_u(C.with_actions(u_action=C.u_action.scale(-1)))
         win = circle._resolve_window(SUn.module.degrees(), None)
         right = e_y(SUn, HAT, win)
@@ -454,7 +454,7 @@ class TestCase2:
 
     def test_single_generator_minus_block(self):
         C = ucomplex([("e", 0)])
-        assert case2_check(C, "minus", (-4, -1)).ok
+        assert case2_check(C, MINUS, (-4, -1)).ok
         SUn = s_u(C)
         right = e_y(SUn, MINUS, Window(-4, -1))
         assert sorted(right.module.generators) == [
@@ -467,12 +467,12 @@ class TestCase2:
             p = 2 if trial % 3 == 2 else 0
             C = random_complex(rng, max_pieces=3, degree_span=(-2, 3),
                                p=p, with_u=True).complex
-            for tag in ("minus", "infinity", "plus", "hat"):
-                assert case2_check(C, tag).ok, f"trial {trial} flavor {tag}"
+            for flavor in ALL_FLAVORS:
+                assert case2_check(C, flavor).ok, f"trial {trial} {flavor}"
 
     def test_an_empty_window_compares_nothing_and_fails(self):
-        for tag in ("minus", "hat"):
-            assert case2_check(ucomplex([("e", 0)]), tag, (20, 21)) == \
+        for flavor in (MINUS, HAT):
+            assert case2_check(ucomplex([("e", 0)]), flavor, (20, 21)) == \
                 Check("eq:S=eq:E", False,
                       "nothing to compare in the window 20..21")
 
@@ -486,7 +486,7 @@ class TestCase2:
     def test_a_perturbed_right_side_fails_with_its_mismatch(
             self, monkeypatch, change, witness):
         perturb_right_side(monkeypatch, change)
-        assert case2_check(case2_input(), "hat") == \
+        assert case2_check(case2_input(), HAT) == \
             Check("eq:S=eq:E", False, witness)
 
 

@@ -1,25 +1,31 @@
-"""In-process A/B timing of two checkouts on one perfbench workload.
+"""In-process A/B timing of two checkouts on one measured family.
 
 Usage, from the root of the repository:
 
     python3 tools/ab_inprocess.py A_DIR B_DIR [--workload ladder_fp]
-        [--seed 1] [--rounds 10] [--cases N]
+        [--seed 1] [--rounds 10] [--sizes FAMILY=N,N]
+
+The families are those of ``bench_counts.py``: perfbench's in-process
+workloads ``flavors_z`` and ``ladder_fp``, and the scale families
+``scale_z`` and ``scale_ladder``.  ``--sizes`` is read as there (for
+example ``--sizes scale_ladder=24,48``), for the ``--workload`` family
+only; the cases of all its sizes make one round.
 
 Both checkouts' ``src/artifact`` are loaded side by side in this
-interpreter, under the package names ``_ab_a`` and ``_ab_b``.  Each side
-builds the workload's seeded case list from this checkout's
-``perfbench/workloads.py``, with its own copy of ``perfbench/gen.py``, so
-its inputs are objects of its own package.  A case runs through the
-workload's own ``run`` function with the name ``artifact`` (and ``gen``)
-bound to that side's modules.  After the workload's warm-up case, each side
-runs one full round untimed: with only one case of warm-up the first timed
-rounds still drift (pass times falling by nearly half over a 12-round A/A
-run) and widen the spread.  Each timed round then runs every case on both
-sides, alternating which side goes first from case to case and from round
-to round, so a drift in machine speed falls on both sides alike; separate
-benchmark processes run one after the other do not share it.  Only the
-in-process workloads, ``flavors_z`` and ``ladder_fp``, can be compared this
-way; ``--cases N`` keeps the first N cases.
+interpreter, under the package names ``_ab_a`` and ``_ab_b``, with
+bytecode writing off, so no ``__pycache__`` is left in either.  Each side
+builds the family's cases from this checkout's ``perfbench/workloads.py``,
+with its own copy of ``perfbench/gen.py``, so its inputs are objects of its
+own package.  A case runs through the family's own ``run`` function with
+the name ``artifact`` (and ``gen``) bound to that side's modules.
+
+After the family's warm-up case, each side runs one full round untimed:
+with only one case of warm-up the first timed rounds still drift (pass
+times falling by nearly half over a 12-round A/A run) and widen the
+spread.  Each timed round then runs every case on both sides, alternating
+which side goes first from case to case and from round to round, so a
+drift in machine speed falls on both sides alike; separate benchmark
+processes run one after the other do not share it.
 
 One line per round, with the pass time of each side (the sum of its case
 times) and ratio = a_s / b_s (above 1: B is faster):
@@ -37,7 +43,7 @@ checkout against a copy of itself:
 
     spread q1=1.160 q3=1.181
 
-The exit code is 1 if a case of either side fails its oracle; the first
+The exit code is 1 if a case of either side fails its verdict; the first
 problem goes to stderr.
 """
 
@@ -49,7 +55,7 @@ import os
 import statistics
 import sys
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -68,6 +74,11 @@ def _load(name: str, path: str, package_dir: Optional[str] = None):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+# the table of families and the --sizes option, as bench_counts.py has them
+bench_counts = _load("bench_counts",
+                     os.path.join(ROOT, "tools", "bench_counts.py"))
 
 
 class Side:
@@ -103,24 +114,28 @@ class Side:
 
 
 def compare(root_a: str, root_b: str, workload: str, seed: int,
-            rounds: int, cases: int = 0) -> Iterator[str]:
-    """The output lines, one round at a time.  A case that fails its oracle
-    raises WrongAnswer after its round's line.  The modules loaded here
-    are unloaded when the lines end."""
+            rounds: int, sizes: Sequence[int] = ()) -> Iterator[str]:
+    """The output lines, one round at a time, over the family's cases at
+    ``sizes`` (default: its own).  A case that fails its verdict raises
+    WrongAnswer after its round's line.  The modules loaded here are
+    unloaded, and bytecode writing is restored, when the lines end."""
     sys.path.insert(0, PERFBENCH)   # workloads.py imports calibrate
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
     try:
         workloads = _load(PREFIX + "workloads",
                           os.path.join(PERFBENCH, "workloads.py"))
-        spec = workloads.WORKLOADS[workload]
+        family = bench_counts.families(workloads)[workload]
         sides = [Side(PREFIX + "a", root_a), Side(PREFIX + "b", root_b)]
         lists = []
         for side in sides:
             with side.bound():
-                built = spec.build(seed, False)
-                spec.warm_up()
-            lists.append(built[:cases] if cases else built)
-        yield from _rounds(spec.run, sides, lists, rounds)
+                lists.append([case for size in sizes or family.sizes
+                              for case in family.build(seed, size)])
+                family.warm_up()
+        yield from _rounds(family.run, sides, lists, rounds)
     finally:
+        sys.dont_write_bytecode = dont_write
         sys.path.remove(PERFBENCH)
         for key in [k for k in sys.modules if k.startswith(PREFIX)]:
             del sys.modules[key]
@@ -172,14 +187,20 @@ def main(argv: List[str] = None) -> int:
     ap.add_argument("a_dir")
     ap.add_argument("b_dir")
     ap.add_argument("--workload", default="ladder_fp",
-                    choices=("flavors_z", "ladder_fp"))
+                    choices=bench_counts.NAMES)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--cases", type=int, default=0)
+    ap.add_argument("--sizes", action="append",
+                    type=bench_counts.size_option, default=[],
+                    metavar="FAMILY=N,N")
     args = ap.parse_args(argv)
+    sizes = dict(args.sizes)
+    if set(sizes) - {args.workload}:
+        ap.error("--sizes may name only the --workload family")
     try:
         for line in compare(args.a_dir, args.b_dir, args.workload,
-                            args.seed, args.rounds, args.cases):
+                            args.seed, args.rounds,
+                            sizes.get(args.workload, ())):
             print(line, flush=True)
     except WrongAnswer as exc:
         print(f"ab_inprocess: wrong answer: {exc}", file=sys.stderr)

@@ -10,8 +10,9 @@ It runs every command of ``python -m artifact.cli`` on every file of
 ``koszul --direction a|b`` and ``tower --n 3|5`` without a file.  Each of
 these runs in text and machine format, at the default window and at
 ``--window -3..3`` and ``--window 0..1``.  Every run is a fresh process
-with ``DIR/src`` on ``PYTHONPATH`` and ``DIR`` as working directory, so file
-arguments read ``corpus/v1/...`` in every checkout.  ``DIR`` defaults to
+with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory (so file
+arguments read ``corpus/v1/...`` in every checkout) and bytecode writing
+off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults to
 the checkout holding this script; pointing it at another checkout (say a
 parent commit, which may not have this script) captures that one.
 
@@ -58,6 +59,7 @@ def capture(root: str, argv: Sequence[str]) -> str:
     """One fresh CLI process on ``root``'s sources: its capture line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run([sys.executable, "-m", "artifact.cli", *argv],
                           cwd=root, env=env, capture_output=True,
                           timeout=600)
