@@ -16,12 +16,14 @@ Coefficients are integers; complexes carry a ring parameter ``p`` (0 for Z,
 a prime for F_p) and all verifications reduce modulo p when p > 0.
 
 Homology is presented through a reduction.  Each complex C is reduced once
-by greedy cancellation of unit entries of d to a complex C' on a subset of
-its generators, with chain maps iota: C' -> C and pi: C -> C' such that
-pi . iota = 1.  Over F_p every nonzero entry is a unit and d' = 0, so
-H(C') = C'; over Z only +-1 entries cancel and C' keeps the rest for the
-Smith normal form.  Every ``PresentedGroup`` presents H(C') at one degree,
-on C'_j; nothing reads a class in C.  The class matrix of a map f is that
+by greedy cancellation of unit entries of d to a complex C' labelled by a
+subset of its generators, with chain maps iota: C' -> C and pi: C -> C'
+such that pi . iota = 1.  Over F_p every nonzero entry is a unit and
+d' = 0, so H(C') = C'.  Over Z only +-1 entries cancel, and changes of
+basis within each degree of C' then bring d' to pieces v: x -> y with
+|v| >= 2, each generator in at most one piece, so that H(C') is read off
+the pieces with no Smith form.  Every ``PresentedGroup`` presents H(C') at
+one degree, on C'_j; nothing reads a class in C.  The class matrix of a map f is that
 of pi . f . iota, pushed as sparse vectors from C' to C' through iota, f,
 the cycle test d = 0 and pi (``_HomologyArrow._push``), with no degree
 block built.  Over F_p an exactness node of a long exact sequence is then
@@ -45,6 +47,7 @@ p-morphisms and its doubled pieces privately, is the one slotted
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, SNFResult,
@@ -366,8 +369,8 @@ class ChainComplex:
     (per reduced degree when the grading is periodic), and beside it its
     ``reduction``: a smaller complex C' with chain maps iota: C' -> C and
     pi: C -> C', pi . iota = 1.  Both are filled the first time a degree is
-    presented; presentations are of C' (over F_p d' = 0), and a class of C
-    reaches one only through iota and pi.  Both depend only on ``d`` and
+    presented; presentations are of C' (over F_p d' = 0, over Z a sum of
+    pieces), and a class of C reaches one only through iota and pi.  Both depend only on ``d`` and
     ``p``, fixed at construction, so they never go stale; they live and die
     with this object, are never shared with another complex, and hold no
     reference back to it, so the complex is freed by reference counting
@@ -520,11 +523,11 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     extended one step so trivial edges are visible).
 
     Each group presents the homology of C's reduction C' at that degree, on
-    C'_j: its representatives and coordinates are those of C', and classes
-    of C reach it only through ``_HomologyArrow._push``.  Where d' = 0
-    (always over F_p) every group is plain: the identity on C'_j, built
-    from its dimension alone, without any block of d' or any
-    factorization."""
+    C'_j, read off the pieces of d' with no factorization: its
+    representatives and coordinates are those of C', and classes of C reach
+    it only through ``_HomologyArrow._push``.  Where d' = 0 (always over
+    F_p) every group is plain: the identity on C'_j, built from its
+    dimension alone, without any block of d'."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -565,24 +568,28 @@ def _reduced_dim(C: ChainComplex, j: int) -> int:
 
 
 class Reduction(NamedTuple):
-    """A complex C' on a subset of C's generators with chain maps
+    """A complex C' labelled by a subset of C's generators with chain maps
     iota: C' -> C and pi: C -> C' such that pi . iota = 1, so both induce
-    inverse isomorphisms on homology.
+    inverse isomorphisms on homology.  Over Z a basis vector of C' is a
+    combination of C's generators, not the generator it is labelled by:
+    iota's column says which.
 
     The maps are ``_reduce``'s sparse record, indexed by C's module: only
     the columns of iota and the rows of pi that differ from the identity,
-    each kept under its generator of C'.  ``iota_column`` and ``pi_row``
-    read them."""
+    each kept under the label of its basis vector of C'.  ``iota_column``
+    and ``pi_row`` read them."""
     complex: ChainComplex
     iota_cols: Dict[int, Dict[int, int]]
     pi_rows: Dict[int, Dict[int, int]]
 
     def iota_column(self, g: int) -> Dict[int, int]:
-        """iota(g) for a kept generator g; indices of C's module."""
+        """iota of the basis vector of C' labelled g; indices of C's
+        module."""
         return self.iota_cols.get(g, {g: 1})
 
     def pi_row(self, g: int) -> Dict[int, int]:
-        """<pi(h), g> by h for a kept generator g; indices of C's module."""
+        """The coefficient of the basis vector labelled g in pi(h), by h;
+        indices of C's module."""
         return self.pi_rows.get(g, {g: 1})
 
 
@@ -597,7 +604,8 @@ def reduction(C: ChainComplex) -> Reduction:
 
 
 def _reduce(C: ChainComplex) -> Reduction:
-    """Greedy cancellation of unit entries of d.
+    """Greedy cancellation of unit entries of d, and over Z then the
+    pieces of ``_isolate``.
 
     Cancelling x against y, where d(x) = u y + r with u a unit, drops both
     generators; every a with <d a, y> = c != 0 gets d'(a) = d(a) - c u^-1 d(x)
@@ -609,7 +617,9 @@ def _reduce(C: ChainComplex) -> Reduction:
     it touches only the columns of y's coboundary.  Over F_p every nonzero
     entry is a unit and one pass over the generators in module order
     leaves d' = 0 (a generator with d = 0 keeps it); over Z only +-1 entries
-    are cancelled, pass after pass until none is left.
+    are cancelled, pass after pass until none is left, and ``_isolate``
+    then changes the basis of C' until d' is a sum of pieces.  Every step
+    uses the current basis of C' only, so ``cancel`` serves both passes.
     """
     p = C.p
     gens = C.module.generators
@@ -680,6 +690,8 @@ def _reduce(C: ChainComplex) -> Reduction:
             if pivot is not None:
                 cancel(x, pivot[1])
                 progress = not p
+    if not p:
+        _isolate(bd, cobd, iota, pi, cancel)
 
     keep = [g for g in range(len(gens)) if g not in dead]
     # both restrict the checked complex C: distinct names, homogeneous d
@@ -688,6 +700,77 @@ def _reduce(C: ChainComplex) -> Reduction:
     d = GradedMap._trusted(module, module, -1, {
         (name[a], name[t]): v for a in keep for t, v in bd.get(a, {}).items()})
     return Reduction(ChainComplex(module, d, p=p), iota, pi)
+
+
+def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
+             iota: Dict[int, Dict[int, int]], pi: Dict[int, Dict[int, int]],
+             cancel) -> None:
+    """Bring the d' that ``_reduce`` leaves over Z to pieces x -> y, each
+    kept generator with at most one entry of d', every entry >= 2 in
+    absolute value.
+
+    The entry v: x -> y of least |v| (then the earliest x, then y) is the
+    pivot; a unit is cancelled by ``cancel``.  Otherwise every other entry
+    of x's row and of y's column is reduced mod v by a change of basis
+    inside one degree of C', which d' (out and in), iota's columns and pi's
+    rows follow at once; when no remainder is left the pair is isolated.
+    An isolated pair is never touched again: y and x's row reach no other
+    generator, and d'^2 = 0 over Z leaves nothing entering x and nothing
+    leaving y.  A d that does not square to zero, which could break that
+    and cycle for ever, raises ``ChainError`` instead."""
+
+    # every entry of d' is pushed as (|v|, x, y) when it is written; a
+    # record whose entry has changed since is skipped when it comes up
+    heap = [(abs(v), x, y) for x, dx in bd.items() for y, v in dx.items()]
+    heapify(heap)
+
+    def basis_add(b: int, a: int, c: int) -> None:
+        # e_b <- e_b + c e_a: d'(e_b) gains c d'(e_a), the coordinate at a
+        # of every boundary loses c times that at b
+        if da := bd.get(a):
+            db = bd.setdefault(b, {})
+            for t, v in da.items():
+                if w := db.get(t, 0) + c * v:
+                    db[t] = cobd[t][b] = w
+                    heappush(heap, (abs(w), b, t))
+                else:
+                    del db[t], cobd[t][b]
+        if cb := cobd.get(b):
+            ca = cobd.setdefault(a, {})
+            for s, v in cb.items():
+                if w := ca.get(s, 0) - c * v:
+                    ca[s] = bd[s][a] = w
+                    heappush(heap, (abs(w), s, a))
+                else:
+                    del ca[s], bd[s][a]
+        _axpy(iota.setdefault(b, {b: 1}), iota.get(a, {a: 1}), c, 0)
+        _axpy(pi.setdefault(a, {a: 1}), pi.get(b, {b: 1}), -c, 0)
+
+    while heap:
+        pivot = heappop(heap)
+        k, x, y = pivot
+        v = bd.get(x, {}).get(y)
+        if v is None or abs(v) != k:
+            continue
+        if k == 1:
+            dx, rows = list(bd[x]), [a for a in cobd[y] if a != x]
+            cancel(x, y)
+            for a in rows:
+                for t in dx:
+                    if w := bd[a].get(t):
+                        heappush(heap, (abs(w), a, t))
+            continue
+        for t, w in list(bd[x].items()):
+            if t != y and (q := w // v):
+                basis_add(y, t, q)
+        for s, w in list(cobd[y].items()):
+            if s != x and (q := w // v):
+                basis_add(s, x, -q)
+        if len(bd[x]) > 1 or len(cobd[y]) > 1:
+            heappush(heap, pivot)
+        elif cobd.get(x) or bd.get(y):
+            # the pair is isolated, but only d'^2 = 0 keeps it so
+            raise ChainError("differential does not square to zero")
 
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:

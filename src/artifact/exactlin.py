@@ -4,8 +4,7 @@ Everything here is exact: arbitrary-precision integers.  Matrices are
 stored sparsely as ``(row, col) -> nonzero value``.
 
 The workhorse is Smith normal form over Z with unimodular transforms, from
-which saturated kernels, exact linear solves, and finitely generated
-abelian-group quotients all follow.  Its pivot rule fixes the transforms:
+which saturated kernels and exact linear solves follow.  Its pivot rule fixes the transforms:
 the entry of least absolute value, first in row-major order.  The
 reduction keeps the right transform by columns, so each row or column
 operation costs only the entries it changes.  A matrix already in the
@@ -13,22 +12,24 @@ form the reduction would leave untouched (only leading diagonal entries,
 forming a positive divisibility chain; empty and zero matrices among them)
 is returned with identity transforms without a workspace.
 
-Over F_p (``p`` prime) nothing is factored: ``chain`` reduces an F_p
-complex until its differential vanishes, so every F_p homology group is a
-plain ``PresentedGroup`` (``from_pair`` with ``p``), and every F_p verdict
-is a rank, from ``field_rank``.  Only Z torsion needs the Smith form.
+No homology presentation is factored.  ``chain`` reduces a complex until
+its differential is a sum of pieces v: b -> a (over F_p until it
+vanishes), and a ``PresentedGroup`` reads its group and coordinates off
+those pieces; every F_p verdict is a rank, from ``field_rank``.  The Smith
+form serves the maps between presentations over Z: ``chain`` factors each
+class matrix beside the target's torsion once and reads both injectivity
+and exactness off that one factorization.
 
 Factor once, solve many: a matrix is factored once per use and every
 right-hand side is back-substituted through that one factorization.
-``solve`` takes a whole block of right-hand-side columns, the lattice
-helpers make one ``solve`` call per inclusion, and a ``PresentedGroup``
-reads cycles, relations and coordinates off one factorization of its
-outgoing differential (a plain one, with zero differentials, factors
-nothing).  A product with ``IntMatrix.identity`` is the other factor.
+``solve`` takes a whole block of right-hand-side columns, and the lattice
+helpers make one ``solve`` call per inclusion.  A product with
+``IntMatrix.identity`` is the other factor.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -285,38 +286,29 @@ class _Worker:
     operation touches only the entries it changes.  The reduction clears one
     row and column per step, so during step ``t`` the rows and columns
     before t hold only their diagonal entry, and column operations on ``a``
-    visit rows t and up only.  With ``inverse`` ("left" or "right") it keeps
-    the inverse of that transform too, undoing each of its operations
-    there: the left inverse by columns, the right inverse by rows.
+    visit rows t and up only.
     """
 
-    def __init__(self, M: IntMatrix, inverse: Optional[str] = None):
+    def __init__(self, M: IntMatrix):
         self.n, self.m = M.rows, M.cols
         self.a: List[Dict[int, int]] = [dict() for _ in range(self.n)]
         for (i, j), v in M.entries.items():
             self.a[i][j] = v
         self.left: List[Dict[int, int]] = [{i: 1} for i in range(self.n)]
         self.right: List[Dict[int, int]] = [{j: 1} for j in range(self.m)]
-        self.linv, self.rinv = (
-            [{i: 1} for i in range(self.n)] if inverse == "left" else None,
-            [{j: 1} for j in range(self.m)] if inverse == "right" else None)
 
-    # row operations act on (a, left, linv); column operations on
-    # (a, right, rinv).
+    # row operations act on (a, left); column operations on (a, right).
 
     def row_swap(self, i1, i2):
-        for mat in (self.a, self.left) + ((self.linv,) if self.linv else ()):
+        for mat in (self.a, self.left):
             mat[i1], mat[i2] = mat[i2], mat[i1]
 
     def row_addmul(self, dst, src, c):
         _axpy(self.a[dst], self.a[src], c, 0)
         _axpy(self.left[dst], self.left[src], c, 0)
-        if self.linv:
-            _axpy(self.linv[src], self.linv[dst], -c, 0)
 
     def row_negate(self, i):
-        # -1 is its own inverse, so the kept inverse's column is negated too
-        for mat in (self.a, self.left) + ((self.linv,) if self.linv else ()):
+        for mat in (self.a, self.left):
             mat[i] = {j: -v for j, v in mat[i].items()}
 
     def col_swap(self, t, j):
@@ -331,25 +323,17 @@ class _Worker:
                 row[t] = v2
             if v1 is not None:
                 row[j] = v1
-        for mat in (self.right,) + ((self.rinv,) if self.rinv else ()):
-            mat[t], mat[j] = mat[j], mat[t]
+        self.right[t], self.right[j] = self.right[j], self.right[t]
 
     def col_addmul(self, dst, t, c):
         # col_dst += c * col_t during step t, once column t of ``a`` holds
         # only its pivot: of ``a`` only row t changes, and the same
-        # elementary matrix multiplies the accumulated right transform;
-        # its inverse takes c * row_dst from row t of the kept inverse.
+        # elementary matrix multiplies the accumulated right transform.
         _axpy(self.a[t], {dst: self.a[t][t]}, c, 0)
         _axpy(self.right[dst], self.right[t], c, 0)
-        if self.rinv:
-            _axpy(self.rinv[t], self.rinv[dst], -c, 0)
 
     def matrices(self) -> Tuple[IntMatrix, IntMatrix]:
         return _by_rows(self.left), _by_rows(self.right, True)
-
-    def kept_inverse(self) -> Optional[IntMatrix]:
-        return (_by_rows(self.linv, True) if self.linv is not None
-                else None if self.rinv is None else _by_rows(self.rinv))
 
 
 def _by_rows(rows: List[Dict[int, int]], transpose: bool = False
@@ -473,26 +457,20 @@ def snf(M: IntMatrix) -> SNFResult:
     order, for determinism.  A matrix that is already in that form, with
     only the leading diagonal entries set, is returned with identity
     transforms (``IntMatrix.identity``) without running the reduction; that
-    is the answer the reduction itself gives.  Over F_p nothing calls for a
-    factorization: ranks come from ``field_rank``.
+    is the answer the reduction itself gives.  No presentation calls for a
+    factorization, nor does anything over F_p: ranks come from
+    ``field_rank``.
     """
-    return _factor(M)[0]
+    return _factor(M)
 
 
-def _factor(M: IntMatrix, inverse: Optional[str] = None
-            ) -> Tuple[SNFResult, Optional[IntMatrix]]:
-    """``snf(M)``, and with ``inverse`` ("left" or "right") the inverse of
-    that transform, which the reduction keeps beside it (else None).  Every
-    Smith form is made here; keeping an inverse changes none of it."""
+def _factor(M: IntMatrix) -> SNFResult:
+    """``snf(M)``: every Smith form is made here."""
     factors = _already_reduced(M)
     if factors is not None:
-        res = SNFResult(factors, IntMatrix.identity(M.rows),
-                        IntMatrix.identity(M.cols))
-        return res, (res.left if inverse == "left" else
-                     res.right if inverse == "right" else None)
-    w = _Worker(M, inverse)
-    res = _snf_int(w)
-    return res, w.kept_inverse()
+        return SNFResult(factors, IntMatrix.identity(M.rows),
+                         IntMatrix.identity(M.cols))
+    return _snf_int(_Worker(M))
 
 
 def is_prime(n: int) -> bool:
@@ -596,22 +574,46 @@ def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
     return lattice_contains(a, b) and lattice_contains(b, a)
 
 
-class PresentedGroup:
-    """A subquotient (lattice of cycles)/(lattice of boundaries) of Z^n,
-    built by ``from_pair`` only.
+def _pieces(M: IntMatrix) -> Tuple[Dict[int, int], set]:
+    """({row: entry}, columns) of a matrix with at most one entry in every
+    row and every column, else ``ExactLinError``."""
+    rows = {i: v for (i, _), v in M.entries.items()}
+    cols = {j for _, j in M.entries}
+    if len(rows) < len(M.entries) or len(cols) < len(M.entries):
+        raise ExactLinError("pair is not elementary: reduce the complex first")
+    return rows, cols
 
-    Carries canonical coordinates: first the torsion coordinates (moduli
-    d_i >= 2 in chain order), then the free coordinates.  Used to present
-    homology groups, express classes, and push classes through maps.  One
-    factorization U d_out V = D of rank r, with V^-1 kept, gives the cycle
-    basis, V's columns r.., and the cycle coordinates of z, rows r.. of
-    V^-1 z, whose rows before r vanish exactly when d_out z = 0; a second
-    factors the relations.  Coordinates read through both.  With both
-    differentials zero the group is plain and factors nothing: every vector
-    is a cycle and its own coordinates; ``cycles`` and ``rel`` are None.
-    Only a plain group may be over F_p (``p`` prime, coordinates mod p): a
-    reduced F_p complex has d' = 0, so that is every F_p presentation
-    ``chain`` builds.
+
+def _invariant_factors(moduli: Sequence[int]) -> List[int]:
+    """The invariant factors of the sum of Z/m over ``moduli`` (each
+    m >= 1): m enters the chain f_1 | f_2 | ... by replacing each f_i in
+    turn with gcd(f_i, m) and carrying lcm(f_i, m) on, which keeps it a
+    divisibility chain; the factors 1 are dropped."""
+    chain: List[int] = []
+    for m in moduli:
+        for i, f in enumerate(chain):
+            g = gcd(f, m)
+            chain[i], m = g, f // g * m
+        chain.append(m)
+    return [f for f in chain if f >= 2]
+
+
+class PresentedGroup:
+    """ker(d_out) / im(d_in) of Z^n for an elementary pair, built by
+    ``from_pair`` only.
+
+    A pair is elementary when each of d_in and d_out has at most one entry
+    in every row and every column, and no generator that d_in hits is moved
+    by d_out: a sum of pieces v: b -> a, the form in which ``chain`` leaves
+    a reduced complex C' over Z (and d' = 0, the plain group, over F_p).
+    The group is read off the pieces with no factorization.  A generator
+    hit by d_in with |v| >= 2 is a torsion coordinate mod |v|, one hit by a
+    unit is a boundary, one moved by d_out is not a cycle, and every other
+    one is a free coordinate.  Canonical coordinates are the torsion ones,
+    then the free ones, each in generator order; the moduli need not form a
+    divisibility chain, and the invariant factors of ``group`` come from
+    them by gcd and lcm.  Over F_p (``p`` prime, coordinates mod p) only a
+    plain group, with both differentials zero, is presented.
 
     ``chain`` presents each homology group on a reduction C' of its
     complex, so there Z^n is C'_j, and reads classes of C in it by pushing
@@ -619,39 +621,38 @@ class PresentedGroup:
     """
 
     _reps: Optional[IntMatrix] = None   # filled on first request
-    _plain = False
-    p = 0
 
     @classmethod
     def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
-        """ker(d_out) / im(d_in); over F_p (``p`` prime) only a plain group,
-        with both differentials zero, else ``ExactLinError``, as for a
-        ``d_in`` outside ker(d_out)."""
+        """ker(d_out) / im(d_in) of an elementary pair; ``ExactLinError``
+        for a pair that is not elementary, for a ``d_in`` outside
+        ker(d_out), and over F_p (``p`` prime) for a nonzero
+        differential."""
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
         pg = cls.__new__(cls)
-        pg.dim, factors = d_out.cols, ()
-        pg.cycles = pg.rel = pg.rel_left = None
-        if d_in.is_zero() and d_out.is_zero():
-            pg.p, pg._plain = p, True
-        elif p:
+        pg.dim, pg.p = d_out.cols, p
+        pg._plain = d_in.is_zero() and d_out.is_zero()
+        if pg._plain:
+            pg.torsion_rows, pg.torsion_moduli = [], []
+            pg.free_rows = list(range(pg.dim))
+            pg.group = AbelianGroup(pg.dim)
+            return pg
+        if p:
             raise ExactLinError(
                 f"F{p} presentations are plain: reduce the complex first")
-        else:
-            res, pg._cycle_inverse = _factor(d_out, "right")
-            pg._cycle_rank = len(res.factors)
-            pg.cycles = _kernel_head(res, pg.dim)      # n x z, saturated
-            pg.rel = pg._cycle_coords(d_in)            # z x b
-            if pg.rel is None:
-                raise ExactLinError(
-                    "boundary is not a cycle; composition nonzero?")
-            res, pg._left_inverse = _factor(pg.rel, "left")
-            pg.rel_left, factors = res.left, res.factors
-        pg.torsion_moduli = [d for d in factors if d >= 2]
-        pg.torsion_rows = [i for i, d in enumerate(factors) if d >= 2]
-        pg.free_rows = list(range(
-            len(factors), pg.dim if pg._plain else pg.cycles.cols))
-        pg.group = AbelianGroup(len(pg.free_rows), pg.torsion_moduli)
+        hit, _ = _pieces(d_in)
+        _, pg._sources = _pieces(d_out)
+        if not pg._sources.isdisjoint(hit):
+            raise ExactLinError("boundary is not a cycle; composition nonzero?")
+        pg.torsion_rows = sorted(i for i, v in hit.items() if abs(v) >= 2)
+        pg.torsion_moduli = [abs(hit[i]) for i in pg.torsion_rows]
+        pg.free_rows = [i for i in range(pg.dim)
+                        if i not in hit and i not in pg._sources]
+        pg._coordinate = {i: a for a, i in enumerate(
+            pg.torsion_rows + pg.free_rows)}
+        pg.group = AbelianGroup(len(pg.free_rows),
+                                _invariant_factors(pg.torsion_moduli))
         return pg
 
     # -- coordinates -------------------------------------------------------
@@ -659,51 +660,35 @@ class PresentedGroup:
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
-    def _cycle_coords(self, vectors: IntMatrix) -> Optional[IntMatrix]:
-        """X with cycles @ X = vectors, rows r.. of V^-1 @ vectors; None if
-        some column is not a cycle, nonzero in the rows before r."""
-        r = self._cycle_rank
-        ent = {}
-        for (i, j), v in (self._cycle_inverse @ vectors).entries.items():
-            if i < r:
-                return None
-            ent[(i - r, j)] = v
-        return IntMatrix._trusted(self.cycles.cols, vectors.cols, ent)
-
     def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
         """Canonical coordinates of the classes of the columns of
         ``vectors`` (of the presented Z^n), as columns, or None if some
-        column is not a cycle; no factorization."""
+        column is not a cycle, nonzero at a generator d_out moves."""
         if vectors.rows != self.dim:
             raise DimensionMismatch("vectors do not fit the cycle lattice")
         if self._plain:
             return vectors.mod(self.p)
-        if vectors.is_zero():
-            return IntMatrix(self.rank_coords(), vectors.cols)
-        x = self._cycle_coords(vectors)
-        if x is None:
-            return None
-        y = self.rel_left @ x
-        pos = {i: a for a, i in enumerate(self.torsion_rows + self.free_rows)}
-        nt = len(self.torsion_rows)
-        ent = {}
-        for (i, j), v in y.entries.items():
-            a = pos.get(i)
+        nt, ent = len(self.torsion_moduli), {}
+        for (i, j), v in vectors.entries.items():
+            if i in self._sources:
+                return None
+            a = self._coordinate.get(i)
             if a is not None:
-                ent[(a, j)] = v % self.torsion_moduli[a] if a < nt else v
-        return IntMatrix(self.rank_coords(), vectors.cols, ent)
+                if a < nt:
+                    v %= self.torsion_moduli[a]
+                if v:
+                    ent[(a, j)] = v
+        return IntMatrix._trusted(self.rank_coords(), vectors.cols, ent)
 
     def representatives(self) -> IntMatrix:
-        """Cycles representing the canonical generators, as columns,
-        through the inverse of ``rel_left`` kept by its factorization;
-        computed once and shared."""
+        """Cycles representing the canonical generators, as columns: the
+        generators at the torsion and free coordinates; computed once and
+        shared."""
         if self._plain:
             return IntMatrix.identity(self.dim)
         if self._reps is None:
-            rows = self.torsion_rows + self.free_rows
-            e = IntMatrix(self.rel_left.rows, len(rows),
-                          {(r, k): 1 for k, r in enumerate(rows)})
-            self._reps = self.cycles @ (self._left_inverse @ e)
+            self._reps = IntMatrix._trusted(self.dim, self.rank_coords(), {
+                (i, a): 1 for i, a in self._coordinate.items()})
         return self._reps
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:

@@ -12,9 +12,11 @@ classes of a complex C read in C itself through the degree blocks of its
 reduction's iota and pi, the oracle for the class matrices that
 ``chain._HomologyArrow._push`` reads in C'; ``reduction_defects``, the
 chain-map laws of a reduction checked on every block; the presentation by
-back-substitution through a factored cycle basis
-(``CycleBasisPresentation``), the oracle of ``PresentedGroup.from_pair``;
-and small constructions only
+two-factorization presentation of any pair
+(``FactoredPresentation``), the oracle of ``PresentedGroup.from_pair``, and
+the presentation by back-substitution through a factored cycle basis
+(``CycleBasisPresentation``), the oracle of ``FactoredPresentation``; and
+small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
 ``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
 ``from_rows``, ``submatrix_cols``, ``equal_on``, and ``case2_input`` with
@@ -38,7 +40,7 @@ from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
                                DimensionMismatch, ExactLinError, IntMatrix,
                                PresentedGroup, _back_substitute,
-                               rank_and_kernel, snf)
+                               _kernel_head, rank_and_kernel, snf)
 from snf_reference import (FieldPresentation, invert_unimodular,
                            reference_back_substitute, reference_kernel,
                            reference_lattice_contains, reference_snf,
@@ -122,7 +124,7 @@ def det(M: IntMatrix) -> int:
     return memo.get((1 << n) - 1, 0)
 
 
-def _to_invariant_factors(free: int, orders: List[int]) -> AbelianGroup:
+def to_invariant_factors(free: int, orders: List[int]) -> AbelianGroup:
     """Canonical form of Z^free + sum of Z/n over the given cyclic orders."""
     by_prime: Dict[int, List[int]] = {}
     for n in orders:
@@ -147,6 +149,22 @@ def _to_invariant_factors(free: int, orders: List[int]) -> AbelianGroup:
         factors.append(d)
     factors.reverse()
     return AbelianGroup(free, factors)
+
+
+def elementary_pair(rng: random.Random) -> Tuple[IntMatrix, IntMatrix]:
+    """A random elementary pair (d_in, d_out) on Z^n, 1 <= n <= 6: each
+    generator is free, hit by d_in, or moved by d_out, with a nonzero entry
+    of absolute value at most 12."""
+    n = rng.randint(1, 6)
+    ins: Dict[Tuple[int, int], int] = {}
+    outs: Dict[Tuple[int, int], int] = {}
+    for i in range(n):
+        role, v = rng.randrange(3), rng.choice((-1, 1)) * rng.randint(1, 12)
+        if role == 1:
+            ins[(i, len(ins))] = v
+        elif role == 2:
+            outs[(len(outs), i)] = v
+    return IntMatrix(n, len(ins), ins), IntMatrix(len(outs), n, outs)
 
 
 class ComplexSpec:
@@ -201,7 +219,7 @@ def random_complex(rng: random.Random, max_pieces: int = 4,
         C = C.with_actions(u_action=commuting_u(rng, C))
     table = {}
     for deg in set(free) | set(orders):
-        table[deg] = _to_invariant_factors(free.get(deg, 0), orders.get(deg, []))
+        table[deg] = to_invariant_factors(free.get(deg, 0), orders.get(deg, []))
     return ComplexSpec(C, table)
 
 
@@ -412,16 +430,74 @@ def unreduced_presentation(d_in: IntMatrix, d_out: IntMatrix, p: int = 0):
         raise CompositionNonzero("d_out . d_in != 0")
     if p:
         return FieldPresentation(d_in, d_out, p)
-    return PresentedGroup.from_pair(d_in, d_out)
+    return FactoredPresentation(d_in, d_out)
+
+
+class FactoredPresentation(PresentedGroup):
+    """ker(d_out) / im(d_in) over Z for any pair, read through two Smith
+    forms, the way ``PresentedGroup.from_pair`` read every Z presentation
+    before the reduction left C' in elementary pieces.  One factorization
+    U d_out V = D of rank r gives the cycle basis, V's columns r.., and the
+    cycle coordinates of z, rows r.. of V^-1 z, whose rows before r vanish
+    exactly when d_out z = 0; a second factors the relations.  Coordinates
+    read through both, and the inverses come from ``invert_unimodular``.
+    The oracle of the program's reading of its pieces (the same groups,
+    the same verdict on which vectors are boundaries)."""
+
+    def __init__(self, d_in: IntMatrix, d_out: IntMatrix):
+        if d_in.rows != d_out.cols:
+            raise DimensionMismatch("boundaries do not fit the cycle lattice")
+        res = snf(d_out)
+        self.dim, self.p, self._plain = d_out.cols, 0, False
+        self._cycle_rank = len(res.factors)
+        self._cycle_inverse = invert_unimodular(res.right)
+        self.cycles = _kernel_head(res, self.dim)         # n x z, saturated
+        self.rel = self._cycle_coords(d_in)                # z x b
+        if self.rel is None:
+            raise ExactLinError("boundary is not a cycle; composition nonzero?")
+        res = snf(self.rel)
+        self.rel_left, factors = res.left, res.factors
+        self.torsion_moduli = [d for d in factors if d >= 2]
+        self.torsion_rows = [i for i, d in enumerate(factors) if d >= 2]
+        self.free_rows = list(range(len(factors), self.cycles.cols))
+        self.group = AbelianGroup(len(self.free_rows), self.torsion_moduli)
+
+    def _cycle_coords(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        """X with cycles @ X = vectors, rows r.. of V^-1 @ vectors; None if
+        some column is not a cycle, nonzero in the rows before r."""
+        r, ent = self._cycle_rank, {}
+        for (i, j), v in (self._cycle_inverse @ vectors).entries.items():
+            if i < r:
+                return None
+            ent[(i - r, j)] = v
+        return IntMatrix(self.cycles.cols, vectors.cols, ent)
+
+    def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
+        if vectors.rows != self.dim:
+            raise DimensionMismatch("vectors do not fit the cycle lattice")
+        x = self._cycle_coords(vectors)
+        if x is None:
+            return None
+        y, nt = self.rel_left @ x, len(self.torsion_rows)
+        pos = {i: a for a, i in enumerate(self.torsion_rows + self.free_rows)}
+        return IntMatrix(self.rank_coords(), vectors.cols, {
+            (a, j): v % self.torsion_moduli[a] if a < nt else v
+            for (i, j), v in y.entries.items()
+            if (a := pos.get(i)) is not None})
+
+    def representatives(self) -> IntMatrix:
+        rows = self.torsion_rows + self.free_rows
+        e = IntMatrix(self.rel_left.rows, len(rows),
+                      {(r, k): 1 for k, r in enumerate(rows)})
+        return self.cycles @ (invert_unimodular(self.rel_left) @ e)
 
 
 class CycleBasisPresentation:
-    """ker(d_out) / im(d_in) over Z read by back-substitution, the way
-    ``PresentedGroup.from_pair`` once read it: a kernel basis from
-    ``rank_and_kernel``, factored on its own, and the relations and every
-    coordinate solved through that second factorization.  The oracle of
-    the cycle basis, ``rel``, its left transform, the coordinates and the
-    representatives of the program's one-factorization path."""
+    """ker(d_out) / im(d_in) over Z read by back-substitution: a kernel
+    basis from ``rank_and_kernel``, factored on its own, and the relations
+    and every coordinate solved through that second factorization.  The
+    oracle of the cycle basis, ``rel``, its left transform, the coordinates
+    and the representatives of ``FactoredPresentation``."""
 
     def __init__(self, d_in: IntMatrix, d_out: IntMatrix):
         _, self.cycles = rank_and_kernel(d_out)

@@ -1,7 +1,7 @@
 """The Smith-normal-form kernel as it was before the sparse rewrite, kept as
 the oracle that ``tests/test_exactlin.py`` compares ``exactlin.snf`` with,
-and ``invert_unimodular`` on it, the oracle of the inverse that
-``exactlin._factor`` keeps beside its left transform.
+and ``invert_unimodular`` on it, which gives ``helpers.FactoredPresentation``
+the inverses of its transforms.
 
 ``_Worker``, ``_pick_pivot``, ``_snf_int``, ``_inv_mod`` and ``_snf_field``
 are copied unchanged: the dense-walking version performs the row and column

@@ -6,6 +6,8 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.chain import (
     ChainComplex,
@@ -43,6 +45,7 @@ from artifact.flavors import (TowerParams, assemble, four_flavors,
                               ladder_check, tower_model)
 
 from helpers import (
+    FactoredPresentation,
     ambient_coords,
     ambient_representatives,
     anticommuting_y,
@@ -57,6 +60,7 @@ from helpers import (
     presented_at,
     random_basis_change,
     random_complex,
+    random_matrix,
     random_pmorphism,
     reduction_defects,
     reduction_maps,
@@ -1036,21 +1040,170 @@ class TestReductionLaws:
         assert moved > 25
 
     def test_a_pi_of_the_wrong_sign_is_rejected(self, monkeypatch):
+        unmutated = chain._reduce
         _flip_pi_sign_on_z(monkeypatch)
         rng = random.Random(1204)
         caught = 0
         for C in _law_inputs(rng, 0, 20):
             defects = reduction_defects(C)
             # pi . iota = 1 alone does not see it; d' . pi = pi . d does,
-            # on every input where some row of pi moved off the identity
+            # on every input where the mutant's pi differs from the
+            # reduction's (the changes of basis move pi's rows too)
             assert "pi.iota=1" not in defects
-            assert bool(defects) == bool(reduction(C).pi_rows)
+            assert bool(defects) == (reduction(C).pi_rows
+                                     != unmutated(C).pi_rows)
             caught += bool(defects)
         assert caught >= 30
         # over F_p the mutant is the reduction itself
         for p in (2, 3):
             for C in _law_inputs(rng, p, 3):
                 assert reduction_defects(C) == []
+
+
+def _folded(C, modulus):
+    """C with its degrees read mod ``modulus``."""
+    module = GradedModule(C.module.generators, modulus)
+    return ChainComplex(module, GradedMap(module, module, -1,
+                                          dict(C.d.entries)), p=C.p)
+
+
+def _piece_inputs(rng):
+    """Seeded Z complexes, Z- and periodically graded, and Z flavor slices
+    (which the four flavors present)."""
+    out = []
+    for modulus in (0, 2, 4):
+        for _ in range(8):
+            C = random_complex(rng, max_pieces=8).complex
+            out.append(random_basis_change(rng, _folded(C, modulus))
+                       if modulus else C)
+    for _ in range(3):
+        S = s_u(random_complex(rng, max_pieces=5, with_u=True).complex)
+        out += circle._e_y_slices(S, circle.FLAVOR_TAGS, None).values()
+    return out
+
+
+def _is_elementary(entries):
+    """Every generator meets at most one of the entries {(source, target):
+    v} of a differential, each of absolute value at least 2."""
+    ends = [g for pair in entries for g in pair]
+    return (len(ends) == len(set(ends))
+            and all(abs(v) >= 2 for v in entries.values()))
+
+
+class TestElementaryPieces:
+    """Over Z the reduction ends in pieces v: x -> y of C': each generator
+    meets at most one entry of d', and every entry has |v| >= 2; the
+    changes of basis that get it there keep iota and pi chain maps with
+    pi . iota = 1.  Each homology group is read off the pieces, which the
+    two-factorization presentation of the same blocks confirms."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((0, 2, 4)),
+           st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_pieces_property(self, seed, modulus, pieces):
+        rng = random.Random(seed)
+        spec = random_complex(rng, max_pieces=pieces)
+        C = (random_basis_change(rng, _folded(spec.complex, modulus))
+             if modulus else spec.complex)
+        assert _is_elementary(reduction(C).complex.d.entries)
+        assert reduction_defects(C) == []
+        if not modulus:
+            assert all(homology(C)[j] == g for j, g in spec.expected.items())
+
+    def test_changes_of_basis_are_made(self, monkeypatch):
+        # the seeded inputs reach the pieces through gcd steps: the d' the
+        # unit pass leaves is often not elementary yet
+        entering = []
+        original = chain._isolate
+
+        def recording(bd, *args):
+            entering.append(not _is_elementary({
+                (x, y): v for x, dx in bd.items() for y, v in dx.items()}))
+            original(bd, *args)
+
+        monkeypatch.setattr(chain, "_isolate", recording)
+        for C in _piece_inputs(random.Random(808)):
+            assert _is_elementary(reduction(C).complex.d.entries)
+            assert reduction_defects(C) == []
+        assert sum(entering) >= 10
+
+    def test_a_differential_that_does_not_square_to_zero_is_refused(self):
+        # a -2-> b -2-> c: a -> b is isolated with b's entry left behind,
+        # which only d^2 = 0 rules out; such leftovers could make the
+        # changes of basis cycle for ever
+        C = complex_from([("a", 2), ("b", 1), ("c", 0)],
+                         {("a", "b"): 2, ("b", "c"): 2})
+        with pytest.raises(ChainError, match="square to zero"):
+            reduction(C)
+
+    def test_presentations_match_the_two_factorization_oracle(self):
+        # each degree of C' against ``FactoredPresentation`` of the same
+        # blocks: the same group, and the same verdict on which vectors are
+        # cycles and which cycles are boundaries
+        rng = random.Random(809)
+        verdicts = {None: 0, True: 0, False: 0}
+        torsion = 0
+        for C in _piece_inputs(random.Random(808)):
+            dr = reduction(C).complex.d
+            for j in set(map(C.module.reduce_degree, _degrees(C))):
+                pg = _presentation(C, j)
+                want = FactoredPresentation(dr.block(j + 1), dr.block(j))
+                assert pg.group == want.group
+                torsion += bool(pg.group.torsion)
+                d_in, n = dr.block(j + 1), pg.dim
+                reps = want.representatives()
+                moduli = want.torsion_moduli + [0] * len(want.free_rows)
+                vectors = [want.cycles @ random_matrix(rng, want.cycles.cols,
+                                                       3, lo=-9, hi=9),
+                           reps @ IntMatrix.diagonal(moduli),
+                           random_matrix(rng, n, 2, lo=-3, hi=3)]
+                vectors += [v + d_in @ random_matrix(rng, d_in.cols, v.cols)
+                            for v in vectors]
+                for M in vectors:
+                    for c in range(M.cols):
+                        col = IntMatrix(n, 1, {(i, 0): v for (i, k), v
+                                               in M.entries.items() if k == c})
+                        got, ref = pg.coord_matrix(col), want.coord_matrix(col)
+                        assert (got is None) == (ref is None)
+                        verdict = None if got is None else pg.coords_are_zero(
+                            [got[(i, 0)] for i in range(got.rows)])
+                        assert verdict == (None if ref is None else
+                                           want.coords_are_zero(
+                                               [ref[(i, 0)]
+                                                for i in range(ref.rows)]))
+                        verdicts[verdict] += 1
+        assert torsion >= 30 and min(verdicts.values()) >= 50, verdicts
+
+
+class TestHomologyAgainstSympy:
+    """Z homology of seeded complexes with torsion equals what the ranks
+    and the invariant factors of their differential blocks give, with the
+    factors from sympy: H_j = Z^(n_j - r_j - r_(j+1)) plus Z/f for every
+    invariant factor f >= 2 of d_(j+1)."""
+
+    def test_seeded_complexes(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        def factors(M):
+            if not M.entries:
+                return []
+            return [abs(int(f)) for f in invariant_factors(
+                sympy.Matrix(to_dense(M)), domain=sympy.ZZ) if f]
+
+        rng = random.Random(2012)
+        torsion = 0
+        for _ in range(60):
+            C = random_complex(rng, max_pieces=9).complex
+            H = homology(C)
+            for j in _degrees(C):
+                out, inc = factors(C.d.block(j)), factors(C.d.block(j + 1))
+                n = len(C.module.gens_in_degree(j))
+                want = AbelianGroup(n - len(out) - len(inc),
+                                    [f for f in inc if f >= 2])
+                assert H[j] == want, (j, H[j], want)
+                torsion += bool(want.torsion)
+        assert torsion >= 80
 
 
 class TestBlocksOnDemand:

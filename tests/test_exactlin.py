@@ -19,12 +19,12 @@ from artifact.exactlin import (
     snf,
     solve,
     subgroups_equal,
-    _factor,
     _inv_mod,
     _kernel_head,
 )
 
-from helpers import (CycleBasisPresentation, det, from_rows,
+from helpers import (CycleBasisPresentation, FactoredPresentation, det,
+                     elementary_pair, from_rows, to_invariant_factors,
                      homology_of_pair, random_complex, random_matrix,
                      submatrix_cols, to_dense)
 from snf_reference import (invert_unimodular, reference_snf,
@@ -451,63 +451,6 @@ class TestKernelsAndSolve:
             assert Ginv @ G == IntMatrix.identity(n)
 
 
-class TestLeftInverseKeptByTheReduction:
-    """The factorization a ``PresentedGroup`` makes of its relations keeps
-    the inverse of the left transform beside it, by the inverse of each row
-    operation; ``invert_unimodular``, a second factorization, is its
-    oracle.  The factorization itself is ``snf``'s."""
-
-    def test_inverse_equals_invert_unimodular(self):
-        rng = random.Random(15)
-        cases = _seed_kernel_cases()[::2]
-        cases += [random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7),
-                                lo=-30, hi=30) for _ in range(160)]
-        eliminated = 0
-        for M in cases:
-            res, inv = _factor(M, "left")
-            assert res == snf(M) and _factor(M)[1] is None
-            assert inv == invert_unimodular(res.left), M.entries
-            eliminated += res.left != IntMatrix.identity(M.rows)
-        assert eliminated > 200
-
-    def test_representatives_through_the_kept_inverse(self):
-        rng = random.Random(16)
-        for _ in range(60):
-            C = random_matrix(rng, 5, 3)
-            d_in = C @ random_matrix(rng, 3, 4)
-            d_out = random_matrix(rng, 2, 5)
-            if not (d_out @ d_in).is_zero():
-                d_out = IntMatrix(0, 5)
-            pg = PresentedGroup.from_pair(d_in, d_out)
-            if pg.cycles is None:
-                continue
-            rows = pg.torsion_rows + pg.free_rows
-            e = IntMatrix(pg.rel_left.rows, len(rows),
-                          {(r, k): 1 for k, r in enumerate(rows)})
-            want = pg.cycles @ (invert_unimodular(pg.rel_left) @ e)
-            assert pg.representatives() == want
-
-
-class TestRightInverseKeptByTheReduction:
-    """With the inverse of the right transform kept (as a ``PresentedGroup``
-    keeps it for its outgoing differential), the factorization is
-    ``snf``'s entry for entry, and the kept matrix is the inverse."""
-
-    def test_same_factorization_and_an_inverse(self):
-        rng = random.Random(23)
-        cases = _seed_kernel_cases()
-        cases += [random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7),
-                                lo=-30, hi=30) for _ in range(160)]
-        eliminated = 0
-        for M in cases:
-            res, inv = _factor(M, "right")
-            assert res == _factor(M)[0] == snf(M), M.entries
-            one = IntMatrix(M.cols, M.cols, {(i, i): 1 for i in range(M.cols)})
-            assert inv @ res.right == res.right @ inv == one, M.entries
-            eliminated += res.right != one
-        assert eliminated > 200
-
-
 class TestIdentityProducts:
     """A product with ``IntMatrix.identity`` is the other factor, the same
     matrix the general product forms; a wrong shape still raises."""
@@ -593,9 +536,7 @@ class TestPresentedGroup:
     def test_coords_round_trip(self):
         rng = random.Random(13)
         for _ in range(25):
-            n = rng.randint(1, 4)
-            rel = random_matrix(rng, n, rng.randint(0, 3))
-            pg = PresentedGroup.from_pair(rel, IntMatrix(0, n))
+            pg = PresentedGroup.from_pair(*elementary_pair(rng))
             back = pg.coord_matrix(pg.representatives())
             assert back is not None
             for k in range(pg.rank_coords()):
@@ -614,32 +555,48 @@ class TestPresentedGroup:
         assert not pg.coords_are_zero([pg.coord_matrix(rep)[(0, 0)]])
         assert pg.coords_are_zero([pg.coord_matrix(rep.scale(2))[(0, 0)]])
 
-    def test_from_pair_factors_d_out_and_its_relations_once(self,
-                                                              monkeypatch):
+    def test_from_pair_factors_nothing(self, monkeypatch):
+        # a group read off its pieces: e0 is moved by d_out, e1 and e5 are
+        # hit by 2 and -3 (Z/2 + Z/3 = Z/6), e2 by a unit (a boundary), and
+        # e3, e4 are free
         import artifact.exactlin as el
-        calls = []
-        original = el._factor
+        monkeypatch.setattr(el, "_factor", lambda *a: pytest.fail("factored"))
+        d_in = IntMatrix(6, 3, {(1, 0): 2, (2, 2): 1, (5, 1): -3})
+        d_out = IntMatrix(1, 6, {(0, 0): 3})
+        pg = PresentedGroup.from_pair(d_in, d_out)
+        assert pg.group == AbelianGroup(2, (6,))
+        assert (pg.torsion_moduli, pg.torsion_rows, pg.free_rows) == (
+            [2, 3], [1, 5], [3, 4])
+        reps = pg.representatives()
+        assert reps == IntMatrix(6, 4, {(1, 0): 1, (5, 1): 1, (3, 2): 1,
+                                        (4, 3): 1})
+        assert pg.representatives() is reps and (d_out @ reps).is_zero()
+        v = from_rows([[0], [5], [7], [-1], [2], [4]])
+        assert pg.coord_matrix(v) == from_rows([[1], [1], [-1], [2]])
+        assert pg.coord_matrix(d_in) == IntMatrix(4, 3)
+        assert pg.coord_matrix(from_rows([[1], [0], [0], [0], [0], [0]])) \
+            is None
+        # two entries in a column or a row of either differential, and a
+        # boundary that is no cycle, are refused
+        for bad_in, bad_out in (
+                (IntMatrix(6, 1, {(1, 0): 2, (3, 0): 2}), d_out),
+                (IntMatrix(6, 2, {(1, 0): 2, (1, 1): 4}), d_out),
+                (d_in, IntMatrix(1, 6, {(0, 0): 3, (0, 3): 2})),
+                (d_in, IntMatrix(2, 6, {(0, 0): 3, (1, 0): 2})),
+                (d_in, IntMatrix(1, 6, {(0, 1): 3}))):
+            with pytest.raises(ExactLinError):
+                PresentedGroup.from_pair(bad_in, bad_out)
 
-        def counting(M, *args):
-            calls.append(M)
-            return original(M, *args)
-
-        monkeypatch.setattr(el, "_factor", counting)
-        # ker d_out is spanned by e0 + e1 and e2, and the reduction runs on
-        # d_out; d_in hits 2 (e0 + e1) + 4 e2, then no boundaries at all
-        d_out = from_rows([[1, -1, 0], [2, -2, 0]])
-        for d_in, group in ((from_rows([[2], [2], [4]]), AbelianGroup(1, (2,))),
-                            (IntMatrix(3, 2), AbelianGroup(2))):
-            del calls[:]
-            pg = PresentedGroup.from_pair(d_in, d_out)
-            assert pg.group == group
-            assert calls == [d_out, pg.rel]
-            assert pg.coord_matrix(from_rows([[1], [1], [2]])) is not None
-            assert pg.coord_matrix(d_in) is not None
-            assert pg.coord_matrix(from_rows([[1], [0], [0]])) is None
-            reps = pg.representatives()
-            assert (d_out @ reps).is_zero() and pg.representatives() is reps
-            assert len(calls) == 2
+    @given(st.lists(st.integers(1, 60), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_factors_by_gcd_and_lcm(self, moduli):
+        # the chain the moduli of a presentation's pieces give, against
+        # the prime-power grouping of ``helpers``
+        d_in = IntMatrix(len(moduli), len(moduli),
+                         {(i, i): m for i, m in enumerate(moduli)})
+        pg = PresentedGroup.from_pair(d_in, IntMatrix(0, len(moduli)))
+        assert pg.group == to_invariant_factors(
+            0, [m for m in moduli if m >= 2])
 
     def test_one_factorization_matches_the_back_substitution_oracle(self):
         # pairs d_in, d_out with d_out . d_in = 0: the blocks of seeded
@@ -652,7 +609,7 @@ class TestPresentedGroup:
                 d_in, d_out = C.d.block(j + 1), C.d.block(j)
                 if d_in.is_zero() and d_out.is_zero():
                     continue
-                pg = PresentedGroup.from_pair(d_in, d_out)
+                pg = FactoredPresentation(d_in, d_out)
                 want = CycleBasisPresentation(d_in, d_out)
                 assert pg.cycles == want.cycles
                 assert pg.rel == want.rel and pg.rel_left == want.rel_left
@@ -672,8 +629,8 @@ class TestPresentedGroup:
                     assert pg.coord_matrix(mixed) is None
                     assert want.coord_matrix(mixed) is None
                     with pytest.raises(ExactLinError):
-                        PresentedGroup.from_pair(IntMatrix.hstack([d_in, v]),
-                                                 d_out)
+                        FactoredPresentation(IntMatrix.hstack([d_in, v]),
+                                             d_out)
                 compared += 1
         assert compared > 100 and refused > 30
 
@@ -708,7 +665,7 @@ class TestPresentedGroup:
         for p in (0, 2, 3):
             pg = PresentedGroup.from_pair(IntMatrix(4, 2), IntMatrix(3, 4), p)
             assert pg.group == AbelianGroup(4)
-            assert pg.dim == 4 and pg.cycles is None
+            assert pg.dim == 4 and pg._plain
             assert pg.representatives() == IntMatrix.identity(4)
             v = from_rows([[1], [0], [p + 1], [-1]])
             assert pg.coord_matrix(v) == v.mod(p)
@@ -755,14 +712,14 @@ class TestPresentedGroup:
             pg.coord_matrix(v)
 
     def test_coordinates_of_vectors_of_the_wrong_height(self):
-        # a plain group and a factored one both refuse vectors whose
+        # a plain group and one with pieces both refuse vectors whose
         # height is not the dimension of the presented Z^n
         plain = PresentedGroup.from_pair(IntMatrix(3, 2), IntMatrix(1, 3))
-        factored = PresentedGroup.from_pair(
-            from_rows([[0], [2], [4]]),
+        pieces = PresentedGroup.from_pair(
+            from_rows([[0], [2], [0]]),
             from_rows([[1, 0, 0]]))
-        assert plain._plain and not factored._plain
-        for pg in (plain, factored):
+        assert plain._plain and not pieces._plain
+        for pg in (plain, pieces):
             assert pg.dim == 3
             assert pg.coord_matrix(IntMatrix(3, 1)) is not None
             for rows in (2, 5):

@@ -2,9 +2,10 @@
 ``bench_counts.py`` reaches into the program: it wraps
 ``exactlin._factor``, ``IntMatrix.__matmul__``, ``chain.validate``,
 ``chain._reduce``, ``chain._lattice_exactness`` and ``circle.s_u`` by name
-and reads ``Reduction.complex``, so a change to those names fails here.
-Its test counts every family at a small size, twice, and a stub
-factorization checks the bits it reads.  ``cli_sweep.py`` runs the CLI in
+and reads ``Reduction.complex``, ``iota_cols`` and ``pi_rows``, so a
+change to those names fails here.  Its test counts every family at a small
+size, twice, and a stub factorization and a stub reduction check the bits
+it reads.  ``cli_sweep.py`` runs the CLI in
 fresh processes on a few of its runs, and ``ab_inprocess.py`` runs two
 cases of ``ladder_fp`` on this checkout against itself, after a full
 untimed round, and ``scale_ladder`` at depth 3.  Both of these run on a
@@ -139,12 +140,12 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     first, second = (json.loads(out.read_text()) for out in outs)
     assert first == second
     assert set(first) == {"schema", "seed", "counted", "checkouts"}
-    assert (first["schema"], first["seed"]) == (2, 1)
+    assert (first["schema"], first["seed"]) == (3, 1)
     counted = ["exactlin._factor", "exactlin._factor.max_bits",
                "exactlin.IntMatrix.__matmul__", "chain.validate",
                "chain._reduce", "chain._reduce.gens_in",
-               "chain._reduce.gens_out", "chain._lattice_exactness",
-               "circle.s_u"]
+               "chain._reduce.gens_out", "chain._reduce.map_bits",
+               "chain._lattice_exactness", "circle.s_u"]
     assert first["counted"] == counted
     (label, here), = first["checkouts"].items()
     assert label == "here" and re.fullmatch(r"[0-9a-f]{64}",
@@ -177,24 +178,38 @@ def test_bench_counts_schema_and_repeat(tmp_path):
         assert counts[name]["chain._lattice_exactness"] == 0
 
 
-def test_bench_counts_counts_the_kept_inverse():
-    # a stub factorization of [[3]] whose kept inverse holds 2**70, the
-    # largest entry of the three matrices and the inverse
+def test_bench_counts_counts_map_bits():
+    # a stub reduction whose pi row holds -2**70 and whose iota column
+    # holds 5: the largest entry of either map, over every reduction
+    from artifact import chain
+    bc = _bench_counts()
+    m = chain.GradedModule([("a", 0), ("b", 1)])
+    C = chain.ChainComplex(m, chain.GradedMap(m, m, -1))
+
+    def stub(C, pi_entry):
+        return chain.Reduction(C, {0: {0: 1, 1: 5}}, {1: {0: pi_entry}})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_reduce", stub)
+        counts = bc.counts_of(lambda: [chain._reduce(C, e)
+                                       for e in (3, -2 ** 70, 1)])
+        # the counting wrapper is gone once the counts are made
+        assert chain._reduce is stub
+    assert (counts["chain._reduce"], counts["chain._reduce.gens_in"],
+            counts["chain._reduce.map_bits"]) == (3, 6, 71)
+
+
+def test_bench_counts_reads_both_factor_results():
+    # an SNFResult, and the (SNFResult, kept inverse) pair of a checkout
+    # whose _factor kept an inverse: its 2**70 is the largest entry
     from artifact import exactlin as el
     bc = _bench_counts()
     M, one = el.IntMatrix(1, 1, {(0, 0): 3}), el.IntMatrix.identity(1)
-
-    def stub(M, inverse=None):
-        return (el.SNFResult((3,), one, one),
-                one.scale(2 ** 70) if inverse else None)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(el, "_factor", stub)
-        plain = bc.counts_of(lambda: el._factor(M))
-        kept = bc.counts_of(lambda: el._factor(M, "left"))
-        # the counting wrapper is gone once the counts are made
-        assert el._factor is stub
-    assert (plain["exactlin._factor"], plain["exactlin._factor.max_bits"]) \
-        == (1, 2)
-    assert (kept["exactlin._factor"], kept["exactlin._factor.max_bits"]) \
-        == (1, 71)
+    res = el.SNFResult((3,), one, one)
+    for result, bits in ((res, 2), ((res, None), 2),
+                         ((res, one.scale(2 ** 70)), 71)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(el, "_factor", lambda M, result=result: result)
+            counts = bc.counts_of(lambda: el._factor(M))
+        assert (counts["exactlin._factor"],
+                counts["exactlin._factor.max_bits"]) == (1, bits)

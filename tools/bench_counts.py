@@ -9,7 +9,7 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_24.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_25.json parent=../parent change=.
 
 The families, each run at each of its sizes:
 
@@ -32,17 +32,24 @@ Each checkout runs in a fresh interpreter, with its own ``src`` first on
 cases, in every ``artifact`` module that holds the counted function, or on
 the class of a counted method, so no counter lives in the program:
 
-    exactlin._factor               every Smith form (two per presentation
+    exactlin._factor               every Smith form (one per arrow and
+                                   source degree over Z, of [class matrix |
+                                   target torsion], and one per kernel or
+                                   solve; a checkout whose presentations
+                                   still factor adds two per presentation
                                    that is not plain)
     exactlin._factor.max_bits      the largest entry bit length over every
-                                   Smith form's input, both transforms and
-                                   the kept inverse
+                                   Smith form's input and both transforms
+                                   (and the inverse that such a checkout's
+                                   ``_factor`` kept beside one of them)
     exactlin.IntMatrix.__matmul__  every matrix product formed (a product
                                    with an identity forms none)
     chain.validate                 every validation of a complex's laws
     chain._reduce                  every reduction, and the generators of
     chain._reduce.gens_in          the complexes it reduces and of the
     chain._reduce.gens_out         complexes C' it leaves
+    chain._reduce.map_bits         the largest entry bit length over every
+                                   reduction's iota columns and pi rows
     chain._lattice_exactness       every Z long exact sequence node with a
                                    nonzero middle group
     circle.s_u                     every doubling
@@ -54,7 +61,7 @@ SHA-256 of the checkout's ``src/artifact/*.py``, naming the code counted.
 
 The file, with counts per family and size:
 
-    {"schema": 2, "seed": 1, "counted": [...],
+    {"schema": 3, "seed": 1, "counted": [...],
      "checkouts": {LABEL: {"src_sha256": "...",
                            "families": {"scale_z": {"100": {"cases": 1,
                                                             "exactlin._factor": ...,
@@ -146,19 +153,31 @@ def _calls(key: str):
     return observe
 
 
+def _max_bits(before: int, vectors) -> int:
+    """The largest of ``before`` and the bit lengths of the values of the
+    dicts ``vectors``."""
+    return max([before] + [abs(v).bit_length() for vec in vectors
+                           for v in vec.values()])
+
+
 def _factor_counts(counts, args, result):
-    res, inverse = result
+    # an SNFResult, or (SNFResult, kept inverse or None) from a checkout
+    # whose _factor still kept an inverse
+    res, *inverse = result if len(result) == 2 else (result,)
     counts["exactlin._factor"] += 1
-    counts["exactlin._factor.max_bits"] = max(
-        [counts["exactlin._factor.max_bits"]]
-        + [abs(v).bit_length() for m in (args[0], res.left, res.right, inverse)
-           if m is not None for v in m.entries.values()])
+    counts["exactlin._factor.max_bits"] = _max_bits(
+        counts["exactlin._factor.max_bits"],
+        [m.entries for m in (args[0], res.left, res.right, *inverse)
+         if m is not None])
 
 
 def _reduce_counts(counts, args, result):
     counts["chain._reduce"] += 1
     counts["chain._reduce.gens_in"] += len(args[0].module)
     counts["chain._reduce.gens_out"] += len(result.complex.module)
+    counts["chain._reduce.map_bits"] = _max_bits(
+        counts["chain._reduce.map_bits"],
+        [*result.iota_cols.values(), *result.pi_rows.values()])
 
 
 # (module, attribute or Class.method, what one call adds to the counts)
@@ -173,7 +192,7 @@ COUNTED = (("artifact.exactlin", "_factor", _factor_counts),
 KEYS = ("exactlin._factor", "exactlin._factor.max_bits",
         "exactlin.IntMatrix.__matmul__", "chain.validate", "chain._reduce",
         "chain._reduce.gens_in", "chain._reduce.gens_out",
-        "chain._lattice_exactness", "circle.s_u")
+        "chain._reduce.map_bits", "chain._lattice_exactness", "circle.s_u")
 
 
 @contextlib.contextmanager
@@ -279,7 +298,7 @@ def count(checkout: str, seed: int, sizes: Dict[str, Tuple[int, ...]]
 
 def report(checkouts: Dict[str, str], seed: int,
            sizes: Dict[str, Tuple[int, ...]]) -> dict:
-    return {"schema": 2, "seed": seed, "counted": list(KEYS),
+    return {"schema": 3, "seed": seed, "counted": list(KEYS),
             "checkouts": {label: {"src_sha256": src_digest(path),
                                   "families": count(path, seed, sizes)}
                           for label, path in checkouts.items()}}
