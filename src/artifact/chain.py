@@ -19,15 +19,15 @@ Homology is presented through a reduction.  Each complex C is reduced once
 by greedy cancellation of unit entries of d to a complex C' labelled by a
 subset of its generators, with chain maps iota: C' -> C and pi: C -> C'
 such that pi . iota = 1.  Over F_p every nonzero entry is a unit and
-d' = 0, so H(C') = C'.  Over Z only +-1 entries cancel, and changes of
-basis within each degree of C' then bring d' to pieces v: x -> y with
-|v| >= 2, each generator in at most one piece, so that H(C') is read off
-the pieces with no Smith form.  Every ``PresentedGroup`` presents H(C') at
-one degree, on C'_j; nothing reads a class in C.  The class matrix of a map f is that
-of pi . f . iota, pushed as sparse vectors from C' to C' through iota, f,
-the cycle test d = 0 and pi (``_HomologyArrow._push``), with no degree
-block built.  Over F_p an exactness node of a long exact sequence is then
-decided by ranks.
+d' = 0.  Over Z only +-1 entries cancel, and changes of basis within each
+degree of C' then bring d' to pieces v: x -> y with |v| >= 2, each
+generator in at most one, indexed by degree in the same pass.  Every
+``PresentedGroup`` presents H(C') at one degree, read on first request off
+that index with no Smith form; nothing reads a class in C.  The class
+matrix of f is that of pi . f . iota: each canonical generator of the
+source is pushed through iota, f, the cycle test d = 0 and pi, and read in
+the target's coordinates (``_HomologyArrow._push``).  No degree block of a
+map is built.  Over F_p an exactness node is then decided by ranks.
 
 Many constructions are block matrices over renamed copies of generator
 sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly,
@@ -183,11 +183,11 @@ class GradedMap:
     The constructor checks every entry (known generators, homogeneity); the
     closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
     and build their results unchecked, by ``_trusted``.  The entries grouped
-    by source generator, which ``@``, ``block``, ``image_of``, class
-    matrices and the flavor engine's slotwise maps read, are built on first
-    read."""
+    by source generator, which ``@``, ``image_of``, class matrices and the
+    flavor engine's slotwise maps read, are built on first read.  No
+    degreewise matrix of a map is ever built."""
 
-    __slots__ = ("source", "target", "degree", "entries", "_by_src", "_blocks")
+    __slots__ = ("source", "target", "degree", "entries", "_by_src")
 
     def __init__(self, source: GradedModule, target: GradedModule, degree: int,
                  entries: Optional[Dict[Tuple[str, str], int]] = None):
@@ -214,7 +214,7 @@ class GradedMap:
     def _fill(self, source: GradedModule, target: GradedModule, degree: int,
               entries: Dict[Tuple[str, str], int]) -> None:
         for name, value in zip(GradedMap.__slots__, (
-                source, target, degree, entries, None, {})):
+                source, target, degree, entries, None)):
             object.__setattr__(self, name, value)
 
     def _rows(self) -> Dict[str, Dict[str, int]]:
@@ -280,25 +280,10 @@ class GradedMap:
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ChainError("composition source/target mismatch")
         ent: Dict[Tuple[str, str], int] = {}
-        rows = self._rows()
-        for (s, m), v in other.entries.items():
-            row = rows.get(m)
-            if not row:
-                continue
-            for t, w in row.items():
-                k = (s, t)
-                acc = ent.get(k, 0) + v * w
-                if acc:
-                    ent[k] = acc
-                else:
-                    ent.pop(k, None)
-        # degrees add up exactly only when the gradings share one modulus
-        make = (GradedMap._trusted if other.source.modulus
-                == self.source.modulus == self.target.modulus else GradedMap)
-        return make(other.source, self.target, self.degree + other.degree, ent)
+        _compose(ent, self, other, 1)
+        return GradedMap._trusted(other.source, self.target,
+                                  self.degree + other.degree, ent)
 
     def _check_parallel(self, other: "GradedMap"):
         if (self.source != other.source or self.target != other.target
@@ -313,27 +298,6 @@ class GradedMap:
     def __repr__(self) -> str:
         return (f"GradedMap(degree={self.degree}, {len(self.entries)} entries)")
 
-    def block(self, j: int) -> IntMatrix:
-        """Matrix of the degree-j piece: columns are source generators of
-        degree j, rows are target generators of degree j + self.degree, both
-        in module order.  Memoized per pair of reduced degrees."""
-        key = (self.source.reduce_degree(j),
-               self.target.reduce_degree(j + self.degree))
-        M = self._blocks.get(key)
-        if M is None:
-            src = self.source.gens_in_degree(j)
-            tgt = self.target.gens_in_degree(j + self.degree)
-            tpos = {n: i for i, n in enumerate(tgt)}
-            ent = {}
-            rows = self._rows()
-            for c, s in enumerate(src):
-                for t, v in rows.get(s, {}).items():
-                    r = tpos.get(t)
-                    if r is not None:
-                        ent[(r, c)] = v
-            M = self._blocks[key] = IntMatrix._trusted(len(tgt), len(src), ent)
-        return M
-
     def nonzero_witness(self, p: int = 0) -> Optional[Tuple[str, str]]:
         for (s, t), v in sorted(self.entries.items()):
             if p == 0 or v % p:
@@ -341,10 +305,37 @@ class GradedMap:
         return None
 
 
+def _compose(acc: Dict, g: GradedMap, h: GradedMap, c: int) -> None:
+    """acc += c g.h, with the checks of ``g @ h``: h ends where g starts,
+    and where the gradings do not share one modulus (so that degrees need
+    not add up exactly) g.h's own entries pass the constructor's checks."""
+    if h.target is not g.source and h.target != g.source:
+        raise ChainError("composition source/target mismatch")
+    mixed = not (h.source.modulus == g.source.modulus == g.target.modulus)
+    ent, rows = {} if mixed else acc, g._rows()
+    for (s, m), v in h.entries.items():
+        if row := rows.get(m):
+            v *= c
+            for t, w in row.items():
+                if x := ent.get(k := (s, t), 0) + v * w:
+                    ent[k] = x
+                else:
+                    del ent[k]
+    if mixed:
+        _axpy(acc, GradedMap(h.source, g.target, g.degree + h.degree,
+                             ent).entries, 1, 0)
+
+
 def _defect(f: GradedMap, a: GradedMap, b: GradedMap) -> GradedMap:
-    """f.a - (-1)^{|f||a|} b.f, zero when f intertwines a with b."""
-    sign = -1 if (f.degree % 2) and (a.degree % 2) else 1
-    return (f @ a) - (b @ f).scale(sign)
+    """f.a - (-1)^{|f||a|} b.f, zero when f intertwines a with b: both
+    products summed into one dict, with the checks of ``@`` and of ``-``
+    (the products are parallel)."""
+    ent: Dict = {}
+    _compose(ent, f, a, 1)
+    _compose(ent, b, f, 1 if (f.degree % 2) and (a.degree % 2) else -1)
+    if a.source != f.source or f.target != b.target or a.degree != b.degree:
+        raise ChainError("maps are not parallel")
+    return GradedMap._trusted(a.source, f.target, f.degree + a.degree, ent)
 
 
 def commutator(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -523,11 +514,11 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
     extended one step so trivial edges are visible).
 
     Each group presents the homology of C's reduction C' at that degree, on
-    C'_j, read off the pieces of d' with no factorization: its
-    representatives and coordinates are those of C', and classes of C reach
-    it only through ``_HomologyArrow._push``.  Where d' = 0 (always over
-    F_p) every group is plain: the identity on C'_j, built from its
-    dimension alone, without any block of d'."""
+    C'_j, read with no factorization off the pieces of d' that the
+    reduction indexed by degree once: its coordinates are those of C', and
+    classes of C reach it only through ``_HomologyArrow._push``.  Where
+    d' = 0 (always over F_p) every group is plain, its coordinates the
+    generators of C'_j."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -543,20 +534,18 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """The homology presentation of C at degree j, from C's memo: that of
-    C' at j, on C'_j (plain from dim C'_j if d' = 0).  Where C'_j is empty
-    H_j(C) = 0, read by ``_reduced_dim``, and LES nodes, class matrices and
-    the ladder's squares ask for no presentation."""
+    C' at j, on C'_j, built on first read from the pieces of d' into and
+    out of C'_j in the reduction's index (plain where there are none).
+    Where C'_j is empty H_j(C) = 0, read by ``_reduced_dim``, and LES
+    nodes, class matrices and the ladder's squares ask for no
+    presentation."""
     j = C.module.reduce_degree(j)
     pg = C._presented.get(j)
     if pg is None:
-        d = reduction(C).complex.d
-        if d.is_zero():
-            n = _reduced_dim(C, j)
-            d_in, d_out = (IntMatrix._trusted(n, 0, {}),
-                           IntMatrix._trusted(0, n, {}))
-        else:
-            d_in, d_out = d.block(j + 1), d.block(j)
-        pg = C._presented[j] = PresentedGroup.from_pair(d_in, d_out, C.p)
+        pieces = reduction(C).pieces
+        pg = C._presented[j] = PresentedGroup.from_pieces(
+            _reduced_dim(C, j), pieces.get(C.module.reduce_degree(j + 1), {}),
+            pieces.get(j, {}), C.p)
     return pg
 
 
@@ -577,10 +566,12 @@ class Reduction(NamedTuple):
     The maps are ``_reduce``'s sparse record, indexed by C's module: only
     the columns of iota and the rows of pi that differ from the identity,
     each kept under the label of its basis vector of C'.  ``iota_column``
-    and ``pi_row`` read them."""
+    and ``pi_row`` read them.  ``pieces`` indexes d' by (reduced) source
+    degree j as {(row in C'_{j-1}, column in C'_j): v}, in module order."""
     complex: ChainComplex
     iota_cols: Dict[int, Dict[int, int]]
     pi_rows: Dict[int, Dict[int, int]]
+    pieces: Dict[int, Dict]
 
     def iota_column(self, g: int) -> Dict[int, int]:
         """iota of the basis vector of C' labelled g; indices of C's
@@ -699,7 +690,12 @@ def _reduce(C: ChainComplex) -> Reduction:
     name = [nm for nm, _ in gens]
     d = GradedMap._trusted(module, module, -1, {
         (name[a], name[t]): v for a in keep for t, v in bd.get(a, {}).items()})
-    return Reduction(ChainComplex(module, d, p=p), iota, pi)
+    at = {nm: i for names in module._by_degree.values()
+          for i, nm in enumerate(names)}
+    pieces: Dict = {}
+    for (s, t), v in d.entries.items():
+        pieces.setdefault(module.degree_of(s), {})[at[t], at[s]] = v
+    return Reduction(ChainComplex(module, d, p=p), iota, pi, pieces)
 
 
 def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
@@ -719,10 +715,17 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
     leaving y.  A d that does not square to zero, which could break that
     and cycle for ever, raises ``ChainError`` instead."""
 
-    # every entry of d' is pushed as (|v|, x, y) when it is written; a
-    # record whose entry has changed since is skipped when it comes up
-    heap = [(abs(v), x, y) for x, dx in bd.items() for y, v in dx.items()]
+    # an entry v: x -> y has one live record (key[x, y], x, y), key <= |v|:
+    # a new or smaller entry pushes one, a record that comes up below its
+    # grown entry goes back at |v|, and a record not live is skipped
+    key = {(x, y): abs(v) for x, dx in bd.items() for y, v in dx.items()}
+    heap = [(k, x, y) for (x, y), k in key.items()]
     heapify(heap)
+
+    def written(x: int, y: int, v: int) -> None:
+        if (x, y) not in key or abs(v) < key[x, y]:
+            key[x, y] = abs(v)
+            heappush(heap, (abs(v), x, y))
 
     def basis_add(b: int, a: int, c: int) -> None:
         # e_b <- e_b + c e_a: d'(e_b) gains c d'(e_a), the coordinate at a
@@ -732,7 +735,7 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
             for t, v in da.items():
                 if w := db.get(t, 0) + c * v:
                     db[t] = cobd[t][b] = w
-                    heappush(heap, (abs(w), b, t))
+                    written(b, t, w)
                 else:
                     del db[t], cobd[t][b]
         if cb := cobd.get(b):
@@ -740,7 +743,7 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
             for s, v in cb.items():
                 if w := ca.get(s, 0) - c * v:
                     ca[s] = bd[s][a] = w
-                    heappush(heap, (abs(w), s, a))
+                    written(s, a, w)
                 else:
                     del ca[s], bd[s][a]
         _axpy(iota.setdefault(b, {b: 1}), iota.get(a, {a: 1}), c, 0)
@@ -749,8 +752,13 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
     while heap:
         pivot = heappop(heap)
         k, x, y = pivot
-        v = bd.get(x, {}).get(y)
-        if v is None or abs(v) != k:
+        if key.get((x, y)) != k:
+            continue
+        if abs(v := bd.get(x, {}).get(y, 0)) != k:
+            # the live record of an entry that died or grew
+            del key[x, y]
+            if v:
+                written(x, y, v)
             continue
         if k == 1:
             dx, rows = list(bd[x]), [a for a in cobd[y] if a != x]
@@ -758,7 +766,7 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
             for a in rows:
                 for t in dx:
                     if w := bd[a].get(t):
-                        heappush(heap, (abs(w), a, t))
+                        written(a, t, w)
             continue
         for t, w in list(bd[x].items()):
             if t != y and (q := w // v):
@@ -1031,6 +1039,8 @@ class _HomologyArrow:
     section); either way it sends cycles to cycles and boundaries to
     boundaries.  Class matrices are memoized per source degree, and the
     presentations they are expressed in come from the complexes' memos.
+    ``_push`` reads a class matrix in C', a column per canonical generator
+    of the source, with no other matrix built.
 
     Over Z it keeps beside them, per source degree, the one factorization
     of [class matrix | target torsion] (``factored``) that ``_flags`` and
@@ -1058,12 +1068,9 @@ class _HomologyArrow:
             src = (_reduced_dim(self.source, j)
                    and _presentation(self.source, j))
             tgt = _presentation(self.target, j + self.degree)
-            F = (tgt.coord_matrix(self._push(j, src.representatives()))
-                 if src and src.rank_coords()
-                 else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
-            if F is None:
-                raise ChainError("image of a cycle is not a cycle")
-            self._matrices[j] = F
+            F = self._matrices[j] = (
+                self._push(j, src, tgt) if src and src.rank_coords()
+                else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
         return F
 
     def factored(self, j: int) -> SNFResult:
@@ -1076,36 +1083,47 @@ class _HomologyArrow:
                 [self.matrix(j), tgt.torsion_relation_columns()]))
         return res
 
-    def _push(self, j: int, reps: IntMatrix) -> IntMatrix:
-        """pi . f . iota of the columns of ``reps`` (vectors of the source's
-        C'_j), each pushed as a sparse vector through iota's columns, f's
-        rows, the target's cycle test d = 0 (else ``ChainError``) and pi's
-        rows."""
+    def _push(self, j: int, src: PresentedGroup, tgt: PresentedGroup
+              ) -> IntMatrix:
+        """The class matrix at source degree j: each canonical generator of
+        ``src`` (of the source's C'_j) pushed as a sparse vector through
+        iota, f, the target's cycle test d = 0 and pi, and read in ``tgt``'s
+        coordinates, a torsion one mod its modulus (mod p over F_p).
+        ``ChainError`` for a non-cycle in C or a nonzero coordinate at a
+        generator that d' moves: the image of a cycle is not a cycle."""
         p, S, T = self.target.p, self.source, self.target
         s_red, t_red = reduction(S), reduction(T)
         s_kept = [S.module._index[nm]
                   for nm in s_red.complex.module.gens_in_degree(j)]
         t_kept = [T.module._index[nm] for nm in
                   t_red.complex.module.gens_in_degree(j + self.degree)]
+        # (pi's row, coordinate, modulus) of each generator of the
+        # target's C' that a class reads; a moved one has no coordinate
+        nt = len(tgt.torsion_moduli)
+        reads = [(t_red.pi_row(t_kept[r]), a,
+                  tgt.torsion_moduli[a] if a < nt else p)
+                 for a, r in enumerate(tgt.torsion_rows + tgt.free_rows)]
+        reads += [(t_red.pi_row(t_kept[r]), None, 0) for r in tgt._sources]
         names, t_index = S.module.generators, T.module._index
         f_rows, d_rows = self.f._rows(), T.d._rows()
-        cols: Dict[int, Dict[int, int]] = {}
-        for (r, c), v in reps.entries.items():
-            cols.setdefault(c, {})[s_kept[r]] = v
         out = {}
-        for c, col in cols.items():
-            x = _apply(col, s_red.iota_column, p)
-            y = _apply({names[g][0]: v for g, v in x.items()}, f_rows.get, p)
+        for c, r in enumerate(src.torsion_rows + src.free_rows):
+            y = _apply({names[h][0]: v
+                        for h, v in s_red.iota_column(s_kept[r]).items()},
+                       f_rows.get, p)
             if _apply(y, d_rows.get, p):
                 raise ChainError("image of a cycle is not a cycle")
             y = {t_index[t]: v for t, v in y.items()}
-            for r, s in enumerate(t_kept):
-                # <pi(y), s>, summed over the shorter of pi's row and y
-                row = t_red.pi_row(s)
-                a, b = (row, y) if len(row) < len(y) else (y, row)
-                if v := sum(w * b.get(g, 0) for g, w in a.items()):
-                    out[(r, c)] = v
-        return IntMatrix._trusted(len(t_kept), reps.cols, out)
+            for row, a, m in reads:
+                # pi(y) there, summed over the shorter of pi's row and y
+                u, w = (row, y) if len(row) < len(y) else (y, row)
+                if v := sum(x * w.get(h, 0) for h, x in u.items()):
+                    if a is None:
+                        raise ChainError("image of a cycle is not a cycle")
+                    if m and not (v := v % m):
+                        continue
+                    out[(a, c)] = v
+        return IntMatrix._trusted(tgt.rank_coords(), src.rank_coords(), out)
 
 
 def _apply(vector: Dict, column, p: int) -> Dict:

@@ -15,7 +15,8 @@ is returned with identity transforms without a workspace.
 No homology presentation is factored.  ``chain`` reduces a complex until
 its differential is a sum of pieces v: b -> a (over F_p until it
 vanishes), and a ``PresentedGroup`` reads its group and coordinates off
-those pieces; every F_p verdict is a rank, from ``field_rank``.  The Smith
+those pieces (``from_pieces``, or ``from_pair`` of two matrices); every
+F_p verdict is a rank, from ``field_rank``.  The Smith
 form serves the maps between presentations over Z: ``chain`` factors each
 class matrix beside the target's torsion once and reads both injectivity
 and exactness off that one factorization.
@@ -574,12 +575,12 @@ def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
     return lattice_contains(a, b) and lattice_contains(b, a)
 
 
-def _pieces(M: IntMatrix) -> Tuple[Dict[int, int], set]:
-    """({row: entry}, columns) of a matrix with at most one entry in every
+def _pieces(entries: Dict[Tuple[int, int], int]) -> Tuple[Dict[int, int], set]:
+    """({row: entry}, columns) of matrix entries with at most one in every
     row and every column, else ``ExactLinError``."""
-    rows = {i: v for (i, _), v in M.entries.items()}
-    cols = {j for _, j in M.entries}
-    if len(rows) < len(M.entries) or len(cols) < len(M.entries):
+    rows = {i: v for (i, _), v in entries.items()}
+    cols = {j for _, j in entries}
+    if len(rows) < len(entries) or len(cols) < len(entries):
         raise ExactLinError("pair is not elementary: reduce the complex first")
     return rows, cols
 
@@ -600,7 +601,7 @@ def _invariant_factors(moduli: Sequence[int]) -> List[int]:
 
 class PresentedGroup:
     """ker(d_out) / im(d_in) of Z^n for an elementary pair, built by
-    ``from_pair`` only.
+    ``from_pieces``.
 
     A pair is elementary when each of d_in and d_out has at most one entry
     in every row and every column, and no generator that d_in hits is moved
@@ -610,33 +611,37 @@ class PresentedGroup:
     hit by d_in with |v| >= 2 is a torsion coordinate mod |v|, one hit by a
     unit is a boundary, one moved by d_out is not a cycle, and every other
     one is a free coordinate.  Canonical coordinates are the torsion ones,
-    then the free ones, each in generator order; the moduli need not form a
-    divisibility chain, and the invariant factors of ``group`` come from
-    them by gcd and lcm.  Over F_p (``p`` prime, coordinates mod p) only a
-    plain group, with both differentials zero, is presented.
+    then the free ones, each in generator order (``torsion_rows +
+    free_rows``; ``_sources`` holds the moved generators); the moduli need
+    not form a divisibility chain, and the invariant factors of ``group``
+    come from them by gcd and lcm.  Over F_p (``p`` prime,
+    coordinates mod p) only a plain group, with both differentials zero, is
+    presented, and its coordinates are the generators themselves.
 
-    ``chain`` presents each homology group on a reduction C' of its
-    complex, so there Z^n is C'_j, and reads classes of C in it by pushing
-    them through the reduction's maps (``chain._HomologyArrow._push``).
+    ``chain`` indexes the pieces of each reduction C' by degree once, and
+    presents H_j(C') on C'_j from that index; it reads a class of C in
+    these coordinates by pushing the canonical generators of the source
+    through the reduction's maps (``chain._HomologyArrow._push``).
     """
 
-    _reps: Optional[IntMatrix] = None   # filled on first request
+    _sources: Sequence[int] = ()     # the moved generators: none if plain
 
     @classmethod
-    def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
-        """ker(d_out) / im(d_in) of an elementary pair; ``ExactLinError``
-        for a pair that is not elementary, for a ``d_in`` outside
-        ker(d_out), and over F_p (``p`` prime) for a nonzero
-        differential."""
-        if d_in.rows != d_out.cols:
-            raise DimensionMismatch("boundaries do not fit the cycle lattice")
+    def from_pieces(cls, dim: int, d_in: Dict[Tuple[int, int], int],
+                    d_out: Dict[Tuple[int, int], int], p: int = 0
+                    ) -> "PresentedGroup":
+        """ker(d_out) / im(d_in) of Z^dim, from the entries (row, column)
+        -> v of an elementary pair: d_in's rows and d_out's columns are the
+        generators of Z^dim.  ``ExactLinError`` for a pair that is not
+        elementary, for a ``d_in`` outside ker(d_out), and over F_p (``p``
+        prime) for a nonzero differential."""
         pg = cls.__new__(cls)
-        pg.dim, pg.p = d_out.cols, p
-        pg._plain = d_in.is_zero() and d_out.is_zero()
+        pg.dim, pg.p = dim, p
+        pg._plain = not d_in and not d_out
         if pg._plain:
             pg.torsion_rows, pg.torsion_moduli = [], []
-            pg.free_rows = list(range(pg.dim))
-            pg.group = AbelianGroup(pg.dim)
+            pg.free_rows = list(range(dim))
+            pg.group = AbelianGroup(dim)
             return pg
         if p:
             raise ExactLinError(
@@ -647,49 +652,24 @@ class PresentedGroup:
             raise ExactLinError("boundary is not a cycle; composition nonzero?")
         pg.torsion_rows = sorted(i for i, v in hit.items() if abs(v) >= 2)
         pg.torsion_moduli = [abs(hit[i]) for i in pg.torsion_rows]
-        pg.free_rows = [i for i in range(pg.dim)
+        pg.free_rows = [i for i in range(dim)
                         if i not in hit and i not in pg._sources]
-        pg._coordinate = {i: a for a, i in enumerate(
-            pg.torsion_rows + pg.free_rows)}
         pg.group = AbelianGroup(len(pg.free_rows),
                                 _invariant_factors(pg.torsion_moduli))
         return pg
+
+    @classmethod
+    def from_pair(cls, d_in: IntMatrix, d_out: IntMatrix, p: int = 0) -> "PresentedGroup":
+        """``from_pieces`` of two matrices, d_in of Z^n's height and d_out
+        of its width."""
+        if d_in.rows != d_out.cols:
+            raise DimensionMismatch("boundaries do not fit the cycle lattice")
+        return cls.from_pieces(d_out.cols, d_in.entries, d_out.entries, p)
 
     # -- coordinates -------------------------------------------------------
 
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
-
-    def coord_matrix(self, vectors: IntMatrix) -> Optional[IntMatrix]:
-        """Canonical coordinates of the classes of the columns of
-        ``vectors`` (of the presented Z^n), as columns, or None if some
-        column is not a cycle, nonzero at a generator d_out moves."""
-        if vectors.rows != self.dim:
-            raise DimensionMismatch("vectors do not fit the cycle lattice")
-        if self._plain:
-            return vectors.mod(self.p)
-        nt, ent = len(self.torsion_moduli), {}
-        for (i, j), v in vectors.entries.items():
-            if i in self._sources:
-                return None
-            a = self._coordinate.get(i)
-            if a is not None:
-                if a < nt:
-                    v %= self.torsion_moduli[a]
-                if v:
-                    ent[(a, j)] = v
-        return IntMatrix._trusted(self.rank_coords(), vectors.cols, ent)
-
-    def representatives(self) -> IntMatrix:
-        """Cycles representing the canonical generators, as columns: the
-        generators at the torsion and free coordinates; computed once and
-        shared."""
-        if self._plain:
-            return IntMatrix.identity(self.dim)
-        if self._reps is None:
-            self._reps = IntMatrix._trusted(self.dim, self.rank_coords(), {
-                (i, a): 1 for i, a in self._coordinate.items()})
-        return self._reps
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
         nt = len(self.torsion_moduli)

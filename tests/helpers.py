@@ -8,11 +8,21 @@ for a random degree -1 map W; anticommuting square-zero Y-actions from
 Y = dX - Xd with rejection on Y.Y != 0.
 
 Beside them sit the reference readings that the program no longer ships:
-classes of a complex C read in C itself through the degree blocks of its
-reduction's iota and pi, the oracle for the class matrices that
-``chain._HomologyArrow._push`` reads in C'; ``reduction_defects``, the
-chain-map laws of a reduction checked on every block; the presentation by
-two-factorization presentation of any pair
+the degree blocks of a graded map (``block``), the coordinates of vectors
+and the representatives of a presentation (``coord_matrix``,
+``representatives``), and the per-degree paths they fed, each the oracle
+of the one-pass path that replaced it:
+``pair_presentation`` (``PresentedGroup.from_pair`` on two blocks of d',
+against the presentations read off the reduction's index of pieces),
+``pushed_by_coords`` (``coord_matrix`` of the source's
+``representatives`` pushed as columns, against ``_HomologyArrow._push``),
+``defect_by_products`` (two products, a scale and a difference, against
+``chain._defect``) and ``isolate_pushing_every_write`` (``chain._isolate``
+with a heap record for every entry written); classes of a complex C read
+in C itself through the degree blocks of its reduction's iota and pi, the
+oracle for the class matrices that ``chain._HomologyArrow._push`` reads in
+C'; ``reduction_defects``, the chain-map laws of a reduction checked on
+every block; the presentation by two-factorization presentation of any pair
 (``FactoredPresentation``), the oracle of ``PresentedGroup.from_pair``, and
 the presentation by back-substitution through a factored cycle basis
 (``CycleBasisPresentation``), the oracle of ``FactoredPresentation``; and
@@ -29,17 +39,18 @@ program's own verdicts.
 
 import random
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
-                            HomologyTable, PMorphism, _HomologyArrow,
-                            _presentation, cone, reduction)
+                            HomologyTable, PMorphism, _apply, _HomologyArrow,
+                            _presentation, _reduced_dim, cone, reduction)
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
                                DimensionMismatch, ExactLinError, IntMatrix,
-                               PresentedGroup, _back_substitute,
+                               PresentedGroup, _axpy, _back_substitute,
                                _kernel_head, rank_and_kernel, snf)
 from snf_reference import (FieldPresentation, invert_unimodular,
                            reference_back_substitute, reference_kernel,
@@ -316,8 +327,8 @@ def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,
     project surjective, and the image of inject equals the kernel of
     project, by the reference factorizations over Z and F_p.  The oracle
     for the name bookkeeping of ``circle._ses_exact_at``."""
-    bi = inject.block(mid_degree - inject.degree)
-    bp = project.block(mid_degree)
+    bi = block(inject, mid_degree - inject.degree)
+    bp = block(project, mid_degree)
     comp = (bp @ bi).mod(p) if p else (bp @ bi)
     if not comp.is_zero():
         return False
@@ -412,6 +423,170 @@ def count_les_tags(monkeypatch, *modules) -> Counter:
     for module in modules:
         monkeypatch.setattr(module, "_les_check", counting)
     return tags
+
+
+# ---------------------------------------------------------------------------
+# Per-degree paths the program replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def block(f: GradedMap, j: int) -> IntMatrix:
+    """Matrix of f's degree-j piece: columns are source generators of
+    degree j, rows are target generators of degree j + f.degree, both in
+    module order."""
+    src = f.source.gens_in_degree(j)
+    tpos = {n: i for i, n in enumerate(
+        f.target.gens_in_degree(j + f.degree))}
+    rows = f._rows()
+    return IntMatrix(len(tpos), len(src), {
+        (tpos[t], c): v for c, s in enumerate(src)
+        for t, v in rows.get(s, {}).items() if t in tpos})
+
+
+def coord_matrix(pg: PresentedGroup, vectors: IntMatrix
+                 ) -> Optional[IntMatrix]:
+    """Canonical coordinates of the classes of the columns of ``vectors``
+    (of the presented Z^n), as columns, or None if some column is not a
+    cycle, nonzero at a generator d_out moves."""
+    if vectors.rows != pg.dim:
+        raise DimensionMismatch("vectors do not fit the cycle lattice")
+    if pg._plain:
+        return vectors.mod(pg.p)
+    nt, ent = len(pg.torsion_moduli), {}
+    coordinate = {i: a for a, i in enumerate(pg.torsion_rows + pg.free_rows)}
+    for (i, j), v in vectors.entries.items():
+        if i in pg._sources:
+            return None
+        a = coordinate.get(i)
+        if a is not None:
+            if a < nt:
+                v %= pg.torsion_moduli[a]
+            if v:
+                ent[(a, j)] = v
+    return IntMatrix(pg.rank_coords(), vectors.cols, ent)
+
+
+def representatives(pg: PresentedGroup) -> IntMatrix:
+    """Cycles representing the canonical generators, as columns: the
+    generators at the torsion and free coordinates."""
+    if pg._plain:
+        return IntMatrix.identity(pg.dim)
+    return IntMatrix(pg.dim, pg.rank_coords(), {
+        (i, a): 1 for a, i in enumerate(pg.torsion_rows + pg.free_rows)})
+
+
+def pair_presentation(C: ChainComplex, j: int) -> PresentedGroup:
+    """``PresentedGroup.from_pair`` on the blocks of C's reduced d' into
+    and out of degree j (on n x 0 and 0 x n where d' = 0)."""
+    d, n = reduction(C).complex.d, _reduced_dim(C, j)
+    if d.is_zero():
+        return PresentedGroup.from_pair(IntMatrix(n, 0), IntMatrix(0, n), C.p)
+    return PresentedGroup.from_pair(block(d, j + 1), block(d, j), C.p)
+
+
+def push_columns(arrow: _HomologyArrow, j: int,
+                 reps: IntMatrix) -> IntMatrix:
+    """pi . f . iota of the columns of ``reps`` (vectors of the source's
+    C'_j) as vectors of the target's C', each pushed as a sparse vector
+    through iota's columns, f's rows, the target's cycle test d = 0 (else
+    ``ChainError``) and pi's rows."""
+    p, S, T = arrow.target.p, arrow.source, arrow.target
+    s_red, t_red = reduction(S), reduction(T)
+    s_kept = [S.module._index[nm]
+              for nm in s_red.complex.module.gens_in_degree(j)]
+    t_kept = [T.module._index[nm] for nm in
+              t_red.complex.module.gens_in_degree(j + arrow.degree)]
+    names, t_index = S.module.generators, T.module._index
+    f_rows, d_rows = arrow.f._rows(), T.d._rows()
+    cols: Dict[int, Dict[int, int]] = {}
+    for (r, c), v in reps.entries.items():
+        cols.setdefault(c, {})[s_kept[r]] = v
+    out = {}
+    for c, col in cols.items():
+        x = _apply(col, s_red.iota_column, p)
+        y = _apply({names[g][0]: v for g, v in x.items()}, f_rows.get, p)
+        if _apply(y, d_rows.get, p):
+            raise ChainError("image of a cycle is not a cycle")
+        y = {t_index[t]: v for t, v in y.items()}
+        for r, s in enumerate(t_kept):
+            if v := sum(w * y.get(g, 0) for g, w in t_red.pi_row(s).items()):
+                out[(r, c)] = v
+    return IntMatrix(len(t_kept), reps.cols, out)
+
+
+def pushed_by_coords(arrow: _HomologyArrow, j: int) -> IntMatrix:
+    """The class matrix of ``arrow`` at source degree j the way
+    ``_HomologyArrow.matrix`` read it through matrices: the source's
+    ``representatives`` pushed as columns by ``push_columns``, then
+    ``coord_matrix`` in the target; empty when the source group is
+    trivial.  Both presentations are ``pair_presentation``'s."""
+    src = pair_presentation(arrow.source, j)
+    tgt = pair_presentation(arrow.target, j + arrow.degree)
+    if not src.rank_coords():
+        return IntMatrix(tgt.rank_coords(), 0)
+    F = coord_matrix(tgt, push_columns(arrow, j, representatives(src)))
+    if F is None:
+        raise ChainError("image of a cycle is not a cycle")
+    return F
+
+
+def defect_by_products(f: GradedMap, a: GradedMap, b: GradedMap
+                       ) -> GradedMap:
+    """f.a - (-1)^{|f||a|} b.f by two products, a scale and a difference."""
+    sign = -1 if (f.degree % 2) and (a.degree % 2) else 1
+    return (f @ a) - (b @ f).scale(sign)
+
+
+def isolate_pushing_every_write(bd, cobd, iota, pi, cancel) -> None:
+    """``chain._isolate`` with a heap record (|v|, x, y) pushed for every
+    entry written, and every record whose entry has changed since skipped
+    when it comes up."""
+    heap = [(abs(v), x, y) for x, dx in bd.items() for y, v in dx.items()]
+    heapify(heap)
+
+    def basis_add(b: int, a: int, c: int) -> None:
+        if da := bd.get(a):
+            db = bd.setdefault(b, {})
+            for t, v in da.items():
+                if w := db.get(t, 0) + c * v:
+                    db[t] = cobd[t][b] = w
+                    heappush(heap, (abs(w), b, t))
+                else:
+                    del db[t], cobd[t][b]
+        if cb := cobd.get(b):
+            ca = cobd.setdefault(a, {})
+            for s, v in cb.items():
+                if w := ca.get(s, 0) - c * v:
+                    ca[s] = bd[s][a] = w
+                    heappush(heap, (abs(w), s, a))
+                else:
+                    del ca[s], bd[s][a]
+        _axpy(iota.setdefault(b, {b: 1}), iota.get(a, {a: 1}), c, 0)
+        _axpy(pi.setdefault(a, {a: 1}), pi.get(b, {b: 1}), -c, 0)
+
+    while heap:
+        pivot = heappop(heap)
+        k, x, y = pivot
+        v = bd.get(x, {}).get(y)
+        if v is None or abs(v) != k:
+            continue
+        if k == 1:
+            dx, rows = list(bd[x]), [a for a in cobd[y] if a != x]
+            cancel(x, y)
+            for a in rows:
+                for t in dx:
+                    if w := bd[a].get(t):
+                        heappush(heap, (abs(w), a, t))
+            continue
+        for t, w in list(bd[x].items()):
+            if t != y and (q := w // v):
+                basis_add(y, t, q)
+        for s, w in list(cobd[y].items()):
+            if s != x and (q := w // v):
+                basis_add(s, x, -q)
+        if len(bd[x]) > 1 or len(cobd[y]) > 1:
+            heappush(heap, pivot)
+        elif cobd.get(x) or bd.get(y):
+            raise ChainError("differential does not square to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +764,8 @@ def reduction_defects(C: ChainComplex) -> List[str]:
 def ambient_representatives(C: ChainComplex, j: int) -> IntMatrix:
     """Cycles of C_j representing the canonical generators of H_j(C):
     iota_j of those of C'."""
-    return reduction_maps(C)[0].block(j) @ _presentation(C, j).representatives()
+    return block(reduction_maps(C)[0], j) @ representatives(
+        _presentation(C, j))
 
 
 def ambient_coords(C: ChainComplex, j: int,
@@ -597,15 +773,15 @@ def ambient_coords(C: ChainComplex, j: int,
     """Canonical coordinates in H_j(C) of the classes of the columns of
     ``vectors`` (of C_j), or None if d_j kills not all of them: those of
     pi_j of them in C'."""
-    pi_j = reduction_maps(C)[1].block(j)
+    pi_j = block(reduction_maps(C)[1], j)
     pg = _presentation(C, j)
     if vectors.rows != pi_j.cols:
         raise DimensionMismatch("vectors do not fit C_j")
     if vectors.is_zero():
         return IntMatrix(pg.rank_coords(), vectors.cols)
-    if not (C.d.block(j) @ vectors).mod(C.p).is_zero():
+    if not (block(C.d, j) @ vectors).mod(C.p).is_zero():
         return None
-    return pg.coord_matrix(pi_j @ vectors)
+    return coord_matrix(pg, pi_j @ vectors)
 
 
 def case2_input() -> ChainComplex:

@@ -49,21 +49,28 @@ from helpers import (
     ambient_coords,
     ambient_representatives,
     anticommuting_y,
+    block,
     commuting_u,
     compose,
+    coord_matrix,
+    defect_by_products,
     direct_sum,
     equal_on,
     fixed_arrow,
     fixed_node,
     from_rows,
+    isolate_pushing_every_write,
     lattice_exactness_oracle,
+    pair_presentation,
     presented_at,
+    pushed_by_coords,
     random_basis_change,
     random_complex,
     random_matrix,
     random_pmorphism,
     reduction_defects,
     reduction_maps,
+    representatives,
     to_dense,
     unreduced_presentation,
     verify_homotopy,
@@ -114,12 +121,12 @@ class TestGradedStructures:
     def test_modular_map_wraps(self):
         m = GradedModule([("a", 0), ("b", 1)], modulus=2)
         d = GradedMap(m, m, -1, {("a", "b"): 1, ("b", "a"): 1})
-        assert to_dense(d.block(0)) == [[1]]
+        assert to_dense(block(d, 0)) == [[1]]
 
     def test_block_order(self):
         m = GradedModule([("x", 1), ("y", 0), ("z", 1)])
         f = GradedMap(m, m, -1, {("x", "y"): 3, ("z", "y"): 5})
-        assert to_dense(f.block(1)) == [[3, 5]]
+        assert to_dense(block(f, 1)) == [[3, 5]]
 
     def test_composition_and_arithmetic(self):
         m = GradedModule([("a", 2), ("b", 1), ("c", 0)])
@@ -200,7 +207,10 @@ class TestTrustedMaps:
             with pytest.raises(ChainError):
                 GradedMap(m, m, -1, ent)
 
-    def test_blocks_are_memoized(self):
+    def test_blocks_match_a_checked_copy(self):
+        # the degree blocks of the tests' reference readings: a map built
+        # unchecked has the blocks of its checked copy, and a periodic map
+        # has one block per reduced degree
         rng = random.Random(89)
         inputs = [random_complex(rng, max_pieces=4, with_u=True).complex
                   for _ in range(5)]
@@ -212,11 +222,11 @@ class TestTrustedMaps:
             for f in filter(None, (C.d, C.u_action)):
                 for j in range(lo - 6, hi + 7):
                     fresh = GradedMap(f.source, f.target, f.degree, f.entries)
-                    assert f.block(j) == fresh.block(j)
-                    assert f.block(j) is f.block(j)
+                    assert block(f, j) == block(fresh, j)
         periodic = inputs[-1].d
-        assert periodic.block(1) is periodic.block(5) is periodic.block(-3)
-        assert len(periodic._blocks) == 4
+        assert block(periodic, 1) == block(periodic, 5) == \
+            block(periodic, -3) == from_rows([[1], [3]])
+        assert not hasattr(GradedMap, "block")
 
 
 class TestValidate:
@@ -778,73 +788,92 @@ class TestExactness:
 
 
 @pytest.fixture
-def from_pair_calls(monkeypatch):
-    """Every PresentedGroup.from_pair call, as (d_in, d_out, p)."""
+def built(monkeypatch):
+    """Every presentation built, as (dim, d_in, d_out, p) of its
+    ``PresentedGroup.from_pieces`` call; ``from_pair`` is not called."""
     calls = []
-    original = PresentedGroup.from_pair.__func__
+    original = PresentedGroup.from_pieces.__func__
 
-    def counting(cls, d_in, d_out, p=0):
-        calls.append((d_in, d_out, p))
-        return original(cls, d_in, d_out, p)
+    def counting(cls, dim, d_in, d_out, p=0):
+        calls.append((dim, d_in, d_out, p))
+        return original(cls, dim, d_in, d_out, p)
 
-    monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
+    monkeypatch.setattr(PresentedGroup, "from_pieces", classmethod(counting))
+    monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(
+        lambda *a: pytest.fail("a presentation built from blocks")))
     return calls
 
 
-class TestPresentationMemo:
-    """Each (complex, degree) is presented once, by PresentedGroup.from_pair,
-    and the memo belongs to one complex object."""
+def _from_the_index(C, call):
+    """True iff a ``from_pieces`` call read C's reduction index: d_in and
+    d_out are its pieces themselves, or empty where it has none."""
+    pieces = reduction(C).pieces.values()
+    return all(not d or any(d is piece for piece in pieces)
+               for d in call[1:3])
 
-    def test_second_homology_builds_nothing(self, from_pair_calls):
+
+class TestPresentationMemo:
+    """Each (complex, degree) is presented once, by one ``from_pieces`` call
+    on the pieces that the complex's reduction indexed once; the memo
+    belongs to one complex object, and no block is built."""
+
+    def test_second_homology_builds_nothing(self, built):
         C = two_sphere_like()
         first = homology(C)
-        n = len(from_pair_calls)
-        assert n > 0
+        n = len(built)
+        assert n > 0 and all(_from_the_index(C, call) for call in built)
+        assert any(call[1] or call[2] for call in built)
         assert homology(C) == first
         assert homology(C, window=(0, 1)) == homology(C, window=(0, 1))
-        assert len(from_pair_calls) == n
+        assert len(built) == n
 
-    def test_four_flavors_presents_each_slice_degree_once(self, from_pair_calls):
+    def test_four_flavors_presents_each_slice_degree_once(self, built):
         rng = random.Random(43)
         for _ in range(3):
             C = random_complex(rng, max_pieces=3, with_u=True).complex
-            del from_pair_calls[:]
+            del built[:]
             ff = four_flavors(C)
             slices = ff.sequences.complexes.values()
             # every build landed in one slice's memo, one per degree
-            assert len(from_pair_calls) == sum(len(cx._presented)
-                                               for cx in slices)
-            n = len(from_pair_calls)
+            assert len(built) == sum(len(cx._presented) for cx in slices)
+            assert all(any(_from_the_index(cx, call) for cx in slices)
+                       for call in built)
+            n = len(built)
             for cx in slices:
                 homology(cx)
                 induced_on_homology(GradedMap.identity(cx.module), cx, cx)
-            assert len(from_pair_calls) == n
+            assert len(built) == n
 
-    def test_distinct_complexes_never_share(self, from_pair_calls):
+    def test_distinct_complexes_never_share(self, built):
         C = two_sphere_like()
         twin = ChainComplex(C.module, C.d, p=C.p)
         homology(C)
-        n = len(from_pair_calls)
+        n = len(built)
         assert homology(twin) == homology(C)
-        assert len(from_pair_calls) == 2 * n
+        assert len(built) == 2 * n
         assert twin._presented is not C._presented
+        assert reduction(twin).pieces is not reduction(C).pieces
         for j, pg in C._presented.items():
             assert twin._presented[j] is not pg
         u = GradedMap.zero(C.module, C.module, -2)
         assert not C.with_actions(u_action=u)._presented
 
-    def test_periodic_memo_keyed_by_reduced_degree(self, from_pair_calls):
+    def test_periodic_memo_keyed_by_reduced_degree(self, built):
         C = complex_from([("a", 0), ("b", 1)], {("b", "a"): 2}, modulus=2)
         h = homology(C, window=(-6, 6))
         assert h[0] == AbelianGroup(0, (2,))
         assert sorted(C._presented) == [0, 1]
-        assert len(from_pair_calls) == 2
+        assert sorted(reduction(C).pieces) == [1]
+        # H_0 = Z/2 reads the piece b -> 2a into degree 0, H_1 = 0 the
+        # same piece out of degree 1
+        assert [call[:3] for call in built] == [
+            (1, {(0, 0): 2}, {}), (1, {}, {(0, 0): 2})]
 
 
 def _oracle(C, j):
     """The unreduced presentation of C at degree j (over F_p the
     reference one)."""
-    return unreduced_presentation(C.d.block(j + 1), C.d.block(j), C.p)
+    return unreduced_presentation(block(C.d, j + 1), block(C.d, j), C.p)
 
 
 def _reduction_inputs():
@@ -934,7 +963,7 @@ class TestReduction:
             for j in _degrees(C):
                 pg = _presentation(C, j)
                 reps = ambient_representatives(C, j)
-                assert (C.d.block(j) @ reps).mod(C.p).is_zero()
+                assert (block(C.d, j) @ reps).mod(C.p).is_zero()
                 back = ambient_coords(C, j, reps)
                 n = pg.rank_coords()
                 for k in range(n):
@@ -942,9 +971,9 @@ class TestReduction:
                     assert pg.coords_are_zero(
                         [back[(r, k)] - e[r] for r in range(n)])
                 # a vector d does not kill is no cycle
-                for c in range(C.d.block(j).cols):
-                    col = IntMatrix(C.d.block(j).cols, 1, {(c, 0): 1})
-                    if not (C.d.block(j) @ col).mod(C.p).is_zero():
+                for c in range(block(C.d, j).cols):
+                    col = IntMatrix(block(C.d, j).cols, 1, {(c, 0): 1})
+                    if not (block(C.d, j) @ col).mod(C.p).is_zero():
                         assert ambient_coords(C, j, col) is None
 
     def test_induced_maps_agree_after_change_of_basis(self):
@@ -963,7 +992,7 @@ class TestReduction:
                     o_src = _oracle(src, j)
                     o_tgt = _oracle(tgt, j + f.degree)
                     F_old = o_tgt.coord_matrix(
-                        f.block(j) @ o_src.representatives())
+                        block(f, j) @ o_src.representatives())
                     jt = j + f.degree
                     assert (info.injective, info.surjective) == _flags(
                         fixed_arrow(F_old, presented_at(o_src, j, C.p),
@@ -1147,10 +1176,10 @@ class TestElementaryPieces:
             dr = reduction(C).complex.d
             for j in set(map(C.module.reduce_degree, _degrees(C))):
                 pg = _presentation(C, j)
-                want = FactoredPresentation(dr.block(j + 1), dr.block(j))
+                want = FactoredPresentation(block(dr, j + 1), block(dr, j))
                 assert pg.group == want.group
                 torsion += bool(pg.group.torsion)
-                d_in, n = dr.block(j + 1), pg.dim
+                d_in, n = block(dr, j + 1), pg.dim
                 reps = want.representatives()
                 moduli = want.torsion_moduli + [0] * len(want.free_rows)
                 vectors = [want.cycles @ random_matrix(rng, want.cycles.cols,
@@ -1163,7 +1192,7 @@ class TestElementaryPieces:
                     for c in range(M.cols):
                         col = IntMatrix(n, 1, {(i, 0): v for (i, k), v
                                                in M.entries.items() if k == c})
-                        got, ref = pg.coord_matrix(col), want.coord_matrix(col)
+                        got, ref = coord_matrix(pg, col), want.coord_matrix(col)
                         assert (got is None) == (ref is None)
                         verdict = None if got is None else pg.coords_are_zero(
                             [got[(i, 0)] for i in range(got.rows)])
@@ -1197,7 +1226,7 @@ class TestHomologyAgainstSympy:
             C = random_complex(rng, max_pieces=9).complex
             H = homology(C)
             for j in _degrees(C):
-                out, inc = factors(C.d.block(j)), factors(C.d.block(j + 1))
+                out, inc = factors(block(C.d, j)), factors(block(C.d, j + 1))
                 n = len(C.module.gens_in_degree(j))
                 want = AbelianGroup(n - len(out) - len(inc),
                                     [f for f in inc if f >= 2])
@@ -1242,7 +1271,7 @@ class TestBlocksOnDemand:
             rng.shuffle(degrees)
             for j in degrees:
                 iota_j, pi_j = blocks(j)
-                assert iota_j == iota.block(j) and pi_j == pi.block(j)
+                assert iota_j == block(iota, j) and pi_j == block(pi, j)
                 # entries besides the one of each kept generator
                 moved += (len(iota_j.entries) - iota_j.cols
                           + len(pi_j.entries) - pi_j.rows)
@@ -1251,9 +1280,9 @@ class TestBlocksOnDemand:
                 # chain maps: d iota = iota d' and pi d = d' pi
                 d, dr = C.d, red.complex.d
                 below = blocks(C.module.reduce_degree(j - 1))
-                assert ((d.block(j) @ iota_j) - (below[0] @ dr.block(j))
+                assert ((block(d, j) @ iota_j) - (below[0] @ block(dr, j))
                         ).mod(C.p).is_zero()
-                assert ((below[1] @ d.block(j)) - (dr.block(j) @ pi_j)
+                assert ((below[1] @ block(d, j)) - (block(dr, j) @ pi_j)
                         ).mod(C.p).is_zero()
         assert moved > 0
 
@@ -1458,7 +1487,7 @@ class TestEmptyGroupShortcuts:
             src = _presentation(arrow.source, j)
             assert arrow.matrix(j) == ambient_coords(
                 arrow.target, j + arrow.degree,
-                arrow.f.block(j) @ ambient_representatives(arrow.source, j))
+                block(arrow.f, j) @ ambient_representatives(arrow.source, j))
             sources[src.rank_coords() == 0] += 1
         assert sources[True] > 100 and sources[False] > 100
         for p in nodes:
@@ -1505,7 +1534,7 @@ def _class_matrix(arrow, j):
     tgt = _presentation(arrow.target, j + arrow.degree)
     if not src.rank_coords():
         return IntMatrix(tgt.rank_coords(), 0)
-    F = ambient_coords(arrow.target, j + arrow.degree, arrow.f.block(j)
+    F = ambient_coords(arrow.target, j + arrow.degree, block(arrow.f, j)
                        @ ambient_representatives(arrow.source, j))
     if F is None:
         raise ChainError("image of a cycle is not a cycle")
@@ -1569,27 +1598,43 @@ class TestPushMatchesBlocks:
 
 class TestClassMatricesBuildNoBlocks:
     """Class matrices read no degree block: one ladder and one run of the
-    four flavors build no block of an arrow's map, though they push
-    classes through many arrows."""
+    four flavors push classes through many arrows, each push reading the
+    source's and the target's presentations from the complexes' memos and
+    building no matrix beside the class matrix it returns; no map has a
+    block to build, and the tests' block builder is not reached."""
 
     def test_ladder_and_four_flavors(self, monkeypatch):
-        built, maps, pushed = [], [], []
-        block, init = GradedMap.block, _HomologyArrow.__init__
-        push = _HomologyArrow._push
-        monkeypatch.setattr(GradedMap, "block",
-                            lambda f, j: built.append(f) or block(f, j))
-        monkeypatch.setattr(_HomologyArrow, "__init__",
-                            lambda a, f, s, t: maps.append(f) or init(a, f, s, t))
-        monkeypatch.setattr(_HomologyArrow, "_push",
-                            lambda a, j, reps: pushed.append(a) or push(a, j, reps))
+        import helpers
+        pushed, made = [], []
+        push, trusted = _HomologyArrow._push, IntMatrix._trusted.__func__
+
+        def pushing(arrow, j, src, tgt):
+            assert src is arrow.source._presented[
+                arrow.source.module.reduce_degree(j)]
+            assert tgt is arrow.target._presented[
+                arrow.target.module.reduce_degree(j + arrow.degree)]
+            del made[:]
+            F = push(arrow, j, src, tgt)
+            assert made == [F]
+            pushed.append(arrow)
+            return F
+
+        def making(cls, rows, cols, entries):
+            made.append(trusted(cls, rows, cols, entries))
+            return made[-1]
+
+        monkeypatch.setattr(_HomologyArrow, "_push", pushing)
+        monkeypatch.setattr(IntMatrix, "_trusted", classmethod(making))
+        monkeypatch.setattr(helpers, "block",
+                            lambda *a: pytest.fail("a block was built"))
         rng = random.Random(1717)
         base = random_complex(rng, max_pieces=2, p=2).complex
         assert ladder_check(assemble(tower_model(TowerParams(base=base, n=4)))).ok
         C = random_complex(rng, max_pieces=5, with_u=True).complex
         assert four_flavors(C).ok
-        arrow_maps = {id(f) for f in maps}
         assert len(pushed) > 100
-        assert not any(id(f) in arrow_maps for f in built)
+        assert {a.target.p for a in pushed} == {0, 2}
+        assert not hasattr(GradedMap, "block")
 
 
 def _presented_verdict(incoming, outgoing, j):
@@ -1625,7 +1670,7 @@ class TestEmptyReductionNodes:
         # x -> w cancels: C' is empty in every degree
         return complex_from([("x", 0), ("w", -1)], {("x", "w"): 1}, p=p)
 
-    def test_misuse_still_raises_at_an_empty_node(self, from_pair_calls):
+    def test_misuse_still_raises_at_an_empty_node(self, built):
         for p in (0, 2):
             A = self._acyclic(p)
             twin = ChainComplex(A.module, A.d, p=p)
@@ -1640,13 +1685,13 @@ class TestEmptyReductionNodes:
                     with pytest.raises(ChainError, match="one complex"):
                         exactness_pair(incoming, outgoing, j)
 
-    def test_empty_node_builds_no_presentation(self, from_pair_calls):
+    def test_empty_node_builds_no_presentation(self, built):
         for p in (0, 2, 3):
             A = self._acyclic(p)
             arrow = _HomologyArrow(GradedMap.identity(A.module), A, A)
             for j in (-1, 0, 4):
                 assert exactness_pair(arrow, arrow, j) == (True, True)
-            assert not from_pair_calls and not A._presented
+            assert not built and not A._presented
             assert not arrow._matrices
 
     def test_verdicts_match_fully_presented_nodes(self, monkeypatch):
@@ -1683,48 +1728,42 @@ class TestEmptyReductionNodes:
 
 
 class TestPlainPresentationsFromDimension:
-    """Where the reduction's differential is zero (every F_p complex) each
-    degree is presented from its dimension: no block of d' is built, and
-    ``from_pair`` still runs once per degree, on n x 0 and 0 x n.  The
-    only block built is C's own d_j, for the cycle test of the reference
-    reading in C."""
+    """Where the reduction's differential is zero (every F_p complex) its
+    index of pieces is empty, and each degree is presented from its
+    dimension: one ``from_pieces`` call per degree with no pieces, and no
+    block of d'.  The only block built is C's own d_j, by the tests'
+    reference reading in C, for its cycle test."""
 
-    def test_no_block_of_a_zero_reduced_differential(self, monkeypatch):
-        built = []
-        original_block = GradedMap.block
+    def test_no_block_of_a_zero_reduced_differential(self, monkeypatch,
+                                                      built):
+        import helpers
+        blocks = []
+        original_block = helpers.block
 
         def recording(f, j):
-            built.append(f)
+            blocks.append(f)
             return original_block(f, j)
 
-        pairs = []
-        original_pair = PresentedGroup.from_pair.__func__
-
-        def counting(cls, d_in, d_out, p=0):
-            pairs.append((d_in, d_out))
-            return original_pair(cls, d_in, d_out, p)
-
-        monkeypatch.setattr(GradedMap, "block", recording)
-        monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(counting))
+        monkeypatch.setattr(helpers, "block", recording)
         rng = random.Random(919)
         for i in range(10):
             p = (2, 3)[i % 2]
             C = random_complex(rng, max_pieces=4, p=p, with_u=i > 5).complex
-            del built[:], pairs[:]
+            del blocks[:], built[:]
             h = homology(C)
             d_red = reduction(C).complex.d
-            assert d_red.is_zero()
+            assert d_red.is_zero() and reduction(C).pieces == {}
+            assert not blocks
             j = max(h.degrees())
             pg = _presentation(C, j)
             assert ambient_coords(C, j, ambient_representatives(C, j)) == \
                 IntMatrix.identity(pg.rank_coords())
-            assert built and not any(f is d_red for f in built)
+            assert blocks and not any(f is d_red for f in blocks)
             lo, hi = C.module.support_window()
-            assert len(pairs) == len(C._presented) == hi - lo + 1
-            for j, (d_in, d_out) in zip(range(lo, hi + 1), pairs):
-                n = len(reduction(C).complex.module.gens_in_degree(j))
-                assert (d_in.rows, d_in.cols) == (n, 0)
-                assert (d_out.rows, d_out.cols) == (0, n)
+            assert len(built) == len(C._presented) == hi - lo + 1
+            for j, (n, d_in, d_out, q) in zip(range(lo, hi + 1), built):
+                assert n == len(reduction(C).complex.module.gens_in_degree(j))
+                assert (d_in, d_out, q) == ({}, {}, p)
                 assert h[j] == AbelianGroup(n)
 
 
@@ -1734,14 +1773,15 @@ class TestOnDemandCycleBlock:
     nonzero class."""
 
     def test_homology_builds_no_block_of_d(self, monkeypatch):
+        import helpers
         built = []
-        original_block = GradedMap.block
+        original_block = helpers.block
 
         def recording(f, j):
             built.append(f)
             return original_block(f, j)
 
-        monkeypatch.setattr(GradedMap, "block", recording)
+        monkeypatch.setattr(helpers, "block", recording)
         rng = random.Random(4477)
         for i in range(12):
             p = (0, 2, 3)[i % 3]
@@ -1751,7 +1791,7 @@ class TestOnDemandCycleBlock:
             assert not any(f is C.d for f in built)
             j = max(homology(C).degrees(), default=0)
             pg = _presentation(C, j)
-            pg.coord_matrix(pg.representatives())
+            coord_matrix(pg, representatives(pg))
             assert not any(f is C.d for f in built)
             ambient_coords(C, j, ambient_representatives(C, j))
             assert sum(f is C.d for f in built) == (pg.rank_coords() > 0)
@@ -1815,3 +1855,262 @@ class TestNoBackReference:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestIsolateKeepsOneLiveRecord:
+    """``_isolate`` pushes a heap record only for a new entry or one whose
+    |v| fell, and re-pushes a record that comes up below its grown entry
+    with the true key: it makes the same changes of basis and
+    cancellations in the same order as ``helpers.isolate_pushing_every_write``,
+    which pushes a record for every entry written, and pops no more."""
+
+    @staticmethod
+    def _trace(C, isolate):
+        """(steps, heap pops, reduction) of reducing C with ``isolate`` in
+        place of ``chain._isolate``: every cancellation (x, y) and every
+        update of a column of iota or a row of pi, in order."""
+        import heapq
+
+        import helpers
+        from artifact import exactlin
+        steps, pops = [], [0]
+
+        def axpy(acc, vec, c, p):
+            steps.append((c, tuple(acc.items()), tuple(vec.items())))
+            exactlin._axpy(acc, vec, c, p)
+
+        def popping(heap):
+            pops[0] += 1
+            assert pops[0] < 100_000, "the heap does not drain"
+            return heapq.heappop(heap)
+
+        def isolating(bd, cobd, iota, pi, cancel):
+            def cancelling(x, y):
+                steps.append((x, y))
+                cancel(x, y)
+            isolate(bd, cobd, iota, pi, cancelling)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (chain, helpers):
+                mp.setattr(module, "_axpy", axpy)
+                mp.setattr(module, "heappop", popping)
+            mp.setattr(chain, "_isolate", isolating)
+            red = chain._reduce(C)
+        return steps, pops[0], red
+
+    def test_pivot_sequence_of_pushing_every_write(self):
+        # seeded Z complexes and flavor slices, and the hat slices of
+        # larger U-complexes, where most changes of basis happen
+        rng = random.Random(2626)
+        inputs = _piece_inputs(rng)
+        for n in (24, 32, 40, 48):
+            for _ in range(6):
+                S = s_u(random_complex(rng, max_pieces=n,
+                                       with_u=True).complex)
+                inputs.append(circle._e_y_slices(
+                    S, circle.FLAVOR_TAGS, None)["hat"])
+        fewer = changed = 0
+        pops = [0, 0]
+        for C in inputs:
+            new = self._trace(C, chain._isolate)
+            old = self._trace(C, isolate_pushing_every_write)
+            assert new[0] == old[0]
+            assert new[1] <= old[1]
+            pops = [pops[0] + new[1], pops[1] + old[1]]
+            fewer += new[1] < old[1]
+            changed += len(new[0]) > len(self._trace(C, lambda *a: None)[0])
+            (r_new, r_old) = new[2], old[2]
+            assert r_new[1:] == r_old[1:]
+            assert r_new.complex.d.entries == r_old.complex.d.entries
+            assert r_new.complex.module == r_old.complex.module
+        assert changed >= 30 and fewer >= 8, (changed, fewer)
+        assert pops[0] < pops[1]
+
+    def test_a_differential_that_does_not_square_to_zero_still_raises(self):
+        # both heaps refuse the same inputs with d^2 != 0, and end on the
+        # others with the same reduction
+        rng = random.Random(2627)
+        refused = 0
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            gens = [(f"g{i}", rng.randint(0, 2)) for i in range(n)]
+            deg = dict(gens)
+            m = GradedModule(gens)
+            d = GradedMap(m, m, -1, {
+                (s, t): rng.choice((2, -2, 3, 4, -6))
+                for s, _ in gens for t, _ in gens
+                if deg[t] == deg[s] - 1 and rng.random() < 0.7})
+            C = ChainComplex(m, d)
+            outcomes = []
+            for isolate in (chain._isolate, isolate_pushing_every_write):
+                try:
+                    outcomes.append(self._trace(C, isolate)[2][1:])
+                except ChainError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            refused += isinstance(outcomes[0], str)
+        assert refused >= 10
+
+
+def _laws_by_products(C):
+    """``validate``'s checks with each commutator formed by two products,
+    a scale and a difference."""
+    p, laws = C.p, [("d.d=0", C.d @ C.d)]
+    if C.u_action is not None:
+        laws.append(("[d,U]=0", defect_by_products(C.d, C.u_action,
+                                                  C.u_action)))
+    if C.y_action is not None:
+        laws += [("dY+Yd=0", defect_by_products(C.d, C.y_action,
+                                                C.y_action)),
+                 ("Y.Y=0", C.y_action @ C.y_action)]
+    return [chain.Check("degree-homogeneity", True)] + [
+        chain._law(tag, defect, p) for tag, defect in laws]
+
+
+def _pieces_inputs_over_every_ring():
+    """Seeded complexes over Z, F2 and F3, Z- and periodically graded
+    (mod 2 and 4), with and without U."""
+    rng = random.Random(2628)
+    for p in (0, 2, 3):
+        for modulus in (0, 2, 4):
+            for i in range(6):
+                C = random_complex(rng, max_pieces=6, p=p,
+                                   with_u=i % 2 == 1).complex
+                yield (random_basis_change(rng, _folded(C, modulus))
+                       if modulus else C)
+
+
+class TestOnePassAgainstPerDegree:
+    """The one-pass paths against the per-degree paths they replaced, kept
+    in ``helpers``: presentations read off the reduction's index against
+    ``from_pair`` on two blocks of d' (``pair_presentation``), class
+    matrices pushed generator by generator against ``coord_matrix`` of the
+    pushed representatives (``pushed_by_coords``), and ``_defect``'s one
+    dict against two products, a scale and a difference
+    (``defect_by_products``), over Z, F2, F3 and periodic gradings."""
+
+    def test_presentations_equal_pair_presentations(self):
+        seen = set()
+        for C in _pieces_inputs_over_every_ring():
+            lo, hi = C.module.support_window()
+            for j in range(lo - 1, hi + 2):
+                got, want = _presentation(C, j), pair_presentation(C, j)
+                fields = ("dim", "p", "_plain", "group", "torsion_rows",
+                          "torsion_moduli", "free_rows", "_sources")
+                assert [getattr(got, f) for f in fields] == \
+                    [getattr(want, f) for f in fields]
+                seen.add((C.p, C.module.modulus, got._plain))
+        assert seen >= {(p, m, True) for p in (0, 2, 3) for m in (0, 2, 4)}
+        assert seen >= {(0, m, False) for m in (0, 2, 4)}
+
+    def test_class_matrices_equal_the_coordinates_of_the_pushed_columns(self):
+        kinds = {}
+        inputs = list(_push_inputs())
+        rng = random.Random(2629)
+        for C in _pieces_inputs_over_every_ring():
+            inputs.append((_homotopic_to_identity(rng, C), C, C))
+        for f, src, tgt in inputs:
+            arrow = _HomologyArrow(f, src, tgt)
+            lo, hi = src.module.support_window()
+            for j in range(lo - 1, hi + 2):
+                got = arrow.matrix(j)
+                assert got == pushed_by_coords(_HomologyArrow(f, src, tgt), j)
+                kind = (src.p, src.module.modulus)
+                kinds[kind] = kinds.get(kind, 0) + (not got.is_zero())
+        assert all(kinds.get((p, m), 0) >= 5 for p in (0, 2, 3)
+                   for m in (0, 2, 4)), kinds
+
+    def test_a_non_chain_map_raises_on_both_paths(self):
+        # a(0) is a cycle; f(a) = x is not, since d(x) = w
+        for p in (0, 2, 3):
+            A = complex_from([("a", 0)], {}, p=p)
+            M = complex_from([("x", 0), ("w", -1), ("c", 0)],
+                             {("x", "w"): 2 if p != 2 else 1}, p=p)
+            f = GradedMap(A.module, M.module, 0, {("a", "x"): 1, ("a", "c"): 1})
+            assert not is_chain_map(f, A, M)
+            for read in (lambda a: a.matrix(0), lambda a: pushed_by_coords(a, 0)):
+                with pytest.raises(ChainError, match="image of a cycle"):
+                    read(_HomologyArrow(f, A, M))
+        # a cycle of C that a broken pi sends onto a generator of C' that
+        # d' moves: x -> 2w with pi(c) = c + x; both readings refuse it
+        A = complex_from([("a", 1)], {})
+        M = complex_from([("x", 1), ("w", 0), ("c", 1)], {("x", "w"): 2})
+        red = reduction(M)
+        object.__setattr__(M, "_reduced", red._replace(pi_rows={0: {0: 1, 2: 1}}))
+        f = GradedMap(A.module, M.module, 0, {("a", "c"): 1})
+        assert is_chain_map(f, A, M)
+        for read in (lambda a: a.matrix(1), lambda a: pushed_by_coords(a, 1)):
+            with pytest.raises(ChainError, match="image of a cycle"):
+                read(_HomologyArrow(f, A, M))
+
+    def test_defects_equal_the_products(self):
+        rng = random.Random(2630)
+        done = 0
+        for C in _pieces_inputs_over_every_ring():
+            M = C.module
+            for f_deg, a_deg in ((0, -1), (1, -1), (-1, -2), (2, 1), (1, 1)):
+                f, a, b = (GradedMap(M, M, d, {
+                    (s, t): rng.randint(-2, 2) for s, ds in M.generators
+                    for t, dt in M.generators
+                    if dt == M.reduce_degree(ds + d) and rng.random() < 0.5})
+                    for d in (f_deg, a_deg, a_deg))
+                for args in ((f, a, b), (C.d, C.d, C.d), (f, C.d, C.d)):
+                    got, want = _defect(*args), defect_by_products(*args)
+                    assert got == want
+                    assert got.nonzero_witness(C.p) == \
+                        want.nonzero_witness(C.p)
+                    done += not got.is_zero()
+        assert done > 100
+
+    def test_mismatches_raise_the_same_errors(self):
+        Y = GradedModule([("y0", 0), ("y1", 1)], modulus=2)
+        Z = GradedModule([("z0", 0), ("z1", 1), ("z2", 2)])
+        W = GradedModule([("w", 0)])
+        a = GradedMap(Y, Y, 1, {("y1", "y0"): 1, ("y0", "y1"): 1})
+        f = GradedMap(Y, Z, 0, {("y0", "z0"): 1, ("y1", "z1"): 1})
+        b = GradedMap(Z, Z, 1, {("z0", "z1"): 1, ("z1", "z2"): 1})
+        cases = [
+            (f, a, b),                          # mixed moduli: y1 -> z0
+            (f, b, b),                          # b does not end where f starts
+            (f, GradedMap(Y, Y, 1), a),         # a does not start where f ends
+            (f, GradedMap(Y, Y, -1), b),        # the products' degrees differ
+            (GradedMap(Z, W, 0), b, GradedMap(W, W, 1)),
+            (f, GradedMap(Y, Y, 1), GradedMap(Z, Z, 1, {("z0", "z1"): 3})),
+        ]
+        messages = []
+        for args in cases:
+            outcomes = []
+            for defect in (_defect, defect_by_products):
+                try:
+                    outcomes.append(defect(*args))
+                except ChainError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            messages.append(outcomes[0])
+        assert "violates degree 1 homogeneity" in messages[0]
+        assert messages[1:3] == ["composition source/target mismatch"] * 2
+        assert messages[3] == "maps are not parallel"
+        assert isinstance(messages[5], GradedMap)
+
+    def test_validate_witnesses(self):
+        rng = random.Random(2631)
+        failed = set()
+        for C in _pieces_inputs_over_every_ring():
+            M = C.module
+            u = GradedMap(M, M, -2, {
+                (s, t): rng.randint(-2, 2) for s, ds in M.generators
+                for t, dt in M.generators
+                if dt == M.reduce_degree(ds - 2) and rng.random() < 0.4})
+            y = GradedMap(M, M, 1, {
+                (s, t): rng.randint(-2, 2) for s, ds in M.generators
+                for t, dt in M.generators
+                if dt == M.reduce_degree(ds + 1) and rng.random() < 0.4})
+            d = C.d + GradedMap(M, M, -1, {
+                (s, t): 1 for s, ds in M.generators for t, dt in M.generators
+                if dt == M.reduce_degree(ds - 1) and rng.random() < 0.1})
+            for D in (ChainComplex(M, d, u, y, p=C.p),
+                      ChainComplex(M, C.d, C.u_action, y, p=C.p)):
+                got = list(validate(D).checks)
+                assert got == _laws_by_products(D)
+                failed.update(c.tag for c in got if not c.ok)
+        assert failed == {"d.d=0", "[d,U]=0", "dY+Yd=0", "Y.Y=0"}

@@ -131,7 +131,7 @@ def _bench_counts():
 def test_bench_counts_schema_and_repeat(tmp_path):
     bc = _bench_counts()
     root = str(BENCH_COUNTS.parent.parent)
-    sizes = {"flavors_z": 2, "ladder_fp": 2, "scale_z": 100,
+    sizes = {"flavors_z": 2, "ladder_fp": 2, "corpus_cli": 3, "scale_z": 100,
              "scale_ladder": 3}
     outs = [tmp_path / f"run{k}.json" for k in (1, 2)]
     for out in outs:
@@ -140,10 +140,14 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     first, second = (json.loads(out.read_text()) for out in outs)
     assert first == second
     assert set(first) == {"schema", "seed", "counted", "checkouts"}
-    assert (first["schema"], first["seed"]) == (3, 1)
+    assert (first["schema"], first["seed"]) == (4, 1)
     counted = ["exactlin._factor", "exactlin._factor.max_bits",
-               "exactlin.IntMatrix.__matmul__", "chain.validate",
-               "chain._reduce", "chain._reduce.gens_in",
+               "exactlin.IntMatrix.__matmul__",
+               "exactlin.PresentedGroup.from_pair",
+               "exactlin.PresentedGroup.from_pieces",
+               "chain.GradedMap.__matmul__", "chain.GradedMap.block",
+               "chain._HomologyArrow._push", "chain._isolate.heap_pops",
+               "chain.validate", "chain._reduce", "chain._reduce.gens_in",
                "chain._reduce.gens_out", "chain._reduce.map_bits",
                "chain._lattice_exactness", "circle.s_u"]
     assert first["counted"] == counted
@@ -157,10 +161,16 @@ def test_bench_counts_schema_and_repeat(tmp_path):
         (size, counts[name]), = by_size.items()
         assert size == str(sizes[name])
         assert list(counts[name]) == ["cases"] + counted
-        assert counts[name]["cases"] == (2 if name in ("flavors_z",
-                                                       "ladder_fp") else 1)
+        assert counts[name]["cases"] == min(sizes[name], 2 if name in (
+            "flavors_z", "ladder_fp") else 3 if name == "corpus_cli" else 1)
         assert all(isinstance(v, int) and v >= 0
                    for v in counts[name].values())
+        # no degree block is built, and every presentation from pieces
+        assert counts[name]["chain.GradedMap.block"] == 0
+        assert counts[name]["exactlin.PresentedGroup.from_pair"] == 0
+        assert counts[name]["exactlin.PresentedGroup.from_pieces"] > 0
+        assert counts[name]["chain._HomologyArrow._push"] > 0
+        assert counts[name]["chain.GradedMap.__matmul__"] > 0
         assert counts[name]["chain.validate"] > 0
         assert counts[name]["circle.s_u"] > 0
         assert counts[name]["exactlin.IntMatrix.__matmul__"] > 0
@@ -169,13 +179,17 @@ def test_bench_counts_schema_and_repeat(tmp_path):
             counts[name]["chain._reduce.gens_in"]
     # Z factors and reads its long exact sequences on lattices, the field
     # path does neither
-    for name in ("flavors_z", "scale_z"):
+    for name in ("flavors_z", "corpus_cli", "scale_z"):
         assert counts[name]["exactlin._factor"] > 0
-        assert counts[name]["exactlin._factor.max_bits"] >= 2
+        assert counts[name]["exactlin._factor.max_bits"] >= (
+            name != "corpus_cli") + 1
         assert counts[name]["chain._lattice_exactness"] > 0
+    # only a Z reduction isolates its pieces, and scale_z's has non-units
+    assert counts["scale_z"]["chain._isolate.heap_pops"] > 0
     for name in ("ladder_fp", "scale_ladder"):
         assert counts[name]["exactlin._factor"] == 0
         assert counts[name]["chain._lattice_exactness"] == 0
+        assert counts[name]["chain._isolate.heap_pops"] == 0
 
 
 def test_bench_counts_counts_map_bits():
@@ -187,14 +201,17 @@ def test_bench_counts_counts_map_bits():
     C = chain.ChainComplex(m, chain.GradedMap(m, m, -1))
 
     def stub(C, pi_entry):
-        return chain.Reduction(C, {0: {0: 1, 1: 5}}, {1: {0: pi_entry}})
+        return chain.Reduction(C, {0: {0: 1, 1: 5}}, {1: {0: pi_entry}}, {})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_reduce", stub)
         counts = bc.counts_of(lambda: [chain._reduce(C, e)
                                        for e in (3, -2 ** 70, 1)])
-        # the counting wrapper is gone once the counts are made
+        # the counting wrappers are gone once the counts are made, and a
+        # counted classmethod is a classmethod again
         assert chain._reduce is stub
+        assert isinstance(vars(chain.PresentedGroup)["from_pieces"],
+                          classmethod)
     assert (counts["chain._reduce"], counts["chain._reduce.gens_in"],
             counts["chain._reduce.map_bits"]) == (3, 6, 71)
 

@@ -32,7 +32,7 @@ from artifact.connsum import cm_flavors
 from artifact.exactlin import IntMatrix, field_rank, rank_and_kernel
 from artifact.flavors import four_flavors
 
-from helpers import ambient_coords, laurent_form, random_complex
+from helpers import ambient_coords, block, laurent_form, random_complex
 
 PRIMES = (2, 3, 5)
 
@@ -78,7 +78,7 @@ def uct_mismatches(HZ, Hp, p: int):
 def class_ranks(CZ: ChainComplex, Cp: ChainComplex, j: int, p: int):
     """F_p ranks of the classes of a Z-cycle basis of C_j, read by the Z
     engine (in H_j (x) F_p) and, reduced, by the F_p engine."""
-    _, cycles = rank_and_kernel(CZ.d.block(j))
+    _, cycles = rank_and_kernel(block(CZ.d, j))
     if not cycles.cols:
         return 0, 0
     pz = _presentation(CZ, j)

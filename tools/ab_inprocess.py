@@ -5,9 +5,10 @@ Usage, from the root of the repository:
     python3 tools/ab_inprocess.py A_DIR B_DIR [--workload ladder_fp]
         [--seed 1] [--rounds 10] [--sizes FAMILY=N,N]
 
-The families are those of ``bench_counts.py``: perfbench's in-process
-workloads ``flavors_z`` and ``ladder_fp``, and the scale families
-``scale_z`` and ``scale_ladder``.  ``--sizes`` is read as there (for
+The families are those of ``bench_counts.py`` that it times (``TIMED``):
+perfbench's in-process workloads ``flavors_z`` and ``ladder_fp``, and the
+scale families ``scale_z`` and ``scale_ladder``; its ``corpus_cli`` jobs
+are counted only.  ``--sizes`` is read as there (for
 example ``--sizes scale_ladder=24,48``), for the ``--workload`` family
 only; the cases of all its sizes make one round.
 
@@ -196,7 +197,7 @@ def main(argv: List[str] = None) -> int:
     ap.add_argument("a_dir")
     ap.add_argument("b_dir")
     ap.add_argument("--workload", default="ladder_fp",
-                    choices=bench_counts.NAMES)
+                    choices=bench_counts.TIMED)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--sizes", action="append",

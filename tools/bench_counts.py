@@ -9,28 +9,35 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_25.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_26.json parent=../parent change=.
 
 The families, each run at each of its sizes:
 
     flavors_z     perfbench's seeded case lists (``--seed``); a size is the
-    ladder_fp     number of cases kept, from the first (default: all)
+    ladder_fp     number of cases kept, from the first (default: all); a
+    corpus_cli    ``corpus_cli`` case is one CLI job
     scale_z       ``four_flavors`` of ``random_complex(Random(n), n,
                   (-3, 3), with_u=True)`` (n = 100, 200, 400)
     scale_ladder  ``ladder_check`` of the assembled tower of depth n over
                   ``random_complex(Random(0), 2, p=2)`` (n = 3, 6, 12, 24,
                   48)
 
-with ``random_complex`` from ``perfbench/gen.py``.  ``--sizes
-scale_z=800,1200`` replaces a family's sizes; give it once per family.
-Cases are built from this checkout's ``perfbench``, and each is stopped by
-its own verdict: the workload's oracle, or the certificate's ``.ok``.  A
-case that fails stops the script with exit 1, the problem on stderr.
+with ``random_complex`` from ``perfbench/gen.py``.  The 39 ``corpus_cli``
+jobs run in this interpreter, through ``cli.main`` with its output
+captured, not in a fresh process each as the benchmark runs them: their
+wall time is start-up, so they are counted only (``ab_inprocess.py`` times
+the other four, ``TIMED``).  ``--sizes scale_z=800,1200`` replaces a
+family's sizes; give it once per family.  Cases are built from this
+checkout's ``perfbench``, and each is stopped by its own verdict: the
+workload's oracle (for a CLI job, its reference records and exit code), or
+the certificate's ``.ok``.  A case that fails stops the script with exit
+1, the problem on stderr.
 
 Each checkout runs in a fresh interpreter, with its own ``src`` first on
 ``sys.path``.  Counting wrappers are bound, for the duration of one size's
 cases, in every ``artifact`` module that holds the counted function, or on
-the class of a counted method, so no counter lives in the program:
+the class of a counted method, so no counter lives in the program; a name
+the checkout lacks counts 0:
 
     exactlin._factor               every Smith form (one per arrow and
                                    source degree over Z, of [class matrix |
@@ -44,6 +51,20 @@ the class of a counted method, so no counter lives in the program:
                                    ``_factor`` kept beside one of them)
     exactlin.IntMatrix.__matmul__  every matrix product formed (a product
                                    with an identity forms none)
+    exactlin.PresentedGroup.from_pair
+    exactlin.PresentedGroup.from_pieces
+                                   every homology presentation built, by
+                                   one call of either (where both exist,
+                                   ``from_pair`` goes through
+                                   ``from_pieces``, and the program calls
+                                   only ``from_pieces``)
+    chain.GradedMap.__matmul__     every product of graded maps
+    chain.GradedMap.block          every degree block of a graded map
+                                   (memo hits included)
+    chain._HomologyArrow._push     every class matrix pushed through a
+                                   reduction
+    chain._isolate.heap_pops       every record ``_isolate`` pops off its
+                                   heap (``chain.heappop``)
     chain.validate                 every validation of a complex's laws
     chain._reduce                  every reduction, and the generators of
     chain._reduce.gens_in          the complexes it reduces and of the
@@ -61,7 +82,7 @@ SHA-256 of the checkout's ``src/artifact/*.py``, naming the code counted.
 
 The file, with counts per family and size:
 
-    {"schema": 3, "seed": 1, "counted": [...],
+    {"schema": 4, "seed": 1, "counted": [...],
      "checkouts": {LABEL: {"src_sha256": "...",
                            "families": {"scale_z": {"100": {"cases": 1,
                                                             "exactlin._factor": ...,
@@ -72,6 +93,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -82,7 +104,8 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 ENGINE = ("exactlin", "chain", "circle", "flavors", "connsum")
-NAMES = ("flavors_z", "ladder_fp", "scale_z", "scale_ladder")
+NAMES = ("flavors_z", "ladder_fp", "corpus_cli", "scale_z", "scale_ladder")
+TIMED = tuple(name for name in NAMES if name != "corpus_cli")
 
 
 class Family(NamedTuple):
@@ -119,14 +142,24 @@ def families(workloads) -> Dict[str, Family]:
     """The families by name, in the order of ``NAMES``, given perfbench's
     ``workloads`` module.  Cases build and run through the modules named
     ``artifact`` and ``gen`` at call time."""
-    def leading(spec, cases: int) -> Family:
-        return Family(lambda seed, n: spec.build(seed, False)[:n], spec.run,
-                      spec.warm_up, (cases,))
+    def leading(spec, cases: int, run=None) -> Family:
+        return Family(lambda seed, n: spec.build(seed, False)[:n],
+                      run or spec.run, spec.warm_up, (cases,))
 
-    flavors_z, ladder_fp = (workloads.WORKLOADS[name] for name in NAMES[:2])
+    def run_job(job) -> List[str]:
+        from artifact import cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(job.argv)
+        return workloads.compare_job(job.ref, code,
+                                     workloads.parse_records(out.getvalue()))
+
+    flavors_z, ladder_fp, corpus_cli = (workloads.WORKLOADS[name]
+                                        for name in NAMES[:3])
     return dict(zip(NAMES, (
         leading(flavors_z, workloads.FLAVORS_Z_CASES),
         leading(ladder_fp, sum(n for *_, n in workloads.LADDER_FP_SHAPES)),
+        leading(corpus_cli, len(workloads.corpus_jobs()), run_job),
         Family(_scale_z, _run_scale_z, flavors_z.warm_up, (100, 200, 400)),
         Family(_scale_ladder, _run_scale_ladder, ladder_fp.warm_up,
                (3, 6, 12, 24, 48)))))
@@ -184,23 +217,40 @@ def _reduce_counts(counts, args, result):
 COUNTED = (("artifact.exactlin", "_factor", _factor_counts),
            ("artifact.exactlin", "IntMatrix.__matmul__",
             _calls("exactlin.IntMatrix.__matmul__")),
+           ("artifact.exactlin", "PresentedGroup.from_pair",
+            _calls("exactlin.PresentedGroup.from_pair")),
+           ("artifact.exactlin", "PresentedGroup.from_pieces",
+            _calls("exactlin.PresentedGroup.from_pieces")),
+           ("artifact.chain", "GradedMap.__matmul__",
+            _calls("chain.GradedMap.__matmul__")),
+           ("artifact.chain", "GradedMap.block",
+            _calls("chain.GradedMap.block")),
+           ("artifact.chain", "_HomologyArrow._push",
+            _calls("chain._HomologyArrow._push")),
+           ("artifact.chain", "heappop", _calls("chain._isolate.heap_pops")),
            ("artifact.chain", "validate", _calls("chain.validate")),
            ("artifact.chain", "_reduce", _reduce_counts),
            ("artifact.chain", "_lattice_exactness",
             _calls("chain._lattice_exactness")),
            ("artifact.circle", "s_u", _calls("circle.s_u")))
 KEYS = ("exactlin._factor", "exactlin._factor.max_bits",
-        "exactlin.IntMatrix.__matmul__", "chain.validate", "chain._reduce",
-        "chain._reduce.gens_in", "chain._reduce.gens_out",
-        "chain._reduce.map_bits", "chain._lattice_exactness", "circle.s_u")
+        "exactlin.IntMatrix.__matmul__", "exactlin.PresentedGroup.from_pair",
+        "exactlin.PresentedGroup.from_pieces", "chain.GradedMap.__matmul__",
+        "chain.GradedMap.block",
+        "chain._HomologyArrow._push", "chain._isolate.heap_pops",
+        "chain.validate", "chain._reduce", "chain._reduce.gens_in",
+        "chain._reduce.gens_out", "chain._reduce.map_bits",
+        "chain._lattice_exactness", "circle.s_u")
 
 
 @contextlib.contextmanager
 def wrapped(owner, name: str, wrap: Callable):
     """``owner.name`` replaced by ``wrap(original)`` for the duration of
     the block: on ``owner`` when it is a class, else in every ``artifact``
-    module that binds the original."""
+    module that binds the original.  A class gets back the attribute it
+    defines, so a classmethod is restored as one."""
     original = getattr(owner, name)
+    defined = vars(owner)[name] if isinstance(owner, type) else original
     holders = [owner] if isinstance(owner, type) else [
         m for key, m in sys.modules.items()
         if (key == "artifact" or key.startswith("artifact."))
@@ -212,7 +262,7 @@ def wrapped(owner, name: str, wrap: Callable):
         yield
     finally:
         for m in holders:
-            setattr(m, name, original)
+            setattr(m, name, defined)
 
 
 def counts_of(run: Callable[[], None]) -> Dict[str, int]:
@@ -239,7 +289,8 @@ def counts_of(run: Callable[[], None]) -> Dict[str, int]:
             *path, attr = attr.split(".")
             for part in path:
                 owner = getattr(owner, part)
-            stack.enter_context(wrapped(owner, attr, observing(observe)))
+            if hasattr(owner, attr):
+                stack.enter_context(wrapped(owner, attr, observing(observe)))
         run()
     return counts
 
@@ -298,7 +349,7 @@ def count(checkout: str, seed: int, sizes: Dict[str, Tuple[int, ...]]
 
 def report(checkouts: Dict[str, str], seed: int,
            sizes: Dict[str, Tuple[int, ...]]) -> dict:
-    return {"schema": 3, "seed": seed, "counted": list(KEYS),
+    return {"schema": 4, "seed": seed, "counted": list(KEYS),
             "checkouts": {label: {"src_sha256": src_digest(path),
                                   "families": count(path, seed, sizes)}
                           for label, path in checkouts.items()}}
