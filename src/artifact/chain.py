@@ -38,11 +38,7 @@ a checked ``GradedMap``.  A window truncation of a renamed map is
 ``circle._restricted`` of a ``_block_map`` over the untruncated piece; the
 one per-exponent exception, ``circle._slotwise``, has no such piece.
 
-Results are records: ``typing.NamedTuple`` classes, read-only and compared
-by their fields.  A record that validates its values puts ``_Checked``
-before its NamedTuple base.  ``flavors.FlavorBundle``, which keeps its
-p-morphisms and its doubled pieces privately, is the one slotted
-``_Sealed`` class, compared by identity.
+Values follow the convention stated on ``exactlin._Sealed``.
 """
 
 from __future__ import annotations
@@ -52,8 +48,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, SNFResult,
                        TRIVIAL_GROUP, CompositionNonzero, _axpy,
-                       _back_substitute, _kernel_head, field_rank, is_prime,
-                       snf)
+                       _back_substitute, _kernel_head, _Sealed, field_rank,
+                       is_prime, snf)
 
 
 class ChainError(Exception):
@@ -84,26 +80,11 @@ class _Checked:
         return cls(*iterable)
 
 
-class _Sealed:
-    """Built from one value per slot, in slot order; read-only after that."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
-
-
 # ---------------------------------------------------------------------------
 # Graded modules and maps
 # ---------------------------------------------------------------------------
 
-class GradedModule:
+class GradedModule(_Sealed):
     """Finite list of named generators with integer degrees.
 
     ``modulus`` even and positive turns the grading into Z/modulus; degrees
@@ -135,12 +116,7 @@ class GradedModule:
         for name, deg in gens:
             by_degree.setdefault(deg, []).append(name)
         index = {name: pos for pos, (name, _) in enumerate(gens)}
-        for slot, value in zip(GradedModule.__slots__,
-                               (gens, modulus, index, by_degree)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedModule is immutable")
+        _Sealed.__init__(self, gens, modulus, index, by_degree)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -178,7 +154,7 @@ class GradedModule:
         return f"GradedModule({len(self.generators)} gens, modulus={self.modulus})"
 
 
-class GradedMap:
+class GradedMap(_Sealed):
     """Homogeneous linear map of fixed degree, stored generator-to-generator.
     The constructor checks every entry (known generators, homogeneity); the
     closed operations ``+``, ``-``, ``scale`` and ``@`` combine checked maps
@@ -213,9 +189,9 @@ class GradedMap:
 
     def _fill(self, source: GradedModule, target: GradedModule, degree: int,
               entries: Dict[Tuple[str, str], int]) -> None:
-        for name, value in zip(GradedMap.__slots__, (
-                source, target, degree, entries, None)):
-            object.__setattr__(self, name, value)
+        _set_source(self, source), _set_target(self, target)
+        _set_degree(self, degree), _set_entries(self, entries)
+        _set_by_src(self, None)
 
     def _rows(self) -> Dict[str, Dict[str, int]]:
         """The entries grouped by source generator: {src: {dst: coeff}}."""
@@ -223,7 +199,7 @@ class GradedMap:
             by_src: Dict[str, Dict[str, int]] = {}
             for (s, t), v in self.entries.items():
                 by_src.setdefault(s, {})[t] = v
-            object.__setattr__(self, "_by_src", by_src)
+            return self._memo("_by_src", by_src)
         return self._by_src
 
     @classmethod
@@ -233,9 +209,6 @@ class GradedMap:
         f = cls.__new__(cls)
         f._fill(source, target, degree, entries)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMap is immutable")
 
     @classmethod
     def zero(cls, source: GradedModule, target: GradedModule, degree: int) -> "GradedMap":
@@ -305,6 +278,10 @@ class GradedMap:
         return None
 
 
+_set_source, _set_target, _set_degree, _set_entries, _set_by_src = (
+    getattr(GradedMap, name).__set__ for name in GradedMap.__slots__)
+
+
 def _compose(acc: Dict, g: GradedMap, h: GradedMap, c: int) -> None:
     """acc += c g.h, with the checks of ``g @ h``: h ends where g starts,
     and where the gradings do not share one modulus (so that degrees need
@@ -352,7 +329,7 @@ def is_chain_map(f: GradedMap, source: "ChainComplex", target: "ChainComplex") -
 # Chain complexes
 # ---------------------------------------------------------------------------
 
-class ChainComplex:
+class ChainComplex(_Sealed):
     """A graded module with a square-zero degree -1 differential, optional
     circle actions U (degree -2) and Y (degree +1), over Z (p=0) or F_p.
 
@@ -385,12 +362,7 @@ class ChainComplex:
             raise ChainError("Y must be a degree +1 endomorphism")
         if p and not is_prime(p):
             raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
-        for slot, value in zip(ChainComplex.__slots__, (
-                module, d, u_action, y_action, p, {}, None, False)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainComplex is immutable")
+        super().__init__(module, d, u_action, y_action, p, {}, None, False)
 
     def with_actions(self, u_action: Optional[GradedMap] = None,
                      y_action: Optional[GradedMap] = None) -> "ChainComplex":
@@ -468,24 +440,20 @@ def _require_valid(C: ChainComplex, prefix: str) -> None:
     for check in validate(C).checks:
         if not check.ok:
             raise ChainError(f"{prefix} {check.tag} at {check.witness}")
-    object.__setattr__(C, "_valid", True)
+    C._memo("_valid", True)
 
 
 # ---------------------------------------------------------------------------
 # Homology
 # ---------------------------------------------------------------------------
 
-class HomologyTable:
+class HomologyTable(_Sealed):
     """Map degree -> AbelianGroup; degrees outside the support are trivial."""
 
     __slots__ = ("table",)
 
     def __init__(self, table: Dict[int, AbelianGroup]):
-        object.__setattr__(self, "table",
-                           {j: g for j, g in table.items() if not g.is_trivial()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomologyTable is immutable")
+        super().__init__({j: g for j, g in table.items() if not g.is_trivial()})
 
     def __getitem__(self, j: int) -> AbelianGroup:
         return self.table.get(j, TRIVIAL_GROUP)
@@ -588,10 +556,7 @@ def reduction(C: ChainComplex) -> Reduction:
     """C's reduction, computed once and kept in C's slot beside its
     presentation memo."""
     red = C._reduced
-    if red is None:
-        red = _reduce(C)
-        object.__setattr__(C, "_reduced", red)
-    return red
+    return red if red is not None else C._memo("_reduced", _reduce(C))
 
 
 def _reduce(C: ChainComplex) -> Reduction:
@@ -910,7 +875,7 @@ def tensor(C1: ChainComplex, C2: ChainComplex) -> TensorResult:
 # p-morphisms
 # ---------------------------------------------------------------------------
 
-class PMorphism:
+class PMorphism(_Sealed):
     """A chain map together with its U-commutation witness.
 
     Invariants: phi.d1 - (-1)^{deg phi} d2.phi = 0 and
@@ -924,12 +889,7 @@ class PMorphism:
                  phi: GradedMap, k_phi: GradedMap):
         if k_phi.degree != phi.degree - 1:
             raise ChainError("k_phi must have degree deg(phi) - 1")
-        for slot, value in zip(PMorphism.__slots__,
-                               (source, target, phi, k_phi, None)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PMorphism is immutable")
+        super().__init__(source, target, phi, k_phi, None)
 
     @classmethod
     def strict(cls, source: ChainComplex, target: ChainComplex,
@@ -951,7 +911,7 @@ class PMorphism:
 
     def verify(self) -> bool:
         if self._verdict is None:
-            object.__setattr__(self, "_verdict", is_chain_map(
+            return self._memo("_verdict", is_chain_map(
                 self.phi, self.source, self.target)
                 and self.u_defect().is_zero_mod(self.source.p))
         return self._verdict
@@ -1006,9 +966,8 @@ def _flags(arrow: "_HomologyArrow", j: int) -> Tuple[bool, bool]:
             and all(d == 1 for d in res.factors))
     # injective: preimage of the relation lattice lies in the source
     # relations
-    ker, src = _kernel_head(res, F.cols), _presentation(arrow.source, j)
-    inj = all(src.coords_are_zero([ker[(i, c)] for i in range(ker.rows)])
-              for c in range(ker.cols))
+    inj = _presentation(arrow.source, j).columns_are_zero(
+        _kernel_head(res, F.cols))
     return inj, surj
 
 
@@ -1182,9 +1141,7 @@ def _lattice_exactness(incoming: _HomologyArrow, outgoing: _HomologyArrow,
     F = incoming.matrix(j - incoming.degree)
     G = outgoing.matrix(j)
     tgt = _presentation(outgoing.target, j + outgoing.degree)
-    GF = G @ F
-    if not all(tgt.coords_are_zero([GF[(i, c)] for i in range(GF.rows)])
-               for c in range(GF.cols)):
+    if not tgt.columns_are_zero(G @ F):
         return False, False
     ker = _kernel_head(outgoing.factored(j), G.cols)
     return True, (ker.is_zero() or _back_substitute(

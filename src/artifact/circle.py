@@ -35,10 +35,6 @@ Window-safe degrees: j is safe when every generator the *untruncated*
 flavor complex would have in degrees {j-1, j, j+1} is retained by the
 slice.  Truncation is by generator deletion, so artifacts are confined to
 unsafe degrees and all assertions are made at safe ones.
-
-The records here are NamedTuples, and ``Flavor`` checks its tag however it
-is built; of the package's records only ``flavors.FlavorBundle`` is a
-slotted ``_Sealed`` class.
 """
 
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -146,16 +142,14 @@ HAT = Flavor("hat")
 ALL_FLAVORS = (MINUS, INFINITY, PLUS, HAT)
 
 
-class Window(Tuple[int, int]):
+class Window(_Checked, NamedTuple("Window", [("lo", int), ("hi", int)])):
     """Inclusive degree bounds used to slice infinite-rank flavor complexes."""
 
-    def __new__(cls, lo: int, hi: int):
-        if lo > hi:
-            raise ChainError(f"window {lo}..{hi} is empty")
-        return super().__new__(cls, (lo, hi))
+    __slots__ = ()
 
-    lo = property(lambda self: self[0])
-    hi = property(lambda self: self[1])
+    def _check(self):
+        if self.lo > self.hi:
+            raise ChainError(f"window {self.lo}..{self.hi} is empty")
 
 
 def _resolve_window(degrees: Sequence[int], window) -> Window:

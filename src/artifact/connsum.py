@@ -66,7 +66,7 @@ from .circle import (
     e_y,
     s_u,
 )
-from .exactlin import AbelianGroup, IntMatrix, is_prime, snf
+from .exactlin import AbelianGroup, _invariant_factors, _Sealed, is_prime
 
 class PositivityViolated(ChainError):
     """A differential exponent is negative, so the exponent >= 0 span is
@@ -77,7 +77,7 @@ class PositivityViolated(ChainError):
 # Filtered complexes over Laurent coefficients
 # ---------------------------------------------------------------------------
 
-class FilteredComplex:
+class FilteredComplex(_Sealed):
     """Finitely many generators with a Laurent-polynomial differential.
 
     ``d_entries`` maps (src, dst) to a finite list of (exponent, coeff)
@@ -118,13 +118,8 @@ class FilteredComplex:
                         f"{deg[src]} - 1 + {2 * n}")
             if clean:
                 entries[(src, dst)] = clean
-        for slot, value in zip(FilteredComplex.__slots__,
-                               (gens, entries, int(p))):
-            object.__setattr__(self, slot, value)
+        super().__init__(gens, entries, int(p))
         self._check_square()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FilteredComplex is immutable")
 
     def _check_square(self):
         adj: Dict[str, List[Tuple[str, int, int]]] = {}
@@ -244,14 +239,11 @@ def _polynomial_model(N: int, p: int) -> ChainComplex:
 
 
 def _group_sum(a: AbelianGroup, b: AbelianGroup, p: int) -> AbelianGroup:
+    """a + b; over F_p a dimension alone."""
     if p:
         return AbelianGroup(a.free_rank + b.free_rank)
-    tor = a.torsion + b.torsion
-    factors: Tuple[int, ...] = ()
-    if tor:
-        diag, _l, _r = snf(IntMatrix.diagonal(list(tor)))
-        factors = tuple(x for x in diag if x > 1)
-    return AbelianGroup(a.free_rank + b.free_rank, factors)
+    return AbelianGroup(a.free_rank + b.free_rank,
+                        _invariant_factors(a.torsion + b.torsion))
 
 
 def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:

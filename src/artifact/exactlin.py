@@ -46,7 +46,43 @@ class CompositionNonzero(ExactLinError):
     pass
 
 
-class IntMatrix:
+class _Sealed:
+    """A value that is read-only once built: assignment and deletion of any
+    attribute raise ``AttributeError``.
+
+    This is the package's one convention for values.  Results are records,
+    ``typing.NamedTuple`` classes, read-only and compared by their fields;
+    a record that validates its values puts ``chain._Checked`` before its
+    NamedTuple base.  A value that keeps memos or private state is instead
+    a slotted ``_Sealed`` class: here ``IntMatrix``, ``AbelianGroup`` and
+    ``PresentedGroup``, in ``chain`` the modules, maps, complexes, homology
+    tables and p-morphisms, ``connsum.FilteredComplex`` and
+    ``flavors.FlavorBundle``.  Its constructor fills its slots: the classes
+    built in bulk each their own way, through ``object.__setattr__`` or the
+    slot descriptors, the others by ``_Sealed.__init__``, one value per slot
+    in slot order.  After that only ``_memo`` writes, and only to a memo
+    slot: a memo holds what the fixed fields determine, so it never goes
+    stale, and it lives and dies with its object.  Equality is by value
+    where the class defines it, else by identity."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _memo(self, name: str, value):
+        """Fill the memo slot ``name`` with ``value``, and return it."""
+        object.__setattr__(self, name, value)
+        return value
+
+
+class IntMatrix(_Sealed):
     """Immutable sparse integer matrix.  Constructors fed from outside check
     every entry against the shape; closed operations, the SNF transforms and
     kernels build their nonzero in-range results unchecked, by ``_trusted``."""
@@ -57,8 +93,6 @@ class IntMatrix:
                  entries: Optional[Dict[Tuple[int, int], int]] = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         clean: Dict[Tuple[int, int], int] = {}
         if entries:
             for (i, j), v in entries.items():
@@ -67,7 +101,7 @@ class IntMatrix:
                         f"entry ({i},{j}) outside {rows}x{cols}")
                 if v:
                     clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        _set_rows(self, rows), _set_cols(self, cols), _set_entries(self, clean)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: dict) -> "IntMatrix":
@@ -75,9 +109,6 @@ class IntMatrix:
         m = cls.__new__(cls)
         _set_rows(m, rows), _set_cols(m, cols), _set_entries(m, entries)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -210,7 +241,7 @@ class _Identity(IntMatrix):
         return other
 
 
-class AbelianGroup:
+class AbelianGroup(_Sealed):
     """Finitely generated abelian group in canonical invariant-factor form.
 
     ``torsion`` is the chain d_1 | d_2 | ... with each d_i >= 2.  Over a
@@ -231,9 +262,6 @@ class AbelianGroup:
             raise ValueError("torsion factors must be >= 2")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianGroup is immutable")
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -599,7 +627,7 @@ def _invariant_factors(moduli: Sequence[int]) -> List[int]:
     return [f for f in chain if f >= 2]
 
 
-class PresentedGroup:
+class PresentedGroup(_Sealed):
     """ker(d_out) / im(d_in) of Z^n for an elementary pair, built by
     ``from_pieces``.
 
@@ -624,7 +652,8 @@ class PresentedGroup:
     through the reduction's maps (``chain._HomologyArrow._push``).
     """
 
-    _sources: Sequence[int] = ()     # the moved generators: none if plain
+    __slots__ = ("dim", "p", "_plain", "group", "torsion_rows",
+                 "torsion_moduli", "free_rows", "_sources")
 
     @classmethod
     def from_pieces(cls, dim: int, d_in: Dict[Tuple[int, int], int],
@@ -635,27 +664,27 @@ class PresentedGroup:
         generators of Z^dim.  ``ExactLinError`` for a pair that is not
         elementary, for a ``d_in`` outside ker(d_out), and over F_p (``p``
         prime) for a nonzero differential."""
+        plain = not d_in and not d_out
+        if plain:
+            rows, moduli, free, sources = [], [], list(range(dim)), ()
+            group = AbelianGroup(dim)
+        else:
+            if p:
+                raise ExactLinError(
+                    f"F{p} presentations are plain: reduce the complex first")
+            hit, _ = _pieces(d_in)
+            _, sources = _pieces(d_out)
+            if not sources.isdisjoint(hit):
+                raise ExactLinError(
+                    "boundary is not a cycle; composition nonzero?")
+            rows = sorted(i for i, v in hit.items() if abs(v) >= 2)
+            moduli = [abs(hit[i]) for i in rows]
+            free = [i for i in range(dim) if i not in hit and i not in sources]
+            group = AbelianGroup(len(free), _invariant_factors(moduli))
         pg = cls.__new__(cls)
-        pg.dim, pg.p = dim, p
-        pg._plain = not d_in and not d_out
-        if pg._plain:
-            pg.torsion_rows, pg.torsion_moduli = [], []
-            pg.free_rows = list(range(dim))
-            pg.group = AbelianGroup(dim)
-            return pg
-        if p:
-            raise ExactLinError(
-                f"F{p} presentations are plain: reduce the complex first")
-        hit, _ = _pieces(d_in)
-        _, pg._sources = _pieces(d_out)
-        if not pg._sources.isdisjoint(hit):
-            raise ExactLinError("boundary is not a cycle; composition nonzero?")
-        pg.torsion_rows = sorted(i for i, v in hit.items() if abs(v) >= 2)
-        pg.torsion_moduli = [abs(hit[i]) for i in pg.torsion_rows]
-        pg.free_rows = [i for i in range(dim)
-                        if i not in hit and i not in pg._sources]
-        pg.group = AbelianGroup(len(pg.free_rows),
-                                _invariant_factors(pg.torsion_moduli))
+        _set_dim(pg, dim), _set_p(pg, p), _set_plain(pg, plain)
+        _set_group(pg, group), _set_torsion_rows(pg, rows)
+        _set_moduli(pg, moduli), _set_free(pg, free), _set_sources(pg, sources)
         return pg
 
     @classmethod
@@ -671,14 +700,16 @@ class PresentedGroup:
     def rank_coords(self) -> int:
         return len(self.torsion_rows) + len(self.free_rows)
 
-    def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        nt = len(self.torsion_moduli)
-        for c, d in zip(coords[:nt], self.torsion_moduli):
-            if c % d:
-                return False
-        if self.p:
-            return all(c % self.p == 0 for c in coords[nt:])
-        return all(c == 0 for c in coords[nt:])
+    def columns_are_zero(self, M: IntMatrix) -> bool:
+        """Whether every column of M, in canonical coordinates, is the zero
+        class: each torsion coordinate vanishes mod its modulus, each free
+        one exactly (mod p over F_p)."""
+        if M.rows != self.rank_coords():
+            raise DimensionMismatch("columns do not fit the coordinates")
+        moduli, p = self.torsion_moduli, self.p
+        nt = len(moduli)
+        return not any(v % moduli[i] if i < nt else v % p if p else v
+                       for (i, _), v in M.entries.items())
 
     def torsion_relation_columns(self) -> IntMatrix:
         """Columns m_t * e_t expressing the torsion relations in canonical
@@ -688,6 +719,11 @@ class PresentedGroup:
         for t, d in enumerate(self.torsion_moduli):
             ent[(t, t)] = d
         return IntMatrix(a, len(self.torsion_moduli), ent)
+
+
+(_set_dim, _set_p, _set_plain, _set_group, _set_torsion_rows, _set_moduli,
+ _set_free, _set_sources) = (getattr(PresentedGroup, name).__set__
+                             for name in PresentedGroup.__slots__)
 
 
 def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix,

@@ -27,11 +27,6 @@ U-endomorphism, truncated at the top.  ``ladder_check`` certifies the long
 exact sequences and the comparison ladder this model is expected to satisfy,
 and ``four_flavors`` packages the four flavor homology tables of a single
 U-complex with their connecting certificates.
-
-The records here are NamedTuples.  ``BalancedComponents`` checks its shapes
-and degrees however it is built, copies included, and ``FlavorBundle``, the
-package's one ``_Sealed`` record, is a slotted class, because it keeps its
-three p-morphisms and its doubled pieces privately.
 """
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -48,7 +43,6 @@ from .chain import (
     PMorphism,
     _Checked,
     _HomologyArrow,
-    _Sealed,
     _block_map,
     _law,
     _presentation,
@@ -79,7 +73,7 @@ from .circle import (
     fundamental_sequences,
     s_u,
 )
-from .exactlin import IntMatrix
+from .exactlin import IntMatrix, _Sealed
 
 
 class AssemblyInconsistent(ChainError):
@@ -378,7 +372,7 @@ def _doubled_pieces(bundle: FlavorBundle,
         su_j = _su_map(bundle.pm_j(), su_check, su_hat)
         su_p = _su_map(bundle.pm_p(), su_hat, su_bar)
         sue = s_u(EC if EC is not None else cone_total(bundle))
-        object.__setattr__(bundle, "_doubled", (
+        return bundle._memo("_doubled", (
             su_hat, su_bar, su_check, su_i, su_j, su_p, sue,
             cone_inclusion(sue, su_bar, "b"),
             cone_projection(sue, su_hat, "h")))
@@ -623,13 +617,9 @@ def _square_commutes(src_cx: ChainComplex, j: int,
     n = _reduced_dim(src_cx, j) and _presentation(src_cx, j).rank_coords()
     if not n:
         return True
-    tpg = _presentation(tgt_cx, tgt_deg)
     e = IntMatrix.identity(n)
-    a = _chase(e, j, lhs)
-    b = _chase(e, j, rhs)
-    return all(tpg.coords_are_zero([a[(r, k)] - sign * b[(r, k)]
-                                    for r in range(tpg.rank_coords())])
-               for k in range(n))
+    return _presentation(tgt_cx, tgt_deg).columns_are_zero(
+        _chase(e, j, lhs) + _chase(e, j, rhs).scale(-sign))
 
 
 def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:

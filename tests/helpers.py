@@ -617,13 +617,19 @@ class FactoredPresentation(PresentedGroup):
     exactly when d_out z = 0; a second factors the relations.  Coordinates
     read through both, and the inverses come from ``invert_unimodular``.
     The oracle of the program's reading of its pieces (the same groups,
-    the same verdict on which vectors are boundaries)."""
+    the same verdict on which vectors are boundaries).  Unlike the sealed
+    ``PresentedGroup`` it builds itself by assignment, so it opts out of
+    the refusal; ``_sources`` is empty, as its coordinates come from a
+    cycle basis, not from generators that d_out moves."""
+
+    __setattr__ = object.__setattr__
 
     def __init__(self, d_in: IntMatrix, d_out: IntMatrix):
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
         res = snf(d_out)
         self.dim, self.p, self._plain = d_out.cols, 0, False
+        self._sources = ()
         self._cycle_rank = len(res.factors)
         self._cycle_inverse = invert_unimodular(res.right)
         self.cycles = _kernel_head(res, self.dim)         # n x z, saturated

@@ -302,5 +302,5 @@ class FieldPresentation:
         inv = invert_unimodular(self.left, self.p)
         return (self.cycles @ inv @ e).mod(self.p)
 
-    def coords_are_zero(self, coords) -> bool:
-        return all(c % self.p == 0 for c in coords)
+    def columns_are_zero(self, M: IntMatrix) -> bool:
+        return all(v % self.p == 0 for v in M.entries.values())

@@ -965,11 +965,8 @@ class TestReduction:
                 reps = ambient_representatives(C, j)
                 assert (block(C.d, j) @ reps).mod(C.p).is_zero()
                 back = ambient_coords(C, j, reps)
-                n = pg.rank_coords()
-                for k in range(n):
-                    e = [1 if r == k else 0 for r in range(n)]
-                    assert pg.coords_are_zero(
-                        [back[(r, k)] - e[r] for r in range(n)])
+                assert pg.columns_are_zero(
+                    back - IntMatrix.identity(pg.rank_coords()))
                 # a vector d does not kill is no cycle
                 for c in range(block(C.d, j).cols):
                     col = IntMatrix(block(C.d, j).cols, 1, {(c, 0): 1})
@@ -1003,12 +1000,8 @@ class TestReduction:
                         ambient_representatives(src, j))
                     b_tgt = o_tgt.coord_matrix(
                         ambient_representatives(tgt, j + f.degree))
-                    lhs = b_tgt @ info.matrix
-                    rhs = F_old @ b_src
-                    for k in range(lhs.cols):
-                        assert o_tgt.coords_are_zero(
-                            [lhs[(r, k)] - rhs[(r, k)]
-                             for r in range(lhs.rows)])
+                    assert o_tgt.columns_are_zero(
+                        b_tgt @ info.matrix - F_old @ b_src)
                     checked += 1
         assert checked > 100
 
@@ -1194,12 +1187,10 @@ class TestElementaryPieces:
                                                in M.entries.items() if k == c})
                         got, ref = coord_matrix(pg, col), want.coord_matrix(col)
                         assert (got is None) == (ref is None)
-                        verdict = None if got is None else pg.coords_are_zero(
-                            [got[(i, 0)] for i in range(got.rows)])
-                        assert verdict == (None if ref is None else
-                                           want.coords_are_zero(
-                                               [ref[(i, 0)]
-                                                for i in range(ref.rows)]))
+                        verdict = (None if got is None
+                                   else pg.columns_are_zero(got))
+                        assert verdict == (None if ref is None
+                                           else want.columns_are_zero(ref))
                         verdicts[verdict] += 1
         assert torsion >= 30 and min(verdicts.values()) >= 50, verdicts
 

@@ -6,6 +6,8 @@ gluing-map verifier."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
@@ -19,7 +21,7 @@ from artifact.connsum import (ConnSumMaps, FilteredComplex,
                               PositivityViolated, SumInput, _group_sum,
                               case1_check, case2_check, check_positivity,
                               cm_flavors, product_complex, verify_sum_maps)
-from artifact.exactlin import AbelianGroup, IntMatrix
+from artifact.exactlin import AbelianGroup, IntMatrix, snf
 from artifact.chain import _presentation
 from artifact.flavors import _chase, _square_commutes, four_flavors
 
@@ -208,9 +210,8 @@ class TestCMFlavors:
                     tpg = _presentation(minus, j - 1)
                     for k in range(spg.rank_coords()):
                         e = IntMatrix(spg.rank_coords(), 1, {(k, 0): 1})
-                        a = _chase(e, j, [fl.delta2, um])
-                        assert tpg.coords_are_zero(
-                            [a[(r, 0)] for r in range(tpg.rank_coords())])
+                        assert tpg.columns_are_zero(
+                            _chase(e, j, [fl.delta2, um]))
 
     def test_infinity_u_is_degreewise_bijection_inside(self):
         F = FilteredComplex([("e", 0)], {})
@@ -440,6 +441,28 @@ class TestMatchShift:
         table = left if side == "left" else right
         table[degree] = _group_sum(table[degree], Z, 0)
         assert not self.match(left, right).matched
+
+
+def smith_torsion(moduli):
+    """The invariant factors >= 2 of the sum of Z/m, from the Smith form of
+    the diagonal matrix of the moduli."""
+    return [f for f in snf(IntMatrix.diagonal(list(moduli))).factors if f > 1]
+
+
+class TestGroupSum:
+    @given(st.lists(st.integers(1, 60), max_size=5),
+           st.lists(st.integers(1, 60), max_size=5),
+           st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_smith_form_of_the_diagonal(self, ma, mb, ra, rb):
+        a = AbelianGroup(ra, smith_torsion(ma))
+        b = AbelianGroup(rb, smith_torsion(mb))
+        assert _group_sum(a, b, 0) == AbelianGroup(
+            ra + rb, smith_torsion(a.torsion + b.torsion))
+        # over F_p only the dimensions add
+        for p in (2, 3):
+            assert _group_sum(AbelianGroup(ra), AbelianGroup(rb), p) == (
+                AbelianGroup(ra + rb))
 
 
 class TestCase2:

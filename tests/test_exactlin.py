@@ -553,8 +553,8 @@ class TestPresentedGroup:
         pg = PresentedGroup.from_pair(from_rows([[2]]), IntMatrix(0, 1))
         assert pg.group == AbelianGroup(0, (2,))
         rep = representatives(pg)
-        assert not pg.coords_are_zero([coord_matrix(pg, rep)[(0, 0)]])
-        assert pg.coords_are_zero([coord_matrix(pg, rep.scale(2))[(0, 0)]])
+        assert not pg.columns_are_zero(coord_matrix(pg, rep))
+        assert pg.columns_are_zero(coord_matrix(pg, rep.scale(2)))
 
     def test_from_pair_factors_nothing(self, monkeypatch):
         # a group read off its pieces: e0 is moved by d_out, e1 and e5 are

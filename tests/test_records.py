@@ -1,24 +1,30 @@
 """Record behaviour.  Value records are NamedTuples: read-only, equal and
 hashed by their fields, with the dataclass-style repr.  Records that
 validate their values refuse a bad value however they are built, copies
-included.  The one record with private state, the flavor bundle, is a
-slotted class that refuses assignment, and its copy rebuilds its
-p-morphisms."""
+included.  Values with memos or private state are slotted ``_Sealed``
+classes: every one refuses assignment, new attributes and deletion, only
+``_Sealed`` says so, and each memo fills once.  The flavor bundle's copy
+rebuilds its p-morphisms."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
-                            GradedModule, InducedMap)
+                            GradedModule, HomologyTable, InducedMap,
+                            PMorphism, homology, present_homology, reduction)
 from artifact.circle import (MINUS, Flavor, MissingUAction, ShiftReport,
-                             fundamental_sequences, s_u)
+                             Window, fundamental_sequences, s_u)
 from artifact.cli import Manifest, parse
-from artifact.connsum import SumInput
+from artifact.connsum import FilteredComplex, SumInput
+from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
+                               _Sealed)
 from artifact.flavors import (BalancedComponents, FlavorBundle, TowerParams,
-                              assemble, tower_model)
+                              _doubled_pieces, assemble, tower_model)
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus" / "v1"
 
 
 def u_point(p=0):
@@ -39,22 +45,18 @@ def golden_one() -> BalancedComponents:
 
 class TestValueRecords:
     def test_assignment_is_refused(self):
-        # value, validating and slotted records alike
-        bundle = assemble(golden_one())
+        # value and validating records alike; sealed values below
         fs = fundamental_sequences(s_u(u_point()))
         for record, field in ((Check("d.d=0", True), "ok"),
                               (Check("eq:E-sq1", False), "witness"),
                               (MINUS, "tag"), (Manifest("verify"), "fmt"),
                               (golden_one(), "p"),
                               (SumInput(u_point(), u_point()), "C1"),
-                              (bundle, "k_p"), (bundle, "_pms"),
                               (fs, "seq1"), (fs, "seq2")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
             with pytest.raises(AttributeError):
                 record.no_such_field = None
-        with pytest.raises(AttributeError):
-            del bundle.k_p
 
     def test_equality_and_hash_follow_the_fields(self):
         pairs = ((Check("eq:KM:p:splice", True),
@@ -117,6 +119,16 @@ class TestValidatingRecords:
         with pytest.raises(ChainError, match="ring mismatch"):
             good._replace(C1=u_point(p=2))
 
+    def test_window(self):
+        with pytest.raises(ChainError, match="window 2..1 is empty"):
+            Window(2, 1)
+        with pytest.raises(ChainError, match="window 2..1 is empty"):
+            Window._make([2, 1])
+        with pytest.raises(ChainError, match="window 3..1 is empty"):
+            Window(0, 1)._replace(lo=3)
+        w = Window(0, 1)._replace(hi=4)
+        assert w == Window(0, 4) == (0, 4) and (w.lo, w.hi) == (0, 4)
+
     def test_misshaped_components(self):
         bc = golden_one()
         wrong_target = GradedMap.zero(bc.c_o, bc.c_s, -1)
@@ -153,3 +165,77 @@ class TestSlottedRecords:
         C = s_u(u_point())
         fs = fundamental_sequences(C)
         assert fs == fs and fs != fundamental_sequences(C)
+
+
+def sealed_values():
+    """(value, one of its fields) for every sealed type, the identity
+    matrix and a presentation from ``present_homology`` among them."""
+    bundle = assemble(golden_one())
+    C = bundle.hat
+    pg = next(iter(present_homology(C).values()))
+    return [(C.module, "generators"), (C.d, "entries"), (C, "d"),
+            (homology(C), "table"), (bundle.pm_p(), "phi"),
+            (IntMatrix(2, 3), "entries"), (IntMatrix.identity(3), "rows"),
+            (AbelianGroup(1, (2,)), "torsion"),
+            (FilteredComplex([("e", 0)], {}), "d_entries"),
+            (bundle, "k_p"), (pg, "group")]
+
+
+class TestSealedValues:
+    def test_every_sealed_type_is_covered(self):
+        types = {type(value) for value, _ in sealed_values()}
+        assert types >= {GradedModule, GradedMap, ChainComplex, HomologyTable,
+                         PMorphism, IntMatrix, type(IntMatrix.identity(1)),
+                         AbelianGroup, FilteredComplex, FlavorBundle,
+                         PresentedGroup}
+        assert all(issubclass(t, _Sealed) for t in types)
+
+    def test_assignment_new_attributes_and_deletion_are_refused(self):
+        for value, field in sealed_values():
+            before = getattr(value, field)
+            with pytest.raises(AttributeError, match="is read-only"):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError, match="is read-only"):
+                value.no_such_field = None
+            with pytest.raises(AttributeError, match="is read-only"):
+                delattr(value, field)
+            assert getattr(value, field) is before, type(value)
+
+    def test_memos_fill_once(self):
+        bundle = assemble(golden_one())
+        C = bundle.hat
+        assert C._reduced is None and not C._valid
+        assert reduction(C) is reduction(C) is C._reduced
+        homology(C)
+        assert C._valid
+        assert C.d._rows() is C.d._rows()
+        good, bad = PMorphism.identity(C), bundle._replace(
+            k_p=bundle.k_p + bundle.k_p).pm_p()
+        for pm, verdict in ((good, True), (bad, False)):
+            assert pm._verdict is None
+            assert pm.verify() is verdict and pm._verdict is verdict
+            assert pm.verify() is verdict
+        assert _doubled_pieces(bundle) is _doubled_pieces(bundle)
+
+
+def test_only_sealed_refuses_assignment():
+    """No class of the package but ``_Sealed`` defines ``__setattr__`` or
+    ``__delattr__``: read-only values inherit the one refusal."""
+    hooks = {"__setattr__", "__delattr__"}
+    found = []
+    for path in sorted((ROOT / "src" / "artifact").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {item.name}
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = (item.targets if isinstance(item, ast.Assign)
+                               else [item.target])
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                found += [(path.name, node.name, n) for n in names & hooks]
+    assert sorted(found) == [("exactlin.py", "_Sealed", "__delattr__"),
+                             ("exactlin.py", "_Sealed", "__setattr__")]
