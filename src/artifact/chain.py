@@ -21,13 +21,15 @@ subset of its generators, with chain maps iota: C' -> C and pi: C -> C'
 such that pi . iota = 1.  Over F_p every nonzero entry is a unit and
 d' = 0.  Over Z only +-1 entries cancel, and changes of basis within each
 degree of C' then bring d' to pieces v: x -> y with |v| >= 2, each
-generator in at most one, indexed by degree in the same pass.  Every
-``PresentedGroup`` presents H(C') at one degree, read on first request off
-that index with no Smith form; nothing reads a class in C.  The class
-matrix of f is that of pi . f . iota: each canonical generator of the
-source is pushed through iota, f, the cycle test d = 0 and pi, and read in
-the target's coordinates (``_HomologyArrow._push``).  No degree block of a
-map is built.  Over F_p an exactness node is then decided by ranks.
+generator in at most one.  The pass that ends the reduction indexes those
+pieces by degree and reads off them, with no Smith form, a
+``PresentedGroup`` of H(C') at every degree where C' is not empty; the
+reduction keeps them beside one trivial presentation, which serves every
+other degree.  Nothing reads a class in C.  The class matrix of f is that
+of pi . f . iota: each canonical generator of the source is pushed through
+iota, f, the cycle test d = 0 and pi, and read in the target's coordinates
+(``_HomologyArrow._push``).  No degree block of a map is built.  Over F_p
+an exactness node is then decided by ranks.
 
 Many constructions are block matrices over renamed copies of generator
 sets: the cone, the doubling [[d, 0], [U, -d]], the hat/bar/check assembly,
@@ -333,19 +335,19 @@ class ChainComplex(_Sealed):
     """A graded module with a square-zero degree -1 differential, optional
     circle actions U (degree -2) and Y (degree +1), over Z (p=0) or F_p.
 
-    The complex keeps a memo of its homology presentations, one per degree
-    (per reduced degree when the grading is periodic), and beside it its
-    ``reduction``: a smaller complex C' with chain maps iota: C' -> C and
-    pi: C -> C', pi . iota = 1.  Both are filled the first time a degree is
-    presented; presentations are of C' (over F_p d' = 0, over Z a sum of
-    pieces), and a class of C reaches one only through iota and pi.  Both depend only on ``d`` and
-    ``p``, fixed at construction, so they never go stale; they live and die
-    with this object, are never shared with another complex, and hold no
-    reference back to it, so the complex is freed by reference counting
-    alone.  ``_valid`` records that its fixed laws passed."""
+    The complex keeps one homology memo, its ``reduction``: a smaller
+    complex C' with chain maps iota: C' -> C and pi: C -> C', pi . iota =
+    1, and the presentations of H(C') degree by degree (per reduced degree
+    when the grading is periodic), all made the first time homology is
+    asked for.  A class of C reaches a presentation only through iota and
+    pi.  The memo depends only on ``d`` and ``p``, fixed at construction,
+    so it never goes stale; it lives and dies with this object, is never
+    shared with another complex, and holds no reference back to it, so the
+    complex is freed by reference counting alone.  ``_valid`` records that
+    its fixed laws passed."""
 
-    __slots__ = ("module", "d", "u_action", "y_action", "p", "_presented",
-                 "_reduced", "_valid")
+    __slots__ = ("module", "d", "u_action", "y_action", "p", "_reduced",
+                 "_valid")
 
     def __init__(self, module: GradedModule, d: GradedMap,
                  u_action: Optional[GradedMap] = None,
@@ -362,7 +364,7 @@ class ChainComplex(_Sealed):
             raise ChainError("Y must be a degree +1 endomorphism")
         if p and not is_prime(p):
             raise ChainError(f"ring parameter {p} is neither 0 (Z) nor a prime")
-        super().__init__(module, d, u_action, y_action, p, {}, None, False)
+        super().__init__(module, d, u_action, y_action, p, None, False)
 
     def with_actions(self, u_action: Optional[GradedMap] = None,
                      y_action: Optional[GradedMap] = None) -> "ChainComplex":
@@ -478,15 +480,14 @@ class HomologyTable(_Sealed):
 
 def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
                      ) -> Dict[int, PresentedGroup]:
-    """PresentedGroup for each degree (in the window, or the full support
-    extended one step so trivial edges are visible).
+    """PresentedGroup for each degree of the window (default: the support
+    of C's module, and no degree when C has no generators).
 
-    Each group presents the homology of C's reduction C' at that degree, on
-    C'_j, read with no factorization off the pieces of d' that the
-    reduction indexed by degree once: its coordinates are those of C', and
-    classes of C reach it only through ``_HomologyArrow._push``.  Where
-    d' = 0 (always over F_p) every group is plain, its coordinates the
-    generators of C'_j."""
+    Each group is the presentation of the homology of C's reduction C' at
+    that degree that the reduction made when it ended (``_presentation``):
+    its coordinates are those of C', and classes of C reach it only through
+    ``_HomologyArrow._push``.  Where d' = 0 (always over F_p) every group is
+    plain, its coordinates the generators of C'_j."""
     if window is None:
         sw = C.module.support_window()
         if sw is None:
@@ -501,27 +502,11 @@ def present_homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None
 
 
 def _presentation(C: ChainComplex, j: int) -> PresentedGroup:
-    """The homology presentation of C at degree j, from C's memo: that of
-    C' at j, on C'_j, built on first read from the pieces of d' into and
-    out of C'_j in the reduction's index (plain where there are none).
-    Where C'_j is empty H_j(C) = 0, read by ``_reduced_dim``, and LES
-    nodes, class matrices and the ladder's squares ask for no
-    presentation."""
-    j = C.module.reduce_degree(j)
-    pg = C._presented.get(j)
-    if pg is None:
-        pieces = reduction(C).pieces
-        pg = C._presented[j] = PresentedGroup.from_pieces(
-            _reduced_dim(C, j), pieces.get(C.module.reduce_degree(j + 1), {}),
-            pieces.get(j, {}), C.p)
-    return pg
-
-
-def _reduced_dim(C: ChainComplex, j: int) -> int:
-    """dim C'_j of C's reduction, read from its module's degree index.  At
-    0, H_j(C) = 0 over Z and over F_p, with no presentation built."""
-    module = reduction(C).complex.module
-    return len(module._by_degree.get(module.reduce_degree(j), ()))
+    """The homology presentation of C at degree j: that of C' at j, on
+    C'_j, as C's reduction keeps it; its trivial one where C'_j is empty,
+    so that H_j(C) = 0 over Z and over F_p."""
+    red = reduction(C)
+    return red.presented.get(C.module.reduce_degree(j), red.trivial)
 
 
 class Reduction(NamedTuple):
@@ -534,12 +519,16 @@ class Reduction(NamedTuple):
     The maps are ``_reduce``'s sparse record, indexed by C's module: only
     the columns of iota and the rows of pi that differ from the identity,
     each kept under the label of its basis vector of C'.  ``iota_column``
-    and ``pi_row`` read them.  ``pieces`` indexes d' by (reduced) source
-    degree j as {(row in C'_{j-1}, column in C'_j): v}, in module order."""
+    and ``pi_row`` read them.  ``presented`` holds the presentation of
+    H(C') at each (reduced) degree where C' is not empty, on C'_j in module
+    order, and ``trivial`` the one of the zero group over C's ring.
+    ``PresentedGroup`` compares by identity, so two records never compare
+    equal."""
     complex: ChainComplex
     iota_cols: Dict[int, Dict[int, int]]
     pi_rows: Dict[int, Dict[int, int]]
-    pieces: Dict[int, Dict]
+    presented: Dict[int, PresentedGroup]
+    trivial: PresentedGroup
 
     def iota_column(self, g: int) -> Dict[int, int]:
         """iota of the basis vector of C' labelled g; indices of C's
@@ -553,8 +542,7 @@ class Reduction(NamedTuple):
 
 
 def reduction(C: ChainComplex) -> Reduction:
-    """C's reduction, computed once and kept in C's slot beside its
-    presentation memo."""
+    """C's reduction, computed once and kept in C's slot."""
     red = C._reduced
     return red if red is not None else C._memo("_reduced", _reduce(C))
 
@@ -570,12 +558,18 @@ def _reduce(C: ChainComplex) -> Reduction:
     coboundary goes first (then the earliest generator), to keep fill-in
     low.  pi is kept transposed, a row per surviving generator, so one
     cancellation touches only the rows d(x) hits, and iota by columns, so
-    it touches only the columns of y's coboundary.  Over F_p every nonzero
-    entry is a unit and one pass over the generators in module order
-    leaves d' = 0 (a generator with d = 0 keeps it); over Z only +-1 entries
-    are cancelled, pass after pass until none is left, and ``_isolate``
-    then changes the basis of C' until d' is a sum of pieces.  Every step
-    uses the current basis of C' only, so ``cancel`` serves both passes.
+    it touches only the columns of y's coboundary.  One pass over the
+    generators in module order cancels a unit of each d(x) it meets.  Over
+    F_p every nonzero entry is a unit, so that pass leaves d' = 0 (a
+    generator with d = 0 keeps it); over Z only +-1 entries are cancelled,
+    and ``_isolate``, which cancels the units still left before anything
+    else, then changes the basis of C' until d' is a sum of pieces.  Every
+    step uses the current basis of C' only, so ``cancel`` serves both.
+
+    The last pass indexes d' by (reduced) source degree j as {(row in
+    C'_{j-1}, column in C'_j): v}, in module order, and presents H(C') at
+    every degree where C' is not empty off that index, by
+    ``PresentedGroup.from_pieces``.
     """
     p = C.p
     gens = C.module.generators
@@ -630,22 +624,18 @@ def _reduce(C: ChainComplex) -> Reduction:
         pi.pop(x, None)
         dead.update((x, y))
 
-    progress = True
-    while progress:
-        progress = False
-        for x in range(len(gens)):
-            dx = bd.get(x)
-            if not dx:
-                continue
-            pivot = None
-            for y, v in dx.items():
-                if p or v == 1 or v == -1:
-                    key = (len(cobd[y]), y)
-                    if pivot is None or key < pivot:
-                        pivot = key
-            if pivot is not None:
-                cancel(x, pivot[1])
-                progress = not p
+    for x in range(len(gens)):
+        dx = bd.get(x)
+        if not dx:
+            continue
+        pivot = None
+        for y, v in dx.items():
+            if p or v == 1 or v == -1:
+                key = (len(cobd[y]), y)
+                if pivot is None or key < pivot:
+                    pivot = key
+        if pivot is not None:
+            cancel(x, pivot[1])
     if not p:
         _isolate(bd, cobd, iota, pi, cancel)
 
@@ -660,7 +650,11 @@ def _reduce(C: ChainComplex) -> Reduction:
     pieces: Dict = {}
     for (s, t), v in d.entries.items():
         pieces.setdefault(module.degree_of(s), {})[at[t], at[s]] = v
-    return Reduction(ChainComplex(module, d, p=p), iota, pi, pieces)
+    presented = {j: PresentedGroup.from_pieces(
+        len(names), pieces.get(module.reduce_degree(j + 1), {}),
+        pieces.get(j, {}), p) for j, names in module._by_degree.items()}
+    return Reduction(ChainComplex(module, d, p=p), iota, pi, presented,
+                     PresentedGroup.from_pieces(0, {}, {}, p))
 
 
 def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
@@ -747,7 +741,8 @@ def _isolate(bd: Dict[int, Dict[int, int]], cobd: Dict[int, Dict[int, int]],
 
 
 def homology(C: ChainComplex, window: Optional[Tuple[int, int]] = None) -> HomologyTable:
-    """Degreewise homology via exact kernels and images."""
+    """Degreewise homology of a complex that passes ``validate``: the groups
+    of ``present_homology``, read off its reduction with no Smith form."""
     _require_valid(C, "complex fails law")
     pres = present_homology(C, window)
     return HomologyTable({j: pg.group for j, pg in pres.items()})
@@ -997,7 +992,8 @@ class _HomologyArrow:
     f is an honest chain map or a snake-lemma composite (retraction . d .
     section); either way it sends cycles to cycles and boundaries to
     boundaries.  Class matrices are memoized per source degree, and the
-    presentations they are expressed in come from the complexes' memos.
+    presentations they are expressed in come from the complexes'
+    reductions.
     ``_push`` reads a class matrix in C', a column per canonical generator
     of the source, with no other matrix built.
 
@@ -1019,16 +1015,14 @@ class _HomologyArrow:
     def matrix(self, j: int) -> IntMatrix:
         """Canonical coordinates in the target at degree j + degree of the
         images of the canonical generators of the source at degree j, read
-        in C' by ``_push``; empty when the source group is trivial, and then
-        with no source presentation either when the source's reduction is
-        empty at j."""
+        in C' by ``_push``; empty, with nothing pushed, when the source
+        group is trivial."""
         F = self._matrices.get(j)
         if F is None:
-            src = (_reduced_dim(self.source, j)
-                   and _presentation(self.source, j))
+            src = _presentation(self.source, j)
             tgt = _presentation(self.target, j + self.degree)
             F = self._matrices[j] = (
-                self._push(j, src, tgt) if src and src.rank_coords()
+                self._push(j, src, tgt) if src.rank_coords()
                 else IntMatrix._trusted(tgt.rank_coords(), 0, {}))
         return F
 
@@ -1098,54 +1092,45 @@ def exactness_pair(incoming: _HomologyArrow, outgoing: _HomologyArrow,
                    j: int) -> Tuple[bool, bool]:
     """(image contained in kernel, image equals kernel) at degree j of the
     middle complex where the arrows meet over one ring; incoming lands in
-    degree j, outgoing leaves from it.  After F's cycle test a trivial
-    middle group is exact by shape (F has no rows, G no columns); other
-    nodes by rank arithmetic over F_p, over Z by ``_lattice_exactness``.
-    Where the reductions of the middle complex at j and of F's source are
-    both empty, the node is exact with no presentation or class matrix
-    built: F has no column, so there is no cycle to test."""
+    degree j, outgoing leaves from it.  Where the reductions of the middle
+    complex at j and of F's source are both empty, the node is exact with
+    no class matrix built: F has no column, so there is no cycle to test.
+    After F's cycle test a trivial middle group is exact by shape (F has no
+    rows, G no columns).  At every other node G.F is tested against the
+    target's coordinates, which over F_p are read mod p, and im F = ker G
+    then holds over F_p when rank F + rank G = dim of the middle group
+    (``field_rank``), over Z by ``_lattice_exactness``."""
     p = incoming.target.p
     if (incoming.target is not outgoing.source
             or incoming.source.p != p or outgoing.target.p != p):
         raise ChainError("arrows do not meet at one complex over one ring")
-    if not (_reduced_dim(incoming.target, j)
-            or _reduced_dim(incoming.source, j - incoming.degree)):
-        return True, True
     mid = _presentation(incoming.target, j)
+    if not (mid.dim
+            or _presentation(incoming.source, j - incoming.degree).dim):
+        return True, True
     F = incoming.matrix(j - incoming.degree)
-    G = outgoing.matrix(j)
     if not mid.rank_coords():
         return True, True
-    if p:
-        return _rank_exactness(F, G, mid.rank_coords(), p)
-    return _lattice_exactness(incoming, outgoing, j)
-
-
-def _rank_exactness(F: IntMatrix, G: IntMatrix, dim_mid: int,
-                    p: int) -> Tuple[bool, bool]:
-    """Exactness of the class matrices F into and G out of a middle group
-    of dimension dim_mid over F_p: G.F = 0, and then im F = ker G exactly
-    when rank F + rank G = dim_mid: ranks only, by ``field_rank``."""
-    contained = (G @ F).mod(p).is_zero()
-    equal = contained and field_rank(F, p) + field_rank(G, p) == dim_mid
-    return contained, equal
-
-
-def _lattice_exactness(incoming: _HomologyArrow, outgoing: _HomologyArrow,
-                       j: int) -> Tuple[bool, bool]:
-    """Exactness over Z at degree j, between the class matrices F in and G
-    out: G.F is zero in the target group, and then ker G, read off the
-    outgoing arrow's kept factorization of [G | target torsion], solves
-    through the incoming one's of [F | middle torsion] (a zero kernel needs
-    none), so neighbouring nodes share each factorization."""
-    F = incoming.matrix(j - incoming.degree)
     G = outgoing.matrix(j)
     tgt = _presentation(outgoing.target, j + outgoing.degree)
     if not tgt.columns_are_zero(G @ F):
         return False, False
-    ker = _kernel_head(outgoing.factored(j), G.cols)
-    return True, (ker.is_zero() or _back_substitute(
-        incoming.factored(j - incoming.degree), ker) is not None)
+    if p:
+        return True, field_rank(F, p) + field_rank(G, p) == mid.rank_coords()
+    return True, _lattice_exactness(incoming, outgoing, j)
+
+
+def _lattice_exactness(incoming: _HomologyArrow, outgoing: _HomologyArrow,
+                       j: int) -> bool:
+    """Whether ker G is contained in im F over Z at degree j, between the
+    class matrices F in and G out, given G.F = 0 in the target group:
+    ker G, read off the outgoing arrow's kept factorization of [G | target
+    torsion], solves through the incoming one's of [F | middle torsion] (a
+    zero kernel needs none), so neighbouring nodes share each
+    factorization."""
+    ker = _kernel_head(outgoing.factored(j), outgoing.matrix(j).cols)
+    return ker.is_zero() or _back_substitute(
+        incoming.factored(j - incoming.degree), ker) is not None
 
 
 def verify_exact_at(complexes: Sequence[ChainComplex], maps: Sequence[GradedMap],

@@ -374,11 +374,13 @@ class FundamentalSequences(NamedTuple):
     delta2: Optional[_HomologyArrow]
 
     @property
-    def checks(self) -> Tuple[Check, Check]:
-        """One Check per sequence, as a report prints it: exact at the chain
-        level and its long exact sequence certified, with the LES witness."""
+    def checks(self) -> Tuple[Check, ...]:
+        """One Check per sequence built, as a report prints it: exact at the
+        chain level and its long exact sequence certified, with the LES
+        witness."""
         return tuple(les._replace(ok=seq.exact and les.ok) for seq, les in
-                     ((self.seq1, self.les1), (self.seq2, self.les2)))
+                     ((self.seq1, self.les1), (self.seq2, self.les2))
+                     if seq is not None)
 
     @property
     def ok(self) -> bool:

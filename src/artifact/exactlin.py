@@ -14,9 +14,10 @@ is returned with identity transforms without a workspace.
 
 No homology presentation is factored.  ``chain`` reduces a complex until
 its differential is a sum of pieces v: b -> a (over F_p until it
-vanishes), and a ``PresentedGroup`` reads its group and coordinates off
-those pieces (``from_pieces``, or ``from_pair`` of two matrices); every
-F_p verdict is a rank, from ``field_rank``.  The Smith
+vanishes), and the pass that ends the reduction reads a
+``PresentedGroup``'s group and coordinates off those pieces for every
+degree (``from_pieces``; ``from_pair`` takes two matrices); every F_p
+verdict is a rank, from ``field_rank``.  The Smith
 form serves the maps between presentations over Z: ``chain`` factors each
 class matrix beside the target's torsion once and reads both injectivity
 and exactness off that one factorization.
@@ -61,9 +62,11 @@ class _Sealed:
     built in bulk each their own way, through ``object.__setattr__`` or the
     slot descriptors, the others by ``_Sealed.__init__``, one value per slot
     in slot order.  After that only ``_memo`` writes, and only to a memo
-    slot: a memo holds what the fixed fields determine, so it never goes
-    stale, and it lives and dies with its object.  Equality is by value
-    where the class defines it, else by identity."""
+    slot, which it fills whole: no memo is a container written in place
+    (a complex's homology presentations are made with its reduction and
+    kept in it).  A memo holds what the fixed fields determine, so it
+    never goes stale, and it lives and dies with its object.  Equality is
+    by value where the class defines it, else by identity."""
 
     __slots__ = ()
 
@@ -488,13 +491,8 @@ def snf(M: IntMatrix) -> SNFResult:
     transforms (``IntMatrix.identity``) without running the reduction; that
     is the answer the reduction itself gives.  No presentation calls for a
     factorization, nor does anything over F_p: ranks come from
-    ``field_rank``.
+    ``field_rank``.  Every Smith form is made here.
     """
-    return _factor(M)
-
-
-def _factor(M: IntMatrix) -> SNFResult:
-    """``snf(M)``: every Smith form is made here."""
     factors = _already_reduced(M)
     if factors is not None:
         return SNFResult(factors, IntMatrix.identity(M.rows),
@@ -646,10 +644,11 @@ class PresentedGroup(_Sealed):
     coordinates mod p) only a plain group, with both differentials zero, is
     presented, and its coordinates are the generators themselves.
 
-    ``chain`` indexes the pieces of each reduction C' by degree once, and
-    presents H_j(C') on C'_j from that index; it reads a class of C in
-    these coordinates by pushing the canonical generators of the source
-    through the reduction's maps (``chain._HomologyArrow._push``).
+    ``chain`` indexes the pieces of each reduction C' by degree in the pass
+    that ends it, and there presents H_j(C') on C'_j at every degree where
+    C' is not empty; it reads a class of C in these coordinates by pushing
+    the canonical generators of the source through the reduction's maps
+    (``chain._HomologyArrow._push``).
     """
 
     __slots__ = ("dim", "p", "_plain", "group", "torsion_rows",

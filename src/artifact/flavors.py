@@ -46,7 +46,6 @@ from .chain import (
     _block_map,
     _law,
     _presentation,
-    _reduced_dim,
     _renamed_module,
     _require_valid,
     commutator,
@@ -612,9 +611,9 @@ def _square_commutes(src_cx: ChainComplex, j: int,
                      tgt_cx: ChainComplex, tgt_deg: int,
                      sign: int = 1) -> bool:
     """lhs == sign * rhs on every homology class of the source degree,
-    chasing all canonical generators at once; true with no presentation
-    built where the source's reduction is empty at j."""
-    n = _reduced_dim(src_cx, j) and _presentation(src_cx, j).rank_coords()
+    chasing all canonical generators at once; true with nothing chased
+    where the source group is trivial."""
+    n = _presentation(src_cx, j).rank_coords()
     if not n:
         return True
     e = IntMatrix.identity(n)
@@ -633,7 +632,8 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     for inclusion and projection, on homology classes (with the degree sign)
     for the connecting maps.  Only degrees where every involved slice is
     window-safe are checked.  Of each doubled complex only the first
-    fundamental sequence is certified; the second is never built here.
+    fundamental sequence is certified, exact at the chain level and on
+    homology; the second is never built here.
     """
     prime = bundle.hat.p
     (su_hat, su_bar, su_check, su_i, su_j, su_p, sue, su_ibar,
@@ -671,7 +671,8 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                             win)
           for key, S in (("hat", su_hat), ("bar", su_bar),
                          ("check", su_check))}
-    checks += [fs[key].les1._replace(tag=f"eq:E-sq1:{key}") for key in fs]
+    checks += [fs[key].checks[0]._replace(tag=f"eq:E-sq1:{key}")
+               for key in fs]
 
     legs = (("p", su_p, "hat", "bar"),
             ("i", su_i, "bar", "check"),

@@ -13,7 +13,7 @@ and the representatives of a presentation (``coord_matrix``,
 ``representatives``), and the per-degree paths they fed, each the oracle
 of the one-pass path that replaced it:
 ``pair_presentation`` (``PresentedGroup.from_pair`` on two blocks of d',
-against the presentations read off the reduction's index of pieces),
+against the presentations the reduction reads off its pieces of d'),
 ``pushed_by_coords`` (``coord_matrix`` of the source's
 ``representatives`` pushed as columns, against ``_HomologyArrow._push``),
 ``defect_by_products`` (two products, a scale and a difference, against
@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             HomologyTable, PMorphism, _apply, _HomologyArrow,
-                            _presentation, _reduced_dim, cone, reduction)
+                            _presentation, _reduce, cone, reduction)
 from artifact.circle import _name_map, _ses_exact_at
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
@@ -349,8 +349,9 @@ def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
     kernel of G from [G | target torsion], F solved in that kernel plus the
     middle torsion, and a double inclusion of subgroups modulo the middle
     torsion, by the reference factorizations over Z and F_p.  The oracle
-    for ``chain._lattice_exactness``, which reads ``contained`` off G.F and
-    factors twice, and for ``chain._rank_exactness``."""
+    for ``chain.exactness_pair``, which reads ``contained`` off G.F and
+    then over Z factors twice (``chain._lattice_exactness``), over F_p
+    takes ranks."""
     t_mid = mid.torsion_relation_columns()
     t_tgt = tgt.torsion_relation_columns()
     _, ker = reference_kernel(IntMatrix.hstack([G, t_tgt]), p)
@@ -367,12 +368,14 @@ def lattice_exactness_oracle(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
 
 def presented_at(pg: Optional[PresentedGroup], j: int = 0,
                  p: int = 0) -> ChainComplex:
-    """An empty complex over Z or F_p whose presentation memo holds ``pg``
-    at degree j: the program reads its homology there from the memo."""
+    """An empty complex over Z or F_p whose reduction record, filled by
+    ``_memo``, presents its homology by ``pg`` at degree j (trivial where
+    ``pg`` is None): the program reads its homology there from the
+    record."""
     m = GradedModule([])
     C = ChainComplex(m, GradedMap.zero(m, m, -1), p=p)
-    if pg is not None:
-        C._presented[j] = pg
+    C._memo("_reduced", _reduce(C)._replace(
+        presented={} if pg is None else {j: pg}))
     return C
 
 
@@ -380,7 +383,7 @@ def fixed_arrow(F: IntMatrix, source: ChainComplex, target: ChainComplex,
                 j: int = 0, degree: int = 0) -> _HomologyArrow:
     """A homology arrow from source to target whose class matrix at source
     degree j is F; everything else it answers (``factored``, and so
-    ``chain._flags`` and ``chain._lattice_exactness``) is the program's."""
+    ``chain._flags`` and ``chain.exactness_pair``) is the program's."""
     arrow = _HomologyArrow(GradedMap.zero(source.module, target.module,
                                           degree), source, target)
     arrow._matrices[j] = F
@@ -388,13 +391,15 @@ def fixed_arrow(F: IntMatrix, source: ChainComplex, target: ChainComplex,
 
 
 def fixed_node(F: IntMatrix, G: IntMatrix, mid: PresentedGroup,
-               tgt: PresentedGroup) -> Tuple[_HomologyArrow, _HomologyArrow]:
-    """(incoming, outgoing) arrows over Z meeting at degree 0 of a middle
-    complex presented by ``mid``, with class matrices F into it and G out
-    of it into a complex presented by ``tgt``."""
-    M = presented_at(mid)
-    return (fixed_arrow(F, presented_at(None), M),
-            fixed_arrow(G, M, presented_at(tgt)))
+               tgt: PresentedGroup, p: int = 0
+               ) -> Tuple[_HomologyArrow, _HomologyArrow]:
+    """(incoming, outgoing) arrows over Z or F_p meeting at degree 0 of a
+    middle complex presented by ``mid``, with class matrices F into it and
+    G out of it into a complex presented by ``tgt``: ``exactness_pair`` of
+    them at 0 is the program's verdict on that node."""
+    M = presented_at(mid, p=p)
+    return (fixed_arrow(F, presented_at(None, p=p), M),
+            fixed_arrow(G, M, presented_at(tgt, p=p)))
 
 
 def ses_verdicts(fs) -> List[Tuple[bool, bool]]:
@@ -477,7 +482,7 @@ def representatives(pg: PresentedGroup) -> IntMatrix:
 def pair_presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """``PresentedGroup.from_pair`` on the blocks of C's reduced d' into
     and out of degree j (on n x 0 and 0 x n where d' = 0)."""
-    d, n = reduction(C).complex.d, _reduced_dim(C, j)
+    d, n = reduction(C).complex.d, _presentation(C, j).dim
     if d.is_zero():
         return PresentedGroup.from_pair(IntMatrix(n, 0), IntMatrix(0, n), C.p)
     return PresentedGroup.from_pair(block(d, j + 1), block(d, j), C.p)

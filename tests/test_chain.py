@@ -21,9 +21,7 @@ from artifact.chain import (
     _block_map,
     _defect,
     _flags,
-    _lattice_exactness,
     _presentation,
-    _rank_exactness,
     _renamed_module,
     cone,
     cone_inclusion,
@@ -789,14 +787,15 @@ class TestExactness:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every presentation built, as (dim, d_in, d_out, p) of its
-    ``PresentedGroup.from_pieces`` call; ``from_pair`` is not called."""
+    """Every presentation built, as (dim, d_in, d_out, p, presentation) of
+    its ``PresentedGroup.from_pieces`` call; ``from_pair`` is not
+    called."""
     calls = []
     original = PresentedGroup.from_pieces.__func__
 
     def counting(cls, dim, d_in, d_out, p=0):
-        calls.append((dim, d_in, d_out, p))
-        return original(cls, dim, d_in, d_out, p)
+        calls.append((dim, d_in, d_out, p, original(cls, dim, d_in, d_out, p)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(PresentedGroup, "from_pieces", classmethod(counting))
     monkeypatch.setattr(PresentedGroup, "from_pair", classmethod(
@@ -804,28 +803,49 @@ def built(monkeypatch):
     return calls
 
 
-def _from_the_index(C, call):
-    """True iff a ``from_pieces`` call read C's reduction index: d_in and
-    d_out are its pieces themselves, or empty where it has none."""
-    pieces = reduction(C).pieces.values()
-    return all(not d or any(d is piece for piece in pieces)
-               for d in call[1:3])
+def _reduced_pieces(C, j):
+    """The pieces of C's reduced d' out of (reduced) degree j, as
+    {(row in C'_{j-1}, column in C'_j): v}, from d' itself."""
+    module = reduction(C).complex.module
+    j = module.reduce_degree(j)
+    at = {nm: i for names in module._by_degree.values()
+          for i, nm in enumerate(names)}
+    return {(at[t], at[s]): v
+            for (s, t), v in reduction(C).complex.d.entries.items()
+            if module.degree_of(s) == j}
+
+
+def _kept_by(C, call):
+    """True iff a ``from_pieces`` call made a presentation that C's
+    reduction keeps: its trivial one, or the one of a degree j of C' read
+    off the pieces of d' into and out of C'_j."""
+    red, pg = reduction(C), call[4]
+    if pg is red.trivial:
+        return call[:4] == (0, {}, {}, C.p)
+    return any(pg is got and call[:4] == (
+        len(red.complex.module.gens_in_degree(j)),
+        _reduced_pieces(C, j + 1), _reduced_pieces(C, j), C.p)
+        for j, got in red.presented.items())
 
 
 class TestPresentationMemo:
-    """Each (complex, degree) is presented once, by one ``from_pieces`` call
-    on the pieces that the complex's reduction indexed once; the memo
-    belongs to one complex object, and no block is built."""
+    """A complex's reduction presents every degree where C' is not empty,
+    by one ``from_pieces`` call on the pieces of d' into and out of it,
+    and one trivial group beside them; nothing is presented again, the
+    record belongs to one complex object, and no block is built."""
 
     def test_second_homology_builds_nothing(self, built):
         C = two_sphere_like()
         first = homology(C)
         n = len(built)
-        assert n > 0 and all(_from_the_index(C, call) for call in built)
+        red = reduction(C)
+        assert n == len(red.presented) + 1 > 1
+        assert all(_kept_by(C, call) for call in built)
         assert any(call[1] or call[2] for call in built)
         assert homology(C) == first
         assert homology(C, window=(0, 1)) == homology(C, window=(0, 1))
-        assert len(built) == n
+        assert homology(C, window=(-5, 9)) == first
+        assert len(built) == n and reduction(C) is red
 
     def test_four_flavors_presents_each_slice_degree_once(self, built):
         rng = random.Random(43)
@@ -834,9 +854,10 @@ class TestPresentationMemo:
             del built[:]
             ff = four_flavors(C)
             slices = ff.sequences.complexes.values()
-            # every build landed in one slice's memo, one per degree
-            assert len(built) == sum(len(cx._presented) for cx in slices)
-            assert all(any(_from_the_index(cx, call) for cx in slices)
+            # every build landed in one slice's reduction, one per degree
+            assert len(built) == sum(len(reduction(cx).presented) + 1
+                                     for cx in slices)
+            assert all(any(_kept_by(cx, call) for cx in slices)
                        for call in built)
             n = len(built)
             for cx in slices:
@@ -851,23 +872,26 @@ class TestPresentationMemo:
         n = len(built)
         assert homology(twin) == homology(C)
         assert len(built) == 2 * n
-        assert twin._presented is not C._presented
-        assert reduction(twin).pieces is not reduction(C).pieces
-        for j, pg in C._presented.items():
-            assert twin._presented[j] is not pg
+        red, twin_red = reduction(C), reduction(twin)
+        assert twin_red is not red
+        assert twin_red.presented is not red.presented
+        assert sorted(twin_red.presented) == sorted(red.presented)
+        for j, pg in red.presented.items():
+            assert twin_red.presented[j] is not pg
+        assert twin_red.trivial is not red.trivial
         u = GradedMap.zero(C.module, C.module, -2)
-        assert not C.with_actions(u_action=u)._presented
+        assert C.with_actions(u_action=u)._reduced is None
 
     def test_periodic_memo_keyed_by_reduced_degree(self, built):
         C = complex_from([("a", 0), ("b", 1)], {("b", "a"): 2}, modulus=2)
         h = homology(C, window=(-6, 6))
         assert h[0] == AbelianGroup(0, (2,))
-        assert sorted(C._presented) == [0, 1]
-        assert sorted(reduction(C).pieces) == [1]
+        assert sorted(reduction(C).presented) == [0, 1]
         # H_0 = Z/2 reads the piece b -> 2a into degree 0, H_1 = 0 the
-        # same piece out of degree 1
+        # same piece out of degree 1; then the trivial group
         assert [call[:3] for call in built] == [
-            (1, {(0, 0): 2}, {}), (1, {}, {(0, 0): 2})]
+            (1, {(0, 0): 2}, {}), (1, {}, {(0, 0): 2}), (0, {}, {})]
+        assert all(_kept_by(C, call) for call in built)
 
 
 def _oracle(C, j):
@@ -1310,7 +1334,7 @@ class TestRankVerdict:
             # deliberately broken nodes: F replaced by 0, and by the
             # identity of the middle group
             for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n)):
-                rank = _rank_exactness(bad, G, n, p)
+                rank = exactness_pair(*fixed_node(bad, G, mid, tgt, p), 0)
                 assert rank == lattice_exactness_oracle(bad, G, mid, tgt, p)
                 seen.append(("broken", rank))
             seen.append(("node", verdict))
@@ -1361,7 +1385,7 @@ class TestLatticeNodes:
             (z2_z, z, M([[1], [0]]), M([[0, 0]]), (True, False)),
         ]
         for mid, tgt, F, G, want in cases:
-            assert _lattice_exactness(*fixed_node(F, G, mid, tgt), 0) == want
+            assert exactness_pair(*fixed_node(F, G, mid, tgt), 0) == want
             assert lattice_exactness_oracle(F, G, mid, tgt, 0) == want
 
 
@@ -1434,7 +1458,9 @@ def _shortcut_inputs():
 class TestEmptyGroupShortcuts:
     """A trivial source group gives an empty class matrix and a trivial
     middle group an exact node, with no product built; the unshortened
-    formulas are the oracle at every degree and node a certificate asks."""
+    formulas are the oracle at every degree and node a certificate asks:
+    the reading in C for class matrices, the four-factorization oracle,
+    over Z and F_p, for verdicts."""
 
     def test_matrices_and_verdicts_match_the_oracle(self, monkeypatch):
         asked = {}
@@ -1444,10 +1470,8 @@ class TestEmptyGroupShortcuts:
             asked[(id(arrow), j)] = (arrow, j)
             return original_matrix(arrow, j)
 
-        # per ring: nodes with a trivial and with a nontrivial middle group;
-        # the oracle's own arrows are left out of the matrices checked
+        # per ring: nodes with a trivial and with a nontrivial middle group
         nodes = {p: {True: 0, False: 0} for p in (0, 2, 3)}
-        fixed = set()
         original_pair = circle.exactness_pair
 
         def both(incoming, outgoing, j):
@@ -1456,14 +1480,8 @@ class TestEmptyGroupShortcuts:
             mid = _presentation(incoming.target, j)
             F = incoming.matrix(j - incoming.degree)
             G = outgoing.matrix(j)
-            if p:
-                oracle = _rank_exactness(F, G, mid.rank_coords(), p)
-            else:
-                tgt = _presentation(outgoing.target, j + outgoing.degree)
-                node = fixed_node(F, G, mid, tgt)
-                fixed.update(map(id, node))
-                oracle = _lattice_exactness(*node, 0)
-            assert verdict == oracle
+            tgt = _presentation(outgoing.target, j + outgoing.degree)
+            assert verdict == lattice_exactness_oracle(F, G, mid, tgt, p)
             nodes[p][mid.rank_coords() == 0] += 1
             return verdict
 
@@ -1473,8 +1491,6 @@ class TestEmptyGroupShortcuts:
             assert check()
         sources = {True: 0, False: 0}
         for arrow, j in asked.values():
-            if id(arrow) in fixed:
-                continue
             src = _presentation(arrow.source, j)
             assert arrow.matrix(j) == ambient_coords(
                 arrow.target, j + arrow.degree,
@@ -1590,7 +1606,8 @@ class TestPushMatchesBlocks:
 class TestClassMatricesBuildNoBlocks:
     """Class matrices read no degree block: one ladder and one run of the
     four flavors push classes through many arrows, each push reading the
-    source's and the target's presentations from the complexes' memos and
+    source's and the target's presentations from the complexes' reductions
+    and
     building no matrix beside the class matrix it returns; no map has a
     block to build, and the tests' block builder is not reached."""
 
@@ -1600,10 +1617,12 @@ class TestClassMatricesBuildNoBlocks:
         push, trusted = _HomologyArrow._push, IntMatrix._trusted.__func__
 
         def pushing(arrow, j, src, tgt):
-            assert src is arrow.source._presented[
+            s_red, t_red = reduction(arrow.source), reduction(arrow.target)
+            assert src is s_red.presented[
                 arrow.source.module.reduce_degree(j)]
-            assert tgt is arrow.target._presented[
-                arrow.target.module.reduce_degree(j + arrow.degree)]
+            assert tgt is t_red.presented.get(arrow.target.module
+                                              .reduce_degree(j + arrow.degree),
+                                              t_red.trivial)
             del made[:]
             F = push(arrow, j, src, tgt)
             assert made == [F]
@@ -1637,10 +1656,8 @@ def _presented_verdict(incoming, outgoing, j):
     G = _class_matrix(outgoing, j)
     if not mid.rank_coords():
         return True, True
-    if p:
-        return _rank_exactness(F, G, mid.rank_coords(), p)
     tgt = _presentation(outgoing.target, j + outgoing.degree)
-    return _lattice_exactness(*fixed_node(F, G, mid, tgt), 0)
+    return exactness_pair(*fixed_node(F, G, mid, tgt, p), 0)
 
 
 def _outcome(decide, incoming, outgoing, j):
@@ -1652,9 +1669,10 @@ def _outcome(decide, incoming, outgoing, j):
 
 class TestEmptyReductionNodes:
     """An LES node whose middle complex and incoming source both reduce to
-    nothing at its degree is exact with no presentation built; the meeting
-    and ring check still comes first, and every other node is decided as
-    if every group were presented."""
+    nothing at its degree is exact with no class matrix built, and the
+    complex's reduction presents nothing but the trivial group; the
+    meeting and ring check still comes first, and every other node is
+    decided as if every group were presented."""
 
     @staticmethod
     def _acyclic(p):
@@ -1682,8 +1700,11 @@ class TestEmptyReductionNodes:
             arrow = _HomologyArrow(GradedMap.identity(A.module), A, A)
             for j in (-1, 0, 4):
                 assert exactness_pair(arrow, arrow, j) == (True, True)
-            assert not built and not A._presented
+            assert [call[:4] for call in built] == [(0, {}, {}, p)]
+            assert reduction(A).presented == {}
+            assert built[0][4] is reduction(A).trivial
             assert not arrow._matrices
+            del built[:]
 
     def test_verdicts_match_fully_presented_nodes(self, monkeypatch):
         rows_seen = []
@@ -1719,11 +1740,12 @@ class TestEmptyReductionNodes:
 
 
 class TestPlainPresentationsFromDimension:
-    """Where the reduction's differential is zero (every F_p complex) its
-    index of pieces is empty, and each degree is presented from its
-    dimension: one ``from_pieces`` call per degree with no pieces, and no
-    block of d'.  The only block built is C's own d_j, by the tests'
-    reference reading in C, for its cycle test."""
+    """Where the reduction's differential is zero (every F_p complex) it
+    has no pieces, and each degree is presented from its dimension: one
+    ``from_pieces`` call with no pieces per degree where C' is not empty,
+    one for the trivial group, and no block of d'.  The only block built
+    is C's own d_j, by the tests' reference reading in C, for its cycle
+    test."""
 
     def test_no_block_of_a_zero_reduced_differential(self, monkeypatch,
                                                       built):
@@ -1742,19 +1764,23 @@ class TestPlainPresentationsFromDimension:
             C = random_complex(rng, max_pieces=4, p=p, with_u=i > 5).complex
             del blocks[:], built[:]
             h = homology(C)
-            d_red = reduction(C).complex.d
-            assert d_red.is_zero() and reduction(C).pieces == {}
+            red = reduction(C)
+            d_red = red.complex.d
+            assert d_red.is_zero()
             assert not blocks
             j = max(h.degrees())
             pg = _presentation(C, j)
             assert ambient_coords(C, j, ambient_representatives(C, j)) == \
                 IntMatrix.identity(pg.rank_coords())
             assert blocks and not any(f is d_red for f in blocks)
+            assert len(built) == len(red.presented) + 1
+            assert built[-1][4] is red.trivial
+            for _n, d_in, d_out, q, made in built:
+                assert (d_in, d_out, q) == ({}, {}, p) and made._plain
             lo, hi = C.module.support_window()
-            assert len(built) == len(C._presented) == hi - lo + 1
-            for j, (n, d_in, d_out, q) in zip(range(lo, hi + 1), built):
-                assert n == len(reduction(C).complex.module.gens_in_degree(j))
-                assert (d_in, d_out, q) == ({}, {}, p)
+            for j in range(lo, hi + 1):
+                n = len(red.complex.module.gens_in_degree(j))
+                assert _presentation(C, j).dim == n
                 assert h[j] == AbelianGroup(n)
 
 
@@ -1806,6 +1832,21 @@ class TestOnDemandCycleBlock:
             ambient_coords(C, 0, IntMatrix(3, 1))
 
 
+def _fields(pg):
+    """A presentation's fields, which compare where presentations (by
+    identity) do not."""
+    return [getattr(pg, f) for f in PresentedGroup.__slots__]
+
+
+def _record(red):
+    """A reduction's record with its presentations by their fields:
+    iota's columns, pi's rows, the presentations by degree and the
+    trivial one."""
+    return (red.iota_cols, red.pi_rows,
+            {j: _fields(pg) for j, pg in red.presented.items()},
+            _fields(red.trivial))
+
+
 def _reaches(roots, target):
     """True iff ``target`` is reachable from ``roots`` by gc.get_referents,
     not descending into classes and modules."""
@@ -1823,7 +1864,7 @@ def _reaches(roots, target):
 
 
 class TestNoBackReference:
-    """Neither the presentation memo nor the reduction slot holds a
+    """The reduction slot, with the presentations it keeps, holds no
     reference back to its complex, so complexes die by reference counting
     and never wait for the cyclic collector."""
 
@@ -1832,8 +1873,8 @@ class TestNoBackReference:
             homology(C)
             D = _homotopic_to_identity(random.Random(3), C)
             induced_on_homology(D, C, C)
-            assert C._presented and C._reduced is not None
-            assert not _reaches([C._presented, C._reduced], C)
+            assert C._reduced is not None
+            assert not _reaches([C._reduced], C)
 
     def test_complexes_are_freed_without_the_cyclic_collector(self):
         gc.collect()
@@ -1879,6 +1920,7 @@ class TestIsolateKeepsOneLiveRecord:
             def cancelling(x, y):
                 steps.append((x, y))
                 cancel(x, y)
+            steps.append("isolate")
             isolate(bd, cobd, iota, pi, cancelling)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1909,9 +1951,9 @@ class TestIsolateKeepsOneLiveRecord:
             assert new[1] <= old[1]
             pops = [pops[0] + new[1], pops[1] + old[1]]
             fewer += new[1] < old[1]
-            changed += len(new[0]) > len(self._trace(C, lambda *a: None)[0])
+            changed += new[0][-1] != "isolate"
             (r_new, r_old) = new[2], old[2]
-            assert r_new[1:] == r_old[1:]
+            assert _record(r_new) == _record(r_old)
             assert r_new.complex.d.entries == r_old.complex.d.entries
             assert r_new.complex.module == r_old.complex.module
         assert changed >= 30 and fewer >= 8, (changed, fewer)
@@ -1935,7 +1977,7 @@ class TestIsolateKeepsOneLiveRecord:
             outcomes = []
             for isolate in (chain._isolate, isolate_pushing_every_write):
                 try:
-                    outcomes.append(self._trace(C, isolate)[2][1:])
+                    outcomes.append(_record(self._trace(C, isolate)[2]))
                 except ChainError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
@@ -1973,7 +2015,7 @@ def _pieces_inputs_over_every_ring():
 
 class TestOnePassAgainstPerDegree:
     """The one-pass paths against the per-degree paths they replaced, kept
-    in ``helpers``: presentations read off the reduction's index against
+    in ``helpers``: presentations the reduction reads off its pieces against
     ``from_pair`` on two blocks of d' (``pair_presentation``), class
     matrices pushed generator by generator against ``coord_matrix`` of the
     pushed representatives (``pushed_by_coords``), and ``_defect``'s one
@@ -1986,10 +2028,7 @@ class TestOnePassAgainstPerDegree:
             lo, hi = C.module.support_window()
             for j in range(lo - 1, hi + 2):
                 got, want = _presentation(C, j), pair_presentation(C, j)
-                fields = ("dim", "p", "_plain", "group", "torsion_rows",
-                          "torsion_moduli", "free_rows", "_sources")
-                assert [getattr(got, f) for f in fields] == \
-                    [getattr(want, f) for f in fields]
+                assert _fields(got) == _fields(want)
                 seen.add((C.p, C.module.modulus, got._plain))
         assert seen >= {(p, m, True) for p in (0, 2, 3) for m in (0, 2, 4)}
         assert seen >= {(0, m, False) for m in (0, 2, 4)}

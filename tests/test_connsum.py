@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             GradedModule, HomologyTable, _HomologyArrow,
-                            _lattice_exactness, homology, is_chain_map,
+                            exactness_pair, homology, is_chain_map,
                             validate)
 from artifact.circle import (_LAURENT_LAYOUT, ALL_FLAVORS, HAT, MINUS,
                              ShiftReport, Window, _window_safe, e_y,
@@ -292,7 +292,7 @@ class TestLatticeVerdict:
                 assert verdict == lattice_exactness_oracle(F, G, mid, tgt, 0)
                 for bad in (IntMatrix(n, F.cols), IntMatrix.identity(n),
                             F.scale(2)):
-                    got = _lattice_exactness(
+                    got = exactness_pair(
                         *fixed_node(bad, G, mid, tgt), 0)
                     assert got == lattice_exactness_oracle(bad, G, mid, tgt,
                                                            0)

@@ -561,7 +561,7 @@ class TestPresentedGroup:
         # hit by 2 and -3 (Z/2 + Z/3 = Z/6), e2 by a unit (a boundary), and
         # e3, e4 are free
         import artifact.exactlin as el
-        monkeypatch.setattr(el, "_factor", lambda *a: pytest.fail("factored"))
+        monkeypatch.setattr(el, "snf", lambda *a: pytest.fail("factored"))
         d_in = IntMatrix(6, 3, {(1, 0): 2, (2, 2): 1, (5, 1): -3})
         d_out = IntMatrix(1, 6, {(0, 0): 3})
         pg = PresentedGroup.from_pair(d_in, d_out)
@@ -679,7 +679,7 @@ class TestPresentedGroup:
         # over F_p only plain groups are presented (a reduced F_p complex
         # has d' = 0); a nonzero differential is refused, not factored
         import artifact.exactlin as el
-        monkeypatch.setattr(el, "_factor", lambda *a: pytest.fail("factored"))
+        monkeypatch.setattr(el, "snf", lambda *a: pytest.fail("factored"))
         d_out = from_rows([[1, 0, 0]])
         d_in = from_rows([[0], [2], [4]])
         for p in (2, 3, 5):

@@ -241,12 +241,17 @@ class TestFieldPathFactorsNothing:
         assert callers["snf"] == []
 
     def test_no_certificate_reaches_the_factorization(self, monkeypatch):
-        # ``exactlin._factor`` is the one Smith form, over Z only: every
-        # F_p homology table and certificate runs with it raising
+        # ``exactlin.snf`` is the one Smith form, over Z only: every F_p
+        # homology table and certificate runs with it raising, in every
+        # module that binds it
         def refuse(*args, **kwargs):
             raise AssertionError("an F_p path factored")
 
-        monkeypatch.setattr(exactlin, "_factor", refuse)
+        original = exactlin.snf
+        for name, m in sorted(sys.modules.items()):
+            if name.startswith("artifact") and getattr(m, "snf",
+                                                       None) is original:
+                monkeypatch.setattr(m, "snf", refuse)
         corpus = Path(__file__).resolve().parent.parent / "corpus" / "v1"
         periodic = parse(str(corpus / "f2periodic.txt"))
         assert periodic.p == 2 and homology(periodic).is_trivial()
@@ -672,6 +677,35 @@ class TestLadder:
             "eq:induced-KM1", "eq:induced-KM1:delta", "eq:KM:j-iso",
             "eq:E-sq1:hat", "eq:E-sq1:bar", "eq:E-sq1:check",
             "eq:KM-bottom", "eq:KM:p:splice"]
+
+    def test_first_sequences_fold_in_chain_level_exactness(self,
+                                                            monkeypatch):
+        # the ladder's three first sequences have no hat slice: their
+        # checks and verdicts read the first sequence alone, and each
+        # eq:E-sq1 check is that check, chain-level exactness folded in
+        built = []
+        original = flavors._fundamental
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(flavors, "_fundamental", recording)
+        b = assemble(tower_model(TowerParams(base=point_base(), n=3)))
+        assert ladder_check(b, Window(-5, 6)).ok and len(built) == 3
+        for fs in built:
+            assert (fs.seq2, fs.les2, fs.delta2) == (None, None, None)
+            assert fs.checks == (fs.les1,) and fs.ok
+        # with the module-level sequences refused, only those checks fail
+        monkeypatch.setattr(circle, "_ses_exact_at", lambda *a: False)
+        built.clear()
+        rep = ladder_check(b, Window(-5, 6))
+        assert [c.tag for c in rep.checks if not c.ok] == [
+            "eq:E-sq1:hat", "eq:E-sq1:bar", "eq:E-sq1:check"]
+        for fs in built:
+            assert fs.les1.ok and not fs.seq1.exact
+            assert fs.checks == (fs.les1._replace(ok=False),)
+            assert not fs.ok
 
     def test_coupled_golden(self):
         b = assemble(golden_three())

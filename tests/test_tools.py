@@ -1,6 +1,6 @@
 """Smoke tests of the scripts in ``tools/``.  Nothing else runs them.
 ``bench_counts.py`` reaches into the program: it wraps
-``exactlin._factor``, ``IntMatrix.__matmul__``, ``chain.validate``,
+``exactlin.snf``, ``IntMatrix.__matmul__``, ``chain.validate``,
 ``chain._reduce``, ``chain._lattice_exactness`` and ``circle.s_u`` by name
 and reads ``Reduction.complex``, ``iota_cols`` and ``pi_rows``, so a
 change to those names fails here.  Its test counts every family at a small
@@ -8,7 +8,8 @@ size, twice, and a stub factorization and a stub reduction check the bits
 it reads.  ``cli_sweep.py`` runs the CLI in
 fresh processes on a few of its runs, and ``ab_inprocess.py`` runs two
 cases of ``ladder_fp`` on this checkout against itself, after a full
-untimed round, and ``scale_ladder`` at depth 3.  Both of these run on a
+untimed round, and ``scale_ladder`` at depth 3, each with the A/A side
+that the script loads beside them.  Both of these run on a
 copy of ``src`` with bytecode writing on in the test, and must leave no
 ``__pycache__`` in it."""
 
@@ -85,20 +86,23 @@ def test_ab_inprocess_lines_on_this_checkout_twice(tmp_path):
                               sizes=(2,))
         lines = [next(produced)]
         # the untimed warm-up round and the first timed round, each of the
-        # two cases on both sides
-        assert len(runs) == 8
+        # two cases on all three sides: A, its A/A copy and B
+        assert len(runs) == 12
         lines += list(produced)
-    assert len(runs) == 12
-    number = r"\d+\.\d{4}"
+    assert len(runs) == 18
+    number, ratio = r"\d+\.\d{4}", r"(\d+\.\d{3})"
+    times = rf"a_s={number} a2_s={number} b_s={number}"
     assert len(lines) == 4
     for r, line in enumerate(lines[:2], 1):
-        assert re.fullmatch(rf"round={r} a_s={number} b_s={number} "
-                            r"ratio=\d+\.\d{3}", line), line
-    assert re.fullmatch(rf"median a_s={number} b_s={number} "
-                        r"ratio=\d+\.\d{3} rounds=2", lines[2]), lines[2]
-    m = re.fullmatch(r"spread q1=(\d+\.\d{3}) q3=(\d+\.\d{3})", lines[3])
+        assert re.fullmatch(rf"round={r} {times} ratio={ratio} "
+                            rf"aa_ratio={ratio}", line), line
+    assert re.fullmatch(rf"median {times} ratio={ratio} aa_ratio={ratio} "
+                        r"rounds=2", lines[2]), lines[2]
+    m = re.fullmatch(rf"spread q1={ratio} q3={ratio} aa_q1={ratio} "
+                     rf"aa_q3={ratio}", lines[3])
     assert m, lines[3]
-    assert float(m.group(1)) <= float(m.group(2))
+    q1, q3, aa_q1, aa_q3 = map(float, m.groups())
+    assert q1 <= q3 and aa_q1 <= aa_q3
     # a scale family A/A at its smallest size, on a copy that bytecode
     # writing would fill
     copy = str(_copy(tmp_path, "src"))
@@ -140,12 +144,11 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     first, second = (json.loads(out.read_text()) for out in outs)
     assert first == second
     assert set(first) == {"schema", "seed", "counted", "checkouts"}
-    assert (first["schema"], first["seed"]) == (4, 1)
-    counted = ["exactlin._factor", "exactlin._factor.max_bits",
+    assert (first["schema"], first["seed"]) == (5, 1)
+    counted = ["exactlin.snf", "exactlin.snf.max_bits",
                "exactlin.IntMatrix.__matmul__",
-               "exactlin.PresentedGroup.from_pair",
                "exactlin.PresentedGroup.from_pieces",
-               "chain.GradedMap.__matmul__", "chain.GradedMap.block",
+               "chain.GradedMap.__matmul__",
                "chain._HomologyArrow._push", "chain._isolate.heap_pops",
                "chain.validate", "chain._reduce", "chain._reduce.gens_in",
                "chain._reduce.gens_out", "chain._reduce.map_bits",
@@ -165,10 +168,10 @@ def test_bench_counts_schema_and_repeat(tmp_path):
             "flavors_z", "ladder_fp") else 3 if name == "corpus_cli" else 1)
         assert all(isinstance(v, int) and v >= 0
                    for v in counts[name].values())
-        # no degree block is built, and every presentation from pieces
-        assert counts[name]["chain.GradedMap.block"] == 0
-        assert counts[name]["exactlin.PresentedGroup.from_pair"] == 0
-        assert counts[name]["exactlin.PresentedGroup.from_pieces"] > 0
+        # every presentation from pieces, in the reductions: at least the
+        # trivial group of each
+        assert counts[name]["exactlin.PresentedGroup.from_pieces"] > \
+            counts[name]["chain._reduce"]
         assert counts[name]["chain._HomologyArrow._push"] > 0
         assert counts[name]["chain.GradedMap.__matmul__"] > 0
         assert counts[name]["chain.validate"] > 0
@@ -180,14 +183,14 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     # Z factors and reads its long exact sequences on lattices, the field
     # path does neither
     for name in ("flavors_z", "corpus_cli", "scale_z"):
-        assert counts[name]["exactlin._factor"] > 0
-        assert counts[name]["exactlin._factor.max_bits"] >= (
+        assert counts[name]["exactlin.snf"] > 0
+        assert counts[name]["exactlin.snf.max_bits"] >= (
             name != "corpus_cli") + 1
         assert counts[name]["chain._lattice_exactness"] > 0
     # only a Z reduction isolates its pieces, and scale_z's has non-units
     assert counts["scale_z"]["chain._isolate.heap_pops"] > 0
     for name in ("ladder_fp", "scale_ladder"):
-        assert counts[name]["exactlin._factor"] == 0
+        assert counts[name]["exactlin.snf"] == 0
         assert counts[name]["chain._lattice_exactness"] == 0
         assert counts[name]["chain._isolate.heap_pops"] == 0
 
@@ -201,7 +204,8 @@ def test_bench_counts_counts_map_bits():
     C = chain.ChainComplex(m, chain.GradedMap(m, m, -1))
 
     def stub(C, pi_entry):
-        return chain.Reduction(C, {0: {0: 1, 1: 5}}, {1: {0: pi_entry}}, {})
+        return chain.Reduction(C, {0: {0: 1, 1: 5}}, {1: {0: pi_entry}}, {},
+                               None)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_reduce", stub)
@@ -216,17 +220,16 @@ def test_bench_counts_counts_map_bits():
             counts["chain._reduce.map_bits"]) == (3, 6, 71)
 
 
-def test_bench_counts_reads_both_factor_results():
-    # an SNFResult, and the (SNFResult, kept inverse) pair of a checkout
-    # whose _factor kept an inverse: its 2**70 is the largest entry
+def test_bench_counts_reads_snf_bits():
+    # stub Smith forms whose input, left or right transform holds the
+    # largest entry: 3, then 2**70 in the right transform
     from artifact import exactlin as el
     bc = _bench_counts()
     M, one = el.IntMatrix(1, 1, {(0, 0): 3}), el.IntMatrix.identity(1)
-    res = el.SNFResult((3,), one, one)
-    for result, bits in ((res, 2), ((res, None), 2),
-                         ((res, one.scale(2 ** 70)), 71)):
+    for right, bits in ((one, 2), (one.scale(2 ** 70), 71)):
+        result = el.SNFResult((3,), one, right)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(el, "_factor", lambda M, result=result: result)
-            counts = bc.counts_of(lambda: el._factor(M))
-        assert (counts["exactlin._factor"],
-                counts["exactlin._factor.max_bits"]) == (1, bits)
+            mp.setattr(el, "snf", lambda M, result=result: result)
+            counts = bc.counts_of(lambda: el.snf(M))
+        assert (counts["exactlin.snf"],
+                counts["exactlin.snf.max_bits"]) == (1, bits)

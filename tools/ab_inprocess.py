@@ -1,4 +1,5 @@
-"""In-process A/B timing of two checkouts on one measured family.
+"""In-process A/B timing of two checkouts on one measured family, beside
+an A/A timing of the first against a second copy of itself.
 
 Usage, from the root of the repository:
 
@@ -12,9 +13,12 @@ are counted only.  ``--sizes`` is read as there (for
 example ``--sizes scale_ladder=24,48``), for the ``--workload`` family
 only; the cases of all its sizes make one round.
 
-Both checkouts' ``src/artifact`` are loaded side by side in this
-interpreter, under the package names ``_ab_a`` and ``_ab_b``, with
-bytecode writing off, so no ``__pycache__`` is left in either.  Each side
+Three sides are loaded next to each other in this interpreter: A's
+``src/artifact`` twice, under the package names ``_ab_a`` and ``_ab_a2``,
+and B's under ``_ab_b``, with bytecode writing off, so no ``__pycache__``
+is left in either checkout.  A2 is a placebo B: it runs A's code on cases
+of its own, so the A/A ratio a_s / a2_s shows how far the A/B ratio
+a_s / b_s moves in the same run with nothing changed.  Each side
 builds the family's cases from this checkout's ``perfbench/workloads.py``,
 with its own copy of ``perfbench/gen.py``, so its inputs are objects of its
 own package.  A case runs through the family's own ``run`` function with
@@ -23,37 +27,42 @@ the name ``artifact`` (and ``gen``) bound to that side's modules.
 After the family's warm-up case, each side runs one full round untimed:
 with only one case of warm-up the first timed rounds still drift (pass
 times falling by nearly half over a 12-round A/A run) and widen the
-spread.  Each timed round then runs every case on both sides, alternating
-which side goes first from case to case and from round to round, so a
-drift in machine speed falls on both sides alike; separate benchmark
-processes run one after the other do not share it.
+spread.  Each timed round then runs every case on all three sides, in
+the next of the six orders of the sides from case to case and from round
+to round, so that each side runs first, and right after each other side,
+equally often (with one order turning, A would run right after B in two
+cases of three), and a drift in machine speed falls on every side alike.
+Separate benchmark processes run one after the other do not share it,
+and A/A batches run apart from the A/B one moved their quartiles by more
+than their width.
 
 Every round reruns the same case objects, built once per side, so the
-memos the engine keeps on a case's input complexes (reduction,
-presentations, validation) are filled by the untimed round and stay warm:
-a timed round times only the work on the complexes the case builds.  On
+memos the engine keeps on a case's input complexes (the reduction with
+its presentations, validation) are filled by the untimed round and stay
+warm: a timed round times only the work on the complexes the case builds.  On
 ``flavors_z`` at seed 1, a pass over the warm cases reduces 700 complexes
 where a cold pass reduces 770; while presentations still factored, such
-a pass made 10,056 ``_factor`` calls where a cold pass made 10,652.  A
+a pass made 10,056 Smith forms where a cold pass made 10,652.  A
 timed ratio speaks for warm cases only.
 
 One line per round, with the pass time of each side (the sum of its case
-times) and ratio = a_s / b_s (above 1: B is faster):
+times), ratio = a_s / b_s (above 1: B is faster) and aa_ratio =
+a_s / a2_s:
 
-    round=1 a_s=0.9512 b_s=0.8123 ratio=1.171
+    round=1 a_s=0.9512 a2_s=0.9488 b_s=0.8123 ratio=1.171 aa_ratio=1.003
 
 a line with the medians over the rounds:
 
-    median a_s=0.9500 b_s=0.8100 ratio=1.173 rounds=10
+    median a_s=0.9500 a2_s=0.9490 b_s=0.8100 ratio=1.173 aa_ratio=1.001 rounds=10
 
-and a last line with the quartiles of the per-round ratios (as
-``statistics.quantiles``, the way ``perfbench/trajectory.py`` reads
-spread), so a median can be set against the spread of an A/A run, a
-checkout against a copy of itself:
+and a last line with the quartiles of the per-round A/B and A/A ratios
+(as ``statistics.quantiles``, the way ``perfbench/trajectory.py`` reads
+spread), so the A/B median can be set against the A/A spread of the same
+run:
 
-    spread q1=1.160 q3=1.181
+    spread q1=1.160 q3=1.181 aa_q1=0.992 aa_q3=1.010
 
-The exit code is 1 if a case of either side fails its verdict; the first
+The exit code is 1 if a case of any side fails its verdict; the first
 problem goes to stderr.
 """
 
@@ -61,6 +70,7 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import itertools
 import os
 import statistics
 import sys
@@ -136,7 +146,8 @@ def compare(root_a: str, root_b: str, workload: str, seed: int,
         workloads = _load(PREFIX + "workloads",
                           os.path.join(PERFBENCH, "workloads.py"))
         family = bench_counts.families(workloads)[workload]
-        sides = [Side(PREFIX + "a", root_a), Side(PREFIX + "b", root_b)]
+        sides = [Side(PREFIX + "a", root_a), Side(PREFIX + "a2", root_a),
+                 Side(PREFIX + "b", root_b)]
         lists = []
         for side in sides:
             with side.bound():
@@ -152,13 +163,14 @@ def compare(root_a: str, root_b: str, workload: str, seed: int,
 
 
 def _pass(run, sides: List[Side], lists: List[list], r: int):
-    """One round: every case on both sides, side order alternating with
-    the case and with r.  (seconds per side, problems found)."""
-    spent = [0.0, 0.0]
+    """One round: every case on every side, in the order of the sides
+    that the case and r pick from all of them.  (seconds per side,
+    problems found)."""
+    orders = list(itertools.permutations(range(len(sides))))
+    spent = [0.0] * len(sides)
     problems: List[str] = []
     for i in range(len(lists[0])):
-        order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
-        for k in order:
+        for k in orders[(i + r) % len(orders)]:
             with sides[k].bound():
                 start = time.perf_counter()
                 found = run(lists[k][i])
@@ -173,23 +185,35 @@ def _rounds(run, sides: List[Side], lists: List[list],
     _, problems = _pass(run, sides, lists, -1)
     if problems:
         raise WrongAnswer(problems[0])
-    totals: List[List[float]] = [[], []]
+    totals: List[List[float]] = [[] for _ in sides]
     for r in range(rounds):
         spent, problems = _pass(run, sides, lists, r)
-        for k in (0, 1):
-            totals[k].append(spent[k])
-        yield (f"round={r + 1} a_s={spent[0]:.4f} b_s={spent[1]:.4f} "
-               f"ratio={spent[0] / spent[1]:.3f}")
+        for k, t in enumerate(spent):
+            totals[k].append(t)
+        a, a2, b = spent
+        yield (f"round={r + 1} a_s={a:.4f} a2_s={a2:.4f} b_s={b:.4f} "
+               f"ratio={a / b:.3f} aa_ratio={a / a2:.3f}")
         if problems:
             raise WrongAnswer(problems[0])
-    ratios = [a / b for a, b in zip(*totals)]
-    yield (f"median a_s={statistics.median(totals[0]):.4f} "
-           f"b_s={statistics.median(totals[1]):.4f} "
-           f"ratio={statistics.median(ratios):.3f} rounds={rounds}")
-    # one round has no spread: both quartiles are its ratio
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 \
-        else ratios * 3
-    yield f"spread q1={q1:.3f} q3={q3:.3f}"
+    a, a2, b = totals
+    ratios = [x / y for x, y in zip(a, b)]
+    placebo = [x / y for x, y in zip(a, a2)]
+    med = statistics.median
+    yield (f"median a_s={med(a):.4f} a2_s={med(a2):.4f} b_s={med(b):.4f} "
+           f"ratio={med(ratios):.3f} aa_ratio={med(placebo):.3f} "
+           f"rounds={rounds}")
+    q1, q3, aa_q1, aa_q3 = _quartiles(ratios) + _quartiles(placebo)
+    yield (f"spread q1={q1:.3f} q3={q3:.3f} "
+           f"aa_q1={aa_q1:.3f} aa_q3={aa_q3:.3f}")
+
+
+def _quartiles(ratios: List[float]) -> tuple:
+    """(q1, q3) of the ratios; one round has no spread, so both are its
+    ratio."""
+    if len(ratios) < 2:
+        return ratios[0], ratios[0]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return q1, q3
 
 
 def main(argv: List[str] = None) -> int:

@@ -9,7 +9,7 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_26.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_28.json parent=../parent change=.
 
 The families, each run at each of its sizes:
 
@@ -39,28 +39,20 @@ cases, in every ``artifact`` module that holds the counted function, or on
 the class of a counted method, so no counter lives in the program; a name
 the checkout lacks counts 0:
 
-    exactlin._factor               every Smith form (one per arrow and
+    exactlin.snf                   every Smith form (one per arrow and
                                    source degree over Z, of [class matrix |
                                    target torsion], and one per kernel or
-                                   solve; a checkout whose presentations
-                                   still factor adds two per presentation
-                                   that is not plain)
-    exactlin._factor.max_bits      the largest entry bit length over every
+                                   solve)
+    exactlin.snf.max_bits          the largest entry bit length over every
                                    Smith form's input and both transforms
-                                   (and the inverse that such a checkout's
-                                   ``_factor`` kept beside one of them)
     exactlin.IntMatrix.__matmul__  every matrix product formed (a product
                                    with an identity forms none)
-    exactlin.PresentedGroup.from_pair
     exactlin.PresentedGroup.from_pieces
-                                   every homology presentation built, by
-                                   one call of either (where both exist,
-                                   ``from_pair`` goes through
-                                   ``from_pieces``, and the program calls
-                                   only ``from_pieces``)
+                                   every homology presentation built (the
+                                   program makes them all in the pass that
+                                   ends a reduction: one per degree where
+                                   C' is not empty, and one trivial group)
     chain.GradedMap.__matmul__     every product of graded maps
-    chain.GradedMap.block          every degree block of a graded map
-                                   (memo hits included)
     chain._HomologyArrow._push     every class matrix pushed through a
                                    reduction
     chain._isolate.heap_pops       every record ``_isolate`` pops off its
@@ -72,7 +64,8 @@ the checkout lacks counts 0:
     chain._reduce.map_bits         the largest entry bit length over every
                                    reduction's iota columns and pi rows
     chain._lattice_exactness       every Z long exact sequence node with a
-                                   nonzero middle group
+                                   nonzero middle group that G.F = 0 lets
+                                   through to the kernel test
     circle.s_u                     every doubling
 
 Every engine module is imported before the wrappers are bound, so a module
@@ -82,10 +75,10 @@ SHA-256 of the checkout's ``src/artifact/*.py``, naming the code counted.
 
 The file, with counts per family and size:
 
-    {"schema": 4, "seed": 1, "counted": [...],
+    {"schema": 5, "seed": 1, "counted": [...],
      "checkouts": {LABEL: {"src_sha256": "...",
                            "families": {"scale_z": {"100": {"cases": 1,
-                                                            "exactlin._factor": ...,
+                                                            "exactlin.snf": ...,
                                                             ...}, ...}, ...}}}}
 """
 
@@ -193,15 +186,11 @@ def _max_bits(before: int, vectors) -> int:
                            for v in vec.values()])
 
 
-def _factor_counts(counts, args, result):
-    # an SNFResult, or (SNFResult, kept inverse or None) from a checkout
-    # whose _factor still kept an inverse
-    res, *inverse = result if len(result) == 2 else (result,)
-    counts["exactlin._factor"] += 1
-    counts["exactlin._factor.max_bits"] = _max_bits(
-        counts["exactlin._factor.max_bits"],
-        [m.entries for m in (args[0], res.left, res.right, *inverse)
-         if m is not None])
+def _snf_counts(counts, args, result):
+    counts["exactlin.snf"] += 1
+    counts["exactlin.snf.max_bits"] = _max_bits(
+        counts["exactlin.snf.max_bits"],
+        [m.entries for m in (args[0], result.left, result.right)])
 
 
 def _reduce_counts(counts, args, result):
@@ -214,17 +203,13 @@ def _reduce_counts(counts, args, result):
 
 
 # (module, attribute or Class.method, what one call adds to the counts)
-COUNTED = (("artifact.exactlin", "_factor", _factor_counts),
+COUNTED = (("artifact.exactlin", "snf", _snf_counts),
            ("artifact.exactlin", "IntMatrix.__matmul__",
             _calls("exactlin.IntMatrix.__matmul__")),
-           ("artifact.exactlin", "PresentedGroup.from_pair",
-            _calls("exactlin.PresentedGroup.from_pair")),
            ("artifact.exactlin", "PresentedGroup.from_pieces",
             _calls("exactlin.PresentedGroup.from_pieces")),
            ("artifact.chain", "GradedMap.__matmul__",
             _calls("chain.GradedMap.__matmul__")),
-           ("artifact.chain", "GradedMap.block",
-            _calls("chain.GradedMap.block")),
            ("artifact.chain", "_HomologyArrow._push",
             _calls("chain._HomologyArrow._push")),
            ("artifact.chain", "heappop", _calls("chain._isolate.heap_pops")),
@@ -233,10 +218,9 @@ COUNTED = (("artifact.exactlin", "_factor", _factor_counts),
            ("artifact.chain", "_lattice_exactness",
             _calls("chain._lattice_exactness")),
            ("artifact.circle", "s_u", _calls("circle.s_u")))
-KEYS = ("exactlin._factor", "exactlin._factor.max_bits",
-        "exactlin.IntMatrix.__matmul__", "exactlin.PresentedGroup.from_pair",
+KEYS = ("exactlin.snf", "exactlin.snf.max_bits",
+        "exactlin.IntMatrix.__matmul__",
         "exactlin.PresentedGroup.from_pieces", "chain.GradedMap.__matmul__",
-        "chain.GradedMap.block",
         "chain._HomologyArrow._push", "chain._isolate.heap_pops",
         "chain.validate", "chain._reduce", "chain._reduce.gens_in",
         "chain._reduce.gens_out", "chain._reduce.map_bits",
@@ -349,7 +333,7 @@ def count(checkout: str, seed: int, sizes: Dict[str, Tuple[int, ...]]
 
 def report(checkouts: Dict[str, str], seed: int,
            sizes: Dict[str, Tuple[int, ...]]) -> dict:
-    return {"schema": 4, "seed": seed, "counted": list(KEYS),
+    return {"schema": 5, "seed": seed, "counted": list(KEYS),
             "checkouts": {label: {"src_sha256": src_digest(path),
                                   "families": count(path, seed, sizes)}
                           for label, path in checkouts.items()}}
