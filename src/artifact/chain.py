@@ -66,6 +66,10 @@ class ModulusUnsupported(ChainError):
     pass
 
 
+class HomogeneityViolated(ChainError):
+    pass
+
+
 class _Checked:
     """Building the record runs ``_check``, and so do ``_make`` and
     ``_replace``, which go through the constructor."""
@@ -184,7 +188,7 @@ class GradedMap(_Sealed):
                 if target.modulus:
                     want %= target.modulus
                 if tgens[b][1] != want:
-                    raise ChainError(
+                    raise HomogeneityViolated(
                         f"entry {s!r}->{t!r} violates degree {degree} homogeneity")
                 clean[(s, t)] = v
         self._fill(source, target, degree, clean)
@@ -385,12 +389,11 @@ class ChainComplex(_Sealed):
 
 class Check(NamedTuple):
     """One verdict, named by the tag a report prints.  ``witness`` locates
-    a failure where the check can: a generator pair for a law, the first
-    failing (location, degree) of a long exact sequence, the first failing
-    degree of a square.  A long exact sequence that fails with witness
-    None had no node to check.  A witness may also be a message naming the
-    failure, which reports print beneath the check as a ``detail``
-    record."""
+    a failure: ``_law``, which judges every tagged identity, gives the
+    generator pair of the defect's first nonzero entry; a long exact
+    sequence its first failing (location, degree), or None with no node
+    to check; a square on homology its first failing degree.  A message
+    naming the failure is printed beneath the check as a ``detail``."""
 
     tag: str
     ok: bool

@@ -1,7 +1,8 @@
 """Text front end: parse graded complexes, balanced component data, and
 candidate gluing maps from a line-oriented grammar, run the verification
 suites and flavor computations, and report the results.  Every verdict is
-a ``Check`` the engine names and decides; the front end only renders it.
+a ``Check`` the engine names, decides and witnesses; the front end builds
+none and only renders them.
 
 Grammar (``#`` starts a comment anywhere; blank lines are skipped; blocks
 close with ``end``, and end of input closes the final block):
@@ -49,8 +50,8 @@ import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .chain import (ChainComplex, ChainError, Check, GradedMap, GradedModule,
-                    HomologyTable, homology, validate)
+from .chain import (ChainComplex, ChainError, GradedMap, GradedModule,
+                    HomogeneityViolated, HomologyTable, homology, validate)
 from .exactlin import AbelianGroup, is_prime
 
 __all__ = [
@@ -359,8 +360,8 @@ def parse_all_text(text: str) -> List[Tuple[str, ParsedObject]]:
             else:
                 obj = _parse_summaps(b, named)
         except ChainError as e:
-            law = "degree-homogeneity" if "homogeneity" in str(e) \
-                else "structure"
+            law = "degree-homogeneity" if isinstance(
+                e, HomogeneityViolated) else "structure"
             raise ValidationError(law, str(e)) from None
         named[b.name] = obj
         out.append((b.name, obj))
@@ -491,8 +492,9 @@ class _Report:
     def info(self, key: str, value) -> None:
         self.emit("info", f"{key}={value}", f"{key}={value}")
 
-    def window(self, win: Window) -> None:
-        self.info("window", f"{win.lo}..{win.hi}")
+    def window(self, win: Tuple[int, int]) -> None:
+        lo, hi = win
+        self.info("window", f"{lo}..{hi}")
 
     def message(self, kind: str, prefix: str, message: str) -> None:
         """A detail or error record: the text line is prefix + message;
@@ -561,7 +563,7 @@ class Manifest(NamedTuple):
     command: str
     inputs: Tuple[str, ...] = ()
     flavor: Optional[str] = None
-    window: Optional[Window] = None
+    window: Optional[Tuple[int, int]] = None
     n: Optional[int] = None
     direction: Optional[str] = None
     seed: Optional[int] = None
@@ -642,7 +644,7 @@ def _assembled(obj: BalancedComponents, rep: _Report
     try:
         return assemble(obj)
     except AssemblyInconsistent as e:
-        rep.check(Check(e.tag, False))
+        rep.check(e.check)
         return None
 
 
@@ -658,15 +660,11 @@ def _cmd_verify(m: Manifest, rep: _Report) -> None:
     elif isinstance(obj, SumSpec):
         _check_sum_maps(obj, rep)
     elif _loaded_instance(obj, "connsum", "FilteredComplex"):
-        from .connsum import check_positivity
-        # the constructor refuses a complex that fails either of the first
-        # two, so only positivity can fail here
-        rep.check(Check("degree-homogeneity", True), Check("d.d=0", True),
-                  check_positivity(obj))
+        from .connsum import validate_filtered
+        rep.check(*validate_filtered(obj).checks)
     elif (bundle := _assembled(obj, rep)) is not None:
-        from .flavors import ASSEMBLY_TAGS, cone_identities
-        rep.check(*(Check(tag, True) for tag in ASSEMBLY_TAGS))
-        rep.check(*cone_identities(bundle).checks)
+        from .flavors import cone_identities
+        rep.check(*bundle.laws().checks, *cone_identities(bundle).checks)
 
 
 def _cmd_homology(m: Manifest, rep: _Report) -> None:
@@ -821,7 +819,7 @@ def run(manifest: Manifest) -> Tuple[int, str]:
 # Argument handling
 # ---------------------------------------------------------------------------
 
-def _window_flag(text: str) -> Window:
+def _window_flag(text: str) -> Tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError("window must look like -4..6")
@@ -831,8 +829,7 @@ def _window_flag(text: str) -> Window:
     if hi - lo + 1 > MAX_WINDOW_WIDTH:
         raise argparse.ArgumentTypeError(
             f"window spans more than {MAX_WINDOW_WIDTH} degrees")
-    from .circle import Window
-    return Window(lo, hi)
+    return lo, hi
 
 
 def _n_flag(text: str) -> int:

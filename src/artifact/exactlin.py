@@ -651,7 +651,7 @@ class PresentedGroup(_Sealed):
     (``chain._HomologyArrow._push``).
     """
 
-    __slots__ = ("dim", "p", "_plain", "group", "torsion_rows",
+    __slots__ = ("dim", "p", "group", "torsion_rows",
                  "torsion_moduli", "free_rows", "_sources")
 
     @classmethod
@@ -663,8 +663,7 @@ class PresentedGroup(_Sealed):
         generators of Z^dim.  ``ExactLinError`` for a pair that is not
         elementary, for a ``d_in`` outside ker(d_out), and over F_p (``p``
         prime) for a nonzero differential."""
-        plain = not d_in and not d_out
-        if plain:
+        if not d_in and not d_out:
             rows, moduli, free, sources = [], [], list(range(dim)), ()
             group = AbelianGroup(dim)
         else:
@@ -681,7 +680,7 @@ class PresentedGroup(_Sealed):
             free = [i for i in range(dim) if i not in hit and i not in sources]
             group = AbelianGroup(len(free), _invariant_factors(moduli))
         pg = cls.__new__(cls)
-        _set_dim(pg, dim), _set_p(pg, p), _set_plain(pg, plain)
+        _set_dim(pg, dim), _set_p(pg, p)
         _set_group(pg, group), _set_torsion_rows(pg, rows)
         _set_moduli(pg, moduli), _set_free(pg, free), _set_sources(pg, sources)
         return pg
@@ -720,9 +719,9 @@ class PresentedGroup(_Sealed):
         return IntMatrix(a, len(self.torsion_moduli), ent)
 
 
-(_set_dim, _set_p, _set_plain, _set_group, _set_torsion_rows, _set_moduli,
- _set_free, _set_sources) = (getattr(PresentedGroup, name).__set__
-                             for name in PresentedGroup.__slots__)
+(_set_dim, _set_p, _set_group, _set_torsion_rows, _set_moduli, _set_free,
+ _set_sources) = (getattr(PresentedGroup, name).__set__
+                  for name in PresentedGroup.__slots__)
 
 
 def subgroups_equal(gens_a: IntMatrix, gens_b: IntMatrix,

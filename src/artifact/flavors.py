@@ -12,9 +12,10 @@ flavor complexes are glued from the pieces by the grading rule
 so a u-generator of raw degree k lives in degree k - 1 of bar and in degree
 k of hat.  The assembled differentials, U-endomorphisms, comparison maps
 i / j / p and their commutation witnesses K_i / K_j / K_p are built from
-fixed block formulas and then *every* law is re-checked entry-exactly;
-``assemble`` raises ``AssemblyInconsistent`` naming the first identity that
-fails (by the tag the report grammar uses, e.g. ``eq:U-i``).
+fixed block formulas and then *every* law is judged by ``chain._law``, as
+every identity here is; ``assemble`` keeps the passing Checks on the bundle
+or raises ``AssemblyInconsistent`` with the first failing one (its tag in
+report grammar, e.g. ``eq:U-i``, witnessed by a generator pair).
 
 ``cone_identities`` forms the mapping cone of p, whose total complex is
 chain homotopy equivalent to check via explicit maps k and l, and verifies
@@ -29,7 +30,7 @@ and ``four_flavors`` packages the four flavor homology tables of a single
 U-complex with their connecting certificates.
 """
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
     ChainComplex,
@@ -44,6 +45,7 @@ from .chain import (
     _Checked,
     _HomologyArrow,
     _block_map,
+    _defect,
     _law,
     _presentation,
     _renamed_module,
@@ -54,7 +56,6 @@ from .chain import (
     cone_projection,
     homology,
     induced_on_homology,
-    is_chain_map,
 )
 from .circle import (
     _U_LAYOUT,
@@ -78,15 +79,14 @@ from .exactlin import IntMatrix, _Sealed
 class AssemblyInconsistent(ChainError):
     """Raised when assembled flavor data violates one of its laws.
 
-    ``tag`` names the first failing identity in report grammar.
+    ``check`` is the Check of the first law that fails: its tag in report
+    grammar, and as witness the generator pair of the defect's first
+    nonzero entry.
     """
 
-    def __init__(self, tag: str, detail: str = ""):
-        self.tag = tag
-        msg = f"assembly violates {tag}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, check: Check):
+        self.check = check
+        super().__init__(f"assembly violates {check.tag} at {check.witness}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +197,12 @@ class FlavorBundle(_Sealed):
     keeps ``_doubled_pieces``, so ``cone_identities`` and ``ladder_check``
     double each complex once per bundle; both are sound as the bundle is
     immutable.  ``_replace`` copies through the constructor, so a copy
-    builds and doubles its own.
+    builds and doubles its own, and keeps none of the laws ``assemble``
+    judged (``laws``).
     """
 
     __slots__ = ("hat", "bar", "check", "i", "j", "p", "k_i", "k_j", "k_p",
-                 "components", "_pms", "_doubled")
+                 "components", "_pms", "_doubled", "_laws")
 
     def __init__(self, hat: ChainComplex, bar: ChainComplex,
                  check: ChainComplex, i: GradedMap, j: GradedMap,
@@ -210,7 +211,7 @@ class FlavorBundle(_Sealed):
         super().__init__(
             hat, bar, check, i, j, p, k_i, k_j, k_p, components,
             (PMorphism(bar, check, i, k_i), PMorphism(check, hat, j, -k_j),
-             PMorphism(hat, bar, p, k_p)), None)
+             PMorphism(hat, bar, p, k_p)), None, CheckReport(()))
 
     def _replace(self, **changes) -> "FlavorBundle":
         fields = {n: getattr(self, n) for n in self.__slots__
@@ -226,21 +227,44 @@ class FlavorBundle(_Sealed):
     def pm_p(self) -> PMorphism:
         return self._pms[2]
 
-
-# tags of the identities assemble() verifies, in its checking order
-ASSEMBLY_TAGS = (
-    "eq:hat-d", "eq:bar-d", "eq:check-d",
-    "eq:ijk:i", "eq:ijk:j", "eq:ijk:p",
-    "eq:U-i", "eq:U-i:j", "eq:U-i:p",
-    "eq:U-hat", "eq:U-bar", "eq:U-check",
-)
+    def laws(self) -> CheckReport:
+        """The twelve passing Checks ``assemble`` judged; none on a copy."""
+        return self._laws
 
 
 def assemble(components: BalancedComponents) -> FlavorBundle:
-    """Glue the flavor complexes and verify every law they must satisfy.
-    Raises AssemblyInconsistent naming the first failing identity."""
+    """Glue the flavor complexes and judge their laws one at a time; the
+    bundle keeps the Checks and its p-morphisms their verdicts.  Raises
+    AssemblyInconsistent with the first failing Check."""
+    bundle, laws = _glue(components), []
+    for check in _assembly_laws(bundle):
+        if not check.ok:
+            raise AssemblyInconsistent(check)
+        laws.append(check)
+    for pm in bundle._pms:
+        pm._memo("_verdict", True)
+    bundle._memo("_laws", CheckReport(tuple(laws)))
+    return bundle
+
+
+def _assembly_laws(b: FlavorBundle) -> Iterator[Check]:
+    """The bundle's laws, each judged when asked for: d.d = 0, i, j and p
+    chain maps (each defect formed once: ``assemble`` keeps the verdicts),
+    their U-witnesses, and [d, U] = 0."""
+    prime, cxs = b.hat.p, (b.hat, b.bar, b.check)
+    for tag, cx in zip(("eq:hat-d", "eq:bar-d", "eq:check-d"), cxs):
+        yield _law(tag, cx.d @ cx.d, prime)
+    for tag, pm in zip(("eq:ijk:i", "eq:ijk:j", "eq:ijk:p"), b._pms):
+        yield _law(tag, _defect(pm.phi, pm.source.d, pm.target.d), prime)
+    for tag, pm in zip(("eq:U-i", "eq:U-i:j", "eq:U-i:p"), b._pms):
+        yield _law(tag, pm.u_defect(), prime)
+    for tag, cx in zip(("eq:U-hat", "eq:U-bar", "eq:U-check"), cxs):
+        yield _law(tag, commutator(cx.d, cx.u_action), prime)
+
+
+def _glue(components: BalancedComponents) -> FlavorBundle:
+    """The bundle of the block formulas, with no law judged."""
     c = components
-    prime = c.p
 
     hat_mod = _renamed_module([(c.c_o, O, 0), (c.c_u, U, 0)])
     bar_mod = _renamed_module([(c.c_s, S, 0), (c.c_u, U, -1)])
@@ -312,32 +336,12 @@ def assemble(components: BalancedComponents) -> FlavorBundle:
         (c.u_us, U, S, 1),
     ])
 
-    hat_cx = ChainComplex(hat_mod, d_hat, u_action=u_hat, p=prime)
-    bar_cx = ChainComplex(bar_mod, d_bar, u_action=u_bar, p=prime)
-    check_cx = ChainComplex(check_mod, d_check, u_action=u_check, p=prime)
-    bundle = FlavorBundle(hat=hat_cx, bar=bar_cx, check=check_cx,
-                          i=i_map, j=j_map, p=p_map,
-                          k_i=k_i, k_j=k_j, k_p=k_p, components=components)
-
-    # one check per entry of ASSEMBLY_TAGS, in the same order
-    checks: List[Callable[[], bool]] = [
-        lambda: (d_hat @ d_hat).is_zero_mod(prime),
-        lambda: (d_bar @ d_bar).is_zero_mod(prime),
-        lambda: (d_check @ d_check).is_zero_mod(prime),
-        lambda: is_chain_map(i_map, bar_cx, check_cx),
-        lambda: is_chain_map(j_map, check_cx, hat_cx),
-        lambda: is_chain_map(p_map, hat_cx, bar_cx),
-        lambda: bundle.pm_i().verify(),
-        lambda: bundle.pm_j().verify(),
-        lambda: bundle.pm_p().verify(),
-        lambda: commutator(d_hat, u_hat).is_zero_mod(prime),
-        lambda: commutator(d_bar, u_bar).is_zero_mod(prime),
-        lambda: commutator(d_check, u_check).is_zero_mod(prime),
-    ]
-    for tag, fn in zip(ASSEMBLY_TAGS, checks, strict=True):
-        if not fn():
-            raise AssemblyInconsistent(tag)
-    return bundle
+    return FlavorBundle(
+        hat=ChainComplex(hat_mod, d_hat, u_action=u_hat, p=c.p),
+        bar=ChainComplex(bar_mod, d_bar, u_action=u_bar, p=c.p),
+        check=ChainComplex(check_mod, d_check, u_action=u_check, p=c.p),
+        i=i_map, j=j_map, p=p_map, k_i=k_i, k_j=k_j, k_p=k_p,
+        components=components)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +392,10 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
     """
     prime = bundle.hat.p
     EC = cone_total(bundle)
-    hat_mod = bundle.hat.module
-    bar_mod = bundle.bar.module
-    check_mod = bundle.check.module
-    one_o, one_s, one_u = (GradedMap.identity(m) for m in (
-        bundle.components.c_o, bundle.components.c_s,
-        bundle.components.c_u))
+    hat_mod, bar_mod, check_mod = (
+        cx.module for cx in (bundle.hat, bundle.bar, bundle.check))
+    one_o, one_s, one_u = (GradedMap.identity(m)  # of c_o, c_s and c_u
+                           for m in bundle.components[:3])
 
     pi_s = _block_map(check_mod, bar_mod, 0, [(one_s, S, S, 1)])
     pi_o = _block_map(hat_mod, check_mod, 0, [(one_o, O, O, 1)])
@@ -407,35 +409,29 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
     kk = _block_map(EC.module, EC.module, 1, [(one_u, "b.u.{}", "h.u.{}", -1)])
     kibar = kk @ ibar
 
-    checks: List[Check] = []
-
-    def law(tag: str, m: GradedMap) -> bool:
-        """Check that m is zero, under tag."""
-        checks.append(_law(tag, m, prime))
-        return checks[-1].ok
-
-    law("eq:1", (l_map @ k_map) - GradedMap.identity(check_mod))
-    law("eq:2", (k_map @ l_map) - GradedMap.identity(EC.module)
-        - (EC.d @ kk) - (kk @ EC.d))
-    law("eq:3", bundle.j - (jbar @ k_map))
-    law("eq:4", (k_map @ bundle.i) - ibar
-        - (EC.d @ kibar) - (kibar @ bundle.bar.d))
-    law("eq:S2:rho1", (bundle.k_j @ pi_o) - (pi_u @ bundle.k_p))
-    law("eq:S2:rho2", (pi_s @ bundle.k_i) + (bundle.k_p @ pi_u))
-    law("eq:S2:rho3", (bundle.hat.u_action @ pi_u)
-        - (pi_u @ bundle.bar.u_action)
-        - (bundle.k_j @ bundle.i) + (bundle.j @ bundle.k_i))
-    cone_u_ok = law("eq:U-cone", commutator(EC.d, EC.u_action))
+    checks = [_law(tag, defect, prime) for tag, defect in (
+        ("eq:1", (l_map @ k_map) - GradedMap.identity(check_mod)),
+        ("eq:2", (k_map @ l_map) - GradedMap.identity(EC.module)
+         - (EC.d @ kk) - (kk @ EC.d)),
+        ("eq:3", bundle.j - (jbar @ k_map)),
+        ("eq:4", (k_map @ bundle.i) - ibar
+         - (EC.d @ kibar) - (kibar @ bundle.bar.d)),
+        ("eq:S2:rho1", (bundle.k_j @ pi_o) - (pi_u @ bundle.k_p)),
+        ("eq:S2:rho2", (pi_s @ bundle.k_i) + (bundle.k_p @ pi_u)),
+        ("eq:S2:rho3", (bundle.hat.u_action @ pi_u)
+         - (pi_u @ bundle.bar.u_action)
+         - (bundle.k_j @ bundle.i) + (bundle.j @ bundle.k_i)),
+        ("eq:U-cone", commutator(EC.d, EC.u_action)))]
 
     ck_j = _block_map(check_mod, EC.module, -1, [(bundle.k_j, "{}", H, -1)])
     ck_i = _block_map(EC.module, check_mod, -1, [(bundle.k_i, B, "{}", 1)])
     pm_k = PMorphism(bundle.check, EC, k_map, ck_j)
     pm_l = PMorphism(EC, bundle.check, l_map, ck_i)
-    k_ok, l_ok = pm_k.verify(), pm_l.verify()
-    checks += [Check("eq:SU-k", k_ok), Check("eq:SU-l", l_ok)]
+    checks += [_pm_law("eq:SU-k", pm_k), _pm_law("eq:SU-l", pm_l)]
+    doubled_tags = ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")
+    # the doubled lifts need the cone's U law and p-morphisms k and l;
     # _su_map verifies i and j too, and its NotAPMorphism is a ChainError
-    su_ready = cone_u_ok and k_ok and l_ok
-
+    su_ready = all(c.ok for c in checks[-3:])
     if su_ready:
         try:
             (su_hat, su_bar, su_check, su_i, su_j, _, sue, su_ibar,
@@ -444,19 +440,28 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
             su_l = _su_map(pm_l, sue, su_check)
         except ChainError:
             su_ready = False
-    if su_ready:
-        law("eq:S1", su_j - (su_jbar @ su_k))
-        law("eq:1:SU", (su_l @ su_k) - GradedMap.identity(su_check.module))
-        ks = _doubled(kk, None, sue.module, sue.module)
-        law("eq:S2", (su_k @ su_l) - GradedMap.identity(sue.module)
-            - (sue.d @ ks) - (ks @ sue.d))
-        ws = _doubled(kibar, None, su_bar.module, sue.module)
-        law("eq:S2:line2", (su_k @ su_i) - su_ibar
-            - (sue.d @ ws) - (ws @ su_bar.d))
-    else:
-        checks += [Check(tag, False)
-                   for tag in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")]
+    if not su_ready:
+        return CheckReport(tuple(checks) + tuple(
+            Check(tag, False) for tag in doubled_tags))
+    ks = _doubled(kk, None, sue.module, sue.module)
+    ws = _doubled(kibar, None, su_bar.module, sue.module)
+    checks += [_law(tag, defect, prime) for tag, defect in zip(doubled_tags, (
+        su_j - (su_jbar @ su_k),
+        (su_l @ su_k) - GradedMap.identity(su_check.module),
+        (su_k @ su_l) - GradedMap.identity(sue.module)
+        - (sue.d @ ks) - (ks @ sue.d),
+        (su_k @ su_i) - su_ibar - (sue.d @ ws) - (ws @ su_bar.d)))]
     return CheckReport(tuple(checks))
+
+
+def _pm_law(tag: str, pm: PMorphism) -> Check:
+    """The Check under tag that pm is a p-morphism, which pm keeps as its
+    verdict: its chain-map defect, then its U defect, judged by ``_law``."""
+    p = pm.source.p
+    if (check := _law(tag, _defect(pm.phi, pm.source.d, pm.target.d), p)).ok:
+        check = _law(tag, pm.u_defect(), p)
+    pm._memo("_verdict", check.ok)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +617,17 @@ def _square_commutes(src_cx: ChainComplex, j: int,
                      sign: int = 1) -> bool:
     """lhs == sign * rhs on every homology class of the source degree,
     chasing all canonical generators at once; true with nothing chased
-    where the source group is trivial."""
-    n = _presentation(src_cx, j).rank_coords()
-    if not n:
-        return True
-    e = IntMatrix.identity(n)
-    return _presentation(tgt_cx, tgt_deg).columns_are_zero(
-        _chase(e, j, lhs) + _chase(e, j, rhs).scale(-sign))
+    where the source group is trivial, false where a class cannot be
+    chased (ChainError)."""
+    try:
+        n = _presentation(src_cx, j).rank_coords()
+        if not n:
+            return True
+        e = IntMatrix.identity(n)
+        return _presentation(tgt_cx, tgt_deg).columns_are_zero(
+            _chase(e, j, lhs) + _chase(e, j, rhs).scale(-sign))
+    except ChainError:
+        return False
 
 
 def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
@@ -644,15 +653,14 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     ib_arrow = _HomologyArrow(su_ibar, su_bar, sue)
     jb_arrow = _HomologyArrow(su_jbar, sue, su_hat)
     dp_arrow = _HomologyArrow(su_p, su_hat, su_bar)
-    sec_h = cone_inclusion(sue, su_hat, "h")
-    ret_b = cone_projection(sue, su_bar, "b")
-    delta_snake = ret_b @ sue.d @ sec_h
+    delta_snake = (cone_projection(sue, su_bar, "b") @ sue.d
+                   @ cone_inclusion(sue, su_hat, "h"))
     checks = [
         _les_check("eq:induced-KM1", win, (
             ("cone", ib_arrow, jb_arrow, ()),
             ("hat", jb_arrow, dp_arrow, ()),
             ("bar", dp_arrow, ib_arrow, ())), {}),
-        Check("eq:induced-KM1:delta", (delta_snake - su_p).is_zero_mod(prime))]
+        _law("eq:induced-KM1:delta", delta_snake - su_p, prime)]
 
     h_bar = homology(su_bar)
     bar_vanishing = all(h_bar[j].is_trivial()
@@ -687,56 +695,46 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
             if fl != "infinity":
                 arrows[(tag, fl)] = _HomologyArrow(g, src, tgt)
 
-    squares: Dict[str, Check] = {}
-
-    def square(name: str, ok: bool, degree: Optional[int] = None) -> None:
-        """One Check per square name, in order of first appearance, with the
-        first failing degree (None at chain level) as its witness."""
-        if squares.setdefault(name, Check(name, True)).ok and not ok:
-            squares[name] = Check(name, False, degree)
-
     # the inclusions and projections are name identities: the infinity leg
     # read out of minus is the minus leg, and read into plus the plus leg
+    squares = []
     for tag, f, a, b in legs:
         ca, cb = fs[a].complexes, fs[b].complexes
         for name, fl, src, tgt in (
                 ("splice", "minus", ca["minus"], cb["infinity"]),
                 ("slice", "plus", ca["infinity"], cb["plus"])):
             s, t = src.module, tgt.module
-            square(f"eq:KM:{tag}:{name}", (
+            squares.append(_law(f"eq:KM:{tag}:{name}", (
                 _restricted(sliced[(tag, "infinity")], s, t)
-                - _restricted(sliced[(tag, fl)], s, t)).is_zero_mod(prime))
+                - _restricted(sliced[(tag, fl)], s, t)), prime))
 
+    # each connecting square with a safe degree, with its first failing
+    # degree as witness
     for tag, f, a, b in legs:
         d = f.degree
-        sgn = -1 if d % 2 else 1
-        ea, eb = fs[a].complexes["plus"], fs[b].complexes["minus"]
         sa, sb = fs[a].safe, fs[b].safe
-        for j in range(win.lo, win.hi + 1):
-            if not (j in sa["plus"] and j in sa["infinity"]
-                    and j - 1 in sa["minus"] and j + d in sb["plus"]
-                    and j + d in sb["infinity"] and j + d - 1 in sb["minus"]):
-                continue
-            try:
-                ok = _square_commutes(
-                    ea, j,
-                    [arrows[(tag, "plus")], fs[b].delta1],
-                    [fs[a].delta1, arrows[(tag, "minus")]],
-                    eb, j + d - 1, sign=sgn)
-            except ChainError:
-                ok = False
-            square(f"eq:KM:{tag}:connecting", ok, j)
+        safe = [j for j in range(win.lo, win.hi + 1)
+                if j in sa["plus"] and j in sa["infinity"]
+                and j - 1 in sa["minus"] and j + d in sb["plus"]
+                and j + d in sb["infinity"] and j + d - 1 in sb["minus"]]
+        failing = next((j for j in safe if not _square_commutes(
+            fs[a].complexes["plus"], j,
+            [arrows[(tag, "plus")], fs[b].delta1],
+            [fs[a].delta1, arrows[(tag, "minus")]],
+            fs[b].complexes["minus"], j + d - 1, sign=-1 if d % 2 else 1)),
+            None)
+        if safe:
+            squares.append(Check(f"eq:KM:{tag}:connecting", failing is None,
+                                 failing))
 
-    b_p = arrows[("p", "minus")]
-    b_i = arrows[("i", "minus")]
-    b_j = arrows[("j", "minus")]
+    b_p, b_i, b_j = (arrows[(tag, "minus")] for tag in "pij")
     sm = {k: fs[k].safe["minus"] for k in fs}
     checks.append(_les_check("eq:KM-bottom", win, (
         ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
         ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),
         ("hat-minus", b_j, b_p, (("hat", 0), ("check", 0), ("bar", -1)))),
         sm))
-    checks += squares.values()
+    checks += squares
 
     bar_u = getattr(bundle.bar, "u_action", None)
     bar_u_iso: Optional[bool] = None

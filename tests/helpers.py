@@ -447,6 +447,13 @@ def block(f: GradedMap, j: int) -> IntMatrix:
         for t, v in rows.get(s, {}).items() if t in tpos})
 
 
+def is_plain(pg: PresentedGroup) -> bool:
+    """Whether pg is the plain group of two zero differentials: no torsion
+    row, no generator that d_out moves, every generator free."""
+    return (not pg.torsion_rows and not pg._sources
+            and len(pg.free_rows) == pg.dim)
+
+
 def coord_matrix(pg: PresentedGroup, vectors: IntMatrix
                  ) -> Optional[IntMatrix]:
     """Canonical coordinates of the classes of the columns of ``vectors``
@@ -454,7 +461,7 @@ def coord_matrix(pg: PresentedGroup, vectors: IntMatrix
     cycle, nonzero at a generator d_out moves."""
     if vectors.rows != pg.dim:
         raise DimensionMismatch("vectors do not fit the cycle lattice")
-    if pg._plain:
+    if is_plain(pg):
         return vectors.mod(pg.p)
     nt, ent = len(pg.torsion_moduli), {}
     coordinate = {i: a for a, i in enumerate(pg.torsion_rows + pg.free_rows)}
@@ -473,7 +480,7 @@ def coord_matrix(pg: PresentedGroup, vectors: IntMatrix
 def representatives(pg: PresentedGroup) -> IntMatrix:
     """Cycles representing the canonical generators, as columns: the
     generators at the torsion and free coordinates."""
-    if pg._plain:
+    if is_plain(pg):
         return IntMatrix.identity(pg.dim)
     return IntMatrix(pg.dim, pg.rank_coords(), {
         (i, a): 1 for a, i in enumerate(pg.torsion_rows + pg.free_rows)})
@@ -633,7 +640,7 @@ class FactoredPresentation(PresentedGroup):
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("boundaries do not fit the cycle lattice")
         res = snf(d_out)
-        self.dim, self.p, self._plain = d_out.cols, 0, False
+        self.dim, self.p = d_out.cols, 0
         self._sources = ()
         self._cycle_rank = len(res.factors)
         self._cycle_inverse = invert_unimodular(res.right)

@@ -38,9 +38,10 @@ from artifact.circle import (ALL_FLAVORS, HAT, MINUS, Window, e_y, e_y_map,
                              koszul_a, koszul_b, s_u, s_u_map)
 from artifact.cli import parse, parse_all
 from artifact.connsum import (FilteredComplex, case1_check, case2_check,
-                              check_positivity, cm_flavors, verify_sum_maps)
+                              check_positivity, cm_flavors, validate_filtered,
+                              verify_sum_maps)
 from artifact.exactlin import IntMatrix
-from artifact.flavors import (ASSEMBLY_TAGS, AssemblyInconsistent,
+from artifact.flavors import (AssemblyInconsistent,
                               BalancedComponents, TowerParams, assemble,
                               cone_identities, four_flavors, ladder_check,
                               point_tower, tower_model)
@@ -642,18 +643,16 @@ def _engine_verdicts(m):
     if m.command == "verify" and isinstance(obj, ChainComplex):
         checks = validate(obj).checks
     elif m.command == "verify" and isinstance(obj, FilteredComplex):
-        checks = [Check("degree-homogeneity", True), Check("d.d=0", True),
-                  check_positivity(obj)]
+        checks = validate_filtered(obj).checks
     elif m.command in ("verify", "ladder"):
         try:
             bundle = assemble(obj)
         except AssemblyInconsistent as e:
-            return [Check(e.tag, False)], False
+            return [e.check], False
         if m.command == "ladder":
             checks = ladder_check(bundle).checks
         else:
-            checks = [Check(tag, True) for tag in ASSEMBLY_TAGS]
-            checks += cone_identities(bundle).checks
+            checks = bundle.laws().checks + cone_identities(bundle).checks
     elif m.command == "flavors":
         checks = four_flavors(obj).sequences.checks
     elif m.command == "cmflavors":

@@ -57,6 +57,7 @@ from helpers import (
     fixed_arrow,
     fixed_node,
     from_rows,
+    is_plain,
     isolate_pushing_every_write,
     lattice_exactness_oracle,
     pair_presentation,
@@ -1776,7 +1777,7 @@ class TestPlainPresentationsFromDimension:
             assert len(built) == len(red.presented) + 1
             assert built[-1][4] is red.trivial
             for _n, d_in, d_out, q, made in built:
-                assert (d_in, d_out, q) == ({}, {}, p) and made._plain
+                assert (d_in, d_out, q) == ({}, {}, p) and is_plain(made)
             lo, hi = C.module.support_window()
             for j in range(lo, hi + 1):
                 n = len(red.complex.module.gens_in_degree(j))
@@ -2029,7 +2030,7 @@ class TestOnePassAgainstPerDegree:
             for j in range(lo - 1, hi + 2):
                 got, want = _presentation(C, j), pair_presentation(C, j)
                 assert _fields(got) == _fields(want)
-                seen.add((C.p, C.module.modulus, got._plain))
+                seen.add((C.p, C.module.modulus, is_plain(got)))
         assert seen >= {(p, m, True) for p in (0, 2, 3) for m in (0, 2, 4)}
         assert seen >= {(0, m, False) for m in (0, 2, 4)}
 

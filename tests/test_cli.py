@@ -137,9 +137,18 @@ class TestParsing:
         ("complex f\n  gen a 1\n  gen b 0\n  gen c -1\n  dU a b 1 0\n"
          "  dU b c 1 0\nend\n",
          "structure", "d.d != 0: ('a' -> 'c') exponent 0 has coefficient 1"),
-    ], ids=["complex", "components", "summaps", "filtered"])
+        ("complex f\n  gen a 1\n  gen b 0\n  dU a b 1 1\nend\n",
+         "degree-homogeneity",
+         "entry ('a', 'b') exponent 1 breaks degree homogeneity: "
+         "0 != 1 - 1 + 2"),
+        ("complex c\n  gen a 0\n  d a homogeneity 1\nend\n",
+         "structure", "unknown target generator 'homogeneity'"),
+    ], ids=["complex", "components", "summaps", "filtered",
+            "filtered-homogeneity", "unknown-generator"])
     def test_construction_errors(self, tmp_path, text, law, witness):
-        # the engine's ChainError, reported as the law the block breaks
+        # the engine's ChainError, reported as the law the block breaks: a
+        # HomogeneityViolated is named by its type, whatever its message
+        # says
         with pytest.raises(ValidationError) as exc:
             parse_all(write(tmp_path, text))
         assert exc.value.law == law

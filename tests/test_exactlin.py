@@ -25,7 +25,8 @@ from artifact.exactlin import (
 
 from helpers import (CycleBasisPresentation, FactoredPresentation, block,
                      coord_matrix, det, elementary_pair, from_rows,
-                     homology_of_pair, random_complex, random_matrix,
+                     homology_of_pair, is_plain, random_complex,
+                     random_matrix,
                      representatives, submatrix_cols, to_dense,
                      to_invariant_factors)
 from snf_reference import (invert_unimodular, reference_snf,
@@ -645,7 +646,7 @@ class TestPresentedGroup:
         rng = random.Random(5)
         general = PresentedGroup.from_pair(IntMatrix(4, 2),
                                            from_rows([[1, 0, 0, 0]]))
-        assert not general._plain
+        assert not is_plain(general)
 
         def lift(M):
             return IntMatrix(M.rows + 1, M.cols, {
@@ -666,7 +667,7 @@ class TestPresentedGroup:
         for p in (0, 2, 3):
             pg = PresentedGroup.from_pair(IntMatrix(4, 2), IntMatrix(3, 4), p)
             assert pg.group == AbelianGroup(4)
-            assert pg.dim == 4 and pg._plain
+            assert pg.dim == 4 and is_plain(pg)
             assert representatives(pg) == IntMatrix.identity(4)
             v = from_rows([[1], [0], [p + 1], [-1]])
             assert coord_matrix(pg, v) == v.mod(p)
@@ -719,7 +720,7 @@ class TestPresentedGroup:
         pieces = PresentedGroup.from_pair(
             from_rows([[0], [2], [0]]),
             from_rows([[1, 0, 0]]))
-        assert plain._plain and not pieces._plain
+        assert is_plain(plain) and not is_plain(pieces)
         for pg in (plain, pieces):
             assert pg.dim == 3
             assert coord_matrix(pg, IntMatrix(3, 1)) is not None

@@ -12,7 +12,7 @@ import pytest
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             GradedModule, PMorphism, commutator, homology,
                             induced_on_homology, validate)
-from artifact import circle, exactlin, flavors
+from artifact import chain, circle, exactlin, flavors
 from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
                              NotAPMorphism, Window, _su_map,
                              fundamental_sequences, koszul_b, s_u, s_u_map,
@@ -180,7 +180,7 @@ class TestAssemble:
         with pytest.raises(AssemblyInconsistent) as ei:
             assemble(comps)
         assert "eq:U-i" in str(ei.value)
-        assert ei.value.tag.startswith("eq:U-i")
+        assert ei.value.check.tag.startswith("eq:U-i")
 
     def test_mod_grading_rejected(self):
         with pytest.raises(ChainError):
@@ -546,6 +546,84 @@ class TestLadderSquaresByName:
             kind = {"minus": "splice", "plus": "slice"}.get(flavor)
             assert {tag for tag, ok in got.items() if not ok} == (
                 {f"eq:KM:{leg}:{kind}" for leg in "pij"} if kind else set())
+
+
+def _nonzero_entries(defect, p):
+    return {k for k, v in defect.entries.items() if (v % p if p else v)}
+
+
+class TestEveryFailingLawCarriesItsWitness:
+    """A law that ``assemble``, ``cone_identities`` or the ladder's
+    chain-level squares finds failing carries as witness the generator
+    pair of a nonzero entry of its defect, formed here independently."""
+
+    def test_assembly_raises_with_the_witnessed_check(self):
+        # d.d != 0 on o, so hat's differential does not square to zero
+        c_o = GradedModule((("a", 2), ("b", 1), ("c", 0)))
+        none = GradedModule(())
+        comps = BalancedComponents.zeros(c_o, none, none, d_oo=GradedMap(
+            c_o, c_o, -1, {("a", "b"): 1, ("b", "c"): 1}))
+        with pytest.raises(AssemblyInconsistent) as ei:
+            assemble(comps)
+        b = flavors._glue(comps)
+        assert ei.value.check == Check("eq:hat-d", False, ("o.a", "o.c"))
+        assert ("o.a", "o.c") in _nonzero_entries(b.hat.d @ b.hat.d, 0)
+        # a reducible cross block that breaks j's U-witness
+        m = GradedModule((("a", 0), ("b", 1)))
+        tw = tower_model(TowerParams(
+            base=ChainComplex(m, GradedMap.zero(m, m, -1)), n=2))
+        comps = BalancedComponents.zeros(
+            tw.c_o, tw.c_s, tw.c_u,
+            dbar_ss=tw.dbar_ss, dbar_uu=tw.dbar_uu,
+            ubar_ss=tw.ubar_ss, ubar_su=tw.ubar_su, ubar_uu=tw.ubar_uu,
+            dbar_su=GradedMap(tw.c_s, tw.c_u, 0, {("a.x0", "b.x1"): 1}))
+        with pytest.raises(AssemblyInconsistent) as ei:
+            assemble(comps)
+        check = ei.value.check
+        assert (check.tag, check.ok) == ("eq:U-i:j", False)
+        assert check.witness in _nonzero_entries(
+            flavors._glue(comps).pm_j().u_defect(), 0)
+
+    @pytest.mark.parametrize("field,key,tag,made", [
+        ("k_j", ("o.o", "u.u0"), "eq:SU-k", 0),
+        ("k_i", ("u.u1", "s.s0"), "eq:SU-l", 1)])
+    def test_cone_p_morphism_laws(self, monkeypatch, field, key, tag, made):
+        b = assemble(golden_one())
+        f = getattr(b, field)
+        b2 = b._replace(**{field: f + GradedMap(f.source, f.target, f.degree,
+                                                {key: 1})})
+        # k and l, the p-morphisms cone_identities makes, in that order
+        pms = []
+        monkeypatch.setattr(flavors, "PMorphism",
+                            lambda *a: pms.append(PMorphism(*a)) or pms[-1])
+        checks = {c.tag: c for c in cone_identities(b2).checks}
+        pm = pms[made]
+        assert chain.is_chain_map(pm.phi, pm.source, pm.target)
+        assert not checks[tag].ok
+        assert checks[tag].witness in _nonzero_entries(pm.u_defect(), 0)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("flavor,how", [
+        ("minus", "lose"), ("minus", "change"), ("plus", "change")])
+    def test_chain_level_ladder_squares(self, monkeypatch, p, flavor, how):
+        # the mutated legs differ from the infinity leg only at the entries
+        # the mutation touched, so each failing square's defect is nonzero
+        # there and nowhere else
+        b = assemble(tower_model(TowerParams(base=mod2_base(p=p), n=3)))
+        touched, original = set(), flavors._slotwise
+
+        def recording(f, source, target):
+            g = original(f, source, target)
+            mutated = _mutating(lambda *_: g, flavor, how)(f, source, target)
+            touched.update(k for k in g.entries.keys() | mutated.entries.keys()
+                           if g.entries.get(k) != mutated.entries.get(k))
+            return mutated
+
+        monkeypatch.setattr(flavors, "_slotwise", recording)
+        failing = [c for c in ladder_check(b).checks
+                   if c.tag.endswith(("splice", "slice")) and not c.ok]
+        assert len(failing) == 3 and touched
+        assert all(c.witness in touched for c in failing)
 
 
 class TestTowerModel:

@@ -23,6 +23,7 @@ CONNSUM = CIRCLE | {"artifact.connsum"}
 JOBS = [
     (["verify", f"{CORPUS}/point.txt"], BASE),
     (["homology", f"{CORPUS}/twotorsion.txt"], BASE),
+    (["homology", f"{CORPUS}/point.txt", "--window", "0..1"], BASE),
     (["su", f"{CORPUS}/utower.txt"], CIRCLE),
     (["ey", f"{CORPUS}/point.txt", "--flavor", "inf"], CIRCLE),
     (["koszul", "--direction", "a", "--flavor", "minus", "--seed", "7"],

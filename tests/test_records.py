@@ -239,3 +239,14 @@ def test_only_sealed_refuses_assignment():
                 found += [(path.name, node.name, n) for n in names & hooks]
     assert sorted(found) == [("exactlin.py", "_Sealed", "__delattr__"),
                              ("exactlin.py", "_Sealed", "__setattr__")]
+
+
+def test_the_cli_builds_no_check():
+    """The front end renders the engine's Checks and constructs none: no
+    call in ``cli.py`` names ``Check``."""
+    path = ROOT / "src" / "artifact" / "cli.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "Check"
+                  or getattr(node.func, "attr", None) == "Check")]
+    assert calls == []

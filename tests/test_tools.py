@@ -144,11 +144,11 @@ def test_bench_counts_schema_and_repeat(tmp_path):
     first, second = (json.loads(out.read_text()) for out in outs)
     assert first == second
     assert set(first) == {"schema", "seed", "counted", "checkouts"}
-    assert (first["schema"], first["seed"]) == (5, 1)
+    assert (first["schema"], first["seed"]) == (6, 1)
     counted = ["exactlin.snf", "exactlin.snf.max_bits",
                "exactlin.IntMatrix.__matmul__",
                "exactlin.PresentedGroup.from_pieces",
-               "chain.GradedMap.__matmul__",
+               "chain.GradedMap.__matmul__", "chain._defect",
                "chain._HomologyArrow._push", "chain._isolate.heap_pops",
                "chain.validate", "chain._reduce", "chain._reduce.gens_in",
                "chain._reduce.gens_out", "chain._reduce.map_bits",
@@ -174,6 +174,7 @@ def test_bench_counts_schema_and_repeat(tmp_path):
             counts[name]["chain._reduce"]
         assert counts[name]["chain._HomologyArrow._push"] > 0
         assert counts[name]["chain.GradedMap.__matmul__"] > 0
+        assert counts[name]["chain._defect"] > 0
         assert counts[name]["chain.validate"] > 0
         assert counts[name]["circle.s_u"] > 0
         assert counts[name]["exactlin.IntMatrix.__matmul__"] > 0

@@ -9,7 +9,7 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_28.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_29.json parent=../parent change=.
 
 The families, each run at each of its sizes:
 
@@ -53,6 +53,9 @@ the checkout lacks counts 0:
                                    ends a reduction: one per degree where
                                    C' is not empty, and one trivial group)
     chain.GradedMap.__matmul__     every product of graded maps
+    chain._defect                  every defect f.a - (-1)^{|f||a|} b.f
+                                   formed in one pass (chain-map laws,
+                                   U-witnesses, graded commutators)
     chain._HomologyArrow._push     every class matrix pushed through a
                                    reduction
     chain._isolate.heap_pops       every record ``_isolate`` pops off its
@@ -75,7 +78,7 @@ SHA-256 of the checkout's ``src/artifact/*.py``, naming the code counted.
 
 The file, with counts per family and size:
 
-    {"schema": 5, "seed": 1, "counted": [...],
+    {"schema": 6, "seed": 1, "counted": [...],
      "checkouts": {LABEL: {"src_sha256": "...",
                            "families": {"scale_z": {"100": {"cases": 1,
                                                             "exactlin.snf": ...,
@@ -210,6 +213,7 @@ COUNTED = (("artifact.exactlin", "snf", _snf_counts),
             _calls("exactlin.PresentedGroup.from_pieces")),
            ("artifact.chain", "GradedMap.__matmul__",
             _calls("chain.GradedMap.__matmul__")),
+           ("artifact.chain", "_defect", _calls("chain._defect")),
            ("artifact.chain", "_HomologyArrow._push",
             _calls("chain._HomologyArrow._push")),
            ("artifact.chain", "heappop", _calls("chain._isolate.heap_pops")),
@@ -221,7 +225,7 @@ COUNTED = (("artifact.exactlin", "snf", _snf_counts),
 KEYS = ("exactlin.snf", "exactlin.snf.max_bits",
         "exactlin.IntMatrix.__matmul__",
         "exactlin.PresentedGroup.from_pieces", "chain.GradedMap.__matmul__",
-        "chain._HomologyArrow._push", "chain._isolate.heap_pops",
+        "chain._defect", "chain._HomologyArrow._push", "chain._isolate.heap_pops",
         "chain.validate", "chain._reduce", "chain._reduce.gens_in",
         "chain._reduce.gens_out", "chain._reduce.map_bits",
         "chain._lattice_exactness", "circle.s_u")
@@ -333,7 +337,7 @@ def count(checkout: str, seed: int, sizes: Dict[str, Tuple[int, ...]]
 
 def report(checkouts: Dict[str, str], seed: int,
            sizes: Dict[str, Tuple[int, ...]]) -> dict:
-    return {"schema": 5, "seed": seed, "counted": list(KEYS),
+    return {"schema": 6, "seed": seed, "counted": list(KEYS),
             "checkouts": {label: {"src_sha256": src_digest(path),
                                   "families": count(path, seed, sizes)}
                           for label, path in checkouts.items()}}
