@@ -46,7 +46,7 @@ Values follow the convention stated on ``exactlin._Sealed``.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import (AbelianGroup, IntMatrix, PresentedGroup, SNFResult,
                        TRIVIAL_GROUP, CompositionNonzero, _axpy,
@@ -878,7 +878,8 @@ class PMorphism(_Sealed):
 
     Invariants: phi.d1 - (-1)^{deg phi} d2.phi = 0 and
     phi.U1 - U2.phi + (-1)^{deg phi} k_phi.d1 + d2.k_phi = 0.  Every part
-    is immutable, so ``verify`` keeps its verdict in ``_verdict``.
+    is immutable, so ``laws`` keeps the verdict in ``_verdict`` once it is
+    known, and ``verify`` reads it.
     """
 
     __slots__ = ("source", "target", "phi", "k_phi", "_verdict")
@@ -907,12 +908,27 @@ class PMorphism(_Sealed):
                 + (self.k_phi @ self.source.d).scale(sign)
                 + (self.target.d @ self.k_phi))
 
+    def laws(self, tag: str, u_tag: str) -> Iterator[Check]:
+        """The Checks of the two invariants, under tag and u_tag, each
+        judged by ``_law`` when asked for."""
+        p = self.source.p
+        chain = _law(tag, _defect(self.phi, self.source.d, self.target.d), p)
+        if not chain.ok:
+            self._memo("_verdict", False)
+        yield chain
+        u = _law(u_tag, self.u_defect(), p)
+        if chain.ok:
+            self._memo("_verdict", u.ok)
+        yield u
+
+    def law(self, tag: str) -> Check:
+        """The Check under tag that this is a p-morphism."""
+        chain = next(laws := self.laws(tag, tag))
+        return next(laws) if chain.ok else chain
+
     def verify(self) -> bool:
-        if self._verdict is None:
-            return self._memo("_verdict", is_chain_map(
-                self.phi, self.source, self.target)
-                and self.u_defect().is_zero_mod(self.source.p))
-        return self._verdict
+        return (self.law("p-morphism").ok if self._verdict is None
+                else self._verdict)
 
 
 # ---------------------------------------------------------------------------

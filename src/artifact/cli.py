@@ -50,7 +50,7 @@ import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .chain import (ChainComplex, ChainError, GradedMap, GradedModule,
+from .chain import (ChainComplex, ChainError, Check, GradedMap, GradedModule,
                     HomogeneityViolated, HomologyTable, homology, validate)
 from .exactlin import AbelianGroup, is_prime
 

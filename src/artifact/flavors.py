@@ -45,7 +45,6 @@ from .chain import (
     _Checked,
     _HomologyArrow,
     _block_map,
-    _defect,
     _law,
     _presentation,
     _renamed_module,
@@ -197,8 +196,7 @@ class FlavorBundle(_Sealed):
     keeps ``_doubled_pieces``, so ``cone_identities`` and ``ladder_check``
     double each complex once per bundle; both are sound as the bundle is
     immutable.  ``_replace`` copies through the constructor, so a copy
-    builds and doubles its own, and keeps none of the laws ``assemble``
-    judged (``laws``).
+    builds, doubles and judges its own (``laws``).
     """
 
     __slots__ = ("hat", "bar", "check", "i", "j", "p", "k_i", "k_j", "k_p",
@@ -211,7 +209,7 @@ class FlavorBundle(_Sealed):
         super().__init__(
             hat, bar, check, i, j, p, k_i, k_j, k_p, components,
             (PMorphism(bar, check, i, k_i), PMorphism(check, hat, j, -k_j),
-             PMorphism(hat, bar, p, k_p)), None, CheckReport(()))
+             PMorphism(hat, bar, p, k_p)), None, None)
 
     def _replace(self, **changes) -> "FlavorBundle":
         fields = {n: getattr(self, n) for n in self.__slots__
@@ -228,7 +226,10 @@ class FlavorBundle(_Sealed):
         return self._pms[2]
 
     def laws(self) -> CheckReport:
-        """The twelve passing Checks ``assemble`` judged; none on a copy."""
+        """The Checks of the twelve laws, judged once: ``assemble`` keeps
+        the ones it judged, a copy judges its own when asked."""
+        if self._laws is None:
+            return self._memo("_laws", CheckReport(tuple(_assembly_laws(self))))
         return self._laws
 
 
@@ -241,23 +242,22 @@ def assemble(components: BalancedComponents) -> FlavorBundle:
         if not check.ok:
             raise AssemblyInconsistent(check)
         laws.append(check)
-    for pm in bundle._pms:
-        pm._memo("_verdict", True)
     bundle._memo("_laws", CheckReport(tuple(laws)))
     return bundle
 
 
 def _assembly_laws(b: FlavorBundle) -> Iterator[Check]:
     """The bundle's laws, each judged when asked for: d.d = 0, i, j and p
-    chain maps (each defect formed once: ``assemble`` keeps the verdicts),
-    their U-witnesses, and [d, U] = 0."""
+    chain maps, their U-witnesses (the p-morphisms keep their verdicts),
+    and [d, U] = 0."""
     prime, cxs = b.hat.p, (b.hat, b.bar, b.check)
     for tag, cx in zip(("eq:hat-d", "eq:bar-d", "eq:check-d"), cxs):
         yield _law(tag, cx.d @ cx.d, prime)
-    for tag, pm in zip(("eq:ijk:i", "eq:ijk:j", "eq:ijk:p"), b._pms):
-        yield _law(tag, _defect(pm.phi, pm.source.d, pm.target.d), prime)
-    for tag, pm in zip(("eq:U-i", "eq:U-i:j", "eq:U-i:p"), b._pms):
-        yield _law(tag, pm.u_defect(), prime)
+    pm_laws = [pm.laws(tag, u_tag) for pm, tag, u_tag in zip(
+        b._pms, ("eq:ijk:i", "eq:ijk:j", "eq:ijk:p"),
+        ("eq:U-i", "eq:U-i:j", "eq:U-i:p"))]
+    for laws in pm_laws + pm_laws:  # the chain-map laws, then the U laws
+        yield next(laws)
     for tag, cx in zip(("eq:U-hat", "eq:U-bar", "eq:U-check"), cxs):
         yield _law(tag, commutator(cx.d, cx.u_action), prime)
 
@@ -409,29 +409,31 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
     kk = _block_map(EC.module, EC.module, 1, [(one_u, "b.u.{}", "h.u.{}", -1)])
     kibar = kk @ ibar
 
-    checks = [_law(tag, defect, prime) for tag, defect in (
-        ("eq:1", (l_map @ k_map) - GradedMap.identity(check_mod)),
-        ("eq:2", (k_map @ l_map) - GradedMap.identity(EC.module)
+    # each defect is formed when judged, and freed after
+    checks = [_law(tag, defect(), prime) for tag, defect in (
+        ("eq:1", lambda: (l_map @ k_map) - GradedMap.identity(check_mod)),
+        ("eq:2", lambda: (k_map @ l_map) - GradedMap.identity(EC.module)
          - (EC.d @ kk) - (kk @ EC.d)),
-        ("eq:3", bundle.j - (jbar @ k_map)),
-        ("eq:4", (k_map @ bundle.i) - ibar
+        ("eq:3", lambda: bundle.j - (jbar @ k_map)),
+        ("eq:4", lambda: (k_map @ bundle.i) - ibar
          - (EC.d @ kibar) - (kibar @ bundle.bar.d)),
-        ("eq:S2:rho1", (bundle.k_j @ pi_o) - (pi_u @ bundle.k_p)),
-        ("eq:S2:rho2", (pi_s @ bundle.k_i) + (bundle.k_p @ pi_u)),
-        ("eq:S2:rho3", (bundle.hat.u_action @ pi_u)
+        ("eq:S2:rho1", lambda: (bundle.k_j @ pi_o) - (pi_u @ bundle.k_p)),
+        ("eq:S2:rho2", lambda: (pi_s @ bundle.k_i) + (bundle.k_p @ pi_u)),
+        ("eq:S2:rho3", lambda: (bundle.hat.u_action @ pi_u)
          - (pi_u @ bundle.bar.u_action)
-         - (bundle.k_j @ bundle.i) + (bundle.j @ bundle.k_i)),
-        ("eq:U-cone", commutator(EC.d, EC.u_action)))]
+         - (bundle.k_j @ bundle.i) + (bundle.j @ bundle.k_i)))]
 
     ck_j = _block_map(check_mod, EC.module, -1, [(bundle.k_j, "{}", H, -1)])
     ck_i = _block_map(EC.module, check_mod, -1, [(bundle.k_i, B, "{}", 1)])
     pm_k = PMorphism(bundle.check, EC, k_map, ck_j)
     pm_l = PMorphism(EC, bundle.check, l_map, ck_i)
-    checks += [_pm_law("eq:SU-k", pm_k), _pm_law("eq:SU-l", pm_l)]
+    u_cone = _law("eq:U-cone", commutator(EC.d, EC.u_action), prime)
+    k_law, l_law = pm_k.law("eq:SU-k"), pm_l.law("eq:SU-l")
+    checks += [u_cone, k_law, l_law]
     doubled_tags = ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")
     # the doubled lifts need the cone's U law and p-morphisms k and l;
     # _su_map verifies i and j too, and its NotAPMorphism is a ChainError
-    su_ready = all(c.ok for c in checks[-3:])
+    su_ready = u_cone.ok and k_law.ok and l_law.ok
     if su_ready:
         try:
             (su_hat, su_bar, su_check, su_i, su_j, _, sue, su_ibar,
@@ -445,23 +447,13 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
             Check(tag, False) for tag in doubled_tags))
     ks = _doubled(kk, None, sue.module, sue.module)
     ws = _doubled(kibar, None, su_bar.module, sue.module)
-    checks += [_law(tag, defect, prime) for tag, defect in zip(doubled_tags, (
-        su_j - (su_jbar @ su_k),
-        (su_l @ su_k) - GradedMap.identity(su_check.module),
-        (su_k @ su_l) - GradedMap.identity(sue.module)
+    checks += [_law(tag, defect(), prime) for tag, defect in zip(doubled_tags, (
+        lambda: su_j - (su_jbar @ su_k),
+        lambda: (su_l @ su_k) - GradedMap.identity(su_check.module),
+        lambda: (su_k @ su_l) - GradedMap.identity(sue.module)
         - (sue.d @ ks) - (ks @ sue.d),
-        (su_k @ su_i) - su_ibar - (sue.d @ ws) - (ws @ su_bar.d)))]
+        lambda: (su_k @ su_i) - su_ibar - (sue.d @ ws) - (ws @ su_bar.d)))]
     return CheckReport(tuple(checks))
-
-
-def _pm_law(tag: str, pm: PMorphism) -> Check:
-    """The Check under tag that pm is a p-morphism, which pm keeps as its
-    verdict: its chain-map defect, then its U defect, judged by ``_law``."""
-    p = pm.source.p
-    if (check := _law(tag, _defect(pm.phi, pm.source.d, pm.target.d), p)).ok:
-        check = _law(tag, pm.u_defect(), p)
-    pm._memo("_verdict", check.ok)
-    return check
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from artifact.chain import (
     ChainComplex,
     ChainError,
+    Check,
     GradedMap,
     GradedModule,
     ModulusUnsupported,
@@ -664,6 +665,28 @@ class TestHomotopyAndPMorphisms:
         for _ in range(3):
             assert good.verify() and not bad.verify()
         assert checked == [good, bad]
+
+    def test_law_witnesses_the_first_failing_invariant(self, monkeypatch):
+        # on C the projection onto a is a chain map that does not commute
+        # with U; on D it is not a chain map, so its U law is never judged
+        m = GradedModule([("a", 0), ("b", -2)])
+        C = ChainComplex(m, GradedMap.zero(m, m, -1),
+                         u_action=GradedMap(m, m, -2, {("a", "b"): 1}))
+        bad_u = PMorphism.strict(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
+        assert list(bad_u.laws("c", "u")) == [
+            Check("c", True), Check("u", False, ("a", "b"))]
+        assert bad_u._verdict is False
+        good = PMorphism.identity(C)
+        assert list(good.laws("c", "u")) == [Check("c", True),
+                                             Check("u", True)]
+        assert good._verdict is True and good.law("t") == Check("t", True)
+        n = GradedModule([("a", 1), ("b", 0)])
+        D = ChainComplex(n, GradedMap(n, n, -1, {("a", "b"): 1}),
+                         u_action=GradedMap.zero(n, n, -2))
+        bad_d = PMorphism.strict(D, D, GradedMap(n, n, 0, {("a", "a"): 1}))
+        monkeypatch.setattr(PMorphism, "u_defect", None)
+        assert bad_d.law("t") == Check("t", False, ("a", "b"))
+        assert bad_d._verdict is False and not bad_d.verify()
 
 
 class TestInducedMaps:

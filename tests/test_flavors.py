@@ -113,6 +113,21 @@ def coupled_acyclic():
 
 
 class TestAssemble:
+    def test_a_copy_judges_its_own_laws(self):
+        b = assemble(golden_one())
+        tags = [c.tag for c in b.laws().checks]
+        assert len(tags) == 12 and b.laws().ok
+        assert b._replace().laws() == b.laws()
+        bump = GradedMap(b.hat.module, b.bar.module, -2,
+                         {("u.u1", "s.s0"): 1})
+        b2 = b._replace(k_p=b.k_p + bump)
+        report = b2.laws()
+        assert report is b2.laws() and [c.tag for c in report.checks] == tags
+        [failing] = report.failures()
+        assert failing.tag == "eq:U-i:p"
+        assert failing.witness in _nonzero_entries(b2.pm_p().u_defect(), 0)
+        assert b2.pm_p()._verdict is False and b2.pm_i()._verdict is True
+
     def test_decoupled_random(self):
         rng = random.Random(71)
         for k in range(12):

@@ -7,6 +7,7 @@ classes: every one refuses assignment, new attributes and deletion, only
 rebuilds its p-morphisms."""
 
 import ast
+import typing
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             PMorphism, homology, present_homology, reduction)
 from artifact.circle import (MINUS, Flavor, MissingUAction, ShiftReport,
                              Window, fundamental_sequences, s_u)
-from artifact.cli import Manifest, parse
+from artifact.cli import Manifest, _Report, parse
 from artifact.connsum import FilteredComplex, SumInput
 from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
                                _Sealed)
@@ -250,3 +251,5 @@ def test_the_cli_builds_no_check():
              and (getattr(node.func, "id", None) == "Check"
                   or getattr(node.func, "attr", None) == "Check")]
     assert calls == []
+    # the Checks it renders are still named by their type
+    assert typing.get_type_hints(_Report.check)["checks"] is Check
