@@ -10,21 +10,21 @@ brute-force homology comparison up to a uniform degree shift.
 One engine serves these flavors and the Laurent-filtered flavors of
 ``connsum``.  ``_expand`` expands a Laurent differential once for all the
 flavors a caller asks for and slices it per flavor (``e_y`` feeds it d at
-exponent 0 and Y at exponent 1, the form d + Y.u), and ``_fundamental``
-ties the four slices together by the two fundamental short exact
-sequences, their connecting maps and their long-exact-sequence
-certificates.  Slices of one expansion share generator names, so the
-inclusion of minus in infinity and the projection of infinity onto plus
-are name identities, and maps composed with them are read off by name
-(``_restricted``), with no product formed.  The two callers differ only in a
-``_Layout``: the range table (u-range as above; Laurent: minus k >= 0,
-infinity all k, plus k <= -1, hat k = 0), the name suffix (``.u`` / ``.U``)
-and the tags of the two sequences' Checks.  The hat offset o = 2 *
-(bottom exponent of minus - hat exponent) is 2 for the u-range, whose hat
-is the top line of plus, and 0 for the Laurent range, whose hat is the
-bottom line of minus.  It is the degree of the projection of minus onto
-hat, and every other difference between the two sequences follows from
-it.
+exponent 0 and Y at exponent 1, the form d + Y.u).  Slices of one
+expansion share generator names, so maps between them are read off by
+name (``_restricted``), with no product formed.  The two callers differ
+only in a ``_Layout``: the range table (u-range as above; Laurent: minus
+k >= 0, infinity all k, plus k <= -1, hat k = 0), the name suffix (``.u`` /
+``.U``) and the tags of the fundamental sequences' Checks.  The hat offset
+o = 2 * (bottom exponent of minus - hat exponent), the degree of the
+projection of minus onto hat, is 2 for the u-range, whose hat is the top
+line of plus, and 0 for the Laurent range, whose hat is the bottom line of
+minus.
+
+One certificate, ``_sequence``, serves both fundamental sequences
+(``_fundamental``) and the cone of p in ``flavors.ladder_check``: its maps
+are 0/1 partial bijections of generator names, so exactness and the
+connecting map retraction . d . section are read off by name.
 
 Conventions match chain.py: differentials have degree -1; a degree-d chain
 map satisfies f.d - (-1)^d d.f = 0.  On a doubled complex the blocks over
@@ -34,7 +34,8 @@ map satisfies f.d - (-1)^d d.f = 0.  On a doubled complex the blocks over
 Window-safe degrees: j is safe when every generator the *untruncated*
 flavor complex would have in degrees {j-1, j, j+1} is retained by the
 slice.  Truncation is by generator deletion, so artifacts are confined to
-unsafe degrees and all assertions are made at safe ones.
+unsafe degrees and all assertions are made at safe ones; a node of a long
+exact sequence is checked where its arrows' degrees land on safe degrees.
 """
 
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -341,7 +342,7 @@ def e_y_map(f: GradedMap, source: ChainComplex, target: ChainComplex,
 
 
 # ---------------------------------------------------------------------------
-# Fundamental sequences and their long exact sequences
+# Short exact sequences, their long exact sequences, and the fundamental pair
 # ---------------------------------------------------------------------------
 
 class ShortExactSequence(NamedTuple):
@@ -356,12 +357,12 @@ class ShortExactSequence(NamedTuple):
 
 class FundamentalSequences(NamedTuple):
     """The flavor expansions of one complex on a window, with both
-    fundamental short exact sequences (minus into infinity onto plus; minus
-    into minus by u onto hat) and the Checks of their long exact sequences.
+    fundamental short exact sequences, the Checks of their long exact
+    sequences and their connecting maps, each triple from ``_sequence``:
     ``delta1`` is plus -> minus of degree -1, ``delta2`` hat -> minus of
-    degree 1 - hat offset; ``safe`` holds each slice's window-safe degrees.
-    Without a hat slice the second sequence is not built, and ``seq2``,
-    ``les2`` and ``delta2`` are None."""
+    degree 1 - hat offset.  ``safe`` holds each slice's window-safe
+    degrees by flavor tag.  Without a hat slice ``seq2``, ``les2`` and
+    ``delta2`` are None."""
 
     window: Window
     complexes: Dict[str, ChainComplex]
@@ -376,8 +377,7 @@ class FundamentalSequences(NamedTuple):
     @property
     def checks(self) -> Tuple[Check, ...]:
         """One Check per sequence built, as a report prints it: exact at the
-        chain level and its long exact sequence certified, with the LES
-        witness."""
+        chain level and its long exact sequence certified, with its witness."""
         return tuple(les._replace(ok=seq.exact and les.ok) for seq, les in
                      ((self.seq1, self.les1), (self.seq2, self.les2))
                      if seq is not None)
@@ -401,14 +401,6 @@ def _restricted(f: GradedMap, source: GradedModule,
     s, t = source._index, target._index
     return GradedMap._trusted(source, target, f.degree, {
         k: v for k, v in f.entries.items() if k[0] in s and k[1] in t})
-
-
-def _transpose(f: GradedMap) -> GradedMap:
-    """A 0/1 generator map read backwards: the canonical degreewise section
-    of a projection, or retraction of an injection.  Built unchecked, as
-    the transpose of a homogeneous map is homogeneous."""
-    return GradedMap._trusted(f.target, f.source, -f.degree,
-                              {(t, s): v for (s, t), v in f.entries.items()})
 
 
 def _name_map(f: GradedMap) -> Dict[str, str]:
@@ -437,19 +429,36 @@ def _ses_exact_at(inject: GradedMap, project: GradedMap, mid_degree: int,
             and image == {b for b in b_gens if b not in proj})
 
 
+def _snake(inject: GradedMap, project: GradedMap, d: GradedMap,
+           names: Tuple[Dict[str, str], Dict[str, str]]) -> GradedMap:
+    """The connecting map C -> A of 0 -> A -> B -> C -> 0, retraction . d .
+    section through the canonical splittings of 0/1 partial bijections:
+    the entries of d of B from generators project maps to generators
+    inject hits, renamed, with no product formed."""
+    proj, back = names[1], {b: a for a, b in names[0].items()}
+    degree = d.degree - project.degree - inject.degree
+    return GradedMap._trusted(project.target, inject.source, degree, {
+        (proj[s], back[t]): v for (s, t), v in d.entries.items()
+        if s in proj and t in back})
+
+
 def _les_check(tag: str, win: Window, rows,
-               safe: Dict[str, Set[int]]) -> Check:
+               safe: Optional[Dict[ChainComplex, Set[int]]]) -> Check:
     """Homology-level exactness at the nodes of a long exact sequence, degree
-    by degree.  ``rows`` lists (location, incoming arrow, outgoing arrow,
-    needs); the node at degree j is checked only when j + offset lies in
-    ``safe[key]`` for every (key, offset) pair of its needs.  Every node is
-    checked; the witness is the first inexact (location, degree).  With no
-    node checked the sequence has certified nothing, and the Check fails
-    with no witness."""
+    by degree.  ``rows`` lists (location, incoming arrow, outgoing arrow);
+    the node at degree j is checked where j - deg(incoming) is safe for
+    the incoming arrow's source, j for the middle complex and j +
+    deg(outgoing) for the outgoing arrow's target, by ``safe``, keyed by
+    complex (None: every degree is safe).  The witness is the first
+    inexact (location, degree); with no node checked the sequence has
+    certified nothing, and the Check fails with no witness."""
     checked, witness = False, None
     for j in range(win.lo, win.hi + 1):
-        for location, incoming, outgoing, needs in rows:
-            if all(j + k in safe[key] for key, k in needs):
+        for location, incoming, outgoing in rows:
+            if safe is None or (j - incoming.degree in safe[incoming.source]
+                                and j in safe[incoming.target]
+                                and j + outgoing.degree
+                                in safe[outgoing.target]):
                 checked = True
                 if (exactness_pair(incoming, outgoing, j) != (True, True)
                         and witness is None):
@@ -464,113 +473,75 @@ def _chain_map_inside(f: GradedMap, source: ChainComplex,
     positive degree pushes the top of the window out of it.  For a degree-0
     map between slices of one window this is ``is_chain_map`` itself."""
     defect = _defect(f, source.d, target.d)
-    deg = source.module.degree_of
-    p = source.p
+    deg, p = source.module.degree_of, source.p
     return not any(v % p if p else v
                    for (s, _t), v in defect.entries.items()
                    if win.lo < deg(s) and deg(s) + f.degree <= win.hi)
 
 
+def _sequence(tag: str, complexes: Tuple[ChainComplex, ...],
+              inject: GradedMap, project: GradedMap,
+              locations: Tuple[str, ...], win: Window, checked: Iterable[int],
+              safe: Optional[Dict[ChainComplex, Set[int]]]
+              ) -> Tuple[ShortExactSequence, Check, _HomologyArrow]:
+    """0 -> A -> B -> C -> 0 of ``complexes`` by 0/1 partial bijections,
+    exact when both maps are chain maps inside the window and it is exact
+    at module level at the ``checked`` degrees; the Check of its long exact
+    sequence at B, C and A (named by ``locations``); its connecting map."""
+    A, B, C = complexes
+    names = (_name_map(inject), _name_map(project))
+    exact = (_chain_map_inside(inject, A, B, win)
+             and _chain_map_inside(project, B, C, win)
+             and all(_ses_exact_at(inject, project, j, names)
+                     for j in checked))
+    into, onto = _HomologyArrow(inject, A, B), _HomologyArrow(project, B, C)
+    delta = _HomologyArrow(_snake(inject, project, B.d, names), C, A)
+    at_b, at_c, at_a = locations
+    les = _les_check(tag, win, ((at_b, into, onto), (at_c, onto, delta),
+                                (at_a, delta, into)), safe)
+    return (ShortExactSequence(A, B, C, inject, project, tuple(checked),
+                               exact), les, delta)
+
+
 def _fundamental(complexes: Dict[str, ChainComplex], layout: _Layout,
                  gen_degrees: Sequence[int], win: Window
                  ) -> FundamentalSequences:
-    """Both fundamental sequences of the flavor slices of one expansion,
-    degreewise at the chain level and through the long exact sequence at
-    window-safe degrees; connecting maps by the snake construction,
-    retraction . d . section through the canonical degreewise splittings.
-    In the first sequence both splittings are name identities, so its
-    chain-map tests and delta1 read d of infinity between slices by name.
-    The second sequence is built only when ``complexes`` has a hat slice."""
+    """Both fundamental sequences of the flavor slices of one expansion; the
+    second only when ``complexes`` has a hat slice.  A generator keeps its
+    name and degree in every slice, so the first sequence's maps are name
+    identities, and it is exact at module level at every sliced degree;
+    u runs off the top of the slice, so the second stops two short of it."""
     minus, inf, plus = (complexes[t] for t in FLAVOR_TAGS[:3])
-
-    # a generator keeps its name and degree in every slice
-    inc = _name_identity(minus.module, inf.module)
-    proj = _name_identity(inf.module, plus.module)
-    # the generator split is window-uniform, so the module-level sequence is
-    # exact at every sliced degree
-    seq1_checked = tuple(range(win.lo, win.hi + 1))
-    names = (_name_map(inc), _name_map(proj))
-    # inc and proj are chain maps when d of infinity out of minus is d of
-    # minus, and d of infinity into plus is d of plus
-    seq1_ok = (all((_restricted(inf.d, a, b) - _restricted(cx.d, a, b))
-                   .is_zero_mod(inf.p) for cx, a, b in (
-                       (minus, minus.module, inf.module),
-                       (plus, inf.module, plus.module)))
-               and all(_ses_exact_at(inc, proj, j, names)
-                       for j in seq1_checked))
-    seq1 = ShortExactSequence(minus, inf, plus, inc, proj, seq1_checked,
-                              seq1_ok)
-
-    # retraction . d . section: d of infinity from plus into minus
-    delta1 = _HomologyArrow(_restricted(inf.d, plus.module, minus.module),
-                            plus, minus)
-    inc_a = _HomologyArrow(inc, minus, inf)
-    proj_a = _HomologyArrow(proj, inf, plus)
-
     safe = {tag: set(_window_safe(gen_degrees, layout.ranges[tag], win))
             for tag in complexes}
-    les1 = _les_check(layout.tags[0], win, (
-        ("infinity", inc_a, proj_a,
-         (("infinity", 0), ("minus", 0), ("plus", 0))),
-        ("plus", proj_a, delta1,
-         (("plus", 0), ("infinity", 0), ("minus", -1))),
-        ("minus", delta1, inc_a,
-         (("minus", 0), ("plus", 1), ("infinity", 0)))), safe)
-    second = (_second_sequence(complexes, layout, win, safe)
-              if "hat" in complexes else (None, None, None))
-    return FundamentalSequences(win, complexes, seq1, les1, delta1, safe,
-                                *second)
-
-
-def _second_sequence(complexes: Dict[str, ChainComplex], layout: _Layout,
-                     win: Window, safe: Dict[str, Set[int]]) -> tuple:
-    """(seq2, les2, delta2) of ``_fundamental``: minus into minus by u onto
-    hat, its long exact sequence's Check and its connecting map."""
-    minus, hat = complexes["minus"], complexes["hat"]
-    o = layout.hat_offset
-
-    # multiplication by u inside minus, quotient onto hat: the bottom line
-    # of minus goes to the hat line, o degrees up
-    mult_u = minus.u_action
-    bottom_n = layout.ranges["minus"][0]
-    proj2_names = {}
-    for name, _ in hat.module.generators:
-        g, _n = name.rsplit(layout.suffix, 1)
-        sname = f"{g}{layout.suffix}{bottom_n}"
-        if sname in minus.module:
-            proj2_names[(sname, name)] = 1
-    proj2 = GradedMap._trusted(minus.module, hat.module, o, proj2_names)
-    # u-multiplication runs off the top of the slice, so the module-level
-    # check stops two degrees short of it
-    seq2_checked = tuple(range(win.lo, win.hi - 1))
-    names = (_name_map(mult_u), _name_map(proj2))
-    seq2_ok = (_chain_map_inside(proj2, minus, hat, win)
-               and all(_ses_exact_at(mult_u, proj2, j, names)
-                       for j in seq2_checked))
-    seq2 = ShortExactSequence(minus, minus, hat, mult_u, proj2,
-                              seq2_checked, seq2_ok)
-
-    # retracting u keeps the exponents above the bottom of minus
-    delta2 = _HomologyArrow(
-        _transpose(mult_u) @ minus.d @ _transpose(proj2), hat, minus)
-    mult_a = _HomologyArrow(mult_u, minus, minus)
-    proj2_a = _HomologyArrow(proj2, minus, hat)
-    les2 = _les_check(layout.tags[1], win, (
-        ("minus@u-image", mult_a, proj2_a,
-         (("minus", 0), ("minus", 2), ("hat", o))),
-        ("hat", proj2_a, delta2,
-         (("hat", 0), ("minus", -o), ("minus", 1 - o))),
-        ("minus@delta-image", delta2, mult_a,
-         (("minus", 0), ("hat", o - 1), ("minus", -2)))), safe)
-    return seq2, les2, delta2
+    by_complex = {complexes[tag]: degrees for tag, degrees in safe.items()}
+    first = _sequence(
+        layout.tags[0], (minus, inf, plus),
+        _name_identity(minus.module, inf.module),
+        _name_identity(inf.module, plus.module),
+        ("infinity", "plus", "minus"), win, range(win.lo, win.hi + 1),
+        by_complex)
+    second = (None, None, None)
+    if "hat" in complexes:
+        # multiplication by u inside minus, quotient onto hat: the bottom
+        # line of minus goes to the hat line, hat offset degrees up
+        hat, sfx = complexes["hat"], layout.suffix
+        lines = ((f"{h.rsplit(sfx, 1)[0]}{sfx}{layout.ranges['minus'][0]}", h)
+                 for h in hat.module.names())
+        second = _sequence(
+            layout.tags[1], (minus, minus, hat), minus.u_action,
+            GradedMap._trusted(minus.module, hat.module, layout.hat_offset, {
+                k: 1 for k in lines if k[0] in minus.module}),
+            ("minus@u-image", "hat", "minus@delta-image"), win,
+            range(win.lo, win.hi - 1), by_complex)
+    return FundamentalSequences(win, complexes, *first, safe, *second)
 
 
 def fundamental_sequences(C: ChainComplex, window=None) -> FundamentalSequences:
     """The two short exact sequences of flavor complexes (minus into
-    infinity onto plus; minus into minus by u onto hat) with degreewise
-    exactness checks and homology-level long-exact-sequence certificates at
-    window-safe degrees, connecting maps computed by the snake construction
-    through the canonical degreewise splitting."""
+    infinity onto plus; minus into minus by u onto hat), each exact at the
+    chain level and certified on homology at window-safe degrees through
+    its long exact sequence and snake connecting map."""
     win = _resolve_window(C.module.degrees(), window)
     return _fundamental(_e_y_slices(C, FLAVOR_TAGS, win), _U_LAYOUT,
                         [d for _, d in C.module.generators], win)

@@ -430,8 +430,8 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
             ("eq:cob-comp:product", lambda: _product_composite(SP, M))):
         try:
             checks.append(_law(tag, defect(), p))
-        except ChainError:  # maps that do not compose or add
-            checks.append(Check(tag, False))
+        except ChainError as exc:  # maps that do not compose or add
+            checks.append(Check(tag, False, str(exc)))
     return CheckReport(tuple(checks))
 
 

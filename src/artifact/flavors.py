@@ -27,7 +27,9 @@ generators g.x{n} for -N <= n <= N with x-shift as the reducible
 U-endomorphism, truncated at the top.  ``ladder_check`` certifies the long
 exact sequences and the comparison ladder this model is expected to satisfy,
 and ``four_flavors`` packages the four flavor homology tables of a single
-U-complex with their connecting certificates.
+U-complex with their connecting certificates.  The cone of p and the
+fundamental sequences of the doubled complexes are all built, checked and
+certified by one function, ``circle._sequence``.
 """
 
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -67,6 +69,7 @@ from .circle import (
     _les_check,
     _resolve_window,
     _restricted,
+    _sequence,
     _slotwise,
     _su_map,
     fundamental_sequences,
@@ -431,20 +434,22 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
     k_law, l_law = pm_k.law("eq:SU-k"), pm_l.law("eq:SU-l")
     checks += [u_cone, k_law, l_law]
     doubled_tags = ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")
-    # the doubled lifts need the cone's U law and p-morphisms k and l;
-    # _su_map verifies i and j too, and its NotAPMorphism is a ChainError
-    su_ready = u_cone.ok and k_law.ok and l_law.ok
-    if su_ready:
+    # the doubled lifts need the cone's U law and p-morphisms k and l, and
+    # fail naming the first that fails; _su_map verifies i and j too, and
+    # its NotAPMorphism is a ChainError, whose text they carry
+    unmet = next((f"needs {c.tag}" for c in (u_cone, k_law, l_law)
+                  if not c.ok), None)
+    if unmet is None:
         try:
             (su_hat, su_bar, su_check, su_i, su_j, _, sue, su_ibar,
              su_jbar) = _doubled_pieces(bundle, EC)
             su_k = _su_map(pm_k, su_check, sue)
             su_l = _su_map(pm_l, sue, su_check)
-        except ChainError:
-            su_ready = False
-    if not su_ready:
+        except ChainError as exc:
+            unmet = str(exc)
+    if unmet is not None:
         return CheckReport(tuple(checks) + tuple(
-            Check(tag, False) for tag in doubled_tags))
+            Check(tag, False, unmet) for tag in doubled_tags))
     ks = _doubled(kk, None, sue.module, sue.module)
     ws = _doubled(kibar, None, su_bar.module, sue.module)
     checks += [_law(tag, defect(), prime) for tag, defect in zip(doubled_tags, (
@@ -626,15 +631,17 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     """Certify the cone long exact sequence, the vanishing-driven j
     isomorphism, and the comparison ladder at safe degrees.
 
-    The ladder's top row is the splice long exact sequence of the doubled
-    hat complex, its bottom row the minus-flavor p/i/j column, and the
-    squares are the naturality identities between the splice arrows of the
-    three doubled complexes and the sliced images of p, i, j: at chain level
-    for inclusion and projection, on homology classes (with the degree sign)
-    for the connecting maps.  Only degrees where every involved slice is
-    window-safe are checked.  Of each doubled complex only the first
-    fundamental sequence is certified, exact at the chain level and on
-    homology; the second is never built here.
+    The cone of p is the short exact sequence bar -> cone -> hat of
+    ``circle._sequence``, checked at every degree of the window, whose
+    snake map is p (``eq:induced-KM1:delta``).  The ladder's top row is the
+    splice long exact sequence of the doubled hat complex, its bottom row
+    the minus-flavor p/i/j column, and the squares are the naturality
+    identities between the splice arrows of the three doubled complexes
+    and the sliced images of p, i, j: at chain level for inclusion and
+    projection, on homology classes (with the degree sign) for the
+    connecting maps.  A node or square is checked only where every slice
+    it involves is window-safe, a node's degrees read off its arrows'.  Of
+    each doubled complex only the first fundamental sequence is built.
     """
     prime = bundle.hat.p
     (su_hat, su_bar, su_check, su_i, su_j, su_p, sue, su_ibar,
@@ -642,17 +649,12 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
 
     win = _resolve_window(sue.module.degrees(), window)
 
-    ib_arrow = _HomologyArrow(su_ibar, su_bar, sue)
-    jb_arrow = _HomologyArrow(su_jbar, sue, su_hat)
-    dp_arrow = _HomologyArrow(su_p, su_hat, su_bar)
-    delta_snake = (cone_projection(sue, su_bar, "b") @ sue.d
-                   @ cone_inclusion(sue, su_hat, "h"))
-    checks = [
-        _les_check("eq:induced-KM1", win, (
-            ("cone", ib_arrow, jb_arrow, ()),
-            ("hat", jb_arrow, dp_arrow, ()),
-            ("bar", dp_arrow, ib_arrow, ())), {}),
-        _law("eq:induced-KM1:delta", delta_snake - su_p, prime)]
+    # the cone is not sliced, so every degree is safe
+    cone_seq, cone_les, delta = _sequence(
+        "eq:induced-KM1", (su_bar, sue, su_hat), su_ibar, su_jbar,
+        ("cone", "hat", "bar"), win, range(win.lo, win.hi + 1), None)
+    checks = [cone_les._replace(ok=cone_seq.exact and cone_les.ok),
+              _law("eq:induced-KM1:delta", delta.f - su_p, prime)]
 
     h_bar = homology(su_bar)
     bar_vanishing = all(h_bar[j].is_trivial()
@@ -704,11 +706,9 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
     # degree as witness
     for tag, f, a, b in legs:
         d = f.degree
-        sa, sb = fs[a].safe, fs[b].safe
-        safe = [j for j in range(win.lo, win.hi + 1)
-                if j in sa["plus"] and j in sa["infinity"]
-                and j - 1 in sa["minus"] and j + d in sb["plus"]
-                and j + d in sb["infinity"] and j + d - 1 in sb["minus"]]
+        safe = [j for j in range(win.lo, win.hi + 1) if all(
+            k in s["plus"] and k in s["infinity"] and k - 1 in s["minus"]
+            for k, s in ((j, fs[a].safe), (j + d, fs[b].safe)))]
         failing = next((j for j in safe if not _square_commutes(
             fs[a].complexes["plus"], j,
             [arrows[(tag, "plus")], fs[b].delta1],
@@ -720,12 +720,10 @@ def ladder_check(bundle: FlavorBundle, window=None) -> LadderReport:
                                  failing))
 
     b_p, b_i, b_j = (arrows[(tag, "minus")] for tag in "pij")
-    sm = {k: fs[k].safe["minus"] for k in fs}
     checks.append(_les_check("eq:KM-bottom", win, (
-        ("bar-minus", b_p, b_i, (("bar", 0), ("hat", 1), ("check", 0))),
-        ("check-minus", b_i, b_j, (("check", 0), ("bar", 0), ("hat", 0))),
-        ("hat-minus", b_j, b_p, (("hat", 0), ("check", 0), ("bar", -1)))),
-        sm))
+        ("bar-minus", b_p, b_i), ("check-minus", b_i, b_j),
+        ("hat-minus", b_j, b_p)),
+        {fs[k].complexes["minus"]: fs[k].safe["minus"] for k in fs}))
     checks += squares
 
     bar_u = getattr(bundle.bar, "u_action", None)

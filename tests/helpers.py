@@ -17,7 +17,9 @@ against the presentations the reduction reads off its pieces of d'),
 ``pushed_by_coords`` (``coord_matrix`` of the source's
 ``representatives`` pushed as columns, against ``_HomologyArrow._push``),
 ``defect_by_products`` (two products, a scale and a difference, against
-``chain._defect``) and ``isolate_pushing_every_write`` (``chain._isolate``
+``chain._defect``), ``transpose`` (a 0/1 generator map read backwards,
+the splittings of the product form retraction . d . section, against
+``circle._snake``) and ``isolate_pushing_every_write`` (``chain._isolate``
 with a heap record for every entry written); classes of a complex C read
 in C itself through the degree blocks of its reduction's iota and pi, the
 oracle for the class matrices that ``chain._HomologyArrow._push`` reads in
@@ -546,6 +548,13 @@ def defect_by_products(f: GradedMap, a: GradedMap, b: GradedMap
     """f.a - (-1)^{|f||a|} b.f by two products, a scale and a difference."""
     sign = -1 if (f.degree % 2) and (a.degree % 2) else 1
     return (f @ a) - (b @ f).scale(sign)
+
+
+def transpose(f: GradedMap) -> GradedMap:
+    """A 0/1 generator map read backwards, built checked: the canonical
+    degreewise section of a projection, or retraction of an injection."""
+    return GradedMap(f.target, f.source, -f.degree,
+                     {(t, s): v for (s, t), v in f.entries.items()})
 
 
 def isolate_pushing_every_write(bd, cobd, iota, pi, cancel) -> None:

@@ -694,3 +694,36 @@ class TestCheckRecords:
             failing_jobs += not holds
         # perturbed_bundle.txt fails assembly under verify and ladder
         assert failing_jobs == 2
+
+    _KM_SQUARES = [(f"eq:KM:{leg}:{name}", "pass") for leg in "pij"
+                   for name in ("splice", "slice")]
+    # the check records of runs on narrow windows, where the certificates
+    # check only the nodes and squares whose degrees are window-safe: no
+    # connecting square has a safe degree, and on 0..1 no first sequence
+    # of a doubled complex or flavor complex certifies anything
+    NARROW = {
+        ("ladder", "golden_one.txt", "0..1"): [
+            ("eq:induced-KM1", "pass"), ("eq:induced-KM1:delta", "pass"),
+            ("eq:E-sq1:hat", "fail"), ("eq:E-sq1:bar", "fail"),
+            ("eq:E-sq1:check", "fail"), ("eq:KM-bottom", "pass"),
+            *_KM_SQUARES],
+        ("ladder", "tower_n3.txt", "-1..1"): [
+            ("eq:induced-KM1", "pass"), ("eq:induced-KM1:delta", "pass"),
+            ("eq:KM:j-iso", "pass"), ("eq:E-sq1:hat", "pass"),
+            ("eq:E-sq1:bar", "pass"), ("eq:E-sq1:check", "pass"),
+            ("eq:KM-bottom", "pass"), *_KM_SQUARES],
+        ("flavors", "utower.txt", "0..1"): [
+            ("eq:E-sq1", "fail"), ("eq:E-sq2", "fail")],
+        ("cmflavors", "filtered_knot.txt", "0..1"): [
+            ("positivity", "pass"), ("eq:fund-short:1", "fail"),
+            ("eq:fund-short:2", "fail")],
+    }
+
+    @pytest.mark.parametrize("command,name,window", sorted(NARROW))
+    def test_narrow_window_check_records(self, capsys, command, name,
+                                         window):
+        cli.main([command, str(CORPUS / name), "--format", "machine",
+                  "--window", window])
+        records = re.findall(r"^kind=check tag=(\S+) status=(\S+)$",
+                             capsys.readouterr().out, re.M)
+        assert records == self.NARROW[(command, name, window)]

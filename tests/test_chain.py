@@ -1748,7 +1748,7 @@ class TestEmptyReductionNodes:
             assert circle.fundamental_sequences(s_u(C)).ok
             assert len(rows_seen) == 2
             for win, rows in rows_seen:
-                for _loc, incoming, outgoing, _needs in rows:
+                for _loc, incoming, outgoing in rows:
                     for j in range(win.lo, win.hi + 1):
                         shortcut = not (
                             reduction(incoming.target).complex.module

@@ -3,24 +3,29 @@ fundamental sequences, first-page models, and both duality comparisons."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             GradedModule, HomologyTable, ModulusUnsupported,
                             PMorphism, homology, is_chain_map, validate)
-from artifact import circle
+from artifact import circle, flavors
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
                              ShiftReport, _name_map, _ses_exact_at, e1_page,
                              e_y, e_y_map, fundamental_sequences, koszul_a,
                              koszul_b, s_u, s_u_map, safe_degrees)
+from artifact.cli import parse
 from artifact.connsum import cm_flavors
 from artifact.exactlin import AbelianGroup
+from artifact.flavors import ladder_check
 
-from helpers import (compose, count_les_tags, lattice_ses_exact_at,
-                     laurent_form, random_complex, random_pmorphism,
-                     ses_verdicts)
+from helpers import (compose, count_les_tags, defect_by_products,
+                     lattice_ses_exact_at, laurent_form, random_complex,
+                     random_pmorphism, ses_verdicts, transpose)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
 Z = AbelianGroup(1)
 
@@ -299,7 +304,7 @@ class TestSecondSequenceOnDemand:
 
 class TestTrustedDerivedMaps:
     """The flavor engine builds its derived maps unchecked: the expanded d
-    and u, the slotwise maps, the transposes, and the maps of both
+    and u, the slotwise maps, and the maps and connecting maps of both
     fundamental sequences, over both layouts.  Each is the map the checked
     constructor makes of its entries, with no zero stored."""
 
@@ -321,8 +326,7 @@ class TestTrustedDerivedMaps:
                            cm_flavors(laurent_form(S1), win)):
                     maps += [c.d for c in fs.complexes.values()]
                     maps += [c.u_action for c in fs.complexes.values()]
-                    seqs = [fs.seq1.inject, fs.seq1.project, fs.seq2.project]
-                    maps += seqs + [circle._transpose(g) for g in seqs]
+                    maps += [fs.seq1.inject, fs.seq1.project, fs.seq2.project]
                     maps += [fs.delta1.f, fs.delta2.f]
                 for g in maps:
                     assert g == GradedMap(g.source, g.target, g.degree,
@@ -439,20 +443,27 @@ class TestExpansionByNameTable:
         assert compared == 3 * 4 * 2 * (4 + 3 + 4)
 
 
-def _by_products(complexes, win):
-    """seq1's exactness and delta1 by graded products: ``is_chain_map`` of
-    the inclusion and projection, and retraction . d . section.  The
-    oracle for the forms read by name."""
-    minus, inf, plus = (complexes[t] for t in circle.FLAVOR_TAGS[:3])
-    inc, proj = (GradedMap(a.module, b.module, 0,
-                           {(n, n): 1 for n in a.module.names()
-                            if n in b.module})
-                 for a, b in ((minus, inf), (inf, plus)))
-    names = (_name_map(inc), _name_map(proj))
-    exact = (is_chain_map(inc, minus, inf) and is_chain_map(proj, inf, plus)
-             and all(_ses_exact_at(inc, proj, j, names)
-                     for j in range(win.lo, win.hi + 1)))
-    return exact, circle._transpose(inc) @ inf.d @ circle._transpose(proj)
+def _by_products(seq, win):
+    """A short exact sequence's exactness and connecting map by graded
+    products: each map's chain-map defect by two products, read on the
+    source generators whose square lies in the window, module exactness
+    by lattices at the degrees it checks, and retraction . d . section
+    through the transposed maps.  The oracle for the forms read by name."""
+    p = seq.middle.p
+
+    def chain_map_inside(f, source, target):
+        deg = source.module.degree_of
+        return not any(v % p if p else v for (s, _t), v in
+                       defect_by_products(f, source.d, target.d)
+                       .entries.items()
+                       if win.lo < deg(s) and deg(s) + f.degree <= win.hi)
+
+    exact = (chain_map_inside(seq.inject, seq.left, seq.middle)
+             and chain_map_inside(seq.project, seq.middle, seq.right)
+             and all(lattice_ses_exact_at(seq.inject, seq.project, j, p)
+                     for j in seq.checked_degrees))
+    return exact, (transpose(seq.inject) @ seq.middle.d
+                   @ transpose(seq.project))
 
 
 def _with_d(C, entries):
@@ -461,11 +472,52 @@ def _with_d(C, entries):
                         u_action=C.u_action, p=C.p)
 
 
+def _dropping_first(snake, source_of):
+    """``circle._snake`` with the first entry of each connecting map out of
+    the module ``source_of()`` dropped."""
+    def dropped(inject, project, d, names):
+        g = snake(inject, project, d, names)
+        if g.source is source_of() and g.entries:
+            first = next(iter(g.entries))
+            g = GradedMap(g.source, g.target, g.degree, {
+                k: v for k, v in g.entries.items() if k != first})
+        return g
+    return dropped
+
+
+def _corpus_bundles():
+    """The corpus bundles that assemble, and a depth-3 tower over F_3."""
+    base = GradedModule([("a", 0), ("b", 1)])
+    tower = flavors.tower_model(flavors.TowerParams(base=ChainComplex(
+        base, GradedMap(base, base, -1, {("b", "a"): 2}), p=3), n=3))
+    return [flavors.assemble(parse(str(CORPUS / name))) for name in (
+        "golden_one.txt", "golden_two.txt", "golden_three.txt",
+        "tower_n3.txt", "coupled_acyclic.txt", "f2pair.txt")] + [
+        flavors.assemble(tower)]
+
+
+def _recording(monkeypatch):
+    """The results of every ``_sequence`` call ``flavors`` makes."""
+    made = []
+    original = circle._sequence
+
+    def recording(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(flavors, "_sequence", recording)
+    return made
+
+
 class TestFirstSequenceByName:
-    """The first sequence's chain-map tests and delta1 read d of infinity
-    between slices by name.  Each verdict and delta1 equal their
-    graded-product form, on seeded slices of both layouts and on mutants
-    that break them."""
+    """One ``_sequence`` builds the first fundamental sequence, the second
+    and the ladder's cone of p: chain-map tests inside the window, module
+    exactness from names, and the connecting map read off d of the middle
+    complex by name (``_snake``).  Each exactness verdict and connecting
+    map equals its graded-product form, on seeded slices of both layouts
+    and on the corpus bundles, and on mutants that break them; a
+    connecting map that loses an entry fails its long exact sequence, or
+    for the cone the law against p."""
 
     def test_equal_to_products_on_both_layouts(self):
         rng = random.Random(4242)
@@ -475,9 +527,31 @@ class TestFirstSequenceByName:
                 win = (None, Window(-3, 3), Window(0, 1))[i % 3]
                 for fs in (fundamental_sequences(S, win),
                            cm_flavors(laurent_form(S), win)):
-                    exact, delta = _by_products(fs.complexes, fs.window)
-                    assert fs.seq1.exact is exact is True
-                    assert fs.delta1.f == delta
+                    minus, inf, plus = (fs.complexes[t]
+                                        for t in circle.FLAVOR_TAGS[:3])
+                    for f, a, b in ((fs.seq1.inject, minus, inf),
+                                    (fs.seq1.project, inf, plus)):
+                        assert f == GradedMap(a.module, b.module, 0, {
+                            (n, n): 1 for n in a.module.names()
+                            if n in b.module})
+                    for seq, delta in ((fs.seq1, fs.delta1),
+                                       (fs.seq2, fs.delta2)):
+                        exact, by_products = _by_products(seq, fs.window)
+                        assert seq.exact is exact is True
+                        assert delta.f == by_products
+
+    def test_cone_sequence_equal_to_products(self, monkeypatch):
+        made = _recording(monkeypatch)
+        for b in _corpus_bundles():
+            su_p = flavors._doubled_pieces(b)[5]
+            for win in (None, Window(0, 1)):
+                made.clear()
+                rep = ladder_check(b, win)
+                (seq, les, delta), = made
+                exact, by_products = _by_products(seq, rep.window)
+                assert seq.exact is exact is True
+                assert delta.f == by_products == su_p
+                assert rep.checks[0] == les
 
     def test_infinity_entry_from_minus_into_plus(self, monkeypatch):
         # a map that is no chain map induces nothing on homology, so the
@@ -500,7 +574,7 @@ class TestFirstSequenceByName:
                 fs = circle._fundamental(
                     mutant, circle._U_LAYOUT,
                     [d for _, d in S.module.generators], win)
-                exact, delta = _by_products(mutant, win)
+                exact, delta = _by_products(fs.seq1, win)
                 assert fs.seq1.exact is exact is False
                 assert fs.delta1.f == delta
                 broken += 1
@@ -510,8 +584,86 @@ class TestFirstSequenceByName:
                 plus, {e: v for e, v in plus.d.entries.items() if e != k})}
             fs = circle._fundamental(mutant, circle._U_LAYOUT,
                                      [d for _, d in S.module.generators], win)
-            assert fs.seq1.exact is _by_products(mutant, win)[0] is False
+            assert fs.seq1.exact is _by_products(fs.seq1, win)[0] is False
         assert broken >= 6
+
+    def test_second_sequence_mutants(self, monkeypatch):
+        # u with the images of two generators of one degree swapped is
+        # still a generator split, exact at module level, and caught as no
+        # chain map; a hat differential that loses an entry breaks the
+        # projection onto hat
+        monkeypatch.setattr(circle, "_les_check",
+                            lambda tag, *args: Check(tag, True))
+        rng = random.Random(4244)
+        win = Window(-8, 8)
+        swapped = broken = 0
+        for p in (0, 0, 2, 2, 3, 3):
+            S = s_u(random_u_complex(rng, p=p))
+            cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
+            minus, hat = cx["minus"], cx["hat"]
+            gen_degrees = [d for _, d in S.module.generators]
+            rows = minus.u_action._rows()
+            swaps = [(a, b) for (a, da), (b, db) in itertools.combinations(
+                minus.module.generators, 2)
+                if da == db and a in rows and b in rows]
+            k = next(iter(hat.d.entries))
+            mutants = [{**cx, "hat": _with_d(
+                hat, {e: v for e, v in hat.d.entries.items() if e != k})}]
+            for a, b in swaps[:4]:
+                (ta,), (tb,) = rows[a], rows[b]
+                u = {k: v for k, v in minus.u_action.entries.items()
+                     if k[0] not in (a, b)}
+                u.update({(a, tb): 1, (b, ta): 1})
+                mutants.append({**cx, "minus": ChainComplex(
+                    minus.module, minus.d, u_action=GradedMap(
+                        minus.module, minus.module, -2, u), p=p)})
+            for i, mutant in enumerate(mutants):
+                fs = circle._fundamental(mutant, circle._U_LAYOUT,
+                                         gen_degrees, win)
+                exact, delta = _by_products(fs.seq2, win)
+                assert fs.seq2.exact is exact
+                assert fs.delta2.f == delta
+                broken += not exact
+                if i:
+                    assert not exact and all(
+                        lattice_ses_exact_at(fs.seq2.inject,
+                                             fs.seq2.project, j, p)
+                        for j in fs.seq2.checked_degrees)
+                    swapped += 1
+        assert swapped >= 20 and broken > swapped
+
+    def test_cone_sequence_mutants(self, monkeypatch):
+        # a projection onto hat that misses a generator, or a cone whose
+        # differential gains an entry from g.y to g inside bar, is no short
+        # exact sequence of complexes, and eq:induced-KM1 fails with it
+        monkeypatch.setattr(circle, "_les_check",
+                            lambda tag, *args: Check(tag, True))
+        made = _recording(monkeypatch)
+        caught, bundles = 0, _corpus_bundles()
+        for b in bundles:
+            pieces = flavors._doubled_pieces(b)
+            su_bar, sue, su_jbar = pieces[1], pieces[6], pieces[8]
+            k = next(iter(su_jbar.entries))
+            lost = GradedMap(sue.module, su_jbar.target, 0, {
+                e: v for e, v in su_jbar.entries.items() if e != k})
+            # g.y sits one degree above g in a doubled complex
+            t, _ = su_bar.module.generators[0]
+            s = f"{t}.y"
+            d = dict(sue.d.entries)
+            d[(f"b.{s}", f"b.{t}")] = d.get((f"b.{s}", f"b.{t}"), 0) + 1
+            grown = ChainComplex(sue.module, GradedMap(
+                sue.module, sue.module, -1, d), p=sue.p)
+            for mutated in (pieces[:8] + (lost,),
+                            pieces[:6] + (grown,) + pieces[7:]):
+                copy = b._replace()
+                copy._memo("_doubled", mutated)
+                made.clear()
+                rep = ladder_check(copy)
+                (seq, _les, _delta), = made
+                assert seq.exact is _by_products(seq, rep.window)[0] is False
+                assert not rep.checks[0].ok
+                caught += 1
+        assert caught == 2 * len(bundles)
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_wrong_delta1_entry_fails_the_les(self, monkeypatch, p):
@@ -520,21 +672,43 @@ class TestFirstSequenceByName:
         cx = circle._e_y_slices(S, circle.FLAVOR_TAGS, win)
         gen_degrees = [d for _, d in S.module.generators]
         fs = circle._fundamental(cx, circle._U_LAYOUT, gen_degrees, win)
-        assert fs.les1.ok and fs.delta1.f == _by_products(cx, win)[1]
-        original = circle._restricted
-
-        def dropping(f, source, target):
-            g = original(f, source, target)
-            if source is cx["plus"].module and target is cx["minus"].module:
-                first = next(iter(g.entries))
-                g = GradedMap(source, target, g.degree, {
-                    k: v for k, v in g.entries.items() if k != first})
-            return g
-
-        monkeypatch.setattr(circle, "_restricted", dropping)
+        assert fs.les1.ok and fs.delta1.f == _by_products(fs.seq1, win)[1]
+        monkeypatch.setattr(circle, "_snake", _dropping_first(
+            circle._snake, lambda: cx["plus"].module))
         fs = circle._fundamental(cx, circle._U_LAYOUT, gen_degrees, win)
         assert fs.seq1.exact and not fs.les1.ok
         assert fs.les1.witness is not None
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_wrong_delta2_entry_fails_the_les(self, monkeypatch, p):
+        S = s_u(point(p))
+        win = Window(-8, 8)
+        fs = fundamental_sequences(S, win)
+        assert fs.les2.ok and fs.delta2.f.entries
+        monkeypatch.setattr(circle, "_snake", _dropping_first(
+            circle._snake, lambda: fs.complexes["hat"].module))
+        cx = fs.complexes
+        fs = circle._fundamental(cx, circle._U_LAYOUT,
+                                 [d for _, d in S.module.generators], win)
+        assert fs.seq2.exact and fs.les1.ok and not fs.les2.ok
+        assert fs.les2.witness is not None
+
+    def test_wrong_cone_delta_entry_fails_against_p(self, monkeypatch):
+        # the law delta - p names the lost entry; the long exact sequence
+        # may or may not notice it
+        made = _recording(monkeypatch)
+        snake = circle._snake
+        for name in ("golden_one.txt", "golden_two.txt"):
+            b = flavors.assemble(parse(str(CORPUS / name)))
+            su_hat = flavors._doubled_pieces(b)[0]
+            monkeypatch.setattr(circle, "_snake", _dropping_first(
+                snake, lambda: su_hat.module))
+            made.clear()
+            rep = ladder_check(b)
+            (_seq, _les, delta), = made
+            lost, = set(flavors._doubled_pieces(b)[5].entries) - set(
+                delta.f.entries)
+            assert rep.checks[1] == Check("eq:induced-KM1:delta", False, lost)
 
 
 def _split(a_gens, b_gens, c_gens, inj, proj):

@@ -567,6 +567,28 @@ class TestSumMaps:
         failed = [c.tag for c in rep.failures()]
         assert "eq:chain-maps:V1" in failed
 
+    def test_maps_that_do_not_compose_fail_with_the_error_text(self):
+        # V1 one degree too high: the identities through it cannot be
+        # formed, and each fails with the ChainError's text as witness
+        S, P, sharp = self._acyclic_setup()
+        sm, pm = sharp.module, P.module
+        z = GradedMap.zero
+        a = GradedMap(pm, pm, 1, {("d|e", "c|e"): -1})
+        M = ConnSumMaps(sharp,
+                        V0=z(sm, pm, -1), V1=z(sm, pm, -1),
+                        V0d=z(pm, sm, 2), V1d=z(pm, sm, 1),
+                        H_sharp=GradedMap(sm, sm, 1, {("s0", "s1"): -1}),
+                        A=a, B=z(pm, pm, 2), Cc=z(pm, pm, 0),
+                        D=a.scale(-1))
+        checks = {c.tag: c for c in verify_sum_maps(S, M).checks}
+        with pytest.raises(ChainError) as ei:
+            P.d @ M.V1 - M.V1 @ sharp.d - P.u_action @ M.V0
+        for tag in ("eq:chain-maps:V1", "eq:cob-comp:sharp"):
+            assert checks[tag] == Check(tag, False, str(ei.value))
+        assert not checks["eq:V-m:parity"].ok
+        assert all(c.ok for tag, c in checks.items() if tag not in (
+            "eq:V-m:parity", "eq:chain-maps:V1", "eq:cob-comp:sharp"))
+
     def test_parity_requires_coherent_degrees(self):
         S, P, sharp = self._acyclic_setup()
         sm, pm = sharp.module, P.module

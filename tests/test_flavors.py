@@ -26,7 +26,7 @@ from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
                               ladder_check, tower_model)
 
 from helpers import (count_les_tags, laurent_form, random_complex,
-                     random_pmorphism)
+                     random_pmorphism, transpose)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -227,6 +227,11 @@ class TestConeIdentities:
         rep = cone_identities(b._replace(k_p=b.k_p + bump))
         assert not rep.ok
         assert "eq:S2:rho2" in {c.tag for c in rep.failures()}
+        # the cone's U fails first of the laws the doubled lifts need
+        checks = {c.tag: c for c in rep.checks}
+        assert not checks["eq:U-cone"].ok
+        for lift in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2"):
+            assert checks[lift] == Check(lift, False, "needs eq:U-cone")
 
 
 class TestFieldPathFactorsNothing:
@@ -325,9 +330,10 @@ class TestOneDoublingPerCertificate:
         monkeypatch.setattr(FlavorBundle, "pm_i", lambda self: PMorphism(
             self.bar, self.check, self.i, self.k_i + bump))
         assert not b.pm_i().verify()
+        # each carries the refusal's text
         assert cone_identities(b).failures() == [
-            Check(tag, False) for tag in ("eq:S1", "eq:1:SU", "eq:S2",
-                                          "eq:S2:line2")]
+            Check(tag, False, "s_u_map needs a verified p-morphism")
+            for tag in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2")]
 
     def test_four_doublings_for_four_complexes(self, monkeypatch):
         doubled = []
@@ -526,7 +532,7 @@ def _squares_by_products(bundle, win, slotwise):
                         for k in (a, b))
         prj_a, prj_b = (name_map(slices[k]["plus"], slices[k]["infinity"])
                         for k in (a, b))
-        prj_a, prj_b = (circle._transpose(m) for m in (prj_a, prj_b))
+        prj_a, prj_b = (transpose(m) for m in (prj_a, prj_b))
         out[f"eq:KM:{tag}:splice"] = ((inc_b @ leg["minus"])
                                       - (leg["infinity"] @ inc_a)
                                       ).is_zero_mod(bundle.hat.p)
@@ -616,6 +622,9 @@ class TestEveryFailingLawCarriesItsWitness:
         assert chain.is_chain_map(pm.phi, pm.source, pm.target)
         assert not checks[tag].ok
         assert checks[tag].witness in _nonzero_entries(pm.u_defect(), 0)
+        # the doubled lifts cannot be formed, and name the law they need
+        for lift in ("eq:S1", "eq:1:SU", "eq:S2", "eq:S2:line2"):
+            assert checks[lift] == Check(lift, False, f"needs {tag}")
 
     @pytest.mark.parametrize("p", [0, 2])
     @pytest.mark.parametrize("flavor,how", [
@@ -789,12 +798,14 @@ class TestLadder:
         for fs in built:
             assert (fs.seq2, fs.les2, fs.delta2) == (None, None, None)
             assert fs.checks == (fs.les1,) and fs.ok
-        # with the module-level sequences refused, only those checks fail
+        # with the module-level sequences refused, only those checks fail,
+        # the cone of p's among them
         monkeypatch.setattr(circle, "_ses_exact_at", lambda *a: False)
         built.clear()
         rep = ladder_check(b, Window(-5, 6))
         assert [c.tag for c in rep.checks if not c.ok] == [
-            "eq:E-sq1:hat", "eq:E-sq1:bar", "eq:E-sq1:check"]
+            "eq:induced-KM1", "eq:E-sq1:hat", "eq:E-sq1:bar",
+            "eq:E-sq1:check"]
         for fs in built:
             assert fs.les1.ok and not fs.seq1.exact
             assert fs.checks == (fs.les1._replace(ok=False),)

@@ -4,14 +4,14 @@
 ``chain._reduce``, ``chain._lattice_exactness`` and ``circle.s_u`` by name
 and reads ``Reduction.complex``, ``iota_cols`` and ``pi_rows``, so a
 change to those names fails here.  Its test counts every family at a small
-size, twice, and a stub factorization and a stub reduction check the bits
-it reads.  ``cli_sweep.py`` runs the CLI in
-fresh processes on a few of its runs, and ``ab_inprocess.py`` runs two
-cases of ``ladder_fp`` on this checkout against itself, after a full
-untimed round, and ``scale_ladder`` at depth 3, each with the A/A side
-that the script loads beside them.  Both of these run on a
-copy of ``src`` with bytecode writing on in the test, and must leave no
-``__pycache__`` in it."""
+size, twice, a stub factorization and a stub reduction check the bits it
+reads, and a ``scale_ladder`` case is counted with its assembly.
+``cli_sweep.py`` runs the CLI in fresh processes on a few of its runs,
+and ``ab_inprocess.py`` runs two cases of ``ladder_fp`` on this checkout
+against itself, after a full untimed round, and ``scale_ladder`` at depth
+3, each with the A/A side that the script loads beside them.  Both of
+these run on a copy of ``src`` with bytecode writing on in the test, and
+must leave no ``__pycache__`` in it."""
 
 import importlib.util
 import json
@@ -234,3 +234,21 @@ def test_bench_counts_reads_snf_bits():
             counts = bc.counts_of(lambda: el.snf(M))
         assert (counts["exactlin.snf"],
                 counts["exactlin.snf.max_bits"]) == (1, bits)
+
+
+def test_bench_counts_scale_ladder_counts_its_assembly(monkeypatch):
+    # a scale_ladder case is the tower's parameters, so the counted run
+    # assembles the bundle: beyond the ladder check of a bundle assembled
+    # outside the count, it forms the 9 defects of a passing assemble
+    # (3 chain maps, 3 U-witnesses, 3 commutators)
+    from artifact import flavors
+    bc = _bench_counts()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    params, = bc._scale_ladder(1, 3)
+    assert isinstance(params, flavors.TowerParams) and params.n == 3
+    bundle = flavors.assemble(flavors.tower_model(params))
+    ladder = bc.counts_of(lambda: flavors.ladder_check(bundle))
+    whole = bc.counts_of(lambda: bc._run_scale_ladder(params))
+    assert whole["chain._defect"] - ladder["chain._defect"] == 9
+    assert whole["chain.GradedMap.__matmul__"] > \
+        ladder["chain.GradedMap.__matmul__"]

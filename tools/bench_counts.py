@@ -9,7 +9,7 @@ Usage, from the root of the repository:
 
 For example, a parent checkout against this one:
 
-    python3 tools/bench_counts.py BENCH_29.json parent=../parent change=.
+    python3 tools/bench_counts.py BENCH_30.json parent=../parent change=.
 
 The families, each run at each of its sizes:
 
@@ -18,9 +18,10 @@ The families, each run at each of its sizes:
     corpus_cli    ``corpus_cli`` case is one CLI job
     scale_z       ``four_flavors`` of ``random_complex(Random(n), n,
                   (-3, 3), with_u=True)`` (n = 100, 200, 400)
-    scale_ladder  ``ladder_check`` of the assembled tower of depth n over
-                  ``random_complex(Random(0), 2, p=2)`` (n = 3, 6, 12, 24,
-                  48)
+    scale_ladder  ``ladder_check`` of ``assemble`` of the tower of depth
+                  n over ``random_complex(Random(0), 2, p=2)`` (n = 3, 6,
+                  12, 24, 48); a case is the tower's ``TowerParams``, so
+                  the tower model and its assembly are counted and timed
 
 with ``random_complex`` from ``perfbench/gen.py``.  The 39 ``corpus_cli``
 jobs run in this interpreter, through ``cli.main`` with its output
@@ -125,12 +126,12 @@ def _scale_ladder(seed: int, n: int) -> list:
     from artifact import flavors
     from gen import random_complex
     base, _ = random_complex(random.Random(0), 2, p=2)
-    return [flavors.assemble(flavors.tower_model(
-        flavors.TowerParams(base=base, n=n)))]
+    return [flavors.TowerParams(base=base, n=n)]
 
 
-def _run_scale_ladder(bundle) -> List[str]:
+def _run_scale_ladder(params) -> List[str]:
     from artifact import flavors
+    bundle = flavors.assemble(flavors.tower_model(params))
     return [] if flavors.ladder_check(bundle).ok else ["ladder check failed"]
 
 
