@@ -3,33 +3,45 @@ corpus file, so two checkouts can be compared run for run.
 
 Usage, from the root of the repository:
 
-    python3 tools/cli_sweep.py [--root DIR] [--against FILE] > capture.txt
+    python3 tools/cli_sweep.py [--root DIR] [--in-process] [--against FILE]
+    python3 tools/cli_sweep.py --regenerate
 
 It runs every command of ``python -m artifact.cli`` on every file of
 ``corpus/v1`` (``ey`` and ``consum-case2`` once per flavor flag), plus
-``koszul --direction a|b`` and ``tower --n 3|5`` without a file.  Each of
+``koszul --direction a`` at its default flavor and at each ``--flavor``,
+``koszul --direction b`` and ``tower --n 3|5`` without a file.  Each of
 these runs in text and machine format, at the default window and at
-``--window -3..3`` and ``--window 0..1``.  Every run is a fresh process
-with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory (so file
-arguments read ``corpus/v1/...`` in every checkout) and bytecode writing
-off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults to
-the checkout holding this script; pointing it at another checkout (say a
-parent commit, which may not have this script) captures that one.
+``--window -3..3`` and ``--window 0..1``.  By default every run is a fresh
+process with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory
+(so file arguments read ``corpus/v1/...`` in every checkout) and bytecode
+writing off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults
+to the checkout holding this script; pointing it at another checkout (say
+a parent commit, which may not have this script) captures that one.
+
+With ``--in-process`` every run calls ``artifact.cli.main`` in this
+interpreter instead, with ``DIR/src`` first on ``sys.path``, ``DIR`` as
+working directory and stdout captured; the whole sweep then takes seconds.
+``--regenerate`` runs the sweep in process on this checkout and writes
+``tests/golden/sweep.txt``, the capture that ``tests/test_sweep.py`` holds
+the program to.
 
 One line per run: ``<exit code> <sha256 of stdout> <argv>``.  With
-``--against FILE`` the fresh capture is also compared with an earlier one;
+``--against FILE`` the capture is also compared with an earlier one;
 every run whose line differs, or that only one capture has, goes to stderr,
 and the exit code is 1 if there is any.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
 HERE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join("tests", "golden", "sweep.txt")
 
 FLAVOR_FLAGS = ("minus", "inf", "plus", "hat")
 FILE_COMMANDS = (
@@ -39,6 +51,8 @@ FILE_COMMANDS = (
     + [["consum-case2", "--flavor", f] for f in FLAVOR_FLAGS]
     + [["consum-verify"]])
 NO_FILE_COMMANDS = (["koszul", "--direction", "a"],
+                    *(["koszul", "--direction", "a", "--flavor", f]
+                      for f in ("plus", "hat", "inf")),
                     ["koszul", "--direction", "b"],
                     ["tower", "--n", "3"], ["tower", "--n", "5"])
 WINDOWS = ([], ["--window", "-3..3"], ["--window", "0..1"])
@@ -55,6 +69,10 @@ def runs(root: str) -> List[List[str]]:
             for cmd in commands for fmt in FORMATS for win in WINDOWS]
 
 
+def _line(code: int, stdout: bytes, argv: Sequence[str]) -> str:
+    return f"{code} {hashlib.sha256(stdout).hexdigest()} {' '.join(argv)}"
+
+
 def capture(root: str, argv: Sequence[str]) -> str:
     """One fresh CLI process on ``root``'s sources: its capture line."""
     env = dict(os.environ)
@@ -63,8 +81,29 @@ def capture(root: str, argv: Sequence[str]) -> str:
     proc = subprocess.run([sys.executable, "-m", "artifact.cli", *argv],
                           cwd=root, env=env, capture_output=True,
                           timeout=600)
-    digest = hashlib.sha256(proc.stdout).hexdigest()
-    return f"{proc.returncode} {digest} {' '.join(argv)}"
+    return _line(proc.returncode, proc.stdout, argv)
+
+
+def capture_in_process(root: str, argvs: Iterable[Sequence[str]]
+                       ) -> List[str]:
+    """The capture line of each argv, run through ``artifact.cli.main`` in
+    this interpreter with ``root`` as working directory.  The caller puts
+    ``root``'s sources on ``sys.path``; the first import of ``artifact``
+    decides which checkout runs."""
+    from artifact import cli
+
+    lines = []
+    here = os.getcwd()
+    os.chdir(root)
+    try:
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            lines.append(_line(code, out.getvalue().encode("utf-8"), argv))
+    finally:
+        os.chdir(here)
+    return lines
 
 
 def differences(old: Iterable[str], new: Iterable[str]) -> List[str]:
@@ -86,12 +125,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="checkout to run (default: this one)")
     parser.add_argument("--against", metavar="FILE",
                         help="earlier capture to compare with")
+    parser.add_argument("--in-process", action="store_true",
+                        help="run every argv in this interpreter")
+    parser.add_argument("--regenerate", action="store_true",
+                        help=f"write {GOLDEN} from an in-process sweep of "
+                             "this checkout")
     args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    lines = []
-    for run in runs(root):
-        lines.append(capture(root, run))
-        print(lines[-1], flush=True)
+    root = HERE_ROOT if args.regenerate else os.path.abspath(args.root)
+    if args.in_process or args.regenerate:
+        sys.path.insert(0, os.path.join(root, "src"))
+        lines = capture_in_process(root, runs(root))
+        if args.regenerate:
+            with open(os.path.join(root, GOLDEN), "w",
+                      encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            return 0
+        print("\n".join(lines), flush=True)
+    else:
+        lines = []
+        for run in runs(root):
+            lines.append(capture(root, run))
+            print(lines[-1], flush=True)
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
