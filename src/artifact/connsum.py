@@ -412,10 +412,16 @@ def verify_sum_maps(S: SumInput, M: ConnSumMaps) -> CheckReport:
         if f.source != mods[a] or f.target != mods[b]:
             raise ChainError(f"{name} does not fit the block decomposition")
 
-    parity_ok = (M.V0.degree % 2 == 1 and M.V1.degree == M.V0.degree - 1
-                 and M.V1d.degree == -M.V0.degree
-                 and M.V0d.degree == M.V1d.degree + 1)
-    checks = [Check("eq:V-m:parity", parity_ok)]
+    # the witness of a failure is the first block-degree rule that breaks
+    d0, d1, d1d, d0d = (M.V0.degree, M.V1.degree, M.V1d.degree,
+                        M.V0d.degree)
+    broken = next((rule for holds, rule in (
+        (d0 % 2 == 1, f"V0 degree {d0} is not odd"),
+        (d1 == d0 - 1, f"V1 degree {d1} is not V0 - 1 = {d0 - 1}"),
+        (d1d == -d0, f"V1d degree {d1d} is not -V0 = {-d0}"),
+        (d0d == d1d + 1, f"V0d degree {d0d} is not V1d + 1 = {d1d + 1}"))
+        if not holds), None)
+    checks = [Check("eq:V-m:parity", broken is None, broken)]
     for tag, defect in (
             ("eq:chain-maps:V0", lambda: P.d @ M.V0 + M.V0 @ sharp.d),
             ("eq:chain-maps:V1",

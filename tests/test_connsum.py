@@ -602,6 +602,27 @@ class TestSumMaps:
         parity = [c for c in rep.checks if c.tag == "eq:V-m:parity"]
         assert parity and not parity[0].ok
 
+    @pytest.mark.parametrize("degrees, witness", [
+        # V1 of degree -1 beside V0 of degree -1
+        ((-1, -1, 1, 2), "V1 degree -1 is not V0 - 1 = -2"),
+        ((0, -1, 0, 1), "V0 degree 0 is not odd"),
+        ((1, 0, 0, 1), "V1d degree 0 is not -V0 = -1"),
+        ((1, 0, -1, 1), "V0d degree 1 is not V1d + 1 = 0"),
+        ((-1, -2, 1, 2), None)])
+    def test_parity_witness_names_the_first_broken_rule(self, degrees,
+                                                        witness):
+        S, P, sharp = self._acyclic_setup()
+        sm, pm = sharp.module, P.module
+        z = GradedMap.zero
+        d0, d1, d1d, d0d = degrees
+        M = ConnSumMaps(sharp,
+                        V0=z(sm, pm, d0), V1=z(sm, pm, d1),
+                        V0d=z(pm, sm, d0d), V1d=z(pm, sm, d1d),
+                        H_sharp=z(sm, sm, 1), A=z(pm, pm, 1),
+                        B=z(pm, pm, 2), Cc=z(pm, pm, 0), D=z(pm, pm, 1))
+        parity = verify_sum_maps(S, M).checks[0]
+        assert parity == Check("eq:V-m:parity", witness is None, witness)
+
     def test_shape_mismatch_raises(self):
         S, P, sharp = self._acyclic_setup()
         sm = sharp.module
