@@ -224,9 +224,6 @@ class GradedMap(_Sealed):
     def identity(cls, module: GradedModule) -> "GradedMap":
         return cls(module, module, 0, {(n, n): 1 for n in module.names()})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def is_zero_mod(self, p: int) -> bool:
         if p == 0:
             return not self.entries
@@ -377,9 +374,6 @@ class ChainComplex(_Sealed):
                             y_action if y_action is not None else self.y_action,
                             self.p)
 
-    def degrees(self) -> List[int]:
-        return self.module.degrees()
-
     def __repr__(self) -> str:
         extras = "".join([", U" if self.u_action is not None else "",
                           ", Y" if self.y_action is not None else ""])
@@ -465,13 +459,6 @@ class HomologyTable(_Sealed):
 
     def degrees(self) -> List[int]:
         return sorted(self.table)
-
-    def is_trivial(self) -> bool:
-        return not self.table
-
-    def shifted(self, s: int) -> "HomologyTable":
-        """Table T with T[j] = self[j - s] (content moved up by s)."""
-        return HomologyTable({j + s: g for j, g in self.table.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HomologyTable) and self.table == other.table
@@ -890,15 +877,6 @@ class PMorphism(_Sealed):
             raise ChainError("k_phi must have degree deg(phi) - 1")
         super().__init__(source, target, phi, k_phi, None)
 
-    @classmethod
-    def strict(cls, source: ChainComplex, target: ChainComplex,
-               phi: GradedMap) -> "PMorphism":
-        return cls(source, target, phi,
-                   GradedMap.zero(phi.source, phi.target, phi.degree - 1))
-
-    @classmethod
-    def identity(cls, C: ChainComplex) -> "PMorphism":
-        return cls.strict(C, C, GradedMap.identity(C.module))
 
     def u_defect(self) -> GradedMap:
         if self.source.u_action is None or self.target.u_action is None:
@@ -950,9 +928,6 @@ class DegreeMapInfo(NamedTuple):
 class InducedMap(NamedTuple):
     degree: int
     by_degree: Dict[int, DegreeMapInfo]
-
-    def info(self, j: int) -> Optional[DegreeMapInfo]:
-        return self.by_degree.get(j)
 
     def iso_on(self, window: Tuple[int, int]) -> bool:
         lo, hi = window

@@ -60,12 +60,9 @@ __all__ = [
     "SumSpec",
     "ValidationError",
     "main",
-    "parse",
     "parse_all",
     "parse_all_text",
     "print_complex",
-    "print_components",
-    "print_sum_file",
     "run",
 ]
 
@@ -375,13 +372,6 @@ def parse_all(path: str) -> List[Tuple[str, ParsedObject]]:
         return parse_all_text(fh.read())
 
 
-def parse(path: str):
-    """The file's primary object: its last block (gluing maps as the raw
-    map data when the file ends in a summaps block)."""
-    obj = parse_all(path)[-1][1]
-    return obj.maps if isinstance(obj, SumSpec) else obj
-
-
 # ---------------------------------------------------------------------------
 # Printing (canonical form; parse . print is the identity on files the
 # printer wrote)
@@ -399,11 +389,6 @@ def _complex_rows(C: Union[ChainComplex, FilteredComplex]):
         if f is not None for s, t in sorted(f.entries)]
 
 
-def _entry_lines(f: GradedMap) -> List[str]:
-    return [f"  entry {s} {t} {f.entries[(s, t)]}"
-            for s, t in sorted(f.entries)]
-
-
 def print_complex(C: Union[ChainComplex, FilteredComplex], name: str) -> str:
     mod, gens, ents = _complex_rows(C)
     lines = [f"complex {name}", f"  ring {_ring_name(C.p)}", f"  mod {mod}"]
@@ -412,39 +397,6 @@ def print_complex(C: Union[ChainComplex, FilteredComplex], name: str) -> str:
               for label, s, t, c, n in ents]
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def print_components(bc: BalancedComponents, name: str) -> str:
-    from .flavors import _SHAPES
-    lines = [f"components {name}", f"  ring {_ring_name(bc.p)}"]
-    for letter, module in (("o", bc.c_o), ("s", bc.c_s), ("u", bc.c_u)):
-        lines.append(f"  part {letter}")
-        for n, d in module.generators:
-            lines.append(f"  gen {n} {d}")
-    for field in sorted(_SHAPES):
-        f: GradedMap = getattr(bc, field)
-        if f.is_zero():
-            continue
-        kind, st = field.rsplit("_", 1)
-        lines.append(f"  map {kind}:{st[0]}->{st[1]}")
-        lines += _entry_lines(f)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def print_sum_file(spec: SumSpec, c1_name: str = "c1", c2_name: str = "c2",
-                   sharp_name: str = "sharp") -> str:
-    parts = [print_complex(spec.inputs.C1, c1_name),
-             print_complex(spec.inputs.C2hat, c2_name),
-             print_complex(spec.maps.sharp, sharp_name)]
-    lines = [f"summaps {spec.name}", f"  of {c1_name} {c2_name}",
-             f"  sharp {sharp_name}"]
-    for name, f in zip(_SUMMAP_NAMES, spec.maps[1:], strict=True):
-        lines.append(f"  map {name} {f.degree}")
-        lines += _entry_lines(f)
-    lines.append("end")
-    parts.append("\n".join(lines) + "\n")
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,6 @@ class FilteredComplex(_Sealed):
                     f"d.d != 0: ({a!r} -> {c!r}) exponent {n} has "
                     f"coefficient {v}")
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.generators)
-
-    def entry(self, src: str, dst: str) -> Tuple[Tuple[int, int], ...]:
-        return self.d_entries.get((src, dst), ())
-
     def __repr__(self) -> str:
         ring = "Z" if self.p == 0 else f"F{self.p}"
         return (f"FilteredComplex({len(self.generators)} gens, "

@@ -116,24 +116,8 @@ class IntMatrix(_Sealed):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return _Identity._trusted(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None,
-                 cols: Optional[int] = None) -> "IntMatrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        return cls(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
-
-    @classmethod
-    def column(cls, values: Sequence[int]) -> "IntMatrix":
-        return cls(len(values), 1, {(i, 0): v for i, v in enumerate(values) if v})
 
     # -- basic accessors ---------------------------------------------------
 
@@ -167,12 +151,6 @@ class IntMatrix(_Sealed):
                 entries.pop(k, None)
         return IntMatrix._trusted(self.rows, self.cols, entries)
 
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix._trusted(self.rows, self.cols, {
             k: c * v for k, v in self.entries.items() if c})
@@ -200,12 +178,6 @@ class IntMatrix(_Sealed):
                 if s:
                     entries[(i, j)] = s
         return IntMatrix._trusted(self.rows, other.cols, entries)
-
-    def mod(self, p: int) -> "IntMatrix":
-        if p <= 0:
-            return self
-        return IntMatrix._trusted(self.rows, self.cols, {
-            k: v % p for k, v in self.entries.items() if v % p})
 
     @classmethod
     def hstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -552,13 +524,6 @@ def _kernel_head(res: SNFResult, head: int) -> IntMatrix:
     ent = {(i, j - rank): v for (i, j), v in res.right.entries.items()
            if j >= rank and i < head}
     return IntMatrix._trusted(head, res.right.cols - rank, ent)
-
-
-def rank_and_kernel(M: IntMatrix) -> Tuple[int, IntMatrix]:
-    """Rank and a saturated integral kernel basis, as columns (over F_p
-    the rank alone is ``field_rank``'s)."""
-    res = snf(M)
-    return len(res.factors), _kernel_head(res, M.cols)
 
 
 def _back_substitute(res: SNFResult, B: IntMatrix) -> Optional[IntMatrix]:

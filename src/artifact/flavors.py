@@ -198,8 +198,8 @@ class FlavorBundle(_Sealed):
     p-morphism each per bundle, so each is verified once, and ``_doubled``
     keeps ``_doubled_pieces``, so ``cone_identities`` and ``ladder_check``
     double each complex once per bundle; both are sound as the bundle is
-    immutable.  ``_replace`` copies through the constructor, so a copy
-    builds, doubles and judges its own (``laws``).
+    immutable.  A bundle built again from the same fields builds, doubles
+    and judges its own (``laws``).
     """
 
     __slots__ = ("hat", "bar", "check", "i", "j", "p", "k_i", "k_j", "k_p",
@@ -213,11 +213,6 @@ class FlavorBundle(_Sealed):
             hat, bar, check, i, j, p, k_i, k_j, k_p, components,
             (PMorphism(bar, check, i, k_i), PMorphism(check, hat, j, -k_j),
              PMorphism(hat, bar, p, k_p)), None, None)
-
-    def _replace(self, **changes) -> "FlavorBundle":
-        fields = {n: getattr(self, n) for n in self.__slots__
-                  if not n.startswith("_")}
-        return FlavorBundle(**{**fields, **changes})
 
     def pm_i(self) -> PMorphism:
         return self._pms[0]
@@ -467,13 +462,10 @@ def cone_identities(bundle: FlavorBundle) -> CheckReport:
 
 class TowerParams(NamedTuple):
     """A finite u-tower over a base complex: exponents -n..n, the stable
-    piece holding exponents <= 0.  ``higher_terms`` are optional corrections
-    to the x-shift, each a pair (jump k >= 2, even cycle-commuting map of
-    degree 2k - 2 on the base)."""
+    piece holding exponents <= 0."""
 
     base: ChainComplex
     n: int
-    higher_terms: Tuple[Tuple[int, GradedMap], ...] = ()
 
 
 def tower_model(params: TowerParams) -> BalancedComponents:
@@ -482,8 +474,8 @@ def tower_model(params: TowerParams) -> BalancedComponents:
     Generators g.x{m} for -n <= m <= n at degree deg(g) - 2m (raw degrees
     store the +1 shift on the unstable side so the assembled bar grading
     comes out right); differential acts levelwise, the reducible
-    U-endomorphism is the x-shift plus any higher terms, truncated at the
-    top; there are no irreducible generators.
+    U-endomorphism is the x-shift, truncated at the top; there are no
+    irreducible generators.
     """
     base = params.base
     N = params.n
@@ -492,30 +484,20 @@ def tower_model(params: TowerParams) -> BalancedComponents:
     if base.module.modulus:
         raise ModulusUnsupported("tower bases need genuine Z-gradings")
     _require_valid(base, "tower base fails law")
-    for k, phi in params.higher_terms:
-        if k < 2:
-            raise ChainError("higher terms must raise the exponent by >= 2")
-        if phi.source != base.module or phi.target != base.module:
-            raise ChainError("higher terms must be endomorphisms of the base")
-        if phi.degree != 2 * k - 2:
-            raise ChainError(f"jump-{k} higher term must have degree {2 * k - 2}")
-        if not commutator(base.d, phi).is_zero_mod(base.p):
-            raise ChainError("higher terms must commute with the differential")
 
     # one renamed copy of the base per level, stable levels m <= 0 first
     stable, unstable = range(-N, 1), range(1, N + 1)
     s_levels = [(base.module, f"{{}}.x{m}", -2 * m) for m in stable]
     u_levels = [(base.module, f"{{}}.x{m}", 1 - 2 * m) for m in unstable]
     c_s, c_u = _renamed_module(s_levels), _renamed_module(u_levels)
-    # the x-shift and the higher terms take level m to level m + k; the
-    # blocks are split by the pieces of the two levels, and none leaves
-    # the top level
-    jumps = [(1, GradedMap.identity(base.module))] + list(params.higher_terms)
+    # the x-shift takes level m to level m + 1; the blocks are split by
+    # the pieces of the two levels, and none leaves the top level
+    shift = GradedMap.identity(base.module)
 
     def ubar(src_levels, tgt_levels, src, tgt, degree):
         return _block_map(src, tgt, degree, [
-            (phi, f"{{}}.x{m}", f"{{}}.x{m + k}", 1)
-            for k, phi in jumps for m in src_levels if m + k in tgt_levels])
+            (shift, f"{{}}.x{m}", f"{{}}.x{m + 1}", 1)
+            for m in src_levels if m + 1 in tgt_levels])
 
     return BalancedComponents.zeros(
         GradedModule([]), c_s, c_u, p=base.p,

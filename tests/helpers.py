@@ -49,12 +49,15 @@ from artifact.chain import (ChainComplex, ChainError, GradedMap, GradedModule,
                             HomologyTable, PMorphism, _apply, _HomologyArrow,
                             _presentation, _reduce, cone, reduction)
 from artifact.circle import _name_map, _ses_exact_at
+from artifact.cli import (_SUMMAP_NAMES, SumSpec, _ring_name, parse_all,
+                          print_complex)
 from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
                                DimensionMismatch, ExactLinError, IntMatrix,
                                PresentedGroup, _axpy, _back_substitute,
-                               _kernel_head, rank_and_kernel, snf)
-from snf_reference import (FieldPresentation, invert_unimodular,
+                               _kernel_head, snf)
+from artifact.flavors import _SHAPES, BalancedComponents, FlavorBundle
+from snf_reference import (FieldPresentation, invert_unimodular, mod_p,
                            reference_back_substitute, reference_kernel,
                            reference_lattice_contains, reference_snf,
                            reference_solve)
@@ -77,11 +80,41 @@ def from_rows(data: Sequence[Sequence[int]],
     return IntMatrix(rows, cols, entries)
 
 
+def diagonal(diag: Sequence[int], rows: Optional[int] = None,
+             cols: Optional[int] = None) -> IntMatrix:
+    """The rows x cols matrix (square by default) with ``diag`` on its
+    leading diagonal; a shape too small for it raises
+    ``DimensionMismatch``."""
+    n = len(diag)
+    rows = n if rows is None else rows
+    cols = n if cols is None else cols
+    return IntMatrix(rows, cols, {(i, i): d for i, d in enumerate(diag)
+                                  if d})
+
+
+def column(values: Sequence[int]) -> IntMatrix:
+    """The one-column matrix of ``values``."""
+    return IntMatrix(len(values), 1,
+                     {(i, 0): v for i, v in enumerate(values) if v})
+
+
+def rank_and_kernel(M: IntMatrix) -> Tuple[int, IntMatrix]:
+    """Rank and a saturated integral kernel basis of M over Z, as columns,
+    read off ``snf``."""
+    res = snf(M)
+    return len(res.factors), _kernel_head(res, M.cols)
+
+
 def submatrix_cols(M: IntMatrix, js: Sequence[int]) -> IntMatrix:
     """The columns ``js`` of M, in that order."""
     pos = {j: a for a, j in enumerate(js)}
     return IntMatrix(M.rows, len(js), {(i, pos[j]): v for (i, j), v
                                        in M.entries.items() if j in pos})
+
+
+def shifted(H: HomologyTable, s: int) -> HomologyTable:
+    """Table T with T[j] = H[j - s] (content moved up by s)."""
+    return HomologyTable({j + s: g for j, g in H.table.items()})
 
 
 def equal_on(a: HomologyTable, b: HomologyTable,
@@ -331,7 +364,7 @@ def lattice_ses_exact_at(inject: GradedMap, project: GradedMap,
     for the name bookkeeping of ``circle._ses_exact_at``."""
     bi = block(inject, mid_degree - inject.degree)
     bp = block(project, mid_degree)
-    comp = (bp @ bi).mod(p) if p else (bp @ bi)
+    comp = mod_p(bp @ bi, p)
     if not comp.is_zero():
         return False
     res_i = reference_snf(bi, p)
@@ -464,7 +497,7 @@ def coord_matrix(pg: PresentedGroup, vectors: IntMatrix
     if vectors.rows != pg.dim:
         raise DimensionMismatch("vectors do not fit the cycle lattice")
     if is_plain(pg):
-        return vectors.mod(pg.p)
+        return mod_p(vectors, pg.p)
     nt, ent = len(pg.torsion_moduli), {}
     coordinate = {i: a for a, i in enumerate(pg.torsion_rows + pg.free_rows)}
     for (i, j), v in vectors.entries.items():
@@ -492,7 +525,7 @@ def pair_presentation(C: ChainComplex, j: int) -> PresentedGroup:
     """``PresentedGroup.from_pair`` on the blocks of C's reduced d' into
     and out of degree j (on n x 0 and 0 x n where d' = 0)."""
     d, n = reduction(C).complex.d, _presentation(C, j).dim
-    if d.is_zero():
+    if d.is_zero_mod(0):
         return PresentedGroup.from_pair(IntMatrix(n, 0), IntMatrix(0, n), C.p)
     return PresentedGroup.from_pair(block(d, j + 1), block(d, j), C.p)
 
@@ -622,7 +655,7 @@ def unreduced_presentation(d_in: IntMatrix, d_out: IntMatrix, p: int = 0):
     if d_out.cols != d_in.rows:
         raise DimensionMismatch(
             f"ambient mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
-    if not (d_out @ d_in).mod(p).is_zero():
+    if not mod_p(d_out @ d_in, p).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
     if p:
         return FieldPresentation(d_in, d_out, p)
@@ -740,6 +773,17 @@ def direct_sum(A: ChainComplex, B: ChainComplex,
     return cone(GradedMap.zero(A.module, B.module, -1), A, B, tags)
 
 
+def strict_pmorphism(source: ChainComplex, target: ChainComplex,
+                     phi: GradedMap) -> PMorphism:
+    """phi as a p-morphism with zero witness."""
+    return PMorphism(source, target, phi,
+                     GradedMap.zero(phi.source, phi.target, phi.degree - 1))
+
+
+def identity_pmorphism(C: ChainComplex) -> PMorphism:
+    return strict_pmorphism(C, C, GradedMap.identity(C.module))
+
+
 def compose(g: PMorphism, f: PMorphism) -> PMorphism:
     """g after f, with the standard witness composition
     K = K_g . phi_f + (-1)^{deg g} phi_g . K_f."""
@@ -806,7 +850,7 @@ def ambient_coords(C: ChainComplex, j: int,
         raise DimensionMismatch("vectors do not fit C_j")
     if vectors.is_zero():
         return IntMatrix(pg.rank_coords(), vectors.cols)
-    if not (block(C.d, j) @ vectors).mod(C.p).is_zero():
+    if not mod_p(block(C.d, j) @ vectors, C.p).is_zero():
         return None
     return coord_matrix(pg, pi_j @ vectors)
 
@@ -843,3 +887,60 @@ def perturb_right_side(monkeypatch, change: str) -> None:
         return ChainComplex(m, GradedMap(m, m, -1, entries), p=right.p)
 
     monkeypatch.setattr(connsum, "e_y", perturbed)
+
+
+def replace_bundle(b: FlavorBundle, **changes) -> FlavorBundle:
+    """The bundle built again from b's fields with ``changes`` applied; it
+    builds its own p-morphisms, doubles and laws."""
+    fields = {n: getattr(b, n) for n in b.__slots__ if not n.startswith("_")}
+    return FlavorBundle(**{**fields, **changes})
+
+
+# ---------------------------------------------------------------------------
+# The grammar's readers and printers that only tests use: the primary object
+# of a file, and canonical components and summaps files (parse . print is the
+# identity on files these wrote)
+# ---------------------------------------------------------------------------
+
+def parse(path: str):
+    """The file's primary object: its last block (gluing maps as the raw
+    map data when the file ends in a summaps block)."""
+    obj = parse_all(path)[-1][1]
+    return obj.maps if isinstance(obj, SumSpec) else obj
+
+
+def _entry_lines(f: GradedMap) -> List[str]:
+    return [f"  entry {s} {t} {f.entries[(s, t)]}"
+            for s, t in sorted(f.entries)]
+
+
+def print_components(bc: BalancedComponents, name: str) -> str:
+    lines = [f"components {name}", f"  ring {_ring_name(bc.p)}"]
+    for letter, module in (("o", bc.c_o), ("s", bc.c_s), ("u", bc.c_u)):
+        lines.append(f"  part {letter}")
+        for n, d in module.generators:
+            lines.append(f"  gen {n} {d}")
+    for field in sorted(_SHAPES):
+        f: GradedMap = getattr(bc, field)
+        if f.is_zero_mod(0):
+            continue
+        kind, st = field.rsplit("_", 1)
+        lines.append(f"  map {kind}:{st[0]}->{st[1]}")
+        lines += _entry_lines(f)
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def print_sum_file(spec: SumSpec, c1_name: str = "c1", c2_name: str = "c2",
+                   sharp_name: str = "sharp") -> str:
+    parts = [print_complex(spec.inputs.C1, c1_name),
+             print_complex(spec.inputs.C2hat, c2_name),
+             print_complex(spec.maps.sharp, sharp_name)]
+    lines = [f"summaps {spec.name}", f"  of {c1_name} {c2_name}",
+             f"  sharp {sharp_name}"]
+    for name, f in zip(_SUMMAP_NAMES, spec.maps[1:], strict=True):
+        lines.append(f"  map {name} {f.degree}")
+        lines += _entry_lines(f)
+    lines.append("end")
+    parts.append("\n".join(lines) + "\n")
+    return "".join(parts)

@@ -13,13 +13,21 @@ The program factors over Z only (over F_p it reduces and takes ranks), so
 the F_p factorizations the oracles need live here too, on
 ``reference_snf`` over any ring: ``reference_back_substitute``,
 ``reference_kernel``, ``reference_solve``, ``reference_lattice_contains``,
-and ``FieldPresentation``, a homology group over F_p with coordinates.
+and ``FieldPresentation``, a homology group over F_p with coordinates;
+``mod_p`` reduces a matrix's entries for them.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 from artifact.exactlin import (AbelianGroup, DimensionMismatch, ExactLinError,
                                IntMatrix, SNFResult)
+
+
+def mod_p(M: IntMatrix, p: int) -> IntMatrix:
+    """M with every entry reduced into 0..p-1; M itself when p is 0."""
+    if p <= 0:
+        return M
+    return IntMatrix(M.rows, M.cols, {k: v % p for k, v in M.entries.items()})
 
 
 class _Worker:
@@ -220,7 +228,7 @@ def _snf_field(M: IntMatrix, p: int) -> SNFResult:
         t += 1
     factors = [1] * sum(1 for i in range(limit) if w.a[i].get(i))
     left, right = w.matrices()
-    return SNFResult(factors, left.mod(p), right.mod(p))
+    return SNFResult(factors, mod_p(left, p), mod_p(right, p))
 
 
 
@@ -236,7 +244,7 @@ def invert_unimodular(L: IntMatrix, p: int = 0) -> IntMatrix:
     if len(res.factors) != L.rows or (p == 0 and any(d != 1 for d in res.factors)):
         raise ExactLinError("matrix is not invertible over the ring")
     inv = res.right @ res.left
-    return inv.mod(p) if p else inv
+    return mod_p(inv, p)
 
 
 def reference_back_substitute(res: SNFResult, B: IntMatrix,
@@ -245,11 +253,11 @@ def reference_back_substitute(res: SNFResult, B: IntMatrix,
     (``p`` 0) or F_p, or None if some column of B has no solution."""
     rank = len(res.factors)
     y = {}
-    for (i, j), v in (res.left @ B).mod(p).entries.items():
+    for (i, j), v in mod_p(res.left @ B, p).entries.items():
         if i >= rank or v % res.factors[i]:
             return None
         y[(i, j)] = v // res.factors[i]
-    return (res.right @ IntMatrix(res.right.rows, B.cols, y)).mod(p)
+    return mod_p(res.right @ IntMatrix(res.right.rows, B.cols, y), p)
 
 
 def reference_kernel(M: IntMatrix, p: int = 0) -> Tuple[int, IntMatrix]:
@@ -291,7 +299,7 @@ class FieldPresentation:
         x = reference_solve(self.cycles, vectors, self.p)
         if x is None:
             return None
-        y = (self.left @ x).mod(self.p)
+        y = mod_p(self.left @ x, self.p)
         pos = {r: a for a, r in enumerate(self.free_rows)}
         return IntMatrix(self.rank_coords(), vectors.cols, {
             (pos[i], j): v for (i, j), v in y.entries.items() if i in pos})
@@ -300,7 +308,7 @@ class FieldPresentation:
         e = IntMatrix(self.left.rows, self.rank_coords(),
                       {(r, k): 1 for k, r in enumerate(self.free_rows)})
         inv = invert_unimodular(self.left, self.p)
-        return (self.cycles @ inv @ e).mod(self.p)
+        return mod_p(self.cycles @ inv @ e, self.p)
 
     def columns_are_zero(self, M: IntMatrix) -> bool:
         return all(v % self.p == 0 for v in M.entries.values())

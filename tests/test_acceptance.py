@@ -36,7 +36,7 @@ from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
 from artifact import cli
 from artifact.circle import (ALL_FLAVORS, HAT, MINUS, Window, e_y, e_y_map,
                              koszul_a, koszul_b, s_u, s_u_map)
-from artifact.cli import parse, parse_all
+from artifact.cli import parse_all
 from artifact.connsum import (FilteredComplex, case1_check, case2_check,
                               check_positivity, cm_flavors, validate_filtered,
                               verify_sum_maps)
@@ -47,7 +47,8 @@ from artifact.flavors import (AssemblyInconsistent,
                               point_tower, tower_model)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from helpers import compose, random_complex, random_pmorphism  # noqa: E402
+from helpers import (compose, parse, random_complex,  # noqa: E402
+                     random_pmorphism, replace_bundle, strict_pmorphism)
 from snf_reference import reference_kernel, reference_solve  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
@@ -376,7 +377,7 @@ class TestConeIdentities:
         f = getattr(bundle, field)
         bump = GradedMap(f.source, f.target, f.degree, {key: 1})
         rep = cone_identities(
-            bundle._replace(**{field: f + bump}))
+            replace_bundle(bundle, **{field: f + bump}))
         assert tag in {c.tag for c in rep.failures()}
 
     def test_k_derivation_identity_discriminates(self):
@@ -537,10 +538,10 @@ class TestFunctoriality:
             # injectivity and surjectivity preservation through both functors
             C12 = _direct_sum(C1, C2)
             S12 = s_u(C12)
-            incl = PMorphism.strict(C1, C12, GradedMap(
+            incl = strict_pmorphism(C1, C12, GradedMap(
                 C1.module, C12.module, 0,
                 {(n, f"l.{n}"): 1 for n, _ in C1.module.generators}))
-            proj = PMorphism.strict(C12, C2, GradedMap(
+            proj = strict_pmorphism(C12, C2, GradedMap(
                 C12.module, C2.module, 0,
                 {(f"r.{n}", n): 1 for n, _ in C2.module.generators}))
             si, sp = s_u_map(incl), s_u_map(proj)

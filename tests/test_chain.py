@@ -53,14 +53,17 @@ from helpers import (
     compose,
     coord_matrix,
     defect_by_products,
+    diagonal,
     direct_sum,
     equal_on,
     fixed_arrow,
     fixed_node,
     from_rows,
+    identity_pmorphism,
     is_plain,
     isolate_pushing_every_write,
     lattice_exactness_oracle,
+    mod_p,
     pair_presentation,
     presented_at,
     pushed_by_coords,
@@ -71,6 +74,8 @@ from helpers import (
     reduction_defects,
     reduction_maps,
     representatives,
+    shifted,
+    strict_pmorphism,
     to_dense,
     unreduced_presentation,
     verify_homotopy,
@@ -132,8 +137,8 @@ class TestGradedStructures:
         m = GradedModule([("a", 2), ("b", 1), ("c", 0)])
         f = GradedMap(m, m, -1, {("a", "b"): 2, ("b", "c"): 3})
         assert (f @ f).entries == {("a", "c"): 6}
-        assert (f - f).is_zero()
-        assert f.scale(0).is_zero()
+        assert (f - f).is_zero_mod(0)
+        assert f.scale(0).is_zero_mod(0)
 
 
 def _random_map(rng, source, target, degree):
@@ -355,7 +360,7 @@ class TestIntertwiningDefect:
 
         for f_deg, a_deg in ((0, -2), (2, 1), (-1, -2), (1, -1)):
             f, a, b = (random_map(d) for d in (f_deg, a_deg, a_deg))
-            assert not (b @ f).is_zero()
+            assert not (b @ f).is_zero_mod(0)
             if f_deg % 2 and a_deg % 2:
                 old = (f @ a) + (b @ f)
             else:
@@ -381,7 +386,7 @@ class TestHomology:
     def test_empty_complex(self):
         m = GradedModule([])
         C = ChainComplex(m, GradedMap.zero(m, m, -1))
-        assert homology(C).is_trivial()
+        assert homology(C).degrees() == []
 
     def test_window(self):
         C = two_sphere_like()
@@ -419,10 +424,10 @@ class TestHomology:
 
     def test_table_shift(self):
         h = homology(two_sphere_like())
-        s = h.shifted(3)
+        s = shifted(h, 3)
         assert s[3] == h[0]
         assert s[4] == h[1]
-        assert equal_on(h, s.shifted(-3), (-1, 3))
+        assert equal_on(h, shifted(s, -3), (-1, 3))
 
 
 class TestCone:
@@ -439,7 +444,7 @@ class TestCone:
         B = complex_from([("b", 0)], {})
         f = GradedMap(A.module, B.module, -1, {("a", "b"): 1})
         E = cone(f, A, B)
-        assert homology(E).is_trivial()
+        assert homology(E).degrees() == []
         assert E.module.names() == ("A.a", "B.b")
 
     def test_rejects_non_anticommuting(self):
@@ -457,7 +462,7 @@ class TestCone:
             A = complex_from(gens_a, {("a1", "a0"): 1}, p=p)
             B = complex_from(gens_b, {("b0", "bm1"): 1}, p=p)
             f = GradedMap(A.module, B.module, -1, entries)
-            assert f @ A.d == B.d @ f and not (f @ A.d).is_zero()
+            assert f @ A.d == B.d @ f and not (f @ A.d).is_zero_mod(0)
             with pytest.raises(NotAChainMap):
                 cone(f, A, B)
             g = GradedMap(A.module, B.module, -1,
@@ -501,7 +506,7 @@ class TestBlockBuilder:
         assert out.entries == {("x.a", "x.b"): -3, ("z.a", "z.b"): -3}
         gone = _block_map(M, M, -1, [(f, "x.{}", "x.{}", 1),
                                      (f, "x.{}", "x.{}", -1)])
-        assert gone.is_zero()
+        assert gone.is_zero_mod(0)
 
     def test_name_outside_target_raises(self):
         A, _B, M = self.pieces()
@@ -519,7 +524,7 @@ class TestBlockBuilder:
             P = random_pmorphism(rng, C1, C2)
             S1, S2 = s_u(C1).module, s_u(C2).module
             assert _doubled(P.phi, P.k_phi, S1, S2) == s_u_map(P)
-            strict = PMorphism.strict(C1, C2, P.phi)
+            strict = strict_pmorphism(C1, C2, P.phi)
             if strict.verify():
                 assert _doubled(P.phi, None, S1, S2) == s_u_map(strict)
 
@@ -546,7 +551,7 @@ class TestTensor:
 
     def test_coprime_acyclic(self):
         T = tensor(self.mul_complex(2), self.mul_complex(3)).complex
-        assert homology(T).is_trivial()
+        assert homology(T).degrees() == []
 
     def test_kunneth_dimensions_mod_p(self):
         rng = random.Random(43)
@@ -638,7 +643,7 @@ class TestHomotopyAndPMorphisms:
     def test_identity_pmorphism(self):
         rng = random.Random(67)
         C = random_complex(rng, with_u=True).complex
-        assert PMorphism.identity(C).verify()
+        assert identity_pmorphism(C).verify()
 
     def test_witness_degree_checked(self):
         C = two_sphere_like()
@@ -660,8 +665,8 @@ class TestHomotopyAndPMorphisms:
             return original(self)
 
         monkeypatch.setattr(PMorphism, "u_defect", counting)
-        good = PMorphism.identity(C)
-        bad = PMorphism.strict(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
+        good = identity_pmorphism(C)
+        bad = strict_pmorphism(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
         for _ in range(3):
             assert good.verify() and not bad.verify()
         assert checked == [good, bad]
@@ -672,18 +677,18 @@ class TestHomotopyAndPMorphisms:
         m = GradedModule([("a", 0), ("b", -2)])
         C = ChainComplex(m, GradedMap.zero(m, m, -1),
                          u_action=GradedMap(m, m, -2, {("a", "b"): 1}))
-        bad_u = PMorphism.strict(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
+        bad_u = strict_pmorphism(C, C, GradedMap(m, m, 0, {("a", "a"): 1}))
         assert list(bad_u.laws("c", "u")) == [
             Check("c", True), Check("u", False, ("a", "b"))]
         assert bad_u._verdict is False
-        good = PMorphism.identity(C)
+        good = identity_pmorphism(C)
         assert list(good.laws("c", "u")) == [Check("c", True),
                                              Check("u", True)]
         assert good._verdict is True and good.law("t") == Check("t", True)
         n = GradedModule([("a", 1), ("b", 0)])
         D = ChainComplex(n, GradedMap(n, n, -1, {("a", "b"): 1}),
                          u_action=GradedMap.zero(n, n, -2))
-        bad_d = PMorphism.strict(D, D, GradedMap(n, n, 0, {("a", "a"): 1}))
+        bad_d = strict_pmorphism(D, D, GradedMap(n, n, 0, {("a", "a"): 1}))
         monkeypatch.setattr(PMorphism, "u_defect", None)
         assert bad_d.law("t") == Check("t", False, ("a", "b"))
         assert bad_d._verdict is False and not bad_d.verify()
@@ -694,7 +699,7 @@ class TestInducedMaps:
         C = complex_from([("x", 0), ("b", 1), ("a", 0)], {("b", "a"): 3})
         f = GradedMap.identity(C.module).scale(2)
         ind = induced_on_homology(f, C, C)
-        info = ind.info(0)
+        info = ind.by_degree.get(0)
         assert info.source_group == AbelianGroup(1, (3,))
         assert info.injective and not info.surjective
         assert not info.isomorphism
@@ -711,7 +716,7 @@ class TestInducedMaps:
     def test_zero_map_flags(self):
         C = complex_from([("x", 0), ("b", 1), ("a", 0)], {("b", "a"): 3})
         z = GradedMap.zero(C.module, C.module, 0)
-        info = induced_on_homology(z, C, C).info(0)
+        info = induced_on_homology(z, C, C).by_degree.get(0)
         assert not info.injective and not info.surjective
 
     @staticmethod
@@ -735,7 +740,7 @@ class TestInducedMaps:
         ind3 = induced_on_homology(f3, C, C)
         ind6 = induced_on_homology(f3 @ f2, C, C)
         for j, info in ind6.by_degree.items():
-            m2, m3 = ind2.info(j), ind3.info(j)
+            m2, m3 = ind2.by_degree.get(j), ind3.by_degree.get(j)
             self.matrices_agree(m3.matrix @ m2.matrix, info.matrix,
                                 info.target_group)
 
@@ -750,8 +755,8 @@ class TestInducedMaps:
         ind_q = induced_on_homology(q, S, A)
         comp = induced_on_homology(q @ i, B, A)
         for j, info in comp.by_degree.items():
-            mi = ind_i.info(j)
-            mq = ind_q.info(j)
+            mi = ind_i.by_degree.get(j)
+            mq = ind_q.by_degree.get(j)
             if mi is None or mq is None:
                 continue
             self.matrices_agree(mq.matrix @ mi.matrix, info.matrix,
@@ -994,7 +999,7 @@ class TestReduction:
         for C in _reduction_inputs():
             Cr = reduction(C).complex
             if C.p:
-                assert Cr.d.is_zero()
+                assert Cr.d.is_zero_mod(0)
             else:
                 # over Z no +-1 entry is left
                 assert all(abs(v) != 1 for v in Cr.d.entries.values())
@@ -1011,14 +1016,14 @@ class TestReduction:
             for j in _degrees(C):
                 pg = _presentation(C, j)
                 reps = ambient_representatives(C, j)
-                assert (block(C.d, j) @ reps).mod(C.p).is_zero()
+                assert mod_p(block(C.d, j) @ reps, C.p).is_zero()
                 back = ambient_coords(C, j, reps)
                 assert pg.columns_are_zero(
-                    back - IntMatrix.identity(pg.rank_coords()))
+                    back + IntMatrix.identity(pg.rank_coords()).scale(-1))
                 # a vector d does not kill is no cycle
                 for c in range(block(C.d, j).cols):
                     col = IntMatrix(block(C.d, j).cols, 1, {(c, 0): 1})
-                    if not (block(C.d, j) @ col).mod(C.p).is_zero():
+                    if not mod_p(block(C.d, j) @ col, C.p).is_zero():
                         assert ambient_coords(C, j, col) is None
 
     def test_induced_maps_agree_after_change_of_basis(self):
@@ -1049,7 +1054,7 @@ class TestReduction:
                     b_tgt = o_tgt.coord_matrix(
                         ambient_representatives(tgt, j + f.degree))
                     assert o_tgt.columns_are_zero(
-                        b_tgt @ info.matrix - F_old @ b_src)
+                        b_tgt @ info.matrix + (F_old @ b_src).scale(-1))
                     checked += 1
         assert checked > 100
 
@@ -1225,7 +1230,7 @@ class TestElementaryPieces:
                 moduli = want.torsion_moduli + [0] * len(want.free_rows)
                 vectors = [want.cycles @ random_matrix(rng, want.cycles.cols,
                                                        3, lo=-9, hi=9),
-                           reps @ IntMatrix.diagonal(moduli),
+                           reps @ diagonal(moduli),
                            random_matrix(rng, n, 2, lo=-3, hi=3)]
                 vectors += [v + d_in @ random_matrix(rng, d_in.cols, v.cols)
                             for v in vectors]
@@ -1314,15 +1319,15 @@ class TestBlocksOnDemand:
                 # entries besides the one of each kept generator
                 moved += (len(iota_j.entries) - iota_j.cols
                           + len(pi_j.entries) - pi_j.rows)
-                assert (pi_j @ iota_j).mod(C.p) == IntMatrix.identity(
+                assert mod_p(pi_j @ iota_j, C.p) == IntMatrix.identity(
                     iota_j.cols)
                 # chain maps: d iota = iota d' and pi d = d' pi
                 d, dr = C.d, red.complex.d
                 below = blocks(C.module.reduce_degree(j - 1))
-                assert ((block(d, j) @ iota_j) - (below[0] @ block(dr, j))
-                        ).mod(C.p).is_zero()
-                assert ((below[1] @ block(d, j)) - (block(dr, j) @ pi_j)
-                        ).mod(C.p).is_zero()
+                assert (mod_p(block(d, j) @ iota_j, C.p)
+                        == mod_p(below[0] @ block(dr, j), C.p))
+                assert (mod_p(below[1] @ block(d, j), C.p)
+                        == mod_p(block(dr, j) @ pi_j, C.p))
         assert moved > 0
 
 
@@ -1790,7 +1795,7 @@ class TestPlainPresentationsFromDimension:
             h = homology(C)
             red = reduction(C)
             d_red = red.complex.d
-            assert d_red.is_zero()
+            assert d_red.is_zero_mod(0)
             assert not blocks
             j = max(h.degrees())
             pg = _presentation(C, j)
@@ -2113,7 +2118,7 @@ class TestOnePassAgainstPerDegree:
                     assert got == want
                     assert got.nonzero_witness(C.p) == \
                         want.nonzero_witness(C.p)
-                    done += not got.is_zero()
+                    done += not got.is_zero_mod(0)
         assert done > 100
 
     def test_mismatches_raise_the_same_errors(self):

@@ -16,14 +16,14 @@ from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              ShiftReport, _name_map, _ses_exact_at, e1_page,
                              e_y, e_y_map, fundamental_sequences, koszul_a,
                              koszul_b, s_u, s_u_map, safe_degrees)
-from artifact.cli import parse
 from artifact.connsum import cm_flavors
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import ladder_check
 
 from helpers import (compose, count_les_tags, defect_by_products,
-                     lattice_ses_exact_at, laurent_form, random_complex,
-                     random_pmorphism, ses_verdicts, transpose)
+                     identity_pmorphism, lattice_ses_exact_at, laurent_form, parse,
+                     random_complex, random_pmorphism, replace_bundle,
+                     ses_verdicts, shifted, transpose)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -102,7 +102,7 @@ class TestSU:
 
     def test_map_identity(self):
         C = u_pair()
-        F = s_u_map(PMorphism.identity(C))
+        F = s_u_map(identity_pmorphism(C))
         assert F == GradedMap.identity(s_u(C).module)
 
     def test_map_is_chain_and_y_equivariant(self):
@@ -655,7 +655,7 @@ class TestFirstSequenceByName:
                 sue.module, sue.module, -1, d), p=sue.p)
             for mutated in (pieces[:8] + (lost,),
                             pieces[:6] + (grown,) + pieces[7:]):
-                copy = b._replace()
+                copy = replace_bundle(b)
                 copy._memo("_doubled", mutated)
                 made.clear()
                 rep = ladder_check(copy)
@@ -779,7 +779,7 @@ class TestE1Page:
         for _ in range(5):
             C = random_u_complex(rng)
             model = e1_page(C, MINUS, Window(-12, 12))
-            assert homology(model) == homology(C).shifted(-2)
+            assert homology(model) == shifted(homology(C), -2)
 
     def test_hat_and_plus_carry_the_homology(self):
         rng = random.Random(42)

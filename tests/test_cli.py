@@ -12,14 +12,14 @@ from artifact.chain import ChainComplex, Check, GradedMap, GradedModule
 from artifact.circle import Window
 from artifact import cli
 from artifact.cli import (MAX_N, MAX_WINDOW_WIDTH, Manifest, ParseError,
-                          SumSpec, ValidationError, main, parse, parse_all,
-                          parse_all_text, print_complex, print_components,
-                          print_sum_file, run)
+                          SumSpec, ValidationError, main, parse_all,
+                          parse_all_text, print_complex, run)
 from artifact.connsum import ConnSumMaps, FilteredComplex
 from artifact.flavors import (BalancedComponents, TowerParams, four_flavors,
                               tower_model)
 
-from helpers import case2_input, perturb_right_side
+from helpers import (case2_input, parse, perturb_right_side, print_components,
+                     print_sum_file)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -37,8 +37,8 @@ class TestParsing:
         assert isinstance(C, ChainComplex)
         assert C.module.generators == (("a", 0),)
         assert C.p == 0 and C.module.modulus == 0
-        assert C.d.is_zero() and C.u_action.is_zero() and \
-            C.y_action.is_zero()
+        assert C.d.is_zero_mod(0) and C.u_action.is_zero_mod(0) and \
+            C.y_action.is_zero_mod(0)
 
     def test_two_line_file_parses(self, tmp_path):
         # End of input closes the last block, so the smallest useful file
@@ -67,7 +67,7 @@ class TestParsing:
         assert parse(path).d.entries == {("a", "b"): 2}
         path = write(tmp_path, "complex c\n  gen a 1\n  gen b 0\n"
                                "  d a b 1\n  d a b -1\nend\n", "zero.txt")
-        assert parse(path).d.is_zero()
+        assert parse(path).d.is_zero_mod(0)
 
     def test_filtered_block(self, tmp_path):
         path = write(tmp_path, "complex f\n  gen a 0\n  gen b -1\n"
@@ -197,7 +197,7 @@ class TestRoundTrip:
         assert code == 0
         name, S = parse_all_text(text)[-1]
         assert name == "utower.su"
-        assert S.y_action is not None and not S.y_action.is_zero()
+        assert S.y_action is not None and not S.y_action.is_zero_mod(0)
 
     def test_ey_output_reparses(self):
         code, text = run(Manifest(command="ey", flavor="hat",

@@ -17,7 +17,6 @@ from artifact.circle import (ALL_FLAVORS, MINUS, PLUS, INFINITY,
                              NotAPMorphism, Window, _su_map,
                              fundamental_sequences, koszul_b, s_u, s_u_map,
                              safe_degrees)
-from artifact.cli import parse
 from artifact.connsum import FilteredComplex, case1_check, cm_flavors
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
@@ -25,8 +24,8 @@ from artifact.flavors import (AssemblyInconsistent, BalancedComponents,
                               cone_identities, cone_total, four_flavors,
                               ladder_check, tower_model)
 
-from helpers import (count_les_tags, laurent_form, random_complex,
-                     random_pmorphism, transpose)
+from helpers import (count_les_tags, laurent_form, parse, random_complex,
+                     random_pmorphism, replace_bundle, transpose)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -117,10 +116,10 @@ class TestAssemble:
         b = assemble(golden_one())
         tags = [c.tag for c in b.laws().checks]
         assert len(tags) == 12 and b.laws().ok
-        assert b._replace().laws() == b.laws()
+        assert replace_bundle(b).laws() == b.laws()
         bump = GradedMap(b.hat.module, b.bar.module, -2,
                          {("u.u1", "s.s0"): 1})
-        b2 = b._replace(k_p=b.k_p + bump)
+        b2 = replace_bundle(b, k_p=b.k_p + bump)
         report = b2.laws()
         assert report is b2.laws() and [c.tag for c in report.checks] == tags
         [failing] = report.failures()
@@ -224,7 +223,7 @@ class TestConeIdentities:
     def test_perturbed_k_p_fails_reduced_identity(self):
         b = assemble(golden_one())
         bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
-        rep = cone_identities(b._replace(k_p=b.k_p + bump))
+        rep = cone_identities(replace_bundle(b, k_p=b.k_p + bump))
         assert not rep.ok
         assert "eq:S2:rho2" in {c.tag for c in rep.failures()}
         # the cone's U fails first of the laws the doubled lifts need
@@ -274,7 +273,7 @@ class TestFieldPathFactorsNothing:
                 monkeypatch.setattr(m, "snf", refuse)
         corpus = Path(__file__).resolve().parent.parent / "corpus" / "v1"
         periodic = parse(str(corpus / "f2periodic.txt"))
-        assert periodic.p == 2 and homology(periodic).is_trivial()
+        assert periodic.p == 2 and homology(periodic).degrees() == []
         bundles = [assemble(parse(str(corpus / "f2pair.txt"))),
                    assemble(tower_model(TowerParams(base=mod2_base(p=3),
                                                     n=3)))]
@@ -318,7 +317,7 @@ class TestOneDoublingPerCertificate:
         b = assemble(golden_one())
         bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
         with pytest.raises(NotAPMorphism):
-            ladder_check(b._replace(k_p=b.k_p + bump))
+            ladder_check(replace_bundle(b, k_p=b.k_p + bump))
 
     def test_unverified_i_leaves_the_doubled_identities_unchecked(
             self, monkeypatch):
@@ -355,7 +354,7 @@ class TestOneDoublingPerCertificate:
             assert sum(D is C for D in doubled) == 1
         # a copy doubles its own pieces, once, whichever certificate asks
         # first
-        c = b._replace(k_p=b.k_p)
+        c = replace_bundle(b, k_p=b.k_p)
         assert ladder_check(c).ok and cone_identities(c).ok
         assert len(doubled) == 8
         assert all(sum(D is C for D in doubled[4:]) == 1
@@ -367,7 +366,7 @@ class TestOneDoublingPerCertificate:
         b = assemble(golden_one())
         bump = GradedMap(b.hat.module, b.bar.module, -2,
                          {("u.u1", "s.s0"): 1})
-        c = b._replace(k_p=b.k_p + bump)
+        c = replace_bundle(b, k_p=b.k_p + bump)
         for _ in range(2):
             with pytest.raises(NotAPMorphism):
                 ladder_check(c)
@@ -399,7 +398,7 @@ class TestOneVerificationPerPMorphism:
         b = assemble(golden_one())
         assert b.pm_p().verify()
         bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
-        b2 = b._replace(k_p=b.k_p + bump)
+        b2 = replace_bundle(b, k_p=b.k_p + bump)
         assert b2.pm_p() is not b.pm_p()
         assert not b2.pm_p().verify() and b.pm_p().verify()
 
@@ -411,7 +410,7 @@ class TestConeLawWitnesses:
     def test_failing_law_carries_its_defect_witness(self):
         b = assemble(golden_one())
         bump = GradedMap(b.hat.module, b.bar.module, -2, {("u.u1", "s.s0"): 1})
-        b2 = b._replace(k_p=b.k_p + bump)
+        b2 = replace_bundle(b, k_p=b.k_p + bump)
         checks = {c.tag: c for c in cone_identities(b2).checks}
         EC = cone_total(b2)
         defect = commutator(EC.d, EC.u_action)
@@ -611,7 +610,7 @@ class TestEveryFailingLawCarriesItsWitness:
     def test_cone_p_morphism_laws(self, monkeypatch, field, key, tag, made):
         b = assemble(golden_one())
         f = getattr(b, field)
-        b2 = b._replace(**{field: f + GradedMap(f.source, f.target, f.degree,
+        b2 = replace_bundle(b, **{field: f + GradedMap(f.source, f.target, f.degree,
                                                 {key: 1})})
         # k and l, the p-morphisms cone_identities makes, in that order
         pms = []
@@ -692,35 +691,16 @@ class TestTowerModel:
 
     def test_acyclic_base_bar_vanishes(self):
         b = assemble(tower_model(TowerParams(base=acyclic_base(), n=2)))
-        assert homology(b.bar).is_trivial()
-        assert homology(s_u(b.bar)).is_trivial()
+        assert homology(b.bar).degrees() == []
+        assert homology(s_u(b.bar)).degrees() == []
 
     def test_hat_differential_sign(self):
         b = assemble(tower_model(TowerParams(base=mod2_base(), n=2)))
         assert b.hat.d.image_of("u.b.x1") == {"u.a.x1": -2}
 
-    def test_higher_terms(self):
-        m = GradedModule((("e", 2), ("f", 0)))
-        base = ChainComplex(m, GradedMap.zero(m, m, -1))
-        phi = GradedMap(m, m, 2, {("f", "e"): 1})
-        tw = tower_model(TowerParams(base=base, n=3, higher_terms=((2, phi),)))
-        assert tw.ubar_su.image_of("f.x0") == {"f.x1": 1, "e.x2": 1}
-        assert tw.ubar_ss.image_of("f.x-2") == {"f.x-1": 1, "e.x0": 1}
-        # jump entries that overshoot the truncation are dropped too
-        assert tw.ubar_uu.image_of("f.x2") == {"f.x3": 1}
-        rep = cone_identities(assemble(tw))
-        assert rep.ok, rep.failures()
-
     def test_depth_must_be_at_least_two(self):
         with pytest.raises(ChainError):
             tower_model(TowerParams(base=point_base(), n=1))
-
-    def test_higher_term_degree_checked(self):
-        m = GradedModule((("e", 2), ("f", 0)))
-        base = ChainComplex(m, GradedMap.zero(m, m, -1))
-        phi = GradedMap(m, m, -2, {("e", "f"): 1})
-        with pytest.raises(ChainError):
-            tower_model(TowerParams(base=base, n=2, higher_terms=((2, phi),)))
 
 
 class TestFourFlavors:
@@ -752,7 +732,7 @@ class TestFourFlavors:
         ff = four_flavors(C)
         S = s_u(C)
         assert ff.ok
-        assert ff.hat_table.is_trivial()
+        assert ff.hat_table.degrees() == []
         for flavor in (MINUS, INFINITY, PLUS):
             for j in safe_degrees(S, flavor, ff.window):
                 assert ff.tables[flavor.tag][j].is_trivial()

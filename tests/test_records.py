@@ -3,12 +3,18 @@ hashed by their fields, with the dataclass-style repr.  Records that
 validate their values refuse a bad value however they are built, copies
 included.  Values with memos or private state are slotted ``_Sealed``
 classes: every one refuses assignment, new attributes and deletion, only
-``_Sealed`` says so, and each memo fills once.  The flavor bundle's copy
-rebuilds its p-morphisms."""
+``_Sealed`` says so, and each memo fills once.  A flavor bundle built again
+from its fields rebuilds its p-morphisms.
+
+Three ``ast`` guards keep the package's shape: only ``_Sealed`` refuses
+assignment, the CLI builds no Check, and every function, method and class
+of the package is run by a program path, exported or traced by perfbench."""
 
 import ast
+import importlib.util
 import typing
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
@@ -17,12 +23,15 @@ from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
                             PMorphism, homology, present_homology, reduction)
 from artifact.circle import (MINUS, Flavor, MissingUAction, ShiftReport,
                              Window, fundamental_sequences, s_u)
-from artifact.cli import Manifest, _Report, parse
+from artifact.cli import Manifest, _Report
 from artifact.connsum import FilteredComplex, SumInput
 from artifact.exactlin import (AbelianGroup, IntMatrix, PresentedGroup,
                                _Sealed)
 from artifact.flavors import (BalancedComponents, FlavorBundle, TowerParams,
                               _doubled_pieces, assemble, tower_model)
+
+import artifact
+from helpers import identity_pmorphism, parse, replace_bundle
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus" / "v1"
@@ -151,7 +160,7 @@ class TestSlottedRecords:
         b = assemble(golden_one())
         bump = GradedMap(b.hat.module, b.bar.module, -2,
                          {("u.u1", "s.s0"): 1})
-        b2 = b._replace(k_p=b.k_p + bump)
+        b2 = replace_bundle(b, k_p=b.k_p + bump)
         assert type(b2) is FlavorBundle
         assert b2.hat is b.hat and b2.components is b.components
         assert b2.pm_p() is not b.pm_p()
@@ -161,7 +170,7 @@ class TestSlottedRecords:
 
     def test_equality_is_identity(self):
         b = assemble(tower_model(TowerParams(base=u_point(), n=2)))
-        assert b == b and b != b._replace()
+        assert b == b and b != replace_bundle(b)
         # a NamedTuple of sequences compares its complexes by identity
         C = s_u(u_point())
         fs = fundamental_sequences(C)
@@ -210,7 +219,7 @@ class TestSealedValues:
         homology(C)
         assert C._valid
         assert C.d._rows() is C.d._rows()
-        good, bad = PMorphism.identity(C), bundle._replace(
+        good, bad = identity_pmorphism(C), replace_bundle(bundle, 
             k_p=bundle.k_p + bundle.k_p).pm_p()
         for pm, verdict in ((good, True), (bad, False)):
             assert pm._verdict is None
@@ -253,3 +262,87 @@ def test_the_cli_builds_no_check():
     assert calls == []
     # the Checks it renders are still named by their type
     assert typing.get_type_hints(_Report.check)["checks"] is Check
+
+
+# Names that perfbench/tracing.py wraps by attribute and that no program
+# path reaches: they stay in the package while the benchmark traces them.
+TRACED = frozenset({"from_pair", "lattices_equal", "subgroups_equal"})
+
+
+def _definitions(tree: ast.AST):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node
+
+
+def _references(tree: ast.AST):
+    """(name, line) of every ``ast.Name`` and ``ast.Attribute``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def unreferenced(sources: Dict[str, str], readers: Dict[str, str],
+                 allowed=TRACED) -> List[str]:
+    """``module:name`` of each non-dunder function, method and class
+    defined in ``sources`` (module -> text) that is not named outside its
+    own body in ``sources`` or ``readers``, not a public name of
+    ``artifact._EXPORTS`` and not in ``allowed``.  Names are matched, not
+    bindings: any attribute or name spelled alike counts as a use."""
+    trees = {m: ast.parse(text, m) for m, text in sources.items()}
+    uses: Dict[str, List[tuple]] = {}
+    for m, tree in list(trees.items()) + [
+            (m, ast.parse(text, m)) for m, text in readers.items()]:
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((m, line))
+    exported = {n for names in artifact._EXPORTS.values() for n in names}
+    found = []
+    for m, tree in trees.items():
+        for node in _definitions(tree):
+            if node.name in exported or node.name in allowed:
+                continue
+            if not any(um != m or not node.lineno <= line <= node.end_lineno
+                       for um, line in uses.get(node.name, ())):
+                found.append(f"{m}:{node.name}")
+    return found
+
+
+def _package_sources():
+    package = ROOT / "src" / "artifact"
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    # the benchmark's cases and oracles read some results by attribute
+    readers = {f"perfbench/{p.name}": p.read_text()
+               for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    return sources, readers
+
+
+def test_every_member_is_run_exported_or_traced():
+    """No member of the package that only tests reach: move it to
+    ``tests/helpers.py`` or delete it."""
+    assert unreferenced(*_package_sources()) == []
+
+
+def test_the_member_guard_names_a_planted_function():
+    sources, readers = _package_sources()
+    planted = dict(sources)
+    planted["chain.py"] += (
+        "\n\ndef _planted(x):\n    return _planted(x - 1) if x else 0\n")
+    assert unreferenced(planted, readers) == ["chain.py:_planted"]
+    # a traced name passes only by the allowlist
+    assert sorted(unreferenced(sources, readers, allowed=frozenset())) == [
+        "exactlin.py:from_pair", "exactlin.py:lattices_equal",
+        "exactlin.py:subgroups_equal"]
+
+
+def test_the_traced_allowlist_is_wrapped_by_perfbench():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {attr.split(".")[-1] for _, _, attr, _ in tracing.TARGETS}
+    assert TRACED <= wrapped

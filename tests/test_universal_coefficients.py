@@ -29,10 +29,11 @@ import random
 from artifact.chain import ChainComplex, GradedMap, _presentation, homology
 from artifact.circle import s_u
 from artifact.connsum import cm_flavors
-from artifact.exactlin import IntMatrix, field_rank, rank_and_kernel
+from artifact.exactlin import IntMatrix, field_rank
 from artifact.flavors import four_flavors
 
-from helpers import ambient_coords, block, laurent_form, random_complex
+from helpers import (ambient_coords, block, laurent_form, random_complex,
+                     rank_and_kernel)
 
 PRIMES = (2, 3, 5)
 
