@@ -877,7 +877,6 @@ class PMorphism(_Sealed):
             raise ChainError("k_phi must have degree deg(phi) - 1")
         super().__init__(source, target, phi, k_phi, None)
 
-
     def u_defect(self) -> GradedMap:
         if self.source.u_action is None or self.target.u_action is None:
             raise ChainError("both complexes need U-actions")

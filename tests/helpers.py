@@ -32,7 +32,12 @@ small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
 ``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
 ``from_rows``, ``submatrix_cols``, ``equal_on``, and ``case2_input`` with
-``perturb_right_side`` for the mismatches of ``case2_check``).  The
+``perturb_right_side`` for the mismatches of ``case2_check``).  Members
+the program does not run live here too: ``diagonal``, ``column``,
+``rank_and_kernel``, ``shifted``, ``strict_pmorphism``,
+``identity_pmorphism``, ``replace_bundle`` (a bundle built again from its
+fields), and the grammar's ``parse`` (a file's primary object) with the
+printers ``print_components`` and ``print_sum_file``.  The
 lattice oracles factor through ``snf_reference``, over Z and over F_p,
 where the program only reduces and takes ranks; ``fixed_arrow`` and
 ``fixed_node`` hand constructed class matrices and presentations to the

@@ -3,7 +3,7 @@ corpus file, so two checkouts can be compared run for run.
 
 Usage, from the root of the repository:
 
-    python3 tools/cli_sweep.py [--root DIR] [--in-process] [--against FILE]
+    python3 tools/cli_sweep.py [--root DIR] [--against FILE] > capture.txt
     python3 tools/cli_sweep.py --regenerate
 
 It runs every command of ``python -m artifact.cli`` on every file of
@@ -11,22 +11,21 @@ It runs every command of ``python -m artifact.cli`` on every file of
 ``koszul --direction a`` at its default flavor and at each ``--flavor``,
 ``koszul --direction b`` and ``tower --n 3|5`` without a file.  Each of
 these runs in text and machine format, at the default window and at
-``--window -3..3`` and ``--window 0..1``.  By default every run is a fresh
-process with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory
-(so file arguments read ``corpus/v1/...`` in every checkout) and bytecode
-writing off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults
-to the checkout holding this script; pointing it at another checkout (say
-a parent commit, which may not have this script) captures that one.
+``--window -3..3`` and ``--window 0..1``.  Every run is a fresh process
+with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory (so file
+arguments read ``corpus/v1/...`` in every checkout) and bytecode writing
+off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults to
+the checkout holding this script; pointing it at another checkout (say a
+parent commit, which may not have this script) captures that one.
 
-With ``--in-process`` every run calls ``artifact.cli.main`` in this
-interpreter instead, with ``DIR/src`` first on ``sys.path``, ``DIR`` as
-working directory and stdout captured; the whole sweep then takes seconds.
-``--regenerate`` runs the sweep in process on this checkout and writes
-``tests/golden/sweep.txt``, the capture that ``tests/test_sweep.py`` holds
-the program to.
+``--regenerate`` instead runs every argv through ``artifact.cli.main`` in
+this interpreter (``capture_in_process``: stdout captured, this checkout
+as working directory; seconds for the whole sweep) and writes the lines to
+``tests/golden/sweep.txt``, which ``tests/test_sweep.py`` compares the same
+in-process capture with.
 
 One line per run: ``<exit code> <sha256 of stdout> <argv>``.  With
-``--against FILE`` the capture is also compared with an earlier one;
+``--against FILE`` the fresh capture is also compared with an earlier one;
 every run whose line differs, or that only one capture has, goes to stderr,
 and the exit code is 1 if there is any.
 """
@@ -125,27 +124,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="checkout to run (default: this one)")
     parser.add_argument("--against", metavar="FILE",
                         help="earlier capture to compare with")
-    parser.add_argument("--in-process", action="store_true",
-                        help="run every argv in this interpreter")
     parser.add_argument("--regenerate", action="store_true",
                         help=f"write {GOLDEN} from an in-process sweep of "
                              "this checkout")
     args = parser.parse_args(argv)
-    root = HERE_ROOT if args.regenerate else os.path.abspath(args.root)
-    if args.in_process or args.regenerate:
-        sys.path.insert(0, os.path.join(root, "src"))
-        lines = capture_in_process(root, runs(root))
-        if args.regenerate:
-            with open(os.path.join(root, GOLDEN), "w",
-                      encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in lines))
-            return 0
-        print("\n".join(lines), flush=True)
-    else:
-        lines = []
-        for run in runs(root):
-            lines.append(capture(root, run))
-            print(lines[-1], flush=True)
+    if args.regenerate:
+        sys.path.insert(0, os.path.join(HERE_ROOT, "src"))
+        lines = capture_in_process(HERE_ROOT, runs(HERE_ROOT))
+        with open(os.path.join(HERE_ROOT, GOLDEN), "w",
+                  encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        return 0
+    root = os.path.abspath(args.root)
+    lines = []
+    for run in runs(root):
+        lines.append(capture(root, run))
+        print(lines[-1], flush=True)
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
