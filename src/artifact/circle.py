@@ -4,8 +4,10 @@
 degree +1 square-zero Y-action; ``e_y`` goes back by tensoring with one of
 four standard u-power ranges (minus: n >= 1, infinity: all n, plus: n <= 0,
 hat: n = 0 only), sliced to a degree window using deg(g.u{n}) = deg(g) - 2n
-so every slice is finite.  Both directions of the duality are checked by
-brute-force homology comparison up to a uniform degree shift.
+so every slice is finite.  Each direction of the duality is certified by a
+map whose degree is the shift (``_certified``): ``koszul_a`` maps the
+first-page model into the flavor complex, and ``koszul_b`` maps C into
+s_u(e_y(C, minus)) by z -> (Yz).u1 + z.u1.y.
 
 One engine serves these flavors and the Laurent-filtered flavors of
 ``connsum``.  ``_expand`` expands a Laurent differential once for all the
@@ -48,20 +50,19 @@ from .chain import (
     CheckReport,
     GradedMap,
     GradedModule,
-    HomologyTable,
     ModulusUnsupported,
-    NotAChainMap,
     PMorphism,
     _Checked,
     _HomologyArrow,
     _apply,
     _block_map,
     _defect,
+    _flags,
+    _law,
     _renamed_module,
     _require_valid,
     exactness_pair,
     homology,
-    induced_on_homology,
     is_chain_map,
 )
 from .exactlin import AbelianGroup
@@ -467,16 +468,16 @@ def _les_check(tag: str, win: Window, rows,
 
 
 def _chain_map_inside(f: GradedMap, source: ChainComplex,
-                      target: ChainComplex, win: Window) -> bool:
-    """``is_chain_map`` on the source generators whose whole square lies in
-    the window: the slices cut d off below the window, and a map of
+                      target: ChainComplex, win: Window) -> GradedMap:
+    """The chain-map defect of f on the source generators whose whole square
+    lies in the window: the slices cut d off below the window, and a map of
     positive degree pushes the top of the window out of it.  For a degree-0
-    map between slices of one window this is ``is_chain_map`` itself."""
+    map between slices of one window this is the whole defect."""
     defect = _defect(f, source.d, target.d)
-    deg, p = source.module.degree_of, source.p
-    return not any(v % p if p else v
-                   for (s, _t), v in defect.entries.items()
-                   if win.lo < deg(s) and deg(s) + f.degree <= win.hi)
+    deg = source.module.degree_of
+    return GradedMap._trusted(defect.source, defect.target, defect.degree, {
+        k: v for k, v in defect.entries.items()
+        if win.lo < deg(k[0]) and deg(k[0]) + f.degree <= win.hi})
 
 
 def _sequence(tag: str, complexes: Tuple[ChainComplex, ...],
@@ -490,8 +491,8 @@ def _sequence(tag: str, complexes: Tuple[ChainComplex, ...],
     sequence at B, C and A (named by ``locations``); its connecting map."""
     A, B, C = complexes
     names = (_name_map(inject), _name_map(project))
-    exact = (_chain_map_inside(inject, A, B, win)
-             and _chain_map_inside(project, B, C, win)
+    exact = (_chain_map_inside(inject, A, B, win).is_zero_mod(A.p)
+             and _chain_map_inside(project, B, C, win).is_zero_mod(A.p)
              and all(_ses_exact_at(inject, project, j, names)
                      for j in checked))
     into, onto = _HomologyArrow(inject, A, B), _HomologyArrow(project, B, C)
@@ -613,16 +614,17 @@ def e1_page(C: ChainComplex, flavor: Flavor, window=None) -> ChainComplex:
 
 
 class ShiftReport(NamedTuple):
-    """Uniform-shift comparison of two homology tables.
-
-    ``shift`` = s means the first table at degree j + s matches the second
-    at degree j for every degree where both sides are trustworthy; None when
-    no uniform s works.  ``per_degree`` maps the second table's degree j to
-    (second[j], first[j + s])."""
+    """A computed homology against a model's, certified by the map that
+    ``koszul_a``, ``koszul_b`` or ``case1_check`` names (``_certified``).
+    ``shift`` = s is its degree from the model side to the computed side,
+    None when no degree is compared; ``per_degree`` maps each compared
+    model degree k where a side is nontrivial to (model[k], computed[k +
+    s]).  ``check`` holds when the map is a chain map and an isomorphism at
+    each such k; its witness: the law's generator pair, or the first bad k."""
 
     shift: Optional[int]
     per_degree: Dict[int, Tuple[AbelianGroup, AbelianGroup]]
-    witness_ok: Optional[bool] = None
+    check: Check
 
     @property
     def matched(self) -> bool:
@@ -630,100 +632,101 @@ class ShiftReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        """Matched, and the cycle-level witness, where there is one, holds."""
-        return self.matched and self.witness_ok is not False
+        return self.check.ok
+
+    witness_ok = ok
 
 
-def _match_shift(leftH: HomologyTable, rightH: HomologyTable,
-                 safe_left: Sequence[int], safe_right: Sequence[int]
-                 ) -> ShiftReport:
-    sl, sr = set(safe_left), set(safe_right)
-    left_nz = sorted(j for j in sl if not leftH[j].is_trivial())
-    right_nz = sorted(j for j in sr if not rightH[j].is_trivial())
-    if not left_nz and not right_nz:
-        # both sides trivial: a match only where some degree is compared
-        return ShiftReport(0 if sl & sr else None, {})
-    if not left_nz or not right_nz:
-        return ShiftReport(None, {})
-    # at shift s the degrees compared are the k trusted on the right with
-    # k + s trusted on the left, and a class in a degree without a trusted
-    # partner is left out; each candidate s pairs two nontrivial classes,
-    # so a match never rests on trivial groups alone
-    for s in sorted({left_nz[0] - right_nz[0], left_nz[-1] - right_nz[-1]}):
-        table = {k: (rightH[k], leftH[k + s]) for k in sorted(sr)
-                 if k + s in sl and not (rightH[k].is_trivial()
-                                         and leftH[k + s].is_trivial())}
-        if all(want == got for want, got in table.values()):
-            return ShiftReport(s, table)
-    return ShiftReport(None, {})
+def _certified(tag: str, degree: int, ent: Dict[Tuple[str, str], int],
+               source: ChainComplex, target: ChainComplex,
+               trusted: Tuple[Iterable[int], Iterable[int]],
+               win: Optional[Window] = None,
+               from_model: bool = True) -> ShiftReport:
+    """The certificate of a comparison by its map f: source -> target, the
+    entries of ``ent`` between their generators, from the model to the
+    computed side (or back, when not ``from_model``).  Model degree k is
+    compared where k and k + s are trusted (``trusted``: model side, then
+    computed side).  The law is judged inside ``win`` by
+    ``_chain_map_inside`` when a side is cut to it, else by ``_law``."""
+    f = GradedMap._trusted(source.module, target.module, degree, {
+        k: v for k, v in ent.items()
+        if k[0] in source.module and k[1] in target.module})
+    model, computed = (source, target) if from_model else (target, source)
+    s = degree if from_model else -degree
+    on_computed = set(trusted[1])
+    compared = [k for k in sorted(set(trusted[0])) if k + s in on_computed]
+    if not compared:
+        return ShiftReport(None, {}, Check(tag, False))
+    Hm, Hc = homology(model), homology(computed)
+    pairs = {k: (Hm[k], Hc[k + s]) for k in compared
+             if not (Hm[k].is_trivial() and Hc[k + s].is_trivial())}
+    check = _law(tag, _defect(f, source.d, target.d) if win is None
+                 else _chain_map_inside(f, source, target, win), source.p)
+    if check.ok:
+        arrow = _HomologyArrow(f, source, target)
+        bad = [k for k in pairs
+               if _flags(arrow, k if from_model else k + s) != (True, True)]
+        check = Check(tag, not bad, bad[0] if bad else None)
+    return ShiftReport(s, pairs, check)
 
 
 def koszul_a(C: ChainComplex, flavor: Flavor, window=None) -> ShiftReport:
-    """Compare H(e_y(s_u(C), flavor)) against the first-page model's
-    homology, reporting the uniform shift.  For hat the right side is
-    H(s_u(C)) itself and the match is groupwise-exact at shift 0."""
+    """Certify H(e_y(s_u(C), flavor)) against the first-page model's
+    homology by the comparison map from the model, cut to the slices:
+
+      minus:    g.u1 -> (-1)^{deg g} g.y.u1, of degree +1;
+      plus:     g.u0 -> (-1)^{deg g} sum_{k >= 0} (-1)^k (U^k g).u{-k}, of
+                degree 0 (a finite sum: U is nilpotent);
+      hat:      the model is s_u(C) itself, and x -> x.u0, of degree 0;
+      infinity: the zero map from the empty model."""
     SU = s_u(C)
     win = _resolve_window(SU.module.degrees(), window)
-    left = homology(e_y(SU, flavor, win))
-    sl = safe_degrees(SU, flavor, win)
     if flavor.tag == "hat":
-        right = homology(SU)
-        sr = list(range(win.lo - 1, win.hi + 2))
+        model, trusted = SU, range(win.lo - 1, win.hi + 2)
+        ent = {(x, f"{x}.u0"): 1 for x in SU.module.names()}
     else:
-        model = e1_page(C, flavor, win)
-        right = homology(model)
-        if flavor.tag == "minus":
-            degs = [dg - 2 for _, dg in C.module.generators]
-        elif flavor.tag == "plus":
-            degs = [dg for _, dg in C.module.generators]
-        else:
-            degs = []
-        # the models keep each generator on one line: the hat range
-        sr = _window_safe(degs, _U_LAYOUT.ranges["hat"], win)
-    return _match_shift(left, right, sl, sr)
+        model, ent = e1_page(C, flavor, win), {}
+        # a model keeps each generator on its line (u1 for minus, u0 for
+        # plus): the hat range; the infinity model has none
+        line = {"minus": 1, "plus": 0}.get(flavor.tag)
+        trusted = _window_safe([dg - 2 * line for _, dg in C.module.generators
+                                if line is not None],
+                               _U_LAYOUT.ranges["hat"], win)
+        neg_u = C.u_action.scale(-1)._rows().get
+        for g, dg in C.module.generators:
+            vec, k = {g: -1 if dg % 2 else 1}, 0
+            if flavor.tag == "minus":
+                ent[(f"{g}.u1", f"{g}.y.u1")] = vec[g]
+            while flavor.tag == "plus" and vec:
+                ent.update(((f"{g}.u0", f"{h}.u{-k}"), v)
+                           for h, v in vec.items())
+                vec, k = _apply(vec, neg_u, C.p), k + 1
+    return _certified(f"koszul-a:{flavor.tag}", int(flavor.tag == "minus"),
+                      ent, model, e_y(SU, flavor, win),
+                      (trusted, safe_degrees(SU, flavor, win)), win)
 
 
 def koszul_b(C: ChainComplex, window=None) -> ShiftReport:
-    """Compare H(s_u(e_y(C, minus))) against H(C) up to uniform shift and
-    verify the cycle-level witness z -> (Yz).u1 + z.u1.y: a chain map,
-    Y-equivariant, inducing isomorphisms at window-safe degrees.
-
-    The default window hangs four degrees below the support (instead of the
-    usual two) so the doubled minus-flavor complex is still safe one degree
-    below every class of H(C)."""
+    """Certify H(s_u(e_y(C, minus))) against H(C) by the cycle-level
+    witness W: z -> (Yz).u1 + z.u1.y, of degree -1 from C (Y-equivariant
+    on the nose, as Y.Y = 0).  The default window hangs four degrees below
+    the support (instead of the usual two) so the doubled minus-flavor
+    complex is still safe one degree below every class of H(C)."""
     if C.y_action is None:
         raise MissingYAction("koszul_b needs a Y-action")
     if window is None:
         sw = C.module.support_window()
         window = Window(sw[0] - 4, sw[1] + 2) if sw else Window(-4, 2)
     win = _resolve_window(C.module.degrees(), window)
-    em = e_y(C, MINUS, win)
-    SUm = s_u(em)
-    left = homology(SUm)
-    right = homology(C)
-    # the doubling reaches one degree further down
-    sl = _window_safe([d for _, d in C.module.generators],
-                      _U_LAYOUT.ranges["minus"], win, reach=2)
-    sr = list(range(win.lo - 1, win.hi + 2))
-    report = _match_shift(left, right, sl, sr)
-
     # the witness over the whole line u1 and its y copy, cut to the slice
     whole = _renamed_module([(C.module, "{}.u1", -2),
                              (C.module, "{}.u1.y", -1)])
-    W = _restricted(_block_map(C.module, whole, -1, [
+    W = _block_map(C.module, whole, -1, [
         (C.y_action, "{}", "{}.u1", 1),
-        (_name_identity(C.module, C.module), "{}", "{}.u1.y", 1)]),
-        C.module, SUm.module)
-    # the witness intertwines the y-actions on the nose: W(Yz) = Y(W(z))
-    ynat = (W @ C.y_action) - (SUm.y_action @ W)
-    witness_ok = ynat.is_zero_mod(C.p)
-    if witness_ok:
-        try:   # checks that W is a chain map
-            ind = induced_on_homology(W, C, SUm)
-        except NotAChainMap:
-            witness_ok = False
-        else:
-            witness_ok = all(info.isomorphism
-                             for j, info in ind.by_degree.items()
-                             if j - 1 in sl)
-    return report._replace(witness_ok=witness_ok)
+        (_name_identity(C.module, C.module), "{}", "{}.u1.y", 1)])
+    # the doubling reaches one degree further down
+    return _certified("koszul-b", -1, W.entries, C, s_u(e_y(C, MINUS, win)),
+                      (range(win.lo - 1, win.hi + 2),
+                       _window_safe([d for _, d in C.module.generators],
+                                    _U_LAYOUT.ranges["minus"], win,
+                                    reach=2)))

@@ -18,14 +18,14 @@ line of plus) has offset 2.
 
 The product side couples two U-complexes via ``chain.tensor`` with the
 difference U-action u1 x 1 - 1 x u2 and feeds the doubled-complex functor.
-``case1_check`` compares the doubled product against a truncated
-polynomial model with vanishing differential; ``case2_check`` matches the
-doubled product with a one-line exponent model, entry for entry, against
-the flavor expansion of the doubled second factor; the witness of its
-failing Check names the first mismatch.  ``verify_sum_maps`` audits
-candidate gluing data (two map blocks each way plus homotopy blocks)
-against the four block chain-map identities and both homotopy-composite
-identities.
+``case1_check`` certifies the doubled product with a truncated polynomial
+model by its evaluation map at x = U1 onto C1 + C1[1]; ``case2_check``
+matches the doubled product with a one-line exponent model, entry for
+entry, against the flavor expansion of the doubled second factor (its
+failing Check's witness names the first mismatch).  ``verify_sum_maps``
+audits candidate gluing data (two map blocks each way plus homotopy
+blocks) against the four block chain-map identities and both
+homotopy-composite identities.
 
 Conventions match chain.py: differentials have degree -1, a degree-d
 chain map satisfies f.d - (-1)^d d.f = 0, and [a, b] is the graded
@@ -42,12 +42,12 @@ from .chain import (
     GradedMap,
     GradedModule,
     HomogeneityViolated,
-    HomologyTable,
     _Checked,
+    _apply,
     _block_map,
     _law,
+    _renamed_module,
     _require_valid,
-    homology,
     tensor,
 )
 from .circle import (
@@ -59,15 +59,15 @@ from .circle import (
     MissingUAction,
     ShiftReport,
     Window,
+    _certified,
     _expand,
     _fundamental,
-    _match_shift,
     _resolve_window,
     _restricted,
     e_y,
     s_u,
 )
-from .exactlin import AbelianGroup, _invariant_factors, _Sealed, is_prime
+from .exactlin import _Sealed, is_prime
 
 class PositivityViolated(ChainError):
     """A differential exponent is negative, so the exponent >= 0 span is
@@ -239,44 +239,41 @@ def _polynomial_model(N: int, p: int) -> ChainComplex:
                         u_action=GradedMap(module, module, -2, uent), p=p)
 
 
-def _group_sum(a: AbelianGroup, b: AbelianGroup, p: int) -> AbelianGroup:
-    """a + b; over F_p a dimension alone."""
-    if p:
-        return AbelianGroup(a.free_rank + b.free_rank)
-    return AbelianGroup(a.free_rank + b.free_rank,
-                        _invariant_factors(a.torsion + b.torsion))
-
-
 def case1_check(C1: ChainComplex, N: int, window=None) -> ShiftReport:
-    """Double the product of C1 with the truncated polynomial model and
-    compare its homology against H(C1) tensored with a rank-two exterior
-    line, up to a uniform shift on degrees the truncation cannot touch.
+    """Double the product of C1 with the truncated polynomial model P_N and
+    certify its homology against C1 + C1[1] (both copies with d, the second
+    one degree up, its generators primed) by the evaluation map at x = U1,
+    of degree -1 from the doubled product to the model: the plain
+    generators go to 0, (g|x{m}).y to U1^m g and (g|x{m}y).y to (U1^m g)'.
+    So model degree k is compared with product degree k + 1.
 
     Truncating the exponent at N only deletes generators in total degrees
     <= max(deg C1) - 2N, so the product side is trusted from two degrees
-    above that and the model side on the whole window.  At shift s, model
-    degree k is compared with product degree k + s where that degree is
-    trusted; a model class whose partner is not trusted is left out."""
+    above that and the model side on the whole window.  The truncation is
+    also the one place the map is no chain map (d of (g|x{N}) reaches
+    U1^{N+1} g), so the law is judged above it."""
     if C1.u_action is None:
         raise MissingUAction("case1_check needs a U-action on C1")
-    model = _polynomial_model(N, C1.p)
-    P = product_complex(SumInput(C1, model))
-    SU = s_u(P)
+    SU = s_u(product_complex(SumInput(C1, _polynomial_model(N, C1.p))))
     win = _resolve_window(SU.module.degrees(), window)
-
-    left = homology(SU)
-    H1 = homology(C1)
-    right = HomologyTable({t: _group_sum(H1[t], H1[t - 1], C1.p)
-                           for t in range(win.lo, win.hi + 1)})
-
-    degs = [d for _, d in C1.module.generators]
-    if degs:
-        trusted_from = max(degs) - 2 * N + 2
-    else:
-        trusted_from = win.lo
-    safe_left = [j for j in range(win.lo, win.hi + 1) if j >= trusted_from]
-    safe_right = list(range(win.lo, win.hi + 1))
-    return _match_shift(left, right, safe_left, safe_right)
+    module = _renamed_module([(C1.module, "{}", 0), (C1.module, "{}'", 1)])
+    model = ChainComplex(module, _block_map(module, module, -1, [
+        (C1.d, "{}", "{}", 1), (C1.d, "{}'", "{}'", 1)]), p=C1.p)
+    ent: Dict[Tuple[str, str], int] = {}
+    u_rows = C1.u_action._rows().get
+    for g in C1.module.names():
+        vec = {g: 1}
+        for m in range(N + 1):
+            for h, v in vec.items():
+                ent[(f"{g}|x{m}.y", h)] = v
+                ent[(f"{g}|x{m}y.y", f"{h}'")] = v
+            vec = _apply(vec, u_rows, C1.p)
+    top = max(C1.module.degrees(), default=win.hi)
+    trusted_from = top - 2 * N + 2 if len(C1.module) else win.lo
+    degrees = range(win.lo, win.hi + 1)
+    return _certified("case1", -1, ent, SU, model, (
+        degrees, [j for j in degrees if j >= trusted_from]),
+        Window(trusted_from - 2, top + 2), from_model=False)
 
 
 # ---------------------------------------------------------------------------

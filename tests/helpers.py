@@ -31,7 +31,8 @@ the presentation by back-substitution through a factored cycle basis
 small constructions only
 tests use (``direct_sum``, ``compose``, ``verify_homotopy``,
 ``homology_of_pair``, ``unreduced_presentation``, ``to_dense``,
-``from_rows``, ``submatrix_cols``, ``equal_on``, and ``case2_input`` with
+``from_rows``, ``submatrix_cols``, ``equal_on``, ``group_sum``, and
+``case2_input`` with
 ``perturb_right_side`` for the mismatches of ``case2_check``).  Members
 the program does not run live here too: ``diagonal``, ``column``,
 ``rank_and_kernel``, ``shifted``, ``strict_pmorphism``,
@@ -60,7 +61,7 @@ from artifact.connsum import FilteredComplex
 from artifact.exactlin import (AbelianGroup, CompositionNonzero,
                                DimensionMismatch, ExactLinError, IntMatrix,
                                PresentedGroup, _axpy, _back_substitute,
-                               _kernel_head, snf)
+                               _invariant_factors, _kernel_head, snf)
 from artifact.flavors import _SHAPES, BalancedComponents, FlavorBundle
 from snf_reference import (FieldPresentation, invert_unimodular, mod_p,
                            reference_back_substitute, reference_kernel,
@@ -200,6 +201,15 @@ def to_invariant_factors(free: int, orders: List[int]) -> AbelianGroup:
         factors.append(d)
     factors.reverse()
     return AbelianGroup(free, factors)
+
+
+def group_sum(a: AbelianGroup, b: AbelianGroup, p: int) -> AbelianGroup:
+    """a + b; over F_p a dimension alone.  The oracle of the groups of the
+    case-1 model C1 + C1[1]: H_k = H_k(C1) + H_{k-1}(C1)."""
+    if p:
+        return AbelianGroup(a.free_rank + b.free_rank)
+    return AbelianGroup(a.free_rank + b.free_rank,
+                        _invariant_factors(a.torsion + b.torsion))
 
 
 def elementary_pair(rng: random.Random) -> Tuple[IntMatrix, IntMatrix]:

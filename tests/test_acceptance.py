@@ -172,7 +172,7 @@ class TestDualityShifts:
                          u_action=GradedMap.zero(m, m, -2))
         for flavor in ALL_FLAVORS:
             rep = koszul_a(C, flavor)
-            assert rep.matched
+            assert rep.ok
             assert rep.shift == _PINNED_SHIFTS[flavor.tag]
         assert koszul_b(s_u(C)).shift == -1
 
@@ -184,7 +184,7 @@ class TestDualityShifts:
             C = random_complex(rng, max_pieces=3, p=p, with_u=True).complex
             for flavor in ALL_FLAVORS:
                 rep = koszul_a(C, flavor)
-                assert rep.matched, (i, flavor.tag)
+                assert rep.ok, (i, flavor.tag)
                 if rep.per_degree:
                     nonempty[flavor.tag] += 1
                     assert rep.shift == _PINNED_SHIFTS[flavor.tag]
@@ -201,7 +201,7 @@ class TestDualityShifts:
             p = 2 if i % 3 == 2 else 0
             C = random_complex(rng, max_pieces=2, p=p, with_u=True).complex
             rep = koszul_b(s_u(C))
-            assert rep.matched, i
+            assert rep.ok, i
             if rep.per_degree:
                 nonempty += 1
                 assert rep.shift == -1
@@ -212,7 +212,7 @@ class TestDualityShifts:
         for _ in range(10):
             C = random_complex(rng, max_pieces=3, with_u=True).complex
             rep = koszul_a(C, HAT)
-            assert rep.matched and rep.shift == 0
+            assert rep.ok and rep.shift == 0
             for j, (right, left) in rep.per_degree.items():
                 assert right == left, j
             S = s_u(C)
@@ -402,14 +402,14 @@ class TestProductCase1:
         C = ChainComplex(m, GradedMap.zero(m, m, -1),
                          u_action=GradedMap.zero(m, m, -2))
         rep = case1_check(C, 4)
-        assert rep.matched and rep.shift == 1 and rep.per_degree
+        assert rep.ok and rep.shift == 1 and rep.per_degree
 
     def test_coefficient_two_arrow(self):
         m = GradedModule((("x", 1), ("y", 0)))
         C = ChainComplex(m, GradedMap(m, m, -1, {("x", "y"): 2}),
                          u_action=GradedMap.zero(m, m, -2))
         rep = case1_check(C, 4)
-        assert rep.matched and rep.shift == 1 and rep.per_degree
+        assert rep.ok and rep.shift == 1 and rep.per_degree
         assert any(str(g) == "Z/2" for g, _ in rep.per_degree.values())
 
     def test_random_rank_at_most_four(self):
@@ -420,7 +420,7 @@ class TestProductCase1:
             C = random_complex(rng, max_pieces=2, p=p, with_u=True).complex
             assert len(C.module.generators) <= 4
             rep = case1_check(C, 4)
-            assert rep.matched, i
+            assert rep.ok, i
             if rep.per_degree:
                 nonempty += 1
                 assert rep.shift == 1

@@ -6,17 +6,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
-                            GradedModule, HomologyTable, ModulusUnsupported,
-                            PMorphism, homology, is_chain_map, validate)
-from artifact import circle, flavors
+                            GradedModule, ModulusUnsupported, PMorphism,
+                            homology, is_chain_map, validate)
+from artifact import circle, connsum, flavors
 from artifact.circle import (ALL_FLAVORS, HAT, INFINITY, MINUS, PLUS, Window,
                              MissingUAction, MissingYAction, NotAPMorphism,
                              ShiftReport, _name_map, _ses_exact_at, e1_page,
                              e_y, e_y_map, fundamental_sequences, koszul_a,
                              koszul_b, s_u, s_u_map, safe_degrees)
-from artifact.connsum import cm_flavors
+from artifact.connsum import case1_check, cm_flavors
 from artifact.exactlin import AbelianGroup
 from artifact.flavors import ladder_check
 
@@ -837,12 +839,16 @@ class TestKoszulA:
                 assert rep.shift == expected[flavor.tag], flavor.tag
 
     def test_trivial_sides_match_only_on_a_common_safe_degree(self):
-        trivial = HomologyTable({})
-        assert circle._match_shift(trivial, trivial, [0, 1], [1, 2]) == \
-            ShiftReport(0, {})
-        for left, right in (([0], [1]), ([], [0]), ([], [])):
-            assert not circle._match_shift(trivial, trivial, left,
-                                           right).matched
+        # the zero map between empty complexes compares the degrees
+        # trusted on both sides, and matches where there is one
+        m = GradedModule([])
+        E = ChainComplex(m, GradedMap.zero(m, m, -1))
+        assert circle._certified("t", 0, {}, E, E, ([1, 2], [0, 1])) == \
+            ShiftReport(0, {}, Check("t", True))
+        for computed, model in (([0], [1]), ([], [0]), ([], [])):
+            r = circle._certified("t", 0, {}, E, E, (model, computed))
+            assert r == ShiftReport(None, {}, Check("t", False))
+            assert not r.matched and not r.ok
 
     def test_mod_p_shifts(self):
         rng = random.Random(53)
@@ -866,7 +872,8 @@ class TestKoszulB:
         d = GradedMap(m, m, -1, {("b", "a"): 1})
         C = ChainComplex(m, d, y_action=GradedMap.zero(m, m, 1))
         rep = koszul_b(C)
-        assert rep.shift == 0
+        # degrees are compared, all trivial on both sides: W's degree
+        assert rep.shift == -1 and rep.ok
         assert rep.per_degree == {}
 
     def test_doubled_complexes(self):
@@ -888,6 +895,93 @@ class TestKoszulB:
     def test_missing_y(self):
         with pytest.raises(MissingYAction):
             koszul_b(point())
+
+
+def flip_case():
+    """a(1) -> 2 b(0) beside a free e(0), U = 0: H = Z/2 + Z at 0."""
+    m = GradedModule([("a", 1), ("b", 0), ("e", 0)])
+    return ChainComplex(m, GradedMap(m, m, -1, {("a", "b"): 2}),
+                        u_action=GradedMap.zero(m, m, -2))
+
+
+# each comparison on flip_case(), with an entry of its map whose sign
+# flip breaks the chain-map law (and the law's witness), and the entries
+# that carry the class of e (and the degree where doubling them is seen)
+COMPARISONS = {
+    "minus": (lambda C: koszul_a(C, MINUS), ("a.u1", "a.y.u1"),
+              ("a.u1", "b.y.u1"), [("e.u1", "e.y.u1")], -2),
+    "plus": (lambda C: koszul_a(C, PLUS), ("a.u0", "a.u0"),
+             ("a.u0", "b.u0"), [("e.u0", "e.u0")], 0),
+    "hat": (lambda C: koszul_a(C, HAT), ("a", "a.u0"), ("a", "b.u0"),
+            [("e", "e.u0")], 0),
+    "koszul_b": (lambda C: koszul_b(s_u(C)), ("a", "a.u1.y"),
+                 ("a", "a.y.u2.y"), [("e", "e.u1.y"), ("e", "e.y.u1")], 0),
+    "case1": (lambda C: case1_check(C, 4), ("a|x0.y", "a"), ("a|x0.y", "b"),
+              [("e|x0.y", "e")], 0),
+}
+
+
+class TestComparisonMaps:
+    """Each comparison is certified by its map: a changed coefficient of
+    that map fails the certificate, with the law's generator pair or the
+    first degree where the map is no isomorphism as its witness."""
+
+    @staticmethod
+    def scaled(monkeypatch, factors):
+        """Run the certificates with the map's given entries multiplied by
+        their factors."""
+        original = circle._certified
+
+        def certified(tag, degree, ent, *args, **kwargs):
+            ent = dict(ent)
+            for key, c in factors.items():
+                ent[key] *= c
+            return original(tag, degree, ent, *args, **kwargs)
+
+        for module in (circle, connsum):
+            monkeypatch.setattr(module, "_certified", certified)
+
+    @pytest.mark.parametrize("name", sorted(COMPARISONS))
+    def test_the_unchanged_map_certifies(self, name):
+        assert COMPARISONS[name][0](flip_case()).ok
+
+    @pytest.mark.parametrize("name", sorted(COMPARISONS))
+    def test_a_flipped_sign_breaks_the_law(self, name, monkeypatch):
+        run, entry, pair, _, _ = COMPARISONS[name]
+        self.scaled(monkeypatch, {entry: -1})
+        r = run(flip_case())
+        assert not r.ok and r.check.witness == pair
+
+    @pytest.mark.parametrize("name", sorted(COMPARISONS))
+    def test_a_doubled_class_is_no_isomorphism(self, name, monkeypatch):
+        run, _, _, entries, degree = COMPARISONS[name]
+        self.scaled(monkeypatch, {entry: 2 for entry in entries})
+        r = run(flip_case())
+        assert not r.ok and r.check.witness == degree
+        # the groups still agree: only the map tells them apart
+        assert all(a == b for a, b in r.per_degree.values())
+
+    def test_the_empty_infinity_model_fails_against_a_class(self,
+                                                          monkeypatch):
+        # the infinity map has no coefficient to change; planting the hat
+        # slice, whose first class is at 0, as the computed side fails it
+        # there
+        e_y = circle.e_y
+        monkeypatch.setattr(circle, "e_y", lambda S, flavor, win: e_y(
+            S, HAT, win))
+        r = koszul_a(flip_case(), INFINITY)
+        assert r.shift == 0 and not r.ok and r.check.witness == 0
+        assert r.per_degree[0] == (AbelianGroup(0), AbelianGroup(1, (2,)))
+
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4),
+           p=st.sampled_from((0, 2, 3)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_generated_u_complexes_certify_at_their_shifts(self, rng, n, p):
+        C = random_complex(rng, max_pieces=8, p=p, with_u=True).complex
+        reports = [koszul_a(C, flavor) for flavor in ALL_FLAVORS]
+        reports += [koszul_b(s_u(C)), case1_check(C, n)]
+        assert [(r.ok, r.shift) for r in reports] == [
+            (True, s) for s in (1, 0, 0, 0, -1, 1)]
 
 
 class TestWindow:

@@ -497,6 +497,51 @@ class TestVacuousCertificates:
         assert seqs.checks == (seqs.les1, seqs.les2) and not seqs.ok
 
 
+class TestComparisonAnswers:
+    """Comparisons that a search over degree shifts once answered wrongly,
+    now certified by their maps; exact machine records."""
+
+    @staticmethod
+    def records(**fields):
+        code, text = run(Manifest(fmt="machine", **fields))
+        return code, text.splitlines()
+
+    def test_hat_on_a_window_matches_at_shift_zero(self):
+        # the name map s_u(C) -> hat slice is an isomorphism at both
+        # compared degrees (the search found no shift)
+        assert self.records(command="koszul", direction="a", flavor="hat",
+                            window=Window(-3, 3)) == (0, [
+            "kind=result shift=+0 match=yes",
+            "kind=pair degree=1 expected=Z got=Z",
+            "kind=pair degree=2 expected=Z/2 got=Z/2"])
+
+    def test_hat_shift_is_the_map_degree(self):
+        # the search printed shift=-3 for this degree-0 map
+        assert self.records(command="koszul", direction="a", flavor="hat",
+                            seed=7, window=Window(-3, 3)) == (0, [
+            "kind=result shift=+0 match=yes",
+            "kind=pair degree=-2 expected=Z got=Z",
+            "kind=pair degree=0 expected=Z got=Z",
+            "kind=pair degree=1 expected=Z got=Z"])
+
+    def test_minus_with_only_trivial_groups_has_the_map_degree(self):
+        # six degrees are compared, all trivial on both sides; the search
+        # printed shift=+0
+        assert self.records(command="koszul", direction="a", seed=10) == (
+            0, ["kind=result shift=+1 match=yes"])
+
+    def test_case1_on_a_narrow_window_certifies_its_one_degree(self):
+        assert self.records(command="consum-case1", window=Window(0, 1),
+                            inputs=(str(CORPUS / "utower.txt"),)) == (0, [
+            "kind=result shift=+1 match=yes",
+            "kind=pair degree=0 expected=Z+Z/3 got=Z+Z/3"])
+
+    def test_no_degree_compared_has_no_shift(self):
+        assert self.records(command="koszul", direction="a", seed=7,
+                            window=Window(0, 0)) == (
+            1, ["kind=result shift=none match=no"])
+
+
 class TestMachineFormat:
     def test_machine_lines_are_records(self):
         code, text = run(Manifest(command="flavors", fmt="machine",

@@ -11,23 +11,22 @@ from hypothesis import strategies as st
 
 from artifact import circle
 from artifact.chain import (ChainComplex, ChainError, Check, GradedMap,
-                            GradedModule, HomologyTable, _HomologyArrow,
-                            exactness_pair, homology, is_chain_map,
-                            validate)
+                            GradedModule, _HomologyArrow, exactness_pair,
+                            homology, is_chain_map, validate)
 from artifact.circle import (_LAURENT_LAYOUT, ALL_FLAVORS, HAT, MINUS,
                              ShiftReport, Window, _window_safe, e_y,
                              fundamental_sequences, s_u, safe_degrees)
 from artifact.connsum import (ConnSumMaps, FilteredComplex,
-                              PositivityViolated, SumInput, _group_sum,
+                              PositivityViolated, SumInput,
                               case1_check, case2_check, check_positivity,
                               cm_flavors, product_complex, verify_sum_maps)
 from artifact.exactlin import AbelianGroup, IntMatrix, snf
 from artifact.chain import _presentation
 from artifact.flavors import _chase, _square_commutes, four_flavors
 
-from helpers import (case2_input, diagonal, fixed_node, laurent_form,
-                     lattice_exactness_oracle, perturb_right_side,
-                     random_complex, ses_verdicts)
+from helpers import (case2_input, diagonal, fixed_node, group_sum,
+                     laurent_form, lattice_exactness_oracle,
+                     perturb_right_side, random_complex, ses_verdicts)
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -396,6 +395,29 @@ class TestCase1:
                 found += 1
         assert found >= 2
 
+    def test_the_model_side_is_h_c1_plus_its_shift(self):
+        # the evaluation map's target C1 + C1[1] has H_k = H_k(C1) +
+        # H_{k-1}(C1), computed here without it
+        rng = random.Random(23)
+        for trial in range(6):
+            p = (0, 2, 3)[trial % 3]
+            C1 = random_complex(rng, max_pieces=3, p=p, with_u=True).complex
+            H1 = homology(C1)
+            r = case1_check(C1, 4)
+            assert r.ok and r.shift == 1, trial
+            for k, (model, computed) in r.per_degree.items():
+                assert model == group_sum(H1[k], H1[k - 1], p) == computed
+
+    def test_the_law_is_judged_above_the_truncation(self):
+        # U^2 g0 = g2 in utower, so at N = 1 the evaluation map misses
+        # U1^2 g0 at (g0|x1); that generator lies below the trusted range
+        C = ucomplex([("g0", 0), ("g1", -2), ("g2", -4), ("h0", 0),
+                      ("h1", 1)], d={("h1", "h0"): 3},
+                     u={("g0", "g1"): 1, ("g1", "g2"): 1})
+        Z3 = AbelianGroup(1, (3,))
+        assert case1_check(C, 1) == ShiftReport(
+            1, {0: (Z3, Z3), 1: (Z3, Z3)}, Check("case1", True))
+
     def test_untrusted_partners_are_left_out(self):
         # complexes 3 and 4 have a model class in degree -2 whose partner
         # at N = 3 lies below the trusted range; it is left out, not a miss
@@ -412,35 +434,67 @@ class TestCase1:
                                     if k != -2}, i
 
 
-class TestMatchShift:
-    """``_match_shift`` compares, at shift s, every degree k trusted on the
-    right with k + s trusted on the left; here the left is trusted from 0
-    and the right everywhere, as in case 1."""
+class TestComparedDegrees:
+    """``_certified`` compares, at the map's degree s, every degree k
+    trusted on the model side with k + s trusted on the computed side; here
+    the computed side is trusted from 0 and the model side everywhere, as
+    in case 1, and the map a degree +1 renaming of generators."""
 
-    SAFE_LEFT, SAFE_RIGHT = range(0, 4), range(-3, 4)
-    LEFT = {-1: Z, 1: Z, 2: Z2}
-    RIGHT = {-2: Z, 0: Z, 1: Z2}
+    TRUSTED = (range(-3, 4), range(0, 4))   # model, computed
+    COMPUTED = {-1: ["Z"], 1: ["Z"], 2: ["Z2"]}
+    MODEL = {-2: ["Z"], 0: ["Z"], 1: ["Z2"]}
 
-    def match(self, left, right):
-        return circle._match_shift(HomologyTable(left), HomologyTable(right),
-                                   self.SAFE_LEFT, self.SAFE_RIGHT)
+    @staticmethod
+    def complex_of(table):
+        """A generator z<j>_<i> per Z at degree j, and s<j>_<i> -> 2 t<j>_<i>
+        per Z/2."""
+        gens, d = [], {}
+        for j, groups in table.items():
+            for i, g in enumerate(groups):
+                if g == "Z":
+                    gens.append((f"z{j}_{i}", j))
+                else:
+                    gens += [(f"t{j}_{i}", j), (f"s{j}_{i}", j + 1)]
+                    d[(f"s{j}_{i}", f"t{j}_{i}")] = 2
+        m = GradedModule(gens)
+        return ChainComplex(m, GradedMap(m, m, -1, d))
+
+    def certify(self, model, computed):
+        M, K = self.complex_of(model), self.complex_of(computed)
+        # x<k>_<i> -> x<k+1>_<i> for the class at k (s sits one above its
+        # t), s negated, since f.d + d.f = 0 for a map of odd degree
+        up = {}
+        for name, deg in M.module.generators:
+            k = deg - 1 if name[0] == "s" else deg
+            head, i = name[0], name.split("_")[1]
+            other = f"{head}{k + 1}_{i}"
+            if other in K.module:
+                up[(name, other)] = -1 if head == "s" else 1
+        return circle._certified("t", 1, up, M, K, self.TRUSTED)
 
     def test_the_untrusted_classes_are_neither_compared_nor_listed(self):
-        # the left class at -1 is untrusted, and the right class at -2 has
-        # its partner there
-        expected = ShiftReport(1, {0: (Z, Z), 1: (Z2, Z2)})
-        assert self.match(self.LEFT, self.RIGHT) == expected
+        # the computed class at -1 is untrusted, and the model class at -2
+        # has its partner there
+        expected = ShiftReport(1, {0: (Z, Z), 1: (Z2, Z2)}, Check("t", True))
+        assert self.certify(self.MODEL, self.COMPUTED) == expected
         # moving a class into an untrusted degree changes nothing
-        assert self.match({**self.LEFT, -3: Z2}, self.RIGHT) == expected
-        assert self.match(self.LEFT, {**self.RIGHT, -3: Z}) == expected
+        assert self.certify(self.MODEL,
+                            {**self.COMPUTED, -3: ["Z2"]}) == expected
+        assert self.certify({**self.MODEL, -3: ["Z"]},
+                            self.COMPUTED) == expected
 
     @pytest.mark.parametrize("side,degree", [
         ("left", 1), ("left", 2), ("right", 0), ("right", 1)])
     def test_a_compared_group_plus_z_fails(self, side, degree):
-        left, right = dict(self.LEFT), dict(self.RIGHT)
-        table = left if side == "left" else right
-        table[degree] = _group_sum(table[degree], Z, 0)
-        assert not self.match(left, right).matched
+        # left is the computed side, right the model side; the added Z is
+        # a class the map misses, so the first degree it is compared at
+        # is the witness
+        computed, model = dict(self.COMPUTED), dict(self.MODEL)
+        table = computed if side == "left" else model
+        table[degree] = table[degree] + ["Z"]
+        r = self.certify(model, computed)
+        assert r.shift == 1 and not r.ok
+        assert r.check.witness == (degree - 1 if side == "left" else degree)
 
 
 def smith_torsion(moduli):
@@ -457,11 +511,11 @@ class TestGroupSum:
     def test_matches_the_smith_form_of_the_diagonal(self, ma, mb, ra, rb):
         a = AbelianGroup(ra, smith_torsion(ma))
         b = AbelianGroup(rb, smith_torsion(mb))
-        assert _group_sum(a, b, 0) == AbelianGroup(
+        assert group_sum(a, b, 0) == AbelianGroup(
             ra + rb, smith_torsion(a.torsion + b.torsion))
         # over F_p only the dimensions add
         for p in (2, 3):
-            assert _group_sum(AbelianGroup(ra), AbelianGroup(rb), p) == (
+            assert group_sum(AbelianGroup(ra), AbelianGroup(rb), p) == (
                 AbelianGroup(ra + rb))
 
 

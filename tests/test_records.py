@@ -98,12 +98,14 @@ class TestValueRecords:
         with pytest.raises(TypeError):
             InducedMap(0)
         with pytest.raises(TypeError):
-            ShiftReport(None)
-        assert ShiftReport(0, {}).witness_ok is None
-        # ok: matched, with no refuted cycle-level witness
-        assert ShiftReport(0, {}).ok and ShiftReport(1, {}, True).ok
-        assert not ShiftReport(None, {}).ok
-        assert not ShiftReport(0, {}, witness_ok=False).ok
+            ShiftReport(None, {})
+        # ok: the certificate's Check holds; matched: a degree was compared
+        passed, failed = Check("t", True), Check("t", False, 0)
+        assert ShiftReport(0, {}, passed).ok and ShiftReport(1, {}, passed).ok
+        assert ShiftReport(1, {}, passed).witness_ok
+        assert not ShiftReport(None, {}, Check("t", False)).matched
+        assert ShiftReport(0, {}, failed).matched
+        assert not ShiftReport(0, {}, failed).ok
 
 
 class TestValidatingRecords:

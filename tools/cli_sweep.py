@@ -8,14 +8,15 @@ Usage, from the root of the repository:
 
 It runs every command of ``python -m artifact.cli`` on every file of
 ``corpus/v1`` (``ey`` and ``consum-case2`` once per flavor flag), plus
-``koszul --direction a`` at its default flavor and at each ``--flavor``,
-``koszul --direction b`` and ``tower --n 3|5`` without a file.  Each of
-these runs in text and machine format, at the default window and at
-``--window -3..3`` and ``--window 0..1``.  Every run is a fresh process
-with ``DIR/src`` on ``PYTHONPATH``, ``DIR`` as working directory (so file
-arguments read ``corpus/v1/...`` in every checkout) and bytecode writing
-off, so no ``__pycache__`` is left in ``DIR``.  ``DIR`` defaults to
-the checkout holding this script; pointing it at another checkout (say a
+``koszul --direction a`` at its default flavor and at each ``--flavor``
+(and at ``--flavor hat --seed 7`` and ``--seed 10``, whose shifts a
+group-list search once got wrong), ``koszul --direction b`` and ``tower
+--n 3|5`` without a file.  Each of these runs in text and machine format,
+at the default window and at ``--window -3..3`` and ``--window 0..1``.
+Every run is a fresh process with ``DIR/src`` on ``PYTHONPATH``, ``DIR``
+as working directory (so file arguments read ``corpus/v1/...`` in every
+checkout) and bytecode writing off, so no ``__pycache__`` is left in
+``DIR``.  ``DIR`` defaults to the checkout holding this script; pointing it at another checkout (say a
 parent commit, which may not have this script) captures that one.
 
 ``--regenerate`` instead runs every argv through ``artifact.cli.main`` in
@@ -52,6 +53,9 @@ FILE_COMMANDS = (
 NO_FILE_COMMANDS = (["koszul", "--direction", "a"],
                     *(["koszul", "--direction", "a", "--flavor", f]
                       for f in ("plus", "hat", "inf")),
+                    ["koszul", "--direction", "a", "--flavor", "hat",
+                     "--seed", "7"],
+                    ["koszul", "--direction", "a", "--seed", "10"],
                     ["koszul", "--direction", "b"],
                     ["tower", "--n", "3"], ["tower", "--n", "5"])
 WINDOWS = ([], ["--window", "-3..3"], ["--window", "0..1"])
